@@ -8,11 +8,14 @@ from .gradients import (
     grad_tnce,
     grad_total,
     grad_vlo,
+    tnce_and_grad,
+    total_and_grad,
 )
 from .losses import (
     BridgeInterval,
     DistanceProfile,
     LossBreakdown,
+    TieGroups,
     TnceConfig,
     actol_loss,
     bb_loss,

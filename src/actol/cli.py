@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from .clip import ClipSequence
-from .gradients import finite_diff_check, grad_vlo
+from .gradients import finite_diff_check
 from .losses import TnceConfig
 from .reward import ObjectiveSpec, compare_objectives, curve_rows
 from .synthetic import SyntheticClipSpec, generate_clip, random_clip
@@ -36,6 +36,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_NON_FINITE = 3
+
+# A perturbation of one coordinate by `step` moves each similarity by at
+# most about 2 * step; gradcheck keeps similarities this many steps apart.
+KINK_MARGIN_STEPS = 100
 
 OBJECTIVE_PRESETS = {
     "actol": None,
@@ -119,7 +123,7 @@ def _common_options(fn):
     return fn
 
 
-def _run(ctx_exit, fn, config_path, out_dir, seed):
+def _run(fn, config_path, out_dir, seed):
     try:
         config = _load_config(config_path, seed)
         out = Path(out_dir)
@@ -151,7 +155,7 @@ def train(config_path, out_dir, seed):
         _write_json(out / "final_clip.json", config, history.final_clip.to_dict())
         return EXIT_OK
 
-    _run(sys.exit, body, config_path, out_dir, seed)
+    _run(body, config_path, out_dir, seed)
 
 
 def _report_lower_bound(config, params):
@@ -236,7 +240,7 @@ def verify(config_path, out_dir, seed):
         )
         return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
-    _run(sys.exit, body, config_path, out_dir, seed)
+    _run(body, config_path, out_dir, seed)
 
 
 @main.command()
@@ -282,13 +286,16 @@ def reward(config_path, out_dir, seed):
         _write_json(out / "comparison.json", config, payload)
         return EXIT_OK
 
-    _run(sys.exit, body, config_path, out_dir, seed)
+    _run(body, config_path, out_dir, seed)
 
 
-def _sample_away_from_kinks(rng, T, d, temperature):
+def _sample_away_from_kinks(rng, T, d, step):
+    """Random clip whose similarities are pairwise at least
+    KINK_MARGIN_STEPS finite-difference steps apart, so no central
+    difference crosses the alignment score's absolute-value kink."""
     for _ in range(100):
         clip = random_clip(T, d, rng)
-        if not grad_vlo(clip, temperature).at_kink:
+        if np.min(np.diff(np.sort(clip.similarities()))) >= KINK_MARGIN_STEPS * step:
             return clip
     raise RuntimeError("could not sample a kink-free clip")
 
@@ -314,7 +321,7 @@ def gradcheck(config_path, out_dir, seed):
             for loss in losses:
                 errs = []
                 for _ in range(n_clips):
-                    clip = _sample_away_from_kinks(rng, T, d, 1.0)
+                    clip = _sample_away_from_kinks(rng, T, d, step)
                     errs.append(finite_diff_check(loss, clip, step=step))
                 worst[loss] = max(errs)
         except FloatingPointError as exc:
@@ -323,7 +330,7 @@ def gradcheck(config_path, out_dir, seed):
         _write_json(out / "gradcheck.json", config, {"max_relative_error": worst})
         return EXIT_OK if all(v < 1e-5 for v in worst.values()) else EXIT_CHECK_FAILED
 
-    _run(sys.exit, body, config_path, out_dir, seed)
+    _run(body, config_path, out_dir, seed)
 
 
 if __name__ == "__main__":

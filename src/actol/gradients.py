@@ -11,23 +11,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import softmax
 
 from .clip import ClipSequence
 from .losses import (
     BridgeInterval,
+    TieGroups,
     TnceConfig,
-    _distance_matrix,
-    _tnce_terms,
+    _bridge_deviations,
+    _contrastive_terms,
+    actol_loss,
     bb_loss,
-    bb_mean,
-    bb_variance,
     full_interval,
     tnce_loss,
     vlo_loss,
 )
 
 KINK_TOL = 1e-12
+# finite_diff_check's error floor, as a fraction of the gradient's max-norm
+REL_FLOOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,6 @@ class GradientSet:
         return GradientSet(c * self.frames, c * self.language, self.at_kink)
 
 
-def _zero_grads(clip: ClipSequence) -> GradientSet:
-    return GradientSet(np.zeros_like(clip.embeddings), np.zeros_like(clip.language))
-
-
 def _sim_chain(clip: ClipSequence, g_s: np.ndarray, at_kink: bool) -> GradientSet:
     """Map per-frame similarity gradients dL/ds_t to embedding gradients
     through the cosine (including normalization Jacobians)."""
@@ -69,32 +66,6 @@ def _sim_chain(clip: ClipSequence, g_s: np.ndarray, at_kink: bool) -> GradientSe
     frames = g_s[:, None] * (u_l[None, :] - s[:, None] * u_v) / norms_v[:, None]
     language = (g_s[:, None] * (u_v - s[:, None] * u_l[None, :])).sum(axis=0) / norm_l
     return GradientSet(frames, language, at_kink)
-
-
-def _pair_weight_matrix(clip: ClipSequence, temperature: float):
-    """Accumulate dL/dR over the ordering loss's contrastive terms.
-
-    Returns (G, s, at_kink) with G[i, k] = dL/dR_{i,k}.
-    """
-    T = clip.T
-    tau = float(temperature)
-    s = clip.similarities()
-    R = -np.abs(s[:, None] - s[None, :])
-    d = _distance_matrix(clip.timestamps)
-    G = np.zeros((T, T))
-    scale = 1.0 / (T * (T - 1))
-    for i in range(T):
-        # rows j: negative set {k != i, d_ik >= d_ij}; softmax per row
-        mask = d[i][None, :] >= d[i][:, None]
-        mask[:, i] = False
-        logits = np.where(mask, R[i][None, :] / tau, -np.inf)
-        mx = logits.max(axis=1, keepdims=True)
-        expd = np.exp(logits - mx)
-        w = expd / expd.sum(axis=1, keepdims=True)
-        others = np.arange(T) != i
-        G[i, :] += scale / tau * w[others].sum(axis=0)
-        G[i, others] -= scale / tau
-    return G, s, R
 
 
 def _scores_to_sim_grads(G: np.ndarray, s: np.ndarray):
@@ -109,65 +80,61 @@ def _scores_to_sim_grads(G: np.ndarray, s: np.ndarray):
     return g_s, at_kink
 
 
+def tnce_and_grad(
+    clip: ClipSequence, cfg: TnceConfig, groups: TieGroups | None = None
+) -> tuple[float, GradientSet]:
+    """tnce_loss and its exact ambient gradient from one kernel pass.
+    groups, if given, must be TieGroups.of(clip.timestamps,
+    cfg.negative_selector); a training run passes it to skip the sort."""
+    value, G, s = _contrastive_terms(clip, cfg, groups, need_grad=True)
+    if cfg.score == "direct-sim":
+        g_s, at_kink = G.sum(axis=0), False
+    else:
+        g_s, at_kink = _scores_to_sim_grads(G, s)
+    return value, _sim_chain(clip, g_s, at_kink)
+
+
 def grad_vlo(clip: ClipSequence, temperature: float = 1.0) -> GradientSet:
     """Exact ambient gradient of vlo_loss w.r.t. every embedding."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    G, s, _ = _pair_weight_matrix(clip, temperature)
-    g_s, at_kink = _scores_to_sim_grads(G, s)
-    return _sim_chain(clip, g_s, at_kink)
+    return tnce_and_grad(clip, TnceConfig(temperature=temperature))[1]
 
 
 def grad_bb(clip: ClipSequence, interval: BridgeInterval) -> GradientSet:
     """Exact gradient of bb_loss. Endpoint frames receive gradient through
     the bridge mean even though they contribute no deviation term."""
-    interval.validate(clip)
-    grads = _zero_grads(clip)
-    interior = list(range(interval.start + 1, interval.end))
-    if not interior:
-        return grads
-    t0 = clip.timestamps[interval.start]
-    t1 = clip.timestamps[interval.end]
-    frames = grads.frames
-    for p in interior:
-        t = clip.timestamps[p]
-        alpha = (t - t0) / (t1 - t0)
-        dev = clip.embeddings[p] - bb_mean(t, interval, clip)
-        g = dev / (bb_variance(t, interval, clip) * len(interior))
-        frames[p] += g
-        frames[interval.start] -= (1.0 - alpha) * g
-        frames[interval.end] -= alpha * g
-    return grads
+    dev, var, alpha = _bridge_deviations(clip, interval)
+    frames = np.zeros_like(clip.embeddings)
+    if len(var):
+        g = dev / (var * len(var))[:, None]
+        frames[interval.start + 1 : interval.end] = g
+        frames[interval.start] = -((1.0 - alpha) @ g)
+        frames[interval.end] = -(alpha @ g)
+    return GradientSet(frames, np.zeros_like(clip.language))
 
 
 def grad_tnce(clip: ClipSequence, cfg: TnceConfig) -> GradientSet:
     """Exact ambient gradient of tnce_loss for any selector configuration."""
-    s = clip.similarities()
-    tau = cfg.temperature
-    terms = _tnce_terms(clip, cfg)
-    T = clip.T
-    g_s = np.zeros(T)
-    G = np.zeros((T, T))
-    scale = 1.0 / len(terms)
+    return tnce_and_grad(clip, cfg)[1]
 
-    def add(item, coeff):
-        if isinstance(item, tuple):
-            i, k = item
-            G[i, k] += coeff
-        else:
-            g_s[item] += coeff
 
-    from .losses import _item_score
-
-    for pos, negs in terms:
-        neg_scores = np.array([_item_score(n, s) for n in negs])
-        w = softmax(neg_scores / tau)
-        add(pos, -scale / tau)
-        for n, wn in zip(negs, w):
-            add(n, scale * wn / tau)
-
-    g_pair, at_kink = _scores_to_sim_grads(G, s)
-    return _sim_chain(clip, g_s + g_pair, at_kink)
+def total_and_grad(
+    clip: ClipSequence,
+    bb_weight: float = 0.1,
+    temperature: float = 1.0,
+    intervals=None,
+    groups: TieGroups | None = None,
+) -> tuple[float, float, GradientSet]:
+    """(vlo, mean bridge penalty, gradient of vlo + bb_weight * bb), with
+    one pass of the ordering-loss kernel. groups, if given, must be
+    TieGroups.of(clip.timestamps)."""
+    if intervals is None:
+        intervals = [full_interval(clip)]
+    vlo, grads = tnce_and_grad(clip, TnceConfig(temperature=temperature), groups)
+    bb = sum(bb_loss(clip, iv) for iv in intervals) / len(intervals) if intervals else 0.0
+    if bb_weight != 0.0 and intervals:
+        bb_grads = [grad_bb(clip, iv) for iv in intervals]
+        grads = grads + sum(bb_grads[1:], bb_grads[0]).scaled(bb_weight / len(intervals))
+    return vlo, bb, grads
 
 
 def grad_total(
@@ -178,55 +145,50 @@ def grad_total(
 ) -> GradientSet:
     """Gradient of the combined objective: grad_vlo plus bb_weight times the
     mean bridge gradient over the intervals."""
-    if intervals is None:
-        intervals = [full_interval(clip)]
-    grads = grad_vlo(clip, temperature)
-    if bb_weight != 0.0 and intervals:
-        bb = _zero_grads(clip)
-        for iv in intervals:
-            bb = bb + grad_bb(clip, iv)
-        grads = grads + bb.scaled(bb_weight / len(intervals))
-    return grads
+    return total_and_grad(clip, bb_weight, temperature, intervals)[2]
 
 
 def _loss_and_grad(loss: str, clip: ClipSequence, params: dict):
+    """(loss as a function of a clip, analytic gradient at clip)."""
     params = dict(params or {})
     if loss == "vlo":
         tau = params.get("temperature", 1.0)
-        return vlo_loss(clip, tau), grad_vlo(clip, tau)
+        return (lambda c: vlo_loss(c, tau)), grad_vlo(clip, tau)
     if loss == "bb":
         iv = params.get("interval", full_interval(clip))
-        return bb_loss(clip, iv), grad_bb(clip, iv)
+        return (lambda c: bb_loss(c, iv)), grad_bb(clip, iv)
     if loss == "total":
         lam = params.get("bb_weight", 0.1)
         tau = params.get("temperature", 1.0)
         ivs = params.get("intervals")
-        from .losses import actol_loss
-
-        return actol_loss(clip, lam, tau, ivs).total, grad_total(clip, lam, tau, ivs)
+        return (lambda c: actol_loss(c, lam, tau, ivs).total), grad_total(clip, lam, tau, ivs)
     if loss == "tnce":
         cfg = params["config"]
-        return tnce_loss(clip, cfg), grad_tnce(clip, cfg)
+        return (lambda c: tnce_loss(c, cfg)), grad_tnce(clip, cfg)
     raise ValueError(f"unknown loss {loss!r}")
 
 
 def finite_diff_check(loss: str, clip: ClipSequence, params=None, step: float = 1e-5) -> float:
     """Central finite differences on every coordinate of every embedding
     (frames and language); returns the max relative error against the
-    analytic gradient."""
+    analytic gradient, which is computed once. Errors are relative to the
+    largest of the two values, REL_FLOOR times the gradient's max-norm and
+    1e-8, so round-off on components near zero is not reported as a failure."""
     if step <= 0:
         raise ValueError("step must be positive")
-    _, grads = _loss_and_grad(loss, clip, params)
+    loss_of, grads = _loss_and_grad(loss, clip, params)
+    floor = max(
+        REL_FLOOR * max(np.abs(grads.frames).max(), np.abs(grads.language).max()), 1e-8
+    )
 
     def value(emb, lang):
-        c = ClipSequence(clip.timestamps, emb, lang)
-        v, _ = _loss_and_grad(loss, c, params)
+        v = loss_of(ClipSequence(clip.timestamps, emb, lang))
         if not np.isfinite(v):
             raise FloatingPointError(f"non-finite {loss} loss at perturbed point")
         return v
 
     def rel_err(analytic, numeric):
-        return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+        return abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
 
     worst = 0.0
     emb0 = clip.embeddings

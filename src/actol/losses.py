@@ -2,8 +2,10 @@
 their weighted combination, the configurable time-contrastive family,
 and the combinatorial lower bound of the ordering loss.
 
-All reductions run in a fixed anchor-major, pair-minor order so results
-are bit-reproducible.
+Every contrastive objective here is one masked softmax: for anchor i, the
+negatives of a positive frame j are a prefix of the other frames sorted by
+descending temporal distance (ties kept together). `_suffix_softmax`
+evaluates all of them at once in O(T^2 log T) time and O(T^2) memory.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .clip import ClipSequence
 
@@ -54,8 +55,9 @@ class TnceConfig:
 
     positive_selector: 'last-frame' (goal frame), 'future-frame'
     (later-frame pairs), or 'vlo-pair' (all ordered pairs; reduces to
-    vlo_loss). negative_selector: 'other-frames' or 'farther-frames'.
-    score: 'direct-sim' or 'difference-score'.
+    vlo_loss, and requires difference-score). negative_selector:
+    'other-frames' or 'farther-frames'. score: 'direct-sim' or
+    'difference-score'.
     """
 
     positive_selector: str = "vlo-pair"
@@ -70,8 +72,96 @@ class TnceConfig:
             raise ValueError(f"unknown negative selector {self.negative_selector!r}")
         if self.score not in ("direct-sim", "difference-score"):
             raise ValueError(f"unknown score {self.score!r}")
+        if self.positive_selector == "vlo-pair" and self.score != "difference-score":
+            raise ValueError("vlo-pair positives require difference-score")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+
+
+@dataclass(frozen=True, eq=False)
+class TieGroups:
+    """Each anchor's other frames, sorted by descending temporal distance
+    (stable) and cut into groups of equal distance. Depends only on the
+    timestamps, so a training run builds it once.
+
+    Arrays are (T, T-1), indexed by anchor and sorted position p:
+    order[i, p] is the frame there, distances[i, p] its distance from i,
+    start[i, p] and end[i, p] the first and last positions of its group.
+    Under the 'other-frames' rule each anchor has a single group.
+    """
+
+    order: np.ndarray
+    distances: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+
+    @classmethod
+    def of(cls, timestamps, negative_selector: str = "farther-frames") -> "TieGroups":
+        ts = np.asarray(timestamps, dtype=np.int64)
+        T = len(ts)
+        d = np.abs(ts[:, None] - ts[None, :])
+        np.fill_diagonal(d, -1)  # the anchor sorts last and is dropped
+        order = np.argsort(-d, axis=1, kind="stable")[:, :-1]
+        dist = np.take_along_axis(d, order, axis=1)
+        pos = np.broadcast_to(np.arange(T - 1), dist.shape)
+        if negative_selector == "other-frames":
+            return cls(order, dist, np.zeros_like(pos), np.full_like(pos, T - 2))
+        first = np.ones(dist.shape, dtype=bool)
+        first[:, 1:] = dist[:, 1:] != dist[:, :-1]
+        last = np.ones(dist.shape, dtype=bool)
+        last[:, :-1] = first[:, 1:]
+        start = np.maximum.accumulate(np.where(first, pos, 0), axis=1)
+        end = np.minimum.accumulate(np.where(last, pos, T - 2)[:, ::-1], axis=1)[:, ::-1]
+        return cls(order, dist, start, end)
+
+    def sizes(self) -> np.ndarray:
+        """Size of the group each sorted position belongs to."""
+        return self.end - self.start + 1
+
+
+def _suffix_softmax(rows, positives, groups: TieGroups, temperature: float, need_grad: bool):
+    """Mean over positive pairs (i, j) of the contrastive cross-entropy
+    -x_ij + log sum_k exp(x_ik), x = rows / temperature, where k runs over
+    j's group and every group before it in anchor i's order.
+
+    One logaddexp.accumulate per anchor row gives every log-sum-exp, read
+    at the end of each group. The gradient weight of frame k sums
+    exp(x_ik - lse_j) over the positives j whose negative set holds k,
+    which is a reverse log-cumulative sum read at the start of k's group.
+
+    Returns (value, G) with G[i, k] = d value / d rows[i, k], or
+    (value, None) when need_grad is false.
+    """
+    tau = float(temperature)
+    x = np.take_along_axis(rows, groups.order, axis=1) / tau
+    pos = np.take_along_axis(positives, groups.order, axis=1)
+    n_terms = int(np.count_nonzero(pos))
+    lse = np.take_along_axis(np.logaddexp.accumulate(x, axis=1), groups.end, axis=1)
+    value = float(np.sum(np.where(pos, lse - x, 0.0))) / n_terms
+    if not need_grad:
+        return value, None
+    tail = np.logaddexp.accumulate(np.where(pos, -lse, -np.inf)[:, ::-1], axis=1)[:, ::-1]
+    weights = np.exp(x + np.take_along_axis(tail, groups.start, axis=1))
+    G = np.zeros(rows.shape)
+    np.put_along_axis(G, groups.order, (weights - pos) / (n_terms * tau), axis=1)
+    return value, G
+
+
+def _positive_mask(T: int, positive_selector: str) -> np.ndarray:
+    if positive_selector == "vlo-pair":
+        return ~np.eye(T, dtype=bool)
+    if positive_selector == "last-frame":
+        mask = np.zeros((T, T), dtype=bool)
+        mask[:-1, -1] = True
+        return mask
+    return np.triu(np.ones((T, T), dtype=bool), k=1)  # future-frame
+
+
+def _score_rows(s: np.ndarray, score: str) -> np.ndarray:
+    """Per-anchor score rows: -|s_i - s_k| or the direct similarity s_k."""
+    if score == "direct-sim":
+        return np.broadcast_to(s, (len(s), len(s)))
+    return -np.abs(s[:, None] - s[None, :])
 
 
 def _distance_matrix(timestamps) -> np.ndarray:
@@ -80,8 +170,19 @@ def _distance_matrix(timestamps) -> np.ndarray:
 
 
 def _score_matrix(clip: ClipSequence) -> np.ndarray:
+    return _score_rows(clip.similarities(), "difference-score")
+
+
+def _contrastive_terms(clip: ClipSequence, cfg: TnceConfig, groups, need_grad: bool):
+    """(value, dL/drows, similarities) of a contrastive objective; groups
+    must have been built for cfg.negative_selector (None builds them)."""
+    if groups is None:
+        groups = TieGroups.of(clip.timestamps, cfg.negative_selector)
     s = clip.similarities()
-    return -np.abs(s[:, None] - s[None, :])
+    rows = _score_rows(s, cfg.score)
+    positives = _positive_mask(clip.T, cfg.positive_selector)
+    value, G = _suffix_softmax(rows, positives, groups, cfg.temperature, need_grad)
+    return value, G, s
 
 
 def negative_set(clip: ClipSequence, i: int, j: int) -> set:
@@ -95,32 +196,12 @@ def negative_set(clip: ClipSequence, i: int, j: int) -> set:
     return {k for k in range(T) if k != i and d[i, k] >= d[i, j]}
 
 
-def _ordered_pair_loss(timestamps, scores: np.ndarray, temperature: float) -> float:
-    """Mean over all ordered pairs (i, j) of the contrastive cross-entropy
-    with the anchor-i farther-frame negative set."""
-    T = len(timestamps)
-    d = _distance_matrix(timestamps)
-    tau = float(temperature)
-    total = 0.0
-    for i in range(T):
-        # rows j: negative set {k != i, d_ik >= d_ij}
-        mask = d[i][None, :] >= d[i][:, None]
-        mask[:, i] = False
-        logits = np.where(mask, scores[i][None, :] / tau, -np.inf)
-        lse = logsumexp(logits, axis=1)
-        others = np.arange(T) != i
-        total += float(np.sum(-scores[i, others] / tau + lse[others]))
-    return total / (T * (T - 1))
-
-
 def vlo_loss(clip: ClipSequence, temperature: float = 1.0) -> float:
     """Ordering loss: contrastive cross-entropy over all ordered frame
     pairs, with negatives drawn from frames temporally at least as far
     from the anchor as the positive. Non-negative; strictly above
     lower_bound(clip)."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    return _ordered_pair_loss(clip.timestamps, _score_matrix(clip), temperature)
+    return tnce_loss(clip, TnceConfig(temperature=temperature))
 
 
 def vlo_loss_on_scores(timestamps, scores, temperature: float = 1.0) -> float:
@@ -135,35 +216,32 @@ def vlo_loss_on_scores(timestamps, scores, temperature: float = 1.0) -> float:
         raise ValueError(f"score matrix must be {T}x{T}, got {scores.shape}")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    return _ordered_pair_loss(timestamps, scores, temperature)
+    positives = _positive_mask(T, "vlo-pair")
+    value, _ = _suffix_softmax(scores, positives, TieGroups.of(timestamps), temperature, False)
+    return value
 
 
 def distance_profile(clip: ClipSequence, i: int) -> DistanceProfile:
     """Sorted unique temporal distances from anchor i with multiplicities."""
     if not (0 <= i < clip.T):
         raise ValueError("anchor index out of bounds")
-    d = _distance_matrix(clip.timestamps)[i]
-    dists = np.delete(d, i)
-    levels, counts = np.unique(dists, return_counts=True)
+    groups = TieGroups.of(clip.timestamps)
+    firsts = groups.start[i] == np.arange(clip.T - 1)
     return DistanceProfile(
         anchor=i,
-        sorted_distances=tuple(float(x) for x in levels),
-        multiplicities=tuple(int(c) for c in counts),
+        sorted_distances=tuple(float(x) for x in groups.distances[i, firsts][::-1]),
+        multiplicities=tuple(int(c) for c in groups.sizes()[i, firsts][::-1]),
     )
 
 
 def lower_bound_from_timestamps(timestamps) -> float:
     """Combinatorial minimum of the ordering loss, determined solely by the
-    multiset of pairwise temporal distances."""
+    multiset of pairwise temporal distances: the mean over ordered pairs
+    of the log of the pair's tie-group size."""
     T = len(timestamps)
     if T < 2:
         raise ValueError("need at least two timestamps")
-    d = _distance_matrix(timestamps)
-    total = 0.0
-    for i in range(T):
-        _, counts = np.unique(np.delete(d[i], i), return_counts=True)
-        total += float(np.sum(counts * np.log(counts)))
-    return total / (T * (T - 1))
+    return float(np.sum(np.log(TieGroups.of(timestamps).sizes()))) / (T * (T - 1))
 
 
 def lower_bound(clip: ClipSequence) -> float:
@@ -197,24 +275,28 @@ def bb_variance(t: float, interval: BridgeInterval, clip: ClipSequence) -> float
     return (t - t0) * (t1 - t) / (t1 - t0)
 
 
-def _interior_positions(clip: ClipSequence, interval: BridgeInterval):
-    return range(interval.start + 1, interval.end)
+def _bridge_deviations(clip: ClipSequence, interval: BridgeInterval):
+    """(dev, var, alpha) for the interval's interior frames: deviation from
+    the bridge mean (n, d), bridge variance (n,) and interpolation weight
+    of the end frame (n,). All empty when there is no interior frame."""
+    t0, t1 = _interval_times(clip, interval)
+    t = np.asarray(clip.timestamps[interval.start + 1 : interval.end], dtype=float)
+    alpha = (t - t0) / (t1 - t0)
+    v0 = clip.embeddings[interval.start]
+    v1 = clip.embeddings[interval.end]
+    dev = clip.embeddings[interval.start + 1 : interval.end] - (v0 + alpha[:, None] * (v1 - v0))
+    var = (t - t0) * (t1 - t) / (t1 - t0)
+    return dev, var, alpha
 
 
 def bb_loss(clip: ClipSequence, interval: BridgeInterval) -> float:
     """Mean variance-weighted squared deviation of interior frames from the
     bridge mean. Endpoints are pinned (variance zero) and excluded; an
     interval with no interior frames contributes 0."""
-    interval.validate(clip)
-    interior = list(_interior_positions(clip, interval))
-    if not interior:
+    dev, var, _ = _bridge_deviations(clip, interval)
+    if not len(var):
         return 0.0
-    total = 0.0
-    for p in interior:
-        t = clip.timestamps[p]
-        dev = clip.embeddings[p] - bb_mean(t, interval, clip)
-        total += float(dev @ dev) / (2.0 * bb_variance(t, interval, clip))
-    return total / len(interior)
+    return float(np.sum(np.einsum("pd,pd->p", dev, dev) / (2.0 * var))) / len(var)
 
 
 def full_interval(clip: ClipSequence) -> BridgeInterval:
@@ -240,64 +322,9 @@ def actol_loss(
     return LossBreakdown(vlo=vlo, bb=bb, total=total, lower_bound=lb, gap=vlo - lb)
 
 
-def _tnce_terms(clip: ClipSequence, cfg: TnceConfig):
-    """Enumerate contrastive terms as (positive item, negative items).
-
-    An item is a frame index (direct-sim scoring) or an (anchor, frame)
-    pair (difference scoring). Enumeration order is anchor-major,
-    pair-minor, matching the ordering-loss reduction.
-    """
-    T = clip.T
-    d = _distance_matrix(clip.timestamps)
-
-    def negatives(i, j):
-        if cfg.negative_selector == "other-frames":
-            return [k for k in range(T) if k != i]
-        return [k for k in range(T) if k != i and d[i, k] >= d[i, j]]
-
-    def item(i, k):
-        return k if cfg.score == "direct-sim" else (i, k)
-
-    terms = []
-    if cfg.positive_selector == "vlo-pair":
-        if cfg.score != "difference-score":
-            raise ValueError("vlo-pair positives require difference-score")
-        pairs = [(i, j) for i in range(T) for j in range(T) if j != i]
-    elif cfg.positive_selector == "last-frame":
-        pairs = [(i, T - 1) for i in range(T - 1)]
-    else:  # future-frame
-        pairs = [(i, j) for i in range(T) for j in range(i + 1, T)]
-
-    for i, j in pairs:
-        negs = negatives(i, j)
-        if not negs:
-            raise ValueError(f"empty negative set for anchor {i}, positive {j}")
-        terms.append((item(i, j), [item(i, k) for k in negs]))
-    if not terms:
-        raise ValueError("selector configuration yields no positive terms")
-    return terms
-
-
-def _item_score(item, s: np.ndarray) -> float:
-    if isinstance(item, tuple):
-        i, k = item
-        return -abs(s[i] - s[k])
-    return float(s[item])
-
-
 def tnce_loss(clip: ClipSequence, cfg: TnceConfig) -> float:
     """Unified time-contrastive objective. The vlo-pair configuration
     equals vlo_loss on the same clip; last-frame with direct-sim scoring
     is the goal-reaching baseline."""
-    if cfg.positive_selector == "vlo-pair" and cfg.negative_selector == "farther-frames":
-        if cfg.score != "difference-score":
-            raise ValueError("vlo-pair positives require difference-score")
-        return vlo_loss(clip, cfg.temperature)
-    s = clip.similarities()
-    tau = cfg.temperature
-    terms = _tnce_terms(clip, cfg)
-    total = 0.0
-    for pos, negs in terms:
-        neg_scores = np.array([_item_score(n, s) for n in negs])
-        total += -_item_score(pos, s) / tau + logsumexp(neg_scores / tau)
-    return total / len(terms)
+    value, _, _ = _contrastive_terms(clip, cfg, None, need_grad=False)
+    return value

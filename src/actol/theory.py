@@ -11,16 +11,16 @@ import numpy as np
 
 from .clip import ClipSequence, alignment_score
 from .losses import (
+    TieGroups,
+    _bridge_deviations,
     _distance_matrix,
-    bb_mean,
-    bb_variance,
     full_interval,
     lower_bound,
     lower_bound_from_timestamps,
     vlo_loss,
     vlo_loss_on_scores,
 )
-from .synthetic import perturb_language
+from .synthetic import perturb_language, sample_bridge
 
 FLOAT_SLACK = 1e-12
 
@@ -81,19 +81,15 @@ def construct_near_optimal(timestamps, eps: float) -> np.ndarray:
         raise ValueError("eps must be positive")
     timestamps = tuple(int(t) for t in timestamps)
     T = len(timestamps)
-    d = _distance_matrix(timestamps)
-
-    min_mult = np.inf
-    min_level_gap = np.inf
-    for i in range(T):
-        levels, counts = np.unique(np.delete(d[i], i), return_counts=True)
-        min_mult = min(min_mult, int(counts.min()))
-        if len(levels) > 1:
-            min_level_gap = min(min_level_gap, float(np.diff(levels).min()))
+    groups = TieGroups.of(timestamps)
+    min_mult = int(groups.sizes().min())
+    # adjacent sorted positions with different distances are adjacent levels
+    level_gaps = (groups.distances[:, :-1] - groups.distances[:, 1:]).astype(float)
+    min_level_gap = float(level_gaps[level_gaps > 0].min(initial=np.inf))
 
     gamma = np.log(T / (min_mult * eps))
     scale = max(gamma, 0.0) / min_level_gap if np.isfinite(min_level_gap) else 1.0
-    return -scale * d
+    return -scale * _distance_matrix(timestamps)
 
 
 def check_tightness(timestamps, eps_values) -> TheoremReport:
@@ -136,12 +132,8 @@ def check_continuity(clip: ClipSequence, pairs) -> TheoremReport:
         if lhs > rhs + FLOAT_SLACK:
             violations += 1
 
-    interval = full_interval(clip)
-    ratio = 0.0
-    for p in range(1, clip.T - 1):
-        t = clip.timestamps[p]
-        dev = clip.embeddings[p] - bb_mean(t, interval, clip)
-        ratio = max(ratio, float(dev @ dev) / bb_variance(t, interval, clip))
+    dev, var, _ = _bridge_deviations(clip, full_interval(clip))
+    ratio = float(np.max(np.einsum("pd,pd->p", dev, dev) / var, initial=0.0))
     return TheoremReport(
         theorem="continuity-lipschitz",
         instances=len(list(pairs)),
@@ -187,8 +179,6 @@ def bridge_stats_report(
     variance must match within the relative tolerance, and the midpoint
     mean must sit within 5 standard errors. variance_sign exists as a
     negative control for the CLI (flipping it must fail the check)."""
-    from .synthetic import sample_bridge
-
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim)
     v0 /= np.linalg.norm(v0)

@@ -13,15 +13,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clip import ClipSequence, normalize
-from .gradients import GradientSet, grad_tnce, grad_total
+from .gradients import GradientSet, tnce_and_grad, total_and_grad
 from .losses import (
     BridgeInterval,
     LossBreakdown,
+    TieGroups,
     TnceConfig,
     _distance_matrix,
-    actol_loss,
+    _score_matrix,
     lower_bound,
-    tnce_loss,
+    lower_bound_from_timestamps,
 )
 
 
@@ -98,23 +99,18 @@ def _sample_intervals(T: int, cfg: TrainConfig, rng):
     return intervals
 
 
-def _objective_breakdown(clip, cfg: TrainConfig, intervals, objective, lb) -> LossBreakdown:
+def _objective_and_grads(
+    clip, cfg: TrainConfig, intervals, objective, groups: TieGroups, lb: float
+) -> tuple[LossBreakdown, GradientSet]:
+    """One step's loss breakdown and gradient, from one objective
+    evaluation."""
     if objective is None:
-        from .losses import bb_loss, vlo_loss
-
-        vlo = vlo_loss(clip, cfg.temperature)
-        bb = sum(bb_loss(clip, iv) for iv in intervals) / len(intervals)
-        return LossBreakdown(
-            vlo=vlo, bb=bb, total=vlo + cfg.bb_weight * bb, lower_bound=lb, gap=vlo - lb
-        )
-    value = tnce_loss(clip, objective)
-    return LossBreakdown(vlo=value, bb=0.0, total=value, lower_bound=lb, gap=value - lb)
-
-
-def _objective_grads(clip, cfg: TrainConfig, intervals, objective) -> GradientSet:
-    if objective is None:
-        return grad_total(clip, cfg.bb_weight, cfg.temperature, intervals)
-    return grad_tnce(clip, objective)
+        vlo, bb, grads = total_and_grad(clip, cfg.bb_weight, cfg.temperature, intervals, groups)
+        total = vlo + cfg.bb_weight * bb
+    else:
+        vlo, grads = tnce_and_grad(clip, objective, groups)
+        bb, total = 0.0, vlo
+    return LossBreakdown(vlo=vlo, bb=bb, total=total, lower_bound=lb, gap=vlo - lb), grads
 
 
 def train_free(
@@ -129,14 +125,15 @@ def train_free(
     clip = clip_init.normalized()
     rng = np.random.default_rng(cfg.seed)
     lb = lower_bound(clip)
+    rule = "farther-frames" if objective is None else objective.negative_selector
+    groups = TieGroups.of(clip.timestamps, rule)
     history = TrainHistory()
     for step in range(cfg.steps):
         intervals = _sample_intervals(clip.T, cfg, rng)
-        breakdown = _objective_breakdown(clip, cfg, intervals, objective, lb)
+        breakdown, grads = _objective_and_grads(clip, cfg, intervals, objective, groups, lb)
         if not np.isfinite(breakdown.total):
             raise TrainingDiverged(step)
         history.records.append(breakdown)
-        grads = _objective_grads(clip, cfg, intervals, objective)
         emb = _tangent_step(clip.embeddings, grads.frames, cfg.learning_rate)
         lang = clip.language
         if cfg.optimize_language:
@@ -146,15 +143,16 @@ def train_free(
     return history
 
 
-def _encoder_loss_and_grad(weight, features, timestamps, language, cfg: TrainConfig, intervals):
+def _encoder_loss_and_grad(
+    weight, features, timestamps, language, cfg: TrainConfig, intervals, groups, lb
+):
     """Loss and dL/dW for embeddings normalize(W f_t), chained through the
     normalization map."""
     z = features @ weight.T
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     emb = z / norms
     clip = ClipSequence(timestamps, emb, language)
-    breakdown = actol_loss(clip, cfg.bb_weight, cfg.temperature, intervals)
-    grads = grad_total(clip, cfg.bb_weight, cfg.temperature, intervals)
+    breakdown, grads = _objective_and_grads(clip, cfg, intervals, None, groups, lb)
     # dL/dz_t = (I - v v^T) / |z_t| . dL/dv_t
     gv = grads.frames
     gz = (gv - (gv * emb).sum(axis=1, keepdims=True) * emb) / norms
@@ -175,11 +173,13 @@ def train_encoder(features, timestamps, language, cfg: TrainConfig):
         weight = np.eye(d)
     else:
         weight = rng.standard_normal((d, f)) / np.sqrt(f)
+    groups = TieGroups.of(timestamps)
+    lb = lower_bound_from_timestamps(timestamps)
     history = TrainHistory()
     for step in range(cfg.steps):
         intervals = _sample_intervals(n, cfg, rng)
         breakdown, gw, clip = _encoder_loss_and_grad(
-            weight, features, timestamps, language, cfg, intervals
+            weight, features, timestamps, language, cfg, intervals, groups, lb
         )
         if not np.isfinite(breakdown.total):
             raise TrainingDiverged(step)
@@ -197,8 +197,6 @@ def measure_delta(clip: ClipSequence, temperature: float = 1.0):
     than 1/delta. Returns None when no delta < 1 works; with no triples
     (T = 2) the property is vacuous and the smallest positive normal float
     is returned by convention."""
-    from .losses import _score_matrix
-
     T = clip.T
     R = _score_matrix(clip) / temperature
     d = _distance_matrix(clip.timestamps)

@@ -183,6 +183,15 @@ class TestGradcheckCommand:
         assert set(data["max_relative_error"]) == {"vlo", "bb", "total"}
         assert all(v < 1e-5 for v in data["max_relative_error"].values())
 
+    @pytest.mark.parametrize("seed", [158176, 302397])
+    def test_no_false_failure(self, tmp_path, seed):
+        # README config; at these seeds a difference used to cross an
+        # alignment-score kink (158176) or round off on a component near
+        # zero (302397), with correct analytic gradients
+        cfg = write_config(tmp_path, {"seed": seed, "clips": 20, "T": 6, "d": 5})
+        result = invoke("gradcheck", cfg, tmp_path / "out")
+        assert result.exit_code == 0, result.output
+
     def test_unknown_loss_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"losses": ["vlo", "entropy"]})
         assert invoke("gradcheck", cfg, tmp_path / "out").exit_code == 2

@@ -161,3 +161,36 @@ class TestFiniteDiffCheck:
         finally:
             gr.grad_vlo = original
         assert err > 0.1
+
+    @staticmethod
+    def _check_with(monkeypatch, clip, corrupt):
+        from actol import gradients as gr
+
+        original = gr.grad_vlo
+        monkeypatch.setattr(gr, "grad_vlo", lambda c, t=1.0: corrupt(original(c, t)))
+        return finite_diff_check("vlo", clip)
+
+    def test_detects_slightly_scaled_gradient(self, monkeypatch):
+        # the error floor scales with the gradient's max-norm; a uniform
+        # 1e-4 relative error must still exceed the 1e-5 threshold
+        clip = kink_free_clip(5, 4, 73)
+        assert self._check_with(monkeypatch, clip, lambda g: g.scaled(1 + 1e-4)) > TOL
+
+    def test_detects_one_corrupted_component(self, monkeypatch):
+        clip = kink_free_clip(5, 4, 74)
+
+        def corrupt(g):
+            frames = g.frames.copy()
+            frames[2, 1] += 1e-3 * np.abs(g.frames).max()
+            return GradientSet(frames, g.language, g.at_kink)
+
+        assert self._check_with(monkeypatch, clip, corrupt) > TOL
+
+    def test_analytic_gradient_computed_once(self, monkeypatch):
+        from actol import gradients as gr
+
+        calls = []
+        original = gr.grad_vlo
+        monkeypatch.setattr(gr, "grad_vlo", lambda c, t=1.0: calls.append(1) or original(c, t))
+        assert finite_diff_check("vlo", kink_free_clip(4, 3, 75)) < TOL
+        assert len(calls) == 1

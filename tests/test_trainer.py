@@ -97,6 +97,25 @@ class TestTrainFree:
         assert exc.value.step == 0
 
 
+    @pytest.mark.parametrize(
+        "objective", [None, TnceConfig("last-frame", "other-frames", "direct-sim")]
+    )
+    def test_one_objective_evaluation_per_step(self, monkeypatch, objective):
+        from actol import trainer
+
+        calls = []
+
+        def counting(fn):
+            return lambda *a, **k: calls.append(fn.__name__) or fn(*a, **k)
+
+        monkeypatch.setattr(trainer, "total_and_grad", counting(trainer.total_and_grad))
+        monkeypatch.setattr(trainer, "tnce_and_grad", counting(trainer.tnce_and_grad))
+        monkeypatch.setattr(trainer, "lower_bound", counting(trainer.lower_bound))
+        train_free(start_clip(13), TrainConfig(steps=7), objective=objective)
+        name = "total_and_grad" if objective is None else "tnce_and_grad"
+        assert calls == ["lower_bound"] + [name] * 7
+
+
 class TestTrainEncoder:
     def test_identity_init_square(self):
         clip = start_clip(9, T=5, d=4)
