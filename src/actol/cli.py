@@ -100,7 +100,10 @@ def _train_config(config):
 def _clip_from_config(config):
     clip_cfg = _require(config, "clip")
     if "file" in clip_cfg:
-        return ClipSequence.load(clip_cfg["file"])
+        try:
+            return ClipSequence.load(clip_cfg["file"])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot load clip {clip_cfg['file']}: {exc}") from exc
     if "synthetic" in clip_cfg:
         try:
             spec = SyntheticClipSpec(seed=config["seed"], **clip_cfg["synthetic"])
@@ -213,10 +216,13 @@ def _build_reports(config):
             reports.append(_report_robustness(config, config.get("robustness", {})))
         elif name == "bridge-stats":
             p = config.get("bridge_stats", {})
+            t_end = p.get("t_end", 10)
+            if not isinstance(t_end, int) or t_end % 2 or t_end < 2:
+                raise ConfigError(f"bridge_stats.t_end must be an even integer >= 2, got {t_end!r}")
             reports.append(
                 bridge_stats_report(
                     p.get("dim", 6),
-                    p.get("t_end", 10),
+                    t_end,
                     p.get("samples", 10000),
                     config["seed"],
                     p.get("tolerance", 0.05),

@@ -19,11 +19,9 @@ from .losses import (
     TnceConfig,
     _bridge_deviations,
     _contrastive_terms,
-    actol_loss,
+    _mean_bb,
     bb_loss,
     full_interval,
-    tnce_loss,
-    vlo_loss,
 )
 
 KINK_TOL = 1e-12
@@ -130,7 +128,7 @@ def total_and_grad(
     if intervals is None:
         intervals = [full_interval(clip)]
     vlo, grads = tnce_and_grad(clip, TnceConfig(temperature=temperature), groups)
-    bb = sum(bb_loss(clip, iv) for iv in intervals) / len(intervals) if intervals else 0.0
+    bb = _mean_bb(clip, intervals)
     if bb_weight != 0.0 and intervals:
         bb_grads = [grad_bb(clip, iv) for iv in intervals]
         grads = grads + sum(bb_grads[1:], bb_grads[0]).scaled(bb_weight / len(intervals))
@@ -149,22 +147,32 @@ def grad_total(
 
 
 def _loss_and_grad(loss: str, clip: ClipSequence, params: dict):
-    """(loss as a function of a clip, analytic gradient at clip)."""
+    """(loss as a function of a clip with clip's timestamps, analytic
+    gradient at clip). The tie groups are built once, not per call."""
     params = dict(params or {})
-    if loss == "vlo":
-        tau = params.get("temperature", 1.0)
-        return (lambda c: vlo_loss(c, tau)), grad_vlo(clip, tau)
     if loss == "bb":
         iv = params.get("interval", full_interval(clip))
         return (lambda c: bb_loss(c, iv)), grad_bb(clip, iv)
+    tau = params.get("temperature", 1.0)
+    cfg = params["config"] if loss == "tnce" else TnceConfig(temperature=tau)
+    groups = TieGroups.of(clip.timestamps, cfg.negative_selector)
+
+    def contrastive(c):
+        return _contrastive_terms(c, cfg, groups, need_grad=False)[0]
+
+    if loss == "vlo":
+        return contrastive, grad_vlo(clip, tau)
     if loss == "total":
         lam = params.get("bb_weight", 0.1)
-        tau = params.get("temperature", 1.0)
         ivs = params.get("intervals")
-        return (lambda c: actol_loss(c, lam, tau, ivs).total), grad_total(clip, lam, tau, ivs)
+        bb_ivs = [full_interval(clip)] if ivs is None else ivs
+
+        def total(c):  # same expression order as actol_loss(...).total
+            return contrastive(c) + lam * _mean_bb(c, bb_ivs)
+
+        return total, grad_total(clip, lam, tau, ivs)
     if loss == "tnce":
-        cfg = params["config"]
-        return (lambda c: tnce_loss(c, cfg)), grad_tnce(clip, cfg)
+        return contrastive, grad_tnce(clip, cfg)
     raise ValueError(f"unknown loss {loss!r}")
 
 

@@ -169,10 +169,6 @@ def _distance_matrix(timestamps) -> np.ndarray:
     return np.abs(ts[:, None] - ts[None, :])
 
 
-def _score_matrix(clip: ClipSequence) -> np.ndarray:
-    return _score_rows(clip.similarities(), "difference-score")
-
-
 def _contrastive_terms(clip: ClipSequence, cfg: TnceConfig, groups, need_grad: bool):
     """(value, dL/drows, similarities) of a contrastive objective; groups
     must have been built for cfg.negative_selector (None builds them)."""
@@ -192,8 +188,9 @@ def negative_set(clip: ClipSequence, i: int, j: int) -> set:
     T = clip.T
     if not (0 <= i < T and 0 <= j < T):
         raise ValueError("frame index out of bounds")
-    d = _distance_matrix(clip.timestamps)
-    return {k for k in range(T) if k != i and d[i, k] >= d[i, j]}
+    groups = TieGroups.of(clip.timestamps)
+    end = groups.end[i, np.flatnonzero(groups.order[i] == j)[0]]
+    return {int(k) for k in groups.order[i, : end + 1]}
 
 
 def vlo_loss(clip: ClipSequence, temperature: float = 1.0) -> float:
@@ -289,6 +286,11 @@ def _bridge_deviations(clip: ClipSequence, interval: BridgeInterval):
     return dev, var, alpha
 
 
+def _mean_bb(clip: ClipSequence, intervals) -> float:
+    """Mean bridge penalty over the intervals; 0 for an empty list."""
+    return sum(bb_loss(clip, iv) for iv in intervals) / len(intervals) if intervals else 0.0
+
+
 def bb_loss(clip: ClipSequence, interval: BridgeInterval) -> float:
     """Mean variance-weighted squared deviation of interior frames from the
     bridge mean. Endpoints are pinned (variance zero) and excluded; an
@@ -316,7 +318,7 @@ def actol_loss(
     if intervals is None:
         intervals = [full_interval(clip)]
     vlo = vlo_loss(clip, temperature)
-    bb = sum(bb_loss(clip, iv) for iv in intervals) / len(intervals) if intervals else 0.0
+    bb = _mean_bb(clip, intervals)
     lb = lower_bound(clip)
     total = vlo + bb_weight * bb
     return LossBreakdown(vlo=vlo, bb=bb, total=total, lower_bound=lb, gap=vlo - lb)

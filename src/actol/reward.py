@@ -4,8 +4,6 @@ synthetic clips with distractor tails.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -79,28 +77,6 @@ class ComparisonRecord:
     final_clips: dict = field(default_factory=dict, compare=False)
 
 
-def _max_workers() -> int:
-    env = os.environ.get("ACTOL_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
-def _run_seed(seed, clip_spec: SyntheticClipSpec, objectives, train_cfg: TrainConfig):
-    clip, truth = generate_clip(replace(clip_spec, seed=seed))
-    argmaxes = {}
-    errors = {}
-    clips = {}
-    for obj in objectives:
-        cfg = replace(train_cfg, seed=seed)
-        history = train_free(clip, cfg, objective=obj.tnce)
-        curve = reward_curve(history.final_clip)
-        argmaxes[obj.name] = curve.argmax_index
-        errors[obj.name] = abs(curve.argmax_index - truth.completion_index)
-        clips[obj.name] = history.final_clip
-    return SeedResult(seed, truth.completion_index, argmaxes, errors), clips
-
-
 def compare_objectives(
     clip_spec: SyntheticClipSpec,
     objectives,
@@ -109,16 +85,21 @@ def compare_objectives(
 ) -> ComparisonRecord:
     """Train free embeddings from identical per-seed initializations under
     each objective and report reward-argmax distance to the ground-truth
-    completion index. Seeds fan out over at most ACTOL_THREADS workers;
-    output ordering is deterministic regardless."""
+    completion index."""
     objectives = tuple(objectives)
     seeds = tuple(int(s) for s in seeds)
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        outcomes = list(pool.map(lambda s: _run_seed(s, clip_spec, objectives, train_cfg), seeds))
-    results = tuple(res for res, _ in outcomes)
-    final_clips = {
-        (res.seed, name): c for res, clips in outcomes for name, c in clips.items()
-    }
+    results = []
+    final_clips = {}
+    for seed in seeds:
+        clip, truth = generate_clip(replace(clip_spec, seed=seed))
+        argmaxes = {}
+        errors = {}
+        for obj in objectives:
+            history = train_free(clip, replace(train_cfg, seed=seed), objective=obj.tnce)
+            argmaxes[obj.name] = reward_curve(history.final_clip).argmax_index
+            errors[obj.name] = abs(argmaxes[obj.name] - truth.completion_index)
+            final_clips[(seed, obj.name)] = history.final_clip
+        results.append(SeedResult(seed, truth.completion_index, argmaxes, errors))
     medians = {
         obj.name: float(np.median([r.error_by_objective[obj.name] for r in results]))
         for obj in objectives
@@ -126,7 +107,7 @@ def compare_objectives(
     return ComparisonRecord(
         seeds=seeds,
         objectives=tuple(o.name for o in objectives),
-        results=results,
+        results=tuple(results),
         median_error=medians,
         final_clips=final_clips,
     )

@@ -2,11 +2,13 @@
 under the combined objective, on the unit sphere.
 
 Runs are single-threaded and bitwise deterministic given the seed and
-config; independent seeds can run in parallel.
+config.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -19,8 +21,6 @@ from .losses import (
     LossBreakdown,
     TieGroups,
     TnceConfig,
-    _distance_matrix,
-    _score_matrix,
     lower_bound,
     lower_bound_from_timestamps,
 )
@@ -45,12 +45,14 @@ class TrainConfig:
     intervals_per_step: int = 1
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be non-negative")
-        if self.steps < 1:
-            raise ValueError("need at least one step")
-        if self.bb_weight < 0:
-            raise ValueError("bb_weight must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning rate must be finite and non-negative")
+        if not isinstance(self.steps, numbers.Integral) or self.steps < 1:
+            raise ValueError("steps must be a positive integer")
+        if not (math.isfinite(self.bb_weight) and self.bb_weight >= 0):
+            raise ValueError("bb_weight must be finite and non-negative")
+        if not self.temperature > 0:
+            raise ValueError("temperature must be positive")
         if self.intervals_per_step < 1:
             raise ValueError("need at least one interval per step")
 
@@ -197,44 +199,30 @@ def measure_delta(clip: ClipSequence, temperature: float = 1.0):
     than 1/delta. Returns None when no delta < 1 works; with no triples
     (T = 2) the property is vacuous and the smallest positive normal float
     is returned by convention."""
-    T = clip.T
-    R = _score_matrix(clip) / temperature
-    d = _distance_matrix(clip.timestamps)
-
-    equal_gaps = []
-    margins = []
-    for i in range(T):
-        for j in range(T):
-            if j == i:
-                continue
-            for k in range(T):
-                if k == i or k == j:
-                    continue
-                if d[i, j] == d[i, k]:
-                    equal_gaps.append(abs(R[i, j] - R[i, k]))
-                elif d[i, j] < d[i, k]:
-                    margins.append(R[i, j] - R[i, k])
-
-    if not equal_gaps and not margins:
+    groups = TieGroups.of(clip.timestamps)
+    s = clip.similarities()
+    # x[i, p]: anchor i's score for the frame at its sorted position p
+    x = np.take_along_axis(-np.abs(s[:, None] - s[None, :]), groups.order, axis=1) / temperature
+    diff = x[:, :, None] - x[:, None, :]
+    pos = np.arange(clip.T - 1)
+    tied = (groups.start[:, :, None] == groups.start[:, None, :]) & (pos[:, None] != pos)
+    equal_gaps = np.abs(diff[tied])
+    margins = diff[pos < groups.start[:, :, None]]  # position q is farther than p
+    if not equal_gaps.size and not margins.size:
         return sys.float_info.min
-
-    if margins and min(margins) <= 0:
+    max_gap = equal_gaps.max(initial=-np.inf)  # its candidate is then negative and dropped
+    min_margin = margins.min(initial=np.inf)
+    if min_margin <= 0:
         return None
 
-    candidates = sorted(
-        {0.01 * k for k in range(1, 100)}
-        | {np.nextafter(1.0 / m, 1.0) for m in margins if m > 1.0}
-        | ({np.nextafter(max(equal_gaps), 1.0)} if equal_gaps else set())
+    candidates = np.unique(
+        np.r_[
+            0.01 * np.arange(1, 100),
+            np.nextafter(1.0 / margins[margins > 1.0], 1.0),
+            np.nextafter(max_gap, 1.0),
+        ]
     )
-
-    def satisfied(delta):
-        if equal_gaps and max(equal_gaps) >= delta:
-            return False
-        if margins and min(margins) <= 1.0 / delta:
-            return False
-        return True
-
-    for delta in candidates:
-        if 0 < delta < 1 and satisfied(delta):
-            return float(delta)
-    return None
+    with np.errstate(over="ignore"):  # 1 / a subnormal candidate is inf
+        ok = (0 < candidates) & (candidates < 1) & (max_gap < candidates)
+        ok &= min_margin > 1.0 / candidates
+    return float(candidates[ok][0]) if ok.any() else None

@@ -1,9 +1,12 @@
-"""Loop implementations of the contrastive objectives, kept as naive
-references for the sorted-suffix kernel in actol.losses.
+"""Loop implementations of the contrastive objectives and of the
+distance-level queries, kept as naive references for the sorted-suffix
+kernel and TieGroups in actol.losses.
 
 Each anchor's (or each term's) softmax is evaluated on its own negative
 mask, with no sorting and no sharing between terms: O(T^3) work.
 """
+
+import sys
 
 import numpy as np
 
@@ -140,3 +143,57 @@ def lower_bound(timestamps):
         _, counts = np.unique(np.delete(d[i], i), return_counts=True)
         total += float(np.sum(counts * np.log(counts)))
     return total / (T * (T - 1))
+
+
+def negative_set(timestamps, i, j):
+    """Frames at least as far from anchor i as frame j is (j included)."""
+    d = _distance_matrix(timestamps)
+    return {k for k in range(len(timestamps)) if k != i and d[i, k] >= d[i, j]}
+
+
+def measure_delta(clip, temperature=1.0):
+    """Triple-loop ordering-property delta: collect every equal-distance
+    score gap and every ordered-pair margin, then scan the sorted candidate
+    deltas for the first one that satisfies both conditions."""
+    T = clip.T
+    s = clip.similarities()
+    R = -np.abs(s[:, None] - s[None, :]) / temperature
+    d = _distance_matrix(clip.timestamps)
+
+    equal_gaps = []
+    margins = []
+    for i in range(T):
+        for j in range(T):
+            if j == i:
+                continue
+            for k in range(T):
+                if k == i or k == j:
+                    continue
+                if d[i, j] == d[i, k]:
+                    equal_gaps.append(abs(R[i, j] - R[i, k]))
+                elif d[i, j] < d[i, k]:
+                    margins.append(R[i, j] - R[i, k])
+
+    if not equal_gaps and not margins:
+        return sys.float_info.min
+
+    if margins and min(margins) <= 0:
+        return None
+
+    candidates = sorted(
+        {0.01 * k for k in range(1, 100)}
+        | {np.nextafter(1.0 / m, 1.0) for m in margins if m > 1.0}
+        | ({np.nextafter(max(equal_gaps), 1.0)} if equal_gaps else set())
+    )
+
+    def satisfied(delta):
+        if equal_gaps and max(equal_gaps) >= delta:
+            return False
+        if margins and min(margins) <= 1.0 / delta:
+            return False
+        return True
+
+    for delta in candidates:
+        if 0 < delta < 1 and satisfied(delta):
+            return float(delta)
+    return None

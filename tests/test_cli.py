@@ -84,6 +84,34 @@ class TestTrainCommand:
                                       "train": {"steps": -1}})
         assert invoke("train", cfg, tmp_path / "out").exit_code == 2
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"temperature": 0},
+            {"steps": 2.5},
+            {"learning_rate": float("nan")},
+            {"bb_weight": float("inf")},
+        ],
+        ids=["temperature-0", "steps-2.5", "learning_rate-nan", "bb_weight-inf"],
+    )
+    def test_invalid_train_value(self, tmp_path, field):
+        cfg = write_config(tmp_path, {"clip": {"synthetic": {"T": 4, "d": 3,
+                                                             "completion_index": 4}},
+                                      "train": {"steps": 5, **field}})
+        assert invoke("train", cfg, tmp_path / "out").exit_code == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "{not json", '{"d": 2, "timestamps": [0, 1], "embeddings": [[1, 0], [0, 1]]}'],
+        ids=["missing-file", "invalid-json", "missing-language"],
+    )
+    def test_bad_clip_file(self, tmp_path, content):
+        clip_path = tmp_path / "clip.json"
+        if content is not None:
+            clip_path.write_text(content)
+        cfg = write_config(tmp_path, {"clip": {"file": str(clip_path)}, "train": {"steps": 5}})
+        assert invoke("train", cfg, tmp_path / "out").exit_code == 2
+
 
 class TestVerifyCommand:
     def test_all_checks_pass(self, tmp_path):
@@ -128,6 +156,11 @@ class TestVerifyCommand:
 
     def test_unknown_check_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"checks": ["teleportation"]})
+        assert invoke("verify", cfg, tmp_path / "out").exit_code == 2
+
+    @pytest.mark.parametrize("t_end", [9, 0])
+    def test_bad_bridge_t_end(self, tmp_path, t_end):
+        cfg = write_config(tmp_path, {"checks": ["bridge-stats"], "bridge_stats": {"t_end": t_end}})
         assert invoke("verify", cfg, tmp_path / "out").exit_code == 2
 
 

@@ -13,6 +13,7 @@ from actol import (
     grad_vlo,
     random_clip,
 )
+from actol.losses import TieGroups
 
 TOL = 1e-5
 
@@ -194,3 +195,24 @@ class TestFiniteDiffCheck:
         monkeypatch.setattr(gr, "grad_vlo", lambda c, t=1.0: calls.append(1) or original(c, t))
         assert finite_diff_check("vlo", kink_free_clip(4, 3, 75)) < TOL
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "loss, params",
+        [
+            ("vlo", None),
+            ("total", None),
+            ("tnce", {"config": TnceConfig("last-frame", "other-frames", "direct-sim")}),
+        ],
+    )
+    def test_tie_groups_built_once(self, monkeypatch, loss, params):
+        calls = []
+        original = TieGroups.of.__func__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(1)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(TieGroups, "of", classmethod(counting))
+        assert finite_diff_check(loss, kink_free_clip(5, 4, 76), params) < TOL
+        # one build for the analytic gradient, one shared by every perturbed point
+        assert len(calls) == 2

@@ -1,5 +1,6 @@
-"""Property tests: the sorted-suffix kernel against the loop references in
-naive.py, for every selector combination, on tied and untied timestamps."""
+"""Property tests: the sorted-suffix kernel and the TieGroups-based
+distance-level queries against the loop references in naive.py, for every
+selector combination, on tied and untied timestamps."""
 
 import naive
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from actol import ClipSequence, TnceConfig, lower_bound, tnce_loss, vlo_loss, vlo_loss_on_scores
 from actol.gradients import tnce_and_grad
-from actol.losses import TieGroups, _contrastive_terms
+from actol.losses import TieGroups, _contrastive_terms, negative_set
+from actol.trainer import measure_delta
 
 COMBOS = [
     TnceConfig(p, n, s)
@@ -121,3 +123,42 @@ def test_supplied_groups_change_nothing(clip, cfg):
     assert value == value2 == tnce_loss(clip, cfg)
     assert np.array_equal(grads.frames, grads2.frames)
     assert np.array_equal(grads.language, grads2.language)
+
+
+@st.composite
+def ordering_clips(draw):
+    """Clips of 3 to 8 frames (T = 2 has no triples), uniform or with gaps
+    of 1-3, whose similarities either rise with time plus noise, so that
+    many satisfy the ordering property, or are random."""
+    T = draw(st.integers(3, 8))
+    uniform = st.just([1] * (T - 1))
+    gaps = draw(uniform | st.lists(st.integers(1, 3), min_size=T - 1, max_size=T - 1))
+    ts = np.concatenate([[0], np.cumsum(gaps)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        noise = draw(st.sampled_from([0.0, 1e-4, 1e-2]))
+        s = np.clip(1.8 * ts / ts[-1] - 0.9 + noise * rng.standard_normal(T), -0.99, 0.99)
+        emb = np.stack([s, np.sqrt(1 - s * s)], axis=1)
+        return ClipSequence(ts, emb, np.array([1.0, 0.0]))
+    emb = rng.standard_normal((T, 3))
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    return ClipSequence(ts, emb, rng.standard_normal(3))
+
+
+@settings(examples, max_examples=200)
+@given(clip=ordering_clips(), tau=st.sampled_from([1.0, 0.1, 0.01, 1e-3]))
+def test_measure_delta_matches_reference(clip, tau):
+    with np.errstate(over="ignore"):  # the reference divides by a subnormal candidate
+        expected = naive.measure_delta(clip, tau)
+    delta = measure_delta(clip, tau)
+    assert delta == expected
+    assert type(delta) is type(expected)
+
+
+@settings(examples, max_examples=30)
+@given(clip=clips(max_T=24))
+def test_negative_set_matches_reference(clip):
+    for i in range(clip.T):
+        for j in range(clip.T):
+            if i != j:
+                assert negative_set(clip, i, j) == naive.negative_set(clip.timestamps, i, j)

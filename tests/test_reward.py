@@ -94,9 +94,14 @@ class TestCompareObjectives:
         assert a.median_error == b.median_error
         assert a.results == b.results
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        a = self.run()
-        monkeypatch.setenv("ACTOL_THREADS", "4")
-        b = self.run()
-        assert a.results == b.results
-        assert a.median_error == b.median_error
+    def test_each_seed_matches_its_own_run(self):
+        record = self.run(seeds=(0, 1, 2))
+        for res in record.results:
+            alone = self.run(seeds=(res.seed,))
+            assert alone.results == (res,)
+            for name in record.objectives:
+                a = record.final_clips[(res.seed, name)]
+                b = alone.final_clips[(res.seed, name)]
+                assert a.timestamps == b.timestamps
+                assert np.array_equal(a.embeddings, b.embeddings)
+                assert np.array_equal(a.language, b.language)
