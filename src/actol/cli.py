@@ -20,7 +20,7 @@ from .clip import ClipSequence
 from .gradients import finite_diff_check
 from .losses import TnceConfig
 from .reward import ObjectiveSpec, compare_objectives, curve_rows
-from .synthetic import SyntheticClipSpec, generate_clip, random_clip
+from .synthetic import SyntheticClipSpec, generate_clip, random_clip, random_units
 from .theory import (
     bridge_stats_report,
     check_lower_bound,
@@ -161,10 +161,9 @@ def train(config_path, out_dir, seed):
     _run(body, config_path, out_dir, seed)
 
 
-def _report_lower_bound(config, params):
+def _report_lower_bound(rng, params):
     t_lo, t_hi = params.get("t_range", (3, 12))
     d_lo, d_hi = params.get("d_range", (2, 16))
-    rng = np.random.default_rng(config["seed"])
     clips = [
         random_clip(int(rng.integers(t_lo, t_hi + 1)), int(rng.integers(d_lo, d_hi + 1)), rng)
         for _ in range(params.get("clips", 1000))
@@ -172,65 +171,58 @@ def _report_lower_bound(config, params):
     return check_lower_bound(clips)
 
 
-def _report_robustness(config, params):
-    rng = np.random.default_rng(config["seed"])
-    dim = params.get("dim", 8)
-    vecs = rng.standard_normal((3, dim))
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+def _report_robustness(rng, params):
+    v_i, v_j, l = random_units((3, params.get("dim", 8)), rng)
     trials = params.get("trials", 10000)
-    reports = []
-    for delta in params.get("delta_l", [0.01, 0.1, 0.5]):
-        reports.append(check_robustness(vecs[0], vecs[1], vecs[2], delta, trials, config["seed"]))
-    worst = max(r.worst_slack for r in reports)
-    merged = reports[0]
+    deltas = params.get("delta_l", [0.01, 0.1, 0.5])
+    reports = [check_robustness(v_i, v_j, l, delta, trials, rng) for delta in deltas]
+    if not reports:
+        raise ValueError("delta_l needs at least one value")
     return replace(
-        merged,
+        reports[0],
         instances=sum(r.instances for r in reports),
         violations=sum(r.violations for r in reports),
-        worst_slack=worst,
+        worst_slack=max(r.worst_slack for r in reports),
         passed=all(r.passed for r in reports),
         details={"per_delta": [r.to_dict() for r in reports]},
     )
 
 
 def _build_reports(config):
+    """Run the configured checks in list order, all drawing from one
+    Generator seeded with the config seed."""
     checks = _require(config, "checks")
     if not checks:
         raise ConfigError("empty check list")
+    rng = np.random.default_rng(config["seed"])
     flip = -1.0 if config.get("debug_flip_bb_variance_sign") else 1.0
+    reporters = {
+        "lower-bound": lambda p: _report_lower_bound(rng, p),
+        "tightness": lambda p: check_tightness(
+            p.get("timestamps", [0, 1, 2, 3]), p.get("eps", [1.0, 0.1, 0.01])
+        ),
+        "lipschitz": lambda p: lipschitz_pairs_report(p.get("dim", 8), p.get("trials", 10000), rng),
+        "robustness": lambda p: _report_robustness(rng, p),
+        "bridge-stats": lambda p: bridge_stats_report(
+            p.get("dim", 6),
+            p.get("t_end", 10),
+            p.get("samples", 10000),
+            rng,
+            p.get("tolerance", 0.05),
+            variance_sign=flip,
+        ),
+    }
+    unknown = [name for name in checks if name not in reporters]
+    if unknown:
+        raise ConfigError(f"unknown check(s) {unknown}")
     reports = []
     for name in checks:
-        if name == "lower-bound":
-            reports.append(_report_lower_bound(config, config.get("lower_bound", {})))
-        elif name == "tightness":
-            p = config.get("tightness", {})
-            reports.append(
-                check_tightness(p.get("timestamps", [0, 1, 2, 3]), p.get("eps", [1.0, 0.1, 0.01]))
-            )
-        elif name == "lipschitz":
-            p = config.get("lipschitz", {})
-            reports.append(
-                lipschitz_pairs_report(p.get("dim", 8), p.get("trials", 10000), config["seed"])
-            )
-        elif name == "robustness":
-            reports.append(_report_robustness(config, config.get("robustness", {})))
-        elif name == "bridge-stats":
-            p = config.get("bridge_stats", {})
-            t_end = p.get("t_end", 10)
-            if not isinstance(t_end, int) or t_end % 2 or t_end < 2:
-                raise ConfigError(f"bridge_stats.t_end must be an even integer >= 2, got {t_end!r}")
-            reports.append(
-                bridge_stats_report(
-                    p.get("dim", 6),
-                    t_end,
-                    p.get("samples", 10000),
-                    config["seed"],
-                    p.get("tolerance", 0.05),
-                    variance_sign=flip,
-                )
-            )
-        else:
-            raise ConfigError(f"unknown check {name!r}")
+        block = name.replace("-", "_")
+        try:
+            reports.append(reporters[name](config.get(block, {})))
+        except (TypeError, ValueError) as exc:
+            # the checks and samplers raise these only for a bad argument
+            raise ConfigError(f"bad {block} parameters: {exc}") from exc
     return reports
 
 

@@ -27,30 +27,32 @@ def normalize(v) -> np.ndarray:
     return v / norm
 
 
-def cosine_sim(v, l) -> float:
-    """Cosine similarity v.l / (|v| |l|), in [-1, 1].
+def cosine_sim(v, l):
+    """Cosine similarity v.l / (|v| |l|), in [-1, 1], along the last axis.
 
-    Equals the plain dot product when both inputs are unit-norm. Raises
-    on dimension mismatch or a zero-norm input.
+    Inputs broadcast like numpy arrays; a float for two vectors. Equals the
+    plain dot product when both inputs are unit-norm. Raises on dimension
+    mismatch or a zero-norm input.
     """
     v = np.asarray(v, dtype=float)
     l = np.asarray(l, dtype=float)
-    if v.shape != l.shape:
+    if v.shape[-1:] != l.shape[-1:]:
         raise ValueError(f"dimension mismatch: {v.shape} vs {l.shape}")
-    nv = np.linalg.norm(v)
-    nl = np.linalg.norm(l)
-    if nv == 0.0 or nl == 0.0:
+    norms = np.linalg.norm(v, axis=-1) * np.linalg.norm(l, axis=-1)
+    if np.any(norms == 0.0):
         raise ValueError("cosine similarity undefined for zero-norm input")
-    return float(np.dot(v, l) / (nv * nl))
+    sim = np.sum(v * l, axis=-1) / norms
+    return float(sim) if sim.ndim == 0 else sim
 
 
-def alignment_score(v_i, v_j, l) -> float:
+def alignment_score(v_i, v_j, l):
     """Semantic alignment score of a frame pair w.r.t. a language vector.
 
     Negative absolute difference of the two frames' cosine similarities
     to `l`; always in [-2, 0] and symmetric in the frame arguments.
+    Broadcasts along the last axis like :func:`cosine_sim`.
     """
-    return -abs(cosine_sim(v_i, l) - cosine_sim(v_j, l))
+    return -np.abs(cosine_sim(v_i, l) - cosine_sim(v_j, l))
 
 
 @dataclass(frozen=True)

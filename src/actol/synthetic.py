@@ -2,6 +2,8 @@
 
 All randomness flows through numpy's PCG64 generator
 (np.random.default_rng), so outputs are reproducible from the seed alone.
+A `seed` argument is an int or a Generator, which default_rng passes
+through, so a caller can draw several samples from one stream.
 Frames move along great-circle arcs (slerp), which keeps them unit-norm
 by construction and makes similarity curves smooth.
 """
@@ -116,52 +118,67 @@ def generate_clip(spec: SyntheticClipSpec):
     return clip, GroundTruth(completion_index=c, progress=tuple(progress))
 
 
+def random_units(shape, seed) -> np.ndarray:
+    """Random unit vectors along the last axis of `shape`, which must be at
+    least 2, as ClipSequence requires."""
+    if shape[-1] < 2:
+        raise ValueError(f"dimension must be at least 2, got {shape[-1]}")
+    v = np.random.default_rng(seed).standard_normal(shape)
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    return v
+
+
 def random_clip(T: int, d: int, rng, max_gap: int = 4) -> ClipSequence:
     """Clip with random unit embeddings and random strictly increasing
     integer timestamps (gaps in [1, max_gap])."""
     gaps = rng.integers(1, max_gap + 1, size=T - 1)
     ts = tuple(int(t) for t in np.concatenate([[0], np.cumsum(gaps)]))
-    emb = rng.standard_normal((T, d))
-    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-    return ClipSequence(ts, emb, _random_unit(rng, d))
+    return ClipSequence(ts, random_units((T, d), rng), _random_unit(rng, d))
 
 
-def sample_bridge(v_start, v_end, t_start: int, t_end: int, seed: int):
+def sample_bridge(v_start, v_end, t_start: int, t_end: int, seed) -> np.ndarray:
     """Draw one vector per integer time in [t_start, t_end]: endpoints
     exactly, interior points from the bridge's per-time Gaussian marginal
-    (independent coordinates, variance (t-t0)(t1-t)/(t1-t0))."""
+    (independent coordinates, variance (t-t0)(t1-t)/(t1-t0)).
+
+    v_start and v_end have shape (..., d); the result has shape
+    (..., t_end - t_start + 1, d), one path per leading index, drawn in
+    turn.
+    """
     if t_end <= t_start:
         raise ValueError("interval must have positive length")
-    v_start = np.asarray(v_start, dtype=float)
-    v_end = np.asarray(v_end, dtype=float)
-    rng = np.random.default_rng(seed)
+    v_start = np.asarray(v_start, dtype=float)[..., None, :]
+    v_end = np.asarray(v_end, dtype=float)[..., None, :]
     length = t_end - t_start
-    out = [v_start.copy()]
-    for t in range(t_start + 1, t_end):
-        alpha = (t - t_start) / length
-        mean = v_start + alpha * (v_end - v_start)
-        var = (t - t_start) * (t_end - t) / length
-        out.append(mean + np.sqrt(var) * rng.standard_normal(v_start.shape))
-    out.append(v_end.copy())
-    return out
+    t = np.arange(t_start + 1, t_end)[:, None]
+    alpha = (t - t_start) / length
+    mean = v_start + alpha * (v_end - v_start)
+    var = (t - t_start) * (t_end - t) / length
+    z = np.random.default_rng(seed).standard_normal(mean.shape)
+    return np.concatenate([v_start, mean + np.sqrt(var) * z, v_end], axis=-2)
 
 
-def perturb_language(l, delta: float, seed: int) -> np.ndarray:
+def perturb_language(l, delta: float, seed) -> np.ndarray:
     """Unit vector at Euclidean distance in (0, delta] from l, built by a
-    random tangent step of size delta followed by renormalization."""
-    if delta < 0:
-        raise ValueError("perturbation size must be non-negative")
-    if delta > 2:
-        raise ValueError("perturbation size cannot exceed the sphere diameter 2")
-    l = normalize(l)
+    random tangent step of size delta followed by renormalization.
+
+    l has shape (..., d) with d >= 2; each row along the last axis is
+    perturbed by its own draw, in order.
+    """
+    if not 0 <= delta <= 2:
+        raise ValueError(f"perturbation size must lie in [0, 2], the sphere's diameter: {delta}")
+    l = np.asarray(l, dtype=float)
+    if l.ndim == 0 or l.shape[-1] < 2:
+        raise ValueError("need dimension at least 2 for a tangent direction")
+    norm = np.linalg.norm(l, axis=-1, keepdims=True)
+    if np.any(norm == 0.0):
+        raise ValueError("cannot normalize a zero vector")
+    l = l / norm
     if delta == 0:
-        return l.copy()
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(l.shape)
-    u = u - (u @ l) * l
-    norm = np.linalg.norm(u)
-    if norm < 1e-12:  # degenerate draw; retry deterministically
-        return perturb_language(l, delta, seed + 1)
-    lp = normalize(l + delta * (u / norm))
-    assert np.linalg.norm(lp - l) <= delta + 1e-12
+        return l
+    u = np.random.default_rng(seed).standard_normal(l.shape)
+    u -= np.sum(u * l, axis=-1, keepdims=True) * l
+    lp = l + delta * (u / np.linalg.norm(u, axis=-1, keepdims=True))
+    lp /= np.linalg.norm(lp, axis=-1, keepdims=True)
+    assert np.all(np.linalg.norm(lp - l, axis=-1) <= delta + 1e-12)
     return lp

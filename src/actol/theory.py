@@ -1,11 +1,14 @@
 """Numerical witnesses for the ordering lower bound, its tightness
 construction, the Lipschitz continuity of alignment scores, and their
 robustness to language perturbations.
+
+The Monte Carlo checks draw from default_rng(seed), where seed is an int
+or a Generator, so one Generator can serve several checks in turn.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,9 +23,12 @@ from .losses import (
     vlo_loss,
     vlo_loss_on_scores,
 )
-from .synthetic import perturb_language, sample_bridge
+from .synthetic import perturb_language, random_units, sample_bridge
 
 FLOAT_SLACK = 1e-12
+# Monte Carlo trials are drawn and checked this many at a time, which
+# bounds the memory of a check whatever its trial count.
+BLOCK_TRIALS = 256
 
 
 @dataclass(frozen=True)
@@ -35,14 +41,7 @@ class TheoremReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "instances": self.instances,
-            "violations": self.violations,
-            "worst_slack": self.worst_slack,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def check_lower_bound(clips) -> TheoremReport:
@@ -50,23 +49,14 @@ def check_lower_bound(clips) -> TheoremReport:
     T = 2 clips are a 0 == 0 boundary and are reported, not asserted."""
     if not clips:
         raise ValueError("need at least one clip")
-    violations = 0
-    min_gap = np.inf
-    boundary = 0
-    for clip in clips:
-        gap = vlo_loss(clip) - lower_bound(clip)
-        if clip.T == 2:
-            boundary += 1
-            continue
-        min_gap = min(min_gap, gap)
-        if gap <= 0:
-            violations += 1
-    instances = len(clips) - boundary
+    gaps = np.array([vlo_loss(clip) - lower_bound(clip) for clip in clips if clip.T > 2])
+    boundary = len(clips) - gaps.size
+    violations = int(np.count_nonzero(~(gaps > 0)))
     return TheoremReport(
         theorem="lower-bound",
-        instances=instances,
+        instances=gaps.size,
         violations=violations,
-        worst_slack=float(min_gap) if instances else 0.0,
+        worst_slack=float(gaps.min()) if gaps.size else 0.0,
         passed=violations == 0,
         details={"boundary_t2_clips": boundary},
     )
@@ -96,6 +86,9 @@ def check_tightness(timestamps, eps_values) -> TheoremReport:
     """Evaluate the near-optimal construction against the lower bound for
     each eps."""
     timestamps = tuple(int(t) for t in timestamps)
+    eps_values = list(eps_values)
+    if not eps_values:
+        raise ValueError("need at least one eps")
     lb = lower_bound_from_timestamps(timestamps)
     violations = 0
     worst = -np.inf
@@ -110,7 +103,7 @@ def check_tightness(timestamps, eps_values) -> TheoremReport:
             violations += 1
     return TheoremReport(
         theorem="tightness",
-        instances=len(list(eps_values)),
+        instances=len(eps_values),
         violations=violations,
         worst_slack=float(worst),
         passed=violations == 0,
@@ -118,93 +111,90 @@ def check_tightness(timestamps, eps_values) -> TheoremReport:
     )
 
 
+def _blocks(trials: int) -> list:
+    """Sizes of the blocks that trials are drawn in. Blocks drawn in turn
+    from one Generator give the same numbers as a single draw."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    return [min(BLOCK_TRIALS, trials - start) for start in range(0, trials, BLOCK_TRIALS)]
+
+
+def _lipschitz_report(blocks, **details) -> TheoremReport:
+    """Lipschitz step |score(v_k, v_l, lang)| <= ||v_k - v_l|| on every row
+    of each (v_k, v_l, lang) block; a NaN counts as a violation."""
+    slack = np.concatenate([
+        np.abs(alignment_score(k, l, lang)) - np.linalg.norm(k - l, axis=-1)
+        for k, l, lang in blocks
+    ])
+    violations = int(np.count_nonzero(~(slack <= FLOAT_SLACK)))
+    return TheoremReport(
+        theorem="continuity-lipschitz",
+        instances=slack.size,
+        violations=violations,
+        worst_slack=float(np.max(slack, initial=-np.inf)),
+        passed=violations == 0,
+        details=details,
+    )
+
+
 def check_continuity(clip: ClipSequence, pairs) -> TheoremReport:
     """Assert the Lipschitz step |score(v_k, v_l, lang)| <= ||v_k - v_l||
     for each index pair, and report (not assert) the worst bridge-deviation
     ratio max_t ||v_t - mean(t)||^2 / var(t) over the full-clip interval."""
-    violations = 0
-    worst = -np.inf
-    lang = clip.language
-    for k, l in pairs:
-        lhs = abs(alignment_score(clip.embeddings[k], clip.embeddings[l], lang))
-        rhs = float(np.linalg.norm(clip.embeddings[k] - clip.embeddings[l]))
-        worst = max(worst, lhs - rhs)
-        if lhs > rhs + FLOAT_SLACK:
-            violations += 1
-
+    k, l = np.array(list(pairs), dtype=int).reshape(-1, 2).T
     dev, var, _ = _bridge_deviations(clip, full_interval(clip))
     ratio = float(np.max(np.einsum("pd,pd->p", dev, dev) / var, initial=0.0))
-    return TheoremReport(
-        theorem="continuity-lipschitz",
-        instances=len(list(pairs)),
-        violations=violations,
-        worst_slack=float(worst),
-        passed=violations == 0,
-        details={"bridge_deviation_ratio": ratio},
-    )
+    blocks = [(clip.embeddings[k], clip.embeddings[l], clip.language)]
+    return _lipschitz_report(blocks, bridge_deviation_ratio=ratio)
 
 
-def lipschitz_pairs_report(dim: int, trials: int, seed: int) -> TheoremReport:
+def lipschitz_pairs_report(dim: int, trials: int, seed) -> TheoremReport:
     """Lipschitz step on random unit-vector triples (v_k, v_l, lang)."""
     rng = np.random.default_rng(seed)
-    violations = 0
-    worst = -np.inf
-    for _ in range(trials):
-        v = rng.standard_normal((3, dim))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        lhs = abs(alignment_score(v[0], v[1], v[2]))
-        rhs = float(np.linalg.norm(v[0] - v[1]))
-        worst = max(worst, lhs - rhs)
-        if lhs > rhs + FLOAT_SLACK:
-            violations += 1
-    return TheoremReport(
-        theorem="continuity-lipschitz",
-        instances=trials,
-        violations=violations,
-        worst_slack=float(worst),
-        passed=violations == 0,
-    )
+    triples = (random_units((n, 3, dim), rng) for n in _blocks(trials))
+    return _lipschitz_report((v[:, 0], v[:, 1], v[:, 2]) for v in triples)
 
 
 def bridge_stats_report(
     dim: int,
     t_end: int,
     samples: int,
-    seed: int,
+    seed,
     tolerance: float = 0.05,
     variance_sign: float = 1.0,
 ) -> TheoremReport:
     """Monte Carlo check of sampled bridges against the analytic mean and
     variance: endpoints must match exactly, the midpoint's per-coordinate
     variance must match within the relative tolerance, and the midpoint
-    mean must sit within 5 standard errors. variance_sign exists as a
+    mean must sit within 5 standard errors; a NaN statistic is a
+    violation. A rejected call draws nothing. variance_sign exists as a
     negative control for the CLI (flipping it must fail the check)."""
+    if not isinstance(t_end, (int, np.integer)) or t_end % 2 or t_end < 2:
+        raise ValueError("t_end must be an even integer >= 2 so the midpoint is a sample time")
+    if samples < 2:
+        raise ValueError(f"need at least two samples for a variance, got {samples}")
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim)
-    v0 /= np.linalg.norm(v0)
-    v1 = rng.standard_normal(dim)
-    v1 /= np.linalg.norm(v1)
-    if t_end % 2 or t_end < 2:
-        raise ValueError("t_end must be even and >= 2 so the midpoint is a sample time")
+    v0, v1 = random_units((2, dim), rng)
     mid = t_end // 2
 
-    mids = np.empty((samples, dim))
+    mids = []
     violations = 0
-    for k in range(samples):
-        path = sample_bridge(v0, v1, 0, t_end, seed=seed + 1 + k)
-        if not (np.array_equal(path[0], v0) and np.array_equal(path[-1], v1)):
-            violations += 1
-        mids[k] = path[mid]
+    for n in _blocks(samples):
+        paths = sample_bridge(np.tile(v0, (n, 1)), np.tile(v1, (n, 1)), 0, t_end, rng)
+        exact = np.all(paths[:, 0] == v0, axis=-1) & np.all(paths[:, -1] == v1, axis=-1)
+        violations += int(np.count_nonzero(~exact))
+        mids.append(paths[:, mid].copy())  # a view would keep every path alive
+    mids = np.concatenate(mids)
 
     expected_mean = 0.5 * (v0 + v1)
     expected_var = variance_sign * (mid * (t_end - mid) / t_end)
     emp_var = float(mids.var(axis=0, ddof=1).mean())
     var_err = abs(emp_var - expected_var) / abs(expected_var)
-    if var_err > tolerance:
+    if not var_err <= tolerance:
         violations += 1
     se = np.sqrt(emp_var / samples)
     mean_err = float(np.max(np.abs(mids.mean(axis=0) - expected_mean)))
-    if mean_err > 5 * se:
+    if not mean_err <= 5 * se:
         violations += 1
     return TheoremReport(
         theorem="bridge-stats",
@@ -220,27 +210,23 @@ def bridge_stats_report(
     )
 
 
-def check_robustness(v_i, v_j, l, delta_l: float, trials: int, seed: int) -> TheoremReport:
+def check_robustness(v_i, v_j, l, delta_l: float, trials: int, seed) -> TheoremReport:
     """Assert the perturbation bound |score(l') - score(l)| <= 2 * delta_l
-    over random language perturbations of size at most delta_l."""
-    if not (0 <= delta_l <= 2):
-        raise ValueError("delta_l must lie in [0, 2]")
+    over random language perturbations of size at most delta_l; a NaN
+    counts as a violation."""
+    rng = np.random.default_rng(seed)
     base = alignment_score(v_i, v_j, l)
     bound = 2.0 * delta_l
-    violations = 0
-    worst_ratio = 0.0
-    for trial in range(trials):
-        lp = perturb_language(l, delta_l, seed + trial)
-        diff = abs(alignment_score(v_i, v_j, lp) - base)
-        if bound > 0:
-            worst_ratio = max(worst_ratio, diff / bound)
-        if diff > bound + FLOAT_SLACK:
-            violations += 1
+    diff = np.concatenate([
+        np.abs(alignment_score(v_i, v_j, perturb_language(np.tile(l, (n, 1)), delta_l, rng)) - base)
+        for n in _blocks(trials)
+    ])
+    violations = int(np.count_nonzero(~(diff <= bound + FLOAT_SLACK)))
     return TheoremReport(
         theorem="robustness",
         instances=trials,
         violations=violations,
-        worst_slack=float(worst_ratio),
+        worst_slack=float(diff.max() / bound) if bound > 0 else 0.0,
         passed=violations == 0,
         details={"delta_l": delta_l, "bound": bound},
     )

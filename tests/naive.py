@@ -4,6 +4,10 @@ kernel and TieGroups in actol.losses.
 
 Each anchor's (or each term's) softmax is evaluated on its own negative
 mask, with no sorting and no sharing between terms: O(T^3) work.
+
+The per-trial loop versions of the Monte Carlo theorem checks in
+actol.theory are kept here too. They draw from the Generator in the same
+order as the block versions and evaluate each trial with scalar arithmetic.
 """
 
 import sys
@@ -11,6 +15,8 @@ import sys
 import numpy as np
 
 from actol.losses import TnceConfig
+from actol.synthetic import perturb_language
+from actol.theory import FLOAT_SLACK
 
 
 def _distance_matrix(timestamps):
@@ -197,3 +203,58 @@ def measure_delta(clip, temperature=1.0):
         if 0 < delta < 1 and satisfied(delta):
             return float(delta)
     return None
+
+
+def _alignment_score(v_i, v_j, l):
+    def cos(v):
+        return float(v @ l) / (float(np.sqrt(v @ v)) * float(np.sqrt(l @ l)))
+
+    return -abs(cos(v_i) - cos(v_j))
+
+
+def lipschitz_slacks(triples):
+    """(violations, worst slack) of |score(v_k, v_l, lang)| <= ||v_k - v_l||
+    over (v_k, v_l, lang) triples, one at a time."""
+    violations = 0
+    worst = -np.inf
+    for v_k, v_l, lang in triples:
+        lhs = abs(_alignment_score(v_k, v_l, lang))
+        rhs = float(np.sqrt((v_k - v_l) @ (v_k - v_l)))
+        worst = max(worst, lhs - rhs)
+        if not lhs <= rhs + FLOAT_SLACK:
+            violations += 1
+    return violations, worst
+
+
+def check_continuity(clip, pairs):
+    emb = clip.embeddings
+    return lipschitz_slacks((emb[k], emb[l], clip.language) for k, l in pairs)
+
+
+def lipschitz_pairs_report(dim, trials, seed):
+    rng = np.random.default_rng(seed)
+
+    def triples():
+        for _ in range(trials):
+            v = rng.standard_normal((3, dim))
+            yield [row / np.sqrt(row @ row) for row in v]
+
+    return lipschitz_slacks(triples())
+
+
+def check_robustness(v_i, v_j, l, delta_l, trials, seed):
+    """(violations, worst diff / bound) over trials perturbations of l,
+    drawn one at a time."""
+    rng = np.random.default_rng(seed)
+    base = _alignment_score(v_i, v_j, l)
+    bound = 2.0 * delta_l
+    violations = 0
+    worst_ratio = 0.0
+    for _ in range(trials):
+        lp = perturb_language(l, delta_l, rng)
+        diff = abs(_alignment_score(v_i, v_j, lp) - base)
+        if bound > 0:
+            worst_ratio = max(worst_ratio, diff / bound)
+        if not diff <= bound + FLOAT_SLACK:
+            violations += 1
+    return violations, worst_ratio

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from actol import ClipSequence, random_clip
+from actol import ClipSequence, bridge_stats_report, lipschitz_pairs_report, random_clip
 from actol.cli import main
 
 runner = CliRunner()
@@ -162,6 +162,52 @@ class TestVerifyCommand:
     def test_bad_bridge_t_end(self, tmp_path, t_end):
         cfg = write_config(tmp_path, {"checks": ["bridge-stats"], "bridge_stats": {"t_end": t_end}})
         assert invoke("verify", cfg, tmp_path / "out").exit_code == 2
+
+    @pytest.mark.parametrize(
+        "check,block,params",
+        [
+            ("robustness", "robustness", {"dim": 1}),
+            ("robustness", "robustness", {"delta_l": [3.0]}),
+            ("robustness", "robustness", {"delta_l": []}),
+            ("robustness", "robustness", {"trials": 0}),
+            ("lower-bound", "lower_bound", {"clips": 0}),
+            ("lower-bound", "lower_bound", {"t_range": [1, 2]}),
+            ("lipschitz", "lipschitz", {"dim": 0}),
+            ("lipschitz", "lipschitz", {"trials": 2.5}),
+            ("bridge-stats", "bridge_stats", {"dim": 0}),
+            ("bridge-stats", "bridge_stats", {"samples": 1}),
+            ("tightness", "tightness", {"eps": [0]}),
+            ("tightness", "tightness", {"eps": []}),
+        ],
+    )
+    def test_bad_check_parameters(self, tmp_path, check, block, params):
+        cfg = write_config(tmp_path, {"checks": [check], block: params})
+        result = invoke("verify", cfg, tmp_path / "out")
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error: bad" in result.output
+
+    def test_checks_share_one_stream_in_list_order(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "seed": 4,
+                "checks": ["lipschitz", "bridge-stats", "lipschitz"],
+                "lipschitz": {"trials": 50},
+                "bridge_stats": {"samples": 50, "tolerance": 1.0},
+            },
+        )
+        out = tmp_path / "out"
+        assert invoke("verify", cfg, out).exit_code == 0
+        reports = json.loads((out / "theorem_reports.json").read_text())["reports"]
+        rng = np.random.default_rng(4)
+        expected = [
+            lipschitz_pairs_report(8, 50, rng),
+            bridge_stats_report(6, 10, 50, rng, tolerance=1.0),
+            lipschitz_pairs_report(8, 50, rng),
+        ]
+        assert reports == [json.loads(json.dumps(r.to_dict())) for r in expected]
+        assert reports[0] != reports[2]
 
 
 class TestRewardCommand:

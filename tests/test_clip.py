@@ -33,6 +33,16 @@ class TestCosineSim:
     def test_dot_product_value(self):
         assert cosine_sim([0.6, 0.8], [1.0, 0.0]) == pytest.approx(0.6)
 
+    def test_broadcasts_along_last_axis(self):
+        rng = np.random.default_rng(4)
+        v = rng.standard_normal((6, 3))
+        l = rng.standard_normal(3)
+        assert np.array_equal(cosine_sim(v, l), [cosine_sim(row, l) for row in v])
+        assert np.array_equal(
+            alignment_score(v[:3], v[3:], l),
+            [alignment_score(a, b, l) for a, b in zip(v[:3], v[3:])],
+        )
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             cosine_sim([1.0, 0.0], [1.0, 0.0, 0.0])

@@ -132,6 +132,15 @@ class TestSampleBridge:
         assert mids.mean(axis=0) == pytest.approx(0.5 * np.ones(4), abs=0.05)
         assert mids.var(axis=0).mean() == pytest.approx(2.5, rel=0.1)
 
+    def test_batch_draws_each_path_in_turn(self):
+        v0 = np.zeros((4, 3))
+        v1 = np.ones((4, 3))
+        batch = sample_bridge(v0, v1, 0, 6, seed=np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        one_by_one = [sample_bridge(v0[k], v1[k], 0, 6, seed=rng) for k in range(4)]
+        assert batch.shape == (4, 7, 3)
+        assert np.array_equal(batch, np.stack(one_by_one))
+
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError):
             sample_bridge(np.zeros(2), np.ones(2), 3, 3, seed=0)
@@ -154,6 +163,17 @@ class TestPerturbLanguage:
         l = np.array([1.0, 0.0, 0.0])
         lp = perturb_language(l, 0.5, 3)
         assert np.linalg.norm(lp - l) > 0
+
+    def test_batch_perturbs_each_row_in_turn(self):
+        l = np.random.default_rng(3).standard_normal((5, 4))
+        batch = perturb_language(l, 0.2, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        assert np.array_equal(batch, np.stack([perturb_language(row, 0.2, rng) for row in l]))
+
+    @pytest.mark.parametrize("l", [[1.0], [[0.6], [0.8]], 1.0], ids=["1-d", "rows-1-d", "scalar"])
+    def test_dimension_below_two_rejected(self, l):
+        with pytest.raises(ValueError):
+            perturb_language(np.array(l), 0.1, 0)
 
     def test_invalid_delta(self):
         l = np.array([1.0, 0.0])

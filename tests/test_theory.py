@@ -1,6 +1,8 @@
+import naive
 import numpy as np
 import pytest
 
+import actol.theory as theory
 from actol import (
     ClipSequence,
     bridge_stats_report,
@@ -54,6 +56,11 @@ class TestTightness:
             loss = vlo_loss_on_scores(ts, construct_near_optimal(ts, eps))
             assert lb < loss < lb + eps
 
+    def test_eps_values_read_once(self):
+        report = check_tightness((0, 1, 2, 3), iter([1.0, 0.1, 0.01]))
+        assert report.instances == 3
+        assert len(report.details["excess_by_eps"]) == 3
+
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
             construct_near_optimal((0, 1, 2), 0.0)
@@ -75,6 +82,12 @@ class TestContinuity:
         assert report.worst_slack <= 0
         assert report.details["bridge_deviation_ratio"] >= 0
 
+    def test_pairs_read_once(self):
+        clip = random_clip(5, 3, np.random.default_rng(4))
+        pairs = [(k, l) for k in range(5) for l in range(k + 1, 5)]
+        assert check_continuity(clip, iter(pairs)) == check_continuity(clip, pairs)
+        assert check_continuity(clip, iter(pairs)).instances == len(pairs)
+
     def test_lipschitz_pairs_random_triples(self):
         report = lipschitz_pairs_report(dim=6, trials=2000, seed=3)
         assert report.passed
@@ -95,6 +108,20 @@ class TestBridgeStats:
     def test_odd_t_end_rejected(self):
         with pytest.raises(ValueError):
             bridge_stats_report(dim=3, t_end=7, samples=100, seed=0)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"t_end": 7}, {"samples": 1}, {"dim": 1}], ids=["t_end-7", "samples-1", "dim-1"]
+    )
+    def test_rejected_call_draws_nothing(self, kwargs):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            bridge_stats_report(**{"dim": 3, "t_end": 6, "samples": 100, "seed": rng, **kwargs})
+        assert rng.bit_generator.state == state
+
+    def test_nan_tolerance_fails(self):
+        report = bridge_stats_report(dim=4, t_end=10, samples=500, seed=5, tolerance=float("nan"))
+        assert not report.passed
 
 
 class TestRobustness:
@@ -120,6 +147,54 @@ class TestRobustness:
         v = self.unit(16)
         with pytest.raises(ValueError):
             check_robustness(v, v, v, 3.0, trials=1, seed=0)
+
+
+class TestBlocks:
+    def test_reports_do_not_depend_on_block_size(self, monkeypatch):
+        v_i, v_j, l = np.random.default_rng(1).standard_normal((3, 5))
+
+        def reports():
+            return [
+                lipschitz_pairs_report(dim=4, trials=1500, seed=2).to_dict(),
+                check_robustness(v_i, v_j, l, 0.3, trials=1500, seed=2).to_dict(),
+                bridge_stats_report(dim=3, t_end=6, samples=1500, seed=2).to_dict(),
+            ]
+
+        default = reports()
+        monkeypatch.setattr(theory, "BLOCK_TRIALS", 7)
+        assert reports() == default
+
+
+class TestAgainstLoopReference:
+    @pytest.mark.parametrize("dim,trials,seed", [(2, 1500, 0), (8, 2500, 3), (3, 7, 1)])
+    def test_lipschitz_pairs(self, dim, trials, seed):
+        report = lipschitz_pairs_report(dim, trials, seed)
+        violations, worst = naive.lipschitz_pairs_report(dim, trials, seed)
+        assert report.instances == trials
+        assert report.violations == violations
+        assert report.worst_slack == pytest.approx(worst, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.05], ids=["unit", "shrunk"])
+    def test_continuity(self, scale):
+        # a shrunk clip breaks the step: scores are scale-free, distances not
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            clip = random_clip(int(rng.integers(2, 9)), int(rng.integers(2, 6)), rng)
+            clip = clip.with_embeddings(scale * clip.embeddings)
+            pairs = [(k, l) for k in range(clip.T) for l in range(clip.T) if k != l]
+            report = check_continuity(clip, pairs)
+            violations, worst = naive.check_continuity(clip, pairs)
+            assert report.violations == violations
+            assert report.worst_slack == pytest.approx(worst, rel=1e-12)
+            assert (violations > 0) == (scale < 1)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.01, 0.5, 2.0])
+    def test_robustness(self, delta):
+        v_i, v_j, l = np.random.default_rng(7).standard_normal((3, 6))
+        report = check_robustness(v_i, v_j, l, delta, trials=1200, seed=8)
+        violations, worst = naive.check_robustness(v_i, v_j, l, delta, 1200, 8)
+        assert report.violations == violations
+        assert report.worst_slack == pytest.approx(worst, rel=1e-12)
 
 
 class TestReportSerialization:
