@@ -9,6 +9,7 @@ the same inputs produces byte-identical output files. Exit codes:
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -71,6 +72,15 @@ def _require(config, key):
     if key not in config:
         raise ConfigError(f"missing required config field {key!r}")
     return config[key]
+
+
+def _count(config, key, default, minimum):
+    """config[key] (default if absent), which must be an integer >= minimum:
+    2 for a frame count or dimension, 1 for any other count."""
+    value = config.get(key, default)
+    if not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def _write_json(path, config, payload):
@@ -252,14 +262,15 @@ def reward(config_path, out_dir, seed):
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad synthetic clip spec: {exc}") from exc
         names = _require(config, "objectives")
+        if not names:
+            raise ConfigError("empty objective list")
         objectives = []
         for name in names:
             if name not in OBJECTIVE_PRESETS:
                 raise ConfigError(f"unknown objective {name!r}")
             objectives.append(ObjectiveSpec(name, OBJECTIVE_PRESETS[name]))
         cfg = _train_config(config)
-        n_seeds = config.get("seeds", 20)
-        seeds = [config["seed"] + k for k in range(n_seeds)]
+        seeds = [config["seed"] + k for k in range(_count(config, "seeds", 20, 1))]
         record = compare_objectives(spec, objectives, cfg, seeds)
         for res in record.results:
             for obj in objectives:
@@ -305,14 +316,18 @@ def gradcheck(config_path, out_dir, seed):
 
     def body(config, out):
         losses = config.get("losses", ["vlo", "bb", "total"])
+        if not losses:
+            raise ConfigError("empty loss list")
         known = {"vlo", "bb", "total"}
         unknown = [l for l in losses if l not in known]
         if unknown:
             raise ConfigError(f"unknown loss name(s): {unknown}")
-        n_clips = config.get("clips", 20)
-        T = config.get("T", 6)
-        d = config.get("d", 5)
+        n_clips = _count(config, "clips", 20, 1)
+        T = _count(config, "T", 6, 2)
+        d = _count(config, "d", 5, 2)
         step = config.get("step", 1e-5)
+        if not isinstance(step, (int, float)) or not 0 < step < math.inf:
+            raise ConfigError(f"step must be finite and positive, got {step!r}")
         rng = np.random.default_rng(config["seed"])
         worst = {}
         try:

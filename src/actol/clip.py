@@ -12,7 +12,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-UNIT_NORM_TOL = 1e-9
+
+def _timestamps(timestamps) -> tuple:
+    """Checked timestamps as a tuple of ints: at least two, non-negative, strictly increasing."""
+    ts = tuple(int(t) for t in timestamps)
+    if len(ts) < 2:
+        raise ValueError("need at least two timestamps")
+    if any(t < 0 for t in ts):
+        raise ValueError("timestamps must be non-negative")
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        raise ValueError("timestamps must be strictly increasing")
+    return ts
 
 
 def normalize(v) -> np.ndarray:
@@ -69,15 +79,9 @@ class ClipSequence:
     language: np.ndarray = field()
 
     def __post_init__(self):
-        ts = tuple(int(t) for t in self.timestamps)
+        ts = _timestamps(self.timestamps)
         emb = np.asarray(self.embeddings, dtype=float)
         lang = np.asarray(self.language, dtype=float)
-        if len(ts) < 2:
-            raise ValueError("a clip needs at least two frames")
-        if any(t < 0 for t in ts):
-            raise ValueError("timestamps must be non-negative")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("timestamps must be strictly increasing")
         if emb.ndim != 2 or emb.shape[0] != len(ts):
             raise ValueError("need exactly one embedding per timestamp")
         if emb.shape[1] < 2:
@@ -125,6 +129,8 @@ class ClipSequence:
         clip = cls(data["timestamps"], data["embeddings"], data["language"])
         if clip.d != int(data["d"]):
             raise ValueError("declared dimension does not match embeddings")
+        if not (np.isfinite(clip.embeddings).all() and np.isfinite(clip.language).all()):
+            raise ValueError("embeddings and language must be finite")
         return clip
 
     def save(self, path) -> None:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .clip import ClipSequence
 from .losses import (
+    DEFAULT_BB_WEIGHT,
     BridgeInterval,
     TieGroups,
     TnceConfig,
@@ -117,7 +118,7 @@ def grad_tnce(clip: ClipSequence, cfg: TnceConfig) -> GradientSet:
 
 def total_and_grad(
     clip: ClipSequence,
-    bb_weight: float = 0.1,
+    bb_weight: float = DEFAULT_BB_WEIGHT,
     temperature: float = 1.0,
     intervals=None,
     groups: TieGroups | None = None,
@@ -137,7 +138,7 @@ def total_and_grad(
 
 def grad_total(
     clip: ClipSequence,
-    bb_weight: float = 0.1,
+    bb_weight: float = DEFAULT_BB_WEIGHT,
     temperature: float = 1.0,
     intervals=None,
 ) -> GradientSet:
@@ -163,7 +164,7 @@ def _loss_and_grad(loss: str, clip: ClipSequence, params: dict):
     if loss == "vlo":
         return contrastive, grad_vlo(clip, tau)
     if loss == "total":
-        lam = params.get("bb_weight", 0.1)
+        lam = params.get("bb_weight", DEFAULT_BB_WEIGHT)
         ivs = params.get("intervals")
         bb_ivs = [full_interval(clip)] if ivs is None else ivs
 
@@ -177,43 +178,33 @@ def _loss_and_grad(loss: str, clip: ClipSequence, params: dict):
 
 
 def finite_diff_check(loss: str, clip: ClipSequence, params=None, step: float = 1e-5) -> float:
-    """Central finite differences on every coordinate of every embedding
-    (frames and language); returns the max relative error against the
-    analytic gradient, which is computed once. Errors are relative to the
-    largest of the two values, REL_FLOOR times the gradient's max-norm and
-    1e-8, so round-off on components near zero is not reported as a failure."""
+    """Central finite differences on every coordinate of one flat parameter
+    vector, the frame embeddings followed by the language embedding;
+    returns the max relative error against the analytic gradient, which is
+    computed once. Errors are relative to the largest of the two values,
+    REL_FLOOR times the gradient's max-norm and 1e-8, so round-off on
+    components near zero is not reported as a failure."""
     if step <= 0:
         raise ValueError("step must be positive")
     loss_of, grads = _loss_and_grad(loss, clip, params)
-    floor = max(
-        REL_FLOOR * max(np.abs(grads.frames).max(), np.abs(grads.language).max()), 1e-8
-    )
+    analytic = np.concatenate([grads.frames.ravel(), grads.language])
+    floor = max(REL_FLOOR * np.abs(analytic).max(), 1e-8)
+    x0 = np.concatenate([clip.embeddings.ravel(), clip.language])
+    n_frames = clip.embeddings.size
 
-    def value(emb, lang):
-        v = loss_of(ClipSequence(clip.timestamps, emb, lang))
+    def value(x):
+        emb = x[:n_frames].reshape(clip.embeddings.shape)
+        v = loss_of(ClipSequence(clip.timestamps, emb, x[n_frames:]))
         if not np.isfinite(v):
             raise FloatingPointError(f"non-finite {loss} loss at perturbed point")
         return v
 
-    def rel_err(analytic, numeric):
-        return abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
-
     worst = 0.0
-    emb0 = clip.embeddings
-    lang0 = clip.language
-    for t in range(clip.T):
-        for c in range(clip.d):
-            e_plus = emb0.copy()
-            e_minus = emb0.copy()
-            e_plus[t, c] += step
-            e_minus[t, c] -= step
-            num = (value(e_plus, lang0) - value(e_minus, lang0)) / (2 * step)
-            worst = max(worst, rel_err(grads.frames[t, c], num))
-    for c in range(clip.d):
-        l_plus = lang0.copy()
-        l_minus = lang0.copy()
-        l_plus[c] += step
-        l_minus[c] -= step
-        num = (value(emb0, l_plus) - value(emb0, l_minus)) / (2 * step)
-        worst = max(worst, rel_err(grads.language[c], num))
+    for k, g in enumerate(analytic):
+        x_plus = x0.copy()
+        x_minus = x0.copy()
+        x_plus[k] += step
+        x_minus[k] -= step
+        num = (value(x_plus) - value(x_minus)) / (2 * step)
+        worst = max(worst, abs(g - num) / max(abs(g), abs(num), floor))
     return worst

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clip import ClipSequence
+from .clip import ClipSequence, _timestamps
 
 DEFAULT_BB_WEIGHT = 0.1
 
@@ -82,7 +82,7 @@ class TnceConfig:
 class TieGroups:
     """Each anchor's other frames, sorted by descending temporal distance
     (stable) and cut into groups of equal distance. Depends only on the
-    timestamps, so a training run builds it once.
+    timestamps, which it checks, so a training run builds it once.
 
     Arrays are (T, T-1), indexed by anchor and sorted position p:
     order[i, p] is the frame there, distances[i, p] its distance from i,
@@ -97,7 +97,7 @@ class TieGroups:
 
     @classmethod
     def of(cls, timestamps, negative_selector: str = "farther-frames") -> "TieGroups":
-        ts = np.asarray(timestamps, dtype=np.int64)
+        ts = np.asarray(_timestamps(timestamps), dtype=np.int64)
         T = len(ts)
         d = np.abs(ts[:, None] - ts[None, :])
         np.fill_diagonal(d, -1)  # the anchor sorts last and is dropped
@@ -117,6 +117,11 @@ class TieGroups:
     def sizes(self) -> np.ndarray:
         """Size of the group each sorted position belongs to."""
         return self.end - self.start + 1
+
+    def lower_bound(self) -> float:
+        """Mean log group size over ordered pairs: for 'farther-frames'
+        groups, the combinatorial minimum of the ordering loss."""
+        return float(np.sum(np.log(self.sizes()))) / self.order.size  # T (T - 1) pairs
 
 
 def _suffix_softmax(rows, positives, groups: TieGroups, temperature: float, need_grad: bool):
@@ -164,11 +169,6 @@ def _score_rows(s: np.ndarray, score: str) -> np.ndarray:
     return -np.abs(s[:, None] - s[None, :])
 
 
-def _distance_matrix(timestamps) -> np.ndarray:
-    ts = np.asarray(timestamps, dtype=float)
-    return np.abs(ts[:, None] - ts[None, :])
-
-
 def _contrastive_terms(clip: ClipSequence, cfg: TnceConfig, groups, need_grad: bool):
     """(value, dL/drows, similarities) of a contrastive objective; groups
     must have been built for cfg.negative_selector (None builds them)."""
@@ -204,17 +204,15 @@ def vlo_loss(clip: ClipSequence, temperature: float = 1.0) -> float:
 def vlo_loss_on_scores(timestamps, scores, temperature: float = 1.0) -> float:
     """Same objective as vlo_loss but on a supplied score matrix, enabling
     score-space constructions that need not come from embeddings."""
-    timestamps = tuple(int(t) for t in timestamps)
-    if len(timestamps) < 2:
-        raise ValueError("need at least two timestamps")
+    groups = TieGroups.of(timestamps)
     scores = np.asarray(scores, dtype=float)
-    T = len(timestamps)
+    T = len(groups.order)
     if scores.shape != (T, T):
         raise ValueError(f"score matrix must be {T}x{T}, got {scores.shape}")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     positives = _positive_mask(T, "vlo-pair")
-    value, _ = _suffix_softmax(scores, positives, TieGroups.of(timestamps), temperature, False)
+    value, _ = _suffix_softmax(scores, positives, groups, temperature, False)
     return value
 
 
@@ -235,10 +233,7 @@ def lower_bound_from_timestamps(timestamps) -> float:
     """Combinatorial minimum of the ordering loss, determined solely by the
     multiset of pairwise temporal distances: the mean over ordered pairs
     of the log of the pair's tie-group size."""
-    T = len(timestamps)
-    if T < 2:
-        raise ValueError("need at least two timestamps")
-    return float(np.sum(np.log(TieGroups.of(timestamps).sizes()))) / (T * (T - 1))
+    return TieGroups.of(timestamps).lower_bound()
 
 
 def lower_bound(clip: ClipSequence) -> float:
@@ -317,9 +312,10 @@ def actol_loss(
         raise ValueError("bb_weight must be non-negative")
     if intervals is None:
         intervals = [full_interval(clip)]
-    vlo = vlo_loss(clip, temperature)
+    groups = TieGroups.of(clip.timestamps)  # one sort for the loss and its bound
+    vlo, _, _ = _contrastive_terms(clip, TnceConfig(temperature=temperature), groups, False)
     bb = _mean_bb(clip, intervals)
-    lb = lower_bound(clip)
+    lb = groups.lower_bound()
     total = vlo + bb_weight * bb
     return LossBreakdown(vlo=vlo, bb=bb, total=total, lower_bound=lb, gap=vlo - lb)
 

@@ -37,6 +37,8 @@ class SyntheticClipSpec:
     def __post_init__(self):
         if self.T < 2:
             raise ValueError("need at least two frames")
+        if self.d < 2:
+            raise ValueError(f"dimension must be at least 2, got {self.d}")
         if not (1 <= self.completion_index <= self.T):
             raise ValueError("completion_index must lie in [1, T]")
         if self.tail_mode not in TAIL_MODES:
@@ -132,7 +134,7 @@ def random_clip(T: int, d: int, rng, max_gap: int = 4) -> ClipSequence:
     """Clip with random unit embeddings and random strictly increasing
     integer timestamps (gaps in [1, max_gap])."""
     gaps = rng.integers(1, max_gap + 1, size=T - 1)
-    ts = tuple(int(t) for t in np.concatenate([[0], np.cumsum(gaps)]))
+    ts = np.concatenate([[0], np.cumsum(gaps)])
     return ClipSequence(ts, random_units((T, d), rng), _random_unit(rng, d))
 
 

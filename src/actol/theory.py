@@ -12,15 +12,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .clip import ClipSequence, alignment_score
+from .clip import ClipSequence, _timestamps, alignment_score
 from .losses import (
     TieGroups,
     _bridge_deviations,
-    _distance_matrix,
+    actol_loss,
     full_interval,
-    lower_bound,
     lower_bound_from_timestamps,
-    vlo_loss,
     vlo_loss_on_scores,
 )
 from .synthetic import perturb_language, random_units, sample_bridge
@@ -49,7 +47,7 @@ def check_lower_bound(clips) -> TheoremReport:
     T = 2 clips are a 0 == 0 boundary and are reported, not asserted."""
     if not clips:
         raise ValueError("need at least one clip")
-    gaps = np.array([vlo_loss(clip) - lower_bound(clip) for clip in clips if clip.T > 2])
+    gaps = np.array([actol_loss(clip, intervals=[]).gap for clip in clips if clip.T > 2])
     boundary = len(clips) - gaps.size
     violations = int(np.count_nonzero(~(gaps > 0)))
     return TheoremReport(
@@ -69,9 +67,8 @@ def construct_near_optimal(timestamps, eps: float) -> np.ndarray:
     gamma = log(T / (min multiplicity * eps))."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    timestamps = tuple(int(t) for t in timestamps)
-    T = len(timestamps)
     groups = TieGroups.of(timestamps)
+    T = len(groups.order)
     min_mult = int(groups.sizes().min())
     # adjacent sorted positions with different distances are adjacent levels
     level_gaps = (groups.distances[:, :-1] - groups.distances[:, 1:]).astype(float)
@@ -79,13 +76,15 @@ def construct_near_optimal(timestamps, eps: float) -> np.ndarray:
 
     gamma = np.log(T / (min_mult * eps))
     scale = max(gamma, 0.0) / min_level_gap if np.isfinite(min_level_gap) else 1.0
-    return -scale * _distance_matrix(timestamps)
+    distances = np.zeros((T, T), dtype=groups.distances.dtype)
+    np.put_along_axis(distances, groups.order, groups.distances, axis=1)
+    return -scale * distances
 
 
 def check_tightness(timestamps, eps_values) -> TheoremReport:
     """Evaluate the near-optimal construction against the lower bound for
     each eps."""
-    timestamps = tuple(int(t) for t in timestamps)
+    timestamps = _timestamps(timestamps)
     eps_values = list(eps_values)
     if not eps_values:
         raise ValueError("need at least one eps")

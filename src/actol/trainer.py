@@ -17,12 +17,12 @@ import numpy as np
 from .clip import ClipSequence, normalize
 from .gradients import GradientSet, tnce_and_grad, total_and_grad
 from .losses import (
+    DEFAULT_BB_WEIGHT,
     BridgeInterval,
     LossBreakdown,
     TieGroups,
     TnceConfig,
     lower_bound,
-    lower_bound_from_timestamps,
 )
 
 
@@ -38,7 +38,7 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     learning_rate: float = 0.05
     steps: int = 1000
-    bb_weight: float = 0.1
+    bb_weight: float = DEFAULT_BB_WEIGHT
     temperature: float = 1.0
     seed: int = 0
     optimize_language: bool = False
@@ -53,8 +53,8 @@ class TrainConfig:
             raise ValueError("bb_weight must be finite and non-negative")
         if not self.temperature > 0:
             raise ValueError("temperature must be positive")
-        if self.intervals_per_step < 1:
-            raise ValueError("need at least one interval per step")
+        if not isinstance(self.intervals_per_step, numbers.Integral) or self.intervals_per_step < 1:
+            raise ValueError("intervals_per_step must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ def train_encoder(features, timestamps, language, cfg: TrainConfig):
     else:
         weight = rng.standard_normal((d, f)) / np.sqrt(f)
     groups = TieGroups.of(timestamps)
-    lb = lower_bound_from_timestamps(timestamps)
+    lb = groups.lower_bound()
     history = TrainHistory()
     for step in range(cfg.steps):
         intervals = _sample_intervals(n, cfg, rng)

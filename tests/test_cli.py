@@ -91,8 +91,12 @@ class TestTrainCommand:
             {"steps": 2.5},
             {"learning_rate": float("nan")},
             {"bb_weight": float("inf")},
+            {"intervals_per_step": 1.5},
         ],
-        ids=["temperature-0", "steps-2.5", "learning_rate-nan", "bb_weight-inf"],
+        ids=[
+            "temperature-0", "steps-2.5", "learning_rate-nan", "bb_weight-inf",
+            "intervals_per_step-1.5",
+        ],
     )
     def test_invalid_train_value(self, tmp_path, field):
         cfg = write_config(tmp_path, {"clip": {"synthetic": {"T": 4, "d": 3,
@@ -102,8 +106,16 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize(
         "content",
-        [None, "{not json", '{"d": 2, "timestamps": [0, 1], "embeddings": [[1, 0], [0, 1]]}'],
-        ids=["missing-file", "invalid-json", "missing-language"],
+        [
+            None,
+            "{not json",
+            '{"d": 2, "timestamps": [0, 1], "embeddings": [[1, 0], [0, 1]]}',
+            '{"d": 2, "timestamps": [0, 1], "embeddings": [[1, 0], [0, NaN]],'
+            ' "language": [1, 0]}',
+            '{"d": 2, "timestamps": [0, 1], "embeddings": [[1, 0], [0, 1]],'
+            ' "language": [1, Infinity]}',
+        ],
+        ids=["missing-file", "invalid-json", "missing-language", "nan-embedding", "inf-language"],
     )
     def test_bad_clip_file(self, tmp_path, content):
         clip_path = tmp_path / "clip.json"
@@ -111,6 +123,14 @@ class TestTrainCommand:
             clip_path.write_text(content)
         cfg = write_config(tmp_path, {"clip": {"file": str(clip_path)}, "train": {"steps": 5}})
         assert invoke("train", cfg, tmp_path / "out").exit_code == 2
+
+    def test_one_dimensional_synthetic_clip(self, tmp_path):
+        cfg = write_config(tmp_path, {"clip": {"synthetic": {"T": 4, "d": 1,
+                                                             "completion_index": 2}},
+                                      "train": {"steps": 5}})
+        result = invoke("train", cfg, tmp_path / "out")
+        assert result.exit_code == 2, result.output
+        assert "dimension must be at least 2" in result.output
 
 
 class TestVerifyCommand:
@@ -178,6 +198,7 @@ class TestVerifyCommand:
             ("bridge-stats", "bridge_stats", {"samples": 1}),
             ("tightness", "tightness", {"eps": [0]}),
             ("tightness", "tightness", {"eps": []}),
+            ("tightness", "tightness", {"timestamps": [3, 1]}),
         ],
     )
     def test_bad_check_parameters(self, tmp_path, check, block, params):
@@ -251,6 +272,25 @@ class TestRewardCommand:
                                       "objectives": ["mystery"]})
         assert invoke("reward", cfg, tmp_path / "out").exit_code == 2
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"seeds": 0},
+            {"seeds": 1.5},
+            {"objectives": []},
+            {"synthetic": {"T": 4, "d": 1, "completion_index": 2}},
+        ],
+        ids=["seeds-0", "seeds-1.5", "objectives-empty", "synthetic-d-1"],
+    )
+    def test_bad_reward_config(self, tmp_path, field):
+        data = {"synthetic": {"T": 4, "d": 3, "completion_index": 2},
+                "objectives": ["actol"], "train": {"steps": 2}, "seeds": 1}
+        cfg = write_config(tmp_path, {**data, **field})
+        result = invoke("reward", cfg, tmp_path / "out")
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "out" / "comparison.json").exists()
+
 
 class TestGradcheckCommand:
     def test_passes_on_defaults(self, tmp_path):
@@ -274,3 +314,24 @@ class TestGradcheckCommand:
     def test_unknown_loss_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"losses": ["vlo", "entropy"]})
         assert invoke("gradcheck", cfg, tmp_path / "out").exit_code == 2
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"clips": 0},
+            {"T": 1},
+            {"T": 2.5},
+            {"d": 1},
+            {"step": 0},
+            {"step": float("inf")},
+            {"losses": []},
+        ],
+        ids=["clips-0", "T-1", "T-2.5", "d-1", "step-0", "step-inf", "losses-empty"],
+    )
+    def test_bad_parameters(self, tmp_path, params):
+        cfg = write_config(tmp_path, {"clips": 2, "T": 4, "d": 3, **params})
+        result = invoke("gradcheck", cfg, tmp_path / "out")
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error: " in result.output
+        assert not (tmp_path / "out" / "gradcheck.json").exists()

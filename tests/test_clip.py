@@ -119,6 +119,19 @@ class TestClipSequence:
         norms = np.linalg.norm(clip.normalized().embeddings, axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-9)
 
+    @pytest.mark.parametrize("key, bad", [("embeddings", np.nan), ("language", np.inf)])
+    def test_from_dict_rejects_non_finite(self, key, bad):
+        data = self.make().to_dict()
+        data[key] = np.full(np.shape(data[key]), bad).tolist()
+        with pytest.raises(ValueError, match="finite"):
+            ClipSequence.from_dict(data)
+
+    def test_constructor_accepts_non_finite(self):
+        # the trainer's divergence path builds such clips on purpose
+        emb = self.make().embeddings.copy()
+        emb[1, 0] = np.nan
+        assert np.isnan(self.make(embeddings=emb).embeddings[1, 0])
+
     def test_json_roundtrip(self, tmp_path):
         clip = self.make()
         path = tmp_path / "clip.json"

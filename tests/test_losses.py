@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,14 +12,18 @@ from actol import (
     bb_loss,
     bb_mean,
     bb_variance,
+    check_tightness,
+    construct_near_optimal,
     distance_profile,
     lower_bound,
+    lower_bound_from_timestamps,
     negative_set,
     random_clip,
     tnce_loss,
     vlo_loss,
     vlo_loss_on_scores,
 )
+from actol.losses import TieGroups
 
 
 def naive_vlo(clip, temperature=1.0):
@@ -163,6 +168,37 @@ class TestLowerBound:
         assert lower_bound(identical_clip(timestamps=(0, 4))) == pytest.approx(0.0)
 
 
+class TestTimestampContract:
+    ENTRY_POINTS = {
+        "ClipSequence": lambda ts: ClipSequence(ts, np.eye(len(ts), 2) + 1.0, [1.0, 0.0]),
+        "TieGroups.of": TieGroups.of,
+        "lower_bound_from_timestamps": lower_bound_from_timestamps,
+        "vlo_loss_on_scores": lambda ts: vlo_loss_on_scores(ts, np.zeros((len(ts), len(ts)))),
+        "construct_near_optimal": lambda ts: construct_near_optimal(ts, 0.1),
+        "check_tightness": lambda ts: check_tightness(ts, [0.1]),
+    }
+
+    @pytest.mark.parametrize(
+        "timestamps, message",
+        [
+            ((3, 1), "timestamps must be strictly increasing"),
+            ((0, 2, 2), "timestamps must be strictly increasing"),
+            ((-1, 0, 1), "timestamps must be non-negative"),
+            ((0,), "need at least two timestamps"),
+        ],
+        ids=["decreasing", "repeated", "negative", "one"],
+    )
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_rejected_with_one_error(self, entry, timestamps, message):
+        with pytest.raises(ValueError) as exc:
+            self.ENTRY_POINTS[entry](timestamps)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_valid_timestamps_accepted(self, entry):
+        self.ENTRY_POINTS[entry]([0, 1.0, np.int64(3)])
+
+
 class TestBridge:
     def make_clip(self):
         rng = np.random.default_rng(20)
@@ -262,6 +298,15 @@ class TestActolLoss:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             actol_loss(identical_clip(), bb_weight=-0.1)
+
+    def test_loss_and_bound_share_one_sort(self, monkeypatch):
+        clip = random_clip(6, 4, np.random.default_rng(26))
+        expected = (vlo_loss(clip, 0.5), lower_bound(clip))
+        spy = mock.Mock(wraps=TieGroups.of)
+        monkeypatch.setattr(TieGroups, "of", spy)
+        b = actol_loss(clip, temperature=0.5)
+        assert spy.call_count == 1
+        assert (b.vlo, b.lower_bound) == expected
 
 
 class TestTnce:

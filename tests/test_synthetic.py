@@ -91,6 +91,13 @@ class TestGenerateClip:
         with pytest.raises(ValueError):
             SyntheticClipSpec(noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("d", [1, 0])
+    def test_dimension_below_two_rejected(self, d):
+        # a 1-D unit vector is never far from the language vector, so
+        # generate_clip would reject draws forever
+        with pytest.raises(ValueError):
+            SyntheticClipSpec(d=d)
+
 
 class TestRandomClip:
     def test_shapes_and_norms(self):

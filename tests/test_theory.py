@@ -1,3 +1,5 @@
+from unittest import mock
+
 import naive
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from actol import (
     random_clip,
     vlo_loss_on_scores,
 )
+from actol.losses import TieGroups
 
 
 class TestLowerBoundCheck:
@@ -39,6 +42,14 @@ class TestLowerBoundCheck:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             check_lower_bound([])
+
+    def test_one_sort_per_asserted_clip(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        clips = [random_clip(T, 3, rng) for T in (2, 3, 5, 2, 8)]
+        spy = mock.Mock(wraps=TieGroups.of)
+        monkeypatch.setattr(TieGroups, "of", spy)
+        report = check_lower_bound(clips)
+        assert spy.call_count == report.instances == 3
 
 
 class TestTightness:
