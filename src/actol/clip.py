@@ -14,8 +14,15 @@ import numpy as np
 
 
 def _timestamps(timestamps) -> tuple:
-    """Checked timestamps as a tuple of ints: at least two, non-negative, strictly increasing."""
-    ts = tuple(int(t) for t in timestamps)
+    """Checked timestamps as a tuple of ints: at least two finite integers
+    (an integral float such as 2.0 counts), non-negative, strictly increasing."""
+    raw = tuple(timestamps)
+    try:
+        ts = tuple(map(int, raw))
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN or infinite
+        ts = None
+    if ts != raw:  # a fractional value compares unequal to its truncation
+        raise ValueError("timestamps must be finite integers")
     if len(ts) < 2:
         raise ValueError("need at least two timestamps")
     if any(t < 0 for t in ts):

@@ -15,13 +15,11 @@ import numpy as np
 from .clip import ClipSequence
 from .losses import (
     DEFAULT_BB_WEIGHT,
+    Bridge,
     BridgeInterval,
     TieGroups,
     TnceConfig,
-    _bridge_deviations,
     _contrastive_terms,
-    _mean_bb,
-    bb_loss,
     full_interval,
 )
 
@@ -42,16 +40,6 @@ class GradientSet:
     frames: np.ndarray
     language: np.ndarray
     at_kink: bool = False
-
-    def __add__(self, other: "GradientSet") -> "GradientSet":
-        return GradientSet(
-            self.frames + other.frames,
-            self.language + other.language,
-            self.at_kink or other.at_kink,
-        )
-
-    def scaled(self, c: float) -> "GradientSet":
-        return GradientSet(c * self.frames, c * self.language, self.at_kink)
 
 
 def _sim_chain(clip: ClipSequence, g_s: np.ndarray, at_kink: bool) -> GradientSet:
@@ -101,13 +89,7 @@ def grad_vlo(clip: ClipSequence, temperature: float = 1.0) -> GradientSet:
 def grad_bb(clip: ClipSequence, interval: BridgeInterval) -> GradientSet:
     """Exact gradient of bb_loss. Endpoint frames receive gradient through
     the bridge mean even though they contribute no deviation term."""
-    dev, var, alpha = _bridge_deviations(clip, interval)
-    frames = np.zeros_like(clip.embeddings)
-    if len(var):
-        g = dev / (var * len(var))[:, None]
-        frames[interval.start + 1 : interval.end] = g
-        frames[interval.start] = -((1.0 - alpha) @ g)
-        frames[interval.end] = -(alpha @ g)
+    _, frames = Bridge.of(clip.timestamps, [interval]).penalty(clip.embeddings, need_grad=True)
     return GradientSet(frames, np.zeros_like(clip.language))
 
 
@@ -124,16 +106,13 @@ def total_and_grad(
     groups: TieGroups | None = None,
 ) -> tuple[float, float, GradientSet]:
     """(vlo, mean bridge penalty, gradient of vlo + bb_weight * bb), with
-    one pass of the ordering-loss kernel. groups, if given, must be
-    TieGroups.of(clip.timestamps)."""
+    one pass of the ordering-loss kernel and one Bridge over all the
+    intervals. groups, if given, must be TieGroups.of(clip.timestamps)."""
     if intervals is None:
         intervals = [full_interval(clip)]
     vlo, grads = tnce_and_grad(clip, TnceConfig(temperature=temperature), groups)
-    bb = _mean_bb(clip, intervals)
-    if bb_weight != 0.0 and intervals:
-        bb_grads = [grad_bb(clip, iv) for iv in intervals]
-        grads = grads + sum(bb_grads[1:], bb_grads[0]).scaled(bb_weight / len(intervals))
-    return vlo, bb, grads
+    bb, g_bb = Bridge.of(clip.timestamps, intervals).penalty(clip.embeddings, need_grad=True)
+    return vlo, bb, GradientSet(grads.frames + bb_weight * g_bb, grads.language, grads.at_kink)
 
 
 def grad_total(
@@ -149,11 +128,12 @@ def grad_total(
 
 def _loss_and_grad(loss: str, clip: ClipSequence, params: dict):
     """(loss as a function of a clip with clip's timestamps, analytic
-    gradient at clip). The tie groups are built once, not per call."""
+    gradient at clip). Tie groups and Bridge are built once, not per call."""
     params = dict(params or {})
     if loss == "bb":
         iv = params.get("interval", full_interval(clip))
-        return (lambda c: bb_loss(c, iv)), grad_bb(clip, iv)
+        bridge = Bridge.of(clip.timestamps, [iv])
+        return (lambda c: bridge.penalty(c.embeddings)[0]), grad_bb(clip, iv)
     tau = params.get("temperature", 1.0)
     cfg = params["config"] if loss == "tnce" else TnceConfig(temperature=tau)
     groups = TieGroups.of(clip.timestamps, cfg.negative_selector)
@@ -166,10 +146,10 @@ def _loss_and_grad(loss: str, clip: ClipSequence, params: dict):
     if loss == "total":
         lam = params.get("bb_weight", DEFAULT_BB_WEIGHT)
         ivs = params.get("intervals")
-        bb_ivs = [full_interval(clip)] if ivs is None else ivs
+        bridge = Bridge.of(clip.timestamps, [full_interval(clip)] if ivs is None else ivs)
 
         def total(c):  # same expression order as actol_loss(...).total
-            return contrastive(c) + lam * _mean_bb(c, bb_ivs)
+            return contrastive(c) + lam * bridge.penalty(c.embeddings)[0]
 
         return total, grad_total(clip, lam, tau, ivs)
     if loss == "tnce":

@@ -45,8 +45,7 @@ class BridgeInterval:
     end: int
 
     def validate(self, clip: ClipSequence) -> None:
-        if not (0 <= self.start < self.end < clip.T):
-            raise ValueError(f"interval ({self.start}, {self.end}) out of bounds for T={clip.T}")
+        Bridge.of(clip.timestamps, [self])  # raises on an out-of-bounds interval
 
 
 @dataclass(frozen=True)
@@ -240,18 +239,61 @@ def lower_bound(clip: ClipSequence) -> float:
     return lower_bound_from_timestamps(clip.timestamps)
 
 
-def _interval_times(clip: ClipSequence, interval: BridgeInterval):
+@dataclass(frozen=True, eq=False)
+class Bridge:
+    """The mean Brownian-bridge penalty over a list of intervals as one
+    linear map of the embeddings E: row p of the (P, T) matrix M takes one
+    interior frame to its deviation from its interval's bridge mean
+    (dev = M @ E), and w[p] folds in 1 / (2 var), the mean over the
+    interval's interior frames and the mean over intervals. The penalty is
+    sum_p w_p |dev_p|^2 and its gradient 2 M^T (w * dev); with no interior
+    frame (P = 0) both are 0."""
+
+    M: np.ndarray
+    w: np.ndarray
+
+    @classmethod
+    def of(cls, timestamps, intervals) -> "Bridge":
+        """Operator for a clip's (checked) timestamps; every interval must
+        satisfy 0 <= start < end < T."""
+        T = len(timestamps)
+        for iv in intervals:
+            if not (0 <= iv.start < iv.end < T):
+                raise ValueError(f"interval ({iv.start}, {iv.end}) out of bounds for T={T}")
+        se = np.array([(iv.start, iv.end) for iv in intervals], dtype=np.intp).reshape(-1, 2)
+        t = np.arange(T)
+        j, k = np.nonzero((se[:, :1] < t) & (t < se[:, 1:]))  # interior frames k of interval j
+        a, b = se[j].T
+        ts = np.asarray(timestamps, dtype=float)
+        alpha = (ts[k] - ts[a]) / (ts[b] - ts[a])
+        var = alpha * (ts[b] - ts[k])  # (t - t0)(t1 - t) / (t1 - t0)
+        rows = np.arange(len(k))
+        M = np.zeros((len(k), T))
+        M[rows, k] = 1.0
+        M[rows, a] = alpha - 1.0
+        M[rows, b] = -alpha
+        return cls(M, 0.5 / (var * (b - a - 1) * len(intervals)))
+
+    def penalty(self, embeddings, need_grad: bool = False):
+        """(sum_p w_p |dev_p|^2, its (T, d) gradient or None)."""
+        dev = self.M @ embeddings
+        wdev = self.w[:, None] * dev
+        value = float(np.vdot(wdev, dev))
+        return value, (2.0 * (self.M.T @ wdev) if need_grad else None)
+
+
+def _interval_times(clip: ClipSequence, interval: BridgeInterval, t: float):
+    """(t0, t1) of a checked interval that contains time t."""
     interval.validate(clip)
-    t0 = clip.timestamps[interval.start]
-    t1 = clip.timestamps[interval.end]
+    t0, t1 = clip.timestamps[interval.start], clip.timestamps[interval.end]
+    if not (t0 <= t <= t1):
+        raise ValueError(f"time {t} outside interval [{t0}, {t1}]")
     return t0, t1
 
 
 def bb_mean(t: float, interval: BridgeInterval, clip: ClipSequence) -> np.ndarray:
     """Linear interpolant between the interval's endpoint embeddings at time t."""
-    t0, t1 = _interval_times(clip, interval)
-    if not (t0 <= t <= t1):
-        raise ValueError(f"time {t} outside interval [{t0}, {t1}]")
+    t0, t1 = _interval_times(clip, interval, t)
     alpha = (t - t0) / (t1 - t0)
     v0 = clip.embeddings[interval.start]
     v1 = clip.embeddings[interval.end]
@@ -261,39 +303,15 @@ def bb_mean(t: float, interval: BridgeInterval, clip: ClipSequence) -> np.ndarra
 def bb_variance(t: float, interval: BridgeInterval, clip: ClipSequence) -> float:
     """Bridge variance (t - t0)(t1 - t) / (t1 - t0): zero at the pinned
     endpoints, maximal at the midpoint."""
-    t0, t1 = _interval_times(clip, interval)
-    if not (t0 <= t <= t1):
-        raise ValueError(f"time {t} outside interval [{t0}, {t1}]")
+    t0, t1 = _interval_times(clip, interval, t)
     return (t - t0) * (t1 - t) / (t1 - t0)
-
-
-def _bridge_deviations(clip: ClipSequence, interval: BridgeInterval):
-    """(dev, var, alpha) for the interval's interior frames: deviation from
-    the bridge mean (n, d), bridge variance (n,) and interpolation weight
-    of the end frame (n,). All empty when there is no interior frame."""
-    t0, t1 = _interval_times(clip, interval)
-    t = np.asarray(clip.timestamps[interval.start + 1 : interval.end], dtype=float)
-    alpha = (t - t0) / (t1 - t0)
-    v0 = clip.embeddings[interval.start]
-    v1 = clip.embeddings[interval.end]
-    dev = clip.embeddings[interval.start + 1 : interval.end] - (v0 + alpha[:, None] * (v1 - v0))
-    var = (t - t0) * (t1 - t) / (t1 - t0)
-    return dev, var, alpha
-
-
-def _mean_bb(clip: ClipSequence, intervals) -> float:
-    """Mean bridge penalty over the intervals; 0 for an empty list."""
-    return sum(bb_loss(clip, iv) for iv in intervals) / len(intervals) if intervals else 0.0
 
 
 def bb_loss(clip: ClipSequence, interval: BridgeInterval) -> float:
     """Mean variance-weighted squared deviation of interior frames from the
     bridge mean. Endpoints are pinned (variance zero) and excluded; an
     interval with no interior frames contributes 0."""
-    dev, var, _ = _bridge_deviations(clip, interval)
-    if not len(var):
-        return 0.0
-    return float(np.sum(np.einsum("pd,pd->p", dev, dev) / (2.0 * var))) / len(var)
+    return Bridge.of(clip.timestamps, [interval]).penalty(clip.embeddings)[0]
 
 
 def full_interval(clip: ClipSequence) -> BridgeInterval:
@@ -314,7 +332,7 @@ def actol_loss(
         intervals = [full_interval(clip)]
     groups = TieGroups.of(clip.timestamps)  # one sort for the loss and its bound
     vlo, _, _ = _contrastive_terms(clip, TnceConfig(temperature=temperature), groups, False)
-    bb = _mean_bb(clip, intervals)
+    bb, _ = Bridge.of(clip.timestamps, intervals).penalty(clip.embeddings)
     lb = groups.lower_bound()
     total = vlo + bb_weight * bb
     return LossBreakdown(vlo=vlo, bb=bb, total=total, lower_bound=lb, gap=vlo - lb)

@@ -10,6 +10,7 @@ by construction and makes similarity curves smooth.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ class SyntheticClipSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("T", "d", "completion_index"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.T < 2:
             raise ValueError("need at least two frames")
         if self.d < 2:

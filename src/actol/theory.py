@@ -14,8 +14,8 @@ import numpy as np
 
 from .clip import ClipSequence, _timestamps, alignment_score
 from .losses import (
+    Bridge,
     TieGroups,
-    _bridge_deviations,
     actol_loss,
     full_interval,
     lower_bound_from_timestamps,
@@ -141,8 +141,9 @@ def check_continuity(clip: ClipSequence, pairs) -> TheoremReport:
     for each index pair, and report (not assert) the worst bridge-deviation
     ratio max_t ||v_t - mean(t)||^2 / var(t) over the full-clip interval."""
     k, l = np.array(list(pairs), dtype=int).reshape(-1, 2).T
-    dev, var, _ = _bridge_deviations(clip, full_interval(clip))
-    ratio = float(np.max(np.einsum("pd,pd->p", dev, dev) / var, initial=0.0))
+    bridge = Bridge.of(clip.timestamps, [full_interval(clip)])
+    dev = bridge.M @ clip.embeddings  # one interval of n = len(w) frames: w = 1 / (2 var n)
+    ratio = float(np.max(2 * len(bridge.w) * bridge.w * np.sum(dev * dev, axis=1), initial=0.0))
     blocks = [(clip.embeddings[k], clip.embeddings[l], clip.language)]
     return _lipschitz_report(blocks, bridge_deviation_ratio=ratio)
 

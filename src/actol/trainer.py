@@ -90,6 +90,13 @@ def _tangent_step(vectors: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarr
     return stepped / np.linalg.norm(stepped, axis=-1, keepdims=True)
 
 
+def _require_finite(*arrays) -> None:
+    """Raise TrainingDiverged(0) on a non-finite starting point, before the
+    first objective evaluation computes with it."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise TrainingDiverged(0)
+
+
 def _sample_intervals(T: int, cfg: TrainConfig, rng):
     if cfg.intervals_per_step == 1:
         return [BridgeInterval(0, T - 1)]
@@ -125,6 +132,7 @@ def train_free(
     TnceConfig trains under that contrastive variant instead, with the
     history's vlo/total fields holding its value."""
     clip = clip_init.normalized()
+    _require_finite(clip.embeddings, clip.language)
     rng = np.random.default_rng(cfg.seed)
     lb = lower_bound(clip)
     rule = "farther-frames" if objective is None else objective.negative_selector
@@ -168,6 +176,7 @@ def train_encoder(features, timestamps, language, cfg: TrainConfig):
     encoder and the per-step history."""
     features = np.asarray(features, dtype=float)
     language = normalize(language)
+    _require_finite(features, language)
     n, f = features.shape
     d = language.shape[0]
     rng = np.random.default_rng(cfg.seed)

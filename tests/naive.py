@@ -5,6 +5,10 @@ kernel and TieGroups in actol.losses.
 Each anchor's (or each term's) softmax is evaluated on its own negative
 mask, with no sorting and no sharing between terms: O(T^3) work.
 
+The per-interval Brownian-bridge penalty and gradient are the reference
+for actol.losses.Bridge: each interval's deviations are computed from its
+own endpoints, and the endpoint gradients are scattered by hand.
+
 The per-trial loop versions of the Monte Carlo theorem checks in
 actol.theory are kept here too. They draw from the Generator in the same
 order as the block versions and evaluate each trial with scalar arithmetic.
@@ -203,6 +207,50 @@ def measure_delta(clip, temperature=1.0):
         if 0 < delta < 1 and satisfied(delta):
             return float(delta)
     return None
+
+
+def bridge_deviations(clip, interval):
+    """(dev, var, alpha) for the interval's interior frames: deviation from
+    the bridge mean (n, d), bridge variance (n,) and interpolation weight
+    of the end frame (n,). All empty when there is no interior frame."""
+    t0 = clip.timestamps[interval.start]
+    t1 = clip.timestamps[interval.end]
+    t = np.asarray(clip.timestamps[interval.start + 1 : interval.end], dtype=float)
+    alpha = (t - t0) / (t1 - t0)
+    v0 = clip.embeddings[interval.start]
+    v1 = clip.embeddings[interval.end]
+    dev = clip.embeddings[interval.start + 1 : interval.end] - (v0 + alpha[:, None] * (v1 - v0))
+    var = (t - t0) * (t1 - t) / (t1 - t0)
+    return dev, var, alpha
+
+
+def bb_loss(clip, interval):
+    """Mean over interior frames of |dev|^2 / (2 var); 0 with none."""
+    dev, var, _ = bridge_deviations(clip, interval)
+    if not len(var):
+        return 0.0
+    return float(np.sum(np.einsum("pd,pd->p", dev, dev) / (2.0 * var))) / len(var)
+
+
+def grad_bb(clip, interval):
+    """(T, d) gradient of bb_loss: interior frames directly, endpoints
+    through the bridge mean."""
+    dev, var, alpha = bridge_deviations(clip, interval)
+    frames = np.zeros_like(clip.embeddings)
+    if len(var):
+        g = dev / (var * len(var))[:, None]
+        frames[interval.start + 1 : interval.end] = g
+        frames[interval.start] = -((1.0 - alpha) @ g)
+        frames[interval.end] = -(alpha @ g)
+    return frames
+
+
+def mean_bb(clip, intervals):
+    """(value, gradient) of the bridge penalty averaged over a non-empty
+    list of intervals, one interval at a time."""
+    value = sum(bb_loss(clip, iv) for iv in intervals)
+    grad = sum(grad_bb(clip, iv) for iv in intervals)
+    return value / len(intervals), grad / len(intervals)
 
 
 def _alignment_score(v_i, v_j, l):

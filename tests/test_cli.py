@@ -114,8 +114,15 @@ class TestTrainCommand:
             ' "language": [1, 0]}',
             '{"d": 2, "timestamps": [0, 1], "embeddings": [[1, 0], [0, 1]],'
             ' "language": [1, Infinity]}',
+            '{"d": 2, "timestamps": [0, 1.5], "embeddings": [[1, 0], [0, 1]],'
+            ' "language": [1, 0]}',
+            '{"d": 2, "timestamps": [0, Infinity], "embeddings": [[1, 0], [0, 1]],'
+            ' "language": [1, 0]}',
         ],
-        ids=["missing-file", "invalid-json", "missing-language", "nan-embedding", "inf-language"],
+        ids=[
+            "missing-file", "invalid-json", "missing-language", "nan-embedding", "inf-language",
+            "fractional-timestamp", "inf-timestamp",
+        ],
     )
     def test_bad_clip_file(self, tmp_path, content):
         clip_path = tmp_path / "clip.json"
@@ -123,6 +130,17 @@ class TestTrainCommand:
             clip_path.write_text(content)
         cfg = write_config(tmp_path, {"clip": {"file": str(clip_path)}, "train": {"steps": 5}})
         assert invoke("train", cfg, tmp_path / "out").exit_code == 2
+
+    @pytest.mark.parametrize(
+        "field", [{"T": 4.5}, {"d": 2.5}, {"completion_index": 2.5}],
+        ids=["T-4.5", "d-2.5", "completion_index-2.5"],
+    )
+    def test_non_integer_synthetic_spec(self, tmp_path, field):
+        spec = {"T": 4, "d": 3, "completion_index": 2, **field}
+        cfg = write_config(tmp_path, {"clip": {"synthetic": spec}, "train": {"steps": 5}})
+        result = invoke("train", cfg, tmp_path / "out")
+        assert result.exit_code == 2, result.output
+        assert "must be an integer" in result.output
 
     def test_one_dimensional_synthetic_clip(self, tmp_path):
         cfg = write_config(tmp_path, {"clip": {"synthetic": {"T": 4, "d": 1,
@@ -199,6 +217,8 @@ class TestVerifyCommand:
             ("tightness", "tightness", {"eps": [0]}),
             ("tightness", "tightness", {"eps": []}),
             ("tightness", "tightness", {"timestamps": [3, 1]}),
+            ("tightness", "tightness", {"timestamps": [0, 1.7, 3]}),
+            ("tightness", "tightness", {"timestamps": [0, 1, float("inf")]}),
         ],
     )
     def test_bad_check_parameters(self, tmp_path, check, block, params):
@@ -279,8 +299,14 @@ class TestRewardCommand:
             {"seeds": 1.5},
             {"objectives": []},
             {"synthetic": {"T": 4, "d": 1, "completion_index": 2}},
+            {"synthetic": {"T": 4.5, "d": 3, "completion_index": 2}},
+            {"synthetic": {"T": 4, "d": 2.5, "completion_index": 2}},
+            {"synthetic": {"T": 4, "d": 3, "completion_index": 2.5}},
         ],
-        ids=["seeds-0", "seeds-1.5", "objectives-empty", "synthetic-d-1"],
+        ids=[
+            "seeds-0", "seeds-1.5", "objectives-empty", "synthetic-d-1",
+            "synthetic-T-4.5", "synthetic-d-2.5", "synthetic-completion_index-2.5",
+        ],
     )
     def test_bad_reward_config(self, tmp_path, field):
         data = {"synthetic": {"T": 4, "d": 3, "completion_index": 2},

@@ -185,8 +185,11 @@ class TestTimestampContract:
             ((0, 2, 2), "timestamps must be strictly increasing"),
             ((-1, 0, 1), "timestamps must be non-negative"),
             ((0,), "need at least two timestamps"),
+            ((0, 1.7, 3), "timestamps must be finite integers"),
+            ((0, 1, math.inf), "timestamps must be finite integers"),
+            ((0, math.nan), "timestamps must be finite integers"),
         ],
-        ids=["decreasing", "repeated", "negative", "one"],
+        ids=["decreasing", "repeated", "negative", "one", "fractional", "infinite", "nan"],
     )
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_rejected_with_one_error(self, entry, timestamps, message):

@@ -91,6 +91,11 @@ class TestGenerateClip:
         with pytest.raises(ValueError):
             SyntheticClipSpec(noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("field", ["T", "d", "completion_index"])
+    def test_non_integer_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SyntheticClipSpec(**{"T": 6, "d": 4, "completion_index": 3, field: 3.0})
+
     @pytest.mark.parametrize("d", [1, 0])
     def test_dimension_below_two_rejected(self, d):
         # a 1-D unit vector is never far from the language vector, so

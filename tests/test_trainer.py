@@ -141,6 +141,16 @@ class TestTrainEncoder:
         assert np.allclose(np.linalg.norm(encoder(features), axis=1), 1.0)
         assert np.allclose(np.linalg.norm(history.final_clip.embeddings, axis=1), 1.0)
 
+    @pytest.mark.parametrize("where", ["features", "language"])
+    def test_non_finite_start_raises_before_training(self, where):
+        rng = np.random.default_rng(12)
+        features = rng.standard_normal((5, 3))
+        language = rng.standard_normal(3)
+        {"features": features, "language": language}[where][1] = np.nan
+        with pytest.raises(TrainingDiverged) as exc:
+            train_encoder(features, tuple(range(5)), language, TrainConfig(steps=5))
+        assert exc.value.step == 0
+
 
 class TestMeasureDelta:
     def test_no_triples_returns_tiny_positive(self):
