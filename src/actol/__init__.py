@@ -8,6 +8,7 @@ from .gradients import (
     grad_tnce,
     grad_total,
     grad_vlo,
+    objective_and_grad,
     tnce_and_grad,
     total_and_grad,
 )

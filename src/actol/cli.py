@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .clip import ClipSequence
+from .clip import ClipSequence, _is_count
 from .gradients import finite_diff_check
 from .losses import TnceConfig
 from .reward import ObjectiveSpec, compare_objectives, curve_rows
@@ -78,7 +78,7 @@ def _count(config, key, default, minimum):
     """config[key] (default if absent), which must be an integer >= minimum:
     2 for a frame count or dimension, 1 for any other count."""
     value = config.get(key, default)
-    if not isinstance(value, int) or value < minimum:
+    if not _is_count(value) or value < minimum:
         raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
     return value
 

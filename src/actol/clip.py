@@ -8,6 +8,7 @@ the invariants every loss in this package relies on.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,20 @@ def _timestamps(timestamps) -> tuple:
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("timestamps must be strictly increasing")
     return ts
+
+
+def _is_count(value) -> bool:
+    """True for an integer that is not a bool: JSON's true and false are
+    not counts."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _similarities(embeddings: np.ndarray, language: np.ndarray) -> np.ndarray:
+    """Cosine similarity of each row of a (T, d) array to a (d,) vector."""
+    norms = np.linalg.norm(embeddings, axis=1) * np.linalg.norm(language)
+    if np.any(norms == 0.0):
+        raise ValueError("cosine similarity undefined for zero-norm input")
+    return (embeddings @ language) / norms
 
 
 def normalize(v) -> np.ndarray:
@@ -114,10 +129,7 @@ class ClipSequence:
 
     def similarities(self) -> np.ndarray:
         """Per-frame cosine similarity to the language embedding."""
-        norms = np.linalg.norm(self.embeddings, axis=1) * np.linalg.norm(self.language)
-        if np.any(norms == 0.0):
-            raise ValueError("cosine similarity undefined for zero-norm input")
-        return (self.embeddings @ self.language) / norms
+        return _similarities(self.embeddings, self.language)
 
     def with_embeddings(self, embeddings, language=None) -> "ClipSequence":
         lang = self.language if language is None else language

@@ -42,43 +42,41 @@ class GradientSet:
     at_kink: bool = False
 
 
-def _sim_chain(clip: ClipSequence, g_s: np.ndarray, at_kink: bool) -> GradientSet:
-    """Map per-frame similarity gradients dL/ds_t to embedding gradients
-    through the cosine (including normalization Jacobians)."""
-    norms_v = np.linalg.norm(clip.embeddings, axis=1)
-    norm_l = np.linalg.norm(clip.language)
-    u_v = clip.embeddings / norms_v[:, None]
-    u_l = clip.language / norm_l
-    s = u_v @ u_l
-    frames = g_s[:, None] * (u_l[None, :] - s[:, None] * u_v) / norms_v[:, None]
-    language = (g_s[:, None] * (u_v - s[:, None] * u_l[None, :])).sum(axis=0) / norm_l
-    return GradientSet(frames, language, at_kink)
-
-
-def _scores_to_sim_grads(G: np.ndarray, s: np.ndarray):
-    """Map score-matrix gradients dL/dR_{i,k} (R = -|s_i - s_k|) to
-    similarity gradients dL/ds_t, flagging absolute-value kinks."""
-    diff = s[:, None] - s[None, :]
-    sign = np.sign(diff)
-    contributing = (G != 0) & ~np.eye(len(s), dtype=bool)
-    at_kink = bool(np.any(contributing & (np.abs(diff) < KINK_TOL)))
-    GS = G * sign
-    g_s = -GS.sum(axis=1) + GS.sum(axis=0)
-    return g_s, at_kink
-
-
-def tnce_and_grad(
-    clip: ClipSequence, cfg: TnceConfig, groups: TieGroups | None = None
-) -> tuple[float, GradientSet]:
-    """tnce_loss and its exact ambient gradient from one kernel pass.
-    groups, if given, must be TieGroups.of(clip.timestamps,
-    cfg.negative_selector); a training run passes it to skip the sort."""
-    value, G, s = _contrastive_terms(clip, cfg, groups, need_grad=True)
+def objective_and_grad(emb, lang, cfg: TnceConfig, groups: TieGroups, bridge=None, bb_weight=0.0):
+    """(value, bridge penalty, dL/dE, dL/dl, at_kink) of the contrastive
+    objective cfg on (T, d) embeddings emb and a (d,) language vector lang,
+    from one kernel pass; groups must be TieGroups.of(timestamps,
+    cfg.negative_selector). Given a Bridge, bb_weight times its gradient is
+    added to dL/dE; without one the penalty is 0.0."""
+    value, G, s = _contrastive_terms(emb, lang, cfg, groups, need_grad=True)
     if cfg.score == "direct-sim":
         g_s, at_kink = G.sum(axis=0), False
     else:
-        g_s, at_kink = _scores_to_sim_grads(G, s)
-    return value, _sim_chain(clip, g_s, at_kink)
+        # score gradients dL/dR_{i,k} (R = -|s_i - s_k|) to dL/ds_t
+        diff = s[:, None] - s[None, :]
+        contributing = (G != 0) & ~np.eye(len(s), dtype=bool)
+        at_kink = bool(np.any(contributing & (np.abs(diff) < KINK_TOL)))
+        GS = G * np.sign(diff)
+        g_s = -GS.sum(axis=1) + GS.sum(axis=0)
+    # dL/ds_t to the embeddings through the cosine, normalization included
+    norms_v = np.linalg.norm(emb, axis=1)
+    norm_l = np.linalg.norm(lang)
+    u_v = emb / norms_v[:, None]
+    u_l = lang / norm_l
+    cos = u_v @ u_l
+    frames = g_s[:, None] * (u_l[None, :] - cos[:, None] * u_v) / norms_v[:, None]
+    language = (g_s[:, None] * (u_v - cos[:, None] * u_l[None, :])).sum(axis=0) / norm_l
+    if bridge is None:
+        return value, 0.0, frames, language, at_kink
+    bb, g_bb = bridge.penalty(emb, need_grad=True)
+    return value, bb, frames + bb_weight * g_bb, language, at_kink
+
+
+def tnce_and_grad(clip: ClipSequence, cfg: TnceConfig) -> tuple[float, GradientSet]:
+    """tnce_loss and its exact ambient gradient from one kernel pass."""
+    groups = TieGroups.of(clip.timestamps, cfg.negative_selector)
+    value, _, *grads = objective_and_grad(clip.embeddings, clip.language, cfg, groups)
+    return value, GradientSet(*grads)
 
 
 def grad_vlo(clip: ClipSequence, temperature: float = 1.0) -> GradientSet:
@@ -103,16 +101,18 @@ def total_and_grad(
     bb_weight: float = DEFAULT_BB_WEIGHT,
     temperature: float = 1.0,
     intervals=None,
-    groups: TieGroups | None = None,
 ) -> tuple[float, float, GradientSet]:
     """(vlo, mean bridge penalty, gradient of vlo + bb_weight * bb), with
     one pass of the ordering-loss kernel and one Bridge over all the
-    intervals. groups, if given, must be TieGroups.of(clip.timestamps)."""
+    intervals."""
     if intervals is None:
         intervals = [full_interval(clip)]
-    vlo, grads = tnce_and_grad(clip, TnceConfig(temperature=temperature), groups)
-    bb, g_bb = Bridge.of(clip.timestamps, intervals).penalty(clip.embeddings, need_grad=True)
-    return vlo, bb, GradientSet(grads.frames + bb_weight * g_bb, grads.language, grads.at_kink)
+    groups, bridge = TieGroups.of(clip.timestamps), Bridge.of(clip.timestamps, intervals)
+    cfg = TnceConfig(temperature=temperature)
+    vlo, bb, *grads = objective_and_grad(
+        clip.embeddings, clip.language, cfg, groups, bridge, bb_weight
+    )
+    return vlo, bb, GradientSet(*grads)
 
 
 def grad_total(
@@ -127,19 +127,19 @@ def grad_total(
 
 
 def _loss_and_grad(loss: str, clip: ClipSequence, params: dict):
-    """(loss as a function of a clip with clip's timestamps, analytic
-    gradient at clip). Tie groups and Bridge are built once, not per call."""
+    """(loss as a function of (E, l) at clip's timestamps, analytic gradient
+    at clip). Tie groups and Bridge are built once, not per call."""
     params = dict(params or {})
     if loss == "bb":
         iv = params.get("interval", full_interval(clip))
         bridge = Bridge.of(clip.timestamps, [iv])
-        return (lambda c: bridge.penalty(c.embeddings)[0]), grad_bb(clip, iv)
+        return (lambda E, l: bridge.penalty(E)[0]), grad_bb(clip, iv)
     tau = params.get("temperature", 1.0)
     cfg = params["config"] if loss == "tnce" else TnceConfig(temperature=tau)
     groups = TieGroups.of(clip.timestamps, cfg.negative_selector)
 
-    def contrastive(c):
-        return _contrastive_terms(c, cfg, groups, need_grad=False)[0]
+    def contrastive(E, l):
+        return _contrastive_terms(E, l, cfg, groups, need_grad=False)[0]
 
     if loss == "vlo":
         return contrastive, grad_vlo(clip, tau)
@@ -148,8 +148,8 @@ def _loss_and_grad(loss: str, clip: ClipSequence, params: dict):
         ivs = params.get("intervals")
         bridge = Bridge.of(clip.timestamps, [full_interval(clip)] if ivs is None else ivs)
 
-        def total(c):  # same expression order as actol_loss(...).total
-            return contrastive(c) + lam * bridge.penalty(c.embeddings)[0]
+        def total(E, l):  # same expression order as actol_loss(...).total
+            return contrastive(E, l) + lam * bridge.penalty(E)[0]
 
         return total, grad_total(clip, lam, tau, ivs)
     if loss == "tnce":
@@ -173,8 +173,7 @@ def finite_diff_check(loss: str, clip: ClipSequence, params=None, step: float = 
     n_frames = clip.embeddings.size
 
     def value(x):
-        emb = x[:n_frames].reshape(clip.embeddings.shape)
-        v = loss_of(ClipSequence(clip.timestamps, emb, x[n_frames:]))
+        v = loss_of(x[:n_frames].reshape(clip.embeddings.shape), x[n_frames:])
         if not np.isfinite(v):
             raise FloatingPointError(f"non-finite {loss} loss at perturbed point")
         return v

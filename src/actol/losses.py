@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clip import ClipSequence, _timestamps
+from .clip import ClipSequence, _similarities, _timestamps
 
 DEFAULT_BB_WEIGHT = 0.1
 
@@ -168,14 +168,13 @@ def _score_rows(s: np.ndarray, score: str) -> np.ndarray:
     return -np.abs(s[:, None] - s[None, :])
 
 
-def _contrastive_terms(clip: ClipSequence, cfg: TnceConfig, groups, need_grad: bool):
-    """(value, dL/drows, similarities) of a contrastive objective; groups
-    must have been built for cfg.negative_selector (None builds them)."""
-    if groups is None:
-        groups = TieGroups.of(clip.timestamps, cfg.negative_selector)
-    s = clip.similarities()
+def _contrastive_terms(emb, lang, cfg: TnceConfig, groups: TieGroups, need_grad: bool):
+    """(value, dL/drows, similarities) of a contrastive objective on (T, d)
+    embeddings and a (d,) language vector; groups must have been built for
+    the timestamps and cfg.negative_selector."""
+    s = _similarities(emb, lang)
     rows = _score_rows(s, cfg.score)
-    positives = _positive_mask(clip.T, cfg.positive_selector)
+    positives = _positive_mask(len(s), cfg.positive_selector)
     value, G = _suffix_softmax(rows, positives, groups, cfg.temperature, need_grad)
     return value, G, s
 
@@ -331,7 +330,8 @@ def actol_loss(
     if intervals is None:
         intervals = [full_interval(clip)]
     groups = TieGroups.of(clip.timestamps)  # one sort for the loss and its bound
-    vlo, _, _ = _contrastive_terms(clip, TnceConfig(temperature=temperature), groups, False)
+    cfg = TnceConfig(temperature=temperature)
+    vlo, _, _ = _contrastive_terms(clip.embeddings, clip.language, cfg, groups, False)
     bb, _ = Bridge.of(clip.timestamps, intervals).penalty(clip.embeddings)
     lb = groups.lower_bound()
     total = vlo + bb_weight * bb
@@ -342,5 +342,5 @@ def tnce_loss(clip: ClipSequence, cfg: TnceConfig) -> float:
     """Unified time-contrastive objective. The vlo-pair configuration
     equals vlo_loss on the same clip; last-frame with direct-sim scoring
     is the goal-reaching baseline."""
-    value, _, _ = _contrastive_terms(clip, cfg, None, need_grad=False)
-    return value
+    groups = TieGroups.of(clip.timestamps, cfg.negative_selector)
+    return _contrastive_terms(clip.embeddings, clip.language, cfg, groups, False)[0]

@@ -10,12 +10,11 @@ by construction and makes similarity curves smooth.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clip import ClipSequence, normalize
+from .clip import ClipSequence, _is_count, normalize
 
 TAIL_MODES = ("none", "frozen", "drift-away", "second-action")
 
@@ -37,7 +36,7 @@ class SyntheticClipSpec:
 
     def __post_init__(self):
         for name in ("T", "d", "completion_index"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not _is_count(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.T < 2:
             raise ValueError("need at least two frames")

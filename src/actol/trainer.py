@@ -8,16 +8,16 @@ config.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clip import ClipSequence, normalize
-from .gradients import GradientSet, tnce_and_grad, total_and_grad
+from .clip import ClipSequence, _is_count, normalize
+from .gradients import objective_and_grad
 from .losses import (
     DEFAULT_BB_WEIGHT,
+    Bridge,
     BridgeInterval,
     LossBreakdown,
     TieGroups,
@@ -47,14 +47,16 @@ class TrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError("learning rate must be finite and non-negative")
-        if not isinstance(self.steps, numbers.Integral) or self.steps < 1:
+        if not _is_count(self.steps) or self.steps < 1:
             raise ValueError("steps must be a positive integer")
         if not (math.isfinite(self.bb_weight) and self.bb_weight >= 0):
             raise ValueError("bb_weight must be finite and non-negative")
         if not self.temperature > 0:
             raise ValueError("temperature must be positive")
-        if not isinstance(self.intervals_per_step, numbers.Integral) or self.intervals_per_step < 1:
+        if not _is_count(self.intervals_per_step) or self.intervals_per_step < 1:
             raise ValueError("intervals_per_step must be a positive integer")
+        if not isinstance(self.optimize_language, bool):
+            raise ValueError("optimize_language must be true or false")
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,10 @@ class LinearEncoder:
 
     def __call__(self, features: np.ndarray) -> np.ndarray:
         z = features @ self.weight.T
-        return z / np.linalg.norm(z, axis=-1, keepdims=True)
+        norms = np.linalg.norm(z, axis=-1, keepdims=True)
+        if not norms.all():
+            raise ValueError("cannot normalize a zero vector")
+        return z / norms
 
 
 @dataclass
@@ -97,29 +102,43 @@ def _require_finite(*arrays) -> None:
         raise TrainingDiverged(0)
 
 
-def _sample_intervals(T: int, cfg: TrainConfig, rng):
-    if cfg.intervals_per_step == 1:
-        return [BridgeInterval(0, T - 1)]
+def _sample_intervals(T: int, n: int, rng):
     intervals = []
-    for _ in range(cfg.intervals_per_step):
+    for _ in range(n):
         start = int(rng.integers(0, T - 1))
         end = int(rng.integers(start + 1, T))
         intervals.append(BridgeInterval(start, end))
     return intervals
 
 
-def _objective_and_grads(
-    clip, cfg: TrainConfig, intervals, objective, groups: TieGroups, lb: float
-) -> tuple[LossBreakdown, GradientSet]:
-    """One step's loss breakdown and gradient, from one objective
-    evaluation."""
-    if objective is None:
-        vlo, bb, grads = total_and_grad(clip, cfg.bb_weight, cfg.temperature, intervals, groups)
+def _descend(clip: ClipSequence, params, embed, cfg: TrainConfig, objective, rng):
+    """cfg.steps descent steps on the combined objective (objective None)
+    or on a contrastive variant, from the starting clip, which supplies
+    the timestamps. embed(params, step) returns the step's (T, d)
+    embeddings, its language vector and a function from their gradients
+    to the next params. The tie groups, the lower bound and, with one
+    interval per step, the full-clip Bridge are built once. Returns the
+    per-step records and the final params."""
+    T = clip.T
+    lb = lower_bound(clip)
+    tnce = TnceConfig(temperature=cfg.temperature) if objective is None else objective
+    groups = TieGroups.of(clip.timestamps, tnce.negative_selector)
+    resample = objective is None and cfg.intervals_per_step > 1
+    bridge = None
+    if objective is None and not resample:
+        bridge = Bridge.of(clip.timestamps, [BridgeInterval(0, T - 1)])
+    records = []
+    for step in range(cfg.steps):
+        emb, lang, update = embed(params, step)
+        if resample:
+            bridge = Bridge.of(clip.timestamps, _sample_intervals(T, cfg.intervals_per_step, rng))
+        vlo, bb, *grads, _ = objective_and_grad(emb, lang, tnce, groups, bridge, cfg.bb_weight)
         total = vlo + cfg.bb_weight * bb
-    else:
-        vlo, grads = tnce_and_grad(clip, objective, groups)
-        bb, total = 0.0, vlo
-    return LossBreakdown(vlo=vlo, bb=bb, total=total, lower_bound=lb, gap=vlo - lb), grads
+        if not np.isfinite(total):
+            raise TrainingDiverged(step)
+        records.append(LossBreakdown(vlo=vlo, bb=bb, total=total, lower_bound=lb, gap=vlo - lb))
+        params = update(*grads)
+    return records, params
 
 
 def train_free(
@@ -133,72 +152,54 @@ def train_free(
     history's vlo/total fields holding its value."""
     clip = clip_init.normalized()
     _require_finite(clip.embeddings, clip.language)
+
+    def embed(params, step):
+        emb, lang = params
+        return emb, lang, lambda g_emb, g_lang: (
+            _tangent_step(emb, g_emb, cfg.learning_rate),
+            _tangent_step(lang, g_lang, cfg.learning_rate) if cfg.optimize_language else lang,
+        )
+
+    params = (clip.embeddings, clip.language)
     rng = np.random.default_rng(cfg.seed)
-    lb = lower_bound(clip)
-    rule = "farther-frames" if objective is None else objective.negative_selector
-    groups = TieGroups.of(clip.timestamps, rule)
-    history = TrainHistory()
-    for step in range(cfg.steps):
-        intervals = _sample_intervals(clip.T, cfg, rng)
-        breakdown, grads = _objective_and_grads(clip, cfg, intervals, objective, groups, lb)
-        if not np.isfinite(breakdown.total):
-            raise TrainingDiverged(step)
-        history.records.append(breakdown)
-        emb = _tangent_step(clip.embeddings, grads.frames, cfg.learning_rate)
-        lang = clip.language
-        if cfg.optimize_language:
-            lang = _tangent_step(lang, grads.language, cfg.learning_rate)
-        clip = clip.with_embeddings(emb, lang)
-    history.final_clip = clip
-    return history
-
-
-def _encoder_loss_and_grad(
-    weight, features, timestamps, language, cfg: TrainConfig, intervals, groups, lb
-):
-    """Loss and dL/dW for embeddings normalize(W f_t), chained through the
-    normalization map."""
-    z = features @ weight.T
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    emb = z / norms
-    clip = ClipSequence(timestamps, emb, language)
-    breakdown, grads = _objective_and_grads(clip, cfg, intervals, None, groups, lb)
-    # dL/dz_t = (I - v v^T) / |z_t| . dL/dv_t
-    gv = grads.frames
-    gz = (gv - (gv * emb).sum(axis=1, keepdims=True) * emb) / norms
-    gw = gz.T @ features
-    return breakdown, gw, clip
+    records, (emb, lang) = _descend(clip, params, embed, cfg, objective, rng)
+    return TrainHistory(records, clip.with_embeddings(emb, lang))
 
 
 def train_encoder(features, timestamps, language, cfg: TrainConfig):
     """Descent on the weights of a linear encoder feeding the combined
     objective; the language embedding stays fixed. Returns the trained
-    encoder and the per-step history."""
+    encoder and the per-step history. A step whose encoder maps some
+    frame to zero raises TrainingDiverged."""
     features = np.asarray(features, dtype=float)
     language = normalize(language)
     _require_finite(features, language)
-    n, f = features.shape
+    _, f = features.shape
     d = language.shape[0]
     rng = np.random.default_rng(cfg.seed)
     if f == d:
         weight = np.eye(d)
     else:
         weight = rng.standard_normal((d, f)) / np.sqrt(f)
-    groups = TieGroups.of(timestamps)
-    lb = groups.lower_bound()
-    history = TrainHistory()
-    for step in range(cfg.steps):
-        intervals = _sample_intervals(n, cfg, rng)
-        breakdown, gw, clip = _encoder_loss_and_grad(
-            weight, features, timestamps, language, cfg, intervals, groups, lb
-        )
-        if not np.isfinite(breakdown.total):
+    start = ClipSequence(timestamps, features @ weight.T, language)  # checks the inputs once
+
+    def embed(weight, step):
+        z = features @ weight.T
+        norms = np.linalg.norm(z, axis=1, keepdims=True)
+        if not norms.all():
             raise TrainingDiverged(step)
-        history.records.append(breakdown)
-        weight = weight - cfg.learning_rate * gw
+        emb = z / norms
+
+        def update(gv, _):
+            # dL/dz_t = (I - v v^T) / |z_t| . dL/dv_t
+            gz = (gv - (gv * emb).sum(axis=1, keepdims=True) * emb) / norms
+            return weight - cfg.learning_rate * (gz.T @ features)
+
+        return emb, language, update
+
+    records, weight = _descend(start, weight, embed, cfg, None, rng)
     encoder = LinearEncoder(weight)
-    history.final_clip = ClipSequence(timestamps, encoder(features), language)
-    return encoder, history
+    return encoder, TrainHistory(records, start.with_embeddings(encoder(features)))
 
 
 def measure_delta(clip: ClipSequence, temperature: float = 1.0):

@@ -92,10 +92,15 @@ class TestTrainCommand:
             {"learning_rate": float("nan")},
             {"bb_weight": float("inf")},
             {"intervals_per_step": 1.5},
+            {"steps": True},
+            {"intervals_per_step": True},
+            {"optimize_language": "false"},
+            {"optimize_language": 1},
         ],
         ids=[
             "temperature-0", "steps-2.5", "learning_rate-nan", "bb_weight-inf",
-            "intervals_per_step-1.5",
+            "intervals_per_step-1.5", "steps-true", "intervals_per_step-true",
+            "optimize_language-string", "optimize_language-1",
         ],
     )
     def test_invalid_train_value(self, tmp_path, field):
@@ -132,8 +137,10 @@ class TestTrainCommand:
         assert invoke("train", cfg, tmp_path / "out").exit_code == 2
 
     @pytest.mark.parametrize(
-        "field", [{"T": 4.5}, {"d": 2.5}, {"completion_index": 2.5}],
-        ids=["T-4.5", "d-2.5", "completion_index-2.5"],
+        "field",
+        [{"T": 4.5}, {"d": 2.5}, {"completion_index": 2.5}, {"T": True}, {"d": True},
+         {"completion_index": True}],
+        ids=["T-4.5", "d-2.5", "completion_index-2.5", "T-true", "d-true", "completion_index-true"],
     )
     def test_non_integer_synthetic_spec(self, tmp_path, field):
         spec = {"T": 4, "d": 3, "completion_index": 2, **field}
@@ -297,6 +304,7 @@ class TestRewardCommand:
         [
             {"seeds": 0},
             {"seeds": 1.5},
+            {"seeds": True},
             {"objectives": []},
             {"synthetic": {"T": 4, "d": 1, "completion_index": 2}},
             {"synthetic": {"T": 4.5, "d": 3, "completion_index": 2}},
@@ -304,7 +312,7 @@ class TestRewardCommand:
             {"synthetic": {"T": 4, "d": 3, "completion_index": 2.5}},
         ],
         ids=[
-            "seeds-0", "seeds-1.5", "objectives-empty", "synthetic-d-1",
+            "seeds-0", "seeds-1.5", "seeds-true", "objectives-empty", "synthetic-d-1",
             "synthetic-T-4.5", "synthetic-d-2.5", "synthetic-completion_index-2.5",
         ],
     )
@@ -345,6 +353,7 @@ class TestGradcheckCommand:
         "params",
         [
             {"clips": 0},
+            {"clips": True},
             {"T": 1},
             {"T": 2.5},
             {"d": 1},
@@ -352,7 +361,7 @@ class TestGradcheckCommand:
             {"step": float("inf")},
             {"losses": []},
         ],
-        ids=["clips-0", "T-1", "T-2.5", "d-1", "step-0", "step-inf", "losses-empty"],
+        ids=["clips-0", "clips-true", "T-1", "T-2.5", "d-1", "step-0", "step-inf", "losses-empty"],
     )
     def test_bad_parameters(self, tmp_path, params):
         cfg = write_config(tmp_path, {"clips": 2, "T": 4, "d": 3, **params})

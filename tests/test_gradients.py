@@ -214,3 +214,13 @@ class TestFiniteDiffCheck:
         assert finite_diff_check(loss, kink_free_clip(5, 4, 76), params) < TOL
         # one build for the analytic gradient, one shared by every perturbed point
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("loss", ["vlo", "bb", "total"])
+    def test_no_clip_built_per_perturbed_point(self, monkeypatch, loss):
+        calls = []
+        original = ClipSequence.__post_init__
+        monkeypatch.setattr(ClipSequence, "__post_init__", lambda c: calls.append(1) or original(c))
+        clip = kink_free_clip(5, 4, 77)
+        calls.clear()
+        assert finite_diff_check(loss, clip) < TOL
+        assert calls == []

@@ -22,7 +22,7 @@ from actol import (
     vlo_loss,
     vlo_loss_on_scores,
 )
-from actol.gradients import grad_vlo, tnce_and_grad, total_and_grad
+from actol.gradients import grad_vlo, objective_and_grad, tnce_and_grad, total_and_grad
 from actol.losses import Bridge, TieGroups, _contrastive_terms, negative_set
 from actol.trainer import measure_delta
 
@@ -97,7 +97,10 @@ def test_vlo_value_matches_reference(clip, tau):
 @examples
 @given(clip=clips(), tau=temperatures)
 def test_vlo_score_gradient_matches_reference(clip, tau):
-    _, G, s = _contrastive_terms(clip, TnceConfig(temperature=tau), None, need_grad=True)
+    groups = TieGroups.of(clip.timestamps)
+    _, G, s = _contrastive_terms(
+        clip.embeddings, clip.language, TnceConfig(temperature=tau), groups, need_grad=True
+    )
     R = -np.abs(s[:, None] - s[None, :])
     T = clip.T
     assert_grad_close(G, naive.pair_weight_matrix(clip.timestamps, R, tau), T * (T - 1), tau)
@@ -107,7 +110,8 @@ def test_vlo_score_gradient_matches_reference(clip, tau):
 @given(clip=clips(), cfg=st.sampled_from(COMBOS), tau=temperatures)
 def test_tnce_matches_reference(clip, cfg, tau):
     cfg = TnceConfig(cfg.positive_selector, cfg.negative_selector, cfg.score, tau)
-    value, G, s = _contrastive_terms(clip, cfg, None, need_grad=True)
+    groups = TieGroups.of(clip.timestamps, cfg.negative_selector)
+    value, G, s = _contrastive_terms(clip.embeddings, clip.language, cfg, groups, need_grad=True)
     g_s, G_pairs = naive.tnce_score_grads(clip.timestamps, s, cfg)
     expected = naive.tnce_loss(clip.timestamps, s, cfg)
     assert value == pytest.approx(expected, rel=1e-12, abs=1e-15)
@@ -131,11 +135,14 @@ def test_vlo_at_least_lower_bound(clip, tau):
 @given(clip=clips(max_T=24), cfg=st.sampled_from(COMBOS))
 def test_supplied_groups_change_nothing(clip, cfg):
     groups = TieGroups.of(clip.timestamps, cfg.negative_selector)
-    value, grads = tnce_and_grad(clip, cfg, groups)
+    value, bb, frames, language, at_kink = objective_and_grad(
+        clip.embeddings, clip.language, cfg, groups
+    )
     value2, grads2 = tnce_and_grad(clip, cfg)
     assert value == value2 == tnce_loss(clip, cfg)
-    assert np.array_equal(grads.frames, grads2.frames)
-    assert np.array_equal(grads.language, grads2.language)
+    assert bb == 0.0 and at_kink == grads2.at_kink
+    assert np.array_equal(frames, grads2.frames)
+    assert np.array_equal(language, grads2.language)
 
 
 @st.composite

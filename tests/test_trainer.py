@@ -3,14 +3,20 @@ import pytest
 
 from actol import (
     ClipSequence,
+    LinearEncoder,
     TnceConfig,
     TrainConfig,
     TrainingDiverged,
+    actol_loss,
+    lower_bound,
     measure_delta,
+    normalize,
     random_clip,
+    tnce_loss,
     train_encoder,
     train_free,
 )
+from actol.losses import Bridge
 
 
 def start_clip(seed=0, T=6, d=4):
@@ -108,12 +114,42 @@ class TestTrainFree:
         def counting(fn):
             return lambda *a, **k: calls.append(fn.__name__) or fn(*a, **k)
 
-        monkeypatch.setattr(trainer, "total_and_grad", counting(trainer.total_and_grad))
-        monkeypatch.setattr(trainer, "tnce_and_grad", counting(trainer.tnce_and_grad))
+        monkeypatch.setattr(trainer, "objective_and_grad", counting(trainer.objective_and_grad))
         monkeypatch.setattr(trainer, "lower_bound", counting(trainer.lower_bound))
         train_free(start_clip(13), TrainConfig(steps=7), objective=objective)
-        name = "total_and_grad" if objective is None else "tnce_and_grad"
-        assert calls == ["lower_bound"] + [name] * 7
+        assert calls == ["lower_bound"] + ["objective_and_grad"] * 7
+
+    @pytest.mark.parametrize("intervals_per_step", [1, 2])
+    def test_bridge_and_clips_built_per_run(self, monkeypatch, intervals_per_step):
+        counts = {"bridge": 0, "clip": 0}
+        of, init = Bridge.of, ClipSequence.__post_init__
+
+        def count(key, fn):
+            return lambda *a: counts.__setitem__(key, counts[key] + 1) or fn(*a)
+
+        monkeypatch.setattr(Bridge, "of", count("bridge", of))
+        monkeypatch.setattr(ClipSequence, "__post_init__", count("clip", init))
+        seen = []
+        for steps in (3, 8):
+            counts.update(bridge=0, clip=0)
+            cfg = TrainConfig(steps=steps, intervals_per_step=intervals_per_step)
+            train_free(start_clip(14), cfg)
+            assert counts["bridge"] == (1 if intervals_per_step == 1 else steps)
+            seen.append(counts["clip"])
+        assert seen[0] == seen[1]
+
+    def test_first_record_is_actol_loss(self):
+        clip = start_clip(15)
+        first = train_free(clip, TrainConfig(steps=2, bb_weight=0.3, temperature=0.7)).records[0]
+        assert first == actol_loss(clip.normalized(), 0.3, 0.7)
+
+    def test_first_record_is_tnce_loss(self):
+        clip = start_clip(16)
+        obj = TnceConfig("future-frame", "other-frames", "direct-sim", 0.5)
+        first = train_free(clip, TrainConfig(steps=2), objective=obj).records[0]
+        value, lb = tnce_loss(clip.normalized(), obj), lower_bound(clip)
+        assert (first.vlo, first.bb, first.total) == (value, 0.0, value)
+        assert (first.lower_bound, first.gap) == (lb, value - lb)
 
 
 class TestTrainEncoder:
@@ -150,6 +186,28 @@ class TestTrainEncoder:
         with pytest.raises(TrainingDiverged) as exc:
             train_encoder(features, tuple(range(5)), language, TrainConfig(steps=5))
         assert exc.value.step == 0
+
+    def test_first_record_is_actol_loss(self):
+        clip = start_clip(17, T=6, d=4)
+        cfg = TrainConfig(steps=2, bb_weight=0.2, temperature=0.5)
+        _, history = train_encoder(clip.embeddings, clip.timestamps, clip.language, cfg)
+        encoded = LinearEncoder(np.eye(4))(clip.embeddings)
+        start = ClipSequence(clip.timestamps, encoded, normalize(clip.language))
+        assert history.records[0] == actol_loss(start, 0.2, 0.5)
+
+    def test_zero_encoder_output_diverges(self):
+        rng = np.random.default_rng(18)
+        features = rng.standard_normal((5, 3))
+        features[2] = 0.0
+        with pytest.raises(TrainingDiverged) as exc:
+            train_encoder(features, tuple(range(5)), rng.standard_normal(3), TrainConfig(steps=5))
+        assert exc.value.step == 0
+
+    def test_encoder_rejects_zero_output(self):
+        features = np.eye(3)
+        features[1] = 0.0
+        with pytest.raises(ValueError, match="cannot normalize a zero vector"):
+            LinearEncoder(np.eye(3))(features)
 
 
 class TestMeasureDelta:
