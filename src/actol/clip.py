@@ -18,6 +18,8 @@ def _timestamps(timestamps) -> tuple:
     """Checked timestamps as a tuple of ints: at least two finite integers
     (an integral float such as 2.0 counts), non-negative, strictly increasing."""
     raw = tuple(timestamps)
+    if any(isinstance(t, (bool, np.bool_)) for t in raw):
+        raise ValueError("timestamps must be finite integers, not booleans")
     try:
         ts = tuple(map(int, raw))
     except (TypeError, ValueError, OverflowError):  # not a number, NaN or infinite
@@ -39,12 +41,21 @@ def _is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """True for a real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _similarities(embeddings: np.ndarray, language: np.ndarray) -> np.ndarray:
-    """Cosine similarity of each row of a (T, d) array to a (d,) vector."""
-    norms = np.linalg.norm(embeddings, axis=1) * np.linalg.norm(language)
+    """Cosine similarity of each row of (..., T, d) embeddings to the
+    matching (..., d) language vector. The language norm is a matmul, which
+    rounds like the 1-D np.linalg.norm (a BLAS dot) and unlike its axis form."""
+    lang = language[..., :, None]
+    norm_l = np.sqrt(np.matmul(np.swapaxes(lang, -1, -2), lang))[..., 0]
+    norms = np.linalg.norm(embeddings, axis=-1) * norm_l
     if np.any(norms == 0.0):
         raise ValueError("cosine similarity undefined for zero-norm input")
-    return (embeddings @ language) / norms
+    return np.matmul(embeddings, lang)[..., 0] / norms
 
 
 def normalize(v) -> np.ndarray:

@@ -9,6 +9,7 @@ onto the sphere's tangent space before stepping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -17,8 +18,9 @@ from .losses import (
     DEFAULT_BB_WEIGHT,
     Bridge,
     BridgeInterval,
-    TieGroups,
+    Contrast,
     TnceConfig,
+    _clip_value,
     _contrastive_terms,
     full_interval,
 )
@@ -42,41 +44,52 @@ class GradientSet:
     at_kink: bool = False
 
 
-def objective_and_grad(emb, lang, cfg: TnceConfig, groups: TieGroups, bridge=None, bb_weight=0.0):
-    """(value, bridge penalty, dL/dE, dL/dl, at_kink) of the contrastive
-    objective cfg on (T, d) embeddings emb and a (d,) language vector lang,
-    from one kernel pass; groups must be TieGroups.of(timestamps,
-    cfg.negative_selector). Given a Bridge, bb_weight times its gradient is
-    added to dL/dE; without one the penalty is 0.0."""
-    value, G, s = _contrastive_terms(emb, lang, cfg, groups, need_grad=True)
-    if cfg.score == "direct-sim":
-        g_s, at_kink = G.sum(axis=0), False
+def objective_and_grad(emb, lang, c: Contrast, bridge=None, bb_weight=0.0):
+    """Per-clip (values, bridge penalties, dL/dE, dL/dl, at_kink) of the
+    contrastive objective c on (B, T, d) embeddings and (B, d) language
+    vectors, from one kernel pass; c must be Contrast.of(timestamps, cfg).
+    Given a Bridge, or one Bridge per clip, bb_weight times its gradient is
+    added to dL/dE; without one the penalties are 0.0."""
+    value, G, s = _contrastive_terms(emb, lang, c, need_grad=True)
+    if c.cfg.score == "direct-sim":
+        g_s, at_kink = G.sum(axis=1), np.zeros(len(s), dtype=bool)
     else:
         # score gradients dL/dR_{i,k} (R = -|s_i - s_k|) to dL/ds_t
-        diff = s[:, None] - s[None, :]
-        contributing = (G != 0) & ~np.eye(len(s), dtype=bool)
-        at_kink = bool(np.any(contributing & (np.abs(diff) < KINK_TOL)))
+        diff = s[:, :, None] - s[:, None, :]
+        contributing = (G != 0) & ~np.eye(s.shape[1], dtype=bool)
+        at_kink = np.any(contributing & (np.abs(diff) < KINK_TOL), axis=(1, 2))
         GS = G * np.sign(diff)
-        g_s = -GS.sum(axis=1) + GS.sum(axis=0)
-    # dL/ds_t to the embeddings through the cosine, normalization included
-    norms_v = np.linalg.norm(emb, axis=1)
-    norm_l = np.linalg.norm(lang)
-    u_v = emb / norms_v[:, None]
+        g_s = -GS.sum(axis=2) + GS.sum(axis=1)
+    # dL/ds_t to the embeddings through the cosine, normalization included;
+    # the language norm is a matmul, which rounds like a 1-D np.linalg.norm
+    norms_v = np.linalg.norm(emb, axis=-1)[..., None]
+    norm_l = np.sqrt(np.matmul(lang[:, None, :], lang[:, :, None]))[:, 0]
+    u_v = emb / norms_v
     u_l = lang / norm_l
-    cos = u_v @ u_l
-    frames = g_s[:, None] * (u_l[None, :] - cos[:, None] * u_v) / norms_v[:, None]
-    language = (g_s[:, None] * (u_v - cos[:, None] * u_l[None, :])).sum(axis=0) / norm_l
+    cos = np.matmul(u_v, u_l[:, :, None])
+    frames = g_s[..., None] * (u_l[:, None, :] - cos * u_v) / norms_v
+    language = (g_s[..., None] * (u_v - cos * u_l[:, None, :])).sum(axis=1) / norm_l
     if bridge is None:
-        return value, 0.0, frames, language, at_kink
-    bb, g_bb = bridge.penalty(emb, need_grad=True)
+        return value, np.zeros(len(value)), frames, language, at_kink
+    if isinstance(bridge, Bridge):
+        bb, g_bb = bridge.penalty(emb, need_grad=True)
+    else:  # each clip's own Bridge on its own slice
+        bb, g_bb = map(np.stack, zip(*(b.penalty(e, need_grad=True) for b, e in zip(bridge, emb))))
     return value, bb, frames + bb_weight * g_bb, language, at_kink
+
+
+def _on_clip(clip: ClipSequence, c: Contrast, bridge=None, bb_weight=0.0):
+    """objective_and_grad on one clip: (value, bridge penalty, GradientSet)."""
+    value, bb, frames, language, at_kink = objective_and_grad(
+        clip.embeddings[None], clip.language[None], c, bridge, bb_weight
+    )
+    return float(value[0]), float(bb[0]), GradientSet(frames[0], language[0], bool(at_kink[0]))
 
 
 def tnce_and_grad(clip: ClipSequence, cfg: TnceConfig) -> tuple[float, GradientSet]:
     """tnce_loss and its exact ambient gradient from one kernel pass."""
-    groups = TieGroups.of(clip.timestamps, cfg.negative_selector)
-    value, _, *grads = objective_and_grad(clip.embeddings, clip.language, cfg, groups)
-    return value, GradientSet(*grads)
+    value, _, grads = _on_clip(clip, Contrast.of(clip.timestamps, cfg))
+    return value, grads
 
 
 def grad_vlo(clip: ClipSequence, temperature: float = 1.0) -> GradientSet:
@@ -107,12 +120,8 @@ def total_and_grad(
     intervals."""
     if intervals is None:
         intervals = [full_interval(clip)]
-    groups, bridge = TieGroups.of(clip.timestamps), Bridge.of(clip.timestamps, intervals)
-    cfg = TnceConfig(temperature=temperature)
-    vlo, bb, *grads = objective_and_grad(
-        clip.embeddings, clip.language, cfg, groups, bridge, bb_weight
-    )
-    return vlo, bb, GradientSet(*grads)
+    c = Contrast.of(clip.timestamps, TnceConfig(temperature=temperature))
+    return _on_clip(clip, c, Bridge.of(clip.timestamps, intervals), bb_weight)
 
 
 def grad_total(
@@ -133,14 +142,10 @@ def _loss_and_grad(loss: str, clip: ClipSequence, params: dict):
     if loss == "bb":
         iv = params.get("interval", full_interval(clip))
         bridge = Bridge.of(clip.timestamps, [iv])
-        return (lambda E, l: bridge.penalty(E)[0]), grad_bb(clip, iv)
+        return (lambda E, l: float(bridge.penalty(E)[0])), grad_bb(clip, iv)
     tau = params.get("temperature", 1.0)
     cfg = params["config"] if loss == "tnce" else TnceConfig(temperature=tau)
-    groups = TieGroups.of(clip.timestamps, cfg.negative_selector)
-
-    def contrastive(E, l):
-        return _contrastive_terms(E, l, cfg, groups, need_grad=False)[0]
-
+    contrastive = partial(_clip_value, c=Contrast.of(clip.timestamps, cfg))
     if loss == "vlo":
         return contrastive, grad_vlo(clip, tau)
     if loss == "total":
@@ -149,7 +154,7 @@ def _loss_and_grad(loss: str, clip: ClipSequence, params: dict):
         bridge = Bridge.of(clip.timestamps, [full_interval(clip)] if ivs is None else ivs)
 
         def total(E, l):  # same expression order as actol_loss(...).total
-            return contrastive(E, l) + lam * bridge.penalty(E)[0]
+            return contrastive(E, l) + lam * float(bridge.penalty(E)[0])
 
         return total, grad_total(clip, lam, tau, ivs)
     if loss == "tnce":

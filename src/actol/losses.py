@@ -123,60 +123,79 @@ class TieGroups:
         return float(np.sum(np.log(self.sizes()))) / self.order.size  # T (T - 1) pairs
 
 
-def _suffix_softmax(rows, positives, groups: TieGroups, temperature: float, need_grad: bool):
-    """Mean over positive pairs (i, j) of the contrastive cross-entropy
-    -x_ij + log sum_k exp(x_ik), x = rows / temperature, where k runs over
-    j's group and every group before it in anchor i's order.
+@dataclass(frozen=True, eq=False)
+class Contrast:
+    """A contrastive objective at fixed timestamps and what its kernel needs
+    of them, built once per training run: the TieGroups, the positive mask
+    in each anchor's sorted order and its count, and flat indices of the
+    sorted positions in a (T, T) array and of each group's end and start
+    in a (T, T-1) one."""
+
+    cfg: TnceConfig
+    groups: TieGroups
+    positives: np.ndarray
+    n_terms: int
+    sorted_at: np.ndarray
+    end_at: np.ndarray
+    start_at: np.ndarray
+
+    @classmethod
+    def of(cls, timestamps, cfg: TnceConfig) -> "Contrast":
+        groups = TieGroups.of(timestamps, cfg.negative_selector)
+        k, T = groups.order, len(groups.order)  # k excludes the anchor i itself
+        i = np.arange(T)[:, None]
+        pos = {"vlo-pair": k >= 0, "last-frame": k == T - 1, "future-frame": k > i}[
+            cfg.positive_selector
+        ]
+        row = i * (T - 1)
+        return cls(cfg, groups, pos, int(np.count_nonzero(pos)), i * T + k,
+                   row + groups.end, row + groups.start)
+
+
+def _suffix_softmax(rows, c: Contrast, need_grad: bool):
+    """For each (T, T) slice b of rows, the mean over positive pairs (i, j)
+    of the contrastive cross-entropy -x_ij + log sum_k exp(x_ik),
+    x = rows[b] / temperature, where k runs over j's group and every group
+    before it in anchor i's order.
 
     One logaddexp.accumulate per anchor row gives every log-sum-exp, read
     at the end of each group. The gradient weight of frame k sums
     exp(x_ik - lse_j) over the positives j whose negative set holds k,
     which is a reverse log-cumulative sum read at the start of k's group.
 
-    Returns (value, G) with G[i, k] = d value / d rows[i, k], or
-    (value, None) when need_grad is false.
+    Returns the (B,) values and G with G[b, i, k] = d value_b / d rows[b, i, k],
+    or (values, None) when need_grad is false.
     """
-    tau = float(temperature)
-    x = np.take_along_axis(rows, groups.order, axis=1) / tau
-    pos = np.take_along_axis(positives, groups.order, axis=1)
-    n_terms = int(np.count_nonzero(pos))
-    lse = np.take_along_axis(np.logaddexp.accumulate(x, axis=1), groups.end, axis=1)
-    value = float(np.sum(np.where(pos, lse - x, 0.0))) / n_terms
+    B = len(rows)
+    tau = float(c.cfg.temperature)
+    x = rows.reshape(B, -1)[:, c.sorted_at] / tau
+    lse = np.logaddexp.accumulate(x, axis=-1).reshape(B, -1)[:, c.end_at]
+    value = np.where(c.positives, lse - x, 0.0).reshape(B, -1).sum(axis=1) / c.n_terms
     if not need_grad:
         return value, None
-    tail = np.logaddexp.accumulate(np.where(pos, -lse, -np.inf)[:, ::-1], axis=1)[:, ::-1]
-    weights = np.exp(x + np.take_along_axis(tail, groups.start, axis=1))
+    tail = np.logaddexp.accumulate(np.where(c.positives, -lse, -np.inf)[..., ::-1], axis=-1)
+    weights = np.exp(x + tail[..., ::-1].reshape(B, -1)[:, c.start_at])
     G = np.zeros(rows.shape)
-    np.put_along_axis(G, groups.order, (weights - pos) / (n_terms * tau), axis=1)
+    G.reshape(B, -1)[:, c.sorted_at] = (weights - c.positives) / (c.n_terms * tau)
     return value, G
 
 
-def _positive_mask(T: int, positive_selector: str) -> np.ndarray:
-    if positive_selector == "vlo-pair":
-        return ~np.eye(T, dtype=bool)
-    if positive_selector == "last-frame":
-        mask = np.zeros((T, T), dtype=bool)
-        mask[:-1, -1] = True
-        return mask
-    return np.triu(np.ones((T, T), dtype=bool), k=1)  # future-frame
-
-
-def _score_rows(s: np.ndarray, score: str) -> np.ndarray:
-    """Per-anchor score rows: -|s_i - s_k| or the direct similarity s_k."""
-    if score == "direct-sim":
-        return np.broadcast_to(s, (len(s), len(s)))
-    return -np.abs(s[:, None] - s[None, :])
-
-
-def _contrastive_terms(emb, lang, cfg: TnceConfig, groups: TieGroups, need_grad: bool):
-    """(value, dL/drows, similarities) of a contrastive objective on (T, d)
-    embeddings and a (d,) language vector; groups must have been built for
-    the timestamps and cfg.negative_selector."""
+def _contrastive_terms(emb, lang, c: Contrast, need_grad: bool):
+    """(values, dL/drows, similarities) of the contrastive objective c on
+    (B, T, d) embeddings and (B, d) language vectors, one value per clip.
+    Score rows are -|s_i - s_k| or the direct similarity s_k."""
     s = _similarities(emb, lang)
-    rows = _score_rows(s, cfg.score)
-    positives = _positive_mask(len(s), cfg.positive_selector)
-    value, G = _suffix_softmax(rows, positives, groups, cfg.temperature, need_grad)
+    if c.cfg.score == "direct-sim":
+        rows = np.broadcast_to(s[:, None, :], s.shape + s.shape[-1:])
+    else:
+        rows = -np.abs(s[:, :, None] - s[:, None, :])
+    value, G = _suffix_softmax(rows, c, need_grad)
     return value, G, s
+
+
+def _clip_value(emb, lang, c: Contrast) -> float:
+    """The contrastive objective c on one (T, d) clip and its (d,) language."""
+    return float(_contrastive_terms(emb[None], lang[None], c, False)[0][0])
 
 
 def negative_set(clip: ClipSequence, i: int, j: int) -> set:
@@ -202,16 +221,12 @@ def vlo_loss(clip: ClipSequence, temperature: float = 1.0) -> float:
 def vlo_loss_on_scores(timestamps, scores, temperature: float = 1.0) -> float:
     """Same objective as vlo_loss but on a supplied score matrix, enabling
     score-space constructions that need not come from embeddings."""
-    groups = TieGroups.of(timestamps)
+    c = Contrast.of(timestamps, TnceConfig(temperature=temperature))
     scores = np.asarray(scores, dtype=float)
-    T = len(groups.order)
+    T = len(c.groups.order)
     if scores.shape != (T, T):
         raise ValueError(f"score matrix must be {T}x{T}, got {scores.shape}")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    positives = _positive_mask(T, "vlo-pair")
-    value, _ = _suffix_softmax(scores, positives, groups, temperature, False)
-    return value
+    return float(_suffix_softmax(scores[None], c, False)[0][0])
 
 
 def distance_profile(clip: ClipSequence, i: int) -> DistanceProfile:
@@ -274,10 +289,13 @@ class Bridge:
         return cls(M, 0.5 / (var * (b - a - 1) * len(intervals)))
 
     def penalty(self, embeddings, need_grad: bool = False):
-        """(sum_p w_p |dev_p|^2, its (T, d) gradient or None)."""
+        """(sum_p w_p |dev_p|^2, its gradient or None) of (..., T, d)
+        embeddings, one value per (T, d) slice. The sum is a matmul, which
+        rounds like np.vdot of one slice."""
         dev = self.M @ embeddings
         wdev = self.w[:, None] * dev
-        value = float(np.vdot(wdev, dev))
+        lead = dev.shape[:-2]
+        value = np.matmul(wdev.reshape(*lead, 1, -1), dev.reshape(*lead, -1, 1))[..., 0, 0]
         return value, (2.0 * (self.M.T @ wdev) if need_grad else None)
 
 
@@ -310,7 +328,7 @@ def bb_loss(clip: ClipSequence, interval: BridgeInterval) -> float:
     """Mean variance-weighted squared deviation of interior frames from the
     bridge mean. Endpoints are pinned (variance zero) and excluded; an
     interval with no interior frames contributes 0."""
-    return Bridge.of(clip.timestamps, [interval]).penalty(clip.embeddings)[0]
+    return float(Bridge.of(clip.timestamps, [interval]).penalty(clip.embeddings)[0])
 
 
 def full_interval(clip: ClipSequence) -> BridgeInterval:
@@ -329,11 +347,10 @@ def actol_loss(
         raise ValueError("bb_weight must be non-negative")
     if intervals is None:
         intervals = [full_interval(clip)]
-    groups = TieGroups.of(clip.timestamps)  # one sort for the loss and its bound
-    cfg = TnceConfig(temperature=temperature)
-    vlo, _, _ = _contrastive_terms(clip.embeddings, clip.language, cfg, groups, False)
-    bb, _ = Bridge.of(clip.timestamps, intervals).penalty(clip.embeddings)
-    lb = groups.lower_bound()
+    c = Contrast.of(clip.timestamps, TnceConfig(temperature=temperature))  # one sort for both
+    vlo = _clip_value(clip.embeddings, clip.language, c)
+    bb = float(Bridge.of(clip.timestamps, intervals).penalty(clip.embeddings)[0])
+    lb = c.groups.lower_bound()
     total = vlo + bb_weight * bb
     return LossBreakdown(vlo=vlo, bb=bb, total=total, lower_bound=lb, gap=vlo - lb)
 
@@ -342,5 +359,4 @@ def tnce_loss(clip: ClipSequence, cfg: TnceConfig) -> float:
     """Unified time-contrastive objective. The vlo-pair configuration
     equals vlo_loss on the same clip; last-frame with direct-sim scoring
     is the goal-reaching baseline."""
-    groups = TieGroups.of(clip.timestamps, cfg.negative_selector)
-    return _contrastive_terms(clip.embeddings, clip.language, cfg, groups, False)[0]
+    return _clip_value(clip.embeddings, clip.language, Contrast.of(clip.timestamps, cfg))

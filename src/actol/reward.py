@@ -11,7 +11,7 @@ import numpy as np
 from .clip import ClipSequence
 from .losses import TnceConfig
 from .synthetic import SyntheticClipSpec, generate_clip
-from .trainer import TrainConfig, train_free
+from .trainer import TrainConfig, train_batch
 
 
 @dataclass(frozen=True)
@@ -85,20 +85,22 @@ def compare_objectives(
 ) -> ComparisonRecord:
     """Train free embeddings from identical per-seed initializations under
     each objective and report reward-argmax distance to the ground-truth
-    completion index."""
+    completion index. All seeds of one objective train together as one
+    batch, which gives each seed the result of its own run."""
     objectives = tuple(objectives)
     seeds = tuple(int(s) for s in seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    clips, truths = zip(*(generate_clip(replace(clip_spec, seed=seed)) for seed in seeds))
+    final_clips = {
+        (seed, obj.name): history.final_clip
+        for obj in objectives
+        for seed, history in zip(seeds, train_batch(clips, train_cfg, obj.tnce, seeds))
+    }
     results = []
-    final_clips = {}
-    for seed in seeds:
-        clip, truth = generate_clip(replace(clip_spec, seed=seed))
-        argmaxes = {}
-        errors = {}
-        for obj in objectives:
-            history = train_free(clip, replace(train_cfg, seed=seed), objective=obj.tnce)
-            argmaxes[obj.name] = reward_curve(history.final_clip).argmax_index
-            errors[obj.name] = abs(argmaxes[obj.name] - truth.completion_index)
-            final_clips[(seed, obj.name)] = history.final_clip
+    for seed, truth in zip(seeds, truths):
+        argmaxes = {o.name: reward_curve(final_clips[(seed, o.name)]).argmax_index for o in objectives}
+        errors = {name: abs(a - truth.completion_index) for name, a in argmaxes.items()}
         results.append(SeedResult(seed, truth.completion_index, argmaxes, errors))
     medians = {
         obj.name: float(np.median([r.error_by_objective[obj.name] for r in results]))

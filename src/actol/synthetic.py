@@ -10,11 +10,12 @@ by construction and makes similarity curves smooth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clip import ClipSequence, _is_count, normalize
+from .clip import ClipSequence, _is_count, _is_real, normalize
 
 TAIL_MODES = ("none", "frozen", "drift-away", "second-action")
 
@@ -46,8 +47,9 @@ class SyntheticClipSpec:
             raise ValueError("completion_index must lie in [1, T]")
         if self.tail_mode not in TAIL_MODES:
             raise ValueError(f"unknown tail mode {self.tail_mode!r}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        sigma = self.noise_sigma
+        if not (_is_real(sigma) and math.isfinite(sigma) and sigma >= 0):
+            raise ValueError(f"noise_sigma must be a finite non-negative number, got {sigma!r}")
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clip import ClipSequence, _is_count, normalize
+from .clip import ClipSequence, _is_count, _is_real, normalize
 from .gradients import objective_and_grad
 from .losses import (
     DEFAULT_BB_WEIGHT,
     Bridge,
     BridgeInterval,
+    Contrast,
     LossBreakdown,
     TieGroups,
     TnceConfig,
@@ -45,6 +46,9 @@ class TrainConfig:
     intervals_per_step: int = 1
 
     def __post_init__(self):
+        for name in ("learning_rate", "bb_weight", "temperature"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError("learning rate must be finite and non-negative")
         if not _is_count(self.steps) or self.steps < 1:
@@ -102,43 +106,43 @@ def _require_finite(*arrays) -> None:
         raise TrainingDiverged(0)
 
 
-def _sample_intervals(T: int, n: int, rng):
-    intervals = []
+def _random_bridge(timestamps, n: int, rng) -> Bridge:
+    """Bridge over n random intervals, each drawn from rng as (start, end)."""
+    T, intervals = len(timestamps), []
     for _ in range(n):
         start = int(rng.integers(0, T - 1))
-        end = int(rng.integers(start + 1, T))
-        intervals.append(BridgeInterval(start, end))
-    return intervals
+        intervals.append(BridgeInterval(start, int(rng.integers(start + 1, T))))
+    return Bridge.of(timestamps, intervals)
 
 
-def _descend(clip: ClipSequence, params, embed, cfg: TrainConfig, objective, rng):
-    """cfg.steps descent steps on the combined objective (objective None)
-    or on a contrastive variant, from the starting clip, which supplies
-    the timestamps. embed(params, step) returns the step's (T, d)
-    embeddings, its language vector and a function from their gradients
-    to the next params. The tie groups, the lower bound and, with one
-    interval per step, the full-clip Bridge are built once. Returns the
-    per-step records and the final params."""
-    T = clip.T
+def _descend(clip: ClipSequence, params, embed, cfg: TrainConfig, objective, rngs):
+    """cfg.steps descent steps of B clips, which share the starting clip's
+    timestamps, on the combined objective (objective None) or on a
+    contrastive variant. embed(params, step) returns the step's (B, T, d)
+    embeddings, (B, d) language vectors and a function from their
+    gradients to the next params. Clip b draws its bridge intervals from
+    rngs[b]. The Contrast, the lower bound and, with one interval per step,
+    the full-clip Bridge are built once. Returns each clip's records and
+    the final params."""
     lb = lower_bound(clip)
-    tnce = TnceConfig(temperature=cfg.temperature) if objective is None else objective
-    groups = TieGroups.of(clip.timestamps, tnce.negative_selector)
+    c = Contrast.of(clip.timestamps, objective or TnceConfig(temperature=cfg.temperature))
     resample = objective is None and cfg.intervals_per_step > 1
     bridge = None
     if objective is None and not resample:
-        bridge = Bridge.of(clip.timestamps, [BridgeInterval(0, T - 1)])
+        bridge = Bridge.of(clip.timestamps, [BridgeInterval(0, clip.T - 1)])
     records = []
     for step in range(cfg.steps):
         emb, lang, update = embed(params, step)
         if resample:
-            bridge = Bridge.of(clip.timestamps, _sample_intervals(T, cfg.intervals_per_step, rng))
-        vlo, bb, *grads, _ = objective_and_grad(emb, lang, tnce, groups, bridge, cfg.bb_weight)
+            bridge = [_random_bridge(clip.timestamps, cfg.intervals_per_step, r) for r in rngs]
+        vlo, bb, *grads, _ = objective_and_grad(emb, lang, c, bridge, cfg.bb_weight)
         total = vlo + cfg.bb_weight * bb
-        if not np.isfinite(total):
+        if not np.isfinite(total).all():  # the earliest diverging step of any clip
             raise TrainingDiverged(step)
-        records.append(LossBreakdown(vlo=vlo, bb=bb, total=total, lower_bound=lb, gap=vlo - lb))
+        rows = zip(vlo.tolist(), bb.tolist(), total.tolist())
+        records.append([LossBreakdown(v, p, t, lb, v - lb) for v, p, t in rows])
         params = update(*grads)
-    return records, params
+    return [list(r) for r in zip(*records)], params
 
 
 def train_free(
@@ -150,8 +154,18 @@ def train_free(
     directly. By default the combined objective is minimized; passing a
     TnceConfig trains under that contrastive variant instead, with the
     history's vlo/total fields holding its value."""
-    clip = clip_init.normalized()
-    _require_finite(clip.embeddings, clip.language)
+    return train_batch([clip_init], cfg, objective, [cfg.seed])[0]
+
+
+def train_batch(clips, cfg: TrainConfig, objective: TnceConfig | None, seeds) -> list:
+    """train_free on clips that share their timestamps, stepped as one
+    (B, T, d) stack: history b equals clip b's own run with cfg.seed =
+    seeds[b], unless some clip's loss diverges, which raises."""
+    if any(clip.timestamps != clips[0].timestamps for clip in clips):
+        raise ValueError("clips in a batch must share their timestamps")
+    _require_finite(*(a for clip in clips for a in (clip.embeddings, clip.language)))
+    clips = [clip.normalized() for clip in clips]
+    params = (np.stack([c.embeddings for c in clips]), np.stack([c.language for c in clips]))
 
     def embed(params, step):
         emb, lang = params
@@ -160,10 +174,9 @@ def train_free(
             _tangent_step(lang, g_lang, cfg.learning_rate) if cfg.optimize_language else lang,
         )
 
-    params = (clip.embeddings, clip.language)
-    rng = np.random.default_rng(cfg.seed)
-    records, (emb, lang) = _descend(clip, params, embed, cfg, objective, rng)
-    return TrainHistory(records, clip.with_embeddings(emb, lang))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    records, (emb, lang) = _descend(clips[0], params, embed, cfg, objective, rngs)
+    return [TrainHistory(r, c.with_embeddings(e, l)) for r, c, e, l in zip(records, clips, emb, lang)]
 
 
 def train_encoder(features, timestamps, language, cfg: TrainConfig):
@@ -192,12 +205,12 @@ def train_encoder(features, timestamps, language, cfg: TrainConfig):
 
         def update(gv, _):
             # dL/dz_t = (I - v v^T) / |z_t| . dL/dv_t
-            gz = (gv - (gv * emb).sum(axis=1, keepdims=True) * emb) / norms
+            gz = (gv[0] - (gv[0] * emb).sum(axis=1, keepdims=True) * emb) / norms
             return weight - cfg.learning_rate * (gz.T @ features)
 
-        return emb, language, update
+        return emb[None], language[None], update
 
-    records, weight = _descend(start, weight, embed, cfg, None, rng)
+    (records,), weight = _descend(start, weight, embed, cfg, None, [rng])
     encoder = LinearEncoder(weight)
     return encoder, TrainHistory(records, start.with_embeddings(encoder(features)))
 

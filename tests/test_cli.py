@@ -96,11 +96,15 @@ class TestTrainCommand:
             {"intervals_per_step": True},
             {"optimize_language": "false"},
             {"optimize_language": 1},
+            {"learning_rate": True},
+            {"temperature": True},
+            {"bb_weight": False},
         ],
         ids=[
             "temperature-0", "steps-2.5", "learning_rate-nan", "bb_weight-inf",
             "intervals_per_step-1.5", "steps-true", "intervals_per_step-true",
-            "optimize_language-string", "optimize_language-1",
+            "optimize_language-string", "optimize_language-1", "learning_rate-true",
+            "temperature-true", "bb_weight-false",
         ],
     )
     def test_invalid_train_value(self, tmp_path, field):
@@ -123,10 +127,12 @@ class TestTrainCommand:
             ' "language": [1, 0]}',
             '{"d": 2, "timestamps": [0, Infinity], "embeddings": [[1, 0], [0, 1]],'
             ' "language": [1, 0]}',
+            '{"d": 2, "timestamps": [false, true], "embeddings": [[1, 0], [0, 1]],'
+            ' "language": [1, 0]}',
         ],
         ids=[
             "missing-file", "invalid-json", "missing-language", "nan-embedding", "inf-language",
-            "fractional-timestamp", "inf-timestamp",
+            "fractional-timestamp", "inf-timestamp", "boolean-timestamps",
         ],
     )
     def test_bad_clip_file(self, tmp_path, content):
@@ -310,10 +316,14 @@ class TestRewardCommand:
             {"synthetic": {"T": 4.5, "d": 3, "completion_index": 2}},
             {"synthetic": {"T": 4, "d": 2.5, "completion_index": 2}},
             {"synthetic": {"T": 4, "d": 3, "completion_index": 2.5}},
+            {"synthetic": {"T": 4, "d": 3, "completion_index": 2, "noise_sigma": float("nan")}},
+            {"synthetic": {"T": 4, "d": 3, "completion_index": 2, "noise_sigma": float("inf")}},
+            {"synthetic": {"T": 4, "d": 3, "completion_index": 2, "noise_sigma": True}},
         ],
         ids=[
             "seeds-0", "seeds-1.5", "seeds-true", "objectives-empty", "synthetic-d-1",
             "synthetic-T-4.5", "synthetic-d-2.5", "synthetic-completion_index-2.5",
+            "synthetic-noise_sigma-nan", "synthetic-noise_sigma-inf", "synthetic-noise_sigma-true",
         ],
     )
     def test_bad_reward_config(self, tmp_path, field):

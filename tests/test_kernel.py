@@ -23,7 +23,7 @@ from actol import (
     vlo_loss_on_scores,
 )
 from actol.gradients import grad_vlo, objective_and_grad, tnce_and_grad, total_and_grad
-from actol.losses import Bridge, TieGroups, _contrastive_terms, negative_set
+from actol.losses import Bridge, Contrast, TieGroups, _contrastive_terms, negative_set
 from actol.trainer import measure_delta
 
 COMBOS = [
@@ -97,10 +97,8 @@ def test_vlo_value_matches_reference(clip, tau):
 @examples
 @given(clip=clips(), tau=temperatures)
 def test_vlo_score_gradient_matches_reference(clip, tau):
-    groups = TieGroups.of(clip.timestamps)
-    _, G, s = _contrastive_terms(
-        clip.embeddings, clip.language, TnceConfig(temperature=tau), groups, need_grad=True
-    )
+    c = Contrast.of(clip.timestamps, TnceConfig(temperature=tau))
+    _, (G,), (s,) = _contrastive_terms(clip.embeddings[None], clip.language[None], c, True)
     R = -np.abs(s[:, None] - s[None, :])
     T = clip.T
     assert_grad_close(G, naive.pair_weight_matrix(clip.timestamps, R, tau), T * (T - 1), tau)
@@ -110,8 +108,8 @@ def test_vlo_score_gradient_matches_reference(clip, tau):
 @given(clip=clips(), cfg=st.sampled_from(COMBOS), tau=temperatures)
 def test_tnce_matches_reference(clip, cfg, tau):
     cfg = TnceConfig(cfg.positive_selector, cfg.negative_selector, cfg.score, tau)
-    groups = TieGroups.of(clip.timestamps, cfg.negative_selector)
-    value, G, s = _contrastive_terms(clip.embeddings, clip.language, cfg, groups, need_grad=True)
+    c = Contrast.of(clip.timestamps, cfg)
+    (value,), (G,), (s,) = _contrastive_terms(clip.embeddings[None], clip.language[None], c, True)
     g_s, G_pairs = naive.tnce_score_grads(clip.timestamps, s, cfg)
     expected = naive.tnce_loss(clip.timestamps, s, cfg)
     assert value == pytest.approx(expected, rel=1e-12, abs=1e-15)
@@ -134,9 +132,9 @@ def test_vlo_at_least_lower_bound(clip, tau):
 @settings(examples, max_examples=30)
 @given(clip=clips(max_T=24), cfg=st.sampled_from(COMBOS))
 def test_supplied_groups_change_nothing(clip, cfg):
-    groups = TieGroups.of(clip.timestamps, cfg.negative_selector)
-    value, bb, frames, language, at_kink = objective_and_grad(
-        clip.embeddings, clip.language, cfg, groups
+    c = Contrast.of(clip.timestamps, cfg)
+    (value,), (bb,), (frames,), (language,), (at_kink,) = objective_and_grad(
+        clip.embeddings[None], clip.language[None], c
     )
     value2, grads2 = tnce_and_grad(clip, cfg)
     assert value == value2 == tnce_loss(clip, cfg)

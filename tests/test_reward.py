@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,15 @@ from actol import (
     SyntheticClipSpec,
     TnceConfig,
     TrainConfig,
+    TrainingDiverged,
     compare_objectives,
     curve_rows,
     generate_clip,
     reward_curve,
 )
+from actol import trainer
+from actol.cli import OBJECTIVE_PRESETS
+from actol.trainer import train_batch
 
 
 def clip_with_sims(sims, timestamps=None):
@@ -84,6 +90,10 @@ class TestCompareObjectives:
             for name, am in res.argmax_by_objective.items():
                 assert res.error_by_objective[name] == abs(am - res.completion_index)
 
+    def test_empty_seed_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            self.run(seeds=())
+
     def test_final_clips_returned(self):
         record = self.run(seeds=(0,))
         assert set(record.final_clips) == {(0, "actol"), (0, "last-frame")}
@@ -105,3 +115,52 @@ class TestCompareObjectives:
                 assert a.timestamps == b.timestamps
                 assert np.array_equal(a.embeddings, b.embeddings)
                 assert np.array_equal(a.language, b.language)
+
+    def test_permuting_seeds_permutes_results(self):
+        record = self.run(seeds=(0, 1, 2))
+        permuted = self.run(seeds=(2, 0, 1))
+        assert permuted.results == tuple(record.results[i] for i in (2, 0, 1))
+        assert permuted.final_clips.keys() == record.final_clips.keys()
+        for key, clip in record.final_clips.items():
+            assert np.array_equal(permuted.final_clips[key].embeddings, clip.embeddings)
+            assert np.array_equal(permuted.final_clips[key].language, clip.language)
+
+    @pytest.mark.parametrize(
+        "train", [{"intervals_per_step": 2}, {"optimize_language": True}],
+        ids=["intervals_per_step-2", "optimize_language"],
+    )
+    def test_batch_matches_single_seed_runs_for_every_preset(self, train):
+        objectives = [ObjectiveSpec(name, cfg) for name, cfg in OBJECTIVE_PRESETS.items()]
+        spec = SyntheticClipSpec(T=7, d=5, completion_index=4, tail_mode="second-action",
+                                 noise_sigma=0.1)
+        cfg = TrainConfig(learning_rate=0.1, steps=15, temperature=0.5, **train)
+        record = compare_objectives(spec, objectives, cfg, (3, 4, 5))
+        for res in record.results:
+            alone = compare_objectives(spec, objectives, cfg, (res.seed,))
+            assert alone.results == (res,)
+            for obj in objectives:
+                a = record.final_clips[(res.seed, obj.name)]
+                b = alone.final_clips[(res.seed, obj.name)]
+                assert np.array_equal(a.embeddings, b.embeddings)
+                assert np.array_equal(a.language, b.language)
+
+    @pytest.mark.parametrize("seeds", [(0,), (0, 1, 2)])
+    def test_one_objective_call_per_step_whatever_the_seed_count(self, monkeypatch, seeds):
+        calls = []
+        original = trainer.objective_and_grad
+        monkeypatch.setattr(
+            trainer, "objective_and_grad", lambda *a: calls.append(len(a[0])) or original(*a)
+        )
+        self.run(seeds=seeds)
+        assert calls == [len(seeds)] * (len(self.OBJECTIVES) * 30)
+
+    def test_non_finite_start_in_a_batch_diverges_at_step_0(self):
+        spec = SyntheticClipSpec(T=6, d=4, completion_index=3)
+        clips = [generate_clip(replace(spec, seed=seed))[0] for seed in range(3)]
+        emb = clips[1].embeddings.copy()
+        emb[2, 1] = np.inf
+        clips[1] = clips[1].with_embeddings(emb)
+        for objective in (None, self.OBJECTIVES[1].tnce):
+            with pytest.raises(TrainingDiverged) as exc:
+                train_batch(clips, TrainConfig(steps=5), objective, (0, 1, 2))
+            assert exc.value.step == 0

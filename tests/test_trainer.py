@@ -17,6 +17,7 @@ from actol import (
     train_free,
 )
 from actol.losses import Bridge
+from actol.trainer import train_batch
 
 
 def start_clip(seed=0, T=6, d=4):
@@ -137,6 +138,12 @@ class TestTrainFree:
             assert counts["bridge"] == (1 if intervals_per_step == 1 else steps)
             seen.append(counts["clip"])
         assert seen[0] == seen[1]
+
+    def test_batch_rejects_clips_with_other_timestamps(self):
+        a, b = start_clip(19), start_clip(20)
+        assert a.timestamps != b.timestamps
+        with pytest.raises(ValueError, match="share their timestamps"):
+            train_batch([a, b], TrainConfig(steps=2), None, (0, 1))
 
     def test_first_record_is_actol_loss(self):
         clip = start_clip(15)
