@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .clip import ClipSequence, _is_count
+from .clip import ClipSequence, _is_count, _is_real
 from .gradients import finite_diff_check
 from .losses import TnceConfig
 from .reward import ObjectiveSpec, compare_objectives, curve_rows
@@ -176,7 +176,7 @@ def _report_lower_bound(rng, params):
     d_lo, d_hi = params.get("d_range", (2, 16))
     clips = [
         random_clip(int(rng.integers(t_lo, t_hi + 1)), int(rng.integers(d_lo, d_hi + 1)), rng)
-        for _ in range(params.get("clips", 1000))
+        for _ in range(_count(params, "clips", 1000, 1))
     ]
     return check_lower_bound(clips)
 
@@ -230,7 +230,7 @@ def _build_reports(config):
         block = name.replace("-", "_")
         try:
             reports.append(reporters[name](config.get(block, {})))
-        except (TypeError, ValueError) as exc:
+        except (ConfigError, TypeError, ValueError) as exc:
             # the checks and samplers raise these only for a bad argument
             raise ConfigError(f"bad {block} parameters: {exc}") from exc
     return reports
@@ -301,12 +301,14 @@ def reward(config_path, out_dir, seed):
 def _sample_away_from_kinks(rng, T, d, step):
     """Random clip whose similarities are pairwise at least
     KINK_MARGIN_STEPS finite-difference steps apart, so no central
-    difference crosses the alignment score's absolute-value kink."""
+    difference crosses the alignment score's absolute-value kink. A step
+    too large for T similarities in [-1, 1] is a ConfigError."""
     for _ in range(100):
         clip = random_clip(T, d, rng)
         if np.min(np.diff(np.sort(clip.similarities()))) >= KINK_MARGIN_STEPS * step:
             return clip
-    raise RuntimeError("could not sample a kink-free clip")
+    raise ConfigError(f"step {step!r} too large: no clip of {T} frames in 100 draws has "
+                      f"similarities {KINK_MARGIN_STEPS} steps apart")
 
 
 @main.command()
@@ -326,7 +328,7 @@ def gradcheck(config_path, out_dir, seed):
         T = _count(config, "T", 6, 2)
         d = _count(config, "d", 5, 2)
         step = config.get("step", 1e-5)
-        if not isinstance(step, (int, float)) or not 0 < step < math.inf:
+        if not (_is_real(step) and 0 < step < math.inf):
             raise ConfigError(f"step must be finite and positive, got {step!r}")
         rng = np.random.default_rng(config["seed"])
         worst = {}

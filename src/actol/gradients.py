@@ -9,7 +9,6 @@ onto the sphere's tangent space before stepping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .losses import (
     BridgeInterval,
     Contrast,
     TnceConfig,
-    _clip_value,
     _contrastive_terms,
     full_interval,
 )
@@ -78,8 +76,12 @@ def objective_and_grad(emb, lang, c: Contrast, bridge=None, bb_weight=0.0):
     return value, bb, frames + bb_weight * g_bb, language, at_kink
 
 
-def _on_clip(clip: ClipSequence, c: Contrast, bridge=None, bb_weight=0.0):
-    """objective_and_grad on one clip: (value, bridge penalty, GradientSet)."""
+def _on_clip(clip: ClipSequence, c: Contrast | None, bridge=None, bb_weight=0.0):
+    """objective_and_grad on one clip: (value, bridge penalty, GradientSet);
+    with c None, bb_weight times the bridge penalty alone (value 0.0)."""
+    if c is None:
+        bb, frames = bridge.penalty(clip.embeddings, need_grad=True)
+        return 0.0, float(bb), GradientSet(bb_weight * frames, np.zeros_like(clip.language))
     value, bb, frames, language, at_kink = objective_and_grad(
         clip.embeddings[None], clip.language[None], c, bridge, bb_weight
     )
@@ -100,8 +102,7 @@ def grad_vlo(clip: ClipSequence, temperature: float = 1.0) -> GradientSet:
 def grad_bb(clip: ClipSequence, interval: BridgeInterval) -> GradientSet:
     """Exact gradient of bb_loss. Endpoint frames receive gradient through
     the bridge mean even though they contribute no deviation term."""
-    _, frames = Bridge.of(clip.timestamps, [interval]).penalty(clip.embeddings, need_grad=True)
-    return GradientSet(frames, np.zeros_like(clip.language))
+    return _on_clip(clip, None, Bridge.of(clip.timestamps, [interval]), 1.0)[2]
 
 
 def grad_tnce(clip: ClipSequence, cfg: TnceConfig) -> GradientSet:
@@ -135,60 +136,52 @@ def grad_total(
     return total_and_grad(clip, bb_weight, temperature, intervals)[2]
 
 
-def _loss_and_grad(loss: str, clip: ClipSequence, params: dict):
-    """(loss as a function of (E, l) at clip's timestamps, analytic gradient
-    at clip). Tie groups and Bridge are built once, not per call."""
+def _objective(loss: str, clip: ClipSequence, params):
+    """A loss name and its params at clip's timestamps as the objective
+    _on_clip takes: (Contrast or None, Bridge or None, bridge weight)."""
     params = dict(params or {})
     if loss == "bb":
-        iv = params.get("interval", full_interval(clip))
-        bridge = Bridge.of(clip.timestamps, [iv])
-        return (lambda E, l: float(bridge.penalty(E)[0])), grad_bb(clip, iv)
+        return None, Bridge.of(clip.timestamps, [params.get("interval", full_interval(clip))]), 1.0
+    if loss not in ("vlo", "total", "tnce"):
+        raise ValueError(f"unknown loss {loss!r}")
     tau = params.get("temperature", 1.0)
     cfg = params["config"] if loss == "tnce" else TnceConfig(temperature=tau)
-    contrastive = partial(_clip_value, c=Contrast.of(clip.timestamps, cfg))
-    if loss == "vlo":
-        return contrastive, grad_vlo(clip, tau)
-    if loss == "total":
-        lam = params.get("bb_weight", DEFAULT_BB_WEIGHT)
-        ivs = params.get("intervals")
-        bridge = Bridge.of(clip.timestamps, [full_interval(clip)] if ivs is None else ivs)
-
-        def total(E, l):  # same expression order as actol_loss(...).total
-            return contrastive(E, l) + lam * float(bridge.penalty(E)[0])
-
-        return total, grad_total(clip, lam, tau, ivs)
-    if loss == "tnce":
-        return contrastive, grad_tnce(clip, cfg)
-    raise ValueError(f"unknown loss {loss!r}")
+    c = Contrast.of(clip.timestamps, cfg)
+    if loss != "total":
+        return c, None, 0.0
+    ivs = params.get("intervals")
+    bridge = Bridge.of(clip.timestamps, [full_interval(clip)] if ivs is None else ivs)
+    return c, bridge, params.get("bb_weight", DEFAULT_BB_WEIGHT)
 
 
 def finite_diff_check(loss: str, clip: ClipSequence, params=None, step: float = 1e-5) -> float:
-    """Central finite differences on every coordinate of one flat parameter
-    vector, the frame embeddings followed by the language embedding;
-    returns the max relative error against the analytic gradient, which is
-    computed once. Errors are relative to the largest of the two values,
+    """Max relative error of the analytic gradient against central
+    differences on every coordinate of the frame embeddings, then the
+    language. Errors are relative to the largest of the two values,
     REL_FLOOR times the gradient's max-norm and 1e-8, so round-off on
-    components near zero is not reported as a failure."""
+    components near zero is not a failure. The objective is built once; the
+    2d points that move one vector by +-step are one stack of batch rows."""
     if step <= 0:
         raise ValueError("step must be positive")
-    loss_of, grads = _loss_and_grad(loss, clip, params)
+    c, bridge, bb_weight = _objective(loss, clip, params)
+    grads = _on_clip(clip, c, bridge, bb_weight)[2]
     analytic = np.concatenate([grads.frames.ravel(), grads.language])
     floor = max(REL_FLOOR * np.abs(analytic).max(), 1e-8)
-    x0 = np.concatenate([clip.embeddings.ravel(), clip.language])
-    n_frames = clip.embeddings.size
-
-    def value(x):
-        v = loss_of(x[:n_frames].reshape(clip.embeddings.shape), x[n_frames:])
-        if not np.isfinite(v):
+    E, l = clip.embeddings, clip.language
+    d = len(l)
+    j = np.arange(d)
+    numeric = []
+    for t in range(len(E) + 1):  # each frame, then the language
+        emb, lang = np.tile(E, (2 * d, 1, 1)), np.tile(l, (2 * d, 1))
+        moved = emb[:, t] if t < len(E) else lang  # row j: +step on coordinate j; row d + j: -step
+        moved[j, j] += step
+        moved[d + j, j] -= step
+        v = 0.0 if c is None else _contrastive_terms(emb, lang, c, need_grad=False)[0]
+        if bridge is not None:  # same expression order as actol_loss(...).total
+            v = v + bb_weight * bridge.penalty(emb)[0]
+        if not np.isfinite(v).all():
             raise FloatingPointError(f"non-finite {loss} loss at perturbed point")
-        return v
-
-    worst = 0.0
-    for k, g in enumerate(analytic):
-        x_plus = x0.copy()
-        x_minus = x0.copy()
-        x_plus[k] += step
-        x_minus[k] -= step
-        num = (value(x_plus) - value(x_minus)) / (2 * step)
-        worst = max(worst, abs(g - num) / max(abs(g), abs(num), floor))
-    return worst
+        numeric.append((v[:d] - v[d:]) / (2 * step))
+    num = np.concatenate(numeric)
+    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(num)), floor)
+    return float(np.max(np.abs(analytic - num) / scale))

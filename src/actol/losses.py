@@ -10,11 +10,12 @@ evaluates all of them at once in O(T^2 log T) time and O(T^2) memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clip import ClipSequence, _similarities, _timestamps
+from .clip import ClipSequence, _is_real, _similarities, _timestamps
 
 DEFAULT_BB_WEIGHT = 0.1
 
@@ -73,8 +74,8 @@ class TnceConfig:
             raise ValueError(f"unknown score {self.score!r}")
         if self.positive_selector == "vlo-pair" and self.score != "difference-score":
             raise ValueError("vlo-pair positives require difference-score")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not (_is_real(self.temperature) and 0 < self.temperature < math.inf):
+            raise ValueError(f"temperature must be finite and positive, got {self.temperature!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +169,8 @@ def _suffix_softmax(rows, c: Contrast, need_grad: bool):
     """
     B = len(rows)
     tau = float(c.cfg.temperature)
-    x = rows.reshape(B, -1)[:, c.sorted_at] / tau
+    # np.take lays each slice out as alone; fancy indexing would sum B > 1 in another order
+    x = np.take(rows.reshape(B, -1), c.sorted_at, axis=1) / tau
     lse = np.logaddexp.accumulate(x, axis=-1).reshape(B, -1)[:, c.end_at]
     value = np.where(c.positives, lse - x, 0.0).reshape(B, -1).sum(axis=1) / c.n_terms
     if not need_grad:

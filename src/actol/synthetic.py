@@ -172,8 +172,8 @@ def perturb_language(l, delta: float, seed) -> np.ndarray:
     l has shape (..., d) with d >= 2; each row along the last axis is
     perturbed by its own draw, in order.
     """
-    if not 0 <= delta <= 2:
-        raise ValueError(f"perturbation size must lie in [0, 2], the sphere's diameter: {delta}")
+    if not (_is_real(delta) and 0 <= delta <= 2):
+        raise ValueError(f"perturbation size must lie in [0, 2], the sphere's diameter: {delta!r}")
     l = np.asarray(l, dtype=float)
     if l.ndim == 0 or l.shape[-1] < 2:
         raise ValueError("need dimension at least 2 for a tangent direction")

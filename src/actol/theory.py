@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .clip import ClipSequence, _timestamps, alignment_score
+from .clip import ClipSequence, _is_count, _is_real, _timestamps, alignment_score
 from .losses import (
     Bridge,
     TieGroups,
@@ -65,8 +65,8 @@ def construct_near_optimal(timestamps, eps: float) -> np.ndarray:
     scores proportional to negative temporal distance, scaled so every
     consecutive per-anchor distance level differs by at least
     gamma = log(T / (min multiplicity * eps))."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (_is_real(eps) and eps > 0):
+        raise ValueError(f"eps must be a positive number, got {eps!r}")
     groups = TieGroups.of(timestamps)
     T = len(groups.order)
     min_mult = int(groups.sizes().min())
@@ -113,8 +113,8 @@ def check_tightness(timestamps, eps_values) -> TheoremReport:
 def _blocks(trials: int) -> list:
     """Sizes of the blocks that trials are drawn in. Blocks drawn in turn
     from one Generator give the same numbers as a single draw."""
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    if not (_is_count(trials) and trials >= 1):
+        raise ValueError(f"need a positive integer number of trials, got {trials!r}")
     return [min(BLOCK_TRIALS, trials - start) for start in range(0, trials, BLOCK_TRIALS)]
 
 
@@ -173,6 +173,8 @@ def bridge_stats_report(
         raise ValueError("t_end must be an even integer >= 2 so the midpoint is a sample time")
     if samples < 2:
         raise ValueError(f"need at least two samples for a variance, got {samples}")
+    if not _is_real(tolerance):
+        raise ValueError(f"tolerance must be a number, got {tolerance!r}")
     rng = np.random.default_rng(seed)
     v0, v1 = random_units((2, dim), rng)
     mid = t_end // 2

@@ -46,7 +46,7 @@ class TrainConfig:
     intervals_per_step: int = 1
 
     def __post_init__(self):
-        for name in ("learning_rate", "bb_weight", "temperature"):
+        for name in ("learning_rate", "bb_weight"):
             if not _is_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
@@ -55,8 +55,7 @@ class TrainConfig:
             raise ValueError("steps must be a positive integer")
         if not (math.isfinite(self.bb_weight) and self.bb_weight >= 0):
             raise ValueError("bb_weight must be finite and non-negative")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+        TnceConfig(temperature=self.temperature)  # the one temperature check
         if not _is_count(self.intervals_per_step) or self.intervals_per_step < 1:
             raise ValueError("intervals_per_step must be a positive integer")
         if not isinstance(self.optimize_language, bool):

@@ -9,6 +9,10 @@ The per-interval Brownian-bridge penalty and gradient are the reference
 for actol.losses.Bridge: each interval's deviations are computed from its
 own endpoints, and the endpoint gradients are scattered by hand.
 
+The per-coordinate loop of the finite-difference oracle is the reference
+for actol.gradients.finite_diff_check: each perturbed point is its own
+ClipSequence, evaluated by the public loss functions one at a time.
+
 The per-trial loop versions of the Monte Carlo theorem checks in
 actol.theory are kept here too. They draw from the Generator in the same
 order as the block versions and evaluate each trial with scalar arithmetic.
@@ -18,7 +22,9 @@ import sys
 
 import numpy as np
 
-from actol.losses import TnceConfig
+import actol
+from actol.gradients import REL_FLOOR
+from actol.losses import DEFAULT_BB_WEIGHT, TnceConfig, full_interval
 from actol.synthetic import perturb_language
 from actol.theory import FLOAT_SLACK
 
@@ -306,3 +312,40 @@ def check_robustness(v_i, v_j, l, delta_l, trials, seed):
         if not diff <= bound + FLOAT_SLACK:
             violations += 1
     return violations, worst_ratio
+
+
+def finite_diff_check(loss, clip, params=None, step=1e-5):
+    """Max relative error of the analytic gradient against central
+    differences, one coordinate of the flat (frames, language) vector at a
+    time; the same error measure as actol.gradients.finite_diff_check."""
+    params = dict(params or {})
+    tau = params.get("temperature", 1.0)
+    lam = params.get("bb_weight", DEFAULT_BB_WEIGHT)
+    iv = params.get("interval", full_interval(clip))
+    ivs = params.get("intervals")
+    loss_of, grad_of = {  # the public functions; this module's own names differ
+        "vlo": (lambda c: actol.vlo_loss(c, tau), lambda c: actol.grad_vlo(c, tau)),
+        "bb": (lambda c: actol.bb_loss(c, iv), lambda c: actol.grad_bb(c, iv)),
+        "total": (lambda c: actol.actol_loss(c, lam, tau, ivs).total,
+                  lambda c: actol.grad_total(c, lam, tau, ivs)),
+        "tnce": (lambda c: actol.tnce_loss(c, params["config"]),
+                 lambda c: actol.grad_tnce(c, params["config"])),
+    }[loss]
+    grads = grad_of(clip)
+    analytic = np.concatenate([grads.frames.ravel(), grads.language])
+    floor = max(REL_FLOOR * np.abs(analytic).max(), 1e-8)
+    x0 = np.concatenate([clip.embeddings.ravel(), clip.language])
+    n, shape = clip.embeddings.size, clip.embeddings.shape
+
+    def value(x):
+        return loss_of(actol.ClipSequence(clip.timestamps, x[:n].reshape(shape), x[n:]))
+
+    worst = 0.0
+    for k, g in enumerate(analytic):
+        x_plus = x0.copy()
+        x_minus = x0.copy()
+        x_plus[k] += step
+        x_minus[k] -= step
+        num = (value(x_plus) - value(x_minus)) / (2 * step)
+        worst = max(worst, abs(g - num) / max(abs(g), abs(num), floor))
+    return worst

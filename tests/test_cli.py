@@ -99,12 +99,13 @@ class TestTrainCommand:
             {"learning_rate": True},
             {"temperature": True},
             {"bb_weight": False},
+            {"temperature": float("inf")},
         ],
         ids=[
             "temperature-0", "steps-2.5", "learning_rate-nan", "bb_weight-inf",
             "intervals_per_step-1.5", "steps-true", "intervals_per_step-true",
             "optimize_language-string", "optimize_language-1", "learning_rate-true",
-            "temperature-true", "bb_weight-false",
+            "temperature-true", "bb_weight-false", "temperature-inf",
         ],
     )
     def test_invalid_train_value(self, tmp_path, field):
@@ -232,6 +233,12 @@ class TestVerifyCommand:
             ("tightness", "tightness", {"timestamps": [3, 1]}),
             ("tightness", "tightness", {"timestamps": [0, 1.7, 3]}),
             ("tightness", "tightness", {"timestamps": [0, 1, float("inf")]}),
+            ("lower-bound", "lower_bound", {"clips": True}),
+            ("lipschitz", "lipschitz", {"trials": True}),
+            ("robustness", "robustness", {"trials": True}),
+            ("robustness", "robustness", {"delta_l": [True]}),
+            ("tightness", "tightness", {"eps": [True]}),
+            ("bridge-stats", "bridge_stats", {"tolerance": True}),
         ],
     )
     def test_bad_check_parameters(self, tmp_path, check, block, params):
@@ -370,8 +377,11 @@ class TestGradcheckCommand:
             {"step": 0},
             {"step": float("inf")},
             {"losses": []},
+            {"step": True},
+            {"step": 0.01},
         ],
-        ids=["clips-0", "clips-true", "T-1", "T-2.5", "d-1", "step-0", "step-inf", "losses-empty"],
+        ids=["clips-0", "clips-true", "T-1", "T-2.5", "d-1", "step-0", "step-inf", "losses-empty",
+             "step-true", "step-too-large"],
     )
     def test_bad_parameters(self, tmp_path, params):
         cfg = write_config(tmp_path, {"clips": 2, "T": 4, "d": 3, **params})

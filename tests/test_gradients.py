@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,31 +140,34 @@ class TestFiniteDiffCheck:
         with pytest.raises(ValueError):
             finite_diff_check("vlo", clip, step=0.0)
 
-    def test_detects_wrong_gradient(self):
+    @staticmethod
+    def _patch(monkeypatch, corrupt):
+        """Route the analytic gradient of every check through corrupt, which
+        maps one clip's GradientSet to another."""
+        from actol import gradients as gr
+
+        original = gr.objective_and_grad
+
+        def patched(*args, **kwargs):
+            value, bb, frames, language, at_kink = original(*args, **kwargs)
+            g = corrupt(GradientSet(frames[0], language[0], bool(at_kink[0])))
+            return value, bb, g.frames[None], g.language[None], at_kink
+
+        monkeypatch.setattr(gr, "objective_and_grad", patched)
+
+    def test_detects_wrong_gradient(self, monkeypatch):
         # sanity: the oracle is not vacuous — a corrupted analytic gradient
         # must produce a large reported error
-        from actol import gradients as gr
-
         clip = kink_free_clip(4, 3, 72)
-        original = gr.grad_vlo
 
-        def doubled(c, t=1.0):
-            g = original(c, t)
+        def doubled(g):
             return GradientSet(2.0 * g.frames, 2.0 * g.language, g.at_kink)
 
-        try:
-            gr.grad_vlo = doubled
-            err = finite_diff_check("vlo", clip)
-        finally:
-            gr.grad_vlo = original
-        assert err > 0.1
+        assert self._check_with(monkeypatch, clip, doubled) > 0.1
 
-    @staticmethod
-    def _check_with(monkeypatch, clip, corrupt):
-        from actol import gradients as gr
-
-        original = gr.grad_vlo
-        monkeypatch.setattr(gr, "grad_vlo", lambda c, t=1.0: corrupt(original(c, t)))
+    @classmethod
+    def _check_with(cls, monkeypatch, clip, corrupt):
+        cls._patch(monkeypatch, corrupt)
         return finite_diff_check("vlo", clip)
 
     def test_detects_slightly_scaled_gradient(self, monkeypatch):
@@ -186,11 +191,8 @@ class TestFiniteDiffCheck:
         assert self._check_with(monkeypatch, clip, corrupt) > TOL
 
     def test_analytic_gradient_computed_once(self, monkeypatch):
-        from actol import gradients as gr
-
         calls = []
-        original = gr.grad_vlo
-        monkeypatch.setattr(gr, "grad_vlo", lambda c, t=1.0: calls.append(1) or original(c, t))
+        self._patch(monkeypatch, lambda g: calls.append(1) or g)
         assert finite_diff_check("vlo", kink_free_clip(4, 3, 75)) < TOL
         assert len(calls) == 1
 
@@ -212,8 +214,8 @@ class TestFiniteDiffCheck:
 
         monkeypatch.setattr(TieGroups, "of", classmethod(counting))
         assert finite_diff_check(loss, kink_free_clip(5, 4, 76), params) < TOL
-        # one build for the analytic gradient, one shared by every perturbed point
-        assert len(calls) == 2
+        # one build, shared by the analytic gradient and every perturbed point
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("loss", ["vlo", "bb", "total"])
     def test_no_clip_built_per_perturbed_point(self, monkeypatch, loss):
@@ -224,3 +226,15 @@ class TestFiniteDiffCheck:
         calls.clear()
         assert finite_diff_check(loss, clip) < TOL
         assert calls == []
+
+    def test_memory_stays_per_frame(self):
+        # one frame's perturbed points are stacked at a time; a stack of all
+        # 2 (T + 1) d of them would hold about 70 MB of scores at T=64, d=16
+        clip = random_clip(64, 16, np.random.default_rng(78))
+        tracemalloc.start()
+        try:
+            finite_diff_check("total", clip)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6

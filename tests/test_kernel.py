@@ -1,8 +1,11 @@
 """Property tests: the sorted-suffix kernel, the TieGroups-based
-distance-level queries and the Bridge operator against the loop references
-in naive.py, for every selector combination, on tied and untied
-timestamps; and the symmetries every objective has by construction
+distance-level queries, the Bridge operator and the finite-difference
+oracle against the loop references in naive.py, for every selector
+combination, on tied and untied timestamps; batch rows against single
+rows; and the symmetries every objective has by construction
 (rotating the embedding space, shifting or scaling time)."""
+
+from dataclasses import replace
 
 import naive
 import numpy as np
@@ -16,6 +19,7 @@ from actol import (
     TnceConfig,
     actol_loss,
     bb_loss,
+    finite_diff_check,
     grad_bb,
     lower_bound,
     tnce_loss,
@@ -23,7 +27,14 @@ from actol import (
     vlo_loss_on_scores,
 )
 from actol.gradients import grad_vlo, objective_and_grad, tnce_and_grad, total_and_grad
-from actol.losses import Bridge, Contrast, TieGroups, _contrastive_terms, negative_set
+from actol.losses import (
+    Bridge,
+    Contrast,
+    TieGroups,
+    _contrastive_terms,
+    _suffix_softmax,
+    negative_set,
+)
 from actol.trainer import measure_delta
 
 COMBOS = [
@@ -119,6 +130,23 @@ def test_tnce_matches_reference(clip, cfg, tau):
         assert_grad_close(G.sum(axis=0), g_s, n_terms, tau)
     else:
         assert_grad_close(G, G_pairs, n_terms, tau)
+
+
+@settings(examples, max_examples=10)
+@given(ts=timestamps(), tau=temperatures, seed=st.integers(0, 2**32 - 1))
+def test_batch_rows_round_like_single_rows(ts, tau, seed):
+    """Each (T, T) slice of a (B, T, T) stack gets bit for bit the value and
+    gradient it gets alone, for every selector combination and batch size."""
+    rng = np.random.default_rng(seed)
+    for cfg in COMBOS:
+        c = Contrast.of(ts, replace(cfg, temperature=tau))
+        for B in (2, 3, 70):
+            rows = rng.standard_normal((B, len(ts), len(ts)))
+            values, G = _suffix_softmax(rows, c, True)
+            for b in range(B):
+                (value,), (G_b,) = _suffix_softmax(rows[b : b + 1], c, True)
+                assert values[b] == value
+                assert np.array_equal(G[b], G_b)
 
 
 @examples
@@ -298,3 +326,25 @@ def test_time_scale(case, cfg, k):
     assert b.bb == pytest.approx(a.bb / k, rel=1e-12) and bb_b == pytest.approx(bb_a / k, rel=1e-12)
     assert_close(bb_grad_b, bb_grad_a / k)
     assert_close(tnce_grads_b.frames, tnce_grads_a.frames)
+
+
+@pytest.mark.parametrize(
+    "loss, cfg",
+    [("vlo", None), ("bb", None), ("total", None), *(("tnce", cfg) for cfg in COMBOS)],
+)
+@settings(examples, max_examples=10)
+@given(case=bridge_cases(), tau=temperatures, step=st.sampled_from([1e-5, 1e-3]),
+       defaults=st.booleans())
+def test_finite_diff_check_matches_reference(loss, cfg, case, tau, step, defaults):
+    """The batched oracle returns the float of the per-coordinate loop, with
+    default params or with a temperature, bridge intervals and weight."""
+    clip, intervals = case
+    if loss == "tnce":
+        params = {"config": replace(cfg, temperature=tau)}
+    elif defaults:
+        params = None
+    else:
+        params = {"temperature": tau, "interval": intervals[0], "intervals": intervals,
+                  "bb_weight": 0.3}
+    expected = naive.finite_diff_check(loss, clip, params, step)
+    assert finite_diff_check(loss, clip, params, step) == expected

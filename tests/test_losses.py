@@ -345,3 +345,9 @@ class TestTnce:
             TnceConfig("first-frame", "other-frames", "direct-sim")
         with pytest.raises(ValueError):
             TnceConfig(temperature=-1.0)
+
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), True],
+                             ids=["nan", "inf", "true"])
+    def test_temperature_must_be_finite_positive_real(self, temperature):
+        with pytest.raises(ValueError, match="temperature"):
+            TnceConfig(temperature=temperature)

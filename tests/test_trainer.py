@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from actol import (
     ClipSequence,
     LinearEncoder,
+    SyntheticClipSpec,
     TnceConfig,
     TrainConfig,
     TrainingDiverged,
     actol_loss,
+    generate_clip,
     lower_bound,
     measure_delta,
     normalize,
@@ -144,6 +148,22 @@ class TestTrainFree:
         assert a.timestamps != b.timestamps
         with pytest.raises(ValueError, match="share their timestamps"):
             train_batch([a, b], TrainConfig(steps=2), None, (0, 1))
+
+    @pytest.mark.parametrize(
+        "objective", [None, TnceConfig("last-frame", "other-frames", "direct-sim")],
+        ids=["actol", "last-frame"],
+    )
+    def test_batch_records_equal_single_seed_records(self, objective):
+        # the reward-drift benchmark config: every loss value of a batch row,
+        # not only its final clip, is bit for bit that of the seed's own run
+        spec = SyntheticClipSpec(T=10, d=8, completion_index=5, tail_mode="drift-away",
+                                 noise_sigma=0.05)
+        seeds = (100, 101, 102, 103)
+        clips = [generate_clip(replace(spec, seed=seed))[0] for seed in seeds]
+        cfg = TrainConfig(learning_rate=0.05, steps=300, temperature=0.5)
+        for clip, seed, history in zip(clips, seeds, train_batch(clips, cfg, objective, seeds)):
+            alone = train_free(clip, replace(cfg, seed=seed), objective)
+            assert history.records == alone.records
 
     def test_first_record_is_actol_loss(self):
         clip = start_clip(15)
