@@ -9,8 +9,6 @@ from .gradients import (
     grad_total,
     grad_vlo,
     objective_and_grad,
-    tnce_and_grad,
-    total_and_grad,
 )
 from .losses import (
     BridgeInterval,
@@ -23,7 +21,6 @@ from .losses import (
     bb_mean,
     bb_variance,
     distance_profile,
-    full_interval,
     lower_bound,
     lower_bound_from_timestamps,
     negative_set,

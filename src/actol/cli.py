@@ -42,6 +42,15 @@ EXIT_NON_FINITE = 3
 # most about 2 * step; gradcheck keeps similarities this many steps apart.
 KINK_MARGIN_STEPS = 100
 
+# Each verify check's optional parameter block and the keys it accepts.
+CHECK_PARAMETERS = {
+    "lower-bound": ("clips", "t_range", "d_range"),
+    "tightness": ("timestamps", "eps"),
+    "lipschitz": ("dim", "trials"),
+    "robustness": ("dim", "delta_l", "trials"),
+    "bridge-stats": ("dim", "samples", "t_end", "tolerance"),
+}
+
 OBJECTIVE_PRESETS = {
     "actol": None,
     "vlo-pair": TnceConfig("vlo-pair", "farther-frames", "difference-score"),
@@ -64,7 +73,9 @@ def _load_config(path, seed_override):
         raise ConfigError("config must be a JSON object")
     if seed_override is not None:
         config["seed"] = seed_override
-    config.setdefault("seed", 0)
+    seed = config.setdefault("seed", 0)
+    if not (_is_count(seed) and seed >= 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return config
 
 
@@ -72,6 +83,25 @@ def _require(config, key):
     if key not in config:
         raise ConfigError(f"missing required config field {key!r}")
     return config[key]
+
+
+def _object(config, key, default=None):
+    """config[key] (required without a default), which must be a JSON object."""
+    value = _require(config, key) if default is None else config.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _names(config, key, known, default=None):
+    """config[key] (required without a default): a non-empty list of names in known."""
+    names = _require(config, key) if default is None else config.get(key, default)
+    if not (isinstance(names, list) and names):
+        raise ConfigError(f"{key} must be a non-empty list, got {names!r}")
+    unknown = [name for name in names if not (isinstance(name, str) and name in known)]
+    if unknown:
+        raise ConfigError(f"unknown {key}: {unknown}")
+    return names
 
 
 def _count(config, key, default, minimum):
@@ -108,7 +138,7 @@ def _train_config(config):
 
 
 def _clip_from_config(config):
-    clip_cfg = _require(config, "clip")
+    clip_cfg = _object(config, "clip")
     if "file" in clip_cfg:
         try:
             return ClipSequence.load(clip_cfg["file"])
@@ -201,9 +231,7 @@ def _report_robustness(rng, params):
 def _build_reports(config):
     """Run the configured checks in list order, all drawing from one
     Generator seeded with the config seed."""
-    checks = _require(config, "checks")
-    if not checks:
-        raise ConfigError("empty check list")
+    checks = _names(config, "checks", CHECK_PARAMETERS)
     rng = np.random.default_rng(config["seed"])
     flip = -1.0 if config.get("debug_flip_bb_variance_sign") else 1.0
     reporters = {
@@ -222,14 +250,15 @@ def _build_reports(config):
             variance_sign=flip,
         ),
     }
-    unknown = [name for name in checks if name not in reporters]
-    if unknown:
-        raise ConfigError(f"unknown check(s) {unknown}")
     reports = []
     for name in checks:
         block = name.replace("-", "_")
         try:
-            reports.append(reporters[name](config.get(block, {})))
+            params = _object(config, block, {})
+            unknown = [key for key in params if key not in CHECK_PARAMETERS[name]]
+            if unknown:
+                raise ConfigError(f"unknown key(s) {unknown}")
+            reports.append(reporters[name](params))
         except (ConfigError, TypeError, ValueError) as exc:
             # the checks and samplers raise these only for a bad argument
             raise ConfigError(f"bad {block} parameters: {exc}") from exc
@@ -258,17 +287,11 @@ def reward(config_path, out_dir, seed):
 
     def body(config, out):
         try:
-            spec = SyntheticClipSpec(**_require(config, "synthetic"))
+            spec = SyntheticClipSpec(**_object(config, "synthetic"))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad synthetic clip spec: {exc}") from exc
-        names = _require(config, "objectives")
-        if not names:
-            raise ConfigError("empty objective list")
-        objectives = []
-        for name in names:
-            if name not in OBJECTIVE_PRESETS:
-                raise ConfigError(f"unknown objective {name!r}")
-            objectives.append(ObjectiveSpec(name, OBJECTIVE_PRESETS[name]))
+        names = _names(config, "objectives", OBJECTIVE_PRESETS)
+        objectives = [ObjectiveSpec(name, OBJECTIVE_PRESETS[name]) for name in names]
         cfg = _train_config(config)
         seeds = [config["seed"] + k for k in range(_count(config, "seeds", 20, 1))]
         record = compare_objectives(spec, objectives, cfg, seeds)
@@ -317,13 +340,7 @@ def gradcheck(config_path, out_dir, seed):
     """Compare analytic gradients against finite differences; write gradcheck.json."""
 
     def body(config, out):
-        losses = config.get("losses", ["vlo", "bb", "total"])
-        if not losses:
-            raise ConfigError("empty loss list")
-        known = {"vlo", "bb", "total"}
-        unknown = [l for l in losses if l not in known]
-        if unknown:
-            raise ConfigError(f"unknown loss name(s): {unknown}")
+        losses = _names(config, "losses", ("vlo", "bb", "total"), ["vlo", "bb", "total"])
         n_clips = _count(config, "clips", 20, 1)
         T = _count(config, "T", 6, 2)
         d = _count(config, "d", 5, 2)

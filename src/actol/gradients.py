@@ -20,7 +20,6 @@ from .losses import (
     Contrast,
     TnceConfig,
     _contrastive_terms,
-    full_interval,
 )
 
 KINK_TOL = 1e-12
@@ -88,15 +87,9 @@ def _on_clip(clip: ClipSequence, c: Contrast | None, bridge=None, bb_weight=0.0)
     return float(value[0]), float(bb[0]), GradientSet(frames[0], language[0], bool(at_kink[0]))
 
 
-def tnce_and_grad(clip: ClipSequence, cfg: TnceConfig) -> tuple[float, GradientSet]:
-    """tnce_loss and its exact ambient gradient from one kernel pass."""
-    value, _, grads = _on_clip(clip, Contrast.of(clip.timestamps, cfg))
-    return value, grads
-
-
 def grad_vlo(clip: ClipSequence, temperature: float = 1.0) -> GradientSet:
     """Exact ambient gradient of vlo_loss w.r.t. every embedding."""
-    return tnce_and_grad(clip, TnceConfig(temperature=temperature))[1]
+    return grad_tnce(clip, TnceConfig(temperature=temperature))
 
 
 def grad_bb(clip: ClipSequence, interval: BridgeInterval) -> GradientSet:
@@ -107,22 +100,7 @@ def grad_bb(clip: ClipSequence, interval: BridgeInterval) -> GradientSet:
 
 def grad_tnce(clip: ClipSequence, cfg: TnceConfig) -> GradientSet:
     """Exact ambient gradient of tnce_loss for any selector configuration."""
-    return tnce_and_grad(clip, cfg)[1]
-
-
-def total_and_grad(
-    clip: ClipSequence,
-    bb_weight: float = DEFAULT_BB_WEIGHT,
-    temperature: float = 1.0,
-    intervals=None,
-) -> tuple[float, float, GradientSet]:
-    """(vlo, mean bridge penalty, gradient of vlo + bb_weight * bb), with
-    one pass of the ordering-loss kernel and one Bridge over all the
-    intervals."""
-    if intervals is None:
-        intervals = [full_interval(clip)]
-    c = Contrast.of(clip.timestamps, TnceConfig(temperature=temperature))
-    return _on_clip(clip, c, Bridge.of(clip.timestamps, intervals), bb_weight)
+    return _on_clip(clip, Contrast.of(clip.timestamps, cfg))[2]
 
 
 def grad_total(
@@ -132,8 +110,10 @@ def grad_total(
     intervals=None,
 ) -> GradientSet:
     """Gradient of the combined objective: grad_vlo plus bb_weight times the
-    mean bridge gradient over the intervals."""
-    return total_and_grad(clip, bb_weight, temperature, intervals)[2]
+    mean bridge gradient over the intervals (default: the full clip), from
+    one pass of the ordering-loss kernel."""
+    c = Contrast.of(clip.timestamps, TnceConfig(temperature=temperature))
+    return _on_clip(clip, c, Bridge.of(clip.timestamps, intervals), bb_weight)[2]
 
 
 def _objective(loss: str, clip: ClipSequence, params):
@@ -141,7 +121,8 @@ def _objective(loss: str, clip: ClipSequence, params):
     _on_clip takes: (Contrast or None, Bridge or None, bridge weight)."""
     params = dict(params or {})
     if loss == "bb":
-        return None, Bridge.of(clip.timestamps, [params.get("interval", full_interval(clip))]), 1.0
+        iv = params.get("interval")
+        return None, Bridge.of(clip.timestamps, None if iv is None else [iv]), 1.0
     if loss not in ("vlo", "total", "tnce"):
         raise ValueError(f"unknown loss {loss!r}")
     tau = params.get("temperature", 1.0)
@@ -149,8 +130,7 @@ def _objective(loss: str, clip: ClipSequence, params):
     c = Contrast.of(clip.timestamps, cfg)
     if loss != "total":
         return c, None, 0.0
-    ivs = params.get("intervals")
-    bridge = Bridge.of(clip.timestamps, [full_interval(clip)] if ivs is None else ivs)
+    bridge = Bridge.of(clip.timestamps, params.get("intervals"))
     return c, bridge, params.get("bb_weight", DEFAULT_BB_WEIGHT)
 
 

@@ -87,7 +87,6 @@ class TieGroups:
     Arrays are (T, T-1), indexed by anchor and sorted position p:
     order[i, p] is the frame there, distances[i, p] its distance from i,
     start[i, p] and end[i, p] the first and last positions of its group.
-    Under the 'other-frames' rule each anchor has a single group.
     """
 
     order: np.ndarray
@@ -96,7 +95,7 @@ class TieGroups:
     end: np.ndarray
 
     @classmethod
-    def of(cls, timestamps, negative_selector: str = "farther-frames") -> "TieGroups":
+    def of(cls, timestamps) -> "TieGroups":
         ts = np.asarray(_timestamps(timestamps), dtype=np.int64)
         T = len(ts)
         d = np.abs(ts[:, None] - ts[None, :])
@@ -104,8 +103,6 @@ class TieGroups:
         order = np.argsort(-d, axis=1, kind="stable")[:, :-1]
         dist = np.take_along_axis(d, order, axis=1)
         pos = np.broadcast_to(np.arange(T - 1), dist.shape)
-        if negative_selector == "other-frames":
-            return cls(order, dist, np.zeros_like(pos), np.full_like(pos, T - 2))
         first = np.ones(dist.shape, dtype=bool)
         first[:, 1:] = dist[:, 1:] != dist[:, :-1]
         last = np.ones(dist.shape, dtype=bool)
@@ -119,8 +116,8 @@ class TieGroups:
         return self.end - self.start + 1
 
     def lower_bound(self) -> float:
-        """Mean log group size over ordered pairs: for 'farther-frames'
-        groups, the combinatorial minimum of the ordering loss."""
+        """Mean log group size over ordered pairs: the combinatorial
+        minimum of the ordering loss."""
         return float(np.sum(np.log(self.sizes()))) / self.order.size  # T (T - 1) pairs
 
 
@@ -129,8 +126,10 @@ class Contrast:
     """A contrastive objective at fixed timestamps and what its kernel needs
     of them, built once per training run: the TieGroups, the positive mask
     in each anchor's sorted order and its count, and flat indices of the
-    sorted positions in a (T, T) array and of each group's end and start
-    in a (T, T-1) one."""
+    sorted positions in a (T, T) array and of the end and start of each
+    negative group in a (T, T-1) one. Both selectors apply here: under
+    'other-frames' all other frames form one group. groups.lower_bound()
+    is the ordering loss's bound whatever the selectors."""
 
     cfg: TnceConfig
     groups: TieGroups
@@ -142,15 +141,17 @@ class Contrast:
 
     @classmethod
     def of(cls, timestamps, cfg: TnceConfig) -> "Contrast":
-        groups = TieGroups.of(timestamps, cfg.negative_selector)
+        groups = TieGroups.of(timestamps)
         k, T = groups.order, len(groups.order)  # k excludes the anchor i itself
         i = np.arange(T)[:, None]
         pos = {"vlo-pair": k >= 0, "last-frame": k == T - 1, "future-frame": k > i}[
             cfg.positive_selector
         ]
+        end, start = groups.end, groups.start
+        if cfg.negative_selector == "other-frames":
+            end, start = np.full_like(end, T - 2), np.zeros_like(start)
         row = i * (T - 1)
-        return cls(cfg, groups, pos, int(np.count_nonzero(pos)), i * T + k,
-                   row + groups.end, row + groups.start)
+        return cls(cfg, groups, pos, int(np.count_nonzero(pos)), i * T + k, row + end, row + start)
 
 
 def _suffix_softmax(rows, c: Contrast, need_grad: bool):
@@ -269,10 +270,13 @@ class Bridge:
     w: np.ndarray
 
     @classmethod
-    def of(cls, timestamps, intervals) -> "Bridge":
-        """Operator for a clip's (checked) timestamps; every interval must
-        satisfy 0 <= start < end < T."""
+    def of(cls, timestamps, intervals=None) -> "Bridge":
+        """Operator for a clip's (checked) timestamps over the intervals
+        (default: the full clip); every interval must satisfy
+        0 <= start < end < T."""
         T = len(timestamps)
+        if intervals is None:
+            intervals = [BridgeInterval(0, T - 1)]
         for iv in intervals:
             if not (0 <= iv.start < iv.end < T):
                 raise ValueError(f"interval ({iv.start}, {iv.end}) out of bounds for T={T}")
@@ -333,10 +337,6 @@ def bb_loss(clip: ClipSequence, interval: BridgeInterval) -> float:
     return float(Bridge.of(clip.timestamps, [interval]).penalty(clip.embeddings)[0])
 
 
-def full_interval(clip: ClipSequence) -> BridgeInterval:
-    return BridgeInterval(0, clip.T - 1)
-
-
 def actol_loss(
     clip: ClipSequence,
     bb_weight: float = DEFAULT_BB_WEIGHT,
@@ -347,8 +347,6 @@ def actol_loss(
     bridge penalty over the given intervals (default: the full clip)."""
     if bb_weight < 0:
         raise ValueError("bb_weight must be non-negative")
-    if intervals is None:
-        intervals = [full_interval(clip)]
     c = Contrast.of(clip.timestamps, TnceConfig(temperature=temperature))  # one sort for both
     vlo = _clip_value(clip.embeddings, clip.language, c)
     bb = float(Bridge.of(clip.timestamps, intervals).penalty(clip.embeddings)[0])

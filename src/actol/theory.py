@@ -15,9 +15,10 @@ import numpy as np
 from .clip import ClipSequence, _is_count, _is_real, _timestamps, alignment_score
 from .losses import (
     Bridge,
+    Contrast,
     TieGroups,
-    actol_loss,
-    full_interval,
+    TnceConfig,
+    _clip_value,
     lower_bound_from_timestamps,
     vlo_loss_on_scores,
 )
@@ -47,7 +48,11 @@ def check_lower_bound(clips) -> TheoremReport:
     T = 2 clips are a 0 == 0 boundary and are reported, not asserted."""
     if not clips:
         raise ValueError("need at least one clip")
-    gaps = np.array([actol_loss(clip, intervals=[]).gap for clip in clips if clip.T > 2])
+    # each asserted clip's loss and bound come from one sort of its timestamps;
+    # a generator, so only one clip's Contrast is alive at a time
+    asserted = ((clip, Contrast.of(clip.timestamps, TnceConfig())) for clip in clips if clip.T > 2)
+    gaps = np.array([_clip_value(clip.embeddings, clip.language, c) - c.groups.lower_bound()
+                     for clip, c in asserted])
     boundary = len(clips) - gaps.size
     violations = int(np.count_nonzero(~(gaps > 0)))
     return TheoremReport(
@@ -141,7 +146,7 @@ def check_continuity(clip: ClipSequence, pairs) -> TheoremReport:
     for each index pair, and report (not assert) the worst bridge-deviation
     ratio max_t ||v_t - mean(t)||^2 / var(t) over the full-clip interval."""
     k, l = np.array(list(pairs), dtype=int).reshape(-1, 2).T
-    bridge = Bridge.of(clip.timestamps, [full_interval(clip)])
+    bridge = Bridge.of(clip.timestamps)
     dev = bridge.M @ clip.embeddings  # one interval of n = len(w) frames: w = 1 / (2 var n)
     ratio = float(np.max(2 * len(bridge.w) * bridge.w * np.sum(dev * dev, axis=1), initial=0.0))
     blocks = [(clip.embeddings[k], clip.embeddings[l], clip.language)]

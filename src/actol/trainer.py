@@ -23,7 +23,6 @@ from .losses import (
     LossBreakdown,
     TieGroups,
     TnceConfig,
-    lower_bound,
 )
 
 
@@ -120,15 +119,13 @@ def _descend(clip: ClipSequence, params, embed, cfg: TrainConfig, objective, rng
     contrastive variant. embed(params, step) returns the step's (B, T, d)
     embeddings, (B, d) language vectors and a function from their
     gradients to the next params. Clip b draws its bridge intervals from
-    rngs[b]. The Contrast, the lower bound and, with one interval per step,
-    the full-clip Bridge are built once. Returns each clip's records and
-    the final params."""
-    lb = lower_bound(clip)
+    rngs[b]. The Contrast, whose tie groups give the lower bound, and, with
+    one interval per step, the full-clip Bridge are built once. Returns each
+    clip's records and the final params."""
     c = Contrast.of(clip.timestamps, objective or TnceConfig(temperature=cfg.temperature))
+    lb = c.groups.lower_bound()
     resample = objective is None and cfg.intervals_per_step > 1
-    bridge = None
-    if objective is None and not resample:
-        bridge = Bridge.of(clip.timestamps, [BridgeInterval(0, clip.T - 1)])
+    bridge = Bridge.of(clip.timestamps) if objective is None and not resample else None
     records = []
     for step in range(cfg.steps):
         emb, lang, update = embed(params, step)

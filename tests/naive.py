@@ -24,7 +24,7 @@ import numpy as np
 
 import actol
 from actol.gradients import REL_FLOOR
-from actol.losses import DEFAULT_BB_WEIGHT, TnceConfig, full_interval
+from actol.losses import DEFAULT_BB_WEIGHT, BridgeInterval, TnceConfig
 from actol.synthetic import perturb_language
 from actol.theory import FLOAT_SLACK
 
@@ -321,7 +321,7 @@ def finite_diff_check(loss, clip, params=None, step=1e-5):
     params = dict(params or {})
     tau = params.get("temperature", 1.0)
     lam = params.get("bb_weight", DEFAULT_BB_WEIGHT)
-    iv = params.get("interval", full_interval(clip))
+    iv = params.get("interval", BridgeInterval(0, clip.T - 1))
     ivs = params.get("intervals")
     loss_of, grad_of = {  # the public functions; this module's own names differ
         "vlo": (lambda c: actol.vlo_loss(c, tau), lambda c: actol.grad_vlo(c, tau)),

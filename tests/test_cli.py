@@ -73,6 +73,13 @@ class TestTrainCommand:
         cfg = write_config(tmp_path, {"train": {"steps": 5}})
         assert invoke("train", cfg, tmp_path / "out").exit_code == 2
 
+    @pytest.mark.parametrize("clip", [5, ["file"]], ids=["number", "list"])
+    def test_clip_section_not_an_object(self, tmp_path, clip):
+        cfg = write_config(tmp_path, {"clip": clip, "train": {"steps": 5}})
+        result = invoke("train", cfg, tmp_path / "out")
+        assert result.exit_code == 2, result.output
+        assert "clip must be a JSON object" in result.output
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -210,6 +217,13 @@ class TestVerifyCommand:
         cfg = write_config(tmp_path, {"checks": ["teleportation"]})
         assert invoke("verify", cfg, tmp_path / "out").exit_code == 2
 
+    @pytest.mark.parametrize("checks", [5, [["lipschitz"]]], ids=["number", "nested-list"])
+    def test_bad_check_list(self, tmp_path, checks):
+        cfg = write_config(tmp_path, {"checks": checks})
+        result = invoke("verify", cfg, tmp_path / "out")
+        assert result.exit_code == 2, result.output
+        assert "checks" in result.output
+
     @pytest.mark.parametrize("t_end", [9, 0])
     def test_bad_bridge_t_end(self, tmp_path, t_end):
         cfg = write_config(tmp_path, {"checks": ["bridge-stats"], "bridge_stats": {"t_end": t_end}})
@@ -239,6 +253,10 @@ class TestVerifyCommand:
             ("robustness", "robustness", {"delta_l": [True]}),
             ("tightness", "tightness", {"eps": [True]}),
             ("bridge-stats", "bridge_stats", {"tolerance": True}),
+            ("tightness", "tightness", 5),
+            ("lower-bound", "lower_bound", None),
+            ("lipschitz", "lipschitz", {"trails": 5}),
+            ("bridge-stats", "bridge_stats", {"variance_sign": -1.0}),
         ],
     )
     def test_bad_check_parameters(self, tmp_path, check, block, params):
@@ -246,7 +264,7 @@ class TestVerifyCommand:
         result = invoke("verify", cfg, tmp_path / "out")
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert "error: bad" in result.output
+        assert f"error: bad {block} parameters" in result.output
 
     def test_checks_share_one_stream_in_list_order(self, tmp_path):
         cfg = write_config(
@@ -319,6 +337,8 @@ class TestRewardCommand:
             {"seeds": 1.5},
             {"seeds": True},
             {"objectives": []},
+            {"objectives": 5},
+            {"objectives": [["actol"]]},
             {"synthetic": {"T": 4, "d": 1, "completion_index": 2}},
             {"synthetic": {"T": 4.5, "d": 3, "completion_index": 2}},
             {"synthetic": {"T": 4, "d": 2.5, "completion_index": 2}},
@@ -328,7 +348,8 @@ class TestRewardCommand:
             {"synthetic": {"T": 4, "d": 3, "completion_index": 2, "noise_sigma": True}},
         ],
         ids=[
-            "seeds-0", "seeds-1.5", "seeds-true", "objectives-empty", "synthetic-d-1",
+            "seeds-0", "seeds-1.5", "seeds-true", "objectives-empty", "objectives-number",
+            "objectives-nested-list", "synthetic-d-1",
             "synthetic-T-4.5", "synthetic-d-2.5", "synthetic-completion_index-2.5",
             "synthetic-noise_sigma-nan", "synthetic-noise_sigma-inf", "synthetic-noise_sigma-true",
         ],
@@ -379,9 +400,11 @@ class TestGradcheckCommand:
             {"losses": []},
             {"step": True},
             {"step": 0.01},
+            {"losses": 5},
+            {"losses": [["vlo"]]},
         ],
         ids=["clips-0", "clips-true", "T-1", "T-2.5", "d-1", "step-0", "step-inf", "losses-empty",
-             "step-true", "step-too-large"],
+             "step-true", "step-too-large", "losses-number", "losses-nested-list"],
     )
     def test_bad_parameters(self, tmp_path, params):
         cfg = write_config(tmp_path, {"clips": 2, "T": 4, "d": 3, **params})
@@ -390,3 +413,31 @@ class TestGradcheckCommand:
         assert isinstance(result.exception, SystemExit)
         assert "error: " in result.output
         assert not (tmp_path / "out" / "gradcheck.json").exists()
+
+
+SMALL_CONFIGS = {
+    "train": {"clip": {"synthetic": {"T": 4, "d": 3, "completion_index": 2}},
+              "train": {"steps": 2}},
+    "verify": {"checks": ["tightness"]},
+    "reward": {"synthetic": {"T": 4, "d": 3, "completion_index": 2},
+               "objectives": ["actol"], "train": {"steps": 2}, "seeds": 1},
+    "gradcheck": {"losses": ["bb"], "clips": 1, "T": 3, "d": 2},
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(SMALL_CONFIGS))
+@pytest.mark.parametrize(
+    "seed, flag",
+    [(None, None), ("a", None), (-1, None), (1.5, None), (True, None), (0, "-5")],
+    ids=["null", "string", "negative", "fraction", "true", "flag-negative"],
+)
+def test_bad_seed(tmp_path, cmd, seed, flag):
+    # a null seed would draw OS entropy, so reruns would differ
+    cfg = write_config(tmp_path, {**SMALL_CONFIGS[cmd], "seed": seed})
+    out = tmp_path / "out"
+    args = [cmd, "--config", cfg, "--out", str(out)] + (["--seed", flag] if flag else [])
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "seed must be a non-negative integer" in result.output
+    assert not out.exists() or not any(out.iterdir())

@@ -26,7 +26,7 @@ from actol import (
     vlo_loss,
     vlo_loss_on_scores,
 )
-from actol.gradients import grad_vlo, objective_and_grad, tnce_and_grad, total_and_grad
+from actol.gradients import grad_tnce, grad_total, grad_vlo, objective_and_grad
 from actol.losses import (
     Bridge,
     Contrast,
@@ -164,7 +164,7 @@ def test_supplied_groups_change_nothing(clip, cfg):
     (value,), (bb,), (frames,), (language,), (at_kink,) = objective_and_grad(
         clip.embeddings[None], clip.language[None], c
     )
-    value2, grads2 = tnce_and_grad(clip, cfg)
+    value2, grads2 = tnce_loss(clip, cfg), grad_tnce(clip, cfg)
     assert value == value2 == tnce_loss(clip, cfg)
     assert bb == 0.0 and at_kink == grads2.at_kink
     assert np.array_equal(frames, grads2.frames)
@@ -242,8 +242,8 @@ def test_bridge_matches_reference(case):
     assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert_close(grad, expected_grad)
     assert actol_loss(clip, intervals=intervals).bb == value
-    _, bb, grads = total_and_grad(clip, 0.5, 1.0, intervals)
-    assert bb == value
+    assert actol_loss(clip, 0.5, intervals=intervals).bb == value
+    grads = grad_total(clip, 0.5, 1.0, intervals)
     assert_close(grads.frames, grad_vlo(clip).frames + 0.5 * expected_grad)
     for iv in intervals:
         assert bb_loss(clip, iv) == pytest.approx(naive.bb_loss(clip, iv), rel=1e-12, abs=0.0)
@@ -255,8 +255,8 @@ def _objectives(clip, intervals, cfg):
     and its gradient, the tnce value, and the gradients of both losses."""
     breakdown = actol_loss(clip, intervals=intervals)
     bb, bb_grad = Bridge.of(clip.timestamps, intervals).penalty(clip.embeddings, need_grad=True)
-    tnce, tnce_grads = tnce_and_grad(clip, cfg)
-    _, _, total_grads = total_and_grad(clip, 0.1, 1.0, intervals)
+    tnce, tnce_grads = tnce_loss(clip, cfg), grad_tnce(clip, cfg)
+    total_grads = grad_total(clip, 0.1, 1.0, intervals)
     return breakdown, bb, bb_grad, tnce, tnce_grads, total_grads
 
 
@@ -291,10 +291,14 @@ def test_time_shift_invariance(case, cfg, shift):
     """Every objective depends on time differences only."""
     clip, intervals = case
     moved = _retimed(clip, tuple(t + shift for t in clip.timestamps))
+    g_a, g_b = TieGroups.of(clip.timestamps), TieGroups.of(moved.timestamps)
+    for field in ("order", "distances", "start", "end"):
+        assert np.array_equal(getattr(g_a, field), getattr(g_b, field))
     for rule in ("farther-frames", "other-frames"):
-        g_a, g_b = TieGroups.of(clip.timestamps, rule), TieGroups.of(moved.timestamps, rule)
-        for field in ("order", "distances", "start", "end"):
-            assert np.array_equal(getattr(g_a, field), getattr(g_b, field))
+        rule_cfg = replace(cfg, negative_selector=rule)
+        c_a, c_b = Contrast.of(clip.timestamps, rule_cfg), Contrast.of(moved.timestamps, rule_cfg)
+        for field in ("positives", "sorted_at", "end_at", "start_at"):
+            assert np.array_equal(getattr(c_a, field), getattr(c_b, field))
     a, bb_a, bb_grad_a, tnce_a, tnce_grads_a, total_a = _objectives(clip, intervals, cfg)
     b, bb_b, bb_grad_b, tnce_b, tnce_grads_b, total_b = _objectives(moved, intervals, cfg)
     for x, y in ((a.vlo, b.vlo), (a.bb, b.bb), (bb_a, bb_b), (tnce_a, tnce_b)):

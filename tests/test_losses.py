@@ -23,7 +23,7 @@ from actol import (
     vlo_loss,
     vlo_loss_on_scores,
 )
-from actol.losses import TieGroups
+from actol.losses import Bridge, TieGroups
 
 
 def naive_vlo(clip, temperature=1.0):
@@ -273,6 +273,13 @@ class TestBridge:
             bb_loss(clip, BridgeInterval(2, 2))
         with pytest.raises(ValueError):
             bb_loss(clip, BridgeInterval(0, 4))
+
+    @pytest.mark.parametrize("timestamps", [(0, 3), (0, 2, 7, 10), (1, 2, 3, 5, 8, 13)])
+    def test_operator_defaults_to_full_clip(self, timestamps):
+        default = Bridge.of(timestamps)
+        full = Bridge.of(timestamps, [BridgeInterval(0, len(timestamps) - 1)])
+        assert np.array_equal(default.M, full.M)
+        assert np.array_equal(default.w, full.w)
 
 
 class TestActolLoss:

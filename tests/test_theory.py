@@ -18,7 +18,7 @@ from actol import (
     random_clip,
     vlo_loss_on_scores,
 )
-from actol.losses import TieGroups
+from actol.losses import Bridge, TieGroups
 
 
 class TestLowerBoundCheck:
@@ -50,6 +50,14 @@ class TestLowerBoundCheck:
         monkeypatch.setattr(TieGroups, "of", spy)
         report = check_lower_bound(clips)
         assert spy.call_count == report.instances == 3
+
+    def test_builds_no_bridge(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        clips = [random_clip(T, 3, rng) for T in (3, 6)]
+        spy = mock.Mock(wraps=Bridge.of)
+        monkeypatch.setattr(Bridge, "of", spy)
+        assert check_lower_bound(clips).passed
+        assert spy.call_count == 0
 
 
 class TestTightness:

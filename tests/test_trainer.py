@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from actol import (
     train_encoder,
     train_free,
 )
-from actol.losses import Bridge
+from actol.losses import Bridge, TieGroups
 from actol.trainer import train_batch
 
 
@@ -120,9 +121,27 @@ class TestTrainFree:
             return lambda *a, **k: calls.append(fn.__name__) or fn(*a, **k)
 
         monkeypatch.setattr(trainer, "objective_and_grad", counting(trainer.objective_and_grad))
-        monkeypatch.setattr(trainer, "lower_bound", counting(trainer.lower_bound))
+        monkeypatch.setattr(TieGroups, "of", counting(TieGroups.of))
         train_free(start_clip(13), TrainConfig(steps=7), objective=objective)
-        assert calls == ["lower_bound"] + ["objective_and_grad"] * 7
+        # one sort, which also gives the lower bound, then one evaluation per step
+        assert calls == ["of"] + ["objective_and_grad"] * 7
+
+    @pytest.mark.parametrize(
+        "objective", [None, TnceConfig("last-frame", "other-frames", "direct-sim")],
+        ids=["actol", "last-frame"],
+    )
+    @pytest.mark.parametrize("intervals_per_step", [1, 3])
+    def test_one_tie_groups_per_run(self, monkeypatch, objective, intervals_per_step):
+        spy = mock.Mock(wraps=TieGroups.of)
+        monkeypatch.setattr(TieGroups, "of", spy)
+        cfg = TrainConfig(steps=4, intervals_per_step=intervals_per_step)
+        train_free(start_clip(21), cfg, objective)
+        assert spy.call_count == 1
+        ts = start_clip(22).timestamps
+        clips = [random_clip(len(ts), 4, np.random.default_rng(seed)) for seed in (1, 2, 3)]
+        clips = [ClipSequence(ts, c.embeddings, c.language) for c in clips]
+        train_batch(clips, cfg, objective, (1, 2, 3))
+        assert spy.call_count == 2
 
     @pytest.mark.parametrize("intervals_per_step", [1, 2])
     def test_bridge_and_clips_built_per_run(self, monkeypatch, intervals_per_step):
