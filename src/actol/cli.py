@@ -139,19 +139,22 @@ def _train_config(config):
 
 def _clip_from_config(config):
     clip_cfg = _object(config, "clip")
+    if ("file" in clip_cfg) == ("synthetic" in clip_cfg):
+        raise ConfigError("clip config needs exactly one of 'file' and 'synthetic'")
     if "file" in clip_cfg:
+        path = clip_cfg["file"]
+        if not isinstance(path, str):  # open() would take an integer as a file descriptor
+            raise ConfigError(f"clip file must be a path string, got {path!r}")
         try:
-            return ClipSequence.load(clip_cfg["file"])
+            return ClipSequence.load(path)
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"cannot load clip {clip_cfg['file']}: {exc}") from exc
-    if "synthetic" in clip_cfg:
-        try:
-            spec = SyntheticClipSpec(seed=config["seed"], **clip_cfg["synthetic"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad synthetic clip spec: {exc}") from exc
-        clip, _ = generate_clip(spec)
-        return clip
-    raise ConfigError("clip config needs a 'file' or 'synthetic' entry")
+            raise ConfigError(f"cannot load clip {path}: {exc}") from exc
+    try:
+        spec = SyntheticClipSpec(seed=config["seed"], **clip_cfg["synthetic"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad synthetic clip spec: {exc}") from exc
+    clip, _ = generate_clip(spec)
+    return clip
 
 
 @click.group()
@@ -233,7 +236,9 @@ def _build_reports(config):
     Generator seeded with the config seed."""
     checks = _names(config, "checks", CHECK_PARAMETERS)
     rng = np.random.default_rng(config["seed"])
-    flip = -1.0 if config.get("debug_flip_bb_variance_sign") else 1.0
+    flip = config.get("debug_flip_bb_variance_sign", False)
+    if not isinstance(flip, bool):
+        raise ConfigError(f"debug_flip_bb_variance_sign must be true or false, got {flip!r}")
     reporters = {
         "lower-bound": lambda p: _report_lower_bound(rng, p),
         "tightness": lambda p: check_tightness(
@@ -247,7 +252,7 @@ def _build_reports(config):
             p.get("samples", 10000),
             rng,
             p.get("tolerance", 0.05),
-            variance_sign=flip,
+            variance_sign=-1.0 if flip else 1.0,
         ),
     }
     reports = []

@@ -4,8 +4,14 @@ and the combinatorial lower bound of the ordering loss.
 
 Every contrastive objective here is one masked softmax: for anchor i, the
 negatives of a positive frame j are a prefix of the other frames sorted by
-descending temporal distance (ties kept together). `_suffix_softmax`
-evaluates all of them at once in O(T^2 log T) time and O(T^2) memory.
+descending temporal distance (ties kept together). The sort costs
+O(T^2 log T) and is made once per training run, in Contrast.of.
+`_suffix_softmax` then evaluates every term in O(T^2) time and memory per
+call: as cumulative sums of exp(score / temperature) while a static range
+guard holds (span / temperature + log T < EXP_RANGE), and as log-space
+accumulations below it. Moving to linear-space sums changed results in
+their last bits once; reruns stay byte-identical, and results below the
+guard are unchanged.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ import numpy as np
 from .clip import ClipSequence, _is_real, _similarities, _timestamps
 
 DEFAULT_BB_WEIGHT = 0.1
+# exp(x) is a finite, normal double for |x| < 708
+EXP_RANGE = 700.0
 
 
 @dataclass(frozen=True)
@@ -154,16 +162,22 @@ class Contrast:
         return cls(cfg, groups, pos, int(np.count_nonzero(pos)), i * T + k, row + end, row + start)
 
 
-def _suffix_softmax(rows, c: Contrast, need_grad: bool):
+def _suffix_softmax(rows, c: Contrast, need_grad: bool, span: float = 2.0):
     """For each (T, T) slice b of rows, the mean over positive pairs (i, j)
     of the contrastive cross-entropy -x_ij + log sum_k exp(x_ik),
     x = rows[b] / temperature, where k runs over j's group and every group
-    before it in anchor i's order.
+    before it in anchor i's order. span bounds the spread (max - min) of
+    every anchor's scores; the default 2 holds for any cosine score.
 
-    One logaddexp.accumulate per anchor row gives every log-sum-exp, read
-    at the end of each group. The gradient weight of frame k sums
+    Every log-sum-exp is a cumulative sum along each anchor's sorted row,
+    read at the end of each group. The gradient weight of frame k sums
     exp(x_ik - lse_j) over the positives j whose negative set holds k,
-    which is a reverse log-cumulative sum read at the start of k's group.
+    which is a reverse cumulative sum read at the start of k's group.
+    Both are O(T^2) per slice, given the sort Contrast.of made once. While
+    span / temperature + log T < EXP_RANGE they run in linear space
+    (_exp_cumsum, one exp and one log); otherwise in log space
+    (_log_accumulate). Adding the linear-space path moved results above
+    the guard in their last bits; below it they are unchanged.
 
     Returns the (B,) values and G with G[b, i, k] = d value_b / d rows[b, i, k],
     or (values, None) when need_grad is false.
@@ -172,15 +186,47 @@ def _suffix_softmax(rows, c: Contrast, need_grad: bool):
     tau = float(c.cfg.temperature)
     # np.take lays each slice out as alone; fancy indexing would sum B > 1 in another order
     x = np.take(rows.reshape(B, -1), c.sorted_at, axis=1) / tau
-    lse = np.logaddexp.accumulate(x, axis=-1).reshape(B, -1)[:, c.end_at]
-    value = np.where(c.positives, lse - x, 0.0).reshape(B, -1).sum(axis=1) / c.n_terms
+    linear = span / tau + math.log(rows.shape[-1]) < EXP_RANGE
+    terms, weights = (_exp_cumsum if linear else _log_accumulate)(x, c, need_grad)
+    value = terms.reshape(B, -1).sum(axis=1) / c.n_terms
     if not need_grad:
         return value, None
-    tail = np.logaddexp.accumulate(np.where(c.positives, -lse, -np.inf)[..., ::-1], axis=-1)
-    weights = np.exp(x + tail[..., ::-1].reshape(B, -1)[:, c.start_at])
     G = np.zeros(rows.shape)
     G.reshape(B, -1)[:, c.sorted_at] = (weights - c.positives) / (c.n_terms * tau)
     return value, G
+
+
+def _exp_cumsum(x, c: Contrast, need_grad: bool):
+    """_suffix_softmax's (per-pair terms, gradient weights or None) of the
+    sorted, scaled scores x, in linear space: one exp and one log. Each row
+    is shifted by its first score, so a first group of one frame gives
+    exactly 0. Under the guard span / temperature + log T < EXP_RANGE,
+    every exp(x) and cumulative sum C lies in [e^-EXP_RANGE, e^EXP_RANGE]:
+    normal and finite."""
+    B = len(x)
+    x = x - x[..., :1]
+    # C and e are updated in place once their values are not needed again,
+    # so that no more (B, T, T-1) arrays are live than in the log-space path
+    e = np.exp(x)
+    C = np.take(np.add.accumulate(e, axis=-1).reshape(B, -1), c.end_at, axis=1)
+    terms = np.where(c.positives, np.log(C) - x, 0.0)
+    if not need_grad:
+        return terms, None
+    tail = np.divide(c.positives, C, out=C)[..., ::-1]
+    np.add.accumulate(tail, axis=-1, out=tail)
+    e *= np.take(tail[..., ::-1].reshape(B, -1), c.start_at, axis=1)
+    return terms, e
+
+
+def _log_accumulate(x, c: Contrast, need_grad: bool):
+    """_exp_cumsum in log space, for scores of any range."""
+    B = len(x)
+    lse = np.logaddexp.accumulate(x, axis=-1).reshape(B, -1)[:, c.end_at]
+    terms = np.where(c.positives, lse - x, 0.0)
+    if not need_grad:
+        return terms, None
+    tail = np.logaddexp.accumulate(np.where(c.positives, -lse, -np.inf)[..., ::-1], axis=-1)
+    return terms, np.exp(x + tail[..., ::-1].reshape(B, -1)[:, c.start_at])
 
 
 def _contrastive_terms(emb, lang, c: Contrast, need_grad: bool):
@@ -229,7 +275,7 @@ def vlo_loss_on_scores(timestamps, scores, temperature: float = 1.0) -> float:
     T = len(c.groups.order)
     if scores.shape != (T, T):
         raise ValueError(f"score matrix must be {T}x{T}, got {scores.shape}")
-    return float(_suffix_softmax(scores[None], c, False)[0][0])
+    return float(_suffix_softmax(scores[None], c, False, np.ptp(scores))[0][0])
 
 
 def distance_profile(clip: ClipSequence, i: int) -> DistanceProfile:

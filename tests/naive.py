@@ -13,6 +13,10 @@ The per-coordinate loop of the finite-difference oracle is the reference
 for actol.gradients.finite_diff_check: each perturbed point is its own
 ClipSequence, evaluated by the public loss functions one at a time.
 
+The log-space sorted-suffix kernel, which actol.losses._suffix_softmax ran
+for every input before it gained its linear-space path, is the bit-for-bit
+reference for that kernel's fallback below the range guard.
+
 The per-trial loop versions of the Monte Carlo theorem checks in
 actol.theory are kept here too. They draw from the Generator in the same
 order as the block versions and evaluate each trial with scalar arithmetic.
@@ -148,6 +152,23 @@ def tnce_score_grads(timestamps, s, cfg: TnceConfig):
         for n, wn in zip(negs, w):
             add(n, scale * wn / tau)
     return g_s, G
+
+
+def log_suffix_softmax(rows, c, need_grad):
+    """(values, G or None) of actol.losses._suffix_softmax from two
+    logaddexp.accumulate passes, whatever the range of the scores."""
+    B = len(rows)
+    tau = float(c.cfg.temperature)
+    x = np.take(rows.reshape(B, -1), c.sorted_at, axis=1) / tau
+    lse = np.logaddexp.accumulate(x, axis=-1).reshape(B, -1)[:, c.end_at]
+    value = np.where(c.positives, lse - x, 0.0).reshape(B, -1).sum(axis=1) / c.n_terms
+    if not need_grad:
+        return value, None
+    tail = np.logaddexp.accumulate(np.where(c.positives, -lse, -np.inf)[..., ::-1], axis=-1)
+    weights = np.exp(x + tail[..., ::-1].reshape(B, -1)[:, c.start_at])
+    G = np.zeros(rows.shape)
+    G.reshape(B, -1)[:, c.sorted_at] = (weights - c.positives) / (c.n_terms * tau)
+    return value, G
 
 
 def lower_bound(timestamps):

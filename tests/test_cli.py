@@ -80,6 +80,23 @@ class TestTrainCommand:
         assert result.exit_code == 2, result.output
         assert "clip must be a JSON object" in result.output
 
+    @pytest.mark.parametrize("path", [0, None, ["clip.json"]], ids=["fd-0", "null", "list"])
+    def test_clip_file_not_a_string(self, tmp_path, path):
+        cfg = write_config(tmp_path, {"clip": {"file": path}, "train": {"steps": 2}})
+        result = invoke("train", cfg, tmp_path / "out")
+        assert result.exit_code == 2, result.output
+        assert "clip file must be a path string" in result.output
+
+    def test_clip_file_and_synthetic(self, tmp_path):
+        clip_path = tmp_path / "clip.json"
+        random_clip(5, 3, np.random.default_rng(0)).save(clip_path)
+        cfg = write_config(tmp_path, {"clip": {"file": str(clip_path),
+                                               "synthetic": {"T": 4, "d": 3, "completion_index": 2}},
+                                      "train": {"steps": 2}})
+        result = invoke("train", cfg, tmp_path / "out")
+        assert result.exit_code == 2, result.output
+        assert "exactly one of 'file' and 'synthetic'" in result.output
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -208,6 +225,14 @@ class TestVerifyCommand:
         assert result.exit_code == 1
         data = json.loads((out / "theorem_reports.json").read_text())
         assert not data["reports"][0]["passed"]
+
+    @pytest.mark.parametrize("flip", ["yes", 1, None], ids=["string", "number", "null"])
+    def test_debug_flip_must_be_boolean(self, tmp_path, flip):
+        cfg = write_config(tmp_path, {"checks": ["bridge-stats"],
+                                      "debug_flip_bb_variance_sign": flip})
+        result = invoke("verify", cfg, tmp_path / "out")
+        assert result.exit_code == 2, result.output
+        assert "debug_flip_bb_variance_sign must be true or false" in result.output
 
     def test_empty_checks_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"checks": []})

@@ -1,9 +1,10 @@
-"""Property tests: the sorted-suffix kernel, the TieGroups-based
-distance-level queries, the Bridge operator and the finite-difference
-oracle against the loop references in naive.py, for every selector
-combination, on tied and untied timestamps; batch rows against single
-rows; and the symmetries every objective has by construction
-(rotating the embedding space, shifting or scaling time)."""
+"""Property tests: the sorted-suffix kernel on both sides of its range
+guard, the TieGroups-based distance-level queries, the Bridge operator
+and the finite-difference oracle against the loop references in
+naive.py, for every selector combination, on tied and untied
+timestamps; batch rows against single rows; and the symmetries every
+objective has by construction (rotating the embedding space, shifting or
+scaling time)."""
 
 from dataclasses import replace
 
@@ -76,7 +77,9 @@ def clips(draw, max_T=64):
     return ClipSequence(ts, emb, lang / np.linalg.norm(lang))
 
 
-temperatures = st.sampled_from([0.1, 0.5, 1.0, 3.0])
+# 1e-3 is below the kernel's range guard (2 / tau + log T >= EXP_RANGE), the
+# others above it; listed last, it is drawn least often
+temperatures = st.sampled_from([0.1, 0.5, 1.0, 3.0, 1e-3])
 # derandomized so that every run of the suite checks the same examples
 examples = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -147,6 +150,36 @@ def test_batch_rows_round_like_single_rows(ts, tau, seed):
                 (value,), (G_b,) = _suffix_softmax(rows[b : b + 1], c, True)
                 assert values[b] == value
                 assert np.array_equal(G[b], G_b)
+
+
+@settings(examples, max_examples=20)
+@given(ts=timestamps(), tau=st.sampled_from([1e-3, 2e-3]), seed=st.integers(0, 2**32 - 1))
+def test_below_guard_runs_log_space_kernel(ts, tau, seed):
+    """Below the range guard the kernel is bit for bit the log-space one,
+    also on clips where it and the loop reference both lose the rel 1e-12
+    agreement to cancellation."""
+    rng = np.random.default_rng(seed)
+    for cfg in COMBOS:
+        c = Contrast.of(ts, replace(cfg, temperature=tau))
+        for B in (1, 3):
+            rows = rng.uniform(-1.0, 1.0, (B, len(ts), len(ts)))  # a cosine score's range
+            values, G = _suffix_softmax(rows, c, True)
+            expected, expected_G = naive.log_suffix_softmax(rows, c, True)
+            assert np.array_equal(values, expected)
+            assert np.array_equal(G, expected_G)
+
+
+@examples
+@given(ts=timestamps(), tau=temperatures, seed=st.integers(0, 2**32 - 1))
+def test_scores_beyond_guard(ts, tau, seed):
+    """A supplied score matrix is guarded on its own range, not a cosine's:
+    rows spanning 1000 tau stay finite and match the reference."""
+    T = len(ts)
+    R = np.random.default_rng(seed).uniform(-1.0, 1.0, (T, T))
+    R[:, 0], R[:, -1] = -1.0, 1.0  # every anchor but the first and last sees both
+    R *= 500 * tau
+    expected = naive.ordered_pair_loss(ts, R, tau)
+    assert vlo_loss_on_scores(ts, R, tau) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 @examples
