@@ -113,6 +113,16 @@ def _count(config, key, default, minimum):
     return value
 
 
+def _range(config, key, default):
+    """config[key] (default if absent), which must be two integers
+    2 <= lo <= hi: a range of frame counts or dimensions."""
+    value = config.get(key, default)
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(map(_is_count, value)) and 2 <= value[0] <= value[1]):
+        raise ConfigError(f"{key} must be two integers 2 <= lo <= hi, got {value!r}")
+    return value
+
+
 def _write_json(path, config, payload):
     out = {"schema_version": SCHEMA_VERSION, "config": config}
     out.update(payload)
@@ -205,8 +215,8 @@ def train(config_path, out_dir, seed):
 
 
 def _report_lower_bound(rng, params):
-    t_lo, t_hi = params.get("t_range", (3, 12))
-    d_lo, d_hi = params.get("d_range", (2, 16))
+    t_lo, t_hi = _range(params, "t_range", (3, 12))
+    d_lo, d_hi = _range(params, "d_range", (2, 16))
     clips = [
         random_clip(int(rng.integers(t_lo, t_hi + 1)), int(rng.integers(d_lo, d_hi + 1)), rng)
         for _ in range(_count(params, "clips", 1000, 1))

@@ -11,7 +11,9 @@ call: as cumulative sums of exp(score / temperature) while a static range
 guard holds (span / temperature + log T < EXP_RANGE), and as log-space
 accumulations below it. Moving to linear-space sums changed results in
 their last bits once; reruns stay byte-identical, and results below the
-guard are unchanged.
+guard are unchanged. TieGroups.of and Contrast.of also take an (N, T)
+stack of timestamp rows of one length, so that clips with their own
+timestamps are sorted, and evaluated, in one call per stack.
 """
 
 from __future__ import annotations
@@ -95,6 +97,8 @@ class TieGroups:
     Arrays are (T, T-1), indexed by anchor and sorted position p:
     order[i, p] is the frame there, distances[i, p] its distance from i,
     start[i, p] and end[i, p] the first and last positions of its group.
+    Built from an (N, T) stack of timestamp rows of one length, they are
+    (N, T, T-1), one such block per row.
     """
 
     order: np.ndarray
@@ -104,40 +108,54 @@ class TieGroups:
 
     @classmethod
     def of(cls, timestamps) -> "TieGroups":
-        ts = np.asarray(_timestamps(timestamps), dtype=np.int64)
-        T = len(ts)
-        d = np.abs(ts[:, None] - ts[None, :])
-        np.fill_diagonal(d, -1)  # the anchor sorts last and is dropped
-        order = np.argsort(-d, axis=1, kind="stable")[:, :-1]
-        dist = np.take_along_axis(d, order, axis=1)
+        """Groups of one timestamp row (T,) or of each row of an (N, T)
+        stack; every row is checked as a lone row is."""
+        if np.ndim(timestamps) == 2:  # a ragged list of rows raises ValueError here
+            ts = np.array([_timestamps(row) for row in timestamps], dtype=np.int64)
+        else:
+            ts = np.asarray(_timestamps(timestamps), dtype=np.int64)
+        T = ts.shape[-1]
+        d = np.abs(ts[..., :, None] - ts[..., None, :])
+        r = np.arange(T)
+        d[..., r, r] = -1  # the anchor sorts last and is dropped
+        order = np.argsort(-d, axis=-1, kind="stable")[..., :-1]
+        dist = np.take_along_axis(d, order, axis=-1)
         pos = np.broadcast_to(np.arange(T - 1), dist.shape)
         first = np.ones(dist.shape, dtype=bool)
-        first[:, 1:] = dist[:, 1:] != dist[:, :-1]
+        first[..., 1:] = dist[..., 1:] != dist[..., :-1]
         last = np.ones(dist.shape, dtype=bool)
-        last[:, :-1] = first[:, 1:]
-        start = np.maximum.accumulate(np.where(first, pos, 0), axis=1)
-        end = np.minimum.accumulate(np.where(last, pos, T - 2)[:, ::-1], axis=1)[:, ::-1]
+        last[..., :-1] = first[..., 1:]
+        start = np.maximum.accumulate(np.where(first, pos, 0), axis=-1)
+        end = np.minimum.accumulate(np.where(last, pos, T - 2)[..., ::-1], axis=-1)[..., ::-1]
         return cls(order, dist, start, end)
 
     def sizes(self) -> np.ndarray:
         """Size of the group each sorted position belongs to."""
         return self.end - self.start + 1
 
-    def lower_bound(self) -> float:
+    def lower_bound(self):
         """Mean log group size over ordered pairs: the combinatorial
-        minimum of the ordering loss."""
-        return float(np.sum(np.log(self.sizes()))) / self.order.size  # T (T - 1) pairs
+        minimum of the ordering loss. A float, or an (N,) array for a stack."""
+        T = self.order.shape[-2]
+        logs = np.log(self.sizes()).reshape(*self.order.shape[:-2], -1)
+        bound = logs.sum(axis=-1) / (T * (T - 1))  # over T (T - 1) pairs
+        return float(bound) if bound.ndim == 0 else bound
 
 
 @dataclass(frozen=True, eq=False)
 class Contrast:
     """A contrastive objective at fixed timestamps and what its kernel needs
     of them, built once per training run: the TieGroups, the positive mask
-    in each anchor's sorted order and its count, and flat indices of the
-    sorted positions in a (T, T) array and of the end and start of each
-    negative group in a (T, T-1) one. Both selectors apply here: under
+    in each anchor's sorted order and its count per clip, and flat indices
+    of the sorted positions in a (T, T) array and of the end and start of
+    each negative group in a (T, T-1) one. Both selectors apply here: under
     'other-frames' all other frames form one group. groups.lower_bound()
-    is the ordering loss's bound whatever the selectors."""
+    is the ordering loss's bound whatever the selectors.
+
+    Built from an (N, T) stack of timestamp rows, the masks and indices are
+    (N, T, T-1) and the flat indices address an (N, T, T) and an
+    (N, T, T-1) array, so the kernel evaluates clip n of the stack on
+    slice n of (B, N, T, T) score rows."""
 
     cfg: TnceConfig
     groups: TieGroups
@@ -150,7 +168,8 @@ class Contrast:
     @classmethod
     def of(cls, timestamps, cfg: TnceConfig) -> "Contrast":
         groups = TieGroups.of(timestamps)
-        k, T = groups.order, len(groups.order)  # k excludes the anchor i itself
+        k = groups.order  # k excludes the anchor i itself
+        T = k.shape[-2]
         i = np.arange(T)[:, None]
         pos = {"vlo-pair": k >= 0, "last-frame": k == T - 1, "future-frame": k > i}[
             cfg.positive_selector
@@ -158,8 +177,10 @@ class Contrast:
         end, start = groups.end, groups.start
         if cfg.negative_selector == "other-frames":
             end, start = np.full_like(end, T - 2), np.zeros_like(start)
-        row = i * (T - 1)
-        return cls(cfg, groups, pos, int(np.count_nonzero(pos)), i * T + k, row + end, row + start)
+        n = np.arange(k.size // (T * (T - 1))).reshape(k.shape[:-2] + (1, 1))  # clip of a stack
+        row = (n * T + i) * (T - 1)
+        n_terms = int(np.count_nonzero(pos)) // n.size  # the same for every clip of length T
+        return cls(cfg, groups, pos, n_terms, (n * T + i) * T + k, row + end, row + start)
 
 
 def _suffix_softmax(rows, c: Contrast, need_grad: bool, span: float = 2.0):
@@ -180,7 +201,9 @@ def _suffix_softmax(rows, c: Contrast, need_grad: bool, span: float = 2.0):
     the guard in their last bits; below it they are unchanged.
 
     Returns the (B,) values and G with G[b, i, k] = d value_b / d rows[b, i, k],
-    or (values, None) when need_grad is false.
+    or (values, None) when need_grad is false. For a Contrast of an
+    (N, T) timestamp stack, rows are (B, N, T, T) and values (B, N): one
+    value per clip, as each clip gets from its own Contrast.
     """
     B = len(rows)
     tau = float(c.cfg.temperature)
@@ -188,7 +211,7 @@ def _suffix_softmax(rows, c: Contrast, need_grad: bool, span: float = 2.0):
     x = np.take(rows.reshape(B, -1), c.sorted_at, axis=1) / tau
     linear = span / tau + math.log(rows.shape[-1]) < EXP_RANGE
     terms, weights = (_exp_cumsum if linear else _log_accumulate)(x, c, need_grad)
-    value = terms.reshape(B, -1).sum(axis=1) / c.n_terms
+    value = terms.reshape(*terms.shape[:-2], -1).sum(axis=-1) / c.n_terms
     if not need_grad:
         return value, None
     G = np.zeros(rows.shape)
@@ -229,16 +252,19 @@ def _log_accumulate(x, c: Contrast, need_grad: bool):
     return terms, np.exp(x + tail[..., ::-1].reshape(B, -1)[:, c.start_at])
 
 
+def _score_rows(s, score: str):
+    """(..., T, T) score rows of (..., T) similarities: row i holds
+    -|s_i - s_k| for 'difference-score', or s_k for 'direct-sim'."""
+    if score == "direct-sim":
+        return np.broadcast_to(s[..., None, :], s.shape + s.shape[-1:])
+    return -np.abs(s[..., :, None] - s[..., None, :])
+
+
 def _contrastive_terms(emb, lang, c: Contrast, need_grad: bool):
     """(values, dL/drows, similarities) of the contrastive objective c on
-    (B, T, d) embeddings and (B, d) language vectors, one value per clip.
-    Score rows are -|s_i - s_k| or the direct similarity s_k."""
+    (B, T, d) embeddings and (B, d) language vectors, one value per clip."""
     s = _similarities(emb, lang)
-    if c.cfg.score == "direct-sim":
-        rows = np.broadcast_to(s[:, None, :], s.shape + s.shape[-1:])
-    else:
-        rows = -np.abs(s[:, :, None] - s[:, None, :])
-    value, G = _suffix_softmax(rows, c, need_grad)
+    value, G = _suffix_softmax(_score_rows(s, c.cfg.score), c, need_grad)
     return value, G, s
 
 
@@ -270,7 +296,7 @@ def vlo_loss(clip: ClipSequence, temperature: float = 1.0) -> float:
 def vlo_loss_on_scores(timestamps, scores, temperature: float = 1.0) -> float:
     """Same objective as vlo_loss but on a supplied score matrix, enabling
     score-space constructions that need not come from embeddings."""
-    c = Contrast.of(timestamps, TnceConfig(temperature=temperature))
+    c = Contrast.of(_timestamps(timestamps), TnceConfig(temperature=temperature))  # not a stack
     scores = np.asarray(scores, dtype=float)
     T = len(c.groups.order)
     if scores.shape != (T, T):

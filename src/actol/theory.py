@@ -3,7 +3,10 @@ construction, the Lipschitz continuity of alignment scores, and their
 robustness to language perturbations.
 
 The Monte Carlo checks draw from default_rng(seed), where seed is an int
-or a Generator, so one Generator can serve several checks in turn.
+or a Generator, so one Generator can serve several checks in turn. They
+draw and check BLOCK_TRIALS trials at a time; check_lower_bound likewise
+evaluates its clips as stacks of clips of one length, up to BLOCK_SCORES
+scores per stack.
 """
 
 from __future__ import annotations
@@ -13,21 +16,18 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .clip import ClipSequence, _is_count, _is_real, _timestamps, alignment_score
-from .losses import (
-    Bridge,
-    Contrast,
-    TieGroups,
-    TnceConfig,
-    _clip_value,
-    lower_bound_from_timestamps,
-    vlo_loss_on_scores,
-)
+from .losses import Bridge, Contrast, TieGroups, TnceConfig, _score_rows, _suffix_softmax
 from .synthetic import perturb_language, random_units, sample_bridge
 
 FLOAT_SLACK = 1e-12
 # Monte Carlo trials are drawn and checked this many at a time, which
 # bounds the memory of a check whatever its trial count.
 BLOCK_TRIALS = 256
+# check_lower_bound stacks clips of one length up to this many scores
+# (T * T per clip; at least one clip), which bounds its memory whatever the
+# clip length. On the README population, stacks of a few thousand scores
+# ran fastest; larger ones ran slower and took more memory.
+BLOCK_SCORES = 4096
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,28 @@ class TheoremReport:
 
 def check_lower_bound(clips) -> TheoremReport:
     """Assert vlo_loss > lower_bound strictly for every clip with T >= 3.
-    T = 2 clips are a 0 == 0 boundary and are reported, not asserted."""
+    T = 2 clips are a 0 == 0 boundary and are reported, not asserted.
+
+    The asserted clips of one length are evaluated in stacks of up to
+    BLOCK_SCORES scores: each stack's losses and bounds come from one sort
+    of its (N, T) timestamp rows and one kernel call."""
     if not clips:
         raise ValueError("need at least one clip")
-    # each asserted clip's loss and bound come from one sort of its timestamps;
-    # a generator, so only one clip's Contrast is alive at a time
-    asserted = ((clip, Contrast.of(clip.timestamps, TnceConfig())) for clip in clips if clip.T > 2)
-    gaps = np.array([_clip_value(clip.embeddings, clip.language, c) - c.groups.lower_bound()
-                     for clip, c in asserted])
+    by_length = {}
+    for clip in clips:
+        if clip.T > 2:
+            by_length.setdefault(clip.T, []).append(clip)
+    cfg = TnceConfig()
+    gaps = [np.empty(0)]
+    for T, same_length in by_length.items():
+        size = max(1, BLOCK_SCORES // (T * T))
+        for start in range(0, len(same_length), size):
+            block = same_length[start : start + size]
+            c = Contrast.of([clip.timestamps for clip in block], cfg)
+            rows = _score_rows(np.stack([clip.similarities() for clip in block]), cfg.score)
+            values = _suffix_softmax(rows[None], c, False)[0][0]
+            gaps.append(values - c.groups.lower_bound())
+    gaps = np.concatenate(gaps)
     boundary = len(clips) - gaps.size
     violations = int(np.count_nonzero(~(gaps > 0)))
     return TheoremReport(
@@ -65,14 +79,10 @@ def check_lower_bound(clips) -> TheoremReport:
     )
 
 
-def construct_near_optimal(timestamps, eps: float) -> np.ndarray:
-    """Score matrix driving the ordering loss within eps of its lower bound:
-    scores proportional to negative temporal distance, scaled so every
-    consecutive per-anchor distance level differs by at least
-    gamma = log(T / (min multiplicity * eps))."""
+def _near_optimal_scores(groups: TieGroups, eps) -> np.ndarray:
+    """construct_near_optimal on the TieGroups of one timestamp row."""
     if not (_is_real(eps) and eps > 0):
         raise ValueError(f"eps must be a positive number, got {eps!r}")
-    groups = TieGroups.of(timestamps)
     T = len(groups.order)
     min_mult = int(groups.sizes().min())
     # adjacent sorted positions with different distances are adjacent levels
@@ -86,20 +96,29 @@ def construct_near_optimal(timestamps, eps: float) -> np.ndarray:
     return -scale * distances
 
 
+def construct_near_optimal(timestamps, eps: float) -> np.ndarray:
+    """Score matrix driving the ordering loss within eps of its lower bound:
+    scores proportional to negative temporal distance, scaled so every
+    consecutive per-anchor distance level differs by at least
+    gamma = log(T / (min multiplicity * eps))."""
+    return _near_optimal_scores(TieGroups.of(_timestamps(timestamps)), eps)
+
+
 def check_tightness(timestamps, eps_values) -> TheoremReport:
     """Evaluate the near-optimal construction against the lower bound for
-    each eps."""
+    each eps. The bound and every eps's loss come from one sort."""
     timestamps = _timestamps(timestamps)
     eps_values = list(eps_values)
     if not eps_values:
         raise ValueError("need at least one eps")
-    lb = lower_bound_from_timestamps(timestamps)
+    c = Contrast.of(timestamps, TnceConfig())
+    lb = c.groups.lower_bound()
     violations = 0
     worst = -np.inf
     excesses = {}
     for eps in eps_values:
-        scores = construct_near_optimal(timestamps, eps)
-        loss = vlo_loss_on_scores(timestamps, scores)
+        scores = _near_optimal_scores(c.groups, eps)
+        loss = float(_suffix_softmax(scores[None], c, False, np.ptp(scores))[0][0])
         excess = loss - lb
         excesses[str(eps)] = excess
         worst = max(worst, excess - eps)

@@ -20,6 +20,8 @@ reference for that kernel's fallback below the range guard.
 The per-trial loop versions of the Monte Carlo theorem checks in
 actol.theory are kept here too. They draw from the Generator in the same
 order as the block versions and evaluate each trial with scalar arithmetic.
+The per-clip loop of the lower-bound check, one Contrast and one kernel
+call per clip, is the bit-for-bit reference for its stacked version.
 """
 
 import sys
@@ -28,9 +30,9 @@ import numpy as np
 
 import actol
 from actol.gradients import REL_FLOOR
-from actol.losses import DEFAULT_BB_WEIGHT, BridgeInterval, TnceConfig
+from actol.losses import DEFAULT_BB_WEIGHT, BridgeInterval, Contrast, TnceConfig, _clip_value
 from actol.synthetic import perturb_language
-from actol.theory import FLOAT_SLACK
+from actol.theory import FLOAT_SLACK, TheoremReport
 
 
 def _distance_matrix(timestamps):
@@ -333,6 +335,24 @@ def check_robustness(v_i, v_j, l, delta_l, trials, seed):
         if not diff <= bound + FLOAT_SLACK:
             violations += 1
     return violations, worst_ratio
+
+
+def check_lower_bound(clips):
+    """to_dict() of actol.theory.check_lower_bound from one Contrast and one
+    kernel call per asserted clip, the check's loop before it stacked the
+    clips of one length."""
+    asserted = ((clip, Contrast.of(clip.timestamps, TnceConfig())) for clip in clips if clip.T > 2)
+    gaps = np.array([_clip_value(clip.embeddings, clip.language, c) - c.groups.lower_bound()
+                     for clip, c in asserted])
+    violations = int(np.count_nonzero(~(gaps > 0)))
+    return TheoremReport(
+        theorem="lower-bound",
+        instances=gaps.size,
+        violations=violations,
+        worst_slack=float(gaps.min()) if gaps.size else 0.0,
+        passed=violations == 0,
+        details={"boundary_t2_clips": len(clips) - gaps.size},
+    ).to_dict()
 
 
 def finite_diff_check(loss, clip, params=None, step=1e-5):

@@ -291,6 +291,24 @@ class TestVerifyCommand:
         assert isinstance(result.exception, SystemExit)
         assert f"error: bad {block} parameters" in result.output
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("t_range", [3.5, 6]),
+            ("d_range", [2.0, 3.0]),
+            ("t_range", [True, 5]),
+            ("d_range", [2, True]),
+            *((key, value) for key in ("t_range", "d_range")
+              for value in ([3], [6, 3], [1, 5], "ab")),
+        ],
+    )
+    def test_bad_lower_bound_range(self, tmp_path, key, value):
+        cfg = write_config(tmp_path, {"checks": ["lower-bound"],
+                                      "lower_bound": {"clips": 50, key: value}})
+        result = invoke("verify", cfg, tmp_path / "out")
+        assert result.exit_code == 2, result.output
+        assert f"error: bad lower_bound parameters: {key} must be" in result.output
+
     def test_checks_share_one_stream_in_list_order(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -152,6 +152,32 @@ def test_batch_rows_round_like_single_rows(ts, tau, seed):
                 assert np.array_equal(G[b], G_b)
 
 
+@settings(examples, max_examples=15)
+@given(T=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+def test_stack_rows_round_like_single_rows(T, seed):
+    """A Contrast of an (N, T) stack of timestamp rows gives every row bit
+    for bit the values, G and lower bound of that row's own Contrast, for
+    every selector combination, above and below the range guard."""
+    rng = np.random.default_rng(seed)
+    for N in (1, 3, 7):
+        gaps = rng.integers(1, 4, (N, T - 1))  # tied and uneven distances
+        stack = np.concatenate([np.zeros((N, 1), dtype=int), np.cumsum(gaps, axis=1)], axis=1)
+        bounds = TieGroups.of(stack).lower_bound()
+        assert bounds.shape == (N,)
+        assert all(bounds[n] == TieGroups.of(stack[n]).lower_bound() for n in range(N))
+        for cfg in COMBOS:
+            for tau in (0.5, 1e-3):
+                c = Contrast.of(stack, replace(cfg, temperature=tau))
+                rows = rng.uniform(-1.0, 1.0, (1, N, T, T))  # a cosine score's range
+                values, G = _suffix_softmax(rows, c, True)
+                for n in range(N):
+                    alone = Contrast.of(stack[n], c.cfg)
+                    assert alone.n_terms == c.n_terms
+                    (value,), (G_n,) = _suffix_softmax(rows[:, n], alone, True)
+                    assert values[0, n] == value
+                    assert np.array_equal(G[0, n], G_n)
+
+
 @settings(examples, max_examples=20)
 @given(ts=timestamps(), tau=st.sampled_from([1e-3, 2e-3]), seed=st.integers(0, 2**32 - 1))
 def test_below_guard_runs_log_space_kernel(ts, tau, seed):

@@ -23,7 +23,7 @@ from actol import (
     vlo_loss,
     vlo_loss_on_scores,
 )
-from actol.losses import Bridge, TieGroups
+from actol.losses import Bridge, Contrast, TieGroups
 
 
 def naive_vlo(clip, temperature=1.0):
@@ -178,7 +178,12 @@ class TestTimestampContract:
         "check_tightness": lambda ts: check_tightness(ts, [0.1]),
     }
 
-    @pytest.mark.parametrize(
+    # the entry points that also take an (N, T) stack of timestamp rows
+    STACK_ENTRY_POINTS = {
+        "TieGroups.of": TieGroups.of,
+        "Contrast.of": lambda ts: Contrast.of(ts, TnceConfig()),
+    }
+    BAD = pytest.mark.parametrize(
         "timestamps, message",
         [
             ((3, 1), "timestamps must be strictly increasing"),
@@ -191,11 +196,27 @@ class TestTimestampContract:
         ],
         ids=["decreasing", "repeated", "negative", "one", "fractional", "infinite", "nan"],
     )
+
+    @BAD
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_rejected_with_one_error(self, entry, timestamps, message):
         with pytest.raises(ValueError) as exc:
             self.ENTRY_POINTS[entry](timestamps)
         assert str(exc.value) == message
+
+    @BAD
+    @pytest.mark.parametrize("entry", STACK_ENTRY_POINTS)
+    def test_bad_row_of_stack_rejected_like_lone_row(self, entry, timestamps, message):
+        good = tuple(range(len(timestamps)))
+        for stack in ([good, timestamps], [timestamps, good, good], np.array([good, timestamps])):
+            with pytest.raises(ValueError) as exc:
+                self.STACK_ENTRY_POINTS[entry](stack)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("entry", STACK_ENTRY_POINTS)
+    def test_ragged_stack_rejected(self, entry):
+        with pytest.raises(ValueError):
+            self.STACK_ENTRY_POINTS[entry]([(0, 1, 2), (0, 1)])
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_valid_timestamps_accepted(self, entry):

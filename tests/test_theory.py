@@ -43,13 +43,22 @@ class TestLowerBoundCheck:
         with pytest.raises(ValueError):
             check_lower_bound([])
 
-    def test_one_sort_per_asserted_clip(self, monkeypatch):
+    @pytest.mark.parametrize("block_scores, calls", [(4096, 3), (18, 6)])
+    def test_one_sort_and_kernel_call_per_length_and_block(self, monkeypatch, block_scores,
+                                                           calls):
+        # lengths 3 and 5 have three clips each, length 8 one; 18 scores
+        # stack two clips of length 3 and one of any longer length
         rng = np.random.default_rng(2)
-        clips = [random_clip(T, 3, rng) for T in (2, 3, 5, 2, 8)]
-        spy = mock.Mock(wraps=TieGroups.of)
-        monkeypatch.setattr(TieGroups, "of", spy)
+        clips = [random_clip(T, int(rng.integers(2, 6)), rng)
+                 for T in (2, 3, 5, 2, 8, 3, 5, 5, 3)]
+        monkeypatch.setattr(theory, "BLOCK_SCORES", block_scores)
+        sorts = mock.Mock(wraps=TieGroups.of)
+        monkeypatch.setattr(TieGroups, "of", sorts)
+        kernel = mock.Mock(wraps=theory._suffix_softmax)
+        monkeypatch.setattr(theory, "_suffix_softmax", kernel)
         report = check_lower_bound(clips)
-        assert spy.call_count == report.instances == 3
+        assert report.instances == 7
+        assert sorts.call_count == kernel.call_count == calls
 
     def test_builds_no_bridge(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -74,6 +83,18 @@ class TestTightness:
         for eps in (0.5, 0.05):
             loss = vlo_loss_on_scores(ts, construct_near_optimal(ts, eps))
             assert lb < loss < lb + eps
+
+    @pytest.mark.parametrize("timestamps", [(0, 1, 2, 3), (0, 2, 3, 7, 8, 20), (5, 6)])
+    def test_one_sort_per_check(self, monkeypatch, timestamps):
+        eps_values = [2.0, 0.5, 0.01, 1e-4]
+        lb = lower_bound_from_timestamps(timestamps)
+        expected = {str(eps): vlo_loss_on_scores(timestamps, construct_near_optimal(timestamps, eps))
+                    - lb for eps in eps_values}
+        spy = mock.Mock(wraps=TieGroups.of)
+        monkeypatch.setattr(TieGroups, "of", spy)
+        report = check_tightness(timestamps, eps_values)
+        assert spy.call_count == 1
+        assert report.details == {"lower_bound": lb, "excess_by_eps": expected}
 
     def test_eps_values_read_once(self):
         report = check_tightness((0, 1, 2, 3), iter([1.0, 0.1, 0.01]))
@@ -214,6 +235,27 @@ class TestAgainstLoopReference:
         violations, worst = naive.check_robustness(v_i, v_j, l, delta, 1200, 8)
         assert report.violations == violations
         assert report.worst_slack == pytest.approx(worst, rel=1e-12)
+
+
+class TestLowerBoundAgainstLoop:
+    @pytest.mark.parametrize(
+        "n_clips, t_range, d_range, seed",
+        [(300, (2, 14), (2, 16), 0), (1000, (3, 12), (2, 16), 101), (60, (2, 3), (2, 3), 1),
+         (40, (2, 6), (2, 2), 5)],
+    )
+    @pytest.mark.parametrize("block_scores", [None, 50])
+    def test_matches_per_clip_loop(self, monkeypatch, n_clips, t_range, d_range, seed,
+                                   block_scores):
+        """Clips stacked by length give the report of one kernel call per
+        clip, T = 2 boundary clips included, whatever the block size (50
+        scores stack five clips of length 3 and one of length 8 or more)."""
+        rng = np.random.default_rng(seed)
+        clips = [random_clip(int(rng.integers(t_range[0], t_range[1] + 1)),
+                             int(rng.integers(d_range[0], d_range[1] + 1)), rng)
+                 for _ in range(n_clips)]
+        if block_scores:
+            monkeypatch.setattr(theory, "BLOCK_SCORES", block_scores)
+        assert check_lower_bound(clips).to_dict() == naive.check_lower_bound(clips)
 
 
 class TestReportSerialization:
