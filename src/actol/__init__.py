@@ -55,6 +55,7 @@ from .theory import (
     check_tightness,
     construct_near_optimal,
     lipschitz_pairs_report,
+    lower_bound_report,
 )
 from .trainer import (
     LinearEncoder,

@@ -24,10 +24,10 @@ from .reward import ObjectiveSpec, compare_objectives, curve_rows
 from .synthetic import SyntheticClipSpec, generate_clip, random_clip, random_units
 from .theory import (
     bridge_stats_report,
-    check_lower_bound,
     check_robustness,
     check_tightness,
     lipschitz_pairs_report,
+    lower_bound_report,
 )
 from .trainer import TrainConfig, TrainingDiverged, train_free
 
@@ -113,22 +113,11 @@ def _count(config, key, default, minimum):
     return value
 
 
-def _range(config, key, default):
-    """config[key] (default if absent), which must be two integers
-    2 <= lo <= hi: a range of frame counts or dimensions."""
-    value = config.get(key, default)
-    if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(map(_is_count, value)) and 2 <= value[0] <= value[1]):
-        raise ConfigError(f"{key} must be two integers 2 <= lo <= hi, got {value!r}")
-    return value
-
-
 def _write_json(path, config, payload):
     out = {"schema_version": SCHEMA_VERSION, "config": config}
     out.update(payload)
     with open(path, "w") as f:
-        json.dump(out, f, indent=2)
-        f.write("\n")
+        f.write(json.dumps(out, indent=2) + "\n")
 
 
 def _write_csv(path, header, rows):
@@ -214,16 +203,6 @@ def train(config_path, out_dir, seed):
     _run(body, config_path, out_dir, seed)
 
 
-def _report_lower_bound(rng, params):
-    t_lo, t_hi = _range(params, "t_range", (3, 12))
-    d_lo, d_hi = _range(params, "d_range", (2, 16))
-    clips = [
-        random_clip(int(rng.integers(t_lo, t_hi + 1)), int(rng.integers(d_lo, d_hi + 1)), rng)
-        for _ in range(_count(params, "clips", 1000, 1))
-    ]
-    return check_lower_bound(clips)
-
-
 def _report_robustness(rng, params):
     v_i, v_j, l = random_units((3, params.get("dim", 8)), rng)
     trials = params.get("trials", 10000)
@@ -250,7 +229,9 @@ def _build_reports(config):
     if not isinstance(flip, bool):
         raise ConfigError(f"debug_flip_bb_variance_sign must be true or false, got {flip!r}")
     reporters = {
-        "lower-bound": lambda p: _report_lower_bound(rng, p),
+        "lower-bound": lambda p: lower_bound_report(
+            _count(p, "clips", 1000, 1), p.get("t_range", (3, 12)), p.get("d_range", (2, 16)), rng
+        ),
         "tightness": lambda p: check_tightness(
             p.get("timestamps", [0, 1, 2, 3]), p.get("eps", [1.0, 0.1, 0.01])
         ),

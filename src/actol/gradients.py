@@ -3,7 +3,9 @@ embeddings, plus a central finite-difference oracle.
 
 Gradients are ambient (they include the cosine-normalization Jacobian, so
 finite differences off the unit sphere agree); the trainer projects them
-onto the sphere's tangent space before stepping.
+onto the sphere's tangent space before stepping. The oracle evaluates all
+of a clip's perturbed points as batch rows, in stacks of up to
+losses.BLOCK_SCORES scores: one kernel call per check at small T.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .losses import (
     Contrast,
     TnceConfig,
     _contrastive_terms,
+    _stack_size,
 )
 
 KINK_TOL = 1e-12
@@ -52,9 +55,8 @@ def objective_and_grad(emb, lang, c: Contrast, bridge=None, bb_weight=0.0):
         g_s, at_kink = G.sum(axis=1), np.zeros(len(s), dtype=bool)
     else:
         # score gradients dL/dR_{i,k} (R = -|s_i - s_k|) to dL/ds_t
-        diff = s[:, :, None] - s[:, None, :]
-        contributing = (G != 0) & ~np.eye(s.shape[1], dtype=bool)
-        at_kink = np.any(contributing & (np.abs(diff) < KINK_TOL), axis=(1, 2))
+        diff = s[:, :, None] - s[:, None, :]  # G's diagonal is 0, so i == k never counts
+        at_kink = np.any((G != 0) & (np.abs(diff) < KINK_TOL), axis=(1, 2))
         GS = G * np.sign(diff)
         g_s = -GS.sum(axis=2) + GS.sum(axis=1)
     # dL/ds_t to the embeddings through the cosine, normalization included;
@@ -140,7 +142,8 @@ def finite_diff_check(loss: str, clip: ClipSequence, params=None, step: float = 
     language. Errors are relative to the largest of the two values,
     REL_FLOOR times the gradient's max-norm and 1e-8, so round-off on
     components near zero is not a failure. The objective is built once; the
-    2d points that move one vector by +-step are one stack of batch rows."""
+    2d(T+1) points that move one vector by +-step are batch rows, evaluated
+    in stacks of whole vectors' 2d points up to BLOCK_SCORES scores."""
     if step <= 0:
         raise ValueError("step must be positive")
     c, bridge, bb_weight = _objective(loss, clip, params)
@@ -148,20 +151,27 @@ def finite_diff_check(loss: str, clip: ClipSequence, params=None, step: float = 
     analytic = np.concatenate([grads.frames.ravel(), grads.language])
     floor = max(REL_FLOOR * np.abs(analytic).max(), 1e-8)
     E, l = clip.embeddings, clip.language
-    d = len(l)
+    T, d = E.shape
     j = np.arange(d)
+    per_call = _stack_size(2 * d * T * T)  # vectors per kernel call
     numeric = []
-    for t in range(len(E) + 1):  # each frame, then the language
-        emb, lang = np.tile(E, (2 * d, 1, 1)), np.tile(l, (2 * d, 1))
-        moved = emb[:, t] if t < len(E) else lang  # row j: +step on coordinate j; row d + j: -step
-        moved[j, j] += step
-        moved[d + j, j] -= step
+    for first in range(0, T + 1, per_call):  # vectors 0..T-1 are the frames, T the language
+        n = min(per_call, T + 1 - first)
+        # row [v, 0, j] moves coordinate j of vector first + v by +step, row [v, 1, j] by -step
+        emb, lang = np.tile(E, (n, 2, d, 1, 1)), np.tile(l, (n, 2, d, 1))
+        frames = np.arange(min(n, T - first))[:, None]
+        for sign, delta in enumerate((step, -step)):
+            emb[frames, sign, j, first + frames, j] += delta
+            if first + n > T:
+                lang[-1, sign, j, j] += delta
+        emb, lang = emb.reshape(-1, T, d), lang.reshape(-1, d)
         v = 0.0 if c is None else _contrastive_terms(emb, lang, c, need_grad=False)[0]
         if bridge is not None:  # same expression order as actol_loss(...).total
             v = v + bb_weight * bridge.penalty(emb)[0]
         if not np.isfinite(v).all():
             raise FloatingPointError(f"non-finite {loss} loss at perturbed point")
-        numeric.append((v[:d] - v[d:]) / (2 * step))
+        v = v.reshape(n, 2, d)
+        numeric.append((v[:, 0] - v[:, 1]).ravel() / (2 * step))
     num = np.concatenate(numeric)
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(num)), floor)
     return float(np.max(np.abs(analytic - num) / scale))

@@ -13,7 +13,11 @@ accumulations below it. Moving to linear-space sums changed results in
 their last bits once; reruns stay byte-identical, and results below the
 guard are unchanged. TieGroups.of and Contrast.of also take an (N, T)
 stack of timestamp rows of one length, so that clips with their own
-timestamps are sorted, and evaluated, in one call per stack.
+timestamps are sorted, and evaluated, in one call per stack; a signed
+integer array stack is checked in one vectorized pass. Callers that stack
+many small evaluations into one kernel call (theory's lower-bound check,
+gradients' finite-difference oracle) size each stack to BLOCK_SCORES
+scores with _stack_size.
 """
 
 from __future__ import annotations
@@ -28,6 +32,11 @@ from .clip import ClipSequence, _is_real, _similarities, _timestamps
 DEFAULT_BB_WEIGHT = 0.1
 # exp(x) is a finite, normal double for |x| < 708
 EXP_RANGE = 700.0
+# Score budget of one stacked kernel call (see _stack_size), which bounds
+# its memory whatever the clip length. On the README lower-bound
+# population, stacks of a few thousand scores ran fastest; larger ones ran
+# slower and took more memory.
+BLOCK_SCORES = 4096
 
 
 @dataclass(frozen=True)
@@ -88,6 +97,20 @@ class TnceConfig:
             raise ValueError(f"temperature must be finite and positive, got {self.temperature!r}")
 
 
+def _checked_int_stack(timestamps) -> bool:
+    """True for a signed integer (N, T) array whose rows are all valid
+    timestamps (T >= 2, first column >= 0, strictly increasing). The test
+    compares without subtracting, so no value can wrap around."""
+    return (
+        isinstance(timestamps, np.ndarray)
+        and timestamps.dtype.kind == "i"
+        and timestamps.ndim == 2
+        and timestamps.shape[1] >= 2
+        and bool(np.all(timestamps[:, 0] >= 0))
+        and bool(np.all(timestamps[:, 1:] > timestamps[:, :-1]))
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class TieGroups:
     """Each anchor's other frames, sorted by descending temporal distance
@@ -109,8 +132,12 @@ class TieGroups:
     @classmethod
     def of(cls, timestamps) -> "TieGroups":
         """Groups of one timestamp row (T,) or of each row of an (N, T)
-        stack; every row is checked as a lone row is."""
-        if np.ndim(timestamps) == 2:  # a ragged list of rows raises ValueError here
+        stack; a bad row of a stack raises the lone row's ValueError. A
+        signed integer array stack is checked in one vectorized pass;
+        any other stack row by row."""
+        if _checked_int_stack(timestamps):
+            ts = timestamps.astype(np.int64, copy=False)
+        elif np.ndim(timestamps) == 2:  # a ragged list of rows raises ValueError here
             ts = np.array([_timestamps(row) for row in timestamps], dtype=np.int64)
         else:
             ts = np.asarray(_timestamps(timestamps), dtype=np.int64)
@@ -181,6 +208,12 @@ class Contrast:
         row = (n * T + i) * (T - 1)
         n_terms = int(np.count_nonzero(pos)) // n.size  # the same for every clip of length T
         return cls(cfg, groups, pos, n_terms, (n * T + i) * T + k, row + end, row + start)
+
+
+def _stack_size(scores_per_item: int) -> int:
+    """How many items of scores_per_item scores each fill one stacked
+    kernel call: up to BLOCK_SCORES scores, and at least one item."""
+    return max(1, BLOCK_SCORES // scores_per_item)
 
 
 def _suffix_softmax(rows, c: Contrast, need_grad: bool, span: float = 2.0):

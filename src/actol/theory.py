@@ -4,9 +4,12 @@ robustness to language perturbations.
 
 The Monte Carlo checks draw from default_rng(seed), where seed is an int
 or a Generator, so one Generator can serve several checks in turn. They
-draw and check BLOCK_TRIALS trials at a time; check_lower_bound likewise
-evaluates its clips as stacks of clips of one length, up to BLOCK_SCORES
-scores per stack.
+draw and check BLOCK_TRIALS trials at a time; lower_bound_report draws
+BLOCK_CLIPS random clips at a time, as arrays in random_clip's stream
+order, and takes the similarities of each block's clips of one (T, d)
+shape in one pass. The lower-bound check evaluates clips of one length as
+stacks of up to losses.BLOCK_SCORES scores: one sort and one kernel call
+per stack, for drawn clips and for check_lower_bound's ClipSequences alike.
 """
 
 from __future__ import annotations
@@ -15,19 +18,28 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .clip import ClipSequence, _is_count, _is_real, _timestamps, alignment_score
-from .losses import Bridge, Contrast, TieGroups, TnceConfig, _score_rows, _suffix_softmax
-from .synthetic import perturb_language, random_units, sample_bridge
+from .clip import ClipSequence, _is_count, _is_real, _similarities, _timestamps, alignment_score
+from .losses import (
+    Bridge,
+    Contrast,
+    TieGroups,
+    TnceConfig,
+    _score_rows,
+    _stack_size,
+    _suffix_softmax,
+)
+from .synthetic import _clip_arrays, _clip_draws, perturb_language, random_units, sample_bridge
 
 FLOAT_SLACK = 1e-12
 # Monte Carlo trials are drawn and checked this many at a time, which
 # bounds the memory of a check whatever its trial count.
 BLOCK_TRIALS = 256
-# check_lower_bound stacks clips of one length up to this many scores
-# (T * T per clip; at least one clip), which bounds its memory whatever the
-# clip length. On the README population, stacks of a few thousand scores
-# ran fastest; larger ones ran slower and took more memory.
-BLOCK_SCORES = 4096
+# lower_bound_report draws and checks this many clips at a time, which
+# bounds its memory whatever its clip count. One block holds the README's
+# 1000 clips: on them, 256-clip blocks took about 1.6 times as long (best of
+# 15: 40 ms against 25 ms), since each (T, d) shape and each length then
+# recurs in every block with fewer clips per array pass and kernel call.
+BLOCK_CLIPS = 1024
 
 
 @dataclass(frozen=True)
@@ -43,6 +55,37 @@ class TheoremReport:
         return asdict(self)
 
 
+def _lower_bound_gaps(timestamps, similarities) -> np.ndarray:
+    """vlo_loss minus its lower bound for each of N clips of one length
+    T > 2, given their (N, T) timestamps and (N, T) similarities: one sort
+    and one kernel call per stack of up to BLOCK_SCORES scores."""
+    cfg = TnceConfig()
+    T = similarities.shape[-1]
+    size = _stack_size(T * T)
+    gaps = []
+    for start in range(0, len(similarities), size):
+        c = Contrast.of(timestamps[start : start + size], cfg)
+        rows = _score_rows(similarities[start : start + size], cfg.score)
+        values = _suffix_softmax(rows[None], c, False)[0][0]
+        gaps.append(values - c.groups.lower_bound())
+    return np.concatenate(gaps)
+
+
+def _lower_bound_result(gaps, clips: int) -> TheoremReport:
+    """The lower-bound report of clips clips, of which those with T > 2
+    have the loss-minus-bound gaps; the rest are T = 2 boundary clips."""
+    gaps = np.concatenate([np.empty(0), *gaps])
+    violations = int(np.count_nonzero(~(gaps > 0)))
+    return TheoremReport(
+        theorem="lower-bound",
+        instances=gaps.size,
+        violations=violations,
+        worst_slack=float(gaps.min()) if gaps.size else 0.0,
+        passed=violations == 0,
+        details={"boundary_t2_clips": clips - gaps.size},
+    )
+
+
 def check_lower_bound(clips) -> TheoremReport:
     """Assert vlo_loss > lower_bound strictly for every clip with T >= 3.
     T = 2 clips are a 0 == 0 boundary and are reported, not asserted.
@@ -56,27 +99,48 @@ def check_lower_bound(clips) -> TheoremReport:
     for clip in clips:
         if clip.T > 2:
             by_length.setdefault(clip.T, []).append(clip)
-    cfg = TnceConfig()
-    gaps = [np.empty(0)]
-    for T, same_length in by_length.items():
-        size = max(1, BLOCK_SCORES // (T * T))
-        for start in range(0, len(same_length), size):
-            block = same_length[start : start + size]
-            c = Contrast.of([clip.timestamps for clip in block], cfg)
-            rows = _score_rows(np.stack([clip.similarities() for clip in block]), cfg.score)
-            values = _suffix_softmax(rows[None], c, False)[0][0]
-            gaps.append(values - c.groups.lower_bound())
-    gaps = np.concatenate(gaps)
-    boundary = len(clips) - gaps.size
-    violations = int(np.count_nonzero(~(gaps > 0)))
-    return TheoremReport(
-        theorem="lower-bound",
-        instances=gaps.size,
-        violations=violations,
-        worst_slack=float(gaps.min()) if gaps.size else 0.0,
-        passed=violations == 0,
-        details={"boundary_t2_clips": boundary},
-    )
+    gaps = [
+        _lower_bound_gaps(np.array([clip.timestamps for clip in same_length]),
+                          np.stack([clip.similarities() for clip in same_length]))
+        for same_length in by_length.values()
+    ]
+    return _lower_bound_result(gaps, len(clips))
+
+
+def _shape_range(value, name: str) -> tuple:
+    """value as (lo, hi): two integers 2 <= lo <= hi, a range of frame
+    counts or dimensions."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(map(_is_count, value)) and 2 <= value[0] <= value[1]):
+        raise ValueError(f"{name} must be two integers 2 <= lo <= hi, got {value!r}")
+    return int(value[0]), int(value[1])
+
+
+def lower_bound_report(clips: int, t_range, d_range, seed) -> TheoremReport:
+    """check_lower_bound on clips random clips: for each clip T and d are
+    drawn uniformly from the inclusive t_range and d_range, then the clip
+    as random_clip(T, d, rng) draws it, so the Generator ends where a loop
+    of those calls leaves it. Clips are drawn in blocks of BLOCK_CLIPS and
+    only their gaps are kept across blocks. Within a block, the clips of
+    one (T, d) shape are normalized and their similarities taken in one
+    pass. A rejected call draws nothing."""
+    (t_lo, t_hi), (d_lo, d_hi) = _shape_range(t_range, "t_range"), _shape_range(d_range, "d_range")
+    rng = np.random.default_rng(seed)
+    gaps = []
+    for n in _blocks(clips, BLOCK_CLIPS):
+        by_shape = {}
+        for _ in range(n):
+            T = int(rng.integers(t_lo, t_hi + 1))
+            d = int(rng.integers(d_lo, d_hi + 1))
+            by_shape.setdefault((T, d), []).append(_clip_draws(T, d, rng))
+        by_length = {}  # T: [(timestamps, similarities) of each (T, d) shape]
+        for (T, _), draws in by_shape.items():
+            if T > 2:
+                ts, frames, lang = _clip_arrays(draws)
+                by_length.setdefault(T, []).append((ts, _similarities(frames, lang)))
+        gaps += [_lower_bound_gaps(*map(np.concatenate, zip(*shapes)))
+                 for shapes in by_length.values()]
+    return _lower_bound_result(gaps, clips)
 
 
 def _near_optimal_scores(groups: TieGroups, eps) -> np.ndarray:
@@ -134,12 +198,13 @@ def check_tightness(timestamps, eps_values) -> TheoremReport:
     )
 
 
-def _blocks(trials: int) -> list:
-    """Sizes of the blocks that trials are drawn in. Blocks drawn in turn
-    from one Generator give the same numbers as a single draw."""
+def _blocks(trials: int, size: int) -> list:
+    """Sizes of the blocks of up to size that trials are drawn in. Blocks
+    drawn in turn from one Generator give the same numbers as a single
+    draw."""
     if not (_is_count(trials) and trials >= 1):
         raise ValueError(f"need a positive integer number of trials, got {trials!r}")
-    return [min(BLOCK_TRIALS, trials - start) for start in range(0, trials, BLOCK_TRIALS)]
+    return [min(size, trials - start) for start in range(0, trials, size)]
 
 
 def _lipschitz_report(blocks, **details) -> TheoremReport:
@@ -175,7 +240,7 @@ def check_continuity(clip: ClipSequence, pairs) -> TheoremReport:
 def lipschitz_pairs_report(dim: int, trials: int, seed) -> TheoremReport:
     """Lipschitz step on random unit-vector triples (v_k, v_l, lang)."""
     rng = np.random.default_rng(seed)
-    triples = (random_units((n, 3, dim), rng) for n in _blocks(trials))
+    triples = (random_units((n, 3, dim), rng) for n in _blocks(trials, BLOCK_TRIALS))
     return _lipschitz_report((v[:, 0], v[:, 1], v[:, 2]) for v in triples)
 
 
@@ -205,7 +270,7 @@ def bridge_stats_report(
 
     mids = []
     violations = 0
-    for n in _blocks(samples):
+    for n in _blocks(samples, BLOCK_TRIALS):
         paths = sample_bridge(np.tile(v0, (n, 1)), np.tile(v1, (n, 1)), 0, t_end, rng)
         exact = np.all(paths[:, 0] == v0, axis=-1) & np.all(paths[:, -1] == v1, axis=-1)
         violations += int(np.count_nonzero(~exact))
@@ -245,7 +310,7 @@ def check_robustness(v_i, v_j, l, delta_l: float, trials: int, seed) -> TheoremR
     bound = 2.0 * delta_l
     diff = np.concatenate([
         np.abs(alignment_score(v_i, v_j, perturb_language(np.tile(l, (n, 1)), delta_l, rng)) - base)
-        for n in _blocks(trials)
+        for n in _blocks(trials, BLOCK_TRIALS)
     ])
     violations = int(np.count_nonzero(~(diff <= bound + FLOAT_SLACK)))
     return TheoremReport(

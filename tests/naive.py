@@ -21,7 +21,10 @@ The per-trial loop versions of the Monte Carlo theorem checks in
 actol.theory are kept here too. They draw from the Generator in the same
 order as the block versions and evaluate each trial with scalar arithmetic.
 The per-clip loop of the lower-bound check, one Contrast and one kernel
-call per clip, is the bit-for-bit reference for its stacked version.
+call per clip, is the bit-for-bit reference for its stacked version, and
+random_clip as it drew and normalized one clip at a time (a 1-D norm for
+the language) is the reference for the clips lower_bound_report draws as
+arrays.
 """
 
 import sys
@@ -335,6 +338,17 @@ def check_robustness(v_i, v_j, l, delta_l, trials, seed):
         if not diff <= bound + FLOAT_SLACK:
             violations += 1
     return violations, worst_ratio
+
+
+def random_clip(T, d, rng, max_gap=4):
+    """actol.random_clip drawn and normalized on its own: timestamp gaps,
+    frames normalized along their rows, then the language by its 1-D norm."""
+    gaps = rng.integers(1, max_gap + 1, size=T - 1)
+    frames = rng.standard_normal((T, d))
+    frames /= np.linalg.norm(frames, axis=-1, keepdims=True)
+    lang = rng.standard_normal(d)
+    return actol.ClipSequence(np.concatenate([[0], np.cumsum(gaps)]), frames,
+                              lang / np.linalg.norm(lang))
 
 
 def check_lower_bound(clips):

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from actol import ClipSequence, bridge_stats_report, lipschitz_pairs_report, random_clip
-from actol.cli import main
+from actol.cli import SCHEMA_VERSION, _write_json, main
 
 runner = CliRunner()
 
@@ -484,3 +484,20 @@ def test_bad_seed(tmp_path, cmd, seed, flag):
     assert isinstance(result.exception, SystemExit)
     assert "seed must be a non-negative integer" in result.output
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_write_json_bytes_match_streamed_dump(tmp_path):
+    """One json.dumps write gives the bytes of a streamed json.dump plus a
+    newline, signed zeros, extreme exponents and nested lists included."""
+    config = {"seed": 0, "eps": [1.0, 0.1, 1e-300]}
+    payload = {
+        "values": [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.7976931348623157e308, 0.1 + 0.2],
+        "nested": [[1, [2.5, [-0.0, []]]], {"a": [None, True, "x"]}],
+        "empty": {},
+    }
+    _write_json(tmp_path / "out.json", config, payload)
+    with open(tmp_path / "expected.json", "w") as f:
+        json.dump({"schema_version": SCHEMA_VERSION, "config": config, **payload}, f, indent=2)
+        f.write("\n")
+    assert (tmp_path / "out.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+

@@ -1,8 +1,10 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import actol.losses as losses
 from actol import (
     BridgeInterval,
     ClipSequence,
@@ -226,6 +228,27 @@ class TestFiniteDiffCheck:
         calls.clear()
         assert finite_diff_check(loss, clip) < TOL
         assert calls == []
+
+    @pytest.mark.parametrize("loss, calls", [("vlo", 2), ("total", 2), ("bb", 0)])
+    def test_one_kernel_call_per_check_at_readme_size(self, monkeypatch, loss, calls):
+        # T=6, d=5: the 70 perturbed points of 36 scores each fit one
+        # BLOCK_SCORES stack; the other call is the analytic gradient's
+        kernel = mock.Mock(wraps=losses._suffix_softmax)
+        monkeypatch.setattr(losses, "_suffix_softmax", kernel)
+        assert finite_diff_check(loss, kink_free_clip(6, 5, 79)) < TOL
+        assert kernel.call_count == calls
+
+    @pytest.mark.parametrize("vectors", [1, 2, 3, 4, 6, 7])
+    def test_stack_size_changes_nothing(self, monkeypatch, vectors):
+        # one vector's 2d points hold 2 * 5 * 36 = 360 scores at T=6, d=5;
+        # the language rides in a stack of its own or with frames
+        clip = kink_free_clip(6, 5, 80)
+        expected = [finite_diff_check(loss, clip) for loss in ("vlo", "total")]
+        monkeypatch.setattr(losses, "BLOCK_SCORES", 360 * vectors)
+        kernel = mock.Mock(wraps=losses._suffix_softmax)
+        monkeypatch.setattr(losses, "_suffix_softmax", kernel)
+        assert [finite_diff_check(loss, clip) for loss in ("vlo", "total")] == expected
+        assert kernel.call_count == 2 * (1 + -(-7 // vectors))
 
     def test_memory_stays_per_frame(self):
         # one frame's perturbed points are stacked at a time; a stack of all

@@ -7,6 +7,7 @@ objective has by construction (rotating the embedding space, shifting or
 scaling time)."""
 
 from dataclasses import replace
+from unittest import mock
 
 import naive
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import actol.losses as losses
 from actol import (
     BridgeInterval,
     ClipSequence,
@@ -23,6 +25,7 @@ from actol import (
     finite_diff_check,
     grad_bb,
     lower_bound,
+    random_clip,
     tnce_loss,
     vlo_loss,
     vlo_loss_on_scores,
@@ -176,6 +179,22 @@ def test_stack_rows_round_like_single_rows(T, seed):
                     (value,), (G_n,) = _suffix_softmax(rows[:, n], alone, True)
                     assert values[0, n] == value
                     assert np.array_equal(G[0, n], G_n)
+
+
+@settings(examples, max_examples=15)
+@given(T=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+def test_score_gradient_diagonal_is_zero(T, seed):
+    """G[..., i, i] is exactly 0 for every selector combination, for one
+    timestamp row and for an (N, T) stack: the kernel never addresses an
+    anchor's own score, so objective_and_grad's kink test needs no mask."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.integers(1, 4, (3, T - 1))
+    stack = np.concatenate([np.zeros((3, 1), dtype=int), np.cumsum(gaps, axis=1)], axis=1)
+    for cfg in COMBOS:
+        for ts, rows in ((stack[0], rng.uniform(-1.0, 1.0, (2, T, T))),
+                         (stack, rng.uniform(-1.0, 1.0, (2, 3, T, T)))):
+            _, G = _suffix_softmax(rows, Contrast.of(ts, cfg), True)
+            assert np.all(np.diagonal(G, axis1=-2, axis2=-1) == 0.0)
 
 
 @settings(examples, max_examples=20)
@@ -411,3 +430,15 @@ def test_finite_diff_check_matches_reference(loss, cfg, case, tau, step, default
                   "bb_weight": 0.3}
     expected = naive.finite_diff_check(loss, clip, params, step)
     assert finite_diff_check(loss, clip, params, step) == expected
+
+
+def test_finite_diff_check_in_several_calls_matches_reference(monkeypatch):
+    """At T=64, d=16 one vector's 2d perturbed points exceed BLOCK_SCORES,
+    so each of the T + 1 vectors gets its own kernel call; the result is
+    still the float of the per-coordinate loop."""
+    clip = random_clip(64, 16, np.random.default_rng(81))
+    expected = naive.finite_diff_check("total", clip)
+    kernel = mock.Mock(wraps=losses._suffix_softmax)
+    monkeypatch.setattr(losses, "_suffix_softmax", kernel)
+    assert finite_diff_check("total", clip) == expected
+    assert kernel.call_count == 1 + 65  # the analytic gradient, then one call per vector

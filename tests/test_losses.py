@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import actol.losses as losses
 from actol import (
     BridgeInterval,
     ClipSequence,
@@ -212,6 +213,52 @@ class TestTimestampContract:
             with pytest.raises(ValueError) as exc:
                 self.STACK_ENTRY_POINTS[entry](stack)
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [((-1, 0, 1), "timestamps must be non-negative"),
+         ((0, 3, 1), "timestamps must be strictly increasing"),
+         ((0, 2, 2), "timestamps must be strictly increasing")],
+        ids=["negative", "non-increasing", "duplicate"],
+    )
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("entry", STACK_ENTRY_POINTS)
+    def test_bad_row_of_int_stack_rejected_like_lone_row(self, entry, dtype, row, message):
+        """A signed integer stack is checked in one pass; a bad row still
+        raises the lone row's message, wherever it sits."""
+        with pytest.raises(ValueError) as alone:
+            self.STACK_ENTRY_POINTS[entry](np.array(row, dtype=dtype))
+        assert str(alone.value) == message
+        for rows in ([(0, 1, 2), row], [row, (0, 1, 2), (0, 1, 2)]):
+            with pytest.raises(ValueError) as exc:
+                self.STACK_ENTRY_POINTS[entry](np.array(rows, dtype=dtype))
+            assert str(exc.value) == message
+
+    def test_wrapping_difference_rejected(self):
+        # 5 - (-2**63) wraps to a positive int64; rows are compared, not subtracted
+        stack = np.array([[0, 1, 2], [0, 5, -(2**63)]], dtype=np.int64)
+        with pytest.raises(ValueError, match="^timestamps must be non-negative$"):
+            TieGroups.of(stack)
+
+    @pytest.mark.parametrize("entry", STACK_ENTRY_POINTS)
+    def test_decreasing_unsigned_stack_rejected(self, entry):
+        # unsigned rows are checked one by one: a difference would wrap around
+        stack = np.array([[0, 1, 2], [5, 3, 4]], dtype=np.uint64)
+        with pytest.raises(ValueError) as exc:
+            self.STACK_ENTRY_POINTS[entry](stack)
+        assert str(exc.value) == "timestamps must be strictly increasing"
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int8])
+    def test_valid_int_stack_checked_without_row_loop(self, monkeypatch, dtype):
+        # a repeated row is valid
+        stack = np.array([(0, 1, 4, 6), (2, 3, 5, 9), (0, 1, 4, 6)], dtype=dtype)
+        expected = TieGroups.of(stack.tolist())
+        spy = mock.Mock(wraps=losses._timestamps)
+        monkeypatch.setattr(losses, "_timestamps", spy)
+        groups = TieGroups.of(stack)
+        assert spy.call_count == 0
+        for name in ("order", "distances", "start", "end"):
+            assert np.array_equal(getattr(groups, name), getattr(expected, name))
 
     @pytest.mark.parametrize("entry", STACK_ENTRY_POINTS)
     def test_ragged_stack_rejected(self, entry):

@@ -1,3 +1,4 @@
+import naive
 import numpy as np
 import pytest
 
@@ -9,6 +10,7 @@ from actol import (
     sample_bridge,
     slerp,
 )
+from actol.synthetic import _clip_arrays, _clip_draws
 
 
 class TestSlerp:
@@ -118,6 +120,29 @@ class TestRandomClip:
             clip = random_clip(8, 3, rng, max_gap=3)
             gaps = np.diff(clip.timestamps)
             assert np.all((gaps >= 1) & (gaps <= 3))
+
+
+    @pytest.mark.parametrize("T, d", [(2, 2), (5, 3), (12, 16), (7, 64)])
+    def test_matches_one_clip_reference(self, T, d):
+        rng, ref_rng = np.random.default_rng(T * d), np.random.default_rng(T * d)
+        for _ in range(200):
+            clip, expected = random_clip(T, d, rng), naive.random_clip(T, d, ref_rng)
+            assert clip.timestamps == expected.timestamps
+            assert np.array_equal(clip.embeddings, expected.embeddings)
+            assert np.array_equal(clip.language, expected.language)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("T, d", [(2, 2), (5, 3), (12, 16), (7, 64)])
+    def test_clip_arrays_rows_match_one_clip_reference(self, T, d):
+        """Row n of N clips' arrays is bit for bit clip n drawn alone."""
+        rng, ref_rng = np.random.default_rng(T + d), np.random.default_rng(T + d)
+        ts, frames, lang = _clip_arrays([_clip_draws(T, d, rng) for _ in range(300)])
+        for n in range(300):
+            expected = naive.random_clip(T, d, ref_rng)
+            assert tuple(ts[n]) == expected.timestamps
+            assert np.array_equal(frames[n], expected.embeddings)
+            assert np.array_equal(lang[n], expected.language)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestSampleBridge:

@@ -1,9 +1,11 @@
+import tracemalloc
 from unittest import mock
 
 import naive
 import numpy as np
 import pytest
 
+import actol.losses as losses
 import actol.theory as theory
 from actol import (
     ClipSequence,
@@ -15,10 +17,11 @@ from actol import (
     construct_near_optimal,
     lipschitz_pairs_report,
     lower_bound_from_timestamps,
+    lower_bound_report,
     random_clip,
     vlo_loss_on_scores,
 )
-from actol.losses import Bridge, TieGroups
+from actol.losses import Bridge, Contrast, TieGroups
 
 
 class TestLowerBoundCheck:
@@ -51,7 +54,7 @@ class TestLowerBoundCheck:
         rng = np.random.default_rng(2)
         clips = [random_clip(T, int(rng.integers(2, 6)), rng)
                  for T in (2, 3, 5, 2, 8, 3, 5, 5, 3)]
-        monkeypatch.setattr(theory, "BLOCK_SCORES", block_scores)
+        monkeypatch.setattr(losses, "BLOCK_SCORES", block_scores)
         sorts = mock.Mock(wraps=TieGroups.of)
         monkeypatch.setattr(TieGroups, "of", sorts)
         kernel = mock.Mock(wraps=theory._suffix_softmax)
@@ -254,8 +257,97 @@ class TestLowerBoundAgainstLoop:
                              int(rng.integers(d_range[0], d_range[1] + 1)), rng)
                  for _ in range(n_clips)]
         if block_scores:
-            monkeypatch.setattr(theory, "BLOCK_SCORES", block_scores)
+            monkeypatch.setattr(losses, "BLOCK_SCORES", block_scores)
         assert check_lower_bound(clips).to_dict() == naive.check_lower_bound(clips)
+
+
+def _random_clip_loop(clips, t_range, d_range, rng):
+    """The clips lower_bound_report draws, as a loop of one-clip draws."""
+    return [naive.random_clip(int(rng.integers(t_range[0], t_range[1] + 1)),
+                              int(rng.integers(d_range[0], d_range[1] + 1)), rng)
+            for _ in range(clips)]
+
+
+class TestLowerBoundReport:
+    @pytest.mark.parametrize(
+        "clips, t_range, d_range, seed",
+        [(1000, (3, 12), (2, 16), 0), (1000, (3, 12), (2, 16), 101), (300, (2, 3), (2, 3), 1),
+         (200, (2, 3), (2, 2), 7), (2500, (2, 6), (2, 2), 5), (1100, (2, 14), (2, 40), 3)],
+    )
+    @pytest.mark.parametrize("block_clips", [None, 7])
+    def test_matches_random_clip_loop(self, monkeypatch, clips, t_range, d_range, seed,
+                                      block_clips):
+        """Block draws give check_lower_bound's report on the clips of a
+        random_clip loop, T = 2 boundary clips included, and leave the
+        Generator where the loop leaves it; 2500 clips span three default
+        blocks, and 7-clip blocks split every population."""
+        if block_clips:
+            monkeypatch.setattr(theory, "BLOCK_CLIPS", block_clips)
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        report = lower_bound_report(clips, t_range, d_range, rng)
+        expected = naive.check_lower_bound(_random_clip_loop(clips, t_range, d_range, loop_rng))
+        assert report.to_dict() == expected
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+    def test_readme_clips_in_one_block(self):
+        assert theory.BLOCK_CLIPS >= 1000
+
+    @pytest.mark.parametrize("block_clips, block_scores", [(None, None), (100, None), (100, 200)])
+    def test_one_sort_and_kernel_call_per_length_and_score_block(self, monkeypatch, block_clips,
+                                                                 block_scores):
+        clips, t_range, d_range = 300, (2, 9), (2, 5)
+        if block_clips:
+            monkeypatch.setattr(theory, "BLOCK_CLIPS", block_clips)
+        if block_scores:
+            monkeypatch.setattr(losses, "BLOCK_SCORES", block_scores)
+        lengths = [clip.T for clip in _random_clip_loop(clips, t_range, d_range,
+                                                        np.random.default_rng(4))]
+        expected = 0
+        for start in range(0, clips, theory.BLOCK_CLIPS):
+            block = lengths[start : start + theory.BLOCK_CLIPS]
+            expected += sum(-(-block.count(T) // losses._stack_size(T * T))
+                            for T in set(block) if T > 2)
+        builds = mock.Mock(wraps=Contrast.of)
+        monkeypatch.setattr(Contrast, "of", builds)
+        kernel = mock.Mock(wraps=theory._suffix_softmax)
+        monkeypatch.setattr(theory, "_suffix_softmax", kernel)
+        lower_bound_report(clips, t_range, d_range, 4)
+        assert builds.call_count == kernel.call_count == expected
+
+    def test_validates_stacks_without_a_row_loop(self, monkeypatch):
+        spy = mock.Mock(wraps=losses._timestamps)
+        monkeypatch.setattr(losses, "_timestamps", spy)
+        assert lower_bound_report(200, (2, 12), (2, 8), 9).passed
+        assert spy.call_count == 0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"clips": 0}, {"clips": True}, {"t_range": (1, 5)}, {"t_range": (6, 3)},
+         {"t_range": (3.5, 6)}, {"d_range": (2, True)}, {"d_range": (2,)}, {"d_range": "ab"}],
+        ids=["clips-0", "clips-true", "t-1", "t-reversed", "t-float", "d-bool", "d-one", "d-str"],
+    )
+    def test_rejected_call_draws_nothing(self, kwargs):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            lower_bound_report(**{"clips": 10, "t_range": (3, 5), "d_range": (2, 4), "seed": rng,
+                                  **kwargs})
+        assert rng.bit_generator.state == state
+
+    def test_memory_bounded_by_one_block(self):
+        """Only per-clip gaps outlive a block, so 20000 clips (20 blocks)
+        peak about where one block does."""
+        def peak(clips):
+            tracemalloc.start()
+            try:
+                lower_bound_report(clips, (3, 12), (2, 16), 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        lower_bound_report(50, (3, 12), (2, 16), 0)  # first-call allocations
+        one_block = peak(theory.BLOCK_CLIPS)
+        assert peak(20000) <= 1.5 * one_block
 
 
 class TestReportSerialization:
