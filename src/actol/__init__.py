@@ -12,18 +12,12 @@ from .gradients import (
 )
 from .losses import (
     BridgeInterval,
-    DistanceProfile,
     LossBreakdown,
     TieGroups,
     TnceConfig,
     actol_loss,
     bb_loss,
-    bb_mean,
-    bb_variance,
-    distance_profile,
     lower_bound,
-    lower_bound_from_timestamps,
-    negative_set,
     tnce_loss,
     vlo_loss,
     vlo_loss_on_scores,

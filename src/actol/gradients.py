@@ -10,11 +10,12 @@ losses.BLOCK_SCORES scores: one kernel call per check at small T.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clip import ClipSequence
+from .clip import ClipSequence, _is_real
 from .losses import (
     DEFAULT_BB_WEIGHT,
     Bridge,
@@ -144,8 +145,8 @@ def finite_diff_check(loss: str, clip: ClipSequence, params=None, step: float = 
     components near zero is not a failure. The objective is built once; the
     2d(T+1) points that move one vector by +-step are batch rows, evaluated
     in stacks of whole vectors' 2d points up to BLOCK_SCORES scores."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (_is_real(step) and 0 < step < math.inf):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
     c, bridge, bb_weight = _objective(loss, clip, params)
     grads = _on_clip(clip, c, bridge, bb_weight)[2]
     analytic = np.concatenate([grads.frames.ravel(), grads.language])

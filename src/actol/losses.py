@@ -2,6 +2,11 @@
 their weighted combination, the configurable time-contrastive family,
 and the combinatorial lower bound of the ordering loss.
 
+TieGroups owns what the timestamps determine (the sort, the distance
+levels, the negative sets and the lower bound), and Bridge the bridge
+penalty over any interval list, with each interval's interpolant and
+variance built in; Bridge.of is the one check on intervals.
+
 Every contrastive objective here is one masked softmax: for anchor i, the
 negatives of a positive frame j are a prefix of the other frames sorted by
 descending temporal distance (ties kept together). The sort costs
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clip import ClipSequence, _is_real, _similarities, _timestamps
+from .clip import ClipSequence, _is_count, _is_real, _similarities, _timestamps
 
 DEFAULT_BB_WEIGHT = 0.1
 # exp(x) is a finite, normal double for |x| < 708
@@ -37,15 +42,6 @@ EXP_RANGE = 700.0
 # population, stacks of a few thousand scores ran fastest; larger ones ran
 # slower and took more memory.
 BLOCK_SCORES = 4096
-
-
-@dataclass(frozen=True)
-class DistanceProfile:
-    """Sorted unique temporal distances from one anchor frame, with counts."""
-
-    anchor: int
-    sorted_distances: tuple
-    multiplicities: tuple
 
 
 @dataclass(frozen=True)
@@ -59,13 +55,11 @@ class LossBreakdown:
 
 @dataclass(frozen=True)
 class BridgeInterval:
-    """Index pair (positions in a clip, start < end) delimiting a bridge."""
+    """Index pair (positions in a clip, start < end) delimiting a bridge.
+    Bridge.of is its one check: integer endpoints, 0 <= start < end < T."""
 
     start: int
     end: int
-
-    def validate(self, clip: ClipSequence) -> None:
-        Bridge.of(clip.timestamps, [self])  # raises on an out-of-bounds interval
 
 
 @dataclass(frozen=True)
@@ -306,23 +300,11 @@ def _clip_value(emb, lang, c: Contrast) -> float:
     return float(_contrastive_terms(emb[None], lang[None], c, False)[0][0])
 
 
-def negative_set(clip: ClipSequence, i: int, j: int) -> set:
-    """Frames at least as far from anchor i as frame j is (j included)."""
-    if i == j:
-        raise ValueError("anchor and positive must differ")
-    T = clip.T
-    if not (0 <= i < T and 0 <= j < T):
-        raise ValueError("frame index out of bounds")
-    groups = TieGroups.of(clip.timestamps)
-    end = groups.end[i, np.flatnonzero(groups.order[i] == j)[0]]
-    return {int(k) for k in groups.order[i, : end + 1]}
-
-
 def vlo_loss(clip: ClipSequence, temperature: float = 1.0) -> float:
     """Ordering loss: contrastive cross-entropy over all ordered frame
     pairs, with negatives drawn from frames temporally at least as far
-    from the anchor as the positive. Non-negative; strictly above
-    lower_bound(clip)."""
+    from the anchor as the positive. Non-negative; at least
+    lower_bound(clip), and strictly above it for T >= 3."""
     return tnce_loss(clip, TnceConfig(temperature=temperature))
 
 
@@ -337,28 +319,11 @@ def vlo_loss_on_scores(timestamps, scores, temperature: float = 1.0) -> float:
     return float(_suffix_softmax(scores[None], c, False, np.ptp(scores))[0][0])
 
 
-def distance_profile(clip: ClipSequence, i: int) -> DistanceProfile:
-    """Sorted unique temporal distances from anchor i with multiplicities."""
-    if not (0 <= i < clip.T):
-        raise ValueError("anchor index out of bounds")
-    groups = TieGroups.of(clip.timestamps)
-    firsts = groups.start[i] == np.arange(clip.T - 1)
-    return DistanceProfile(
-        anchor=i,
-        sorted_distances=tuple(float(x) for x in groups.distances[i, firsts][::-1]),
-        multiplicities=tuple(int(c) for c in groups.sizes()[i, firsts][::-1]),
-    )
-
-
-def lower_bound_from_timestamps(timestamps) -> float:
+def lower_bound(clip: ClipSequence) -> float:
     """Combinatorial minimum of the ordering loss, determined solely by the
     multiset of pairwise temporal distances: the mean over ordered pairs
     of the log of the pair's tie-group size."""
-    return TieGroups.of(timestamps).lower_bound()
-
-
-def lower_bound(clip: ClipSequence) -> float:
-    return lower_bound_from_timestamps(clip.timestamps)
+    return TieGroups.of(clip.timestamps).lower_bound()
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,12 +342,14 @@ class Bridge:
     @classmethod
     def of(cls, timestamps, intervals=None) -> "Bridge":
         """Operator for a clip's (checked) timestamps over the intervals
-        (default: the full clip); every interval must satisfy
-        0 <= start < end < T."""
+        (default: the full clip); every interval must have integer
+        endpoints with 0 <= start < end < T."""
         T = len(timestamps)
         if intervals is None:
             intervals = [BridgeInterval(0, T - 1)]
         for iv in intervals:
+            if not (_is_count(iv.start) and _is_count(iv.end)):
+                raise ValueError(f"interval ({iv.start!r}, {iv.end!r}) must have integer endpoints")
             if not (0 <= iv.start < iv.end < T):
                 raise ValueError(f"interval ({iv.start}, {iv.end}) out of bounds for T={T}")
         se = np.array([(iv.start, iv.end) for iv in intervals], dtype=np.intp).reshape(-1, 2)
@@ -408,31 +375,6 @@ class Bridge:
         lead = dev.shape[:-2]
         value = np.matmul(wdev.reshape(*lead, 1, -1), dev.reshape(*lead, -1, 1))[..., 0, 0]
         return value, (2.0 * (self.M.T @ wdev) if need_grad else None)
-
-
-def _interval_times(clip: ClipSequence, interval: BridgeInterval, t: float):
-    """(t0, t1) of a checked interval that contains time t."""
-    interval.validate(clip)
-    t0, t1 = clip.timestamps[interval.start], clip.timestamps[interval.end]
-    if not (t0 <= t <= t1):
-        raise ValueError(f"time {t} outside interval [{t0}, {t1}]")
-    return t0, t1
-
-
-def bb_mean(t: float, interval: BridgeInterval, clip: ClipSequence) -> np.ndarray:
-    """Linear interpolant between the interval's endpoint embeddings at time t."""
-    t0, t1 = _interval_times(clip, interval, t)
-    alpha = (t - t0) / (t1 - t0)
-    v0 = clip.embeddings[interval.start]
-    v1 = clip.embeddings[interval.end]
-    return v0 + alpha * (v1 - v0)
-
-
-def bb_variance(t: float, interval: BridgeInterval, clip: ClipSequence) -> float:
-    """Bridge variance (t - t0)(t1 - t) / (t1 - t0): zero at the pinned
-    endpoints, maximal at the midpoint."""
-    t0, t1 = _interval_times(clip, interval, t)
-    return (t - t0) * (t1 - t) / (t1 - t0)
 
 
 def bb_loss(clip: ClipSequence, interval: BridgeInterval) -> float:

@@ -81,10 +81,6 @@ class TrainHistory:
     records: list = field(default_factory=list)
     final_clip: ClipSequence | None = None
 
-    @property
-    def vlo_gap(self) -> list:
-        return [r.gap for r in self.records]
-
 
 def _tangent_step(vectors: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
     """One descent step projected onto the sphere's tangent space, then

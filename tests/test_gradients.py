@@ -137,10 +137,15 @@ class TestFiniteDiffCheck:
         with pytest.raises(ValueError):
             finite_diff_check("nope", clip)
 
-    def test_bad_step(self):
+    @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 0.0, -1, True])
+    def test_bad_step(self, monkeypatch, step):
+        # rejected before the objective is built or the kernel runs
         clip = kink_free_clip(3, 3, 71)
-        with pytest.raises(ValueError):
-            finite_diff_check("vlo", clip, step=0.0)
+        kernel = mock.Mock(wraps=losses._suffix_softmax)
+        monkeypatch.setattr(losses, "_suffix_softmax", kernel)
+        with pytest.raises(ValueError, match="^step must be finite and positive"):
+            finite_diff_check("vlo", clip, step=step)
+        assert kernel.call_count == 0
 
     @staticmethod
     def _patch(monkeypatch, corrupt):

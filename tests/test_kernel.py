@@ -37,7 +37,6 @@ from actol.losses import (
     TieGroups,
     _contrastive_terms,
     _suffix_softmax,
-    negative_set,
 )
 from actol.trainer import measure_delta
 
@@ -282,10 +281,13 @@ def test_measure_delta_matches_reference(clip, tau):
 @settings(examples, max_examples=30)
 @given(clip=clips(max_T=24))
 def test_negative_set_matches_reference(clip):
+    # the negative set of the positive at sorted position p is the prefix
+    # of the anchor's order up to the end of p's group
+    groups = TieGroups.of(clip.timestamps)
     for i in range(clip.T):
-        for j in range(clip.T):
-            if i != j:
-                assert negative_set(clip, i, j) == naive.negative_set(clip.timestamps, i, j)
+        for p in range(clip.T - 1):
+            negatives = set(groups.order[i, : groups.end[i, p] + 1].tolist())
+            assert negatives == naive.negative_set(clip.timestamps, i, int(groups.order[i, p]))
 
 
 @st.composite

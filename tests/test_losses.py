@@ -1,6 +1,7 @@
 import math
 from unittest import mock
 
+import naive
 import numpy as np
 import pytest
 
@@ -11,14 +12,9 @@ from actol import (
     TnceConfig,
     actol_loss,
     bb_loss,
-    bb_mean,
-    bb_variance,
     check_tightness,
     construct_near_optimal,
-    distance_profile,
     lower_bound,
-    lower_bound_from_timestamps,
-    negative_set,
     random_clip,
     tnce_loss,
     vlo_loss,
@@ -54,24 +50,30 @@ def identical_clip(timestamps=(0, 1, 2), d=4):
     return ClipSequence(timestamps, emb, v)
 
 
+def negatives(timestamps, i, j):
+    """Anchor i's negative set for positive j, read off TieGroups: the
+    prefix of i's sorted order up to the end of j's group."""
+    groups = TieGroups.of(timestamps)
+    p = groups.order[i].tolist().index(j)
+    return set(groups.order[i, : groups.end[i, p] + 1].tolist())
+
+
 class TestNegativeSet:
     def test_examples(self):
-        clip = identical_clip()
-        assert negative_set(clip, 0, 1) == {1, 2}
-        assert negative_set(clip, 0, 2) == {2}
-        assert negative_set(clip, 1, 0) == {0, 2}
-
-    def test_anchor_equals_positive(self):
-        with pytest.raises(ValueError):
-            negative_set(identical_clip(), 1, 1)
+        assert negatives((0, 1, 2), 0, 1) == {1, 2}
+        assert negatives((0, 1, 2), 0, 2) == {2}
+        assert negatives((0, 1, 2), 1, 0) == {0, 2}
 
     def test_contains_positive(self):
         rng = np.random.default_rng(3)
         clip = random_clip(7, 4, rng)
+        groups = TieGroups.of(clip.timestamps)
         for i in range(7):
+            # every other frame is a positive at exactly one sorted position
+            assert sorted(groups.order[i].tolist()) == [k for k in range(7) if k != i]
             for j in range(7):
                 if i != j:
-                    assert j in negative_set(clip, i, j)
+                    assert j in negatives(clip.timestamps, i, j)
 
 
 class TestVloLoss:
@@ -134,28 +136,29 @@ class TestVloOnScores:
             vlo_loss_on_scores((0, 1, 2), np.zeros((2, 2)))
 
 
+def distance_profile(timestamps, i):
+    """Anchor i's distinct distances, nearest first, and their
+    multiplicities, read off TieGroups at the start of each group."""
+    groups = TieGroups.of(timestamps)
+    firsts = groups.start[i] == np.arange(len(timestamps) - 1)
+    return groups.distances[i, firsts][::-1].tolist(), groups.sizes()[i, firsts][::-1].tolist()
+
+
 class TestDistanceProfile:
     def test_middle_anchor(self):
-        prof = distance_profile(identical_clip(), 1)
-        assert prof.sorted_distances == (1.0,)
-        assert prof.multiplicities == (2,)
+        assert distance_profile((0, 1, 2), 1) == ([1], [2])
 
     def test_end_anchor(self):
-        prof = distance_profile(identical_clip(), 0)
-        assert prof.sorted_distances == (1.0, 2.0)
-        assert prof.multiplicities == (1, 1)
+        assert distance_profile((0, 1, 2), 0) == ([1, 2], [1, 1])
 
     def test_irregular_timestamps(self):
-        clip = identical_clip(timestamps=(0, 5, 10, 20))
-        prof = distance_profile(clip, 0)
-        assert prof.sorted_distances == (5.0, 10.0, 20.0)
-        assert prof.multiplicities == (1, 1, 1)
+        assert distance_profile((0, 5, 10, 20), 0) == ([5, 10, 20], [1, 1, 1])
 
     def test_multiplicities_sum(self):
         rng = np.random.default_rng(16)
         clip = random_clip(9, 3, rng)
         for i in range(9):
-            assert sum(distance_profile(clip, i).multiplicities) == 8
+            assert sum(distance_profile(clip.timestamps, i)[1]) == 8
 
 
 class TestLowerBound:
@@ -173,7 +176,6 @@ class TestTimestampContract:
     ENTRY_POINTS = {
         "ClipSequence": lambda ts: ClipSequence(ts, np.eye(len(ts), 2) + 1.0, [1.0, 0.0]),
         "TieGroups.of": TieGroups.of,
-        "lower_bound_from_timestamps": lower_bound_from_timestamps,
         "vlo_loss_on_scores": lambda ts: vlo_loss_on_scores(ts, np.zeros((len(ts), len(ts)))),
         "construct_near_optimal": lambda ts: construct_near_optimal(ts, 0.1),
         "check_tightness": lambda ts: check_tightness(ts, [0.1]),
@@ -277,34 +279,50 @@ class TestBridge:
         emb /= np.linalg.norm(emb, axis=1, keepdims=True)
         return ClipSequence((0, 2, 7, 10), emb, emb[0])
 
-    def test_mean_endpoints_and_midpoint(self):
-        clip = self.make_clip()
-        iv = BridgeInterval(0, 3)
-        assert np.allclose(bb_mean(0, iv, clip), clip.embeddings[0])
-        assert np.allclose(bb_mean(10, iv, clip), clip.embeddings[3])
-        mid = bb_mean(5, iv, clip)
-        assert np.allclose(mid, (clip.embeddings[0] + clip.embeddings[3]) / 2)
+    @staticmethod
+    def variance(bridge):
+        """Each row's bridge variance, from w = 0.5 / (var * interior frames)
+        for one interval."""
+        return 0.5 / (bridge.w * len(bridge.w))
 
-    def test_variance_endpoints_zero(self):
+    def test_interpolant_has_zero_deviation(self):
+        ts = (0, 3, 5, 10)
+        bridge = Bridge.of(ts, [BridgeInterval(0, 3)])
+        # rows sum to 0 up to round-off, so any constant sequence deviates by 0
+        np.testing.assert_allclose(bridge.M.sum(axis=1), 0.0, rtol=0, atol=1e-15)
+        v0, v1 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+        line = np.stack([v0 + (t / 10) * (v1 - v0) for t in ts])
+        np.testing.assert_allclose(bridge.M @ line, 0.0, rtol=0, atol=1e-15)
+        # the endpoints are pinned: one row per interior frame, none for them
+        assert np.nonzero(bridge.M == 1.0)[1].tolist() == [1, 2]
+        # frame t=5 sits at the midpoint: its bridge mean is the endpoints' average
+        assert bridge.M[1].tolist() == [-0.5, 0.0, 1.0, -0.5]
+
+    def test_variance_matches_reference(self):
         clip = self.make_clip()
         iv = BridgeInterval(0, 3)
-        assert bb_variance(0, iv, clip) == 0.0
-        assert bb_variance(10, iv, clip) == 0.0
+        _, var, _ = naive.bridge_deviations(clip, iv)
+        np.testing.assert_allclose(self.variance(Bridge.of(clip.timestamps, [iv])), var, rtol=1e-15)
 
     def test_variance_midpoint_quarter_length(self):
-        clip = self.make_clip()
-        assert bb_variance(5, BridgeInterval(0, 3), clip) == pytest.approx(10 / 4)
+        var = self.variance(Bridge.of((0, 3, 5, 10), [BridgeInterval(0, 3)]))
+        assert var.tolist() == pytest.approx([3 * 7 / 10, 10 / 4])
+        assert var.max() == pytest.approx(10 / 4)
 
     def test_variance_value(self):
         clip = self.make_clip()
-        assert bb_variance(2, BridgeInterval(0, 3), clip) == pytest.approx(2 * 8 / 10)
+        var = self.variance(Bridge.of(clip.timestamps, [BridgeInterval(0, 3)]))
+        assert var[0] == pytest.approx(2 * 8 / 10)
 
-    def test_time_outside_interval(self):
-        clip = self.make_clip()
-        with pytest.raises(ValueError):
-            bb_variance(11, BridgeInterval(0, 3), clip)
-        with pytest.raises(ValueError):
-            bb_mean(1, BridgeInterval(2, 3), clip)
+    @pytest.mark.parametrize("start, end", [(0.5, 2), (True, 3), (0, 2.0), (np.int64(1), False)])
+    def test_non_integer_endpoint_rejected(self, start, end):
+        with pytest.raises(ValueError, match="must have integer endpoints"):
+            Bridge.of((0, 1, 2, 3), [BridgeInterval(start, end)])
+
+    def test_numpy_integer_endpoints_accepted(self):
+        built = Bridge.of((0, 1, 2, 5), [BridgeInterval(np.int64(0), np.int32(3))])
+        expected = Bridge.of((0, 1, 2, 5), [BridgeInterval(0, 3)])
+        assert np.array_equal(built.M, expected.M) and np.array_equal(built.w, expected.w)
 
     def test_loss_zero_on_interpolant(self):
         v0 = np.array([1.0, 0.0, 0.0])

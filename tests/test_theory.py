@@ -16,7 +16,6 @@ from actol import (
     check_tightness,
     construct_near_optimal,
     lipschitz_pairs_report,
-    lower_bound_from_timestamps,
     lower_bound_report,
     random_clip,
     vlo_loss_on_scores,
@@ -82,7 +81,7 @@ class TestTightness:
     def test_excess_above_lower_bound(self):
         # the construction approaches but never reaches the bound
         ts = (0, 1, 2, 3)
-        lb = lower_bound_from_timestamps(ts)
+        lb = TieGroups.of(ts).lower_bound()
         for eps in (0.5, 0.05):
             loss = vlo_loss_on_scores(ts, construct_near_optimal(ts, eps))
             assert lb < loss < lb + eps
@@ -90,7 +89,7 @@ class TestTightness:
     @pytest.mark.parametrize("timestamps", [(0, 1, 2, 3), (0, 2, 3, 7, 8, 20), (5, 6)])
     def test_one_sort_per_check(self, monkeypatch, timestamps):
         eps_values = [2.0, 0.5, 0.01, 1e-4]
-        lb = lower_bound_from_timestamps(timestamps)
+        lb = TieGroups.of(timestamps).lower_bound()
         expected = {str(eps): vlo_loss_on_scores(timestamps, construct_near_optimal(timestamps, eps))
                     - lb for eps in eps_values}
         spy = mock.Mock(wraps=TieGroups.of)

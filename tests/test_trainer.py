@@ -77,8 +77,7 @@ class TestTrainFree:
         clip = start_clip(4)
         history = train_free(clip, TrainConfig(steps=25))
         assert len(history.records) == 25
-        assert len(history.vlo_gap) == 25
-        assert all(g > 0 for g in history.vlo_gap)
+        assert all(r.gap > 0 for r in history.records)
 
     def test_language_fixed_by_default(self):
         clip = start_clip(5)
