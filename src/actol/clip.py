@@ -46,16 +46,22 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _similarities(embeddings: np.ndarray, language: np.ndarray) -> np.ndarray:
-    """Cosine similarity of each row of (..., T, d) embeddings to the
-    matching (..., d) language vector. The language norm is a matmul, which
-    rounds like the 1-D np.linalg.norm (a BLAS dot) and unlike its axis form."""
+def _norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1) of a real array, computed as it does."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def _cosines(embeddings: np.ndarray, language: np.ndarray):
+    """(s, |v|, |l|): cosine similarities of (..., T, d) embeddings to their
+    (..., d) language vectors, and the (..., T) and (..., 1) norms. The
+    language norm is a matmul, which rounds like a 1-D np.linalg.norm, not _norms."""
     lang = language[..., :, None]
     norm_l = np.sqrt(np.matmul(np.swapaxes(lang, -1, -2), lang))[..., 0]
-    norms = np.linalg.norm(embeddings, axis=-1) * norm_l
-    if np.any(norms == 0.0):
+    norm_v = _norms(embeddings)
+    norms = norm_v * norm_l
+    if (norms == 0.0).any():
         raise ValueError("cosine similarity undefined for zero-norm input")
-    return np.matmul(embeddings, lang)[..., 0] / norms
+    return np.matmul(embeddings, lang)[..., 0] / norms, norm_v, norm_l
 
 
 def normalize(v) -> np.ndarray:
@@ -140,7 +146,7 @@ class ClipSequence:
 
     def similarities(self) -> np.ndarray:
         """Per-frame cosine similarity to the language embedding."""
-        return _similarities(self.embeddings, self.language)
+        return _cosines(self.embeddings, self.language)[0]
 
     def with_embeddings(self, embeddings, language=None) -> "ClipSequence":
         lang = self.language if language is None else language

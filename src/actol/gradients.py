@@ -45,30 +45,35 @@ class GradientSet:
     at_kink: bool = False
 
 
-def objective_and_grad(emb, lang, c: Contrast, bridge=None, bb_weight=0.0):
+def objective_and_grad(emb, lang, c: Contrast, bridge=None, bb_weight=0.0, need_language=True):
     """Per-clip (values, bridge penalties, dL/dE, dL/dl, at_kink) of the
     contrastive objective c on (B, T, d) embeddings and (B, d) language
     vectors, from one kernel pass; c must be Contrast.of(timestamps, cfg).
     Given a Bridge, or one Bridge per clip, bb_weight times its gradient is
-    added to dL/dE; without one the penalties are 0.0."""
-    value, G, s = _contrastive_terms(emb, lang, c, need_grad=True)
+    added to dL/dE; without one the penalties are 0.0. dL/dl is None unless
+    need_language. The cosines, their norms and the score rows come from
+    _contrastive_terms, computed once; the kink test reads the rows, and
+    s_i - s_k is formed again in their buffer once the kernel is done."""
+    value, G, s, norm_v, norm_l, rows = _contrastive_terms(emb, lang, c, need_grad=True)
     if c.cfg.score == "direct-sim":
-        g_s, at_kink = G.sum(axis=1), np.zeros(len(s), dtype=bool)
+        g_s, at_kink = G.sum(axis=1), np.zeros(len(G), dtype=bool)
     else:
-        # score gradients dL/dR_{i,k} (R = -|s_i - s_k|) to dL/ds_t
-        diff = s[:, :, None] - s[:, None, :]  # G's diagonal is 0, so i == k never counts
-        at_kink = np.any((G != 0) & (np.abs(diff) < KINK_TOL), axis=(1, 2))
-        GS = G * np.sign(diff)
+        # dL/dR_{i,k} (R = -|s_i - s_k|) to dL/ds_t; a kink is a close pair off G's 0 diagonal
+        close = rows > -KINK_TOL  # |s_i - s_k| < KINK_TOL, on the diagonal unless s_i is NaN
+        off = np.count_nonzero(close) > np.count_nonzero(close.diagonal(0, -2, -1))
+        at_kink = np.any((G != 0) & close, axis=(1, 2)) if off else np.zeros(len(G), dtype=bool)
+        # s_i - s_k again, in rows' buffer: kept from before, it would be live through the kernel
+        GS = np.sign(np.subtract(s[:, :, None], s[:, None, :], out=rows), out=rows)
+        GS *= G
         g_s = -GS.sum(axis=2) + GS.sum(axis=1)
-    # dL/ds_t to the embeddings through the cosine, normalization included;
-    # the language norm is a matmul, which rounds like a 1-D np.linalg.norm
-    norms_v = np.linalg.norm(emb, axis=-1)[..., None]
-    norm_l = np.sqrt(np.matmul(lang[:, None, :], lang[:, :, None]))[:, 0]
-    u_v = emb / norms_v
+    # dL/ds_t to the embeddings through the cosine, normalization included
+    u_v = emb / norm_v[..., None]
     u_l = lang / norm_l
     cos = np.matmul(u_v, u_l[:, :, None])
-    frames = g_s[..., None] * (u_l[:, None, :] - cos * u_v) / norms_v
-    language = (g_s[..., None] * (u_v - cos * u_l[:, None, :])).sum(axis=1) / norm_l
+    frames = g_s[..., None] * (u_l[:, None, :] - cos * u_v) / norm_v[..., None]
+    language = None
+    if need_language:
+        language = (g_s[..., None] * (u_v - cos * u_l[:, None, :])).sum(axis=1) / norm_l
     if bridge is None:
         return value, np.zeros(len(value)), frames, language, at_kink
     if isinstance(bridge, Bridge):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clip import ClipSequence, _is_count, _is_real, _similarities, _timestamps
+from .clip import ClipSequence, _cosines, _is_count, _is_real, _timestamps
 
 DEFAULT_BB_WEIGHT = 0.1
 # exp(x) is a finite, normal double for |x| < 708
@@ -283,16 +283,19 @@ def _score_rows(s, score: str):
     """(..., T, T) score rows of (..., T) similarities: row i holds
     -|s_i - s_k| for 'difference-score', or s_k for 'direct-sim'."""
     if score == "direct-sim":
-        return np.broadcast_to(s[..., None, :], s.shape + s.shape[-1:])
+        return s[..., None, :].repeat(s.shape[-1], axis=-2)
     return -np.abs(s[..., :, None] - s[..., None, :])
 
 
 def _contrastive_terms(emb, lang, c: Contrast, need_grad: bool):
-    """(values, dL/drows, similarities) of the contrastive objective c on
-    (B, T, d) embeddings and (B, d) language vectors, one value per clip."""
-    s = _similarities(emb, lang)
-    value, G = _suffix_softmax(_score_rows(s, c.cfg.score), c, need_grad)
-    return value, G, s
+    """(per-clip values, dL/drows, s, |v|, |l|, rows) of the contrastive
+    objective c on (B, T, d) embeddings and (B, d) language vectors: the
+    cosines s and their norms from one _cosines pass, and the score rows
+    the kernel ran on, each computed once."""
+    s, norm_v, norm_l = _cosines(emb, lang)
+    rows = _score_rows(s, c.cfg.score)
+    value, G = _suffix_softmax(rows, c, need_grad)
+    return value, G, s, norm_v, norm_l, rows
 
 
 def _clip_value(emb, lang, c: Contrast) -> float:
@@ -316,6 +319,8 @@ def vlo_loss_on_scores(timestamps, scores, temperature: float = 1.0) -> float:
     T = len(c.groups.order)
     if scores.shape != (T, T):
         raise ValueError(f"score matrix must be {T}x{T}, got {scores.shape}")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
     return float(_suffix_softmax(scores[None], c, False, np.ptp(scores))[0][0])
 
 

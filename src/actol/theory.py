@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .clip import ClipSequence, _is_count, _is_real, _similarities, _timestamps, alignment_score
+from .clip import ClipSequence, _cosines, _is_count, _is_real, _timestamps, alignment_score
 from .losses import (
     Bridge,
     Contrast,
@@ -137,7 +137,7 @@ def lower_bound_report(clips: int, t_range, d_range, seed) -> TheoremReport:
         for (T, _), draws in by_shape.items():
             if T > 2:
                 ts, frames, lang = _clip_arrays(draws)
-                by_length.setdefault(T, []).append((ts, _similarities(frames, lang)))
+                by_length.setdefault(T, []).append((ts, _cosines(frames, lang)[0]))
         gaps += [_lower_bound_gaps(*map(np.concatenate, zip(*shapes)))
                  for shapes in by_length.values()]
     return _lower_bound_result(gaps, clips)

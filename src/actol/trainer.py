@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clip import ClipSequence, _is_count, _is_real, normalize
+from .clip import ClipSequence, _is_count, _is_real, _norms, normalize
 from .gradients import objective_and_grad
 from .losses import (
     DEFAULT_BB_WEIGHT,
@@ -90,7 +90,7 @@ def _tangent_step(vectors: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarr
     radial = (grads * vectors).sum(axis=-1, keepdims=True)
     tangent = grads - radial * vectors
     stepped = vectors - lr * tangent
-    return stepped / np.linalg.norm(stepped, axis=-1, keepdims=True)
+    return stepped / _norms(stepped)[..., None]
 
 
 def _require_finite(*arrays) -> None:
@@ -113,28 +113,29 @@ def _descend(clip: ClipSequence, params, embed, cfg: TrainConfig, objective, rng
     """cfg.steps descent steps of B clips, which share the starting clip's
     timestamps, on the combined objective (objective None) or on a
     contrastive variant. embed(params, step) returns the step's (B, T, d)
-    embeddings, (B, d) language vectors and a function from their
-    gradients to the next params. Clip b draws its bridge intervals from
-    rngs[b]. The Contrast, whose tie groups give the lower bound, and, with
-    one interval per step, the full-clip Bridge are built once. Returns each
-    clip's records and the final params."""
+    embeddings, (B, d) language vectors and a function from their gradients
+    (dL/dl None unless cfg.optimize_language) to the next params. Clip b
+    draws its bridge intervals from rngs[b]. The Contrast and, with one
+    interval per step, the full-clip Bridge are built once, the records
+    after the last step. Returns each clip's records and the final params."""
     c = Contrast.of(clip.timestamps, objective or TnceConfig(temperature=cfg.temperature))
     lb = c.groups.lower_bound()
     resample = objective is None and cfg.intervals_per_step > 1
     bridge = Bridge.of(clip.timestamps) if objective is None and not resample else None
-    records = []
+    lam, need_language = cfg.bb_weight, cfg.optimize_language
+    history = np.empty((3, len(rngs), cfg.steps))  # vlo, bb and total of each clip and step
     for step in range(cfg.steps):
         emb, lang, update = embed(params, step)
         if resample:
             bridge = [_random_bridge(clip.timestamps, cfg.intervals_per_step, r) for r in rngs]
-        vlo, bb, *grads, _ = objective_and_grad(emb, lang, c, bridge, cfg.bb_weight)
-        total = vlo + cfg.bb_weight * bb
+        vlo, bb, *grads, _ = objective_and_grad(emb, lang, c, bridge, lam, need_language)
+        total = vlo + lam * bb
         if not np.isfinite(total).all():  # the earliest diverging step of any clip
             raise TrainingDiverged(step)
-        rows = zip(vlo.tolist(), bb.tolist(), total.tolist())
-        records.append([LossBreakdown(v, p, t, lb, v - lb) for v, p, t in rows])
+        history[..., step] = vlo, bb, total
         params = update(*grads)
-    return [list(r) for r in zip(*records)], params
+    rows = (zip(*h.tolist()) for h in history.swapaxes(0, 1))  # one clip's lists at a time
+    return [[LossBreakdown(v, p, t, lb, v - lb) for v, p, t in r] for r in rows], params
 
 
 def train_free(
@@ -155,6 +156,8 @@ def train_batch(clips, cfg: TrainConfig, objective: TnceConfig | None, seeds) ->
     seeds[b], unless some clip's loss diverges, which raises."""
     if any(clip.timestamps != clips[0].timestamps for clip in clips):
         raise ValueError("clips in a batch must share their timestamps")
+    if len(seeds) != len(clips):
+        raise ValueError("a batch needs one seed per clip")
     _require_finite(*(a for clip in clips for a in (clip.embeddings, clip.language)))
     clips = [clip.normalized() for clip in clips]
     params = (np.stack([c.embeddings for c in clips]), np.stack([c.language for c in clips]))
@@ -202,7 +205,8 @@ def train_encoder(features, timestamps, language, cfg: TrainConfig):
 
         return emb[None], language[None], update
 
-    (records,), weight = _descend(start, weight, embed, cfg, None, [rng])
+    fixed = replace(cfg, optimize_language=False)  # the language is not a parameter here
+    (records,), weight = _descend(start, weight, embed, fixed, None, [rng])
     encoder = LinearEncoder(weight)
     return encoder, TrainHistory(records, start.with_embeddings(encoder(features)))
 

@@ -25,6 +25,12 @@ call per clip, is the bit-for-bit reference for its stacked version, and
 random_clip as it drew and normalized one clip at a time (a 1-D norm for
 the language) is the reference for the clips lower_bound_report draws as
 arrays.
+
+objective_and_grad as it was composed before each descent step computed
+its intermediates once (the norms and |s_i - s_k| twice each, the dense
+kink test, the language gradient always) is the bit-for-bit reference for
+actol.gradients.objective_and_grad, and the tangent step with
+np.linalg.norm for actol.trainer's.
 """
 
 import sys
@@ -32,8 +38,16 @@ import sys
 import numpy as np
 
 import actol
-from actol.gradients import REL_FLOOR
-from actol.losses import DEFAULT_BB_WEIGHT, BridgeInterval, Contrast, TnceConfig, _clip_value
+from actol.gradients import KINK_TOL, REL_FLOOR
+from actol.losses import (
+    DEFAULT_BB_WEIGHT,
+    Bridge,
+    BridgeInterval,
+    Contrast,
+    TnceConfig,
+    _clip_value,
+    _suffix_softmax,
+)
 from actol.synthetic import perturb_language
 from actol.theory import FLOAT_SLACK, TheoremReport
 
@@ -404,3 +418,59 @@ def finite_diff_check(loss, clip, params=None, step=1e-5):
         num = (value(x_plus) - value(x_minus)) / (2 * step)
         worst = max(worst, abs(g - num) / max(abs(g), abs(num), floor))
     return worst
+
+
+def _similarities(embeddings, language):
+    """Cosine similarities as actol.clip computed them before _cosines."""
+    lang = language[..., :, None]
+    norm_l = np.sqrt(np.matmul(np.swapaxes(lang, -1, -2), lang))[..., 0]
+    norms = np.linalg.norm(embeddings, axis=-1) * norm_l
+    if np.any(norms == 0.0):
+        raise ValueError("cosine similarity undefined for zero-norm input")
+    return np.matmul(embeddings, lang)[..., 0] / norms
+
+
+def _score_rows(s, score):
+    """actol.losses._score_rows as it was, broadcasting direct-sim rows."""
+    if score == "direct-sim":
+        return np.broadcast_to(s[..., None, :], s.shape + s.shape[-1:])
+    return -np.abs(s[..., :, None] - s[..., None, :])
+
+
+def objective_and_grad(emb, lang, c, bridge=None, bb_weight=0.0):
+    """(values, bridge penalties, dL/dE, dL/dl, at_kink), composed as
+    actol.gradients.objective_and_grad was before it computed each
+    intermediate once."""
+    s = _similarities(emb, lang)
+    value, G = _suffix_softmax(_score_rows(s, c.cfg.score), c, True)
+    if c.cfg.score == "direct-sim":
+        g_s, at_kink = G.sum(axis=1), np.zeros(len(s), dtype=bool)
+    else:
+        diff = s[:, :, None] - s[:, None, :]
+        at_kink = np.any((G != 0) & (np.abs(diff) < KINK_TOL), axis=(1, 2))
+        GS = G * np.sign(diff)
+        g_s = -GS.sum(axis=2) + GS.sum(axis=1)
+    norms_v = np.linalg.norm(emb, axis=-1)[..., None]
+    norm_l = np.sqrt(np.matmul(lang[:, None, :], lang[:, :, None]))[:, 0]
+    u_v = emb / norms_v
+    u_l = lang / norm_l
+    cos = np.matmul(u_v, u_l[:, :, None])
+    frames = g_s[..., None] * (u_l[:, None, :] - cos * u_v) / norms_v
+    language = (g_s[..., None] * (u_v - cos * u_l[:, None, :])).sum(axis=1) / norm_l
+    if bridge is None:
+        return value, np.zeros(len(value)), frames, language, at_kink
+    if isinstance(bridge, Bridge):
+        bb, g_bb = bridge.penalty(emb, need_grad=True)
+    else:
+        bb, g_bb = map(np.stack, zip(*(b.penalty(e, need_grad=True) for b, e in zip(bridge, emb))))
+    return value, bb, frames + bb_weight * g_bb, language, at_kink
+
+
+def tangent_step(vectors, grads, lr):
+    """actol.trainer._tangent_step as it was, renormalizing with np.linalg.norm."""
+    if lr == 0.0:
+        return vectors
+    radial = (grads * vectors).sum(axis=-1, keepdims=True)
+    tangent = grads - radial * vectors
+    stepped = vectors - lr * tangent
+    return stepped / np.linalg.norm(stepped, axis=-1, keepdims=True)

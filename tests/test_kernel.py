@@ -114,7 +114,7 @@ def test_vlo_value_matches_reference(clip, tau):
 @given(clip=clips(), tau=temperatures)
 def test_vlo_score_gradient_matches_reference(clip, tau):
     c = Contrast.of(clip.timestamps, TnceConfig(temperature=tau))
-    _, (G,), (s,) = _contrastive_terms(clip.embeddings[None], clip.language[None], c, True)
+    _, (G,), (s,) = _contrastive_terms(clip.embeddings[None], clip.language[None], c, True)[:3]
     R = -np.abs(s[:, None] - s[None, :])
     T = clip.T
     assert_grad_close(G, naive.pair_weight_matrix(clip.timestamps, R, tau), T * (T - 1), tau)
@@ -125,7 +125,8 @@ def test_vlo_score_gradient_matches_reference(clip, tau):
 def test_tnce_matches_reference(clip, cfg, tau):
     cfg = TnceConfig(cfg.positive_selector, cfg.negative_selector, cfg.score, tau)
     c = Contrast.of(clip.timestamps, cfg)
-    (value,), (G,), (s,) = _contrastive_terms(clip.embeddings[None], clip.language[None], c, True)
+    terms = _contrastive_terms(clip.embeddings[None], clip.language[None], c, True)
+    (value,), (G,), (s,) = terms[:3]
     g_s, G_pairs = naive.tnce_score_grads(clip.timestamps, s, cfg)
     expected = naive.tnce_loss(clip.timestamps, s, cfg)
     assert value == pytest.approx(expected, rel=1e-12, abs=1e-15)
@@ -246,6 +247,73 @@ def test_supplied_groups_change_nothing(clip, cfg):
     assert bb == 0.0 and at_kink == grads2.at_kink
     assert np.array_equal(frames, grads2.frames)
     assert np.array_equal(language, grads2.language)
+
+
+STEP_OBJECTIVES = {
+    "actol": TnceConfig(),
+    "last-frame": TnceConfig("last-frame", "other-frames", "direct-sim"),
+}
+STEP_TS = (0, 1, 2, 4, 5, 7, 8, 9, 12, 13)  # tied and untied distances
+
+
+def _step_inputs(B, seed, T=len(STEP_TS), d=8):
+    rng = np.random.default_rng(seed)
+    emb = rng.standard_normal((B, T, d))
+    emb /= np.linalg.norm(emb, axis=-1, keepdims=True)
+    lang = rng.standard_normal((B, d))
+    return emb, lang / np.linalg.norm(lang, axis=-1, keepdims=True)
+
+
+def _step_matching_reference(emb, lang, c, bridge=None, bb_weight=0.0):
+    """objective_and_grad's five outputs, asserted bit for bit those of the
+    composition in naive.py."""
+    got = objective_and_grad(emb, lang, c, bridge, bb_weight)
+    expected = naive.objective_and_grad(emb, lang, c, bridge, bb_weight)
+    for a, b in zip(got, expected, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+    return got
+
+
+@pytest.mark.parametrize("bridge", ["none", "shared", "per-clip"])
+@pytest.mark.parametrize("tau", [0.5, 0.002], ids=["linear", "log-space"])
+@pytest.mark.parametrize("objective", list(STEP_OBJECTIVES))
+@pytest.mark.parametrize("B", [1, 4])
+def test_step_matches_reference_bit_for_bit(B, objective, tau, bridge):
+    """One descent step's outputs on both sides of the range guard, with no
+    bridge, one shared Bridge and one Bridge per clip."""
+    c = Contrast.of(STEP_TS, replace(STEP_OBJECTIVES[objective], temperature=tau))
+    per_clip = [Bridge.of(STEP_TS, [BridgeInterval(b % 3, 9 - b % 2)]) for b in range(B)]
+    bridges = {"none": None, "shared": Bridge.of(STEP_TS), "per-clip": per_clip}
+    emb, lang = _step_inputs(B, seed=B)
+    _step_matching_reference(emb, lang, c, bridges[bridge], 0.1)
+
+
+def test_step_flags_only_the_clip_with_a_similarity_tie():
+    c = Contrast.of(STEP_TS, TnceConfig(temperature=0.5))
+    emb, lang = _step_inputs(3, seed=5)
+    emb[1, 6] = emb[1, 2]  # an exact off-diagonal tie in row 1 alone
+    *_, at_kink = _step_matching_reference(emb, lang, c, Bridge.of(STEP_TS), 0.1)
+    assert at_kink.tolist() == [False, True, False]
+
+
+@pytest.mark.parametrize("objective", list(STEP_OBJECTIVES))
+@pytest.mark.parametrize(
+    "nans, tie", [([(1, 3)], None), ([(0, 0), (0, 4)], (2, 1, 8))], ids=["one", "two-and-a-tie"]
+)
+def test_step_with_nan_similarity_matches_reference(objective, nans, tie):
+    """No pair in a NaN similarity's row or column is close, its diagonal
+    entry included. With two NaNs, one tie elsewhere makes as many close
+    pairs as a stack with no NaN and no tie has, and is still flagged."""
+    c = Contrast.of(STEP_TS, replace(STEP_OBJECTIVES[objective], temperature=0.5))
+    emb, lang = _step_inputs(3, seed=9)
+    for b, t in nans:
+        emb[b, t] = np.nan
+    if tie is not None:
+        b, t, u = tie
+        emb[b, u] = emb[b, t]
+    *_, at_kink = _step_matching_reference(emb, lang, c)
+    if tie is not None and objective == "actol":
+        assert at_kink[tie[0]]
 
 
 @st.composite

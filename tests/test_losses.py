@@ -135,6 +135,17 @@ class TestVloOnScores:
         with pytest.raises(ValueError):
             vlo_loss_on_scores((0, 1, 2), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
+    def test_non_finite_scores_rejected_before_the_kernel(self, monkeypatch, bad, at):
+        kernel = mock.Mock(wraps=losses._suffix_softmax)
+        monkeypatch.setattr(losses, "_suffix_softmax", kernel)
+        scores = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        scores[at] = bad
+        with pytest.raises(ValueError, match="^scores must be finite$"):
+            vlo_loss_on_scores((0, 1, 2), scores)
+        assert kernel.call_count == 0
+
 
 def distance_profile(timestamps, i):
     """Anchor i's distinct distances, nearest first, and their

@@ -1,6 +1,7 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
+import naive
 import numpy as np
 import pytest
 
@@ -160,6 +161,74 @@ class TestTrainFree:
             assert counts["bridge"] == (1 if intervals_per_step == 1 else steps)
             seen.append(counts["clip"])
         assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize("optimize_language", [False, True])
+    def test_language_gradient_asked_for_only_when_stepped(self, monkeypatch, optimize_language):
+        from actol import trainer
+
+        asked = []
+        original = trainer.objective_and_grad
+
+        def spy(emb, lang, c, bridge=None, bb_weight=0.0, need_language=True):
+            asked.append(need_language)
+            return original(emb, lang, c, bridge, bb_weight, need_language)
+
+        monkeypatch.setattr(trainer, "objective_and_grad", spy)
+        cfg = TrainConfig(steps=3, optimize_language=optimize_language)
+        clip = start_clip(23)
+        train_free(clip, cfg)
+        assert asked == [optimize_language] * 3
+        asked.clear()
+        train_encoder(clip.embeddings, clip.timestamps, clip.language, cfg)
+        assert asked == [False] * 3  # the encoder's language is fixed
+
+    @pytest.mark.parametrize("optimize_language", [False, True])
+    @pytest.mark.parametrize("intervals_per_step", [1, 3])
+    @pytest.mark.parametrize(
+        "objective", [None, TnceConfig("last-frame", "other-frames", "direct-sim", 0.5)],
+        ids=["actol", "last-frame"],
+    )
+    def test_histories_match_reference_step(
+        self, monkeypatch, objective, intervals_per_step, optimize_language
+    ):
+        """Records and final clips bit for bit those of the step composed as
+        in naive.py, which computes every intermediate and the language
+        gradient on every step."""
+        from actol import trainer
+
+        ts = start_clip(24, T=8).timestamps
+        clips = [random_clip(len(ts), 5, np.random.default_rng(seed)) for seed in (1, 2, 3)]
+        clips = [ClipSequence(ts, c.embeddings, c.language) for c in clips]
+        cfg = TrainConfig(
+            steps=12, intervals_per_step=intervals_per_step, optimize_language=optimize_language
+        )
+        got = train_batch(clips, cfg, objective, (4, 5, 6))
+        monkeypatch.setattr(
+            trainer, "objective_and_grad", lambda *a: naive.objective_and_grad(*a[:5])
+        )
+        monkeypatch.setattr(trainer, "_tangent_step", naive.tangent_step)
+        for history, expected in zip(got, train_batch(clips, cfg, objective, (4, 5, 6))):
+            assert history.records == expected.records
+            assert np.array_equal(history.final_clip.embeddings, expected.final_clip.embeddings)
+            assert np.array_equal(history.final_clip.language, expected.final_clip.language)
+
+    def test_records_hold_python_floats(self):
+        clip = start_clip(25)
+        histories = [train_free(clip, TrainConfig(steps=3))]
+        histories.append(train_encoder(clip.embeddings, clip.timestamps, clip.language,
+                                       TrainConfig(steps=3))[1])
+        for history in histories:
+            for record in history.records:
+                assert all(type(getattr(record, f.name)) is float for f in fields(record))
+
+    @pytest.mark.parametrize("intervals_per_step", [1, 3])
+    def test_batch_needs_one_seed_per_clip(self, intervals_per_step):
+        ts = start_clip(26).timestamps
+        clips = [ClipSequence(ts, start_clip(seed).embeddings, start_clip(seed).language)
+                 for seed in (1, 2, 3)]
+        cfg = TrainConfig(steps=2, intervals_per_step=intervals_per_step)
+        with pytest.raises(ValueError, match="^a batch needs one seed per clip$"):
+            train_batch(clips, cfg, None, (0, 1))
 
     def test_batch_rejects_clips_with_other_timestamps(self):
         a, b = start_clip(19), start_clip(20)
