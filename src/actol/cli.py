@@ -93,14 +93,19 @@ def _object(config, key, default=None):
     return value
 
 
-def _names(config, key, known, default=None):
-    """config[key] (required without a default): a non-empty list of names in known."""
+def _names(config, key, known, default=None, repeats=False):
+    """config[key] (required without a default): a non-empty list of names
+    in known, distinct unless repeats. Outputs keyed by name need distinct
+    names; verify's reports are a list, so a check may run twice."""
     names = _require(config, key) if default is None else config.get(key, default)
     if not (isinstance(names, list) and names):
         raise ConfigError(f"{key} must be a non-empty list, got {names!r}")
     unknown = [name for name in names if not (isinstance(name, str) and name in known)]
     if unknown:
         raise ConfigError(f"unknown {key}: {unknown}")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated and not repeats:
+        raise ConfigError(f"repeated {key}: {repeated}")
     return names
 
 
@@ -223,7 +228,7 @@ def _report_robustness(rng, params):
 def _build_reports(config):
     """Run the configured checks in list order, all drawing from one
     Generator seeded with the config seed."""
-    checks = _names(config, "checks", CHECK_PARAMETERS)
+    checks = _names(config, "checks", CHECK_PARAMETERS, repeats=True)
     rng = np.random.default_rng(config["seed"])
     flip = config.get("debug_flip_bb_variance_sign", False)
     if not isinstance(flip, bool):

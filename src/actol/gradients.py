@@ -45,42 +45,65 @@ class GradientSet:
     at_kink: bool = False
 
 
-def objective_and_grad(emb, lang, c: Contrast, bridge=None, bb_weight=0.0, need_language=True):
+def objective_and_grad(
+    emb, lang, c: Contrast, bridge=None, bb_weight=0.0, need_language=True, bridged=None
+):
     """Per-clip (values, bridge penalties, dL/dE, dL/dl, at_kink) of the
     contrastive objective c on (B, T, d) embeddings and (B, d) language
     vectors, from one kernel pass; c must be Contrast.of(timestamps, cfg).
-    Given a Bridge, or one Bridge per clip, bb_weight times its gradient is
-    added to dL/dE; without one the penalties are 0.0. dL/dl is None unless
-    need_language. The cosines, their norms and the score rows come from
-    _contrastive_terms, computed once; the kink test reads the rows, and
-    s_i - s_k is formed again in their buffer once the kernel is done."""
+    For a Contrast of O configs the stack is (B, O, T, d) and (B, O, d),
+    and each output has the config axis after the clip axis. Given a
+    Bridge, or one Bridge per clip, bb_weight times its gradient is added
+    to dL/dE of the configs at positions bridged (default: every one);
+    elsewhere the penalties are 0.0. dL/dl is None unless need_language.
+    The cosines, their norms and the score rows come from
+    _contrastive_terms, computed once; the kink test reads the rows of
+    difference-score configs, and s_i - s_k is formed again in their buffer
+    once the kernel is done."""
     value, G, s, norm_v, norm_l, rows = _contrastive_terms(emb, lang, c, need_grad=True)
-    if c.cfg.score == "direct-sim":
-        g_s, at_kink = G.sum(axis=1), np.zeros(len(G), dtype=bool)
+    no_kink = np.zeros(value.shape, dtype=bool)
+    if c.score == "direct-sim":
+        g_s, at_kink = G.sum(axis=-2), no_kink
     else:
         # dL/dR_{i,k} (R = -|s_i - s_k|) to dL/ds_t; a kink is a close pair off G's 0 diagonal
         close = rows > -KINK_TOL  # |s_i - s_k| < KINK_TOL, on the diagonal unless s_i is NaN
+        mixed = c.score is None
+        if mixed:  # the rows of direct-sim configs hold s_k and have no kink
+            close &= c.difference
         off = np.count_nonzero(close) > np.count_nonzero(close.diagonal(0, -2, -1))
-        at_kink = np.any((G != 0) & close, axis=(1, 2)) if off else np.zeros(len(G), dtype=bool)
+        at_kink = np.any((G != 0) & close, axis=(-2, -1)) if off else no_kink
         # s_i - s_k again, in rows' buffer: kept from before, it would be live through the kernel
-        GS = np.sign(np.subtract(s[:, :, None], s[:, None, :], out=rows), out=rows)
+        GS = np.sign(np.subtract(s[..., :, None], s[..., None, :], out=rows), out=rows)
+        if mixed:  # a direct-sim config's dL/ds_t is G's column sum
+            GS = np.where(c.difference, GS, 1.0)
         GS *= G
-        g_s = -GS.sum(axis=2) + GS.sum(axis=1)
+        col = GS.sum(axis=-2)
+        g_s = -GS.sum(axis=-1) + col
+        if mixed:
+            g_s = np.where(c.difference[..., 0], g_s, col)
     # dL/ds_t to the embeddings through the cosine, normalization included
     u_v = emb / norm_v[..., None]
     u_l = lang / norm_l
-    cos = np.matmul(u_v, u_l[:, :, None])
-    frames = g_s[..., None] * (u_l[:, None, :] - cos * u_v) / norm_v[..., None]
+    cos = np.matmul(u_v, u_l[..., :, None])
+    frames = g_s[..., None] * (u_l[..., None, :] - cos * u_v) / norm_v[..., None]
     language = None
     if need_language:
-        language = (g_s[..., None] * (u_v - cos * u_l[:, None, :])).sum(axis=1) / norm_l
+        language = (g_s[..., None] * (u_v - cos * u_l[..., None, :])).sum(axis=-2) / norm_l
     if bridge is None:
-        return value, np.zeros(len(value)), frames, language, at_kink
+        return value, np.zeros(value.shape), frames, language, at_kink
+    on = emb if bridged is None else emb[:, bridged]
     if isinstance(bridge, Bridge):
-        bb, g_bb = bridge.penalty(emb, need_grad=True)
+        bb, g_bb = bridge.penalty(on, need_grad=True)
     else:  # each clip's own Bridge on its own slice
-        bb, g_bb = map(np.stack, zip(*(b.penalty(e, need_grad=True) for b, e in zip(bridge, emb))))
-    return value, bb, frames + bb_weight * g_bb, language, at_kink
+        if len(bridge) != len(emb):
+            raise ValueError(f"need one Bridge per clip: {len(bridge)} for {len(emb)} clips")
+        bb, g_bb = map(np.stack, zip(*(b.penalty(e, need_grad=True) for b, e in zip(bridge, on))))
+    if bridged is None:
+        return value, bb, frames + bb_weight * g_bb, language, at_kink
+    penalties = np.zeros(value.shape)
+    penalties[:, bridged] = bb
+    frames[:, bridged] += bb_weight * g_bb
+    return value, penalties, frames, language, at_kink
 
 
 def _on_clip(clip: ClipSequence, c: Contrast | None, bridge=None, bb_weight=0.0):

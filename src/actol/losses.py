@@ -28,7 +28,7 @@ scores with _stack_size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -176,32 +176,76 @@ class Contrast:
     Built from an (N, T) stack of timestamp rows, the masks and indices are
     (N, T, T-1) and the flat indices address an (N, T, T) and an
     (N, T, T-1) array, so the kernel evaluates clip n of the stack on
-    slice n of (B, N, T, T) score rows."""
+    slice n of (B, N, T, T) score rows. Built from one timestamp row and a
+    tuple of O configs, row o of the same layout is config o: cfg is the
+    tuple, and the temperature tau, the positive-term count n_terms and
+    the gradient scale n_terms * tau are (O, 1, 1), (O,) and (O, 1, 1)
+    arrays. temperatures holds each config's temperature as a float, and
+    score the score kind all configs share, or None when they mix kinds;
+    difference then masks the (O, 1, 1) rows that score by difference."""
 
-    cfg: TnceConfig
+    cfg: TnceConfig | tuple
     groups: TieGroups
     positives: np.ndarray
-    n_terms: int
+    n_terms: int | np.ndarray
     sorted_at: np.ndarray
     end_at: np.ndarray
     start_at: np.ndarray
+    tau: float | np.ndarray
+    scale: float | np.ndarray
+    temperatures: tuple
+    score: str | None
+    difference: np.ndarray | None = None
+    _selected: dict = field(default_factory=dict, repr=False)  # select's Contrasts, by part
 
     @classmethod
-    def of(cls, timestamps, cfg: TnceConfig) -> "Contrast":
+    def of(cls, timestamps, cfg) -> "Contrast":
+        """The Contrast of cfg, a TnceConfig, at one timestamp row or an
+        (N, T) stack; or of each config of a tuple at one timestamp row."""
         groups = TieGroups.of(timestamps)
+        if not isinstance(cfg, TnceConfig) and (groups.order.ndim != 2 or not cfg):
+            raise ValueError("a tuple of configs needs one timestamp row and one config or more")
+        return cls._of_groups(groups, cfg)
+
+    @classmethod
+    def _of_groups(cls, groups: TieGroups, cfg) -> "Contrast":
         k = groups.order  # k excludes the anchor i itself
         T = k.shape[-2]
         i = np.arange(T)[:, None]
-        pos = {"vlo-pair": k >= 0, "last-frame": k == T - 1, "future-frame": k > i}[
-            cfg.positive_selector
-        ]
-        end, start = groups.end, groups.start
-        if cfg.negative_selector == "other-frames":
-            end, start = np.full_like(end, T - 2), np.zeros_like(start)
-        n = np.arange(k.size // (T * (T - 1))).reshape(k.shape[:-2] + (1, 1))  # clip of a stack
+
+        def masks(cfg):
+            pos = {"vlo-pair": k >= 0, "last-frame": k == T - 1, "future-frame": k > i}[
+                cfg.positive_selector
+            ]
+            if cfg.negative_selector == "other-frames":
+                return pos, np.full_like(groups.end, T - 2), np.zeros_like(groups.start)
+            return pos, groups.end, groups.start
+
+        one = isinstance(cfg, TnceConfig)
+        pos, end, start = masks(cfg) if one else map(np.stack, zip(*map(masks, cfg)))
+        n = np.arange(pos.size // (T * (T - 1))).reshape(pos.shape[:-2] + (1, 1))  # stack row
         row = (n * T + i) * (T - 1)
-        n_terms = int(np.count_nonzero(pos)) // n.size  # the same for every clip of length T
-        return cls(cfg, groups, pos, n_terms, (n * T + i) * T + k, row + end, row + start)
+        flat = ((n * T + i) * T + k, row + end, row + start)
+        if one:
+            n_terms = int(np.count_nonzero(pos)) // n.size  # the same for every clip of length T
+            tau = float(cfg.temperature)
+            return cls(cfg, groups, pos, n_terms, *flat, tau, n_terms * tau, (tau,), cfg.score)
+        n_terms = [int(np.count_nonzero(p)) for p in pos]
+        tau = tuple(float(c.temperature) for c in cfg)
+        scale = [m * t for m, t in zip(n_terms, tau)]
+        scores = [c.score for c in cfg]
+        score = scores[0] if len(set(scores)) == 1 else None
+        difference = None if score else (np.array(scores) == "difference-score")[:, None, None]
+        return cls(tuple(cfg), groups, pos, np.array(n_terms), *flat,
+                   *np.array([tau, scale])[..., None, None], tau, score, difference)
+
+    def select(self, part) -> "Contrast":
+        """The Contrast of the configs at positions part of a config tuple,
+        built on the first call for part: a training run asks every step."""
+        key = tuple(int(o) for o in part)
+        if key not in self._selected:
+            self._selected[key] = Contrast._of_groups(self.groups, tuple(self.cfg[o] for o in key))
+        return self._selected[key]
 
 
 def _stack_size(scores_per_item: int) -> int:
@@ -230,19 +274,36 @@ def _suffix_softmax(rows, c: Contrast, need_grad: bool, span: float = 2.0):
     Returns the (B,) values and G with G[b, i, k] = d value_b / d rows[b, i, k],
     or (values, None) when need_grad is false. For a Contrast of an
     (N, T) timestamp stack, rows are (B, N, T, T) and values (B, N): one
-    value per clip, as each clip gets from its own Contrast.
+    value per clip, as each clip gets from its own Contrast. For a Contrast
+    of O configs they are (B, O, T, T) and (B, O), one value per config as
+    from its own Contrast: if the guard holds for some configs and not for
+    others, each side runs in its own kernel call.
     """
     B = len(rows)
-    tau = float(c.cfg.temperature)
+    log_T = math.log(rows.shape[-1])
+    linear = [span / tau + log_T < EXP_RANGE for tau in c.temperatures]
+    if any(linear) != all(linear):
+        return _split_softmax(rows, c, need_grad, span, np.array(linear))
     # np.take lays each slice out as alone; fancy indexing would sum B > 1 in another order
-    x = np.take(rows.reshape(B, -1), c.sorted_at, axis=1) / tau
-    linear = span / tau + math.log(rows.shape[-1]) < EXP_RANGE
-    terms, weights = (_exp_cumsum if linear else _log_accumulate)(x, c, need_grad)
+    x = np.take(rows.reshape(B, -1), c.sorted_at, axis=1) / c.tau
+    terms, weights = (_exp_cumsum if linear[0] else _log_accumulate)(x, c, need_grad)
     value = terms.reshape(*terms.shape[:-2], -1).sum(axis=-1) / c.n_terms
     if not need_grad:
         return value, None
     G = np.zeros(rows.shape)
-    G.reshape(B, -1)[:, c.sorted_at] = (weights - c.positives) / (c.n_terms * tau)
+    G.reshape(B, -1)[:, c.sorted_at] = (weights - c.positives) / c.scale
+    return value, G
+
+
+def _split_softmax(rows, c: Contrast, need_grad: bool, span: float, linear):
+    """_suffix_softmax of a config tuple's Contrast whose configs fall on
+    both sides of the range guard: one call for each side's rows."""
+    value = np.empty(rows.shape[:2])
+    G = np.zeros(rows.shape) if need_grad else None
+    for part in (np.flatnonzero(linear), np.flatnonzero(~linear)):
+        value[:, part], g = _suffix_softmax(rows[:, part], c.select(part), need_grad, span)
+        if need_grad:
+            G[:, part] = g
     return value, G
 
 
@@ -279,21 +340,24 @@ def _log_accumulate(x, c: Contrast, need_grad: bool):
     return terms, np.exp(x + tail[..., ::-1].reshape(B, -1)[:, c.start_at])
 
 
-def _score_rows(s, score: str):
+def _score_rows(s, c: Contrast):
     """(..., T, T) score rows of (..., T) similarities: row i holds
-    -|s_i - s_k| for 'difference-score', or s_k for 'direct-sim'."""
-    if score == "direct-sim":
+    -|s_i - s_k| for 'difference-score', or s_k for 'direct-sim'; for a
+    Contrast whose configs mix kinds, each (T, T) slice by its config's."""
+    if c.score == "direct-sim":
         return s[..., None, :].repeat(s.shape[-1], axis=-2)
-    return -np.abs(s[..., :, None] - s[..., None, :])
+    rows = -np.abs(s[..., :, None] - s[..., None, :])
+    return rows if c.score else np.where(c.difference, rows, s[..., None, :])
 
 
 def _contrastive_terms(emb, lang, c: Contrast, need_grad: bool):
     """(per-clip values, dL/drows, s, |v|, |l|, rows) of the contrastive
-    objective c on (B, T, d) embeddings and (B, d) language vectors: the
+    objective c on (B, T, d) embeddings and (B, d) language vectors, or on
+    a (B, O, T, d) and (B, O, d) stack for a Contrast of O configs: the
     cosines s and their norms from one _cosines pass, and the score rows
     the kernel ran on, each computed once."""
     s, norm_v, norm_l = _cosines(emb, lang)
-    rows = _score_rows(s, c.cfg.score)
+    rows = _score_rows(s, c)
     value, G = _suffix_softmax(rows, c, need_grad)
     return value, G, s, norm_v, norm_l, rows
 

@@ -1,5 +1,6 @@
 """Language-conditioned reward curves and objective comparison on
-synthetic clips with distractor tails.
+synthetic clips with distractor tails. A comparison trains all of its
+objectives and seeds as one stack, one objective evaluation per step.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 from .clip import ClipSequence
 from .losses import TnceConfig
 from .synthetic import SyntheticClipSpec, generate_clip
-from .trainer import TrainConfig, train_batch
+from .trainer import TrainConfig, train_objectives
 
 
 @dataclass(frozen=True)
@@ -85,17 +86,26 @@ def compare_objectives(
 ) -> ComparisonRecord:
     """Train free embeddings from identical per-seed initializations under
     each objective and report reward-argmax distance to the ground-truth
-    completion index. All seeds of one objective train together as one
-    batch, which gives each seed the result of its own run."""
+    completion index. Every seed and objective trains in one (B, O, T, d)
+    stack, one objective_and_grad call per step for all of them, which
+    gives each seed and objective the result of its own run. A loss that
+    turns non-finite raises TrainingDiverged at the earliest step at which
+    any objective and seed diverges. Objective names must be distinct."""
     objectives = tuple(objectives)
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("need at least one seed")
+    if not objectives:
+        raise ValueError("need at least one objective")
+    names = [o.name for o in objectives]
+    if len(set(names)) != len(names):
+        raise ValueError(f"objective names must be distinct, got {names}")
     clips, truths = zip(*(generate_clip(replace(clip_spec, seed=seed)) for seed in seeds))
+    histories = train_objectives(clips, train_cfg, [o.tnce for o in objectives], seeds, False)
     final_clips = {
-        (seed, obj.name): history.final_clip
-        for obj in objectives
-        for seed, history in zip(seeds, train_batch(clips, train_cfg, obj.tnce, seeds))
+        (seed, obj.name): runs[o].final_clip
+        for o, obj in enumerate(objectives)
+        for seed, runs in zip(seeds, histories)
     }
     results = []
     for seed, truth in zip(seeds, truths):

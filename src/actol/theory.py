@@ -65,7 +65,7 @@ def _lower_bound_gaps(timestamps, similarities) -> np.ndarray:
     gaps = []
     for start in range(0, len(similarities), size):
         c = Contrast.of(timestamps[start : start + size], cfg)
-        rows = _score_rows(similarities[start : start + size], cfg.score)
+        rows = _score_rows(similarities[start : start + size], c)
         values = _suffix_softmax(rows[None], c, False)[0][0]
         gaps.append(values - c.groups.lower_bound())
     return np.concatenate(gaps)

@@ -2,7 +2,10 @@
 under the combined objective, on the unit sphere.
 
 Runs are single-threaded and bitwise deterministic given the seed and
-config.
+config. Clips that share their timestamps train as one stack, under one
+objective (train_batch) or under several at once (train_objectives):
+one objective evaluation per step for the whole stack, and each clip and
+objective gets bit for bit the history of its own run.
 """
 
 from __future__ import annotations
@@ -109,33 +112,51 @@ def _random_bridge(timestamps, n: int, rng) -> Bridge:
     return Bridge.of(timestamps, intervals)
 
 
-def _descend(clip: ClipSequence, params, embed, cfg: TrainConfig, objective, rngs):
+def _descend(
+    clip: ClipSequence, params, embed, cfg: TrainConfig, objectives, rngs, keep_records=True
+):
     """cfg.steps descent steps of B clips, which share the starting clip's
-    timestamps, on the combined objective (objective None) or on a
-    contrastive variant. embed(params, step) returns the step's (B, T, d)
-    embeddings, (B, d) language vectors and a function from their gradients
-    (dL/dl None unless cfg.optimize_language) to the next params. Clip b
-    draws its bridge intervals from rngs[b]. The Contrast and, with one
-    interval per step, the full-clip Bridge are built once, the records
-    after the last step. Returns each clip's records and the final params."""
-    c = Contrast.of(clip.timestamps, objective or TnceConfig(temperature=cfg.temperature))
+    timestamps, under each of O objectives: the combined objective (None)
+    or a contrastive variant. The stack is (B, T, d) for one objective and
+    (B, O, T, d) for more, and every step makes one objective_and_grad call
+    for all of it. embed(params, step) returns the step's embeddings,
+    language vectors and a function from their gradients (dL/dl None unless
+    cfg.optimize_language) to the next params. Clip b draws its bridge
+    intervals from rngs[b], once per step, for every combined objective.
+    The Contrast and, with one interval per step, the full-clip Bridge are
+    built once, the records after the last step (each run's are empty
+    unless keep_records). Returns records[b][o] and the final params; the
+    earliest step at which any clip and objective has a non-finite loss
+    raises."""
+    cfgs = tuple(obj or TnceConfig(temperature=cfg.temperature) for obj in objectives)
+    c = Contrast.of(clip.timestamps, cfgs[0] if len(cfgs) == 1 else cfgs)
     lb = c.groups.lower_bound()
-    resample = objective is None and cfg.intervals_per_step > 1
-    bridge = Bridge.of(clip.timestamps) if objective is None and not resample else None
+    combined = [o for o, obj in enumerate(objectives) if obj is None]
+    bridged = ()  # the objectives under the bridge, passed only when some are not
+    if 0 < len(combined) < len(cfgs):
+        run = combined[-1] - combined[0] == len(combined) - 1  # a slice is a view, not a copy
+        bridged = (slice(combined[0], combined[-1] + 1) if run else combined,)
+    resample = combined and cfg.intervals_per_step > 1
+    bridge = Bridge.of(clip.timestamps) if combined and not resample else None
     lam, need_language = cfg.bb_weight, cfg.optimize_language
-    history = np.empty((3, len(rngs), cfg.steps))  # vlo, bb and total of each clip and step
+    shape = (len(rngs),) if len(cfgs) == 1 else (len(rngs), len(cfgs))
+    history = np.empty((3, *shape, cfg.steps))  # vlo, bb and total of each clip and step
     for step in range(cfg.steps):
         emb, lang, update = embed(params, step)
         if resample:
             bridge = [_random_bridge(clip.timestamps, cfg.intervals_per_step, r) for r in rngs]
-        vlo, bb, *grads, _ = objective_and_grad(emb, lang, c, bridge, lam, need_language)
+        vlo, bb, *grads, _ = objective_and_grad(emb, lang, c, bridge, lam, need_language, *bridged)
         total = vlo + lam * bb
-        if not np.isfinite(total).all():  # the earliest diverging step of any clip
+        if not np.isfinite(total).all():  # the earliest diverging step of any run
             raise TrainingDiverged(step)
         history[..., step] = vlo, bb, total
         params = update(*grads)
-    rows = (zip(*h.tolist()) for h in history.swapaxes(0, 1))  # one clip's lists at a time
-    return [[LossBreakdown(v, p, t, lb, v - lb) for v, p, t in r] for r in rows], params
+    runs = history.reshape(3, -1, cfg.steps).swapaxes(0, 1)  # clip-major, one run's lists at a time
+    records = [
+        [LossBreakdown(v, p, t, lb, v - lb) for v, p, t in zip(*h.tolist())] if keep_records else []
+        for h in runs
+    ]
+    return [records[b : b + len(cfgs)] for b in range(0, len(records), len(cfgs))], params
 
 
 def train_free(
@@ -154,13 +175,28 @@ def train_batch(clips, cfg: TrainConfig, objective: TnceConfig | None, seeds) ->
     """train_free on clips that share their timestamps, stepped as one
     (B, T, d) stack: history b equals clip b's own run with cfg.seed =
     seeds[b], unless some clip's loss diverges, which raises."""
+    return [h for (h,) in train_objectives(clips, cfg, (objective,), seeds)]
+
+
+def train_objectives(clips, cfg: TrainConfig, objectives, seeds, keep_records=True) -> list:
+    """train_batch under every objective (None or a TnceConfig) at once:
+    the clips, repeated once per objective, step as one (B, O, T, d) stack.
+    histories[b][o] equals train_batch's history b under objective o, bit
+    for bit, unless some clip's loss under some objective diverges, which
+    raises at the earliest such step. Without keep_records the histories
+    hold their final clips and no records: the stack would otherwise build
+    every objective's records at once, which a comparison never reads."""
     if any(clip.timestamps != clips[0].timestamps for clip in clips):
         raise ValueError("clips in a batch must share their timestamps")
     if len(seeds) != len(clips):
         raise ValueError("a batch needs one seed per clip")
     _require_finite(*(a for clip in clips for a in (clip.embeddings, clip.language)))
     clips = [clip.normalized() for clip in clips]
-    params = (np.stack([c.embeddings for c in clips]), np.stack([c.language for c in clips]))
+    O = len(objectives)
+    emb = np.stack([c.embeddings for c in clips])
+    lang = np.stack([c.language for c in clips])
+    if O > 1:  # one copy of each clip per objective
+        emb, lang = np.repeat(emb[:, None], O, axis=1), np.repeat(lang[:, None], O, axis=1)
 
     def embed(params, step):
         emb, lang = params
@@ -170,8 +206,14 @@ def train_batch(clips, cfg: TrainConfig, objective: TnceConfig | None, seeds) ->
         )
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    records, (emb, lang) = _descend(clips[0], params, embed, cfg, objective, rngs)
-    return [TrainHistory(r, c.with_embeddings(e, l)) for r, c, e, l in zip(records, clips, emb, lang)]
+    records, (emb, lang) = _descend(
+        clips[0], (emb, lang), embed, cfg, objectives, rngs, keep_records
+    )
+    emb, lang = emb.reshape(len(clips), O, *emb.shape[-2:]), lang.reshape(len(clips), O, -1)
+    return [
+        [TrainHistory(r, c.with_embeddings(e, l)) for r, e, l in zip(runs, es, ls)]
+        for runs, c, es, ls in zip(records, clips, emb, lang)
+    ]
 
 
 def train_encoder(features, timestamps, language, cfg: TrainConfig):
@@ -206,7 +248,7 @@ def train_encoder(features, timestamps, language, cfg: TrainConfig):
         return emb[None], language[None], update
 
     fixed = replace(cfg, optimize_language=False)  # the language is not a parameter here
-    (records,), weight = _descend(start, weight, embed, fixed, None, [rng])
+    ((records,),), weight = _descend(start, weight, embed, fixed, (None,), [rng])
     encoder = LinearEncoder(weight)
     return encoder, TrainHistory(records, start.with_embeddings(encoder(features)))
 

@@ -382,6 +382,7 @@ class TestRewardCommand:
             {"objectives": []},
             {"objectives": 5},
             {"objectives": [["actol"]]},
+            {"objectives": ["actol", "actol"]},
             {"synthetic": {"T": 4, "d": 1, "completion_index": 2}},
             {"synthetic": {"T": 4.5, "d": 3, "completion_index": 2}},
             {"synthetic": {"T": 4, "d": 2.5, "completion_index": 2}},
@@ -392,7 +393,7 @@ class TestRewardCommand:
         ],
         ids=[
             "seeds-0", "seeds-1.5", "seeds-true", "objectives-empty", "objectives-number",
-            "objectives-nested-list", "synthetic-d-1",
+            "objectives-nested-list", "objectives-repeated", "synthetic-d-1",
             "synthetic-T-4.5", "synthetic-d-2.5", "synthetic-completion_index-2.5",
             "synthetic-noise_sigma-nan", "synthetic-noise_sigma-inf", "synthetic-noise_sigma-true",
         ],
@@ -445,9 +446,11 @@ class TestGradcheckCommand:
             {"step": 0.01},
             {"losses": 5},
             {"losses": [["vlo"]]},
+            {"losses": ["vlo", "vlo"]},
         ],
         ids=["clips-0", "clips-true", "T-1", "T-2.5", "d-1", "step-0", "step-inf", "losses-empty",
-             "step-true", "step-too-large", "losses-number", "losses-nested-list"],
+             "step-true", "step-too-large", "losses-number", "losses-nested-list",
+             "losses-repeated"],
     )
     def test_bad_parameters(self, tmp_path, params):
         cfg = write_config(tmp_path, {"clips": 2, "T": 4, "d": 3, **params})

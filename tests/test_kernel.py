@@ -316,6 +316,72 @@ def test_step_with_nan_similarity_matches_reference(objective, nans, tie):
         assert at_kink[tie[0]]
 
 
+STACK_CONFIGS = (TnceConfig(), *COMBOS[1:])  # every score kind and selector; vlo-pair first
+
+
+@pytest.mark.parametrize("bridge", ["none", "shared", "per-clip"])
+@pytest.mark.parametrize("taus", [(0.5, 1.0), (1e-3, 1.0)], ids=["linear", "mixed-range"])
+def test_config_stack_rows_match_each_config_alone(bridge, taus):
+    """Row o of a (B, O, T, d) stack under a Contrast of O configs gets bit
+    for bit the five outputs of its own config's objective_and_grad call,
+    the bridge only on the rows it is asked for. With the first config
+    below the range guard and the others above it, each side runs in its
+    own kernel call. A similarity tie is flagged on difference-score rows
+    only."""
+    configs = (replace(STACK_CONFIGS[0], temperature=taus[0]),
+               *(replace(cfg, temperature=taus[1]) for cfg in STACK_CONFIGS[1:]))
+    bridged = [0, 3]
+    c = Contrast.of(STEP_TS, configs)
+    B, O = 3, len(configs)
+    emb, lang = _step_inputs(B * O, seed=11)
+    emb, lang = emb.reshape(B, O, *emb.shape[1:]), lang.reshape(B, O, -1)
+    emb[1, :, 6] = emb[1, :, 2]  # a tie in every row of clip 1
+    per_clip = [Bridge.of(STEP_TS, [BridgeInterval(b, 9 - b)]) for b in range(B)]
+    bridges = {"none": None, "shared": Bridge.of(STEP_TS), "per-clip": per_clip}
+    kernels = {name: mock.Mock(wraps=getattr(losses, name))
+               for name in ("_exp_cumsum", "_log_accumulate")}
+    with mock.patch.multiple(losses, **kernels):
+        got = objective_and_grad(emb, lang, c, bridges[bridge], 0.1, True, bridged)
+    calls = [kernels[name].call_count for name in ("_exp_cumsum", "_log_accumulate")]
+    assert calls == ([1, 0] if taus[0] == 0.5 else [1, 1])
+    for o, cfg in enumerate(configs):
+        on = bridges[bridge] if o in bridged else None
+        alone = objective_and_grad(emb[:, o], lang[:, o], Contrast.of(STEP_TS, cfg), on, 0.1)
+        for a, b in zip((g[:, o] for g in got), alone, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert alone[4].tolist() == [False, cfg.score == "difference-score", False]
+
+
+@pytest.mark.parametrize(
+    "ts, cfgs", [(np.array([[0, 1, 2], [0, 2, 3]]), (TnceConfig(), TnceConfig())), ((0, 1, 2), ())],
+    ids=["stack", "no-config"],
+)
+def test_config_tuple_needs_one_timestamp_row_and_a_config(ts, cfgs):
+    with pytest.raises(ValueError, match="one timestamp row and one config or more"):
+        Contrast.of(ts, cfgs)
+
+
+def test_select_builds_each_part_once():
+    """A mixed-range stack splits on every kernel call; each side's
+    Contrast is built on the first and reused after."""
+    c = Contrast.of(STEP_TS, STACK_CONFIGS)
+    first = c.select(np.array([0, 2]))
+    assert c.select([0, 2]) is first
+    assert first.cfg == (STACK_CONFIGS[0], STACK_CONFIGS[2])
+    assert np.array_equal(first.sorted_at, Contrast.of(STEP_TS, first.cfg).sorted_at)
+
+
+def test_short_bridge_list_rejected():
+    """A list of Bridges needs one per clip: zip would drop the clips
+    after the list's last Bridge."""
+    ts = (0, 1, 2, 3, 5, 6)
+    c = Contrast.of(ts, TnceConfig())
+    emb, lang = _step_inputs(4, seed=2, T=6, d=3)
+    for bridges in ([Bridge.of(ts)], [Bridge.of(ts)] * 5):
+        with pytest.raises(ValueError, match="one Bridge per clip"):
+            objective_and_grad(emb, lang, c, bridges, 0.1)
+
+
 @st.composite
 def ordering_clips(draw):
     """Clips of 3 to 8 frames (T = 2 has no triples), uniform or with gaps

@@ -144,6 +144,62 @@ class TestCompareObjectives:
                 assert np.array_equal(a.embeddings, b.embeddings)
                 assert np.array_equal(a.language, b.language)
 
+    @pytest.mark.parametrize(
+        "train",
+        [{}, {"intervals_per_step": 2}, {"optimize_language": True},
+         {"intervals_per_step": 2, "optimize_language": True}, {"temperature": 1e-3}],
+        ids=["defaults", "intervals_per_step-2", "optimize_language", "both", "mixed-range"],
+    )
+    def test_every_objective_matches_its_own_train_batch_run(self, train):
+        """Records and final clips of each objective of one stack are bit
+        for bit those of its own train_batch run, for every preset. At
+        temperature 1e-3 the combined objective's kernel runs in log space
+        and the presets', at temperature 1, in linear space."""
+        objectives = [ObjectiveSpec(name, cfg) for name, cfg in OBJECTIVE_PRESETS.items()]
+        spec = SyntheticClipSpec(T=7, d=5, completion_index=4, tail_mode="second-action",
+                                 noise_sigma=0.1)
+        cfg = TrainConfig(learning_rate=0.1, steps=15, **{"temperature": 0.5, **train})
+        seeds = (3, 4, 5)
+        clips = [generate_clip(replace(spec, seed=seed))[0] for seed in seeds]
+        stacked = trainer.train_objectives(clips, cfg, [o.tnce for o in objectives], seeds)
+        record = compare_objectives(spec, objectives, cfg, seeds)
+        unkept = trainer.train_objectives(clips, cfg, [o.tnce for o in objectives], seeds, False)
+        for o, obj in enumerate(objectives):
+            for b, alone in enumerate(train_batch(clips, cfg, obj.tnce, seeds)):
+                assert stacked[b][o].records == alone.records
+                assert unkept[b][o].records == []
+                for got in (stacked[b][o].final_clip, unkept[b][o].final_clip,
+                            record.final_clips[(seeds[b], obj.name)]):
+                    assert np.array_equal(got.embeddings, alone.final_clip.embeddings)
+                    assert np.array_equal(got.language, alone.final_clip.language)
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [((), "at least one objective"), (("actol", "last-frame", "actol"), "distinct")],
+        ids=["empty", "repeated"],
+    )
+    def test_objective_names_rejected(self, names, message):
+        objectives = [ObjectiveSpec(name, OBJECTIVE_PRESETS[name]) for name in names]
+        spec = SyntheticClipSpec(T=5, d=3, completion_index=3)
+        with pytest.raises(ValueError, match=message):
+            compare_objectives(spec, objectives, TrainConfig(steps=2), (0,))
+
+    def test_divergence_raised_at_the_earliest_step_of_any_objective(self, monkeypatch):
+        # the second objective turns non-finite at step 3, the first never
+        steps, original = [], trainer.objective_and_grad
+
+        def diverging(*a):
+            vlo, *rest = original(*a)
+            if len(steps) == 3:
+                vlo[1, 1] = np.nan
+            steps.append(len(steps))
+            return vlo, *rest
+
+        monkeypatch.setattr(trainer, "objective_and_grad", diverging)
+        with pytest.raises(TrainingDiverged) as exc:
+            self.run(seeds=(0, 1))
+        assert exc.value.step == 3
+
     @pytest.mark.parametrize("seeds", [(0,), (0, 1, 2)])
     def test_one_objective_call_per_step_whatever_the_seed_count(self, monkeypatch, seeds):
         calls = []
@@ -152,7 +208,7 @@ class TestCompareObjectives:
             trainer, "objective_and_grad", lambda *a: calls.append(len(a[0])) or original(*a)
         )
         self.run(seeds=seeds)
-        assert calls == [len(seeds)] * (len(self.OBJECTIVES) * 30)
+        assert calls == [len(seeds)] * 30  # one call per step for every objective and seed
 
     def test_non_finite_start_in_a_batch_diverges_at_step_0(self):
         spec = SyntheticClipSpec(T=6, d=4, completion_index=3)
