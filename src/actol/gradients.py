@@ -22,11 +22,15 @@ from .losses import (
     BridgeInterval,
     Contrast,
     TnceConfig,
+    _check_non_negative,
     _contrastive_terms,
     _stack_size,
 )
 
 KINK_TOL = 1e-12
+# The params finite_diff_check reads for each loss
+LOSS_PARAMS = {"vlo": ("temperature",), "bb": ("interval",), "tnce": ("config",),
+               "total": ("temperature", "intervals", "bb_weight")}
 # finite_diff_check's error floor, as a fraction of the gradient's max-norm
 REL_FLOOR = 1e-4
 
@@ -109,6 +113,7 @@ def objective_and_grad(
 def _on_clip(clip: ClipSequence, c: Contrast | None, bridge=None, bb_weight=0.0):
     """objective_and_grad on one clip: (value, bridge penalty, GradientSet);
     with c None, bb_weight times the bridge penalty alone (value 0.0)."""
+    _check_non_negative("bb_weight", bb_weight)  # for grad_total and finite_diff_check
     if c is None:
         bb, frames = bridge.penalty(clip.embeddings, need_grad=True)
         return 0.0, float(bb), GradientSet(bb_weight * frames, np.zeros_like(clip.language))
@@ -148,14 +153,17 @@ def grad_total(
 
 
 def _objective(loss: str, clip: ClipSequence, params):
-    """A loss name and its params at clip's timestamps as the objective
-    _on_clip takes: (Contrast or None, Bridge or None, bridge weight)."""
+    """A loss name and its params (only ones it reads) at clip's timestamps as
+    the objective _on_clip takes: (Contrast or None, Bridge or None, weight)."""
     params = dict(params or {})
+    if loss not in LOSS_PARAMS:
+        raise ValueError(f"unknown loss {loss!r}")
+    unread = [key for key in params if key not in LOSS_PARAMS[loss]]
+    if unread:
+        raise ValueError(f"{loss} loss takes no param(s) {unread}")
     if loss == "bb":
         iv = params.get("interval")
         return None, Bridge.of(clip.timestamps, None if iv is None else [iv]), 1.0
-    if loss not in ("vlo", "total", "tnce"):
-        raise ValueError(f"unknown loss {loss!r}")
     tau = params.get("temperature", 1.0)
     cfg = params["config"] if loss == "tnce" else TnceConfig(temperature=tau)
     c = Contrast.of(clip.timestamps, cfg)

@@ -446,6 +446,12 @@ class Bridge:
         return value, (2.0 * (self.M.T @ wdev) if need_grad else None)
 
 
+def _check_non_negative(name: str, value) -> None:
+    """The one check on a bridge weight or learning rate: finite, non-negative, not a bool."""
+    if not (_is_real(value) and math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
+
+
 def bb_loss(clip: ClipSequence, interval: BridgeInterval) -> float:
     """Mean variance-weighted squared deviation of interior frames from the
     bridge mean. Endpoints are pinned (variance zero) and excluded; an
@@ -461,8 +467,7 @@ def actol_loss(
 ) -> LossBreakdown:
     """Combined objective: ordering loss plus bb_weight times the mean
     bridge penalty over the given intervals (default: the full clip)."""
-    if bb_weight < 0:
-        raise ValueError("bb_weight must be non-negative")
+    _check_non_negative("bb_weight", bb_weight)
     c = Contrast.of(clip.timestamps, TnceConfig(temperature=temperature))  # one sort for both
     vlo = _clip_value(clip.embeddings, clip.language, c)
     bb = float(Bridge.of(clip.timestamps, intervals).penalty(clip.embeddings)[0])

@@ -10,13 +10,12 @@ objective gets bit for bit the history of its own run.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clip import ClipSequence, _is_count, _is_real, _norms, normalize
+from .clip import ClipSequence, _is_count, _norms, normalize
 from .gradients import objective_and_grad
 from .losses import (
     DEFAULT_BB_WEIGHT,
@@ -26,6 +25,7 @@ from .losses import (
     LossBreakdown,
     TieGroups,
     TnceConfig,
+    _check_non_negative,
 )
 
 
@@ -48,15 +48,10 @@ class TrainConfig:
     intervals_per_step: int = 1
 
     def __post_init__(self):
-        for name in ("learning_rate", "bb_weight"):
-            if not _is_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError("learning rate must be finite and non-negative")
+        _check_non_negative("learning_rate", self.learning_rate)
         if not _is_count(self.steps) or self.steps < 1:
             raise ValueError("steps must be a positive integer")
-        if not (math.isfinite(self.bb_weight) and self.bb_weight >= 0):
-            raise ValueError("bb_weight must be finite and non-negative")
+        _check_non_negative("bb_weight", self.bb_weight)
         TnceConfig(temperature=self.temperature)  # the one temperature check
         if not _is_count(self.intervals_per_step) or self.intervals_per_step < 1:
             raise ValueError("intervals_per_step must be a positive integer")

@@ -1,4 +1,7 @@
+import copy
+import importlib.util
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from actol import ClipSequence, bridge_stats_report, lipschitz_pairs_report, random_clip
-from actol.cli import SCHEMA_VERSION, _write_json, main
+from actol.cli import COMMANDS, COMMON, SCHEMA_VERSION, _load_config, _write_json, main
 
 runner = CliRunner()
 
@@ -504,3 +507,153 @@ def test_write_json_bytes_match_streamed_dump(tmp_path):
         f.write("\n")
     assert (tmp_path / "out.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
 
+
+ROOT = Path(__file__).resolve().parent.parent
+# Python's wording for an argument of the wrong type; no config error may show it
+INTERNAL = ("argument after ** must be a mapping", "object is not iterable",
+            "not supported between instances", "unexpected keyword argument",
+            "object has no attribute", "unhashable type", "Traceback")
+# one value of each JSON type, by the type's name in the tables
+SAMPLES = {"boolean": True, "string": "x", "list": [], "object": {}, "null": None, "number": 0.5}
+
+
+def schema_keys(table, path=()):
+    """(path, JsonType, default) of every key of table, each object's keys
+    after it."""
+    for key, (kind, default) in table.items():
+        yield path + (key,), kind, default
+        if kind.table is not None:
+            yield from schema_keys(kind.table, path + (key,))
+
+
+def command_keys(cmd):
+    return list(schema_keys({**COMMON, **COMMANDS[cmd]}))
+
+
+def with_value(cmd, path, value):
+    """SMALL_CONFIGS[cmd] with value at path, creating the objects above it."""
+    config = copy.deepcopy(SMALL_CONFIGS[cmd])
+    node = config
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return config
+
+
+def assert_rejected(tmp_path, cmd, config, *phrases):
+    out = tmp_path / "out"
+    result = invoke(cmd, write_config(tmp_path, config), out)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    for phrase in phrases:
+        assert phrase in result.output
+    assert not any(text in result.output for text in INTERNAL), result.output
+    assert not out.exists() or not any(out.iterdir())
+
+
+LEVELS = [(cmd, path) for cmd in sorted(COMMANDS)
+          for path in [()] + [p for p, kind, _ in command_keys(cmd) if kind.table is not None]]
+
+
+@pytest.mark.parametrize("cmd, level", LEVELS,
+                         ids=[f"{cmd}-{'.'.join(path) or 'top'}" for cmd, path in LEVELS])
+def test_unknown_key_at_every_level_rejected(tmp_path, cmd, level):
+    assert_rejected(tmp_path, cmd, with_value(cmd, level + ("zz_unknown",), 1), "'zz_unknown'")
+
+
+WRONG_TYPES = [(cmd, path, sample) for cmd in sorted(COMMANDS)
+               for path, kind, _ in command_keys(cmd)
+               for sample in SAMPLES if sample != kind.name]
+
+
+@pytest.mark.parametrize("cmd, path, sample", WRONG_TYPES,
+                         ids=[f"{c}-{'.'.join(p)}-{s}" for c, p, s in WRONG_TYPES])
+def test_wrong_json_type_of_every_key_rejected(tmp_path, cmd, path, sample):
+    config = with_value(cmd, path, SAMPLES[sample])
+    assert_rejected(tmp_path, cmd, config, f"{path[-1]} must be", repr(SAMPLES[sample]))
+
+
+SYNTHETIC = {"T": 4, "d": 3, "completion_index": 2}
+
+
+@pytest.mark.parametrize(
+    "cmd, edit, phrase",
+    [
+        ("train", {"trian": {"steps": 5}}, "unknown key(s) ['trian']"),
+        ("train", {"clip": {"flie": "clip.json", "synthetic": SYNTHETIC}},
+         "unknown clip key(s) ['flie']"),
+        ("gradcheck", {"stpe": 0.1}, "unknown key(s) ['stpe']"),
+        ("reward", {"synthetic": {**SYNTHETIC, "seed": 7}},
+         "bad synthetic clip spec: unknown key(s) ['seed']"),
+        ("train", {"clip": {"synthetic": {**SYNTHETIC, "seed": 7}}},
+         "bad synthetic clip spec: unknown key(s) ['seed']"),
+        ("train", {"train": {"steps": 2, "seed": 7}}, "bad train config: unknown key(s) ['seed']"),
+        ("train", {"debug_flip_bb_variance_sign": True},
+         "unknown key(s) ['debug_flip_bb_variance_sign']"),
+        ("reward", {"debug_flip_bb_variance_sign": False},
+         "unknown key(s) ['debug_flip_bb_variance_sign']"),
+        ("train", {"train": []}, "bad train config: train must be a JSON object, got []"),
+        ("verify", {"robustness": {"delta_l": 0.1}},
+         "bad robustness parameters: delta_l must be a list of numbers, got 0.1"),
+        ("verify", {"lipschitz": {"dim": None}},
+         "bad lipschitz parameters: dim must be an integer, got None"),
+        ("verify", {"checks": ["tightness"], "bridge_stats": {"dim": "6"}},
+         "bad bridge_stats parameters: dim must be an integer, got '6'"),
+    ],
+    ids=["trian", "clip-flie", "stpe", "reward-synthetic-seed", "train-synthetic-seed",
+         "train-seed", "train-debug-flag", "reward-debug-flag", "train-list",
+         "delta_l-number", "lipschitz-dim-null", "unlisted-block-typed"],
+)
+def test_config_probes_rejected(tmp_path, cmd, edit, phrase):
+    # each of these used to exit 0 and run the defaults, or print Python's own error text
+    assert_rejected(tmp_path, cmd, {**SMALL_CONFIGS[cmd], **edit}, phrase)
+
+
+def test_benchmark_configs_load(tmp_path, monkeypatch):
+    """Every config of one cycle of each benchmark workload loads under its
+    command's table: a rejected one would fail every operation of it."""
+    bench = ROOT / "bench"
+    monkeypatch.syspath_prepend(str(bench))  # run.py imports its sibling modules
+    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    loaded = 0
+    for name, workload in run.WORKLOADS.items():
+        inputs = tmp_path / name
+        inputs.mkdir()
+        for op in workload(random.Random(101), inputs):
+            _load_config(op["config"], None, op["command"])
+            loaded += 1
+    assert loaded >= len(run.WORKLOADS)
+
+
+def readme_cli_sections():
+    """The README's CLI section by subheading; its text before the first
+    subheading under ""."""
+    text = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    head, *parts = text.split("\n### ")
+    return {"": head, **{part.split("\n", 1)[0].strip(): part for part in parts}}
+
+
+@pytest.mark.parametrize("cmd", sorted(COMMANDS))
+def test_readme_configs_load(tmp_path, cmd):
+    blocks = [block.split("```", 1)[0] for block in readme_cli_sections()[cmd].split("```json")[1:]]
+    assert blocks
+    for k, block in enumerate(blocks):
+        path = write_config(tmp_path, json.loads(block), f"{cmd}{k}.json")
+        _load_config(path, None, cmd)
+
+
+@pytest.mark.parametrize("section", ["", *sorted(COMMANDS)])
+def test_readme_key_tables_match_schema(section):
+    """Each README key table lists its keys in table order, with the JSON
+    type and default of the schema."""
+    table = COMMON if section == "" else COMMANDS[section]
+    expected = []
+    for path, kind, default in schema_keys(table):
+        shown = ("required" if default is ... else "none" if default is None
+                 else f"`{json.dumps(default)}`")
+        expected.append(["`" + ".".join(path) + "`", kind.name, shown])
+    rows = [line.split("|")[1:4] for line in readme_cli_sections()[section].splitlines()
+            if line.startswith("| `")]
+    assert [[cell.strip() for cell in row] for row in rows] == expected

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -10,6 +11,8 @@ from actol import (
     ClipSequence,
     GradientSet,
     TnceConfig,
+    TrainConfig,
+    actol_loss,
     finite_diff_check,
     grad_bb,
     grad_tnce,
@@ -136,6 +139,25 @@ class TestFiniteDiffCheck:
         clip = kink_free_clip(3, 3, 70)
         with pytest.raises(ValueError):
             finite_diff_check("nope", clip)
+
+    @pytest.mark.parametrize(
+        "loss, params",
+        [
+            ("total", {"bb_wieght": 1.0}),
+            ("vlo", {"intervals": [BridgeInterval(0, 2)]}),
+            ("vlo", {"bb_weight": 0.1}),
+            ("bb", {"temperature": 0.5}),
+            ("tnce", {"config": TnceConfig(), "temperature": 0.5}),
+        ],
+        ids=["total-misspelt", "vlo-intervals", "vlo-bb_weight", "bb-temperature",
+             "tnce-temperature"],
+    )
+    def test_unread_param_rejected(self, loss, params):
+        # the loss would run with its default instead, to an error of ~1e-9
+        clip = kink_free_clip(3, 3, 72)
+        unread = [key for key in params if key != "config"]
+        with pytest.raises(ValueError, match=re.escape(f"{loss} loss takes no param(s) {unread}")):
+            finite_diff_check(loss, clip, params)
 
     @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 0.0, -1, True])
     def test_bad_step(self, monkeypatch, step):
@@ -266,3 +288,23 @@ class TestFiniteDiffCheck:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+BB_WEIGHT_ENTRY_POINTS = {
+    "TrainConfig": lambda clip, w: TrainConfig(bb_weight=w),
+    "actol_loss": lambda clip, w: actol_loss(clip, bb_weight=w),
+    "grad_total": lambda clip, w: grad_total(clip, bb_weight=w),
+    "finite_diff_check": lambda clip, w: finite_diff_check("total", clip, {"bb_weight": w}),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BB_WEIGHT_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "weight", [np.nan, np.inf, -np.inf, -1.0, True, False, "0.1", None],
+    ids=["nan", "inf", "-inf", "negative", "true", "false", "string", "none"],
+)
+def test_bad_bb_weight_rejected_everywhere(entry, weight):
+    # each would otherwise give a NaN or infinite total, or train on it
+    clip = kink_free_clip(4, 3, 80)
+    with pytest.raises(ValueError, match="^bb_weight must be a finite non-negative number"):
+        BB_WEIGHT_ENTRY_POINTS[entry](clip, weight)

@@ -562,8 +562,8 @@ def test_finite_diff_check_matches_reference(loss, cfg, case, tau, step, default
     elif defaults:
         params = None
     else:
-        params = {"temperature": tau, "interval": intervals[0], "intervals": intervals,
-                  "bb_weight": 0.3}
+        params = {"vlo": {"temperature": tau}, "bb": {"interval": intervals[0]},
+                  "total": {"temperature": tau, "intervals": intervals, "bb_weight": 0.3}}[loss]
     expected = naive.finite_diff_check(loss, clip, params, step)
     assert finite_diff_check(loss, clip, params, step) == expected
 
