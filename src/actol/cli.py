@@ -21,7 +21,7 @@ import click
 import numpy as np
 
 from .clip import ClipSequence, _is_count, _is_real
-from .gradients import finite_diff_check
+from .gradients import _finite_diff_errors
 from .losses import TnceConfig
 from .reward import ObjectiveSpec, compare_objectives, curve_rows
 from .synthetic import SyntheticClipSpec, generate_clip, random_clip, random_units
@@ -349,10 +349,8 @@ def gradcheck(values, out, config):
     rng = np.random.default_rng(values["seed"])
     worst = {}
     for loss in values["losses"]:  # a FloatingPointError (a non-finite loss) exits 3
-        worst[loss] = max(
-            finite_diff_check(loss, _sample_away_from_kinks(rng, T, d, step), step=step)
-            for _ in range(values["clips"])
-        )
+        clips = [_sample_away_from_kinks(rng, T, d, step) for _ in range(values["clips"])]
+        worst[loss] = max(_finite_diff_errors(loss, clips, step=step).tolist())
     _write_json(out / "gradcheck.json", config, {"max_relative_error": worst})
     return EXIT_OK if all(v < 1e-5 for v in worst.values()) else EXIT_CHECK_FAILED
 

@@ -3,9 +3,11 @@ embeddings, plus a central finite-difference oracle.
 
 Gradients are ambient (they include the cosine-normalization Jacobian, so
 finite differences off the unit sphere agree); the trainer projects them
-onto the sphere's tangent space before stepping. The oracle evaluates all
-of a clip's perturbed points as batch rows, in stacks of up to
-losses.BLOCK_SCORES scores: one kernel call per check at small T.
+onto the sphere's tangent space before stepping. The oracle checks N clips
+of one shape as a stack: one sort of their timestamps, one analytic
+gradient call, and their perturbed points as batch rows in kernel calls of
+whole clips up to losses.BLOCK_SCORES scores; finite_diff_check is its
+one-clip case.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .losses import (
     Bridge,
     BridgeInterval,
     Contrast,
+    TieGroups,
     TnceConfig,
     _check_non_negative,
     _contrastive_terms,
@@ -113,7 +116,7 @@ def objective_and_grad(
 def _on_clip(clip: ClipSequence, c: Contrast | None, bridge=None, bb_weight=0.0):
     """objective_and_grad on one clip: (value, bridge penalty, GradientSet);
     with c None, bb_weight times the bridge penalty alone (value 0.0)."""
-    _check_non_negative("bb_weight", bb_weight)  # for grad_total and finite_diff_check
+    _check_non_negative("bb_weight", bb_weight)  # for grad_total
     if c is None:
         bb, frames = bridge.penalty(clip.embeddings, need_grad=True)
         return 0.0, float(bb), GradientSet(bb_weight * frames, np.zeros_like(clip.language))
@@ -152,9 +155,10 @@ def grad_total(
     return _on_clip(clip, c, Bridge.of(clip.timestamps, intervals), bb_weight)[2]
 
 
-def _objective(loss: str, clip: ClipSequence, params):
-    """A loss name and its params (only ones it reads) at clip's timestamps as
-    the objective _on_clip takes: (Contrast or None, Bridge or None, weight)."""
+def _objective(loss: str, timestamps, params):
+    """A loss name and its params (only ones it reads) at an (N, T) stack of
+    timestamp rows as the oracle's objective: (Contrast or None, Bridge or
+    None, weight), each stacked over the N rows."""
     params = dict(params or {})
     if loss not in LOSS_PARAMS:
         raise ValueError(f"unknown loss {loss!r}")
@@ -163,14 +167,78 @@ def _objective(loss: str, clip: ClipSequence, params):
         raise ValueError(f"{loss} loss takes no param(s) {unread}")
     if loss == "bb":
         iv = params.get("interval")
-        return None, Bridge.of(clip.timestamps, None if iv is None else [iv]), 1.0
-    tau = params.get("temperature", 1.0)
-    cfg = params["config"] if loss == "tnce" else TnceConfig(temperature=tau)
-    c = Contrast.of(clip.timestamps, cfg)
+        return None, Bridge.of(timestamps, None if iv is None else [iv]), 1.0
+    if loss == "tnce":
+        cfg = params.get("config")
+        if not isinstance(cfg, TnceConfig):
+            raise ValueError(f"tnce loss needs param 'config', a TnceConfig, got {cfg!r}")
+    else:
+        cfg = TnceConfig(temperature=params.get("temperature", 1.0))
+    c = Contrast.of(timestamps, cfg)
     if loss != "total":
         return c, None, 0.0
-    bridge = Bridge.of(clip.timestamps, params.get("intervals"))
-    return c, bridge, params.get("bb_weight", DEFAULT_BB_WEIGHT)
+    bb_weight = params.get("bb_weight", DEFAULT_BB_WEIGHT)
+    _check_non_negative("bb_weight", bb_weight)
+    return c, Bridge.of(timestamps, params.get("intervals")), bb_weight
+
+
+def _finite_diff_errors(loss: str, clips, params=None, step: float = 1e-5) -> np.ndarray:
+    """finite_diff_check's error of each of N clips of one (T, d) shape,
+    each with its own timestamps, as an (N,) array. The objective of the
+    (N, T) timestamp stack is built once (one sort) and its analytic
+    gradient taken in one call. The 2d(T+1) points of a clip that move one
+    vector by +-step are batch rows, evaluated in kernel calls of whole
+    clips up to BLOCK_SCORES scores; a clip above that is split into
+    stacks of whole vectors' 2d points."""
+    if not (_is_real(step) and 0 < step < math.inf):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
+    c, bridge, bb_weight = _objective(loss, np.array([clip.timestamps for clip in clips]), params)
+    E = np.stack([clip.embeddings for clip in clips])
+    l = np.stack([clip.language for clip in clips])
+    if c is None:
+        frames, language = bb_weight * bridge.penalty(E, need_grad=True)[1], np.zeros_like(l)
+    else:
+        frames, language = objective_and_grad(E[None], l[None], c, bridge, bb_weight)[2:4]
+    N, T, d = E.shape
+    analytic = np.concatenate([frames.reshape(N, -1), language.reshape(N, -1)], axis=1)
+    floor = np.maximum(REL_FLOOR * np.abs(analytic).max(axis=1), 1e-8)
+    j = np.arange(d)
+    per_call = _stack_size(2 * d * T * T)  # vectors per kernel call
+    size, vectors = max(1, per_call // (T + 1)), min(per_call, T + 1)  # clips, vectors of each
+    num = np.empty((N, T + 1, d))
+    for start in range(0, N, size):
+        part, m = slice(start, start + size), min(size, N - start)
+        cp = None if c is None else _clips_of(c, part)
+        bp = None if bridge is None else Bridge(bridge.M[part], bridge.w[part])
+        for first in range(0, T + 1, vectors):  # vectors 0..T-1 are the frames, T the language
+            n = min(vectors, T + 1 - first)
+            # row [v, 0, j, k] moves coordinate j of vector first + v of clip
+            # start + k by +step, row [v, 1, j, k] by -step
+            emb, lang = np.tile(E[part], (n, 2, d, 1, 1, 1)), np.tile(l[part], (n, 2, d, 1, 1))
+            at = np.arange(min(n, T - first))[:, None]
+            for sign, delta in enumerate((step, -step)):
+                emb[at, sign, j, :, first + at, j] += delta
+                if first + n > T:
+                    lang[-1, sign, j, :, j] += delta
+            emb, lang = emb.reshape(-1, m, T, d), lang.reshape(-1, m, d)
+            v = 0.0 if c is None else _contrastive_terms(emb, lang, cp, need_grad=False)[0]
+            if bp is not None:  # same expression order as actol_loss(...).total
+                v = v + bb_weight * bp.penalty(emb)[0]
+            if not np.isfinite(v).all():
+                raise FloatingPointError(f"non-finite {loss} loss at perturbed point")
+            v = v.reshape(n, 2, d, m)
+            num[part, first : first + n] = np.moveaxis(v[:, 0] - v[:, 1], -1, 0) / (2 * step)
+    num = num.reshape(N, -1)
+    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(num)), floor[:, None])
+    return np.max(np.abs(analytic - num) / scale, axis=1)
+
+
+def _clips_of(c: Contrast, part: slice) -> Contrast:
+    """The Contrast of the clips at part of c's (N, T) stack, from c's sort."""
+    g = c.groups
+    return Contrast._of_groups(
+        TieGroups(g.order[part], g.distances[part], g.start[part], g.end[part]), c.cfg
+    )
 
 
 def finite_diff_check(loss: str, clip: ClipSequence, params=None, step: float = 1e-5) -> float:
@@ -178,37 +246,9 @@ def finite_diff_check(loss: str, clip: ClipSequence, params=None, step: float = 
     differences on every coordinate of the frame embeddings, then the
     language. Errors are relative to the largest of the two values,
     REL_FLOOR times the gradient's max-norm and 1e-8, so round-off on
-    components near zero is not a failure. The objective is built once; the
-    2d(T+1) points that move one vector by +-step are batch rows, evaluated
-    in stacks of whole vectors' 2d points up to BLOCK_SCORES scores."""
-    if not (_is_real(step) and 0 < step < math.inf):
-        raise ValueError(f"step must be finite and positive, got {step!r}")
-    c, bridge, bb_weight = _objective(loss, clip, params)
-    grads = _on_clip(clip, c, bridge, bb_weight)[2]
-    analytic = np.concatenate([grads.frames.ravel(), grads.language])
-    floor = max(REL_FLOOR * np.abs(analytic).max(), 1e-8)
-    E, l = clip.embeddings, clip.language
-    T, d = E.shape
-    j = np.arange(d)
-    per_call = _stack_size(2 * d * T * T)  # vectors per kernel call
-    numeric = []
-    for first in range(0, T + 1, per_call):  # vectors 0..T-1 are the frames, T the language
-        n = min(per_call, T + 1 - first)
-        # row [v, 0, j] moves coordinate j of vector first + v by +step, row [v, 1, j] by -step
-        emb, lang = np.tile(E, (n, 2, d, 1, 1)), np.tile(l, (n, 2, d, 1))
-        frames = np.arange(min(n, T - first))[:, None]
-        for sign, delta in enumerate((step, -step)):
-            emb[frames, sign, j, first + frames, j] += delta
-            if first + n > T:
-                lang[-1, sign, j, j] += delta
-        emb, lang = emb.reshape(-1, T, d), lang.reshape(-1, d)
-        v = 0.0 if c is None else _contrastive_terms(emb, lang, c, need_grad=False)[0]
-        if bridge is not None:  # same expression order as actol_loss(...).total
-            v = v + bb_weight * bridge.penalty(emb)[0]
-        if not np.isfinite(v).all():
-            raise FloatingPointError(f"non-finite {loss} loss at perturbed point")
-        v = v.reshape(n, 2, d)
-        numeric.append((v[:, 0] - v[:, 1]).ravel() / (2 * step))
-    num = np.concatenate(numeric)
-    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(num)), floor)
-    return float(np.max(np.abs(analytic - num) / scale))
+    components near zero is not a failure. The one-clip case of
+    _finite_diff_errors: the objective is built once, and the 2d(T+1)
+    points that move one vector by +-step are batch rows, in one kernel
+    call up to BLOCK_SCORES scores or in stacks of whole vectors' 2d
+    points above it."""
+    return float(_finite_diff_errors(loss, [clip], params, step)[0])

@@ -40,7 +40,10 @@ EXP_RANGE = 700.0
 # Score budget of one stacked kernel call (see _stack_size), which bounds
 # its memory whatever the clip length. On the README lower-bound
 # population, stacks of a few thousand scores ran fastest; larger ones ran
-# slower and took more memory.
+# slower and took more memory. At 8192 to 16384 the README gradcheck's
+# oracle (2 to 6 clips per call) took about a fifth less time than at 4096
+# (one clip per call), but the lower-bound check's traced peak grew from
+# 1.7 MB to 2.2-2.8 MB.
 BLOCK_SCORES = 4096
 
 
@@ -411,11 +414,16 @@ class Bridge:
     @classmethod
     def of(cls, timestamps, intervals=None) -> "Bridge":
         """Operator for a clip's (checked) timestamps over the intervals
-        (default: the full clip); every interval must have integer
-        endpoints with 0 <= start < end < T."""
-        T = len(timestamps)
+        (default: the full clip), or one per row of an (N, T) stack of them,
+        with M (N, P, T) and w (N, P). intervals must be a list or tuple of
+        BridgeInterval, each with integer endpoints 0 <= start < end < T."""
+        ts = np.asarray(timestamps, dtype=float)
+        T = ts.shape[-1]
         if intervals is None:
             intervals = [BridgeInterval(0, T - 1)]
+        if not (isinstance(intervals, (list, tuple))
+                and all(isinstance(iv, BridgeInterval) for iv in intervals)):
+            raise ValueError(f"intervals must be a list of BridgeInterval, got {intervals!r}")
         for iv in intervals:
             if not (_is_count(iv.start) and _is_count(iv.end)):
                 raise ValueError(f"interval ({iv.start!r}, {iv.end!r}) must have integer endpoints")
@@ -425,25 +433,25 @@ class Bridge:
         t = np.arange(T)
         j, k = np.nonzero((se[:, :1] < t) & (t < se[:, 1:]))  # interior frames k of interval j
         a, b = se[j].T
-        ts = np.asarray(timestamps, dtype=float)
-        alpha = (ts[k] - ts[a]) / (ts[b] - ts[a])
-        var = alpha * (ts[b] - ts[k])  # (t - t0)(t1 - t) / (t1 - t0)
+        alpha = (ts[..., k] - ts[..., a]) / (ts[..., b] - ts[..., a])
+        var = alpha * (ts[..., b] - ts[..., k])  # (t - t0)(t1 - t) / (t1 - t0)
         rows = np.arange(len(k))
-        M = np.zeros((len(k), T))
-        M[rows, k] = 1.0
-        M[rows, a] = alpha - 1.0
-        M[rows, b] = -alpha
+        M = np.zeros(ts.shape[:-1] + (len(k), T))
+        M[..., rows, k] = 1.0
+        M[..., rows, a] = alpha - 1.0
+        M[..., rows, b] = -alpha
         return cls(M, 0.5 / (var * (b - a - 1) * len(intervals)))
 
     def penalty(self, embeddings, need_grad: bool = False):
         """(sum_p w_p |dev_p|^2, its gradient or None) of (..., T, d)
-        embeddings, one value per (T, d) slice. The sum is a matmul, which
-        rounds like np.vdot of one slice."""
+        embeddings, one value per (T, d) slice; a stacked Bridge takes
+        (..., N, T, d), clip n on its own operator. The sum is a matmul,
+        which rounds like np.vdot of one slice."""
         dev = self.M @ embeddings
-        wdev = self.w[:, None] * dev
+        wdev = self.w[..., None] * dev
         lead = dev.shape[:-2]
         value = np.matmul(wdev.reshape(*lead, 1, -1), dev.reshape(*lead, -1, 1))[..., 0, 0]
-        return value, (2.0 * (self.M.T @ wdev) if need_grad else None)
+        return value, (2.0 * (self.M.swapaxes(-1, -2) @ wdev) if need_grad else None)
 
 
 def _check_non_negative(name: str, value) -> None:

@@ -4,10 +4,13 @@ robustness to language perturbations.
 
 The Monte Carlo checks draw from default_rng(seed), where seed is an int
 or a Generator, so one Generator can serve several checks in turn. They
-draw and check BLOCK_TRIALS trials at a time; lower_bound_report draws
-BLOCK_CLIPS random clips at a time, as arrays in random_clip's stream
-order, and takes the similarities of each block's clips of one (T, d)
-shape in one pass. The lower-bound check evaluates clips of one length as
+draw and check their trials in blocks of up to BLOCK_VALUES values: d
+values per robustness trial, 3d per Lipschitz triple and (t_end + 1) d per
+bridge path. Blocks are drawn in turn from one Generator, so every draw
+is the same whatever the block size. lower_bound_report draws BLOCK_CLIPS
+random clips at a time, as arrays in random_clip's stream order, and
+takes the similarities of each block's clips of one (T, d) shape in one
+pass. The lower-bound check evaluates clips of one length as
 stacks of up to losses.BLOCK_SCORES scores: one sort and one kernel call
 per stack, for drawn clips and for check_lower_bound's ClipSequences alike.
 """
@@ -31,9 +34,15 @@ from .losses import (
 from .synthetic import _clip_arrays, _clip_draws, perturb_language, random_units, sample_bridge
 
 FLOAT_SLACK = 1e-12
-# Monte Carlo trials are drawn and checked this many at a time, which
-# bounds the memory of a check whatever its trial count.
-BLOCK_TRIALS = 256
+# Monte Carlo trials are drawn and checked in blocks of up to this many
+# values (see _trial_blocks), which bounds the memory of a check whatever
+# its trial count. It is 256 bridge paths of the README's 11 times 6
+# values, the block bridge-stats had when blocks held 256 trials of any
+# size; robustness trials of d = 8 values then come 2112 to a block. Over
+# six in-process cycles of the checks workload's verify and gradcheck, peak
+# RSS read 0.1-0.2 MB above 256-trial blocks at 16384 values and 1 MB above
+# at 32768; at 16896 and 20000 it read the same.
+BLOCK_VALUES = 16896
 # lower_bound_report draws and checks this many clips at a time, which
 # bounds its memory whatever its clip count. One block holds the README's
 # 1000 clips: on them, 256-clip blocks took about 1.6 times as long (best of
@@ -207,6 +216,13 @@ def _blocks(trials: int, size: int) -> list:
     return [min(size, trials - start) for start in range(0, trials, size)]
 
 
+def _trial_blocks(trials: int, values_per_trial: int) -> list:
+    """_blocks of trials that hold values_per_trial values each: up to
+    BLOCK_VALUES values per block, and at least one trial. A count below 1
+    (a bad dimension) is left for the caller's draw to reject."""
+    return _blocks(trials, max(1, BLOCK_VALUES // max(1, values_per_trial)))
+
+
 def _lipschitz_report(blocks, **details) -> TheoremReport:
     """Lipschitz step |score(v_k, v_l, lang)| <= ||v_k - v_l|| on every row
     of each (v_k, v_l, lang) block; a NaN counts as a violation."""
@@ -240,7 +256,7 @@ def check_continuity(clip: ClipSequence, pairs) -> TheoremReport:
 def lipschitz_pairs_report(dim: int, trials: int, seed) -> TheoremReport:
     """Lipschitz step on random unit-vector triples (v_k, v_l, lang)."""
     rng = np.random.default_rng(seed)
-    triples = (random_units((n, 3, dim), rng) for n in _blocks(trials, BLOCK_TRIALS))
+    triples = (random_units((n, 3, dim), rng) for n in _trial_blocks(trials, 3 * dim))
     return _lipschitz_report((v[:, 0], v[:, 1], v[:, 2]) for v in triples)
 
 
@@ -270,7 +286,7 @@ def bridge_stats_report(
 
     mids = []
     violations = 0
-    for n in _blocks(samples, BLOCK_TRIALS):
+    for n in _trial_blocks(samples, (t_end + 1) * dim):
         paths = sample_bridge(np.tile(v0, (n, 1)), np.tile(v1, (n, 1)), 0, t_end, rng)
         exact = np.all(paths[:, 0] == v0, axis=-1) & np.all(paths[:, -1] == v1, axis=-1)
         violations += int(np.count_nonzero(~exact))
@@ -310,7 +326,7 @@ def check_robustness(v_i, v_j, l, delta_l: float, trials: int, seed) -> TheoremR
     bound = 2.0 * delta_l
     diff = np.concatenate([
         np.abs(alignment_score(v_i, v_j, perturb_language(np.tile(l, (n, 1)), delta_l, rng)) - base)
-        for n in _blocks(trials, BLOCK_TRIALS)
+        for n in _trial_blocks(trials, np.size(l))
     ])
     violations = int(np.count_nonzero(~(diff <= bound + FLOAT_SLACK)))
     return TheoremReport(

@@ -10,8 +10,11 @@ for actol.losses.Bridge: each interval's deviations are computed from its
 own endpoints, and the endpoint gradients are scattered by hand.
 
 The per-coordinate loop of the finite-difference oracle is the reference
-for actol.gradients.finite_diff_check: each perturbed point is its own
-ClipSequence, evaluated by the public loss functions one at a time.
+for actol.gradients.finite_diff_check and its stacked form: each perturbed
+point is its own ClipSequence, evaluated by the public loss functions one
+at a time. The gradcheck command's loop before it stacked each loss's
+clips, one check per clip as it is drawn, is the reference for its
+gradcheck.json.
 
 The log-space sorted-suffix kernel, which actol.losses._suffix_softmax ran
 for every input before it gained its linear-space path, is the bit-for-bit
@@ -418,6 +421,17 @@ def finite_diff_check(loss, clip, params=None, step=1e-5):
         num = (value(x_plus) - value(x_minus)) / (2 * step)
         worst = max(worst, abs(g - num) / max(abs(g), abs(num), floor))
     return worst
+
+
+def gradcheck_errors(seed, losses, clips, T, d, step):
+    """gradcheck's max_relative_error as actol.cli built it, one loss at a
+    time: each clip drawn, then checked, before the next is drawn."""
+    from actol.cli import _sample_away_from_kinks
+
+    rng = np.random.default_rng(seed)
+    return {loss: max(finite_diff_check(loss, _sample_away_from_kinks(rng, T, d, step), step=step)
+                      for _ in range(clips))
+            for loss in losses}
 
 
 def _similarities(embeddings, language):

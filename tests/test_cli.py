@@ -4,6 +4,7 @@ import json
 import random
 from pathlib import Path
 
+import naive
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -429,6 +430,28 @@ class TestGradcheckCommand:
         cfg = write_config(tmp_path, {"seed": seed, "clips": 20, "T": 6, "d": 5})
         result = invoke("gradcheck", cfg, tmp_path / "out")
         assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize(
+        "data, code",
+        [
+            ({}, 0),
+            ({"T": 2, "d": 2, "clips": 5}, 0),
+            # the errors sit just above the fixed 1e-5 threshold at this size
+            ({"seed": 2, "losses": ["vlo", "total"], "clips": 3, "T": 40, "d": 12}, 1),
+        ],
+        ids=["readme", "T2-d2", "T40-d12"],
+    )
+    def test_matches_per_clip_loop(self, tmp_path, data, code):
+        """gradcheck.json holds the bytes the per-clip loop of naive
+        finite-difference checks writes from the same Generator stream."""
+        out = tmp_path / "out"
+        assert invoke("gradcheck", write_config(tmp_path, data), out).exit_code == code
+        values = {"seed": 0, "losses": ["vlo", "bb", "total"], "clips": 20, "T": 6, "d": 5,
+                  "step": 1e-5, **data}
+        expected = tmp_path / "expected.json"
+        worst = naive.gradcheck_errors(**values)
+        _write_json(expected, {**data, "seed": values["seed"]}, {"max_relative_error": worst})
+        assert (out / "gradcheck.json").read_bytes() == expected.read_bytes()
 
     def test_unknown_loss_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"losses": ["vlo", "entropy"]})

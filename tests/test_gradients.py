@@ -13,6 +13,7 @@ from actol import (
     TnceConfig,
     TrainConfig,
     actol_loss,
+    bb_loss,
     finite_diff_check,
     grad_bb,
     grad_tnce,
@@ -20,7 +21,7 @@ from actol import (
     grad_vlo,
     random_clip,
 )
-from actol.losses import TieGroups
+from actol.losses import Bridge, TieGroups
 
 TOL = 1e-5
 
@@ -159,6 +160,16 @@ class TestFiniteDiffCheck:
         with pytest.raises(ValueError, match=re.escape(f"{loss} loss takes no param(s) {unread}")):
             finite_diff_check(loss, clip, params)
 
+    @pytest.mark.parametrize(
+        "params", [None, {"config": None}, {"config": "vlo-pair"}, {"config": {}}],
+        ids=["missing", "none", "string", "dict"],
+    )
+    def test_tnce_needs_a_config(self, params):
+        # a missing config raised KeyError, None a ValueError about config tuples
+        clip = kink_free_clip(3, 3, 72)
+        with pytest.raises(ValueError, match="^tnce loss needs param 'config', a TnceConfig"):
+            finite_diff_check("tnce", clip, params)
+
     @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 0.0, -1, True])
     def test_bad_step(self, monkeypatch, step):
         # rejected before the objective is built or the kernel runs
@@ -172,15 +183,16 @@ class TestFiniteDiffCheck:
     @staticmethod
     def _patch(monkeypatch, corrupt):
         """Route the analytic gradient of every check through corrupt, which
-        maps one clip's GradientSet to another."""
+        maps one clip's GradientSet to another. The oracle takes it for a
+        (1, N, T, d) stack of clips, here N = 1."""
         from actol import gradients as gr
 
         original = gr.objective_and_grad
 
         def patched(*args, **kwargs):
             value, bb, frames, language, at_kink = original(*args, **kwargs)
-            g = corrupt(GradientSet(frames[0], language[0], bool(at_kink[0])))
-            return value, bb, g.frames[None], g.language[None], at_kink
+            g = corrupt(GradientSet(frames[0, 0], language[0, 0], bool(at_kink[0, 0])))
+            return value, bb, g.frames[None, None], g.language[None, None], at_kink
 
         monkeypatch.setattr(gr, "objective_and_grad", patched)
 
@@ -308,3 +320,31 @@ def test_bad_bb_weight_rejected_everywhere(entry, weight):
     clip = kink_free_clip(4, 3, 80)
     with pytest.raises(ValueError, match="^bb_weight must be a finite non-negative number"):
         BB_WEIGHT_ENTRY_POINTS[entry](clip, weight)
+
+
+BAD_INTERVALS = {  # each entry point with a bad interval list, then a bad interval
+    "actol_loss": lambda clip, ivs: actol_loss(clip, intervals=ivs),
+    "grad_total": lambda clip, ivs: grad_total(clip, intervals=ivs),
+    "finite_diff_check-total": lambda clip, ivs: finite_diff_check("total", clip,
+                                                                   {"intervals": ivs}),
+    "Bridge.of": lambda clip, ivs: Bridge.of(clip.timestamps, ivs),
+}
+BAD_INTERVAL = {
+    "bb_loss": lambda clip, iv: bb_loss(clip, iv),
+    "grad_bb": lambda clip, iv: grad_bb(clip, iv),
+    "finite_diff_check-bb": lambda clip, iv: finite_diff_check("bb", clip, {"interval": iv}),
+}
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [(BAD_INTERVALS[e], v) for e in BAD_INTERVALS
+     for v in (3, [(0, 2)], "ab", {BridgeInterval(0, 2)})]
+    + [(BAD_INTERVAL[e], v) for e in BAD_INTERVAL for v in (3, (0, 2), [0, 2], "ab")],
+    ids=[f"{e}-{kind}" for e in BAD_INTERVALS for kind in ("int", "tuples", "string", "set")]
+    + [f"{e}-{kind}" for e in BAD_INTERVAL for kind in ("int", "tuple", "list", "string")],
+)
+def test_bad_intervals_rejected_everywhere(call, value):
+    # each raised TypeError or AttributeError from inside Bridge.of; a set ran
+    with pytest.raises(ValueError, match="^intervals must be a list of BridgeInterval"):
+        call(kink_free_clip(4, 3, 81), value)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import actol.gradients as gradients
 import actol.losses as losses
 from actol import (
     BridgeInterval,
@@ -56,8 +57,8 @@ def _ap_free(n):
 
 
 @st.composite
-def timestamps(draw, max_T=64):
-    T = draw(st.integers(2, max_T))
+def timestamps(draw, max_T=64, T=None):
+    T = T or draw(st.integers(2, max_T))
     kind = draw(st.sampled_from(["uniform", "small-gaps", "untied"]))
     if kind == "uniform":
         return tuple(range(0, 3 * T, 3))
@@ -69,9 +70,9 @@ def timestamps(draw, max_T=64):
 
 
 @st.composite
-def clips(draw, max_T=64):
-    ts = draw(timestamps(max_T))
-    d = draw(st.integers(2, 6))
+def clips(draw, max_T=64, T=None, d=None):
+    ts = draw(timestamps(max_T, T))
+    d = d or draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     emb = rng.standard_normal((len(ts), d))
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
@@ -566,6 +567,51 @@ def test_finite_diff_check_matches_reference(loss, cfg, case, tau, step, default
                   "total": {"temperature": tau, "intervals": intervals, "bb_weight": 0.3}}[loss]
     expected = naive.finite_diff_check(loss, clip, params, step)
     assert finite_diff_check(loss, clip, params, step) == expected
+
+
+@st.composite
+def clip_stacks(draw):
+    """N in {1, 2, 7} clips of one (T, d) shape, T in {2, 3, 6, 12}, each
+    with its own timestamps, and 1-3 bridge intervals valid for all."""
+    T, d = draw(st.sampled_from([2, 3, 6, 12])), draw(st.integers(2, 5))
+    stack = [draw(clips(T=T, d=d)) for _ in range(draw(st.sampled_from([1, 2, 7])))]
+    starts = draw(st.lists(st.integers(0, T - 2), min_size=1, max_size=3))
+    intervals = [BridgeInterval(a, draw(st.integers(a + 1, T - 1))) for a in starts]
+    return stack, intervals
+
+
+@pytest.mark.parametrize(
+    "loss, cfg",
+    [("vlo", None), ("bb", None), ("total", None), *(("tnce", cfg) for cfg in COMBOS)],
+)
+@settings(examples, max_examples=10)
+@given(case=clip_stacks(), tau=temperatures, step=st.sampled_from([1e-5, 1e-3]),
+       defaults=st.booleans(), vectors=st.sampled_from([1, 2, "clip", "3 clips"]))
+def test_stacked_finite_diff_errors_match_reference(loss, cfg, case, tau, step, defaults,
+                                                    vectors):
+    """Each clip's error from the stacked oracle is the float of the
+    per-coordinate loop and of its one-clip call, also when a budget of one
+    or two vectors' points, one clip's or three clips' splits the stack."""
+    stack, intervals = case
+    if loss == "tnce":
+        params = {"config": replace(cfg, temperature=tau)}
+    elif defaults:
+        params = None
+    else:
+        params = {"vlo": {"temperature": tau}, "bb": {"interval": intervals[0]},
+                  "total": {"temperature": tau, "intervals": intervals, "bb_weight": 0.3}}[loss]
+    expected = [naive.finite_diff_check(loss, clip, params, step) for clip in stack]
+    assert gradients._finite_diff_errors(loss, stack, params, step).tolist() == expected
+    assert [finite_diff_check(loss, clip, params, step) for clip in stack] == expected
+    N, T, d = len(stack), stack[0].T, stack[0].d
+    per_call = {"clip": T + 1, "3 clips": 3 * (T + 1)}.get(vectors, vectors)
+    size, width = max(1, per_call // (T + 1)), min(per_call, T + 1)  # clips, vectors of each
+    kernel = mock.Mock(wraps=losses._suffix_softmax)
+    with mock.patch.object(losses, "BLOCK_SCORES", per_call * 2 * d * T * T), \
+            mock.patch.object(losses, "_suffix_softmax", kernel):
+        assert gradients._finite_diff_errors(loss, stack, params, step).tolist() == expected
+    calls = -(-N // size) * -(-(T + 1) // width)
+    assert kernel.call_count == (0 if loss == "bb" else 1 + calls)
 
 
 def test_finite_diff_check_in_several_calls_matches_reference(monkeypatch):

@@ -20,6 +20,7 @@ from actol import (
     random_clip,
     vlo_loss_on_scores,
 )
+from actol.cli import _report_robustness
 from actol.losses import Bridge, Contrast, TieGroups
 
 
@@ -193,18 +194,39 @@ class TestRobustness:
 
 class TestBlocks:
     def test_reports_do_not_depend_on_block_size(self, monkeypatch):
+        """Blocks of one trial, of a few and of every trial give the same
+        reports, the CLI's multi-delta_l robustness report included, and
+        leave the Generator they share where the default blocks do."""
         v_i, v_j, l = np.random.default_rng(1).standard_normal((3, 5))
 
         def reports():
-            return [
-                lipschitz_pairs_report(dim=4, trials=1500, seed=2).to_dict(),
-                check_robustness(v_i, v_j, l, 0.3, trials=1500, seed=2).to_dict(),
-                bridge_stats_report(dim=3, t_end=6, samples=1500, seed=2).to_dict(),
+            rng = np.random.default_rng(2)
+            out = [
+                lipschitz_pairs_report(dim=4, trials=1500, seed=rng).to_dict(),
+                check_robustness(v_i, v_j, l, 0.3, trials=1500, seed=rng).to_dict(),
+                bridge_stats_report(dim=3, t_end=6, samples=1500, seed=rng).to_dict(),
+                _report_robustness(5, [0.01, 0.3, 1.0], 1500, rng).to_dict(),
             ]
+            return out, rng.bit_generator.state
 
         default = reports()
-        monkeypatch.setattr(theory, "BLOCK_TRIALS", 7)
-        assert reports() == default
+        # 60 values: 5 Lipschitz triples, 12 robustness trials, 2 bridge paths
+        for values in (1, 60, 10**9):
+            monkeypatch.setattr(theory, "BLOCK_VALUES", values)
+            draws = mock.Mock(wraps=theory.perturb_language)
+            monkeypatch.setattr(theory, "perturb_language", draws)
+            assert reports() == default
+            assert draws.call_count == 4 * len(theory._trial_blocks(1500, 5))
+        assert len(theory._trial_blocks(1500, 5)) == 1
+
+    def test_block_sizes(self):
+        # README defaults: bridge paths of 11 times 6 values in blocks of 256,
+        # as before; robustness trials of 8 values and Lipschitz triples of 24
+        # in larger ones; a trial above the budget alone
+        assert theory._trial_blocks(10000, 11 * 6)[0] == 256
+        assert theory._trial_blocks(10000, 8)[0] == 2112
+        assert theory._trial_blocks(10000, 24)[0] == 704
+        assert theory._trial_blocks(3, 10**6) == [1, 1, 1]
 
 
 class TestAgainstLoopReference:
