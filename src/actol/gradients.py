@@ -60,9 +60,10 @@ def objective_and_grad(
     vectors, from one kernel pass; c must be Contrast.of(timestamps, cfg).
     For a Contrast of O configs the stack is (B, O, T, d) and (B, O, d),
     and each output has the config axis after the clip axis. Given a
-    Bridge, or one Bridge per clip, bb_weight times its gradient is added
-    to dL/dE of the configs at positions bridged (default: every one);
-    elsewhere the penalties are 0.0. dL/dl is None unless need_language.
+    Bridge, shared or of each clip's own intervals (clip axes (B,), or
+    (B, 1) for O configs, else ValueError), bb_weight times its gradient is
+    added to dL/dE of the configs at positions bridged (default: every
+    one); elsewhere the penalties are 0.0. dL/dl is None unless need_language.
     The cosines, their norms and the score rows come from
     _contrastive_terms, computed once; the kink test reads the rows of
     difference-score configs, and s_i - s_k is formed again in their buffer
@@ -99,12 +100,10 @@ def objective_and_grad(
     if bridge is None:
         return value, np.zeros(value.shape), frames, language, at_kink
     on = emb if bridged is None else emb[:, bridged]
-    if isinstance(bridge, Bridge):
+    try:
         bb, g_bb = bridge.penalty(on, need_grad=True)
-    else:  # each clip's own Bridge on its own slice
-        if len(bridge) != len(emb):
-            raise ValueError(f"need one Bridge per clip: {len(bridge)} for {len(emb)} clips")
-        bb, g_bb = map(np.stack, zip(*(b.penalty(e, need_grad=True) for b, e in zip(bridge, on))))
+    except ValueError as e:  # the matmul's broadcast
+        raise ValueError(f"Bridge M {bridge.M.shape} does not match embeddings {on.shape}") from e
     if bridged is None:
         return value, bb, frames + bb_weight * g_bb, language, at_kink
     penalties = np.zeros(value.shape)
@@ -113,17 +112,13 @@ def objective_and_grad(
     return value, penalties, frames, language, at_kink
 
 
-def _on_clip(clip: ClipSequence, c: Contrast | None, bridge=None, bb_weight=0.0):
-    """objective_and_grad on one clip: (value, bridge penalty, GradientSet);
-    with c None, bb_weight times the bridge penalty alone (value 0.0)."""
+def _on_clip(clip: ClipSequence, c: Contrast, bridge=None, bb_weight=0.0) -> GradientSet:
+    """objective_and_grad's gradients on one clip."""
     _check_non_negative("bb_weight", bb_weight)  # for grad_total
-    if c is None:
-        bb, frames = bridge.penalty(clip.embeddings, need_grad=True)
-        return 0.0, float(bb), GradientSet(bb_weight * frames, np.zeros_like(clip.language))
-    value, bb, frames, language, at_kink = objective_and_grad(
+    *_, frames, language, at_kink = objective_and_grad(
         clip.embeddings[None], clip.language[None], c, bridge, bb_weight
     )
-    return float(value[0]), float(bb[0]), GradientSet(frames[0], language[0], bool(at_kink[0]))
+    return GradientSet(frames[0], language[0], bool(at_kink[0]))
 
 
 def grad_vlo(clip: ClipSequence, temperature: float = 1.0) -> GradientSet:
@@ -134,12 +129,13 @@ def grad_vlo(clip: ClipSequence, temperature: float = 1.0) -> GradientSet:
 def grad_bb(clip: ClipSequence, interval: BridgeInterval) -> GradientSet:
     """Exact gradient of bb_loss. Endpoint frames receive gradient through
     the bridge mean even though they contribute no deviation term."""
-    return _on_clip(clip, None, Bridge.of(clip.timestamps, [interval]), 1.0)[2]
+    frames = Bridge.of(clip.timestamps, [interval]).penalty(clip.embeddings, need_grad=True)[1]
+    return GradientSet(frames, np.zeros_like(clip.language))
 
 
 def grad_tnce(clip: ClipSequence, cfg: TnceConfig) -> GradientSet:
     """Exact ambient gradient of tnce_loss for any selector configuration."""
-    return _on_clip(clip, Contrast.of(clip.timestamps, cfg))[2]
+    return _on_clip(clip, Contrast.of(clip.timestamps, cfg))
 
 
 def grad_total(
@@ -152,7 +148,7 @@ def grad_total(
     mean bridge gradient over the intervals (default: the full clip), from
     one pass of the ordering-loss kernel."""
     c = Contrast.of(clip.timestamps, TnceConfig(temperature=temperature))
-    return _on_clip(clip, c, Bridge.of(clip.timestamps, intervals), bb_weight)[2]
+    return _on_clip(clip, c, Bridge.of(clip.timestamps, intervals), bb_weight)
 
 
 def _objective(loss: str, timestamps, params):

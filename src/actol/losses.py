@@ -4,8 +4,9 @@ and the combinatorial lower bound of the ordering loss.
 
 TieGroups owns what the timestamps determine (the sort, the distance
 levels, the negative sets and the lower bound), and Bridge the bridge
-penalty over any interval list, with each interval's interpolant and
-variance built in; Bridge.of is the one check on intervals.
+penalty over any intervals, shared by every clip or each clip's own, with
+each interval's interpolant and variance built in; Bridge.of is the one
+check on intervals.
 
 Every contrastive objective here is one masked softmax: for anchor i, the
 negatives of a positive frame j are a prefix of the other frames sorted by
@@ -28,7 +29,7 @@ scores with _stack_size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,7 +200,6 @@ class Contrast:
     temperatures: tuple
     score: str | None
     difference: np.ndarray | None = None
-    _selected: dict = field(default_factory=dict, repr=False)  # select's Contrasts, by part
 
     @classmethod
     def of(cls, timestamps, cfg) -> "Contrast":
@@ -242,14 +242,6 @@ class Contrast:
         return cls(tuple(cfg), groups, pos, np.array(n_terms), *flat,
                    *np.array([tau, scale])[..., None, None], tau, score, difference)
 
-    def select(self, part) -> "Contrast":
-        """The Contrast of the configs at positions part of a config tuple,
-        built on the first call for part: a training run asks every step."""
-        key = tuple(int(o) for o in part)
-        if key not in self._selected:
-            self._selected[key] = Contrast._of_groups(self.groups, tuple(self.cfg[o] for o in key))
-        return self._selected[key]
-
 
 def _stack_size(scores_per_item: int) -> int:
     """How many items of scores_per_item scores each fill one stacked
@@ -280,33 +272,26 @@ def _suffix_softmax(rows, c: Contrast, need_grad: bool, span: float = 2.0):
     value per clip, as each clip gets from its own Contrast. For a Contrast
     of O configs they are (B, O, T, T) and (B, O), one value per config as
     from its own Contrast: if the guard holds for some configs and not for
-    others, each side runs in its own kernel call.
+    others, both paths run on the whole stack, each config keeping its side.
     """
     B = len(rows)
     log_T = math.log(rows.shape[-1])
     linear = [span / tau + log_T < EXP_RANGE for tau in c.temperatures]
-    if any(linear) != all(linear):
-        return _split_softmax(rows, c, need_grad, span, np.array(linear))
     # np.take lays each slice out as alone; fancy indexing would sum B > 1 in another order
     x = np.take(rows.reshape(B, -1), c.sorted_at, axis=1) / c.tau
-    terms, weights = (_exp_cumsum if linear[0] else _log_accumulate)(x, c, need_grad)
+    if any(linear) == all(linear):
+        terms, weights = (_exp_cumsum if linear[0] else _log_accumulate)(x, c, need_grad)
+    else:
+        on = np.array(linear)[:, None, None]  # the linear side; zeros keep the other from overflow
+        lin_terms, lin_weights = _exp_cumsum(np.where(on, x, 0.0), c, need_grad)
+        log_terms, log_weights = _log_accumulate(x, c, need_grad)
+        terms = np.where(on, lin_terms, log_terms)
+        weights = np.where(on, lin_weights, log_weights) if need_grad else None
     value = terms.reshape(*terms.shape[:-2], -1).sum(axis=-1) / c.n_terms
     if not need_grad:
         return value, None
     G = np.zeros(rows.shape)
     G.reshape(B, -1)[:, c.sorted_at] = (weights - c.positives) / c.scale
-    return value, G
-
-
-def _split_softmax(rows, c: Contrast, need_grad: bool, span: float, linear):
-    """_suffix_softmax of a config tuple's Contrast whose configs fall on
-    both sides of the range guard: one call for each side's rows."""
-    value = np.empty(rows.shape[:2])
-    G = np.zeros(rows.shape) if need_grad else None
-    for part in (np.flatnonzero(linear), np.flatnonzero(~linear)):
-        value[:, part], g = _suffix_softmax(rows[:, part], c.select(part), need_grad, span)
-        if need_grad:
-            G[:, part] = g
     return value, G
 
 
@@ -400,13 +385,14 @@ def lower_bound(clip: ClipSequence) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Bridge:
-    """The mean Brownian-bridge penalty over a list of intervals as one
-    linear map of the embeddings E: row p of the (P, T) matrix M takes one
-    interior frame to its deviation from its interval's bridge mean
-    (dev = M @ E), and w[p] folds in 1 / (2 var), the mean over the
-    interval's interior frames and the mean over intervals. The penalty is
-    sum_p w_p |dev_p|^2 and its gradient 2 M^T (w * dev); with no interior
-    frame (P = 0) both are 0."""
+    """The mean Brownian-bridge penalty over n intervals as one linear map
+    of the embeddings E: row p of the (P, T) matrix M takes an interior
+    frame to its deviation from its interval's bridge mean (dev = M @ E),
+    and w[p] folds in 1 / (2 var), the mean over the interval's interior
+    frames and the mean over intervals. Interval j's interior frame t is
+    row j (T-2) + t - 1, so P = n (T-2) whatever the intervals, and a
+    frame outside interval j has a zero row and w 0. The penalty is
+    sum_p w_p |dev_p|^2 and its gradient 2 M^T (w * dev)."""
 
     M: np.ndarray
     w: np.ndarray
@@ -414,37 +400,49 @@ class Bridge:
     @classmethod
     def of(cls, timestamps, intervals=None) -> "Bridge":
         """Operator for a clip's (checked) timestamps over the intervals
-        (default: the full clip), or one per row of an (N, T) stack of them,
-        with M (N, P, T) and w (N, P). intervals must be a list or tuple of
-        BridgeInterval, each with integer endpoints 0 <= start < end < T."""
+        (default: the full clip): a list or tuple of BridgeInterval shared
+        by every clip, or an integer array (..., n, 2) of each clip's own
+        (start, end) rows; n >= 1 and 0 <= start < end < T. M (..., P, T)
+        and w (..., P) take the broadcast of the leading axes of timestamps
+        (one row, or an (N, T) stack of them) and of intervals."""
         ts = np.asarray(timestamps, dtype=float)
         T = ts.shape[-1]
-        if intervals is None:
-            intervals = [BridgeInterval(0, T - 1)]
-        if not (isinstance(intervals, (list, tuple))
-                and all(isinstance(iv, BridgeInterval) for iv in intervals)):
-            raise ValueError(f"intervals must be a list of BridgeInterval, got {intervals!r}")
-        for iv in intervals:
-            if not (_is_count(iv.start) and _is_count(iv.end)):
-                raise ValueError(f"interval ({iv.start!r}, {iv.end!r}) must have integer endpoints")
-            if not (0 <= iv.start < iv.end < T):
-                raise ValueError(f"interval ({iv.start}, {iv.end}) out of bounds for T={T}")
-        se = np.array([(iv.start, iv.end) for iv in intervals], dtype=np.intp).reshape(-1, 2)
-        t = np.arange(T)
-        j, k = np.nonzero((se[:, :1] < t) & (t < se[:, 1:]))  # interior frames k of interval j
-        a, b = se[j].T
-        alpha = (ts[..., k] - ts[..., a]) / (ts[..., b] - ts[..., a])
-        var = alpha * (ts[..., b] - ts[..., k])  # (t - t0)(t1 - t) / (t1 - t0)
-        rows = np.arange(len(k))
-        M = np.zeros(ts.shape[:-1] + (len(k), T))
-        M[..., rows, k] = 1.0
-        M[..., rows, a] = alpha - 1.0
-        M[..., rows, b] = -alpha
-        return cls(M, 0.5 / (var * (b - a - 1) * len(intervals)))
+        se = np.array([[0, T - 1]]) if intervals is None else intervals
+        if isinstance(se, (list, tuple)) and all(isinstance(iv, BridgeInterval) for iv in se):
+            se = [(iv.start, iv.end) for iv in se]
+            for start, end in se:
+                if not (_is_count(start) and _is_count(end)):
+                    raise ValueError(f"interval ({start!r}, {end!r}) must have integer endpoints")
+            se = np.array(se, dtype=object).reshape(-1, 2)  # ints of any size until checked
+        elif not (isinstance(se, np.ndarray) and se.dtype.kind in "iu" and se.shape[-1:] == (2,)
+                  and se.ndim > 1):
+            raise ValueError("intervals must be a list of BridgeInterval or an (..., n, 2) "
+                             f"integer array, got {intervals!r}")
+        if se.shape[-2] == 0:
+            raise ValueError("intervals must hold at least one interval")
+        bad = ~((0 <= se[..., 0]) & (se[..., 0] < se[..., 1]) & (se[..., 1] < T))
+        if bad.any():  # compared, not subtracted: no unsigned value wraps around
+            raise ValueError("interval ({}, {}) out of bounds for T={}".format(*se[bad][0], T))
+        lead, n = np.broadcast_shapes(ts.shape[:-1], se.shape[:-2]), se.shape[-2]
+        se = np.broadcast_to(se.astype(np.intp), lead + (n, 2)).reshape(-1, n, 2)
+        ts = np.broadcast_to(ts, lead + (T,)).reshape(-1, T)
+        t = np.arange(1, T - 1)
+        c, j, r = np.nonzero((se[..., :1] < t) & (t < se[..., 1:]))  # clip, interval, row
+        k, (a, b) = r + 1, se[c, j].T  # interior frame k of interval (a, b)
+        alpha = (ts[c, k] - ts[c, a]) / (ts[c, b] - ts[c, a])
+        var = alpha * (ts[c, b] - ts[c, k])  # (t - t0)(t1 - t) / (t1 - t0)
+        M = np.zeros((len(ts), n, T - 2, T))
+        M[c, j, r, k] = 1.0
+        M[c, j, r, a] = alpha - 1.0
+        M[c, j, r, b] = -alpha
+        w = np.zeros(M.shape[:-1])
+        w[c, j, r] = 0.5 / (var * (b - a - 1) * n)
+        return cls(M.reshape(lead + (n * (T - 2), T)), w.reshape(lead + (n * (T - 2),)))
 
     def penalty(self, embeddings, need_grad: bool = False):
         """(sum_p w_p |dev_p|^2, its gradient or None) of (..., T, d)
-        embeddings, one value per (T, d) slice; a stacked Bridge takes
+        embeddings, one value per (T, d) slice; the leading axes of M
+        broadcast against the embeddings', so a Bridge of N clips takes
         (..., N, T, d), clip n on its own operator. The sum is a matmul,
         which rounds like np.vdot of one slice."""
         dev = self.M @ embeddings

@@ -244,8 +244,13 @@ def _lipschitz_report(blocks, **details) -> TheoremReport:
 def check_continuity(clip: ClipSequence, pairs) -> TheoremReport:
     """Assert the Lipschitz step |score(v_k, v_l, lang)| <= ||v_k - v_l||
     for each index pair, and report (not assert) the worst bridge-deviation
-    ratio max_t ||v_t - mean(t)||^2 / var(t) over the full-clip interval."""
-    k, l = np.array(list(pairs), dtype=int).reshape(-1, 2).T
+    ratio max_t ||v_t - mean(t)||^2 / var(t) over the full-clip interval.
+    pairs must hold at least one pair of integer frame indices in [0, T)."""
+    pairs = list(pairs)
+    if not (pairs and all(np.shape(p) == (2,) and all(map(_is_count, p)) for p in pairs)
+            and 0 <= np.min(pairs) and np.max(pairs) < clip.T):
+        raise ValueError(f"pairs must be one or more pairs of frame indices in [0, {clip.T})")
+    k, l = np.array(pairs, dtype=int).T
     bridge = Bridge.of(clip.timestamps)
     dev = bridge.M @ clip.embeddings  # one interval of n = len(w) frames: w = 1 / (2 var n)
     ratio = float(np.max(2 * len(bridge.w) * bridge.w * np.sum(dev * dev, axis=1), initial=0.0))

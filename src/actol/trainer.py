@@ -20,7 +20,6 @@ from .gradients import objective_and_grad
 from .losses import (
     DEFAULT_BB_WEIGHT,
     Bridge,
-    BridgeInterval,
     Contrast,
     LossBreakdown,
     TieGroups,
@@ -98,13 +97,14 @@ def _require_finite(*arrays) -> None:
         raise TrainingDiverged(0)
 
 
-def _random_bridge(timestamps, n: int, rng) -> Bridge:
-    """Bridge over n random intervals, each drawn from rng as (start, end)."""
-    T, intervals = len(timestamps), []
-    for _ in range(n):
-        start = int(rng.integers(0, T - 1))
-        intervals.append(BridgeInterval(start, int(rng.integers(start + 1, T))))
-    return Bridge.of(timestamps, intervals)
+def _random_bridge(timestamps, n: int, rngs, shape: tuple) -> Bridge:
+    """Bridge of n random intervals per clip, clip b's from rngs[b], on all of its objectives."""
+    T, draws = len(timestamps), []
+    for rng in rngs:
+        for _ in range(n):
+            start = int(rng.integers(0, T - 1))
+            draws.append((start, int(rng.integers(start + 1, T))))
+    return Bridge.of(timestamps, np.array(draws).reshape((len(rngs), 1)[: len(shape)] + (n, 2)))
 
 
 def _descend(
@@ -116,13 +116,13 @@ def _descend(
     (B, O, T, d) for more, and every step makes one objective_and_grad call
     for all of it. embed(params, step) returns the step's embeddings,
     language vectors and a function from their gradients (dL/dl None unless
-    cfg.optimize_language) to the next params. Clip b draws its bridge
-    intervals from rngs[b], once per step, for every combined objective.
-    The Contrast and, with one interval per step, the full-clip Bridge are
-    built once, the records after the last step (each run's are empty
-    unless keep_records). Returns records[b][o] and the final params; the
-    earliest step at which any clip and objective has a non-finite loss
-    raises."""
+    cfg.optimize_language) to the next params. Each step, clip b draws its
+    bridge intervals from rngs[b] into one Bridge for every combined
+    objective of the stack. The Contrast and, with one interval per step,
+    the full-clip Bridge are built once, the records after the last step
+    (each run's are empty unless keep_records). Returns records[b][o] and
+    the final params; the earliest step at which any clip and objective has
+    a non-finite loss raises."""
     cfgs = tuple(obj or TnceConfig(temperature=cfg.temperature) for obj in objectives)
     c = Contrast.of(clip.timestamps, cfgs[0] if len(cfgs) == 1 else cfgs)
     lb = c.groups.lower_bound()
@@ -139,7 +139,7 @@ def _descend(
     for step in range(cfg.steps):
         emb, lang, update = embed(params, step)
         if resample:
-            bridge = [_random_bridge(clip.timestamps, cfg.intervals_per_step, r) for r in rngs]
+            bridge = _random_bridge(clip.timestamps, cfg.intervals_per_step, rngs, shape)
         vlo, bb, *grads, _ = objective_and_grad(emb, lang, c, bridge, lam, need_language, *bridged)
         total = vlo + lam * bb
         if not np.isfinite(total).all():  # the earliest diverging step of any run

@@ -44,7 +44,6 @@ import actol
 from actol.gradients import KINK_TOL, REL_FLOOR
 from actol.losses import (
     DEFAULT_BB_WEIGHT,
-    Bridge,
     BridgeInterval,
     Contrast,
     TnceConfig,
@@ -473,10 +472,7 @@ def objective_and_grad(emb, lang, c, bridge=None, bb_weight=0.0):
     language = (g_s[..., None] * (u_v - cos * u_l[:, None, :])).sum(axis=1) / norm_l
     if bridge is None:
         return value, np.zeros(len(value)), frames, language, at_kink
-    if isinstance(bridge, Bridge):
-        bb, g_bb = bridge.penalty(emb, need_grad=True)
-    else:
-        bb, g_bb = map(np.stack, zip(*(b.penalty(e, need_grad=True) for b, e in zip(bridge, emb))))
+    bb, g_bb = bridge.penalty(emb, need_grad=True)
     return value, bb, frames + bb_weight * g_bb, language, at_kink
 
 

@@ -50,12 +50,15 @@ class TestTrainCommand:
         assert clip.T == 6
 
     def test_byte_identical_rerun(self, tmp_path):
-        cfg = self.config(tmp_path)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert invoke("train", cfg, out1).exit_code == 0
-        assert invoke("train", cfg, out2).exit_code == 0
-        for name in ("history.csv", "final_clip.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        data = json.loads(Path(self.config(tmp_path)).read_text())
+        for intervals_per_step in (1, 3):  # 3: one random Bridge per step
+            data["train"]["intervals_per_step"] = intervals_per_step
+            cfg = write_config(tmp_path, data)
+            out1, out2 = tmp_path / f"a{intervals_per_step}", tmp_path / f"b{intervals_per_step}"
+            assert invoke("train", cfg, out1).exit_code == 0
+            assert invoke("train", cfg, out2).exit_code == 0
+            for name in ("history.csv", "final_clip.json"):
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = self.config(tmp_path)

@@ -348,3 +348,13 @@ def test_bad_intervals_rejected_everywhere(call, value):
     # each raised TypeError or AttributeError from inside Bridge.of; a set ran
     with pytest.raises(ValueError, match="^intervals must be a list of BridgeInterval"):
         call(kink_free_clip(4, 3, 81), value)
+
+
+@pytest.mark.parametrize(
+    "empty", [[], (), np.empty((0, 2), dtype=int)], ids=["list", "tuple", "array"]
+)
+@pytest.mark.parametrize("call", list(BAD_INTERVALS.values()), ids=list(BAD_INTERVALS))
+def test_empty_intervals_rejected_everywhere(call, empty):
+    # a mean over no intervals is undefined; actol_loss returned bb = 0.0
+    with pytest.raises(ValueError, match="^intervals must hold at least one interval$"):
+        call(kink_free_clip(4, 3, 81), empty)

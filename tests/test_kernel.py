@@ -281,9 +281,9 @@ def _step_matching_reference(emb, lang, c, bridge=None, bb_weight=0.0):
 @pytest.mark.parametrize("B", [1, 4])
 def test_step_matches_reference_bit_for_bit(B, objective, tau, bridge):
     """One descent step's outputs on both sides of the range guard, with no
-    bridge, one shared Bridge and one Bridge per clip."""
+    bridge, one shared Bridge and one Bridge of each clip's own interval."""
     c = Contrast.of(STEP_TS, replace(STEP_OBJECTIVES[objective], temperature=tau))
-    per_clip = [Bridge.of(STEP_TS, [BridgeInterval(b % 3, 9 - b % 2)]) for b in range(B)]
+    per_clip = Bridge.of(STEP_TS, np.array([[[b % 3, 9 - b % 2]] for b in range(B)]))
     bridges = {"none": None, "shared": Bridge.of(STEP_TS), "per-clip": per_clip}
     emb, lang = _step_inputs(B, seed=B)
     _step_matching_reference(emb, lang, c, bridges[bridge], 0.1)
@@ -326,9 +326,11 @@ def test_config_stack_rows_match_each_config_alone(bridge, taus):
     """Row o of a (B, O, T, d) stack under a Contrast of O configs gets bit
     for bit the five outputs of its own config's objective_and_grad call,
     the bridge only on the rows it is asked for. With the first config
-    below the range guard and the others above it, each side runs in its
-    own kernel call. A similarity tie is flagged on difference-score rows
-    only."""
+    below the range guard and the others above it, each side's kernel runs
+    once, on the whole stack. A similarity tie is flagged on
+    difference-score rows only. A Bridge of each clip's own interval is
+    laid out on (B, 1) clip axes for the stack and on (B,) for one
+    config."""
     configs = (replace(STACK_CONFIGS[0], temperature=taus[0]),
                *(replace(cfg, temperature=taus[1]) for cfg in STACK_CONFIGS[1:]))
     bridged = [0, 3]
@@ -337,16 +339,18 @@ def test_config_stack_rows_match_each_config_alone(bridge, taus):
     emb, lang = _step_inputs(B * O, seed=11)
     emb, lang = emb.reshape(B, O, *emb.shape[1:]), lang.reshape(B, O, -1)
     emb[1, :, 6] = emb[1, :, 2]  # a tie in every row of clip 1
-    per_clip = [Bridge.of(STEP_TS, [BridgeInterval(b, 9 - b)]) for b in range(B)]
-    bridges = {"none": None, "shared": Bridge.of(STEP_TS), "per-clip": per_clip}
+    intervals = np.array([[[b, 9 - b]] for b in range(B)])
+    bridges = {"none": (None, None), "shared": (Bridge.of(STEP_TS),) * 2,
+               "per-clip": (Bridge.of(STEP_TS, intervals[:, None]), Bridge.of(STEP_TS, intervals))}
+    stacked, alone_bridge = bridges[bridge]
     kernels = {name: mock.Mock(wraps=getattr(losses, name))
                for name in ("_exp_cumsum", "_log_accumulate")}
     with mock.patch.multiple(losses, **kernels):
-        got = objective_and_grad(emb, lang, c, bridges[bridge], 0.1, True, bridged)
+        got = objective_and_grad(emb, lang, c, stacked, 0.1, True, bridged)
     calls = [kernels[name].call_count for name in ("_exp_cumsum", "_log_accumulate")]
     assert calls == ([1, 0] if taus[0] == 0.5 else [1, 1])
     for o, cfg in enumerate(configs):
-        on = bridges[bridge] if o in bridged else None
+        on = alone_bridge if o in bridged else None
         alone = objective_and_grad(emb[:, o], lang[:, o], Contrast.of(STEP_TS, cfg), on, 0.1)
         for a, b in zip((g[:, o] for g in got), alone, strict=True):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -362,25 +366,22 @@ def test_config_tuple_needs_one_timestamp_row_and_a_config(ts, cfgs):
         Contrast.of(ts, cfgs)
 
 
-def test_select_builds_each_part_once():
-    """A mixed-range stack splits on every kernel call; each side's
-    Contrast is built on the first and reused after."""
-    c = Contrast.of(STEP_TS, STACK_CONFIGS)
-    first = c.select(np.array([0, 2]))
-    assert c.select([0, 2]) is first
-    assert first.cfg == (STACK_CONFIGS[0], STACK_CONFIGS[2])
-    assert np.array_equal(first.sorted_at, Contrast.of(STEP_TS, first.cfg).sorted_at)
-
-
-def test_short_bridge_list_rejected():
-    """A list of Bridges needs one per clip: zip would drop the clips
-    after the list's last Bridge."""
+@pytest.mark.parametrize(
+    "clips, configs", [(2, 1), (5, 1), (3, 2)], ids=["fewer", "more", "no-config-axis"]
+)
+def test_mismatched_batch_bridge_rejected(clips, configs):
+    """A Bridge of each clip's own intervals needs the stack's clip count,
+    and a (B, 1) clip layout on a config stack; (B,) would meet the config
+    axis there."""
     ts = (0, 1, 2, 3, 5, 6)
-    c = Contrast.of(ts, TnceConfig())
-    emb, lang = _step_inputs(4, seed=2, T=6, d=3)
-    for bridges in ([Bridge.of(ts)], [Bridge.of(ts)] * 5):
-        with pytest.raises(ValueError, match="one Bridge per clip"):
-            objective_and_grad(emb, lang, c, bridges, 0.1)
+    cfgs = (TnceConfig(), TnceConfig(temperature=0.5))[:configs]
+    c = Contrast.of(ts, cfgs[0] if configs == 1 else cfgs)
+    emb, lang = _step_inputs(3 * configs, seed=2, T=6, d=3)
+    if configs > 1:
+        emb, lang = emb.reshape(3, configs, 6, 3), lang.reshape(3, configs, 3)
+    bridge = Bridge.of(ts, np.tile([[0, 5]], (clips, 1, 1)))
+    with pytest.raises(ValueError, match="^Bridge M .* does not match embeddings"):
+        objective_and_grad(emb, lang, c, bridge, 0.1)
 
 
 @st.composite
@@ -463,6 +464,37 @@ def test_bridge_matches_reference(case):
     for iv in intervals:
         assert bb_loss(clip, iv) == pytest.approx(naive.bb_loss(clip, iv), rel=1e-12, abs=0.0)
         assert_close(grad_bb(clip, iv).frames, naive.grad_bb(clip, iv))
+
+
+@pytest.mark.parametrize("T", [2, 3, 10])
+def test_batch_bridge_rows_match_each_clip_alone(T):
+    """Row b of a Bridge of each clip's own n intervals, a (B, n, 2) array,
+    gets bit for bit the penalty and gradient of clip b's (n, 2) intervals
+    alone, and the loop reference's. Clip 0's intervals, and one of clip
+    1's, have no interior frame."""
+    rng = np.random.default_rng(T)
+    B, n, d = 6, 3, 4
+    ts = tuple(np.cumsum(np.r_[0, rng.integers(1, 4, T - 1)]).tolist())
+    starts = rng.integers(0, T - 1, (B, n))
+    intervals = np.stack([starts, rng.integers(starts + 1, T)], axis=-1)
+    intervals[0, :, 1] = intervals[0, :, 0] + 1
+    intervals[1, 0, 1] = intervals[1, 0, 0] + 1
+    emb, lang = rng.standard_normal((B, T, d)), rng.standard_normal((B, d))
+    bridge = Bridge.of(ts, intervals)
+    for b in range(B):  # interval j's interior frame t on row j (T-2) + t - 1
+        for j in range(n):
+            alone = Bridge.of(ts, intervals[b, j : j + 1])
+            assert np.array_equal(bridge.M[b].reshape(n, T - 2, T)[j], alone.M)
+            np.testing.assert_allclose(bridge.w[b].reshape(n, T - 2)[j], alone.w / n, rtol=1e-15)
+    assert np.array_equal(Bridge.of(ts, intervals.astype(np.uint8)).M, bridge.M)
+    value, grad = bridge.penalty(emb, need_grad=True)
+    for b in range(B):
+        alone, alone_grad = Bridge.of(ts, intervals[b]).penalty(emb[b], need_grad=True)
+        assert value[b] == alone and np.array_equal(grad[b], alone_grad)
+        clip = ClipSequence(ts, emb[b], lang[b])
+        expected, expected_grad = naive.mean_bb(clip, [BridgeInterval(*iv) for iv in intervals[b]])
+        assert value[b] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert_close(grad[b], expected_grad)
 
 
 def _objectives(clip, intervals, cfg):

@@ -371,6 +371,31 @@ class TestBridge:
         with pytest.raises(ValueError):
             bb_loss(clip, BridgeInterval(0, 4))
 
+    @pytest.mark.parametrize(
+        "intervals, bad",
+        [([[0, 3], [2, 2]], (2, 2)), ([[[0, 1]], [[1, 4]]], (1, 4)), ([[-1, 2]], (-1, 2))],
+        ids=["empty-interval", "past-the-end", "negative"],
+    )
+    def test_interval_array_bounds_checked(self, intervals, bad):
+        """Each clip's intervals meet the list's bounds check, with its message."""
+        message = rf"^interval \({bad[0]}, {bad[1]}\) out of bounds for T=4$"
+        with pytest.raises(ValueError, match=message):
+            Bridge.of((0, 2, 7, 10), np.array(intervals))
+
+    @pytest.mark.parametrize("dtype", [float, bool, object])
+    def test_interval_array_needs_integer_dtype(self, dtype):
+        with pytest.raises(ValueError, match="^intervals must be a list of BridgeInterval or an"):
+            Bridge.of((0, 2, 7, 10), np.array([[0, 3]], dtype=dtype))
+
+    def test_unsigned_interval_array_does_not_wrap(self):
+        # start - 1 would wrap to 255 as uint8; the bounds are compared
+        with pytest.raises(ValueError, match=r"^interval \(0, 0\) out of bounds"):
+            Bridge.of((0, 2, 7, 10), np.array([[0, 0]], dtype=np.uint8))
+
+    def test_huge_endpoint_is_out_of_bounds(self):
+        with pytest.raises(ValueError, match="out of bounds for T=4$"):
+            Bridge.of((0, 2, 7, 10), [BridgeInterval(0, 2**70)])
+
     @pytest.mark.parametrize("timestamps", [(0, 3), (0, 2, 7, 10), (1, 2, 3, 5, 8, 13)])
     def test_operator_defaults_to_full_clip(self, timestamps):
         default = Bridge.of(timestamps)

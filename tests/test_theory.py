@@ -125,6 +125,19 @@ class TestContinuity:
         assert report.worst_slack <= 0
         assert report.details["bridge_deviation_ratio"] >= 0
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(-1, 0)], [(0.5, 1)], [(0, 6)], [], [(True, 1)], [(0, 1, 2)], [3], [(0, 1), "ab"]],
+        ids=["negative", "float", "past-the-end", "none", "bool", "triple", "int", "string"],
+    )
+    def test_bad_pairs_rejected(self, pairs):
+        """-1 wrapped to the last frame, 0.5 truncated to frame 0, 6 raised
+        IndexError, and no pairs passed with worst_slack -inf."""
+        clip = random_clip(6, 4, np.random.default_rng(2))
+        message = r"^pairs must be one or more pairs of frame indices in \[0, 6\)$"
+        with pytest.raises(ValueError, match=message):
+            check_continuity(clip, pairs)
+
     def test_pairs_read_once(self):
         clip = random_clip(5, 3, np.random.default_rng(4))
         pairs = [(k, l) for k in range(5) for l in range(k + 1, 5)]

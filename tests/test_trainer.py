@@ -153,11 +153,14 @@ class TestTrainFree:
 
         monkeypatch.setattr(Bridge, "of", count("bridge", of))
         monkeypatch.setattr(ClipSequence, "__post_init__", count("clip", init))
+        ts = start_clip(14).timestamps
+        clips = [random_clip(len(ts), 4, np.random.default_rng(seed)) for seed in (1, 2, 3)]
+        clips = [ClipSequence(ts, c.embeddings, c.language) for c in clips]
         seen = []
         for steps in (3, 8):
             counts.update(bridge=0, clip=0)
             cfg = TrainConfig(steps=steps, intervals_per_step=intervals_per_step)
-            train_free(start_clip(14), cfg)
+            train_batch(clips, cfg, None, (1, 2, 3))  # one Bridge per step for all three clips
             assert counts["bridge"] == (1 if intervals_per_step == 1 else steps)
             seen.append(counts["clip"])
         assert seen[0] == seen[1]
