@@ -27,6 +27,7 @@ from .losses import (
     TnceConfig,
     _check_non_negative,
     _contrastive_terms,
+    _differences,
     _stack_size,
 )
 
@@ -67,48 +68,56 @@ def objective_and_grad(
     The cosines, their norms and the score rows come from
     _contrastive_terms, computed once; the kink test reads the rows of
     difference-score configs, and s_i - s_k is formed again in their buffer
-    once the kernel is done."""
+    once the kernel is done. The kernel's arrays come from c.array, which
+    keeps them in a descent run's Contrast; every output is a new array."""
     value, G, s, norm_v, norm_l, rows = _contrastive_terms(emb, lang, c, need_grad=True)
     no_kink = np.zeros(value.shape, dtype=bool)
     if c.score == "direct-sim":
         g_s, at_kink = G.sum(axis=-2), no_kink
     else:
-        # dL/dR_{i,k} (R = -|s_i - s_k|) to dL/ds_t; a kink is a close pair off G's 0 diagonal
-        close = rows > -KINK_TOL  # |s_i - s_k| < KINK_TOL, on the diagonal unless s_i is NaN
+        # dL/dR_{i,k} (R = -|s_i - s_k|) to dL/ds_t; a kink is a close pair off G's 0 diagonal.
+        # close: |s_i - s_k| < KINK_TOL, on the diagonal unless s_i is NaN
+        close = np.greater(rows, -KINK_TOL, out=c.array("close", rows.shape, bool))
         mixed = c.score is None
         if mixed:  # the rows of direct-sim configs hold s_k and have no kink
             close &= c.difference
         off = np.count_nonzero(close) > np.count_nonzero(close.diagonal(0, -2, -1))
-        at_kink = np.any((G != 0) & close, axis=(-2, -1)) if off else no_kink
+        at_kink = np.any(np.logical_and(close, G, out=close), axis=(-2, -1)) if off else no_kink
         # s_i - s_k again, in rows' buffer: kept from before, it would be live through the kernel
-        GS = np.sign(np.subtract(s[..., :, None], s[..., None, :], out=rows), out=rows)
+        GS = np.sign(_differences(s, rows), out=rows)
         if mixed:  # a direct-sim config's dL/ds_t is G's column sum
-            GS = np.where(c.difference, GS, 1.0)
+            np.copyto(GS, 1.0, where=~c.difference)
         GS *= G
         col = GS.sum(axis=-2)
         g_s = -GS.sum(axis=-1) + col
         if mixed:
             g_s = np.where(c.difference[..., 0], g_s, col)
+    if bridge is not None:  # before dL/dE, so that fewer (..., T, d) arrays are live at once
+        on = emb if bridged is None else emb[:, bridged]
+        try:
+            bb, g_bb = bridge.penalty(on, need_grad=True)
+        except ValueError as e:  # the matmul's broadcast
+            raise ValueError(f"Bridge M {bridge.M.shape} does not match embeddings {on.shape}") from e
+        g_bb *= bb_weight
     # dL/ds_t to the embeddings through the cosine, normalization included
     u_v = emb / norm_v[..., None]
     u_l = lang / norm_l
     cos = np.matmul(u_v, u_l[..., :, None])
-    frames = g_s[..., None] * (u_l[..., None, :] - cos * u_v) / norm_v[..., None]
     language = None
     if need_language:
         language = (g_s[..., None] * (u_v - cos * u_l[..., None, :])).sum(axis=-2) / norm_l
+    frames = np.multiply(cos, u_v, out=u_v)  # g_s (u_l - cos u_v) / |v|, in u_v's array
+    np.subtract(u_l[..., None, :], frames, out=frames)
+    np.multiply(g_s[..., None], frames, out=frames)
+    np.divide(frames, norm_v[..., None], out=frames)
     if bridge is None:
         return value, np.zeros(value.shape), frames, language, at_kink
-    on = emb if bridged is None else emb[:, bridged]
-    try:
-        bb, g_bb = bridge.penalty(on, need_grad=True)
-    except ValueError as e:  # the matmul's broadcast
-        raise ValueError(f"Bridge M {bridge.M.shape} does not match embeddings {on.shape}") from e
     if bridged is None:
-        return value, bb, frames + bb_weight * g_bb, language, at_kink
+        frames += g_bb
+        return value, bb, frames, language, at_kink
     penalties = np.zeros(value.shape)
     penalties[:, bridged] = bb
-    frames[:, bridged] += bb_weight * g_bb
+    frames[:, bridged] += g_bb
     return value, penalties, frames, language, at_kink
 
 

@@ -23,7 +23,10 @@ timestamps are sorted, and evaluated, in one call per stack; a signed
 integer array stack is checked in one vectorized pass. Callers that stack
 many small evaluations into one kernel call (theory's lower-bound check,
 gradients' finite-difference oracle) size each stack to BLOCK_SCORES
-scores with _stack_size.
+scores with _stack_size. A descent run's Contrast keeps the kernel's
+(..., T, T) and (..., T, T-1) working arrays, which every step writes in
+place, so a step allocates no array of T^2 values; any other Contrast
+makes them anew per call.
 """
 
 from __future__ import annotations
@@ -186,7 +189,13 @@ class Contrast:
     the gradient scale n_terms * tau are (O, 1, 1), (O,) and (O, 1, 1)
     arrays. temperatures holds each config's temperature as a float, and
     score the score kind all configs share, or None when they mix kinds;
-    difference then masks the (O, 1, 1) rows that score by difference."""
+    difference then masks the (O, 1, 1) rows that score by difference.
+    others is ~positives, the sorted positions that hold no term, or None
+    when every position holds one. work is None but in a descent run's
+    Contrast: a dict that keeps the kernel's working arrays from step to
+    step (see array), so that a step allocates no array of T^2 values.
+    Such a Contrast serves one stack shape and one caller at a time, and
+    nothing a caller keeps may be one of its arrays."""
 
     cfg: TnceConfig | tuple
     groups: TieGroups
@@ -200,6 +209,18 @@ class Contrast:
     temperatures: tuple
     score: str | None
     difference: np.ndarray | None = None
+    others: np.ndarray | None = None
+    work: dict | None = None
+
+    def array(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        """The kernel's working array called name: made zero-filled, and
+        kept in work, when there is one, for every later call to write in
+        place."""
+        if self.work is None:
+            return np.zeros(shape, dtype)
+        if name not in self.work:
+            self.work[name] = np.zeros(shape, dtype)
+        return self.work[name]
 
     @classmethod
     def of(cls, timestamps, cfg) -> "Contrast":
@@ -229,10 +250,12 @@ class Contrast:
         n = np.arange(pos.size // (T * (T - 1))).reshape(pos.shape[:-2] + (1, 1))  # stack row
         row = (n * T + i) * (T - 1)
         flat = ((n * T + i) * T + k, row + end, row + start)
+        others = None if pos.all() else ~pos
         if one:
             n_terms = int(np.count_nonzero(pos)) // n.size  # the same for every clip of length T
             tau = float(cfg.temperature)
-            return cls(cfg, groups, pos, n_terms, *flat, tau, n_terms * tau, (tau,), cfg.score)
+            return cls(cfg, groups, pos, n_terms, *flat, tau, n_terms * tau, (tau,), cfg.score,
+                       others=others)
         n_terms = [int(np.count_nonzero(p)) for p in pos]
         tau = tuple(float(c.temperature) for c in cfg)
         scale = [m * t for m, t in zip(n_terms, tau)]
@@ -240,7 +263,7 @@ class Contrast:
         score = scores[0] if len(set(scores)) == 1 else None
         difference = None if score else (np.array(scores) == "difference-score")[:, None, None]
         return cls(tuple(cfg), groups, pos, np.array(n_terms), *flat,
-                   *np.array([tau, scale])[..., None, None], tau, score, difference)
+                   *np.array([tau, scale])[..., None, None], tau, score, difference, others)
 
 
 def _stack_size(scores_per_item: int) -> int:
@@ -273,12 +296,16 @@ def _suffix_softmax(rows, c: Contrast, need_grad: bool, span: float = 2.0):
     of O configs they are (B, O, T, T) and (B, O), one value per config as
     from its own Contrast: if the guard holds for some configs and not for
     others, both paths run on the whole stack, each config keeping its side.
+    The working arrays and G come from c.array; the values are new.
     """
     B = len(rows)
     log_T = math.log(rows.shape[-1])
     linear = [span / tau + log_T < EXP_RANGE for tau in c.temperatures]
-    # np.take lays each slice out as alone; fancy indexing would sum B > 1 in another order
-    x = np.take(rows.reshape(B, -1), c.sorted_at, axis=1) / c.tau
+    # np.take lays each slice out as alone; fancy indexing would sum B > 1 in another
+    # order. Into an out array, mode "raise" copies through a temporary; the indices are valid.
+    x = np.take(rows.reshape(B, -1), c.sorted_at, axis=1,
+                out=c.array("x", (B, *c.sorted_at.shape)), mode="clip")
+    np.divide(x, c.tau, out=x)
     if any(linear) == all(linear):
         terms, weights = (_exp_cumsum if linear[0] else _log_accumulate)(x, c, need_grad)
     else:
@@ -290,8 +317,10 @@ def _suffix_softmax(rows, c: Contrast, need_grad: bool, span: float = 2.0):
     value = terms.reshape(*terms.shape[:-2], -1).sum(axis=-1) / c.n_terms
     if not need_grad:
         return value, None
-    G = np.zeros(rows.shape)
-    G.reshape(B, -1)[:, c.sorted_at] = (weights - c.positives) / c.scale
+    np.subtract(weights, c.positives, out=weights)
+    np.divide(weights, c.scale, out=weights)
+    G = c.array("G", rows.shape)  # no sorted position is on the diagonal, which stays 0
+    G.reshape(B, -1)[:, c.sorted_at] = weights
     return value, G
 
 
@@ -301,19 +330,22 @@ def _exp_cumsum(x, c: Contrast, need_grad: bool):
     is shifted by its first score, so a first group of one frame gives
     exactly 0. Under the guard span / temperature + log T < EXP_RANGE,
     every exp(x) and cumulative sum C lies in [e^-EXP_RANGE, e^EXP_RANGE]:
-    normal and finite."""
+    normal and finite. x is overwritten, and the terms and weights are
+    arrays from c.array; each array is written in place once its values
+    are not needed again."""
     B = len(x)
-    x = x - x[..., :1]
-    # C and e are updated in place once their values are not needed again,
-    # so that no more (B, T, T-1) arrays are live than in the log-space path
-    e = np.exp(x)
-    C = np.take(np.add.accumulate(e, axis=-1).reshape(B, -1), c.end_at, axis=1)
-    terms = np.where(c.positives, np.log(C) - x, 0.0)
+    np.subtract(x, x[..., :1].copy(), out=x)  # no input may overlap the output
+    e = np.exp(x, out=c.array("e", x.shape))
+    acc = np.add.accumulate(e, axis=-1, out=c.array("acc", x.shape))
+    C = np.take(acc.reshape(B, -1), c.end_at, axis=1, out=c.array("C", x.shape), mode="clip")
+    terms = np.subtract(np.log(C, out=acc), x, out=acc)
+    if c.others is not None:
+        np.copyto(terms, 0.0, where=c.others)
     if not need_grad:
         return terms, None
     tail = np.divide(c.positives, C, out=C)[..., ::-1]
     np.add.accumulate(tail, axis=-1, out=tail)
-    e *= np.take(tail[..., ::-1].reshape(B, -1), c.start_at, axis=1)
+    e *= np.take(C.reshape(B, -1), c.start_at, axis=1, out=x, mode="clip")
     return terms, e
 
 
@@ -331,11 +363,24 @@ def _log_accumulate(x, c: Contrast, need_grad: bool):
 def _score_rows(s, c: Contrast):
     """(..., T, T) score rows of (..., T) similarities: row i holds
     -|s_i - s_k| for 'difference-score', or s_k for 'direct-sim'; for a
-    Contrast whose configs mix kinds, each (T, T) slice by its config's."""
+    Contrast whose configs mix kinds, each (T, T) slice by its config's.
+    The rows are an array from c.array."""
+    rows = c.array("rows", s.shape + s.shape[-1:])
     if c.score == "direct-sim":
-        return s[..., None, :].repeat(s.shape[-1], axis=-2)
-    rows = -np.abs(s[..., :, None] - s[..., None, :])
-    return rows if c.score else np.where(c.difference, rows, s[..., None, :])
+        rows[...] = s[..., None, :]
+        return rows
+    np.negative(np.abs(_differences(s, rows), out=rows), out=rows)
+    if c.score is None:
+        np.copyto(rows, s[..., None, :], where=~c.difference)
+    return rows
+
+
+def _differences(s, out):
+    """out[..., i, k] = s_i - s_k of (..., T) similarities, written into
+    out. It subtracts from a copy of s_k, so that only one operand
+    broadcasts: numpy then makes one iterator buffer for it, not two."""
+    out[...] = s[..., None, :]
+    return np.subtract(s[..., :, None], out, out=out)
 
 
 def _contrastive_terms(emb, lang, c: Contrast, need_grad: bool):
@@ -343,7 +388,8 @@ def _contrastive_terms(emb, lang, c: Contrast, need_grad: bool):
     objective c on (B, T, d) embeddings and (B, d) language vectors, or on
     a (B, O, T, d) and (B, O, d) stack for a Contrast of O configs: the
     cosines s and their norms from one _cosines pass, and the score rows
-    the kernel ran on, each computed once."""
+    the kernel ran on, each computed once. dL/drows and the rows are
+    arrays from c.array."""
     s, norm_v, norm_l = _cosines(emb, lang)
     rows = _score_rows(s, c)
     value, G = _suffix_softmax(rows, c, need_grad)
@@ -449,11 +495,17 @@ class Bridge:
         wdev = self.w[..., None] * dev
         lead = dev.shape[:-2]
         value = np.matmul(wdev.reshape(*lead, 1, -1), dev.reshape(*lead, -1, 1))[..., 0, 0]
-        return value, (2.0 * (self.M.swapaxes(-1, -2) @ wdev) if need_grad else None)
+        if not need_grad:
+            return value, None
+        del dev  # so that no more than two (..., T, d) arrays are live at once
+        grad = self.M.swapaxes(-1, -2) @ wdev
+        grad *= 2.0
+        return value, grad
 
 
 def _check_non_negative(name: str, value) -> None:
-    """The one check on a bridge weight or learning rate: finite, non-negative, not a bool."""
+    """The one check on a bridge weight, learning rate or tolerance: finite,
+    non-negative, not a bool."""
     if not (_is_real(value) and math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
 

@@ -27,6 +27,7 @@ from .losses import (
     Contrast,
     TieGroups,
     TnceConfig,
+    _check_non_negative,
     _score_rows,
     _stack_size,
     _suffix_softmax,
@@ -275,7 +276,8 @@ def bridge_stats_report(
 ) -> TheoremReport:
     """Monte Carlo check of sampled bridges against the analytic mean and
     variance: endpoints must match exactly, the midpoint's per-coordinate
-    variance must match within the relative tolerance, and the midpoint
+    variance must match within the relative tolerance (finite and
+    non-negative, else ValueError), and the midpoint
     mean must sit within 5 standard errors; a NaN statistic is a
     violation. A rejected call draws nothing. variance_sign exists as a
     negative control for the CLI (flipping it must fail the check)."""
@@ -283,8 +285,7 @@ def bridge_stats_report(
         raise ValueError("t_end must be an even integer >= 2 so the midpoint is a sample time")
     if samples < 2:
         raise ValueError(f"need at least two samples for a variance, got {samples}")
-    if not _is_real(tolerance):
-        raise ValueError(f"tolerance must be a number, got {tolerance!r}")
+    _check_non_negative("tolerance", tolerance)
     rng = np.random.default_rng(seed)
     v0, v1 = random_units((2, dim), rng)
     mid = t_end // 2

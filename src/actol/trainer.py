@@ -29,7 +29,8 @@ from .losses import (
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss becomes non-finite; carries the step index."""
+    """Raised when the loss becomes non-finite, or a value in a step
+    overflows; carries the step index."""
 
     def __init__(self, step: int):
         super().__init__(f"non-finite loss at step {step}")
@@ -85,9 +86,11 @@ def _tangent_step(vectors: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarr
     if lr == 0.0:
         return vectors
     radial = (grads * vectors).sum(axis=-1, keepdims=True)
-    tangent = grads - radial * vectors
-    stepped = vectors - lr * tangent
-    return stepped / _norms(stepped)[..., None]
+    stepped = np.multiply(radial, vectors)  # the tangent, then the step, in one array
+    np.subtract(grads, stepped, out=stepped)
+    np.multiply(lr, stepped, out=stepped)
+    np.subtract(vectors, stepped, out=stepped)
+    return np.divide(stepped, _norms(stepped)[..., None], out=stepped)
 
 
 def _require_finite(*arrays) -> None:
@@ -120,11 +123,13 @@ def _descend(
     bridge intervals from rngs[b] into one Bridge for every combined
     objective of the stack. The Contrast and, with one interval per step,
     the full-clip Bridge are built once, the records after the last step
-    (each run's are empty unless keep_records). Returns records[b][o] and
-    the final params; the earliest step at which any clip and objective has
-    a non-finite loss raises."""
+    (each run's are empty unless keep_records). The Contrast keeps the
+    kernel's working arrays, so the steps write them in place. Returns
+    records[b][o] and the final params; the earliest step at which any clip
+    and objective has a non-finite loss, or at which any value overflows,
+    raises TrainingDiverged."""
     cfgs = tuple(obj or TnceConfig(temperature=cfg.temperature) for obj in objectives)
-    c = Contrast.of(clip.timestamps, cfgs[0] if len(cfgs) == 1 else cfgs)
+    c = replace(Contrast.of(clip.timestamps, cfgs[0] if len(cfgs) == 1 else cfgs), work={})
     lb = c.groups.lower_bound()
     combined = [o for o, obj in enumerate(objectives) if obj is None]
     bridged = ()  # the objectives under the bridge, passed only when some are not
@@ -136,16 +141,23 @@ def _descend(
     lam, need_language = cfg.bb_weight, cfg.optimize_language
     shape = (len(rngs),) if len(cfgs) == 1 else (len(rngs), len(cfgs))
     history = np.empty((3, *shape, cfg.steps))  # vlo, bb and total of each clip and step
-    for step in range(cfg.steps):
-        emb, lang, update = embed(params, step)
-        if resample:
-            bridge = _random_bridge(clip.timestamps, cfg.intervals_per_step, rngs, shape)
-        vlo, bb, *grads, _ = objective_and_grad(emb, lang, c, bridge, lam, need_language, *bridged)
-        total = vlo + lam * bb
-        if not np.isfinite(total).all():  # the earliest diverging step of any run
-            raise TrainingDiverged(step)
-        history[..., step] = vlo, bb, total
-        params = update(*grads)
+    try:
+        # an overflow would reach the next step as zero or NaN vectors; it raises here instead
+        with np.errstate(over="raise"):
+            for step in range(cfg.steps):
+                emb, lang, update = embed(params, step)
+                if resample:
+                    bridge = _random_bridge(clip.timestamps, cfg.intervals_per_step, rngs, shape)
+                vlo, bb, *grads, _ = objective_and_grad(
+                    emb, lang, c, bridge, lam, need_language, *bridged
+                )
+                total = vlo + lam * bb
+                if not np.isfinite(total).all():  # the earliest diverging step of any run
+                    raise TrainingDiverged(step)
+                history[..., step] = vlo, bb, total
+                params = update(*grads)
+    except FloatingPointError as exc:
+        raise TrainingDiverged(step) from exc
     runs = history.reshape(3, -1, cfg.steps).swapaxes(0, 1)  # clip-major, one run's lists at a time
     records = [
         [LossBreakdown(v, p, t, lb, v - lb) for v, p, t in zip(*h.tolist())] if keep_records else []

@@ -187,6 +187,22 @@ class TestTrainCommand:
         assert result.exit_code == 2, result.output
         assert "must be an integer" in result.output
 
+    @pytest.mark.parametrize(
+        "field",
+        [{"learning_rate": 1e200}, {"learning_rate": 1e308}, {"bb_weight": 1e308},
+         {"temperature": 1e-300}],
+        ids=["learning_rate-1e200", "learning_rate-1e308", "bb_weight-1e308", "temperature-1e-300"],
+    )
+    def test_overflowing_step_exits_3(self, tmp_path, field):
+        # an overflow would reach the next step as zero vectors; RuntimeWarning is an error here
+        data = json.loads(Path(self.config(tmp_path)).read_text())
+        data["train"].update(field)
+        result = invoke("train", write_config(tmp_path, data), tmp_path / "out")
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error: non-finite loss at step 0" in result.output
+        assert not (tmp_path / "out" / "history.csv").exists()
+
     def test_one_dimensional_synthetic_clip(self, tmp_path):
         cfg = write_config(tmp_path, {"clip": {"synthetic": {"T": 4, "d": 1,
                                                              "completion_index": 2}},
@@ -289,6 +305,8 @@ class TestVerifyCommand:
             ("lower-bound", "lower_bound", None),
             ("lipschitz", "lipschitz", {"trails": 5}),
             ("bridge-stats", "bridge_stats", {"variance_sign": -1.0}),
+            ("bridge-stats", "bridge_stats", {"tolerance": -1}),
+            ("bridge-stats", "bridge_stats", {"tolerance": float("nan")}),
         ],
     )
     def test_bad_check_parameters(self, tmp_path, check, block, params):
@@ -374,6 +392,15 @@ class TestRewardCommand:
         assert invoke("reward", cfg, out2).exit_code == 0
         for p in sorted(Path(out1).iterdir()):
             assert p.read_bytes() == (out2 / p.name).read_bytes()
+
+    def test_overflowing_step_exits_3(self, tmp_path):
+        data = json.loads(Path(self.config(tmp_path)).read_text())
+        data["train"]["learning_rate"] = 1e308
+        result = invoke("reward", write_config(tmp_path, data), tmp_path / "out")
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error: non-finite loss at step 0" in result.output
+        assert not (tmp_path / "out" / "comparison.json").exists()
 
     def test_unknown_objective(self, tmp_path):
         cfg = write_config(tmp_path, {"synthetic": {"T": 4, "d": 3, "completion_index": 2},

@@ -357,6 +357,41 @@ def test_config_stack_rows_match_each_config_alone(bridge, taus):
         assert alone[4].tolist() == [False, cfg.score == "difference-score", False]
 
 
+@pytest.mark.parametrize("tau", [0.5, 0.002], ids=["linear", "log-space"])
+@pytest.mark.parametrize("stack", ["one-config", "config-stack"])
+def test_step_outputs_are_not_the_runs_working_arrays(stack, tau):
+    """A descent run's Contrast keeps the kernel's arrays and every step
+    writes them in place. Step k's outputs are unchanged after step k+1
+    runs on other embeddings, share no memory with the kept arrays, and
+    step k+1 gets bit for bit a fresh Contrast's outputs. The config stack
+    mixes score kinds and puts the bridge on some rows; at tau=0.002 its
+    first config is below the range guard and the others above it."""
+    if stack == "one-config":
+        cfg, B, O, bridged = replace(STEP_OBJECTIVES["actol"], temperature=tau), 3, 1, ()
+    else:
+        cfg = (replace(STACK_CONFIGS[0], temperature=tau), *STACK_CONFIGS[1:])
+        B, O, bridged = 2, len(cfg), ([0, 3],)
+    fresh = Contrast.of(STEP_TS, cfg)
+    run = replace(fresh, work={})
+    outputs = []
+    for seed in (13, 14):
+        emb, lang = _step_inputs(B * O, seed)
+        if O > 1:
+            emb, lang = emb.reshape(B, O, *emb.shape[1:]), lang.reshape(B, O, -1)
+        emb[0, ..., 6, :] = emb[0, ..., 2, :]  # a tie, so that a kink is flagged
+        got = objective_and_grad(emb, lang, run, Bridge.of(STEP_TS), 0.1, True, *bridged)
+        outputs.append((got, [a.copy() for a in got]))
+    assert {"rows", "x", "G", "close"} <= set(run.work)
+    for got, kept in outputs:
+        for a, b in zip(got, kept, strict=True):
+            assert np.array_equal(a, b)
+            assert not any(np.shares_memory(a, w) for w in run.work.values())
+    expected = objective_and_grad(emb, lang, fresh, Bridge.of(STEP_TS), 0.1, True, *bridged)
+    for a, b in zip(outputs[1][0], expected, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert all(got[4][0].any() and not got[4][1:].any() for got, _ in outputs)  # clip 0's tie
+
+
 @pytest.mark.parametrize(
     "ts, cfgs", [(np.array([[0, 1, 2], [0, 2, 3]]), (TnceConfig(), TnceConfig())), ((0, 1, 2), ())],
     ids=["stack", "no-config"],

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -107,6 +108,47 @@ class TestTrainFree:
         with pytest.raises(TrainingDiverged) as exc:
             train_free(bad, TrainConfig(steps=5))
         assert exc.value.step == 0
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"learning_rate": 1e200}, {"learning_rate": 1e308}, {"bb_weight": 1e308},
+         {"temperature": 1e-300}],
+        ids=["learning_rate-1e200", "learning_rate-1e308", "bb_weight-1e308", "temperature-1e-300"],
+    )
+    @pytest.mark.parametrize("optimize_language", [False, True])
+    def test_overflowing_step_diverges(self, field, optimize_language):
+        # the overflow would reach the next step as zero vectors; RuntimeWarning is an error here
+        cfg = TrainConfig(steps=5, optimize_language=optimize_language, **field)
+        with pytest.raises(TrainingDiverged) as exc:
+            train_free(start_clip(8), cfg)
+        assert exc.value.step == 0
+        assert isinstance(exc.value.__cause__, FloatingPointError)
+
+    def test_warm_step_allocates_less_than_one_score_matrix(self, monkeypatch):
+        """A run's steps write the kernel's (T, T) arrays in place. At B=1,
+        T=128, d=32, each step after the first peaks below one (T, T) float
+        array above the memory traced at its start: 131072 B, against about
+        916 KB when every step made its own arrays."""
+        from actol import trainer
+
+        marks = []  # traced (current, peak since the last mark) at each step's objective call
+        original = trainer.objective_and_grad
+
+        def marking(*args):
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            return original(*args)
+
+        monkeypatch.setattr(trainer, "objective_and_grad", marking)
+        clip = start_clip(24, T=128, d=32)
+        tracemalloc.start()
+        try:
+            train_free(clip, TrainConfig(steps=5, temperature=0.5))
+        finally:
+            tracemalloc.stop()
+        peaks = [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]
+        assert len(peaks) == 4 and peaks[0] > 128 * 128 * 8  # the first step makes the arrays
+        assert max(peaks[1:]) < 128 * 128 * 8
 
 
     @pytest.mark.parametrize(
@@ -311,6 +353,19 @@ class TestTrainEncoder:
         encoded = LinearEncoder(np.eye(4))(clip.embeddings)
         start = ClipSequence(clip.timestamps, encoded, normalize(clip.language))
         assert history.records[0] == actol_loss(start, 0.2, 0.5)
+
+    @pytest.mark.parametrize(
+        "field", [{"learning_rate": 1e200}, {"bb_weight": 1e308}, {"temperature": 1e-300}],
+        ids=["learning_rate-1e200", "bb_weight-1e308", "temperature-1e-300"],
+    )
+    def test_overflowing_step_diverges(self, field):
+        rng = np.random.default_rng(25)
+        features = rng.standard_normal((5, 3))
+        with pytest.raises(TrainingDiverged) as exc:
+            train_encoder(features, tuple(range(5)), rng.standard_normal(3),
+                          TrainConfig(steps=5, **field))
+        assert exc.value.step <= 1  # the step whose update or encoding overflows
+        assert isinstance(exc.value.__cause__, FloatingPointError)
 
     def test_zero_encoder_output_diverges(self):
         rng = np.random.default_rng(18)
