@@ -3,7 +3,7 @@ artifacts (CSV histories, reward curves, JSON reports) out.
 
 Every command is a pure function of (config file, seed): rerunning with
 the same inputs produces byte-identical output files. Exit codes:
-0 success, 1 check failure, 2 malformed config, 3 non-finite loss. A
+0 success, 1 check failure, 2 malformed config, 3 diverged training. A
 command's config keys are its table in COMMANDS, with their JSON types and
 defaults; the library checks value ranges where it uses the values.
 """

@@ -309,11 +309,14 @@ def _suffix_softmax(rows, c: Contrast, need_grad: bool, span: float = 2.0):
     if any(linear) == all(linear):
         terms, weights = (_exp_cumsum if linear[0] else _log_accumulate)(x, c, need_grad)
     else:
-        on = np.array(linear)[:, None, None]  # the linear side; zeros keep the other from overflow
-        lin_terms, lin_weights = _exp_cumsum(np.where(on, x, 0.0), c, need_grad)
-        log_terms, log_weights = _log_accumulate(x, c, need_grad)
-        terms = np.where(on, lin_terms, log_terms)
-        weights = np.where(on, lin_weights, log_weights) if need_grad else None
+        off = ~np.array(linear)[:, None, None]  # the log side; zeros keep it from overflow
+        x_lin = c.array("x_lin", x.shape)
+        np.copyto(x_lin, x)
+        np.copyto(x_lin, 0.0, where=off)
+        terms, weights = _exp_cumsum(x_lin, c, need_grad)
+        for linear_side, log_side in zip((terms, weights), _log_accumulate(x, c, need_grad)):
+            if log_side is not None:
+                np.copyto(linear_side, log_side, where=off)
     value = terms.reshape(*terms.shape[:-2], -1).sum(axis=-1) / c.n_terms
     if not need_grad:
         return value, None
@@ -350,14 +353,24 @@ def _exp_cumsum(x, c: Contrast, need_grad: bool):
 
 
 def _log_accumulate(x, c: Contrast, need_grad: bool):
-    """_exp_cumsum in log space, for scores of any range."""
+    """_exp_cumsum in log space, for scores of any range. x is overwritten
+    by the weights, and its other arrays from c.array are not _exp_cumsum's,
+    so that both paths can run on one stack."""
     B = len(x)
-    lse = np.logaddexp.accumulate(x, axis=-1).reshape(B, -1)[:, c.end_at]
-    terms = np.where(c.positives, lse - x, 0.0)
+    acc = np.logaddexp.accumulate(x, axis=-1, out=c.array("log_terms", x.shape))
+    lse = np.take(acc.reshape(B, -1), c.end_at, axis=1, out=c.array("lse", x.shape), mode="clip")
+    terms = np.subtract(lse, x, out=acc)
+    if c.others is not None:
+        np.copyto(terms, 0.0, where=c.others)
     if not need_grad:
         return terms, None
-    tail = np.logaddexp.accumulate(np.where(c.positives, -lse, -np.inf)[..., ::-1], axis=-1)
-    return terms, np.exp(x + tail[..., ::-1].reshape(B, -1)[:, c.start_at])
+    tail = np.negative(lse, out=lse)
+    if c.others is not None:
+        np.copyto(tail, -np.inf, where=c.others)
+    np.logaddexp.accumulate(tail[..., ::-1], axis=-1, out=tail[..., ::-1])
+    x += np.take(tail.reshape(B, -1), c.start_at, axis=1, out=c.array("log_tail", x.shape),
+                 mode="clip")
+    return terms, np.exp(x, out=x)
 
 
 def _score_rows(s, c: Contrast):

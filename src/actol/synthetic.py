@@ -135,21 +135,14 @@ def random_units(shape, seed) -> np.ndarray:
     return v
 
 
-def _clip_draws(T: int, d: int, rng, max_gap: int = 4):
-    """random_clip's draws from rng, in its order: T - 1 timestamp gaps in
-    [1, max_gap], then (T, d) standard normals for the frames and (d,) for
-    the language."""
-    gaps = rng.integers(1, max_gap + 1, size=T - 1)
-    return gaps, rng.standard_normal((T, d)), rng.standard_normal(d)
-
-
-def _clip_arrays(draws):
-    """(N, T) timestamps, (N, T, d) unit frames and (N, d) unit language
-    vectors of N clips of one shape, from their _clip_draws. Each frame is
-    scaled by its norm along the last axis, each language vector by a
-    matmul norm, which rounds like the 1-D np.linalg.norm; so row n is
-    what random_clip builds from draws[n], whatever N."""
-    gaps, frames, lang = (np.stack(a) for a in zip(*draws))
+def _clip_arrays(gaps, frames, lang):
+    """(m, T) timestamps, (m, T, d) unit frames and (m, d) unit language
+    vectors of m clips of one shape, from their stacked (m, T - 1)
+    timestamp gaps and (m, T, d) and (m, d) standard normals; frames and
+    lang are normalized in place. Each frame is scaled by its norm along
+    the last axis, each language vector by a matmul norm, which rounds like
+    the 1-D np.linalg.norm; so row n is what random_clip builds from row
+    n's draws alone, whatever m."""
     ts = np.zeros((len(gaps), gaps.shape[1] + 1), dtype=gaps.dtype)
     np.cumsum(gaps, axis=1, out=ts[:, 1:])
     frames /= np.linalg.norm(frames, axis=-1, keepdims=True)
@@ -159,10 +152,14 @@ def _clip_arrays(draws):
 
 def random_clip(T: int, d: int, rng, max_gap: int = 4) -> ClipSequence:
     """Clip with random unit embeddings and random strictly increasing
-    integer timestamps (gaps in [1, max_gap])."""
+    integer timestamps (gaps in [1, max_gap]), drawn in that order: the
+    T - 1 gaps, then (T, d) standard normals for the frames and (d,) for
+    the language."""
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    (ts,), (frames,), (lang,) = _clip_arrays([_clip_draws(T, d, rng, max_gap)])
+    (ts,), (frames,), (lang,) = _clip_arrays(rng.integers(1, max_gap + 1, size=(1, T - 1)),
+                                             rng.standard_normal((1, T, d)),
+                                             rng.standard_normal((1, d)))
     return ClipSequence(ts, frames, lang)
 
 

@@ -8,15 +8,17 @@ draw and check their trials in blocks of up to BLOCK_VALUES values: d
 values per robustness trial, 3d per Lipschitz triple and (t_end + 1) d per
 bridge path. Blocks are drawn in turn from one Generator, so every draw
 is the same whatever the block size. lower_bound_report draws BLOCK_CLIPS
-random clips at a time, as arrays in random_clip's stream order, and
-takes the similarities of each block's clips of one (T, d) shape in one
-pass. The lower-bound check evaluates clips of one length as
+random clips at a time: every T and every d of the block in one call
+each, then each (T, d) shape's clips as arrays, a few calls per shape, so
+its draws, unlike the trial blocks', depend on the block size. The
+lower-bound check evaluates clips of one length as
 stacks of up to losses.BLOCK_SCORES scores: one sort and one kernel call
 per stack, for drawn clips and for check_lower_bound's ClipSequences alike.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -32,7 +34,7 @@ from .losses import (
     _stack_size,
     _suffix_softmax,
 )
-from .synthetic import _clip_arrays, _clip_draws, perturb_language, random_units, sample_bridge
+from .synthetic import _clip_arrays, perturb_language, random_units, sample_bridge
 
 FLOAT_SLACK = 1e-12
 # Monte Carlo trials are drawn and checked in blocks of up to this many
@@ -46,9 +48,11 @@ FLOAT_SLACK = 1e-12
 BLOCK_VALUES = 16896
 # lower_bound_report draws and checks this many clips at a time, which
 # bounds its memory whatever its clip count. One block holds the README's
-# 1000 clips: on them, 256-clip blocks took about 1.6 times as long (best of
-# 15: 40 ms against 25 ms), since each (T, d) shape and each length then
-# recurs in every block with fewer clips per array pass and kernel call.
+# 1000 clips: on them, 256-clip blocks took about 2.3 times as long (best of
+# 21: 27-31 ms against 12.7 ms), since each (T, d) shape and each length
+# then recurs in every block with fewer clips per draw, array pass and
+# kernel call. The block size is part of the stream: changing it changes
+# every lower-bound report and the draws of every check after it.
 BLOCK_CLIPS = 1024
 
 
@@ -60,6 +64,12 @@ class TheoremReport:
     worst_slack: float
     passed: bool
     details: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, theorem: str, instances: int, violations: int, worst_slack,
+           **details) -> "TheoremReport":
+        """The report of a check that passes when nothing violates it."""
+        return cls(theorem, instances, violations, float(worst_slack), violations == 0, details)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -86,14 +96,8 @@ def _lower_bound_result(gaps, clips: int) -> TheoremReport:
     have the loss-minus-bound gaps; the rest are T = 2 boundary clips."""
     gaps = np.concatenate([np.empty(0), *gaps])
     violations = int(np.count_nonzero(~(gaps > 0)))
-    return TheoremReport(
-        theorem="lower-bound",
-        instances=gaps.size,
-        violations=violations,
-        worst_slack=float(gaps.min()) if gaps.size else 0.0,
-        passed=violations == 0,
-        details={"boundary_t2_clips": clips - gaps.size},
-    )
+    return TheoremReport.of("lower-bound", gaps.size, violations, gaps.min() if gaps.size else 0.0,
+                            boundary_t2_clips=clips - gaps.size)
 
 
 def check_lower_bound(clips) -> TheoremReport:
@@ -127,26 +131,26 @@ def _shape_range(value, name: str) -> tuple:
 
 
 def lower_bound_report(clips: int, t_range, d_range, seed) -> TheoremReport:
-    """check_lower_bound on clips random clips: for each clip T and d are
-    drawn uniformly from the inclusive t_range and d_range, then the clip
-    as random_clip(T, d, rng) draws it, so the Generator ends where a loop
-    of those calls leaves it. Clips are drawn in blocks of BLOCK_CLIPS and
-    only their gaps are kept across blocks. Within a block, the clips of
-    one (T, d) shape are normalized and their similarities taken in one
-    pass. A rejected call draws nothing."""
+    """check_lower_bound on clips random clips, drawn in blocks of
+    BLOCK_CLIPS. A block of n clips draws their n T, then their n d, each
+    uniformly from the inclusive t_range and d_range in one call; then,
+    for each (T, d) shape with T > 2 in sorted order, its m clips' (m, T - 1)
+    timestamp gaps in [1, 4], (m, T, d) frame normals and (m, d) language
+    normals in one call each, normalized as random_clip normalizes them.
+    T = 2 clips are only counted. Only the clips' gaps outlive their block;
+    within it, the similarities of one shape are taken in one pass. A
+    rejected call draws nothing."""
     (t_lo, t_hi), (d_lo, d_hi) = _shape_range(t_range, "t_range"), _shape_range(d_range, "d_range")
     rng = np.random.default_rng(seed)
     gaps = []
     for n in _blocks(clips, BLOCK_CLIPS):
-        by_shape = {}
-        for _ in range(n):
-            T = int(rng.integers(t_lo, t_hi + 1))
-            d = int(rng.integers(d_lo, d_hi + 1))
-            by_shape.setdefault((T, d), []).append(_clip_draws(T, d, rng))
+        Ts, ds = rng.integers(t_lo, t_hi + 1, size=n), rng.integers(d_lo, d_hi + 1, size=n)
         by_length = {}  # T: [(timestamps, similarities) of each (T, d) shape]
-        for (T, _), draws in by_shape.items():
+        for (T, d), m in sorted(Counter(zip(Ts.tolist(), ds.tolist())).items()):
             if T > 2:
-                ts, frames, lang = _clip_arrays(draws)
+                ts, frames, lang = _clip_arrays(rng.integers(1, 5, size=(m, T - 1)),
+                                                rng.standard_normal((m, T, d)),
+                                                rng.standard_normal((m, d)))
                 by_length.setdefault(T, []).append((ts, _cosines(frames, lang)[0]))
         gaps += [_lower_bound_gaps(*map(np.concatenate, zip(*shapes)))
                  for shapes in by_length.values()]
@@ -198,14 +202,8 @@ def check_tightness(timestamps, eps_values) -> TheoremReport:
         worst = max(worst, excess - eps)
         if excess >= eps:
             violations += 1
-    return TheoremReport(
-        theorem="tightness",
-        instances=len(eps_values),
-        violations=violations,
-        worst_slack=float(worst),
-        passed=violations == 0,
-        details={"lower_bound": lb, "excess_by_eps": excesses},
-    )
+    return TheoremReport.of("tightness", len(eps_values), violations, worst, lower_bound=lb,
+                            excess_by_eps=excesses)
 
 
 def _blocks(trials: int, size: int) -> list:
@@ -232,14 +230,8 @@ def _lipschitz_report(blocks, **details) -> TheoremReport:
         for k, l, lang in blocks
     ])
     violations = int(np.count_nonzero(~(slack <= FLOAT_SLACK)))
-    return TheoremReport(
-        theorem="continuity-lipschitz",
-        instances=slack.size,
-        violations=violations,
-        worst_slack=float(np.max(slack, initial=-np.inf)),
-        passed=violations == 0,
-        details=details,
-    )
+    return TheoremReport.of("continuity-lipschitz", slack.size, violations,
+                            np.max(slack, initial=-np.inf), **details)
 
 
 def check_continuity(clip: ClipSequence, pairs) -> TheoremReport:
@@ -309,18 +301,9 @@ def bridge_stats_report(
     mean_err = float(np.max(np.abs(mids.mean(axis=0) - expected_mean)))
     if not mean_err <= 5 * se:
         violations += 1
-    return TheoremReport(
-        theorem="bridge-stats",
-        instances=samples,
-        violations=violations,
-        worst_slack=float(var_err),
-        passed=violations == 0,
-        details={
-            "expected_midpoint_variance": float(expected_var),
-            "empirical_midpoint_variance": emp_var,
-            "midpoint_mean_abs_error": mean_err,
-        },
-    )
+    return TheoremReport.of("bridge-stats", samples, violations, var_err,
+                            expected_midpoint_variance=float(expected_var),
+                            empirical_midpoint_variance=emp_var, midpoint_mean_abs_error=mean_err)
 
 
 def check_robustness(v_i, v_j, l, delta_l: float, trials: int, seed) -> TheoremReport:
@@ -335,11 +318,5 @@ def check_robustness(v_i, v_j, l, delta_l: float, trials: int, seed) -> TheoremR
         for n in _trial_blocks(trials, np.size(l))
     ])
     violations = int(np.count_nonzero(~(diff <= bound + FLOAT_SLACK)))
-    return TheoremReport(
-        theorem="robustness",
-        instances=trials,
-        violations=violations,
-        worst_slack=float(diff.max() / bound) if bound > 0 else 0.0,
-        passed=violations == 0,
-        details={"delta_l": delta_l, "bound": bound},
-    )
+    return TheoremReport.of("robustness", trials, violations,
+                            diff.max() / bound if bound > 0 else 0.0, delta_l=delta_l, bound=bound)

@@ -29,12 +29,18 @@ from .losses import (
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss becomes non-finite, or a value in a step
-    overflows; carries the step index."""
+    """Raised when the loss becomes non-finite, or a value overflows in a
+    step's loss or its update; carries the step index, and the message
+    says which happened."""
 
-    def __init__(self, step: int):
-        super().__init__(f"non-finite loss at step {step}")
+    def __init__(self, step: int, cause: str = "non-finite loss"):
+        super().__init__(f"{cause} at step {step}")
         self.step = step
+
+
+# Each seed draws the local bridge intervals of this many steps at a time
+# (see _interval_draws), which bounds their memory at any step count.
+INTERVAL_BLOCK_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -100,14 +106,18 @@ def _require_finite(*arrays) -> None:
         raise TrainingDiverged(0)
 
 
-def _random_bridge(timestamps, n: int, rngs, shape: tuple) -> Bridge:
-    """Bridge of n random intervals per clip, clip b's from rngs[b], on all of its objectives."""
-    T, draws = len(timestamps), []
-    for rng in rngs:
-        for _ in range(n):
-            start = int(rng.integers(0, T - 1))
-            draws.append((start, int(rng.integers(start + 1, T))))
-    return Bridge.of(timestamps, np.array(draws).reshape((len(rngs), 1)[: len(shape)] + (n, 2)))
+def _interval_draws(T: int, n: int, rngs, steps: int, shape: tuple):
+    """Each step's (B, [1,] n, 2) integer array of n (start, end) intervals
+    per clip, clip b's from rngs[b]: for each block of k <=
+    INTERVAL_BLOCK_STEPS steps, each Generator draws the block's (k, n)
+    starts in [0, T - 1) in one call, then their ends in [start + 1, T) in
+    another, and step j of the block takes row j."""
+    for first in range(0, steps, INTERVAL_BLOCK_STEPS):
+        k, draws = min(INTERVAL_BLOCK_STEPS, steps - first), []
+        for rng in rngs:
+            starts = rng.integers(0, T - 1, size=(k, n))
+            draws.append(np.stack([starts, rng.integers(starts + 1, T)], axis=-1))
+        yield from np.stack(draws, axis=1).reshape((k, len(rngs), 1)[: len(shape) + 1] + (n, 2))
 
 
 def _descend(
@@ -119,15 +129,15 @@ def _descend(
     (B, O, T, d) for more, and every step makes one objective_and_grad call
     for all of it. embed(params, step) returns the step's embeddings,
     language vectors and a function from their gradients (dL/dl None unless
-    cfg.optimize_language) to the next params. Each step, clip b draws its
-    bridge intervals from rngs[b] into one Bridge for every combined
-    objective of the stack. The Contrast and, with one interval per step,
-    the full-clip Bridge are built once, the records after the last step
-    (each run's are empty unless keep_records). The Contrast keeps the
-    kernel's working arrays, so the steps write them in place. Returns
-    records[b][o] and the final params; the earliest step at which any clip
-    and objective has a non-finite loss, or at which any value overflows,
-    raises TrainingDiverged."""
+    cfg.optimize_language) to the next params. Each step, clip b's bridge
+    intervals, drawn from rngs[b] in blocks of steps, make one Bridge for
+    every combined objective of the stack. The Contrast and, with one
+    interval per step, the full-clip Bridge are built once, the records
+    after the last step (each run's are empty unless keep_records). The
+    Contrast keeps the kernel's working arrays, so the steps write them in
+    place. Returns records[b][o] and the final params; the earliest step at
+    which any clip and objective has a non-finite loss, or at which any
+    value overflows, raises TrainingDiverged, which names the cause."""
     cfgs = tuple(obj or TnceConfig(temperature=cfg.temperature) for obj in objectives)
     c = replace(Contrast.of(clip.timestamps, cfgs[0] if len(cfgs) == 1 else cfgs), work={})
     lb = c.groups.lower_bound()
@@ -136,18 +146,20 @@ def _descend(
     if 0 < len(combined) < len(cfgs):
         run = combined[-1] - combined[0] == len(combined) - 1  # a slice is a view, not a copy
         bridged = (slice(combined[0], combined[-1] + 1) if run else combined,)
-    resample = combined and cfg.intervals_per_step > 1
-    bridge = Bridge.of(clip.timestamps) if combined and not resample else None
     lam, need_language = cfg.bb_weight, cfg.optimize_language
     shape = (len(rngs),) if len(cfgs) == 1 else (len(rngs), len(cfgs))
+    T, n = len(clip.timestamps), cfg.intervals_per_step
+    intervals = _interval_draws(T, n, rngs, cfg.steps, shape) if combined and n > 1 else None
+    bridge = Bridge.of(clip.timestamps) if combined and intervals is None else None
     history = np.empty((3, *shape, cfg.steps))  # vlo, bb and total of each clip and step
     try:
         # an overflow would reach the next step as zero or NaN vectors; it raises here instead
         with np.errstate(over="raise"):
             for step in range(cfg.steps):
+                part = "loss"  # the part of the step that runs: its loss or its update
                 emb, lang, update = embed(params, step)
-                if resample:
-                    bridge = _random_bridge(clip.timestamps, cfg.intervals_per_step, rngs, shape)
+                if intervals is not None:
+                    bridge = Bridge.of(clip.timestamps, next(intervals))
                 vlo, bb, *grads, _ = objective_and_grad(
                     emb, lang, c, bridge, lam, need_language, *bridged
                 )
@@ -155,9 +167,10 @@ def _descend(
                 if not np.isfinite(total).all():  # the earliest diverging step of any run
                     raise TrainingDiverged(step)
                 history[..., step] = vlo, bb, total
+                part = "update"
                 params = update(*grads)
     except FloatingPointError as exc:
-        raise TrainingDiverged(step) from exc
+        raise TrainingDiverged(step, f"overflow in the {part}") from exc
     runs = history.reshape(3, -1, cfg.steps).swapaxes(0, 1)  # clip-major, one run's lists at a time
     records = [
         [LossBreakdown(v, p, t, lb, v - lb) for v, p, t in zip(*h.tolist())] if keep_records else []

@@ -24,10 +24,15 @@ The per-trial loop versions of the Monte Carlo theorem checks in
 actol.theory are kept here too. They draw from the Generator in the same
 order as the block versions and evaluate each trial with scalar arithmetic.
 The per-clip loop of the lower-bound check, one Contrast and one kernel
-call per clip, is the bit-for-bit reference for its stacked version, and
+call per clip, is the bit-for-bit reference for its stacked version.
 random_clip as it drew and normalized one clip at a time (a 1-D norm for
-the language) is the reference for the clips lower_bound_report draws as
-arrays.
+the language) is the reference for random_clip and for the arrays
+synthetic._clip_arrays normalizes. random_clip_loop follows
+lower_bound_report's block draws with plain loops, building and
+normalizing each clip on its own as random_clip does, and is the
+reference for the clips that check draws as arrays.
+bridge_intervals is the step-by-step reference for the local bridge
+intervals a training run draws in blocks of steps.
 
 objective_and_grad as it was composed before each descent step computed
 its intermediates once (the norms and |s_i - s_k| twice each, the dense
@@ -365,6 +370,50 @@ def random_clip(T, d, rng, max_gap=4):
     lang = rng.standard_normal(d)
     return actol.ClipSequence(np.concatenate([[0], np.cumsum(gaps)]), frames,
                               lang / np.linalg.norm(lang))
+
+
+def random_clip_loop(clips, t_range, d_range, rng, block_clips):
+    """The clips actol.theory.lower_bound_report draws, one ClipSequence per
+    clip. Each block of up to block_clips clips draws its clips' T, then
+    their d, in one call each; then, for each (T, d) shape with T > 2 in
+    sorted order, the timestamp gaps, frame normals and language normals
+    of its clips in one call each, and builds each clip on its own,
+    normalized as random_clip normalizes one. T = 2 clips draw nothing
+    more: they are only counted, so each is the same fixed clip."""
+    drawn = []
+    for first in range(0, clips, block_clips):
+        n = min(block_clips, clips - first)
+        Ts = rng.integers(t_range[0], t_range[1] + 1, size=n).tolist()
+        ds = rng.integers(d_range[0], d_range[1] + 1, size=n).tolist()
+        shapes = list(zip(Ts, ds))
+        for T, d in sorted(set(shapes)):
+            m = shapes.count((T, d))
+            if T == 2:
+                drawn += [actol.ClipSequence((0, 1), np.eye(2, d), np.eye(1, d)[0])] * m
+                continue
+            gaps = rng.integers(1, 5, size=(m, T - 1))
+            frames = rng.standard_normal((m, T, d))
+            langs = rng.standard_normal((m, d))
+            for gap, frame, lang in zip(gaps, frames, langs):
+                frame /= np.linalg.norm(frame, axis=-1, keepdims=True)
+                drawn.append(actol.ClipSequence(np.concatenate([[0], np.cumsum(gap)]), frame,
+                                                lang / np.linalg.norm(lang)))
+    return drawn
+
+
+def bridge_intervals(T, n, rng, steps, block_steps):
+    """Each step's n local bridge intervals [(start, end), ...] of one seed,
+    as actol.trainer draws them from the seed's Generator: per block of up
+    to block_steps steps, every start in one call, then every end in one
+    call, and step j of the block reads row j."""
+    drawn = []
+    for first in range(0, steps, block_steps):
+        k = min(block_steps, steps - first)
+        starts = rng.integers(0, T - 1, size=(k, n))
+        ends = rng.integers(starts + 1, T)
+        for j in range(k):
+            drawn.append([(int(starts[j, i]), int(ends[j, i])) for i in range(n)])
+    return drawn
 
 
 def check_lower_bound(clips):

@@ -200,7 +200,7 @@ class TestTrainCommand:
         result = invoke("train", write_config(tmp_path, data), tmp_path / "out")
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit)
-        assert "error: non-finite loss at step 0" in result.output
+        assert "error: overflow in the update at step 0" in result.output
         assert not (tmp_path / "out" / "history.csv").exists()
 
     def test_one_dimensional_synthetic_clip(self, tmp_path):
@@ -232,6 +232,19 @@ class TestVerifyCommand:
         data = json.loads((out / "theorem_reports.json").read_text())
         assert len(data["reports"]) == 5
         assert all(r["passed"] for r in data["reports"])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_readme_defaults_pass_and_rerun_byte_identical(self, tmp_path, seed):
+        """The README config, every check at its defaults, passes for seeds
+        0 to 19, and a rerun writes the same bytes."""
+        checks = ["lower-bound", "tightness", "lipschitz", "robustness", "bridge-stats"]
+        cfg = write_config(tmp_path, {"seed": seed, "checks": checks})
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert invoke("verify", cfg, out1).exit_code == 0
+        assert invoke("verify", cfg, out2).exit_code == 0
+        data = (out1 / "theorem_reports.json").read_bytes()
+        assert data == (out2 / "theorem_reports.json").read_bytes()
+        assert [r["passed"] for r in json.loads(data)["reports"]] == [True] * 5
 
     def test_negative_control_fails(self, tmp_path):
         cfg = write_config(
@@ -399,7 +412,7 @@ class TestRewardCommand:
         result = invoke("reward", write_config(tmp_path, data), tmp_path / "out")
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit)
-        assert "error: non-finite loss at step 0" in result.output
+        assert "error: overflow in the update at step 0" in result.output
         assert not (tmp_path / "out" / "comparison.json").exists()
 
     def test_unknown_objective(self, tmp_path):

@@ -10,7 +10,7 @@ from actol import (
     sample_bridge,
     slerp,
 )
-from actol.synthetic import _clip_arrays, _clip_draws
+from actol.synthetic import _clip_arrays
 
 
 class TestSlerp:
@@ -134,9 +134,12 @@ class TestRandomClip:
 
     @pytest.mark.parametrize("T, d", [(2, 2), (5, 3), (12, 16), (7, 64)])
     def test_clip_arrays_rows_match_one_clip_reference(self, T, d):
-        """Row n of N clips' arrays is bit for bit clip n drawn alone."""
+        """Row n of the arrays of N clips, built from their stacked draws, is
+        bit for bit clip n drawn alone."""
         rng, ref_rng = np.random.default_rng(T + d), np.random.default_rng(T + d)
-        ts, frames, lang = _clip_arrays([_clip_draws(T, d, rng) for _ in range(300)])
+        draws = [(rng.integers(1, 5, size=T - 1), rng.standard_normal((T, d)),
+                  rng.standard_normal(d)) for _ in range(300)]
+        ts, frames, lang = _clip_arrays(*map(np.stack, zip(*draws)))
         for n in range(300):
             expected = naive.random_clip(T, d, ref_rng)
             assert tuple(ts[n]) == expected.timestamps

@@ -295,13 +295,6 @@ class TestLowerBoundAgainstLoop:
         assert check_lower_bound(clips).to_dict() == naive.check_lower_bound(clips)
 
 
-def _random_clip_loop(clips, t_range, d_range, rng):
-    """The clips lower_bound_report draws, as a loop of one-clip draws."""
-    return [naive.random_clip(int(rng.integers(t_range[0], t_range[1] + 1)),
-                              int(rng.integers(d_range[0], d_range[1] + 1)), rng)
-            for _ in range(clips)]
-
-
 class TestLowerBoundReport:
     @pytest.mark.parametrize(
         "clips, t_range, d_range, seed",
@@ -311,15 +304,17 @@ class TestLowerBoundReport:
     @pytest.mark.parametrize("block_clips", [None, 7])
     def test_matches_random_clip_loop(self, monkeypatch, clips, t_range, d_range, seed,
                                       block_clips):
-        """Block draws give check_lower_bound's report on the clips of a
-        random_clip loop, T = 2 boundary clips included, and leave the
+        """Block draws give check_lower_bound's report on the clips of
+        naive.random_clip_loop, which follows the same draws with a loop of
+        one-clip builds, T = 2 boundary clips included, and leave the
         Generator where the loop leaves it; 2500 clips span three default
         blocks, and 7-clip blocks split every population."""
         if block_clips:
             monkeypatch.setattr(theory, "BLOCK_CLIPS", block_clips)
         rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         report = lower_bound_report(clips, t_range, d_range, rng)
-        expected = naive.check_lower_bound(_random_clip_loop(clips, t_range, d_range, loop_rng))
+        expected = naive.check_lower_bound(
+            naive.random_clip_loop(clips, t_range, d_range, loop_rng, theory.BLOCK_CLIPS))
         assert report.to_dict() == expected
         assert rng.bit_generator.state == loop_rng.bit_generator.state
 
@@ -334,8 +329,8 @@ class TestLowerBoundReport:
             monkeypatch.setattr(theory, "BLOCK_CLIPS", block_clips)
         if block_scores:
             monkeypatch.setattr(losses, "BLOCK_SCORES", block_scores)
-        lengths = [clip.T for clip in _random_clip_loop(clips, t_range, d_range,
-                                                        np.random.default_rng(4))]
+        lengths = [clip.T for clip in naive.random_clip_loop(
+            clips, t_range, d_range, np.random.default_rng(4), theory.BLOCK_CLIPS)]
         expected = 0
         for start in range(0, clips, theory.BLOCK_CLIPS):
             block = lengths[start : start + theory.BLOCK_CLIPS]

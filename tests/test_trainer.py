@@ -24,7 +24,7 @@ from actol import (
     train_free,
 )
 from actol.losses import Bridge, TieGroups
-from actol.trainer import train_batch
+from actol.trainer import INTERVAL_BLOCK_STEPS, train_batch, train_objectives
 
 
 def start_clip(seed=0, T=6, d=4):
@@ -123,12 +123,39 @@ class TestTrainFree:
             train_free(start_clip(8), cfg)
         assert exc.value.step == 0
         assert isinstance(exc.value.__cause__, FloatingPointError)
+        assert str(exc.value) == "overflow in the update at step 0"
+
+    def test_overflowing_loss_names_the_loss(self):
+        # scores / temperature overflow before any update
+        with pytest.raises(TrainingDiverged) as exc:
+            train_free(start_clip(8), TrainConfig(steps=5, temperature=1e-310))
+        assert (exc.value.step, str(exc.value)) == (0, "overflow in the loss at step 0")
+        assert isinstance(exc.value.__cause__, FloatingPointError)
+
+    def test_non_finite_loss_names_the_loss(self, monkeypatch):
+        from actol import trainer
+
+        calls, original = [], trainer.objective_and_grad
+
+        def diverging(*args):
+            vlo, *rest = original(*args)
+            calls.append(None)
+            return (vlo * np.nan if len(calls) == 3 else vlo), *rest
+
+        monkeypatch.setattr(trainer, "objective_and_grad", diverging)
+        with pytest.raises(TrainingDiverged) as exc:
+            train_free(start_clip(8), TrainConfig(steps=5))
+        assert (exc.value.step, str(exc.value)) == (2, "non-finite loss at step 2")
+        assert exc.value.__cause__ is None
 
     def test_warm_step_allocates_less_than_one_score_matrix(self, monkeypatch):
         """A run's steps write the kernel's (T, T) arrays in place. At B=1,
         T=128, d=32, each step after the first peaks below one (T, T) float
         array above the memory traced at its start: 131072 B, against about
-        916 KB when every step made its own arrays."""
+        916 KB when every step made its own arrays. That holds at
+        temperature 0.5 (linear space) and at 0.002 (log space), where steps
+        peaked about 657 KB above their start when the log-space path made
+        its own arrays."""
         from actol import trainer
 
         marks = []  # traced (current, peak since the last mark) at each step's objective call
@@ -141,14 +168,61 @@ class TestTrainFree:
 
         monkeypatch.setattr(trainer, "objective_and_grad", marking)
         clip = start_clip(24, T=128, d=32)
-        tracemalloc.start()
-        try:
-            train_free(clip, TrainConfig(steps=5, temperature=0.5))
-        finally:
-            tracemalloc.stop()
-        peaks = [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]
-        assert len(peaks) == 4 and peaks[0] > 128 * 128 * 8  # the first step makes the arrays
-        assert max(peaks[1:]) < 128 * 128 * 8
+        for temperature in (0.5, 0.002):
+            marks.clear()
+            tracemalloc.start()
+            try:
+                train_free(clip, TrainConfig(steps=5, temperature=temperature))
+            finally:
+                tracemalloc.stop()
+            peaks = [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]
+            assert len(peaks) == 4 and peaks[0] > 128 * 128 * 8  # the first step makes the arrays
+            assert max(peaks[1:]) < 128 * 128 * 8, temperature
+
+    @pytest.mark.parametrize(
+        "objectives", [(None,), (None, TnceConfig("last-frame", "other-frames", "direct-sim"))],
+        ids=["actol", "actol-and-last-frame"],
+    )
+    def test_intervals_follow_the_block_draws(self, monkeypatch, objectives):
+        """Each step's bridge intervals are clip b's rows of the block draws
+        from seed b's Generator, over more than one block of steps."""
+        drawn = []
+        of = Bridge.of
+        monkeypatch.setattr(Bridge, "of", lambda ts, iv=None: drawn.append(iv) or of(ts, iv))
+        ts = start_clip(27, T=8).timestamps
+        clips = [random_clip(len(ts), 4, np.random.default_rng(seed)) for seed in (1, 2, 3)]
+        clips = [ClipSequence(ts, c.embeddings, c.language) for c in clips]
+        steps, seeds = INTERVAL_BLOCK_STEPS + 6, (7, 8, 9)
+        cfg = TrainConfig(steps=steps, intervals_per_step=3)
+        train_objectives(clips, cfg, objectives, seeds, False)
+        expected = [naive.bridge_intervals(len(ts), 3, np.random.default_rng(seed), steps,
+                                           INTERVAL_BLOCK_STEPS) for seed in seeds]
+        clip_axes = (3,) if len(objectives) == 1 else (3, 1)  # (B, 1) broadcasts over objectives
+        assert len(drawn) == steps
+        for step, intervals in enumerate(drawn):
+            assert intervals.shape == clip_axes + (3, 2)
+            assert intervals.reshape(3, 3, 2).tolist() == [[list(iv) for iv in e[step]]
+                                                           for e in expected]
+
+    def test_batch_with_local_bridges_equals_single_seed_runs(self):
+        """With three intervals per step, history b of a batch is bit for bit
+        seed b's own train_free run."""
+        ts = start_clip(28, T=8).timestamps
+        clips = [random_clip(len(ts), 4, np.random.default_rng(seed)) for seed in (4, 5, 6)]
+        clips = [ClipSequence(ts, c.embeddings, c.language) for c in clips]
+        seeds = (11, 12, 13)
+        cfg = TrainConfig(steps=40, intervals_per_step=3)
+        for clip, seed, history in zip(clips, seeds, train_batch(clips, cfg, None, seeds)):
+            alone = train_free(clip, replace(cfg, seed=seed))
+            assert history.records == alone.records
+            assert np.array_equal(history.final_clip.embeddings, alone.final_clip.embeddings)
+
+    def test_local_bridges_deterministic_over_several_draw_blocks(self):
+        clip = start_clip(29)
+        cfg = TrainConfig(steps=2 * INTERVAL_BLOCK_STEPS + 5, intervals_per_step=2, seed=5)
+        a, b = train_free(clip, cfg), train_free(clip, cfg)
+        assert a.records == b.records
+        assert np.array_equal(a.final_clip.embeddings, b.final_clip.embeddings)
 
 
     @pytest.mark.parametrize(
