@@ -204,18 +204,34 @@ def _checked(context, fn, *args, **kwargs):
         raise ConfigError(f"{context}{exc}") from exc
 
 
+def _json_text(value, pad="\n") -> str:
+    """json.dumps(value, indent=2), with pad (a newline and the indent) for
+    each newline: a list of plain finite floats, or of plain ints, is a join
+    of their reprs (json's text for them), and any other value json's text."""
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)) and value:
+        kinds = set(map(type, value))  # a NaN or an infinity (or an overflow) makes sum non-finite
+        plain = kinds == {float} and math.isfinite(sum(value)) or kinds == {int}
+        items = map(repr, value) if plain else (_json_text(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        items = (json.dumps(key) + ": " + _json_text(v, inner) for key, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return json.dumps(value, indent=2 if isinstance(value, dict) else None).replace("\n", pad)
+
+
 def _write_json(path, config, payload):
     out = {"schema_version": SCHEMA_VERSION, "config": config, **payload}
-    with open(path, "w") as f:
-        f.write(json.dumps(out, indent=2) + "\n")
+    Path(path).write_text(_json_text(out) + "\n")
 
 
 def _write_csv(path, header, rows):
-    # full double precision via shortest round-trip formatting
+    # full double precision via shortest round-trip formatting (np.float64's repr names its type)
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
+            cells = (float.__repr__(x) if isinstance(x, float) else str(x) for x in row)
+            f.write(",".join(cells) + "\n")
 
 
 def _clip(values, seed):

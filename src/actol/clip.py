@@ -141,8 +141,11 @@ class ClipSequence:
 
     def normalized(self) -> "ClipSequence":
         """Copy of the clip with every embedding projected to the unit sphere."""
-        emb = np.stack([normalize(v) for v in self.embeddings])
-        return ClipSequence(self.timestamps, emb, normalize(self.language))
+        e = self.embeddings
+        norms = np.sqrt(e[:, None, :] @ e[:, :, None])[:, 0]  # matmuls round like normalize's norm
+        if (norms == 0.0).any():
+            raise ValueError("cannot normalize a zero vector")
+        return ClipSequence(self.timestamps, e / norms, normalize(self.language))
 
     def similarities(self) -> np.ndarray:
         """Per-frame cosine similarity to the language embedding."""
@@ -153,12 +156,8 @@ class ClipSequence:
         return ClipSequence(self.timestamps, embeddings, lang)
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "timestamps": list(self.timestamps),
-            "embeddings": [list(map(float, v)) for v in self.embeddings],
-            "language": [float(x) for x in self.language],
-        }
+        ts, emb, lang = list(self.timestamps), self.embeddings.tolist(), self.language.tolist()
+        return {"d": self.d, "timestamps": ts, "embeddings": emb, "language": lang}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClipSequence":

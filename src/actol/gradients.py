@@ -68,8 +68,8 @@ def objective_and_grad(
     The cosines, their norms and the score rows come from
     _contrastive_terms, computed once; the kink test reads the rows of
     difference-score configs, and s_i - s_k is formed again in their buffer
-    once the kernel is done. The kernel's arrays come from c.array, which
-    keeps them in a descent run's Contrast; every output is a new array."""
+    once the kernel is done. The kernel's arrays and dL/dl's terms come from
+    c.array, which keeps them in a descent run's Contrast; every output is a new array."""
     value, G, s, norm_v, norm_l, rows = _contrastive_terms(emb, lang, c, need_grad=True)
     no_kink = np.zeros(value.shape, dtype=bool)
     if c.score == "direct-sim":
@@ -104,8 +104,11 @@ def objective_and_grad(
     u_l = lang / norm_l
     cos = np.matmul(u_v, u_l[..., :, None])
     language = None
-    if need_language:
-        language = (g_s[..., None] * (u_v - cos * u_l[..., None, :])).sum(axis=-2) / norm_l
+    if need_language:  # g_s (u_v - cos u_l), summed over frames, / |l|
+        t = c.array("language", u_v.shape)
+        np.copyto(t, u_l[..., None, :])  # a ufunc would buffer a copy of each broadcast operand
+        np.subtract(u_v, np.multiply(cos, t, out=t), out=t)
+        language = np.multiply(g_s[..., None], t, out=t).sum(axis=-2) / norm_l
     frames = np.multiply(cos, u_v, out=u_v)  # g_s (u_l - cos u_v) / |v|, in u_v's array
     np.subtract(u_l[..., None, :], frames, out=frames)
     np.multiply(g_s[..., None], frames, out=frames)

@@ -1,6 +1,7 @@
 import copy
 import importlib.util
 import json
+import math
 import random
 from pathlib import Path
 
@@ -8,9 +9,20 @@ import naive
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actol import ClipSequence, bridge_stats_report, lipschitz_pairs_report, random_clip
-from actol.cli import COMMANDS, COMMON, SCHEMA_VERSION, _load_config, _write_json, main
+from actol.cli import (
+    COMMANDS,
+    COMMON,
+    SCHEMA_VERSION,
+    _json_text,
+    _load_config,
+    _write_csv,
+    _write_json,
+    main,
+)
 
 runner = CliRunner()
 
@@ -572,6 +584,97 @@ def test_write_json_bytes_match_streamed_dump(tmp_path):
         json.dump({"schema_version": SCHEMA_VERSION, "config": config, **payload}, f, indent=2)
         f.write("\n")
     assert (tmp_path / "out.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+
+NAN, INF = math.nan, math.inf
+# values whose text json.dumps(indent=2) writes in some other way than a join of reprs
+JSON_CASES = {
+    "non-finite-in-lists": [[1.0, NAN, 2.0], [INF], [-INF, 0.5], [NAN, INF, -INF]],
+    "non-finite-scalars": {"nan": NAN, "inf": INF, "-inf": -INF, "in": [{"x": NAN}]},
+    "overflowing-sum": [1e308, 1e308, -1.7976931348623157e308],
+    "float64-elements": [np.float64(0.5), np.float64(-0.0), np.float64(1e-300)],
+    "float64-mixed": [0.1, np.float64(0.25), 3, np.float64(NAN)],
+    "float64-scalars": {"a": np.float64(0.1), "b": np.float64(-INF), "c": np.float64(5e-324)},
+    "bools": [True, False, True],
+    "bools-and-numbers": [True, 1, 0.5, False, 0, None],
+    "tuples": ((1.0, 2.0), (1, 2), ((3, 4.5), [()]), ()),
+    "ints-and-floats": [1, 2.5, -3, 0.0, 10**30],
+    "ints": [0, -1, 2**63, 10**30],
+    "escaped-strings": ["a\"b\\c\n\t\x00\x1f", "caf\u00e9 \u65e5\u672c \u2028", "\U0001f600"],
+    "escaped-keys": {"caf\u00e9\n\"k\"": [1.0], "\U0001f600": {"\t": "\x7f"}},
+    "non-string-keys": {1: [0.5], 1.5: None, True: "t", None: {2: [1, 2]}, NAN: -INF},
+    "empty": [[], {}, [[]], {"a": {}, "b": [], "c": ()}, ""],
+    "tolist-block": np.random.default_rng(0).standard_normal((7, 5)).tolist(),
+}
+
+
+@pytest.mark.parametrize("value", list(JSON_CASES.values()), ids=list(JSON_CASES))
+def test_json_text_matches_indented_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+    assert _json_text({"x": [value]}) == json.dumps({"x": [value]}, indent=2)
+
+
+def test_write_json_matches_indented_dumps(tmp_path):
+    config = {"seed": 0, "eps": (1.0, NAN)}
+    payload = dict(JSON_CASES, empty={})
+    _write_json(tmp_path / "out.json", config, payload)
+    expected = {"schema_version": SCHEMA_VERSION, "config": config, **payload}
+    assert (tmp_path / "out.json").read_text() == json.dumps(expected, indent=2) + "\n"
+
+
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.floats().map(np.float64)
+)
+json_values = st.recursive(
+    json_scalars | st.lists(st.floats(allow_nan=False, allow_infinity=False))
+    | st.lists(st.integers()),
+    lambda inner: (
+        st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner)
+        | st.dictionaries(st.integers() | st.floats() | st.booleans() | st.none(), inner)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(value=json_values)
+def test_json_text_matches_indented_dumps_on_any_value(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_write_csv_formats_float64_as_plain_floats(tmp_path):
+    rows = [(0, np.float64(0.5), 0.25, np.float64(-0.0)), (1, np.float64(1e-300), NAN, np.int64(3))]
+    _write_csv(tmp_path / "out.csv", ("a", "b", "c", "d"), rows)
+    text = (tmp_path / "out.csv").read_text()
+    assert text == "a,b,c,d\n0,0.5,0.25,-0.0\n1,1e-300,nan,3\n"
+
+
+# small configs of every command, verify with all five checks
+LAYOUT_CONFIGS = {
+    "train": {"clip": {"synthetic": {"T": 6, "d": 4, "completion_index": 3}},
+              "train": {"steps": 5, "optimize_language": True}},
+    "verify": {"checks": ["lower-bound", "tightness", "lipschitz", "robustness", "bridge-stats"],
+               "lower_bound": {"clips": 20}, "lipschitz": {"trials": 50},
+               "robustness": {"trials": 50}, "bridge_stats": {"samples": 200}},
+    "reward": {"synthetic": {"T": 5, "d": 3, "completion_index": 3},
+               "objectives": ["actol", "last-frame"], "train": {"steps": 3}, "seeds": 2},
+    "gradcheck": {"losses": ["vlo", "bb"], "clips": 2, "T": 4, "d": 3},
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(LAYOUT_CONFIGS))
+def test_json_artefacts_have_the_indented_dumps_layout(tmp_path, cmd):
+    """Every JSON file a command writes is json.dumps(indent=2) of its own
+    content plus a newline, whatever writes it."""
+    out = tmp_path / "out"
+    result = invoke(cmd, write_config(tmp_path, LAYOUT_CONFIGS[cmd]), out)
+    assert result.exit_code in (0, 1), result.output
+    artefacts = sorted(out.glob("*.json"))
+    assert artefacts
+    for path in artefacts:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", path.name
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -119,6 +119,23 @@ class TestClipSequence:
         norms = np.linalg.norm(clip.normalized().embeddings, axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-9)
 
+    @pytest.mark.parametrize("d", [2, 3, 8, 32, 100])
+    @pytest.mark.parametrize("T", [2, 10, 128])
+    def test_normalized_rows_are_bits_of_normalize(self, T, d):
+        rng = np.random.default_rng(1000 * T + d)
+        emb = rng.standard_normal((T, d)) * rng.uniform(1e-3, 1e3, (T, 1))
+        lang = rng.standard_normal(d) * 7.0
+        clip = ClipSequence(range(T), emb, lang).normalized()
+        assert clip.embeddings.tobytes() == np.stack([normalize(v) for v in emb]).tobytes()
+        assert clip.language.tobytes() == normalize(lang).tobytes()
+
+    @pytest.mark.parametrize("zero", ["frame", "language"])
+    def test_normalized_rejects_a_zero_vector(self, zero):
+        emb, lang = np.ones((4, 3)), np.ones(3)
+        (emb[2] if zero == "frame" else lang)[:] = 0.0
+        with pytest.raises(ValueError, match="^cannot normalize a zero vector$"):
+            ClipSequence(range(4), emb, lang).normalized()
+
     @pytest.mark.parametrize("key, bad", [("embeddings", np.nan), ("language", np.inf)])
     def test_from_dict_rejects_non_finite(self, key, bad):
         data = self.make().to_dict()

@@ -153,9 +153,10 @@ class TestTrainFree:
         T=128, d=32, each step after the first peaks below one (T, T) float
         array above the memory traced at its start: 131072 B, against about
         916 KB when every step made its own arrays. That holds at
-        temperature 0.5 (linear space) and at 0.002 (log space), where steps
+        temperature 0.5 (linear space), at 0.002 (log space), where steps
         peaked about 657 KB above their start when the log-space path made
-        its own arrays."""
+        its own arrays, and with the language optimized, where steps peaked
+        about 172 KB above it when dL/dl's (T, d) terms were new arrays."""
         from actol import trainer
 
         marks = []  # traced (current, peak since the last mark) at each step's objective call
@@ -168,16 +169,17 @@ class TestTrainFree:
 
         monkeypatch.setattr(trainer, "objective_and_grad", marking)
         clip = start_clip(24, T=128, d=32)
-        for temperature in (0.5, 0.002):
+        for temperature, language in ((0.5, False), (0.002, False), (0.5, True)):
             marks.clear()
+            cfg = TrainConfig(steps=5, temperature=temperature, optimize_language=language)
             tracemalloc.start()
             try:
-                train_free(clip, TrainConfig(steps=5, temperature=temperature))
+                train_free(clip, cfg)
             finally:
                 tracemalloc.stop()
             peaks = [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]
             assert len(peaks) == 4 and peaks[0] > 128 * 128 * 8  # the first step makes the arrays
-            assert max(peaks[1:]) < 128 * 128 * 8, temperature
+            assert max(peaks[1:]) < 128 * 128 * 8, (temperature, language)
 
     @pytest.mark.parametrize(
         "objectives", [(None,), (None, TnceConfig("last-frame", "other-frames", "direct-sim"))],
