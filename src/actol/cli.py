@@ -21,7 +21,7 @@ import click
 import numpy as np
 
 from .clip import ClipSequence, _is_count, _is_real
-from .gradients import _finite_diff_errors
+from .gradients import DEFAULT_STEP, PASS_ERROR, _finite_diff_errors
 from .losses import TnceConfig
 from .reward import ObjectiveSpec, compare_objectives, curve_rows
 from .synthetic import SyntheticClipSpec, generate_clip, random_clip, random_units
@@ -152,7 +152,7 @@ COMMANDS = {
         "clips": (COUNT, 20),
         "T": (SIZE, 6),
         "d": (SIZE, 5),
-        "step": (STEP, 1e-5),
+        "step": (STEP, DEFAULT_STEP),
     },
 }
 
@@ -368,7 +368,7 @@ def gradcheck(values, out, config):
         clips = [_sample_away_from_kinks(rng, T, d, step) for _ in range(values["clips"])]
         worst[loss] = max(_finite_diff_errors(loss, clips, step=step).tolist())
     _write_json(out / "gradcheck.json", config, {"max_relative_error": worst})
-    return EXIT_OK if all(v < 1e-5 for v in worst.values()) else EXIT_CHECK_FAILED
+    return EXIT_OK if all(v < PASS_ERROR for v in worst.values()) else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

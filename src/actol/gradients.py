@@ -37,6 +37,9 @@ LOSS_PARAMS = {"vlo": ("temperature",), "bb": ("interval",), "tnce": ("config",)
                "total": ("temperature", "intervals", "bb_weight")}
 # finite_diff_check's error floor, as a fraction of the gradient's max-norm
 REL_FLOOR = 1e-4
+# finite_diff_check's default step, and the error below which a gradcheck passes
+DEFAULT_STEP = 1e-5
+PASS_ERROR = 1e-5
 
 
 @dataclass(frozen=True)
@@ -53,9 +56,7 @@ class GradientSet:
     at_kink: bool = False
 
 
-def objective_and_grad(
-    emb, lang, c: Contrast, bridge=None, bb_weight=0.0, need_language=True, bridged=None
-):
+def objective_and_grad(emb, lang, c: Contrast, bridge=None, bb_weight=0.0, need_language=True):
     """Per-clip (values, bridge penalties, dL/dE, dL/dl, at_kink) of the
     contrastive objective c on (B, T, d) embeddings and (B, d) language
     vectors, from one kernel pass; c must be Contrast.of(timestamps, cfg).
@@ -63,13 +64,14 @@ def objective_and_grad(
     and each output has the config axis after the clip axis. Given a
     Bridge, shared or of each clip's own intervals (clip axes (B,), or
     (B, 1) for O configs, else ValueError), bb_weight times its gradient is
-    added to dL/dE of the configs at positions bridged (default: every
-    one); elsewhere the penalties are 0.0. dL/dl is None unless need_language.
-    The cosines, their norms and the score rows come from
-    _contrastive_terms, computed once; the kink test reads the rows of
+    added to dL/dE; without one the penalties are 0.0. The config rows on
+    which an (O, P) w is zero carry no bridge (see Bridge). dL/dl is None
+    unless need_language. The cosines, their norms and the score rows come
+    from _contrastive_terms, computed once; the kink test reads the rows of
     difference-score configs, and s_i - s_k is formed again in their buffer
     once the kernel is done. The kernel's arrays and dL/dl's terms come from
-    c.array, which keeps them in a descent run's Contrast; every output is a new array."""
+    c.array, which keeps them in a descent run's Contrast; every output is
+    a new array."""
     value, G, s, norm_v, norm_l, rows = _contrastive_terms(emb, lang, c, need_grad=True)
     no_kink = np.zeros(value.shape, dtype=bool)
     if c.score == "direct-sim":
@@ -93,12 +95,10 @@ def objective_and_grad(
         if mixed:
             g_s = np.where(c.difference[..., 0], g_s, col)
     if bridge is not None:  # before dL/dE, so that fewer (..., T, d) arrays are live at once
-        on = emb if bridged is None else emb[:, bridged]
         try:
-            bb, g_bb = bridge.penalty(on, need_grad=True)
+            bb, g_bb = bridge.penalty(emb, need_grad=True)
         except ValueError as e:  # the matmul's broadcast
-            raise ValueError(f"Bridge M {bridge.M.shape} does not match embeddings {on.shape}") from e
-        g_bb *= bb_weight
+            raise ValueError(f"Bridge M {bridge.M.shape} does not match embeddings {emb.shape}") from e
     # dL/ds_t to the embeddings through the cosine, normalization included
     u_v = emb / norm_v[..., None]
     u_l = lang / norm_l
@@ -113,15 +113,9 @@ def objective_and_grad(
     np.subtract(u_l[..., None, :], frames, out=frames)
     np.multiply(g_s[..., None], frames, out=frames)
     np.divide(frames, norm_v[..., None], out=frames)
-    if bridge is None:
-        return value, np.zeros(value.shape), frames, language, at_kink
-    if bridged is None:
-        frames += g_bb
-        return value, bb, frames, language, at_kink
-    penalties = np.zeros(value.shape)
-    penalties[:, bridged] = bb
-    frames[:, bridged] += g_bb
-    return value, penalties, frames, language, at_kink
+    if bridge is not None:
+        frames += np.multiply(bb_weight, g_bb, out=g_bb)
+    return value, np.zeros(value.shape) if bridge is None else bb, frames, language, at_kink
 
 
 def _on_clip(clip: ClipSequence, c: Contrast, bridge=None, bb_weight=0.0) -> GradientSet:
@@ -190,7 +184,7 @@ def _objective(loss: str, timestamps, params):
     return c, Bridge.of(timestamps, params.get("intervals")), bb_weight
 
 
-def _finite_diff_errors(loss: str, clips, params=None, step: float = 1e-5) -> np.ndarray:
+def _finite_diff_errors(loss: str, clips, params=None, step: float = DEFAULT_STEP) -> np.ndarray:
     """finite_diff_check's error of each of N clips of one (T, d) shape,
     each with its own timestamps, as an (N,) array. The objective of the
     (N, T) timestamp stack is built once (one sort) and its analytic
@@ -249,7 +243,9 @@ def _clips_of(c: Contrast, part: slice) -> Contrast:
     )
 
 
-def finite_diff_check(loss: str, clip: ClipSequence, params=None, step: float = 1e-5) -> float:
+def finite_diff_check(
+    loss: str, clip: ClipSequence, params=None, step: float = DEFAULT_STEP
+) -> float:
     """Max relative error of the analytic gradient against central
     differences on every coordinate of the frame embeddings, then the
     language. Errors are relative to the largest of the two values,

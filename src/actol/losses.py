@@ -98,18 +98,18 @@ class TnceConfig:
             raise ValueError(f"temperature must be finite and positive, got {self.temperature!r}")
 
 
-def _checked_int_stack(timestamps) -> bool:
-    """True for a signed integer (N, T) array whose rows are all valid
-    timestamps (T >= 2, first column >= 0, strictly increasing). The test
-    compares without subtracting, so no value can wrap around."""
-    return (
-        isinstance(timestamps, np.ndarray)
-        and timestamps.dtype.kind == "i"
-        and timestamps.ndim == 2
-        and timestamps.shape[1] >= 2
-        and bool(np.all(timestamps[:, 0] >= 0))
-        and bool(np.all(timestamps[:, 1:] > timestamps[:, :-1]))
-    )
+def _timestamp_rows(ts) -> np.ndarray:
+    """Checked timestamps ts as an int64 array: one row (T,), or each row
+    of an (N, T) stack, whose bad row raises the lone row's ValueError. A
+    signed integer array stack whose rows are all valid passes one
+    vectorized test, which compares without subtracting, so no value can
+    wrap around; any other stack is checked row by row."""
+    if (isinstance(ts, np.ndarray) and ts.dtype.kind == "i" and ts.ndim == 2 and ts.shape[1] >= 2
+            and np.all(ts[:, 0] >= 0) and np.all(ts[:, 1:] > ts[:, :-1])):
+        return ts.astype(np.int64, copy=False)
+    if np.ndim(ts) == 2:  # a ragged list of rows raises ValueError here
+        return np.array([_timestamps(row) for row in ts], dtype=np.int64)
+    return np.asarray(_timestamps(ts), dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,15 +133,8 @@ class TieGroups:
     @classmethod
     def of(cls, timestamps) -> "TieGroups":
         """Groups of one timestamp row (T,) or of each row of an (N, T)
-        stack; a bad row of a stack raises the lone row's ValueError. A
-        signed integer array stack is checked in one vectorized pass;
-        any other stack row by row."""
-        if _checked_int_stack(timestamps):
-            ts = timestamps.astype(np.int64, copy=False)
-        elif np.ndim(timestamps) == 2:  # a ragged list of rows raises ValueError here
-            ts = np.array([_timestamps(row) for row in timestamps], dtype=np.int64)
-        else:
-            ts = np.asarray(_timestamps(timestamps), dtype=np.int64)
+        stack, checked by _timestamp_rows."""
+        ts = _timestamp_rows(timestamps)
         T = ts.shape[-1]
         d = np.abs(ts[..., :, None] - ts[..., None, :])
         r = np.arange(T)
@@ -451,20 +444,24 @@ class Bridge:
     frames and the mean over intervals. Interval j's interior frame t is
     row j (T-2) + t - 1, so P = n (T-2) whatever the intervals, and a
     frame outside interval j has a zero row and w 0. The penalty is
-    sum_p w_p |dev_p|^2 and its gradient 2 M^T (w * dev)."""
+    sum_p w_p |dev_p|^2 and its gradient 2 M^T (w * dev). A Bridge whose w
+    is zero on some leading rows, such as Bridge(M, w * mask) with an
+    (O, 1) mask over a stack's configs, puts no bridge on them: their
+    penalty is +0.0 and their gradient +-0 on finite embeddings."""
 
     M: np.ndarray
     w: np.ndarray
 
     @classmethod
     def of(cls, timestamps, intervals=None) -> "Bridge":
-        """Operator for a clip's (checked) timestamps over the intervals
-        (default: the full clip): a list or tuple of BridgeInterval shared
-        by every clip, or an integer array (..., n, 2) of each clip's own
-        (start, end) rows; n >= 1 and 0 <= start < end < T. M (..., P, T)
-        and w (..., P) take the broadcast of the leading axes of timestamps
-        (one row, or an (N, T) stack of them) and of intervals."""
-        ts = np.asarray(timestamps, dtype=float)
+        """Operator for a clip's timestamps, checked by _timestamp_rows,
+        over the intervals (default: the full clip): a list or tuple of
+        BridgeInterval shared by every clip, or an integer array (..., n, 2)
+        of each clip's own (start, end) rows; n >= 1 and 0 <= start < end
+        < T. M (..., P, T) and w (..., P) take the broadcast of the leading
+        axes of timestamps (one row, or an (N, T) stack of them) and of
+        intervals."""
+        ts = _timestamp_rows(timestamps).astype(float)
         T = ts.shape[-1]
         se = np.array([[0, T - 1]]) if intervals is None else intervals
         if isinstance(se, (list, tuple)) and all(isinstance(iv, BridgeInterval) for iv in se):

@@ -18,6 +18,8 @@ import numpy as np
 from .clip import ClipSequence, _is_count, _is_real, normalize
 
 TAIL_MODES = ("none", "frozen", "drift-away", "second-action")
+# The largest timestamp gap of random_clip and of theory.lower_bound_report's clips
+MAX_GAP = 4
 
 
 @dataclass(frozen=True)
@@ -150,14 +152,14 @@ def _clip_arrays(gaps, frames, lang):
     return ts, frames, lang
 
 
-def random_clip(T: int, d: int, rng, max_gap: int = 4) -> ClipSequence:
+def random_clip(T: int, d: int, rng) -> ClipSequence:
     """Clip with random unit embeddings and random strictly increasing
-    integer timestamps (gaps in [1, max_gap]), drawn in that order: the
+    integer timestamps (gaps in [1, MAX_GAP]), drawn in that order: the
     T - 1 gaps, then (T, d) standard normals for the frames and (d,) for
     the language."""
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    (ts,), (frames,), (lang,) = _clip_arrays(rng.integers(1, max_gap + 1, size=(1, T - 1)),
+    (ts,), (frames,), (lang,) = _clip_arrays(rng.integers(1, MAX_GAP + 1, size=(1, T - 1)),
                                              rng.standard_normal((1, T, d)),
                                              rng.standard_normal((1, d)))
     return ClipSequence(ts, frames, lang)

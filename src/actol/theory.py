@@ -34,7 +34,7 @@ from .losses import (
     _stack_size,
     _suffix_softmax,
 )
-from .synthetic import _clip_arrays, perturb_language, random_units, sample_bridge
+from .synthetic import MAX_GAP, _clip_arrays, perturb_language, random_units, sample_bridge
 
 FLOAT_SLACK = 1e-12
 # Monte Carlo trials are drawn and checked in blocks of up to this many
@@ -135,7 +135,7 @@ def lower_bound_report(clips: int, t_range, d_range, seed) -> TheoremReport:
     BLOCK_CLIPS. A block of n clips draws their n T, then their n d, each
     uniformly from the inclusive t_range and d_range in one call; then,
     for each (T, d) shape with T > 2 in sorted order, its m clips' (m, T - 1)
-    timestamp gaps in [1, 4], (m, T, d) frame normals and (m, d) language
+    timestamp gaps in [1, MAX_GAP], (m, T, d) frame normals and (m, d) language
     normals in one call each, normalized as random_clip normalizes them.
     T = 2 clips are only counted. Only the clips' gaps outlive their block;
     within it, the similarities of one shape are taken in one pass. A
@@ -148,7 +148,7 @@ def lower_bound_report(clips: int, t_range, d_range, seed) -> TheoremReport:
         by_length = {}  # T: [(timestamps, similarities) of each (T, d) shape]
         for (T, d), m in sorted(Counter(zip(Ts.tolist(), ds.tolist())).items()):
             if T > 2:
-                ts, frames, lang = _clip_arrays(rng.integers(1, 5, size=(m, T - 1)),
+                ts, frames, lang = _clip_arrays(rng.integers(1, MAX_GAP + 1, size=(m, T - 1)),
                                                 rng.standard_normal((m, T, d)),
                                                 rng.standard_normal((m, d)))
                 by_length.setdefault(T, []).append((ts, _cosines(frames, lang)[0]))

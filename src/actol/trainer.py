@@ -131,26 +131,29 @@ def _descend(
     language vectors and a function from their gradients (dL/dl None unless
     cfg.optimize_language) to the next params. Each step, clip b's bridge
     intervals, drawn from rngs[b] in blocks of steps, make one Bridge for
-    every combined objective of the stack. The Contrast and, with one
-    interval per step, the full-clip Bridge are built once, the records
-    after the last step (each run's are empty unless keep_records). The
-    Contrast keeps the kernel's working arrays, so the steps write them in
-    place. Returns records[b][o] and the final params; the earliest step at
-    which any clip and objective has a non-finite loss, or at which any
-    value overflows, raises TrainingDiverged, which names the cause."""
+    the stack, its w times an (O, 1) column that is 1.0 on the combined
+    objectives and 0.0 elsewhere, so that only they carry the bridge. The
+    Contrast and, with one interval per step, the
+    full-clip Bridge are built once, the records after the last step (each
+    run's are empty unless keep_records). The Contrast keeps the kernel's
+    working arrays, so the steps write them in place. Returns records[b][o]
+    and the final params; the earliest step at which any clip and
+    objective has a non-finite loss, or at which any value overflows,
+    raises TrainingDiverged, which names the cause."""
     cfgs = tuple(obj or TnceConfig(temperature=cfg.temperature) for obj in objectives)
     c = replace(Contrast.of(clip.timestamps, cfgs[0] if len(cfgs) == 1 else cfgs), work={})
     lb = c.groups.lower_bound()
-    combined = [o for o, obj in enumerate(objectives) if obj is None]
-    bridged = ()  # the objectives under the bridge, passed only when some are not
-    if 0 < len(combined) < len(cfgs):
-        run = combined[-1] - combined[0] == len(combined) - 1  # a slice is a view, not a copy
-        bridged = (slice(combined[0], combined[-1] + 1) if run else combined,)
+    bridged = np.array([[obj is None] for obj in objectives], dtype=float)  # (O, 1)
+
+    def bridge_of(intervals=None):  # w is 0 on the objectives that carry no bridge
+        b = Bridge.of(clip.timestamps, intervals)
+        return Bridge(b.M, b.w * bridged)
+
     lam, need_language = cfg.bb_weight, cfg.optimize_language
     shape = (len(rngs),) if len(cfgs) == 1 else (len(rngs), len(cfgs))
     T, n = len(clip.timestamps), cfg.intervals_per_step
-    intervals = _interval_draws(T, n, rngs, cfg.steps, shape) if combined and n > 1 else None
-    bridge = Bridge.of(clip.timestamps) if combined and intervals is None else None
+    intervals = _interval_draws(T, n, rngs, cfg.steps, shape) if bridged.any() and n > 1 else None
+    bridge = bridge_of() if bridged.any() and intervals is None else None
     history = np.empty((3, *shape, cfg.steps))  # vlo, bb and total of each clip and step
     try:
         # an overflow would reach the next step as zero or NaN vectors; it raises here instead
@@ -159,10 +162,8 @@ def _descend(
                 part = "loss"  # the part of the step that runs: its loss or its update
                 emb, lang, update = embed(params, step)
                 if intervals is not None:
-                    bridge = Bridge.of(clip.timestamps, next(intervals))
-                vlo, bb, *grads, _ = objective_and_grad(
-                    emb, lang, c, bridge, lam, need_language, *bridged
-                )
+                    bridge = bridge_of(next(intervals))
+                vlo, bb, *grads, _ = objective_and_grad(emb, lang, c, bridge, lam, need_language)
                 total = vlo + lam * bb
                 if not np.isfinite(total).all():  # the earliest diverging step of any run
                     raise TrainingDiverged(step)
@@ -206,6 +207,10 @@ def train_objectives(clips, cfg: TrainConfig, objectives, seeds, keep_records=Tr
     raises at the earliest such step. Without keep_records the histories
     hold their final clips and no records: the stack would otherwise build
     every objective's records at once, which a comparison never reads."""
+    if not clips:
+        raise ValueError("need at least one clip")
+    if not objectives:
+        raise ValueError("need at least one objective")
     if any(clip.timestamps != clips[0].timestamps for clip in clips):
         raise ValueError("clips in a batch must share their timestamps")
     if len(seeds) != len(clips):
@@ -247,10 +252,7 @@ def train_encoder(features, timestamps, language, cfg: TrainConfig):
     _, f = features.shape
     d = language.shape[0]
     rng = np.random.default_rng(cfg.seed)
-    if f == d:
-        weight = np.eye(d)
-    else:
-        weight = rng.standard_normal((d, f)) / np.sqrt(f)
+    weight = np.eye(d) if f == d else rng.standard_normal((d, f)) / np.sqrt(f)
     start = ClipSequence(timestamps, features @ weight.T, language)  # checks the inputs once
 
     def embed(weight, step):

@@ -320,17 +320,22 @@ def test_step_with_nan_similarity_matches_reference(objective, nans, tie):
 STACK_CONFIGS = (TnceConfig(), *COMBOS[1:])  # every score kind and selector; vlo-pair first
 
 
+def _row_mask(O, rows):
+    """(O, 1) Bridge weight factors of a config stack: 1.0 at rows, else 0.0."""
+    return np.isin(np.arange(O), rows).astype(float)[:, None]
+
+
 @pytest.mark.parametrize("bridge", ["none", "shared", "per-clip"])
 @pytest.mark.parametrize("taus", [(0.5, 1.0), (1e-3, 1.0)], ids=["linear", "mixed-range"])
 def test_config_stack_rows_match_each_config_alone(bridge, taus):
     """Row o of a (B, O, T, d) stack under a Contrast of O configs gets bit
     for bit the five outputs of its own config's objective_and_grad call,
-    the bridge only on the rows it is asked for. With the first config
-    below the range guard and the others above it, each side's kernel runs
-    once, on the whole stack. A similarity tie is flagged on
-    difference-score rows only. A Bridge of each clip's own interval is
-    laid out on (B, 1) clip axes for the stack and on (B,) for one
-    config."""
+    the bridge only on the rows whose Bridge weights are not zero. With the
+    first config below the range guard and the others above it, each
+    side's kernel runs once, on the whole stack. A similarity tie is
+    flagged on difference-score rows only. A Bridge of each clip's own
+    interval is laid out on (B, 1) clip axes for the stack and on (B,) for
+    one config."""
     configs = (replace(STACK_CONFIGS[0], temperature=taus[0]),
                *(replace(cfg, temperature=taus[1]) for cfg in STACK_CONFIGS[1:]))
     bridged = [0, 3]
@@ -343,10 +348,12 @@ def test_config_stack_rows_match_each_config_alone(bridge, taus):
     bridges = {"none": (None, None), "shared": (Bridge.of(STEP_TS),) * 2,
                "per-clip": (Bridge.of(STEP_TS, intervals[:, None]), Bridge.of(STEP_TS, intervals))}
     stacked, alone_bridge = bridges[bridge]
+    if stacked is not None:  # w is 0 on every row but 0 and 3
+        stacked = Bridge(stacked.M, stacked.w * _row_mask(O, bridged))
     kernels = {name: mock.Mock(wraps=getattr(losses, name))
                for name in ("_exp_cumsum", "_log_accumulate")}
     with mock.patch.multiple(losses, **kernels):
-        got = objective_and_grad(emb, lang, c, stacked, 0.1, True, bridged)
+        got = objective_and_grad(emb, lang, c, stacked, 0.1, True)
     calls = [kernels[name].call_count for name in ("_exp_cumsum", "_log_accumulate")]
     assert calls == ([1, 0] if taus[0] == 0.5 else [1, 1])
     for o, cfg in enumerate(configs):
@@ -358,19 +365,43 @@ def test_config_stack_rows_match_each_config_alone(bridge, taus):
 
 
 @pytest.mark.parametrize("tau", [0.5, 0.002], ids=["linear", "log-space"])
+@pytest.mark.parametrize("bridge", ["shared", "per-clip"])
+def test_zero_weight_rows_carry_no_bridge(bridge, tau):
+    """The rows of a config stack on which a Bridge's w is zero get
+    penalties of exactly +0.0, and dL/dE byte for byte (the sign of zero
+    included) that of the call without a bridge; the other rows get the
+    bridge."""
+    c = Contrast.of(STEP_TS, tuple(replace(cfg, temperature=tau) for cfg in STACK_CONFIGS))
+    B, O, bridged = 3, len(STACK_CONFIGS), [0, 3]
+    emb, lang = _step_inputs(B * O, seed=12)
+    emb, lang = emb.reshape(B, O, *emb.shape[1:]), lang.reshape(B, O, -1)
+    full = (Bridge.of(STEP_TS) if bridge == "shared"
+            else Bridge.of(STEP_TS, np.array([[[[b, 9 - b]]] for b in range(B)])))
+    got = objective_and_grad(emb, lang, c, Bridge(full.M, full.w * _row_mask(O, bridged)), 0.1)
+    plain = objective_and_grad(emb, lang, c, None, 0.1)
+    off = [o for o in range(O) if o not in bridged]
+    assert got[1][:, off].tobytes() == np.zeros((B, len(off))).tobytes()
+    assert got[2][:, off].tobytes() == plain[2][:, off].tobytes()
+    assert (got[1][:, bridged] > 0).all() and not np.array_equal(got[2], plain[2])
+
+
+@pytest.mark.parametrize("tau", [0.5, 0.002], ids=["linear", "log-space"])
 @pytest.mark.parametrize("stack", ["one-config", "config-stack"])
 def test_step_outputs_are_not_the_runs_working_arrays(stack, tau):
     """A descent run's Contrast keeps the kernel's arrays and every step
     writes them in place. Step k's outputs are unchanged after step k+1
     runs on other embeddings, share no memory with the kept arrays, and
     step k+1 gets bit for bit a fresh Contrast's outputs. The config stack
-    mixes score kinds and puts the bridge on some rows; at tau=0.002 its
-    first config is below the range guard and the others above it."""
+    mixes score kinds and puts the bridge on some rows, by a Bridge whose
+    weights are zero on the others; at tau=0.002 its first config is below
+    the range guard and the others above it."""
+    bridge = Bridge.of(STEP_TS)
     if stack == "one-config":
-        cfg, B, O, bridged = replace(STEP_OBJECTIVES["actol"], temperature=tau), 3, 1, ()
+        cfg, B, O = replace(STEP_OBJECTIVES["actol"], temperature=tau), 3, 1
     else:
         cfg = (replace(STACK_CONFIGS[0], temperature=tau), *STACK_CONFIGS[1:])
-        B, O, bridged = 2, len(cfg), ([0, 3],)
+        B, O = 2, len(cfg)
+        bridge = Bridge(bridge.M, bridge.w * _row_mask(O, [0, 3]))
     fresh = Contrast.of(STEP_TS, cfg)
     run = replace(fresh, work={})
     outputs = []
@@ -379,14 +410,14 @@ def test_step_outputs_are_not_the_runs_working_arrays(stack, tau):
         if O > 1:
             emb, lang = emb.reshape(B, O, *emb.shape[1:]), lang.reshape(B, O, -1)
         emb[0, ..., 6, :] = emb[0, ..., 2, :]  # a tie, so that a kink is flagged
-        got = objective_and_grad(emb, lang, run, Bridge.of(STEP_TS), 0.1, True, *bridged)
+        got = objective_and_grad(emb, lang, run, bridge, 0.1, True)
         outputs.append((got, [a.copy() for a in got]))
     assert {"rows", "x", "G", "close"} <= set(run.work)
     for got, kept in outputs:
         for a, b in zip(got, kept, strict=True):
             assert np.array_equal(a, b)
             assert not any(np.shares_memory(a, w) for w in run.work.values())
-    expected = objective_and_grad(emb, lang, fresh, Bridge.of(STEP_TS), 0.1, True, *bridged)
+    expected = objective_and_grad(emb, lang, fresh, bridge, 0.1, True)
     for a, b in zip(outputs[1][0], expected, strict=True):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert all(got[4][0].any() and not got[4][1:].any() for got, _ in outputs)  # clip 0's tie

@@ -190,12 +190,14 @@ class TestTimestampContract:
         "vlo_loss_on_scores": lambda ts: vlo_loss_on_scores(ts, np.zeros((len(ts), len(ts)))),
         "construct_near_optimal": lambda ts: construct_near_optimal(ts, 0.1),
         "check_tightness": lambda ts: check_tightness(ts, [0.1]),
+        "Bridge.of": Bridge.of,
     }
 
     # the entry points that also take an (N, T) stack of timestamp rows
     STACK_ENTRY_POINTS = {
         "TieGroups.of": TieGroups.of,
         "Contrast.of": lambda ts: Contrast.of(ts, TnceConfig()),
+        "Bridge.of": Bridge.of,
     }
     BAD = pytest.mark.parametrize(
         "timestamps, message",

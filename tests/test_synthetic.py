@@ -10,7 +10,7 @@ from actol import (
     sample_bridge,
     slerp,
 )
-from actol.synthetic import _clip_arrays
+from actol.synthetic import MAX_GAP, _clip_arrays
 
 
 class TestSlerp:
@@ -117,9 +117,9 @@ class TestRandomClip:
     def test_timestamp_gaps_bounded(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            clip = random_clip(8, 3, rng, max_gap=3)
+            clip = random_clip(8, 3, rng)
             gaps = np.diff(clip.timestamps)
-            assert np.all((gaps >= 1) & (gaps <= 3))
+            assert np.all((gaps >= 1) & (gaps <= MAX_GAP))
 
 
     @pytest.mark.parametrize("T, d", [(2, 2), (5, 3), (12, 16), (7, 64)])

@@ -351,6 +351,38 @@ class TestTrainFree:
         with pytest.raises(ValueError, match="^a batch needs one seed per clip$"):
             train_batch(clips, cfg, None, (0, 1))
 
+    @pytest.mark.parametrize("intervals_per_step", [1, 3])
+    def test_combined_objectives_apart_match_their_own_runs(self, intervals_per_step):
+        """With a contrastive objective between two combined ones, the
+        bridge goes on the combined rows only, and each history is bit for
+        bit its own train_batch run."""
+        ts = start_clip(30, T=8).timestamps
+        clips = [random_clip(len(ts), 4, np.random.default_rng(seed)) for seed in (7, 8)]
+        clips = [ClipSequence(ts, c.embeddings, c.language) for c in clips]
+        objectives = (None, TnceConfig("last-frame", "other-frames", "direct-sim"), None)
+        cfg, seeds = TrainConfig(steps=20, intervals_per_step=intervals_per_step), (14, 15)
+        stacked = train_objectives(clips, cfg, objectives, seeds)
+        for o, objective in enumerate(objectives):
+            for b, alone in enumerate(train_batch(clips, cfg, objective, seeds)):
+                assert stacked[b][o].records == alone.records
+                assert any(r.bb > 0 for r in alone.records) == (objective is None)
+                got = stacked[b][o].final_clip
+                assert np.array_equal(got.embeddings, alone.final_clip.embeddings)
+                assert np.array_equal(got.language, alone.final_clip.language)
+
+    @pytest.mark.parametrize(
+        "clips, objectives, message",
+        [([], (None,), "need at least one clip"), (None, (), "need at least one objective")],
+        ids=["no-clip", "no-objective"],
+    )
+    def test_empty_input_rejected(self, clips, objectives, message):
+        clips = [start_clip(31)] if clips is None else clips
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train_objectives(clips, TrainConfig(steps=2), objectives, [0] * len(clips))
+        if objectives:  # train_batch's one objective
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                train_batch(clips, TrainConfig(steps=2), None, [])
+
     def test_batch_rejects_clips_with_other_timestamps(self):
         a, b = start_clip(19), start_clip(20)
         assert a.timestamps != b.timestamps
