@@ -51,6 +51,12 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
+def _dots(a, b) -> np.ndarray:
+    """Dot products of a's and b's rows along the last axis, broadcast; each
+    row rounds as it does alone. The samplers' and checks' norms and dots."""
+    return np.einsum("...i,...i->...", a, b)
+
+
 def _cosines(embeddings: np.ndarray, language: np.ndarray):
     """(s, |v|, |l|): cosine similarities of (..., T, d) embeddings to their
     (..., d) language vectors, and the (..., T) and (..., 1) norms. The
@@ -87,10 +93,10 @@ def cosine_sim(v, l):
     l = np.asarray(l, dtype=float)
     if v.shape[-1:] != l.shape[-1:]:
         raise ValueError(f"dimension mismatch: {v.shape} vs {l.shape}")
-    norms = np.linalg.norm(v, axis=-1) * np.linalg.norm(l, axis=-1)
+    norms = np.sqrt(_dots(v, v)) * np.sqrt(_dots(l, l))
     if np.any(norms == 0.0):
         raise ValueError("cosine similarity undefined for zero-norm input")
-    sim = np.sum(v * l, axis=-1) / norms
+    sim = _dots(v, l) / norms
     return float(sim) if sim.ndim == 0 else sim
 
 

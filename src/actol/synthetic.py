@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clip import ClipSequence, _is_count, _is_real, normalize
+from .clip import ClipSequence, _dots, _is_count, _is_real, normalize
 
 TAIL_MODES = ("none", "frozen", "drift-away", "second-action")
 # The largest timestamp gap of random_clip and of theory.lower_bound_report's clips
@@ -128,12 +128,13 @@ def generate_clip(spec: SyntheticClipSpec):
 
 
 def random_units(shape, seed) -> np.ndarray:
-    """Random unit vectors along the last axis of `shape`, which must be at
-    least 2, as ClipSequence requires."""
-    if shape[-1] < 2:
-        raise ValueError(f"dimension must be at least 2, got {shape[-1]}")
+    """Random unit vectors along the last axis of `shape`, a tuple of
+    integers whose last is at least 2, as ClipSequence requires, else
+    ValueError (numpy's, for a negative one)."""
+    if not (isinstance(shape, tuple) and shape and all(map(_is_count, shape)) and shape[-1] >= 2):
+        raise ValueError(f"shape must be a tuple of integers, the last at least 2, got {shape!r}")
     v = np.random.default_rng(seed).standard_normal(shape)
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    v /= np.sqrt(_dots(v, v))[..., None]
     return v
 
 
@@ -144,7 +145,8 @@ def _clip_arrays(gaps, frames, lang):
     lang are normalized in place. Each frame is scaled by its norm along
     the last axis, each language vector by a matmul norm, which rounds like
     the 1-D np.linalg.norm; so row n is what random_clip builds from row
-    n's draws alone, whatever m."""
+    n's draws alone, whatever m. random_clip is its one caller: the
+    lower-bound check takes its cosines from the raw normals instead."""
     ts = np.zeros((len(gaps), gaps.shape[1] + 1), dtype=gaps.dtype)
     np.cumsum(gaps, axis=1, out=ts[:, 1:])
     frames /= np.linalg.norm(frames, axis=-1, keepdims=True)
@@ -170,44 +172,52 @@ def sample_bridge(v_start, v_end, t_start: int, t_end: int, seed) -> np.ndarray:
     exactly, interior points from the bridge's per-time Gaussian marginal
     (independent coordinates, variance (t-t0)(t1-t)/(t1-t0)).
 
-    v_start and v_end have shape (..., d); the result has shape
-    (..., t_end - t_start + 1, d), one path per leading index, drawn in
-    turn.
+    v_start and v_end have shapes (..., d) that broadcast; the result has
+    shape (..., t_end - t_start + 1, d), one path per leading index, drawn
+    in turn, each interior point sqrt(var) z + mean written into it. The
+    times are integers (not booleans), t_start < t_end, else ValueError.
     """
+    if not (_is_count(t_start) and _is_count(t_end)):
+        raise ValueError(f"times must be integers, got {t_start!r} and {t_end!r}")
     if t_end <= t_start:
         raise ValueError("interval must have positive length")
     v_start = np.asarray(v_start, dtype=float)[..., None, :]
     v_end = np.asarray(v_end, dtype=float)[..., None, :]
     length = t_end - t_start
     t = np.arange(t_start + 1, t_end)[:, None]
-    alpha = (t - t_start) / length
-    mean = v_start + alpha * (v_end - v_start)
+    mean = v_start + (t - t_start) / length * (v_end - v_start)
     var = (t - t_start) * (t_end - t) / length
     z = np.random.default_rng(seed).standard_normal(mean.shape)
-    return np.concatenate([v_start, mean + np.sqrt(var) * z, v_end], axis=-2)
+    z *= np.sqrt(var)
+    paths = np.empty(mean.shape[:-2] + (length + 1, mean.shape[-1]))
+    np.add(z, mean, out=paths[..., 1:-1, :])
+    paths[..., :1, :], paths[..., -1:, :] = v_start, v_end
+    return paths
 
 
 def perturb_language(l, delta: float, seed) -> np.ndarray:
     """Unit vector at Euclidean distance in (0, delta] from l, built by a
     random tangent step of size delta followed by renormalization.
 
-    l has shape (..., d) with d >= 2; each row along the last axis is
-    perturbed by its own draw, in order.
+    l has shape (..., d) with d >= 2 and rows of finite non-zero norm, else
+    ValueError; each row along the last axis is perturbed by its own draw,
+    in order, and a broadcast view gives the bits of its copy.
     """
     if not (_is_real(delta) and 0 <= delta <= 2):
         raise ValueError(f"perturbation size must lie in [0, 2], the sphere's diameter: {delta!r}")
     l = np.asarray(l, dtype=float)
     if l.ndim == 0 or l.shape[-1] < 2:
         raise ValueError("need dimension at least 2 for a tangent direction")
-    norm = np.linalg.norm(l, axis=-1, keepdims=True)
-    if np.any(norm == 0.0):
-        raise ValueError("cannot normalize a zero vector")
+    norm = np.sqrt(_dots(l, l))[..., None]
+    if not np.all(np.isfinite(norm) & (norm > 0.0)):
+        raise ValueError("language vectors must be finite, of finite non-zero norm")
     l = l / norm
     if delta == 0:
         return l
     u = np.random.default_rng(seed).standard_normal(l.shape)
-    u -= np.sum(u * l, axis=-1, keepdims=True) * l
-    lp = l + delta * (u / np.linalg.norm(u, axis=-1, keepdims=True))
-    lp /= np.linalg.norm(lp, axis=-1, keepdims=True)
-    assert np.all(np.linalg.norm(lp - l, axis=-1) <= delta + 1e-12)
+    u -= _dots(u, l)[..., None] * l
+    lp = l + delta * (u / np.sqrt(_dots(u, u))[..., None])
+    lp /= np.sqrt(_dots(lp, lp))[..., None]
+    if not np.all(np.sqrt(_dots(lp - l, lp - l)) <= delta + 1e-12):  # not stripped by python -O
+        raise RuntimeError(f"a perturbation left the ball of radius {delta!r} around l")
     return lp

@@ -2,18 +2,20 @@
 construction, the Lipschitz continuity of alignment scores, and their
 robustness to language perturbations.
 
-The Monte Carlo checks draw from default_rng(seed), where seed is an int
-or a Generator, so one Generator can serve several checks in turn. They
-draw and check their trials in blocks of up to BLOCK_VALUES values: d
-values per robustness trial, 3d per Lipschitz triple and (t_end + 1) d per
-bridge path. Blocks are drawn in turn from one Generator, so every draw
-is the same whatever the block size. lower_bound_report draws BLOCK_CLIPS
-random clips at a time: every T and every d of the block in one call
-each, then each (T, d) shape's clips as arrays, a few calls per shape, so
-its draws, unlike the trial blocks', depend on the block size. The
-lower-bound check evaluates clips of one length as
-stacks of up to losses.BLOCK_SCORES scores: one sort and one kernel call
-per stack, for drawn clips and for check_lower_bound's ClipSequences alike.
+The Monte Carlo checks draw from default_rng(seed), where seed is an int or
+a Generator, so one Generator can serve several checks in turn. They draw
+and check their trials in blocks of up to BLOCK_VALUES values: d values per
+robustness trial, 3d per Lipschitz triple and (t_end + 1) d per bridge
+path. Blocks are drawn in turn from one Generator, so every draw is the
+same whatever the block size. lower_bound_report draws BLOCK_CLIPS random
+clips at a time: every T and every d of the block in one call each, then
+each (T, d) shape's clips as arrays, a few calls per shape, so its draws,
+unlike the trial blocks', depend on the block size; its cosines are taken
+from the raw normals, which need no normalizing. The trial blocks' norms
+and dot products are clip._dots rows, which round alike in any block. The
+lower-bound check evaluates clips of one length as stacks of up to
+losses.BLOCK_SCORES scores: one sort and one kernel call per stack, for
+drawn clips and for check_lower_bound's ClipSequences alike.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .clip import ClipSequence, _cosines, _is_count, _is_real, _timestamps, alignment_score
+from .clip import ClipSequence, _cosines, _dots, _is_count, _is_real, _timestamps, alignment_score
 from .losses import (
     Bridge,
     Contrast,
@@ -34,7 +36,7 @@ from .losses import (
     _stack_size,
     _suffix_softmax,
 )
-from .synthetic import MAX_GAP, _clip_arrays, perturb_language, random_units, sample_bridge
+from .synthetic import MAX_GAP, perturb_language, random_units, sample_bridge
 
 FLOAT_SLACK = 1e-12
 # Monte Carlo trials are drawn and checked in blocks of up to this many
@@ -136,10 +138,10 @@ def lower_bound_report(clips: int, t_range, d_range, seed) -> TheoremReport:
     uniformly from the inclusive t_range and d_range in one call; then,
     for each (T, d) shape with T > 2 in sorted order, its m clips' (m, T - 1)
     timestamp gaps in [1, MAX_GAP], (m, T, d) frame normals and (m, d) language
-    normals in one call each, normalized as random_clip normalizes them.
-    T = 2 clips are only counted. Only the clips' gaps outlive their block;
-    within it, the similarities of one shape are taken in one pass. A
-    rejected call draws nothing."""
+    normals in one call each; the timestamps are the gaps' cumsum, and the
+    similarities of one shape are the raw normals' cosines, in one pass.
+    T = 2 clips are only counted. Only the clips' loss-minus-bound gaps
+    outlive their block. A rejected call draws nothing."""
     (t_lo, t_hi), (d_lo, d_hi) = _shape_range(t_range, "t_range"), _shape_range(d_range, "d_range")
     rng = np.random.default_rng(seed)
     gaps = []
@@ -148,10 +150,10 @@ def lower_bound_report(clips: int, t_range, d_range, seed) -> TheoremReport:
         by_length = {}  # T: [(timestamps, similarities) of each (T, d) shape]
         for (T, d), m in sorted(Counter(zip(Ts.tolist(), ds.tolist())).items()):
             if T > 2:
-                ts, frames, lang = _clip_arrays(rng.integers(1, MAX_GAP + 1, size=(m, T - 1)),
-                                                rng.standard_normal((m, T, d)),
-                                                rng.standard_normal((m, d)))
-                by_length.setdefault(T, []).append((ts, _cosines(frames, lang)[0]))
+                ts = np.zeros((m, T), dtype=np.int64)
+                np.cumsum(rng.integers(1, MAX_GAP + 1, size=(m, T - 1)), axis=1, out=ts[:, 1:])
+                s = _cosines(rng.standard_normal((m, T, d)), rng.standard_normal((m, d)))[0]
+                by_length.setdefault(T, []).append((ts, s))
         gaps += [_lower_bound_gaps(*map(np.concatenate, zip(*shapes)))
                  for shapes in by_length.values()]
     return _lower_bound_result(gaps, clips)
@@ -217,16 +219,17 @@ def _blocks(trials: int, size: int) -> list:
 
 def _trial_blocks(trials: int, values_per_trial: int) -> list:
     """_blocks of trials that hold values_per_trial values each: up to
-    BLOCK_VALUES values per block, and at least one trial. A count below 1
-    (a bad dimension) is left for the caller's draw to reject."""
-    return _blocks(trials, max(1, BLOCK_VALUES // max(1, values_per_trial)))
+    BLOCK_VALUES values per block, and at least one trial. A count that is
+    not a positive integer is a bad dimension, left for the draw to reject."""
+    valid = _is_count(values_per_trial) and values_per_trial > 0
+    return _blocks(trials, max(1, BLOCK_VALUES // values_per_trial) if valid else 1)
 
 
 def _lipschitz_report(blocks, **details) -> TheoremReport:
     """Lipschitz step |score(v_k, v_l, lang)| <= ||v_k - v_l|| on every row
     of each (v_k, v_l, lang) block; a NaN counts as a violation."""
     slack = np.concatenate([
-        np.abs(alignment_score(k, l, lang)) - np.linalg.norm(k - l, axis=-1)
+        np.abs(alignment_score(k, l, lang)) - np.sqrt(_dots(k - l, k - l))
         for k, l, lang in blocks
     ])
     violations = int(np.count_nonzero(~(slack <= FLOAT_SLACK)))
@@ -285,7 +288,7 @@ def bridge_stats_report(
     mids = []
     violations = 0
     for n in _trial_blocks(samples, (t_end + 1) * dim):
-        paths = sample_bridge(np.tile(v0, (n, 1)), np.tile(v1, (n, 1)), 0, t_end, rng)
+        paths = sample_bridge(np.broadcast_to(v0, (n, dim)), v1, 0, t_end, rng)
         exact = np.all(paths[:, 0] == v0, axis=-1) & np.all(paths[:, -1] == v1, axis=-1)
         violations += int(np.count_nonzero(~exact))
         mids.append(paths[:, mid].copy())  # a view would keep every path alive
@@ -311,12 +314,13 @@ def check_robustness(v_i, v_j, l, delta_l: float, trials: int, seed) -> TheoremR
     over random language perturbations of size at most delta_l; a NaN
     counts as a violation."""
     rng = np.random.default_rng(seed)
-    base = alignment_score(v_i, v_j, l)
     bound = 2.0 * delta_l
-    diff = np.concatenate([
-        np.abs(alignment_score(v_i, v_j, perturb_language(np.tile(l, (n, 1)), delta_l, rng)) - base)
-        for n in _trial_blocks(trials, np.size(l))
-    ])
+    d = np.size(l)
+    scores = np.concatenate([
+        alignment_score(v_i, v_j, perturb_language(np.broadcast_to(l, (n, d)), delta_l, rng))
+        for n in _trial_blocks(trials, d)
+    ])  # perturb_language checks l before the unperturbed score divides by its norm
+    diff = np.abs(scores - alignment_score(v_i, v_j, l))
     violations = int(np.count_nonzero(~(diff <= bound + FLOAT_SLACK)))
     return TheoremReport.of("robustness", trials, violations,
                             diff.max() / bound if bound > 0 else 0.0, delta_l=delta_l, bound=bound)

@@ -28,9 +28,11 @@ call per clip, is the bit-for-bit reference for its stacked version.
 random_clip as it drew and normalized one clip at a time (a 1-D norm for
 the language) is the reference for random_clip and for the arrays
 synthetic._clip_arrays normalizes. random_clip_loop follows
-lower_bound_report's block draws with plain loops, building and
-normalizing each clip on its own as random_clip does, and is the
-reference for the clips that check draws as arrays.
+lower_bound_report's block draws with plain loops, building each clip on
+its own from its raw normals, and is the reference for the clips that
+check draws as arrays. sample_bridge as it composed each path with
+np.concatenate is the bit-for-bit reference for the path it writes in
+place.
 bridge_intervals is the step-by-step reference for the local bridge
 intervals a training run draws in blocks of steps.
 
@@ -377,9 +379,10 @@ def random_clip_loop(clips, t_range, d_range, rng, block_clips):
     clip. Each block of up to block_clips clips draws its clips' T, then
     their d, in one call each; then, for each (T, d) shape with T > 2 in
     sorted order, the timestamp gaps, frame normals and language normals
-    of its clips in one call each, and builds each clip on its own,
-    normalized as random_clip normalizes one. T = 2 clips draw nothing
-    more: they are only counted, so each is the same fixed clip."""
+    of its clips in one call each, and builds each clip on its own from
+    its raw normals: cosines do not depend on scale, so nothing is
+    normalized. T = 2 clips draw nothing more: they are only counted, so
+    each is the same fixed clip."""
     drawn = []
     for first in range(0, clips, block_clips):
         n = min(block_clips, clips - first)
@@ -394,11 +397,22 @@ def random_clip_loop(clips, t_range, d_range, rng, block_clips):
             gaps = rng.integers(1, 5, size=(m, T - 1))
             frames = rng.standard_normal((m, T, d))
             langs = rng.standard_normal((m, d))
-            for gap, frame, lang in zip(gaps, frames, langs):
-                frame /= np.linalg.norm(frame, axis=-1, keepdims=True)
-                drawn.append(actol.ClipSequence(np.concatenate([[0], np.cumsum(gap)]), frame,
-                                                lang / np.linalg.norm(lang)))
+            drawn += [actol.ClipSequence(np.concatenate([[0], np.cumsum(gap)]), frame, lang)
+                      for gap, frame, lang in zip(gaps, frames, langs)]
     return drawn
+
+
+def sample_bridge(v_start, v_end, t_start, t_end, seed):
+    """actol.sample_bridge as it composed its paths: the endpoints and the
+    interior points, mean + sqrt(var) z, joined by np.concatenate."""
+    v_start = np.asarray(v_start, dtype=float)[..., None, :]
+    v_end = np.asarray(v_end, dtype=float)[..., None, :]
+    length = t_end - t_start
+    t = np.arange(t_start + 1, t_end)[:, None]
+    mean = v_start + (t - t_start) / length * (v_end - v_start)
+    var = (t - t_start) * (t_end - t) / length
+    z = np.random.default_rng(seed).standard_normal(mean.shape)
+    return np.concatenate([v_start, mean + np.sqrt(var) * z, v_end], axis=-2)
 
 
 def bridge_intervals(T, n, rng, steps, block_steps):

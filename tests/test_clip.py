@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actol import ClipSequence, alignment_score, cosine_sim, normalize
+from actol.clip import _dots
 
 
 def unit(rng, d):
@@ -20,6 +23,26 @@ class TestNormalize:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             normalize([0.0, 0.0])
+
+
+class TestDots:
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.integers(1, 9), d=st.integers(1, 100), shift=st.integers(1, 15),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_round_alike_batched_alone_and_at_odd_offsets(self, rows, d, shift, seed):
+        """Each row's dot has the same bits in a batch, alone, against a
+        broadcast row and in a buffer shifted by any number of bytes."""
+        a, b = np.random.default_rng(seed).standard_normal((2, rows, d))
+        batched = _dots(a, b).tobytes()
+        assert np.array([_dots(x, y) for x, y in zip(a, b)]).tobytes() == batched
+        raw = bytearray(a.nbytes + shift)
+        moved = np.ndarray(a.shape, dtype=float, buffer=raw, offset=shift)
+        moved[...] = a
+        assert _dots(moved, b).tobytes() == batched
+        assert _dots(b, moved).tobytes() == _dots(b, a).tobytes()
+        row = np.broadcast_to(b[0], a.shape)
+        assert _dots(a, row).tobytes() == _dots(a, b[0]).tobytes()
+        assert _dots(a, row).tobytes() == np.array([_dots(x, b[0]) for x in a]).tobytes()
 
 
 class TestCosineSim:

@@ -1,7 +1,12 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import naive
 import numpy as np
 import pytest
 
+import actol
 from actol import (
     SyntheticClipSpec,
     generate_clip,
@@ -10,7 +15,7 @@ from actol import (
     sample_bridge,
     slerp,
 )
-from actol.synthetic import MAX_GAP, _clip_arrays
+from actol.synthetic import MAX_GAP, _clip_arrays, random_units
 
 
 class TestSlerp:
@@ -185,6 +190,39 @@ class TestSampleBridge:
         with pytest.raises(ValueError):
             sample_bridge(np.zeros(2), np.ones(2), 3, 3, seed=0)
 
+    @pytest.mark.parametrize("t_start, t_end", [(0, 2.5), (0, 4.0), (False, True), (0, True),
+                                                (0, float("inf")), (0, float("nan")), ("0", 4)])
+    def test_non_integer_times_rejected(self, t_start, t_end):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="times must be integers"):
+            sample_bridge(np.zeros(2), np.ones(2), t_start, t_end, seed=rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("batch, t_start, t_end, d", [((), 0, 6, 3), ((5,), 2, 9, 4),
+                                                          ((2, 3), 0, 1, 2), ((4,), 1, 11, 6)])
+    def test_matches_concatenated_reference(self, batch, t_start, t_end, d):
+        """Scaling the draws in place and writing them plus the mean into one
+        path array gives the bits of the concatenated paths, and draws as
+        many normals."""
+        v0, v1 = np.random.default_rng(d).standard_normal((2,) + batch + (d,))
+        rng, ref_rng = np.random.default_rng(t_end), np.random.default_rng(t_end)
+        paths = sample_bridge(v0, v1, t_start, t_end, rng)
+        expected = naive.sample_bridge(v0, v1, t_start, t_end, ref_rng)
+        assert paths.tobytes() == expected.tobytes() and paths.shape == expected.shape
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("end_rows", [True, False], ids=["both-views", "one-view"])
+    def test_broadcast_endpoints_match_tiled_copies(self, end_rows):
+        """Read-only broadcast views, or one view and one (d,) vector as
+        bridge_stats_report passes, give the paths of tiled copies."""
+        v0, v1 = np.random.default_rng(1).standard_normal((2, 5))
+        end = np.broadcast_to(v1, (300, 5)) if end_rows else v1
+        paths = sample_bridge(np.broadcast_to(v0, (300, 5)), end, 0, 10, np.random.default_rng(2))
+        expected = naive.sample_bridge(np.tile(v0, (300, 1)), np.tile(v1, (300, 1)), 0, 10,
+                                       np.random.default_rng(2))
+        assert paths.tobytes() == expected.tobytes()
+
 
 class TestPerturbLanguage:
     def test_distance_within_delta(self):
@@ -221,3 +259,61 @@ class TestPerturbLanguage:
             perturb_language(l, -0.1, 0)
         with pytest.raises(ValueError):
             perturb_language(l, 2.5, 0)
+
+    def test_broadcast_view_matches_tiled_copy(self):
+        l = np.random.default_rng(5).standard_normal(8)
+        view = np.broadcast_to(l, (2112, 8))
+        assert not view.flags.writeable
+        tiled = perturb_language(np.tile(l, (2112, 1)), 0.1, np.random.default_rng(6))
+        assert perturb_language(view, 0.1, np.random.default_rng(6)).tobytes() == tiled.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200],
+                             ids=["nan", "inf", "-inf", "norm-overflows"])
+    def test_non_finite_rejected(self, bad):
+        l = np.array([[1.0, 0.0, 0.0], [0.5, bad, 0.0]])
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="must be finite"):
+            perturb_language(l, 0.1, rng)
+        assert rng.bit_generator.state == state
+
+    def test_distance_check_is_not_an_assert(self, tmp_path):
+        """A step that leaves the delta ball raises even under python -O:
+        here every tangent draw is NaN."""
+        script = tmp_path / "nan_draws.py"
+        script.write_text(
+            "import numpy as np\n"
+            "from actol import perturb_language\n"
+            "class NanDraws:\n"
+            "    def standard_normal(self, shape):\n"
+            "        return np.full(shape, np.nan)\n"
+            "np.random.default_rng = lambda seed: NanDraws()\n"
+            "try:\n"
+            "    perturb_language(np.array([1.0, 0.0]), 0.1, 0)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n")
+        result = subprocess.run([sys.executable, "-O", str(script)], capture_output=True, text=True,
+                                env={"PYTHONPATH": str(Path(actol.__file__).parents[1]),
+                                     "PYTHONDONTWRITEBYTECODE": "1"})
+        assert "left the ball of radius 0.1" in result.stdout, result.stderr
+
+
+class TestRandomUnits:
+    def test_unit_rows(self):
+        v = random_units((4, 3, 5), 0)
+        assert v.shape == (4, 3, 5)
+        assert np.allclose(np.linalg.norm(v, axis=-1), 1.0)
+
+    def test_rows_match_one_row_draws(self):
+        rng = np.random.default_rng(1)
+        expected = [row / np.sqrt(row @ row) for row in rng.standard_normal((50, 7))]
+        assert np.allclose(random_units((50, 7), 1), expected, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("shape", [(), (3, 2.5), (2.0,), (3, 1), (-1, 3), (True, 3), [2, 3],
+                                       5, (np.float64(4),)])
+    def test_bad_shape_rejected(self, shape):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            random_units(shape, rng)
+        assert rng.bit_generator.state == state

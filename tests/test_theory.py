@@ -149,6 +149,14 @@ class TestContinuity:
         assert report.passed
         assert report.violations == 0
 
+    @pytest.mark.parametrize("dim", [2.5, 1, 0, -3, True, np.nan], ids=str)
+    def test_lipschitz_pairs_bad_dimension_draws_nothing(self, dim):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            lipschitz_pairs_report(dim, 100, rng)
+        assert rng.bit_generator.state == state
+
 
 class TestBridgeStats:
     def test_passes_with_correct_statistics(self):
@@ -167,9 +175,10 @@ class TestBridgeStats:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"t_end": 7}, {"samples": 1}, {"dim": 1}, {"tolerance": float("nan")}, {"tolerance": -1},
-         {"tolerance": float("inf")}],
-        ids=["t_end-7", "samples-1", "dim-1", "tolerance-nan", "tolerance--1", "tolerance-inf"],
+        [{"t_end": 7}, {"samples": 1}, {"dim": 1}, {"dim": 2.5}, {"tolerance": float("nan")},
+         {"tolerance": -1}, {"tolerance": float("inf")}],
+        ids=["t_end-7", "samples-1", "dim-1", "dim-2.5", "tolerance-nan", "tolerance--1",
+             "tolerance-inf"],
     )
     def test_rejected_call_draws_nothing(self, kwargs):
         # no variance error can be within a NaN or negative tolerance: a bad parameter, not a violation
@@ -203,6 +212,12 @@ class TestRobustness:
         v = self.unit(16)
         with pytest.raises(ValueError):
             check_robustness(v, v, v, 3.0, trials=1, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_language_rejected(self, bad):
+        v = self.unit(17)
+        with pytest.raises(ValueError, match="must be finite"):
+            check_robustness(v, v, np.array([1.0, bad, 0.0, 0.0, 0.0]), 0.1, trials=10, seed=0)
 
 
 class TestBlocks:
