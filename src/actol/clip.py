@@ -16,7 +16,7 @@ import numpy as np
 
 def _timestamps(timestamps) -> tuple:
     """Checked timestamps as a tuple of ints: at least two finite integers
-    (an integral float such as 2.0 counts), non-negative, strictly increasing."""
+    (an integral float such as 2.0 counts), non-negative, strictly increasing, below 2**63."""
     raw = tuple(timestamps)
     if any(isinstance(t, (bool, np.bool_)) for t in raw):
         raise ValueError("timestamps must be finite integers, not booleans")
@@ -32,6 +32,8 @@ def _timestamps(timestamps) -> tuple:
         raise ValueError("timestamps must be non-negative")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("timestamps must be strictly increasing")
+    if ts[-1] >= 2**63:  # the last is the largest: the int64 rows the losses compute on
+        raise ValueError("timestamps must be less than 2**63")
     return ts
 
 
@@ -44,6 +46,13 @@ def _is_count(value) -> bool:
 def _is_real(value) -> bool:
     """True for a real number that is not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _seed(seed) -> int:
+    """seed as an int if it is a non-negative integer, not a bool, else ValueError."""
+    if not (_is_count(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -71,23 +80,25 @@ def _cosines(embeddings: np.ndarray, language: np.ndarray):
 
 
 def normalize(v) -> np.ndarray:
-    """Project a raw vector onto the unit sphere.
+    """Project each row of v along its last axis onto the unit sphere: one
+    vector or a stack. Each norm is a matmul, which rounds like the 1-D
+    np.linalg.norm, so a row's bits do not depend on the stack it is in.
 
-    Raises ValueError on a zero vector.
+    Raises ValueError on a zero row.
     """
     v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
+    norms = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+    if (norms == 0.0).any():
         raise ValueError("cannot normalize a zero vector")
-    return v / norm
+    return v / norms
 
 
 def cosine_sim(v, l):
     """Cosine similarity v.l / (|v| |l|), in [-1, 1], along the last axis.
 
     Inputs broadcast like numpy arrays; a float for two vectors. Equals the
-    plain dot product when both inputs are unit-norm. Raises on dimension
-    mismatch or a zero-norm input.
+    plain dot product when both inputs are unit-norm. Raises ValueError on
+    dimension mismatch or an input of zero or non-finite norm.
     """
     v = np.asarray(v, dtype=float)
     l = np.asarray(l, dtype=float)
@@ -96,6 +107,8 @@ def cosine_sim(v, l):
     norms = np.sqrt(_dots(v, v)) * np.sqrt(_dots(l, l))
     if np.any(norms == 0.0):
         raise ValueError("cosine similarity undefined for zero-norm input")
+    if not np.isfinite(norms).all():
+        raise ValueError("cosine similarity undefined for input of non-finite norm")
     sim = _dots(v, l) / norms
     return float(sim) if sim.ndim == 0 else sim
 
@@ -147,11 +160,7 @@ class ClipSequence:
 
     def normalized(self) -> "ClipSequence":
         """Copy of the clip with every embedding projected to the unit sphere."""
-        e = self.embeddings
-        norms = np.sqrt(e[:, None, :] @ e[:, :, None])[:, 0]  # matmuls round like normalize's norm
-        if (norms == 0.0).any():
-            raise ValueError("cannot normalize a zero vector")
-        return ClipSequence(self.timestamps, e / norms, normalize(self.language))
+        return ClipSequence(self.timestamps, normalize(self.embeddings), normalize(self.language))
 
     def similarities(self) -> np.ndarray:
         """Per-frame cosine similarity to the language embedding."""

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clip import ClipSequence
+from .clip import ClipSequence, _seed
 from .losses import TnceConfig
 from .synthetic import SyntheticClipSpec, generate_clip
 from .trainer import TrainConfig, train_objectives
@@ -92,7 +92,7 @@ def compare_objectives(
     turns non-finite raises TrainingDiverged at the earliest step at which
     any objective and seed diverges. Objective names must be distinct."""
     objectives = tuple(objectives)
-    seeds = tuple(int(s) for s in seeds)
+    seeds = tuple(map(_seed, seeds))
     if not seeds:
         raise ValueError("need at least one seed")
     if not objectives:

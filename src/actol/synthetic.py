@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clip import ClipSequence, _dots, _is_count, _is_real, normalize
+from .clip import ClipSequence, _seed, _dots, _is_count, _is_real, _norms, normalize
 
 TAIL_MODES = ("none", "frozen", "drift-away", "second-action")
 # The largest timestamp gap of random_clip and of theory.lower_bound_report's clips
@@ -45,6 +45,7 @@ class SyntheticClipSpec:
             raise ValueError("need at least two frames")
         if self.d < 2:
             raise ValueError(f"dimension must be at least 2, got {self.d}")
+        _seed(self.seed)
         if not (1 <= self.completion_index <= self.T):
             raise ValueError("completion_index must lie in [1, T]")
         if self.tail_mode not in TAIL_MODES:
@@ -60,12 +61,14 @@ class GroundTruth:
     progress: tuple
 
 
-def slerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    """Great-circle interpolation between unit vectors a (t=0) and b (t=1)."""
+def slerp(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
+    """Great-circle interpolation between unit vectors a (t=0) and b (t=1):
+    one vector for a float t, one row per time for an array of times."""
     dot = float(np.clip(np.dot(a, b), -1.0, 1.0))
     omega = np.arccos(dot)
+    t = np.asarray(t, dtype=float)[..., None]
     if omega < 1e-12:
-        return a.copy()
+        return np.broadcast_to(a, t.shape[:-1] + a.shape).copy()
     return (np.sin((1.0 - t) * omega) * a + np.sin(t * omega) * b) / np.sin(omega)
 
 
@@ -88,43 +91,26 @@ def generate_clip(spec: SyntheticClipSpec):
     rng = np.random.default_rng(spec.seed)
     language = _random_unit(rng, spec.d)
     start = _unit_away_from(rng, language)
-    c = spec.completion_index
-
-    frames = []
-    progress = []
-    for i in range(c):
-        p = 1.0 if c == 1 else i / (c - 1)
-        frames.append(slerp(start, language, p))
-        progress.append(p)
-
-    n_tail = spec.T - c
-    if n_tail > 0:
-        if spec.tail_mode in ("drift-away", "second-action"):
-            if spec.tail_mode == "drift-away":
-                # pure tangent direction: similarity decays from 1 toward 0
-                w = _random_unit(rng, spec.d)
-                w = normalize(w - (w @ language) * language)
-            else:
-                w = _unit_away_from(rng, language)
-            for k in range(1, n_tail + 1):
-                q = k / n_tail
-                frames.append(slerp(language, w, q))
+    c, n_tail = spec.completion_index, spec.T - spec.completion_index
+    progress = np.arange(c) / (c - 1) if c > 1 else np.ones(1)
+    held = np.minimum(np.arange(spec.T), c - 1)  # held tails repeat frame c; tails have progress 1
+    emb = slerp(start, language, progress)
+    if n_tail and spec.tail_mode in ("drift-away", "second-action"):
+        if spec.tail_mode == "drift-away":
+            # pure tangent direction: similarity decays from 1 toward 0
+            w = _random_unit(rng, spec.d)
+            w = normalize(w - (w @ language) * language)
         else:
-            # 'none' holds the target; 'frozen' repeats the completion frame
-            frames.extend(frames[-1].copy() for _ in range(n_tail))
-        progress.extend(1.0 for _ in range(n_tail))
-
-    emb = np.stack(frames)
+            w = _unit_away_from(rng, language)
+        emb = np.vstack([emb, slerp(language, w, np.arange(1, n_tail + 1) / n_tail)])
+    elif spec.tail_mode == "none":  # holds the target, each frame with its own noise
+        emb = emb[held]
     if spec.noise_sigma > 0:
-        if spec.tail_mode == "frozen":
-            noisy = emb[: c] + spec.noise_sigma * rng.standard_normal((c, spec.d))
-            noisy = np.stack([normalize(v) for v in noisy])
-            emb = np.vstack([noisy, np.repeat(noisy[-1][None, :], n_tail, axis=0)])
-        else:
-            emb = emb + spec.noise_sigma * rng.standard_normal(emb.shape)
-            emb = np.stack([normalize(v) for v in emb])
+        emb = normalize(emb + spec.noise_sigma * rng.standard_normal(emb.shape))
+    if spec.tail_mode == "frozen":  # repeats the completion frame, noise and all
+        emb = emb[held]
     clip = ClipSequence(tuple(range(spec.T)), emb, language)
-    return clip, GroundTruth(completion_index=c, progress=tuple(progress))
+    return clip, GroundTruth(completion_index=c, progress=tuple(progress[held].tolist()))
 
 
 def random_units(shape, seed) -> np.ndarray:
@@ -138,33 +124,16 @@ def random_units(shape, seed) -> np.ndarray:
     return v
 
 
-def _clip_arrays(gaps, frames, lang):
-    """(m, T) timestamps, (m, T, d) unit frames and (m, d) unit language
-    vectors of m clips of one shape, from their stacked (m, T - 1)
-    timestamp gaps and (m, T, d) and (m, d) standard normals; frames and
-    lang are normalized in place. Each frame is scaled by its norm along
-    the last axis, each language vector by a matmul norm, which rounds like
-    the 1-D np.linalg.norm; so row n is what random_clip builds from row
-    n's draws alone, whatever m. random_clip is its one caller: the
-    lower-bound check takes its cosines from the raw normals instead."""
-    ts = np.zeros((len(gaps), gaps.shape[1] + 1), dtype=gaps.dtype)
-    np.cumsum(gaps, axis=1, out=ts[:, 1:])
-    frames /= np.linalg.norm(frames, axis=-1, keepdims=True)
-    lang /= np.sqrt(np.matmul(lang[:, None, :], lang[:, :, None]))[:, 0]
-    return ts, frames, lang
-
-
 def random_clip(T: int, d: int, rng) -> ClipSequence:
     """Clip with random unit embeddings and random strictly increasing
     integer timestamps (gaps in [1, MAX_GAP]), drawn in that order: the
     T - 1 gaps, then (T, d) standard normals for the frames and (d,) for
-    the language."""
+    the language; the frames are scaled by _norms, the language by normalize."""
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    (ts,), (frames,), (lang,) = _clip_arrays(rng.integers(1, MAX_GAP + 1, size=(1, T - 1)),
-                                             rng.standard_normal((1, T, d)),
-                                             rng.standard_normal((1, d)))
-    return ClipSequence(ts, frames, lang)
+    ts = (0, *np.cumsum(rng.integers(1, MAX_GAP + 1, size=T - 1)).tolist())
+    frames = rng.standard_normal((T, d))
+    return ClipSequence(ts, frames / _norms(frames)[:, None], normalize(rng.standard_normal(d)))
 
 
 def sample_bridge(v_start, v_end, t_start: int, t_end: int, seed) -> np.ndarray:
@@ -196,8 +165,9 @@ def sample_bridge(v_start, v_end, t_start: int, t_end: int, seed) -> np.ndarray:
 
 
 def perturb_language(l, delta: float, seed) -> np.ndarray:
-    """Unit vector at Euclidean distance in (0, delta] from l, built by a
-    random tangent step of size delta followed by renormalization.
+    """Unit vector at Euclidean distance in [0, delta] from l, up to rounding
+    (0 for delta = 0, and it can round to 0 for a delta far below 1e-16),
+    built by a random tangent step of size delta followed by renormalization.
 
     l has shape (..., d) with d >= 2 and rows of finite non-zero norm, else
     ValueError; each row along the last axis is perturbed by its own draw,

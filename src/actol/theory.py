@@ -170,6 +170,8 @@ def _near_optimal_scores(groups: TieGroups, eps) -> np.ndarray:
     min_level_gap = float(level_gaps[level_gaps > 0].min(initial=np.inf))
 
     gamma = np.log(T / (min_mult * eps))
+    if not np.isfinite(gamma):  # T / (min_mult * eps) overflows for a subnormal eps
+        raise ValueError(f"eps {eps!r} is too small: the score scale is not finite")
     scale = max(gamma, 0.0) / min_level_gap if np.isfinite(min_level_gap) else 1.0
     distances = np.zeros((T, T), dtype=groups.distances.dtype)
     np.put_along_axis(distances, groups.order, groups.distances, axis=1)
@@ -202,7 +204,7 @@ def check_tightness(timestamps, eps_values) -> TheoremReport:
         excess = loss - lb
         excesses[str(eps)] = excess
         worst = max(worst, excess - eps)
-        if excess >= eps:
+        if not excess < eps:  # a NaN counts as a violation
             violations += 1
     return TheoremReport.of("tightness", len(eps_values), violations, worst, lower_bound=lb,
                             excess_by_eps=excesses)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clip import ClipSequence, _is_count, _norms, normalize
+from .clip import ClipSequence, _seed, _is_count, _norms, normalize
 from .gradients import objective_and_grad
 from .losses import (
     DEFAULT_BB_WEIGHT,
@@ -55,6 +55,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_non_negative("learning_rate", self.learning_rate)
+        _seed(self.seed)
         if not _is_count(self.steps) or self.steps < 1:
             raise ValueError("steps must be a positive integer")
         _check_non_negative("bb_weight", self.bb_weight)
@@ -74,7 +75,7 @@ class LinearEncoder:
 
     def __call__(self, features: np.ndarray) -> np.ndarray:
         z = features @ self.weight.T
-        norms = np.linalg.norm(z, axis=-1, keepdims=True)
+        norms = _norms(z)[..., None]
         if not norms.all():
             raise ValueError("cannot normalize a zero vector")
         return z / norms
@@ -257,7 +258,7 @@ def train_encoder(features, timestamps, language, cfg: TrainConfig):
 
     def embed(weight, step):
         z = features @ weight.T
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
+        norms = _norms(z)[:, None]
         if not norms.all():
             raise TrainingDiverged(step)
         emb = z / norms
@@ -282,6 +283,7 @@ def measure_delta(clip: ClipSequence, temperature: float = 1.0):
     than 1/delta. Returns None when no delta < 1 works; with no triples
     (T = 2) the property is vacuous and the smallest positive normal float
     is returned by convention."""
+    TnceConfig(temperature=temperature)  # the one temperature check
     groups = TieGroups.of(clip.timestamps)
     s = clip.similarities()
     # x[i, p]: anchor i's score for the frame at its sorted position p

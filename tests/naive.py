@@ -26,8 +26,7 @@ order as the block versions and evaluate each trial with scalar arithmetic.
 The per-clip loop of the lower-bound check, one Contrast and one kernel
 call per clip, is the bit-for-bit reference for its stacked version.
 random_clip as it drew and normalized one clip at a time (a 1-D norm for
-the language) is the reference for random_clip and for the arrays
-synthetic._clip_arrays normalizes. random_clip_loop follows
+the language) is the reference for random_clip. random_clip_loop follows
 lower_bound_report's block draws with plain loops, building each clip on
 its own from its raw normals, and is the reference for the clips that
 check draws as arrays. sample_bridge as it composed each path with
@@ -35,6 +34,10 @@ np.concatenate is the bit-for-bit reference for the path it writes in
 place.
 bridge_intervals is the step-by-step reference for the local bridge
 intervals a training run draws in blocks of steps.
+
+generate_clip as it built a clip one frame at a time, a scalar slerp per
+frame and a 1-D np.linalg.norm per noisy frame, is the bit-for-bit
+reference for actol.generate_clip's array slerp and stacked normalize.
 
 objective_and_grad as it was composed before each descent step computed
 its intermediates once (the norms and |s_i - s_k| twice each, the dense
@@ -372,6 +375,66 @@ def random_clip(T, d, rng, max_gap=4):
     lang = rng.standard_normal(d)
     return actol.ClipSequence(np.concatenate([[0], np.cumsum(gaps)]), frames,
                               lang / np.linalg.norm(lang))
+
+
+def _normalize(v):
+    v = np.asarray(v, dtype=float)
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        raise ValueError("cannot normalize a zero vector")
+    return v / norm
+
+
+def slerp(a, b, t):
+    """actol.slerp at one float time."""
+    dot = float(np.clip(np.dot(a, b), -1.0, 1.0))
+    omega = np.arccos(dot)
+    if omega < 1e-12:
+        return a.copy()
+    return (np.sin((1.0 - t) * omega) * a + np.sin(t * omega) * b) / np.sin(omega)
+
+
+def _unit_away_from(rng, ref, max_abs_cos=0.5):
+    while True:
+        v = _normalize(rng.standard_normal(ref.shape[0]))
+        if abs(float(v @ ref)) < max_abs_cos:
+            return v
+
+
+def generate_clip(spec):
+    """actol.generate_clip one frame at a time: (ClipSequence, progress)."""
+    rng = np.random.default_rng(spec.seed)
+    language = _normalize(rng.standard_normal(spec.d))
+    start = _unit_away_from(rng, language)
+    c = spec.completion_index
+    frames, progress = [], []
+    for i in range(c):
+        p = 1.0 if c == 1 else i / (c - 1)
+        frames.append(slerp(start, language, p))
+        progress.append(p)
+    n_tail = spec.T - c
+    if n_tail > 0:
+        if spec.tail_mode in ("drift-away", "second-action"):
+            if spec.tail_mode == "drift-away":
+                w = _normalize(rng.standard_normal(spec.d))
+                w = _normalize(w - (w @ language) * language)
+            else:
+                w = _unit_away_from(rng, language)
+            for k in range(1, n_tail + 1):
+                frames.append(slerp(language, w, k / n_tail))
+        else:
+            frames.extend(frames[-1].copy() for _ in range(n_tail))
+        progress.extend(1.0 for _ in range(n_tail))
+    emb = np.stack(frames)
+    if spec.noise_sigma > 0:
+        if spec.tail_mode == "frozen":
+            noisy = emb[:c] + spec.noise_sigma * rng.standard_normal((c, spec.d))
+            noisy = np.stack([_normalize(v) for v in noisy])
+            emb = np.vstack([noisy, np.repeat(noisy[-1][None, :], n_tail, axis=0)])
+        else:
+            emb = emb + spec.noise_sigma * rng.standard_normal(emb.shape)
+            emb = np.stack([_normalize(v) for v in emb])
+    return actol.ClipSequence(tuple(range(spec.T)), emb, language), tuple(progress)
 
 
 def random_clip_loop(clips, t_range, d_range, rng, block_clips):

@@ -116,6 +116,16 @@ class TestTrainCommand:
         assert result.exit_code == 2, result.output
         assert "exactly one of 'file' and 'synthetic'" in result.output
 
+    def test_clip_file_timestamp_beyond_int64(self, tmp_path):
+        clip_path = tmp_path / "clip.json"
+        data = random_clip(3, 2, np.random.default_rng(0)).to_dict()
+        data["timestamps"][-1] = 2**70
+        clip_path.write_text(json.dumps(data))
+        cfg = write_config(tmp_path, {"clip": {"file": str(clip_path)}, "train": {"steps": 2}})
+        result = invoke("train", cfg, tmp_path / "out")
+        assert result.exit_code == 2, result.output
+        assert "timestamps must be less than 2**63" in result.output
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -332,6 +342,8 @@ class TestVerifyCommand:
             ("bridge-stats", "bridge_stats", {"variance_sign": -1.0}),
             ("bridge-stats", "bridge_stats", {"tolerance": -1}),
             ("bridge-stats", "bridge_stats", {"tolerance": float("nan")}),
+            ("tightness", "tightness", {"eps": [1e-320, 0.1]}),
+            ("tightness", "tightness", {"timestamps": [0, 1e300]}),
         ],
     )
     def test_bad_check_parameters(self, tmp_path, check, block, params):

@@ -24,6 +24,20 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize([0.0, 0.0])
 
+    def test_zero_row_of_stack_rejected(self):
+        with pytest.raises(ValueError, match="^cannot normalize a zero vector$"):
+            normalize([[[1.0, 2.0], [3.0, 4.0]], [[0.5, 0.5], [0.0, 0.0]]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(lead=st.lists(st.integers(1, 4), max_size=3), d=st.integers(1, 1000),
+           exponent=st.integers(-150, 150), seed=st.integers(0, 2**32 - 1))
+    def test_stack_rows_are_bits_of_one_vector_norm(self, lead, d, exponent, seed):
+        """A stack of any leading shape and scale normalizes each row to the
+        bits of the row divided by its 1-D np.linalg.norm."""
+        v = np.random.default_rng(seed).standard_normal((*lead, d)) * 10.0**exponent
+        rows = [row / np.linalg.norm(row) for row in v.reshape(-1, d)]
+        assert normalize(v).tobytes() == np.array(rows).reshape(v.shape).tobytes()
+
 
 class TestDots:
     @settings(max_examples=80, deadline=None)
@@ -46,6 +60,15 @@ class TestDots:
 
 
 class TestCosineSim:
+    @pytest.mark.parametrize("v, l", [([np.inf, 0.0], [1.0, 0.0]), ([1.0, 0.0], [np.nan, 1.0]),
+                                      ([[1.0, 0.0], [1e200, 1e200]], [1.0, 0.0])],
+                             ids=["inf", "nan", "norm-overflows"])
+    def test_non_finite_norm_rejected(self, v, l):
+        with pytest.raises(ValueError, match="non-finite norm"):
+            cosine_sim(v, l)
+        with pytest.raises(ValueError, match="non-finite norm"):
+            alignment_score(v, v, l)
+
     def test_identity(self):
         v = normalize([1.0, 2.0, -1.0])
         assert cosine_sim(v, v) == pytest.approx(1.0)

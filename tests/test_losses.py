@@ -209,8 +209,10 @@ class TestTimestampContract:
             ((0, 1.7, 3), "timestamps must be finite integers"),
             ((0, 1, math.inf), "timestamps must be finite integers"),
             ((0, math.nan), "timestamps must be finite integers"),
+            ((0, 2**63), "timestamps must be less than 2**63"),
         ],
-        ids=["decreasing", "repeated", "negative", "one", "fractional", "infinite", "nan"],
+        ids=["decreasing", "repeated", "negative", "one", "fractional", "infinite", "nan",
+             "beyond-int64"],
     )
 
     @BAD

@@ -184,6 +184,12 @@ class TestCompareObjectives:
         with pytest.raises(ValueError, match=message):
             compare_objectives(spec, objectives, TrainConfig(steps=2), (0,))
 
+    @pytest.mark.parametrize("seed", [1.7, True, -1], ids=str)
+    def test_seeds_must_be_non_negative_integers(self, seed):
+        spec = SyntheticClipSpec(T=5, d=3, completion_index=3)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            compare_objectives(spec, self.OBJECTIVES, TrainConfig(steps=2), (0, seed))
+
     def test_divergence_raised_at_the_earliest_step_of_any_objective(self, monkeypatch):
         # the second objective turns non-finite at step 3, the first never
         steps, original = [], trainer.objective_and_grad

@@ -15,7 +15,7 @@ from actol import (
     sample_bridge,
     slerp,
 )
-from actol.synthetic import MAX_GAP, _clip_arrays, random_units
+from actol.synthetic import MAX_GAP, TAIL_MODES, random_units
 
 
 class TestSlerp:
@@ -43,6 +43,26 @@ class TestSlerp:
     def test_coincident_endpoints(self):
         a = np.array([0.0, 1.0, 0.0])
         assert np.allclose(slerp(a, a, 0.7), a)
+
+    @pytest.mark.parametrize("tiny", [False, True], ids=["arc", "tiny-angle"])
+    def test_array_times_match_scalar_calls(self, tiny):
+        """An array of times gives one row per time, each the bits of the
+        scalar call; the tiny-angle branch returns copies of a."""
+        a, b = random_units((2, 7), 3)
+        if tiny:
+            b = a.copy()
+            b[0] += 1e-15
+        t = np.r_[np.arange(9) / 8, -0.25, 1.5]
+        rows = slerp(a, b, t)
+        assert rows.shape == (11, 7)
+        assert rows.tobytes() == np.stack([naive.slerp(a, b, x) for x in t.tolist()]).tobytes()
+        assert slerp(a, b, t.reshape(-1, 1)).shape == (11, 1, 7)
+        for x in t.tolist():
+            assert slerp(a, b, x).tobytes() == naive.slerp(a, b, x).tobytes()
+        if tiny:
+            assert (rows == a).all()
+            rows[0, 0] = 9.0  # a copy, not a view of a
+            assert a[0] != 9.0
 
 
 class TestGenerateClip:
@@ -83,6 +103,24 @@ class TestGenerateClip:
         s = clip.similarities()
         assert np.all(np.diff(s[4:]) < 0)
 
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.07], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("tail_mode", TAIL_MODES)
+    def test_matches_per_frame_reference(self, tail_mode, noise_sigma):
+        """The array slerps, held tails and stacked normalize give bit for
+        bit the clip and progress the per-frame loop built, over T 2-40,
+        d 2-32, completion at the start, middle and end, and six seeds."""
+        for T in (2, 3, 5, 10, 17, 40):
+            for d in (2, 3, 8, 32):
+                for c in sorted({1, (T + 1) // 2, T - 1, T}):
+                    for seed in range(6):
+                        spec = SyntheticClipSpec(T=T, d=d, completion_index=c, tail_mode=tail_mode,
+                                                 noise_sigma=noise_sigma, seed=seed)
+                        clip, truth = generate_clip(spec)
+                        expected, progress = naive.generate_clip(spec)
+                        assert clip.embeddings.tobytes() == expected.embeddings.tobytes()
+                        assert clip.language.tobytes() == expected.language.tobytes()
+                        assert truth.progress == progress
+
     def test_ground_truth_progress(self):
         spec = SyntheticClipSpec(T=6, d=4, completion_index=4, seed=1)
         _, truth = generate_clip(spec)
@@ -102,6 +140,11 @@ class TestGenerateClip:
     def test_non_integer_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SyntheticClipSpec(**{"T": 6, "d": 4, "completion_index": 3, field: 3.0})
+
+    @pytest.mark.parametrize("seed", [True, 1.5, -1, np.float64(2.0)], ids=str)
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SyntheticClipSpec(seed=seed)
 
     @pytest.mark.parametrize("d", [1, 0])
     def test_dimension_below_two_rejected(self, d):
@@ -135,21 +178,6 @@ class TestRandomClip:
             assert clip.timestamps == expected.timestamps
             assert np.array_equal(clip.embeddings, expected.embeddings)
             assert np.array_equal(clip.language, expected.language)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-    @pytest.mark.parametrize("T, d", [(2, 2), (5, 3), (12, 16), (7, 64)])
-    def test_clip_arrays_rows_match_one_clip_reference(self, T, d):
-        """Row n of the arrays of N clips, built from their stacked draws, is
-        bit for bit clip n drawn alone."""
-        rng, ref_rng = np.random.default_rng(T + d), np.random.default_rng(T + d)
-        draws = [(rng.integers(1, 5, size=T - 1), rng.standard_normal((T, d)),
-                  rng.standard_normal(d)) for _ in range(300)]
-        ts, frames, lang = _clip_arrays(*map(np.stack, zip(*draws)))
-        for n in range(300):
-            expected = naive.random_clip(T, d, ref_rng)
-            assert tuple(ts[n]) == expected.timestamps
-            assert np.array_equal(frames[n], expected.embeddings)
-            assert np.array_equal(lang[n], expected.language)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -236,6 +264,16 @@ class TestPerturbLanguage:
     def test_zero_delta_identity(self):
         l = np.array([0.0, 1.0, 0.0])
         assert np.array_equal(perturb_language(l, 0.0, 0), l)
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-300, 1e-17, 0.3])
+    def test_distance_in_closed_interval_to_delta(self, delta):
+        """The distance lies in [0, delta] up to rounding, and reads 0 for
+        delta = 0 and for a delta whose squares underflow."""
+        l = np.array([1.0, 0.0, 0.0])
+        lp = perturb_language(l, delta, 0)
+        distance = np.linalg.norm(lp - l)
+        assert 0.0 <= distance <= delta * (1 + 1e-15)
+        assert (distance == 0.0) == (delta in (0.0, 1e-300))
 
     def test_moves_for_positive_delta(self):
         l = np.array([1.0, 0.0, 0.0])

@@ -104,6 +104,18 @@ class TestTightness:
         assert report.instances == 3
         assert len(report.details["excess_by_eps"]) == 3
 
+    def test_eps_too_small_for_a_finite_scale_rejected(self):
+        # T / (min multiplicity * eps) overflows, and inf * 0 would give NaN scores
+        with pytest.raises(ValueError, match="too small"):
+            construct_near_optimal((0, 1, 2), 1e-320)
+        with pytest.raises(ValueError, match="too small"):
+            check_tightness((0, 1, 2, 3), [0.1, 1e-320])
+
+    def test_nan_excess_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(theory, "_suffix_softmax", lambda *args: (np.array([np.nan]),))
+        report = check_tightness((0, 1, 2, 3), [0.1])
+        assert report.violations == 1 and not report.passed
+
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
             construct_near_optimal((0, 1, 2), 0.0)

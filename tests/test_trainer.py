@@ -48,6 +48,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(intervals_per_step=0)
 
+    @pytest.mark.parametrize("seed", [True, 1.5, -1, np.float64(2.0)], ids=str)
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            TrainConfig(seed=seed)
+
 
 class TestTrainFree:
     def test_zero_lr_leaves_clip_unchanged(self):
@@ -491,6 +496,11 @@ class TestTrainEncoder:
 
 
 class TestMeasureDelta:
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, np.nan, True], ids=str)
+    def test_bad_temperature_rejected(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be finite and positive"):
+            measure_delta(start_clip(3), temperature)
+
     def test_no_triples_returns_tiny_positive(self):
         clip = start_clip(12, T=2)
         delta = measure_delta(clip)
