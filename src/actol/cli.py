@@ -15,12 +15,13 @@ import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import click
 import numpy as np
 
-from .clip import ClipSequence, _is_count, _is_real
+from . import kinds
+from .clip import ClipSequence
 from .gradients import DEFAULT_STEP, PASS_ERROR, _finite_diff_errors
 from .losses import TnceConfig
 from .reward import ObjectiveSpec, compare_objectives, curve_rows
@@ -59,12 +60,11 @@ class ConfigError(Exception):
 
 class JsonType(NamedTuple):
     """A config value's JSON type (integer, number, boolean, string, list or
-    object), as errors phrase it, and the test its values pass. An object
+    object), as the README names it, and the kind its values are. An object
     has a table of its keys, and may have a context to prefix its errors."""
 
     name: str
-    text: str
-    check: Callable[[object], bool]
+    kind: kinds.Kind
     table: dict | None = None
     context: str = ""
 
@@ -72,38 +72,39 @@ class JsonType(NamedTuple):
 def _block(table: dict, context: str = "") -> JsonType:
     """A JSON object whose keys are table's: key -> (JsonType, default), where
     a default of ... marks a key every config must give."""
-    return JsonType("object", "a JSON object", lambda v: isinstance(v, dict), table, context)
+    kind = kinds.Kind("a JSON object", lambda v: isinstance(v, dict))
+    return JsonType("object", kind, table, context)
 
 
 def _list_of(test, text: str) -> JsonType:
-    return JsonType("list", text, lambda v: isinstance(v, list) and all(map(test, v)))
+    return JsonType("list", kinds.Kind(text, lambda v: isinstance(v, list) and all(map(test, v))))
 
 
 def _name_list(known, repeats: bool = False) -> JsonType:
     """A non-empty list of names in known, distinct unless repeats: outputs
     keyed by name need distinct names, but a check may run twice."""
     text = f"a non-empty list of {'' if repeats else 'distinct '}names from {', '.join(known)}"
-    return JsonType("list", text, lambda v: (
+    return JsonType("list", kinds.Kind(text, lambda v: (
         isinstance(v, list) and len(v) > 0
         and all(isinstance(name, str) and name in known for name in v)
         and (repeats or len(set(v)) == len(v))
-    ))
+    )))
 
 
-INTEGER = JsonType("integer", "an integer", _is_count)
-NUMBER = JsonType("number", "a number", _is_real)
-BOOLEAN = JsonType("boolean", "true or false", lambda v: isinstance(v, bool))
-STRING = JsonType("string", "a string", lambda v: isinstance(v, str))
+INTEGER = JsonType("integer", kinds.INTEGER)
+NUMBER = JsonType("number", kinds.NUMBER)
+BOOLEAN = JsonType("boolean", kinds.BOOLEAN)
+STRING = JsonType("string", kinds.Kind("a string", lambda v: isinstance(v, str)))
 # open() would take an integer as a file descriptor
-PATH = JsonType("string", "a path string", lambda v: isinstance(v, str))
-INTEGERS = _list_of(_is_count, "a list of integers")
-NUMBERS = _list_of(_is_real, "a list of numbers")
+PATH = JsonType("string", kinds.Kind("a path string", lambda v: isinstance(v, str)))
+INTEGERS = _list_of(kinds.INTEGER.test, "a list of integers")
+NUMBERS = _list_of(kinds.NUMBER.test, "a list of numbers")
 # a null seed would draw fresh entropy and break reruns
-SEED = JsonType("integer", "a non-negative integer", lambda v: _is_count(v) and v >= 0)
+SEED = JsonType("integer", kinds.SEED)
 # counts of the CLI's own loops and clip shapes, which no library call checks first
-COUNT = JsonType("integer", "an integer of at least 1", lambda v: _is_count(v) and v >= 1)
-SIZE = JsonType("integer", "an integer of at least 2", lambda v: _is_count(v) and v >= 2)
-STEP = JsonType("number", "a finite positive number", lambda v: _is_real(v) and 0 < v < math.inf)
+COUNT = JsonType("integer", kinds.counts(1, kinds.MAX_DRAWS))
+SIZE = JsonType("integer", kinds.counts(2))
+STEP = JsonType("number", kinds.POSITIVE)
 # JSON types of the dataclass field annotations a config block sets
 FIELD_TYPES = {"int": INTEGER, "float": NUMBER, "bool": BOOLEAN, "str": STRING}
 
@@ -171,8 +172,8 @@ def _resolve(table: dict, config: dict, context: str = "", label: str = "") -> d
         value = config.get(key, default)
         if value is ...:
             raise ConfigError(f"{where}missing required config field {name!r}")
-        if key in config and not kind.check(value):
-            raise ConfigError(f"{where}{name} must be {kind.text}, got {value!r}")
+        if key in config:
+            _checked(where, kind.kind.check, name, value)
         if kind.table is not None and value is not None:
             value = _resolve(kind.table, value, where, "" if kind.context else name)
         values[key] = value
@@ -210,8 +211,8 @@ def _json_text(value, pad="\n") -> str:
     of their reprs (json's text for them), and any other value json's text."""
     inner = pad + "  "
     if isinstance(value, (list, tuple)) and value:
-        kinds = set(map(type, value))  # a NaN or an infinity (or an overflow) makes sum non-finite
-        plain = kinds == {float} and math.isfinite(sum(value)) or kinds == {int}
+        types = set(map(type, value))  # a NaN or an infinity (or an overflow) makes sum non-finite
+        plain = types == {float} and math.isfinite(sum(value)) or types == {int}
         items = map(repr, value) if plain else (_json_text(v, inner) for v in value)
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):

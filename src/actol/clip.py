@@ -8,51 +8,11 @@ the invariants every loss in this package relies on.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-
-def _timestamps(timestamps) -> tuple:
-    """Checked timestamps as a tuple of ints: at least two finite integers
-    (an integral float such as 2.0 counts), non-negative, strictly increasing, below 2**63."""
-    raw = tuple(timestamps)
-    if any(isinstance(t, (bool, np.bool_)) for t in raw):
-        raise ValueError("timestamps must be finite integers, not booleans")
-    try:
-        ts = tuple(map(int, raw))
-    except (TypeError, ValueError, OverflowError):  # not a number, NaN or infinite
-        ts = None
-    if ts != raw:  # a fractional value compares unequal to its truncation
-        raise ValueError("timestamps must be finite integers")
-    if len(ts) < 2:
-        raise ValueError("need at least two timestamps")
-    if any(t < 0 for t in ts):
-        raise ValueError("timestamps must be non-negative")
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("timestamps must be strictly increasing")
-    if ts[-1] >= 2**63:  # the last is the largest: the int64 rows the losses compute on
-        raise ValueError("timestamps must be less than 2**63")
-    return ts
-
-
-def _is_count(value) -> bool:
-    """True for an integer that is not a bool: JSON's true and false are
-    not counts."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """True for a real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _seed(seed) -> int:
-    """seed as an int if it is a non-negative integer, not a bool, else ValueError."""
-    if not (_is_count(seed) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
+from . import kinds
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -137,13 +97,12 @@ class ClipSequence:
     language: np.ndarray = field()
 
     def __post_init__(self):
-        ts = _timestamps(self.timestamps)
+        ts = kinds.timestamps(self.timestamps)
         emb = np.asarray(self.embeddings, dtype=float)
         lang = np.asarray(self.language, dtype=float)
         if emb.ndim != 2 or emb.shape[0] != len(ts):
             raise ValueError("need exactly one embedding per timestamp")
-        if emb.shape[1] < 2:
-            raise ValueError("embedding dimension must be at least 2")
+        kinds.count("embedding dimension", emb.shape[1], 2)
         if lang.shape != (emb.shape[1],):
             raise ValueError("language embedding dimension mismatch")
         object.__setattr__(self, "timestamps", ts)
@@ -177,7 +136,7 @@ class ClipSequence:
     @classmethod
     def from_dict(cls, data: dict) -> "ClipSequence":
         clip = cls(data["timestamps"], data["embeddings"], data["language"])
-        if clip.d != int(data["d"]):
+        if clip.d != kinds.count("d", data["d"], 2):
             raise ValueError("declared dimension does not match embeddings")
         if not (np.isfinite(clip.embeddings).all() and np.isfinite(clip.language).all()):
             raise ValueError("embeddings and language must be finite")

@@ -12,12 +12,12 @@ one-clip case.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clip import ClipSequence, _is_real
+from . import kinds
+from .clip import ClipSequence
 from .losses import (
     DEFAULT_BB_WEIGHT,
     Bridge,
@@ -25,7 +25,6 @@ from .losses import (
     Contrast,
     TieGroups,
     TnceConfig,
-    _check_non_negative,
     _contrastive_terms,
     _differences,
     _stack_size,
@@ -66,12 +65,14 @@ def objective_and_grad(emb, lang, c: Contrast, bridge=None, bb_weight=0.0, need_
     (B, 1) for O configs, else ValueError), bb_weight times its gradient is
     added to dL/dE; without one the penalties are 0.0. The config rows on
     which an (O, P) w is zero carry no bridge (see Bridge). dL/dl is None
-    unless need_language. The cosines, their norms and the score rows come
-    from _contrastive_terms, computed once; the kink test reads the rows of
+    unless need_language. A bb_weight not finite and non-negative raises
+    ValueError. The cosines, their norms and the score rows come from
+    _contrastive_terms, computed once; the kink test reads the rows of
     difference-score configs, and s_i - s_k is formed again in their buffer
     once the kernel is done. The kernel's arrays and dL/dl's terms come from
-    c.array, which keeps them in a descent run's Contrast; every output is
-    a new array."""
+    c.array, which keeps them in a descent run's Contrast; every output is a
+    new array."""
+    kinds.NON_NEGATIVE.check("bb_weight", bb_weight)
     value, G, s, norm_v, norm_l, rows = _contrastive_terms(emb, lang, c, need_grad=True)
     no_kink = np.zeros(value.shape, dtype=bool)
     if c.score == "direct-sim":
@@ -120,10 +121,8 @@ def objective_and_grad(emb, lang, c: Contrast, bridge=None, bb_weight=0.0, need_
 
 def _on_clip(clip: ClipSequence, c: Contrast, bridge=None, bb_weight=0.0) -> GradientSet:
     """objective_and_grad's gradients on one clip."""
-    _check_non_negative("bb_weight", bb_weight)  # for grad_total
-    *_, frames, language, at_kink = objective_and_grad(
-        clip.embeddings[None], clip.language[None], c, bridge, bb_weight
-    )
+    emb, lang = clip.embeddings[None], clip.language[None]
+    *_, frames, language, at_kink = objective_and_grad(emb, lang, c, bridge, bb_weight)
     return GradientSet(frames[0], language[0], bool(at_kink[0]))
 
 
@@ -179,8 +178,7 @@ def _objective(loss: str, timestamps, params):
     c = Contrast.of(timestamps, cfg)
     if loss != "total":
         return c, None, 0.0
-    bb_weight = params.get("bb_weight", DEFAULT_BB_WEIGHT)
-    _check_non_negative("bb_weight", bb_weight)
+    bb_weight = params.get("bb_weight", DEFAULT_BB_WEIGHT)  # objective_and_grad checks it
     return c, Bridge.of(timestamps, params.get("intervals")), bb_weight
 
 
@@ -192,8 +190,7 @@ def _finite_diff_errors(loss: str, clips, params=None, step: float = DEFAULT_STE
     vector by +-step are batch rows, evaluated in kernel calls of whole
     clips up to BLOCK_SCORES scores; a clip above that is split into
     stacks of whole vectors' 2d points."""
-    if not (_is_real(step) and 0 < step < math.inf):
-        raise ValueError(f"step must be finite and positive, got {step!r}")
+    kinds.POSITIVE.check("step", step)
     c, bridge, bb_weight = _objective(loss, np.array([clip.timestamps for clip in clips]), params)
     E = np.stack([clip.embeddings for clip in clips])
     l = np.stack([clip.language for clip in clips])

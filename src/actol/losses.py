@@ -5,8 +5,8 @@ and the combinatorial lower bound of the ordering loss.
 TieGroups owns what the timestamps determine (the sort, the distance
 levels, the negative sets and the lower bound), and Bridge the bridge
 penalty over any intervals, shared by every clip or each clip's own, with
-each interval's interpolant and variance built in; Bridge.of is the one
-check on intervals.
+each interval's interpolant and variance built in; Bridge.of checks
+intervals against the clip.
 
 Every contrastive objective here is one masked softmax: for anchor i, the
 negatives of a positive frame j are a prefix of the other frames sorted by
@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clip import ClipSequence, _cosines, _is_count, _is_real, _timestamps
+from . import kinds
+from .clip import ClipSequence, _cosines
 
 DEFAULT_BB_WEIGHT = 0.1
 # exp(x) is a finite, normal double for |x| < 708
@@ -62,11 +63,14 @@ class LossBreakdown:
 
 @dataclass(frozen=True)
 class BridgeInterval:
-    """Index pair (positions in a clip, start < end) delimiting a bridge.
-    Bridge.of is its one check: integer endpoints, 0 <= start < end < T."""
+    """Index pair (positions in a clip) delimiting a bridge: integers
+    0 <= start < end, else ValueError; Bridge.of checks end < T."""
 
     start: int
     end: int
+
+    def __post_init__(self):
+        kinds.count("end", self.end, kinds.count("start", self.start, 0) + 1)
 
 
 @dataclass(frozen=True)
@@ -94,22 +98,7 @@ class TnceConfig:
             raise ValueError(f"unknown score {self.score!r}")
         if self.positive_selector == "vlo-pair" and self.score != "difference-score":
             raise ValueError("vlo-pair positives require difference-score")
-        if not (_is_real(self.temperature) and 0 < self.temperature < math.inf):
-            raise ValueError(f"temperature must be finite and positive, got {self.temperature!r}")
-
-
-def _timestamp_rows(ts) -> np.ndarray:
-    """Checked timestamps ts as an int64 array: one row (T,), or each row
-    of an (N, T) stack, whose bad row raises the lone row's ValueError. A
-    signed integer array stack whose rows are all valid passes one
-    vectorized test, which compares without subtracting, so no value can
-    wrap around; any other stack is checked row by row."""
-    if (isinstance(ts, np.ndarray) and ts.dtype.kind == "i" and ts.ndim == 2 and ts.shape[1] >= 2
-            and np.all(ts[:, 0] >= 0) and np.all(ts[:, 1:] > ts[:, :-1])):
-        return ts.astype(np.int64, copy=False)
-    if np.ndim(ts) == 2:  # a ragged list of rows raises ValueError here
-        return np.array([_timestamps(row) for row in ts], dtype=np.int64)
-    return np.asarray(_timestamps(ts), dtype=np.int64)
+        kinds.POSITIVE.check("temperature", self.temperature)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +122,8 @@ class TieGroups:
     @classmethod
     def of(cls, timestamps) -> "TieGroups":
         """Groups of one timestamp row (T,) or of each row of an (N, T)
-        stack, checked by _timestamp_rows."""
-        ts = _timestamp_rows(timestamps)
+        stack, checked by kinds.timestamp_rows."""
+        ts = kinds.timestamp_rows(timestamps)
         T = ts.shape[-1]
         d = np.abs(ts[..., :, None] - ts[..., None, :])
         r = np.arange(T)
@@ -418,7 +407,7 @@ def vlo_loss(clip: ClipSequence, temperature: float = 1.0) -> float:
 def vlo_loss_on_scores(timestamps, scores, temperature: float = 1.0) -> float:
     """Same objective as vlo_loss but on a supplied score matrix, enabling
     score-space constructions that need not come from embeddings."""
-    c = Contrast.of(_timestamps(timestamps), TnceConfig(temperature=temperature))  # not a stack
+    c = Contrast.of(kinds.timestamps(timestamps), TnceConfig(temperature=temperature))  # one row
     scores = np.asarray(scores, dtype=float)
     T = len(c.groups.order)
     if scores.shape != (T, T):
@@ -454,22 +443,18 @@ class Bridge:
 
     @classmethod
     def of(cls, timestamps, intervals=None) -> "Bridge":
-        """Operator for a clip's timestamps, checked by _timestamp_rows,
+        """Operator for a clip's timestamps, checked by kinds.timestamp_rows,
         over the intervals (default: the full clip): a list or tuple of
         BridgeInterval shared by every clip, or an integer array (..., n, 2)
         of each clip's own (start, end) rows; n >= 1 and 0 <= start < end
         < T. M (..., P, T) and w (..., P) take the broadcast of the leading
         axes of timestamps (one row, or an (N, T) stack of them) and of
         intervals."""
-        ts = _timestamp_rows(timestamps).astype(float)
+        ts = kinds.timestamp_rows(timestamps).astype(float)
         T = ts.shape[-1]
         se = np.array([[0, T - 1]]) if intervals is None else intervals
         if isinstance(se, (list, tuple)) and all(isinstance(iv, BridgeInterval) for iv in se):
-            se = [(iv.start, iv.end) for iv in se]
-            for start, end in se:
-                if not (_is_count(start) and _is_count(end)):
-                    raise ValueError(f"interval ({start!r}, {end!r}) must have integer endpoints")
-            se = np.array(se, dtype=object).reshape(-1, 2)  # ints of any size until checked
+            se = np.array([(iv.start, iv.end) for iv in se], object).reshape(-1, 2)  # any size
         elif not (isinstance(se, np.ndarray) and se.dtype.kind in "iu" and se.shape[-1:] == (2,)
                   and se.ndim > 1):
             raise ValueError("intervals must be a list of BridgeInterval or an (..., n, 2) "
@@ -499,25 +484,17 @@ class Bridge:
         """(sum_p w_p |dev_p|^2, its gradient or None) of (..., T, d)
         embeddings, one value per (T, d) slice; the leading axes of M
         broadcast against the embeddings', so a Bridge of N clips takes
-        (..., N, T, d), clip n on its own operator. The sum is a matmul,
-        which rounds like np.vdot of one slice."""
+        (..., N, T, d), clip n on its own operator. The sum is a ufunc
+        reduce, not BLAS, so its bits do not depend on the BLAS thread count."""
         dev = self.M @ embeddings
         wdev = self.w[..., None] * dev
-        lead = dev.shape[:-2]
-        value = np.matmul(wdev.reshape(*lead, 1, -1), dev.reshape(*lead, -1, 1))[..., 0, 0]
+        value = np.add.reduce(wdev * dev, axis=(-2, -1))
         if not need_grad:
             return value, None
         del dev  # so that no more than two (..., T, d) arrays are live at once
         grad = self.M.swapaxes(-1, -2) @ wdev
         grad *= 2.0
         return value, grad
-
-
-def _check_non_negative(name: str, value) -> None:
-    """The one check on a bridge weight, learning rate or tolerance: finite,
-    non-negative, not a bool."""
-    if not (_is_real(value) and math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
 
 
 def bb_loss(clip: ClipSequence, interval: BridgeInterval) -> float:
@@ -535,7 +512,7 @@ def actol_loss(
 ) -> LossBreakdown:
     """Combined objective: ordering loss plus bb_weight times the mean
     bridge penalty over the given intervals (default: the full clip)."""
-    _check_non_negative("bb_weight", bb_weight)
+    kinds.NON_NEGATIVE.check("bb_weight", bb_weight)
     c = Contrast.of(clip.timestamps, TnceConfig(temperature=temperature))  # one sort for both
     vlo = _clip_value(clip.embeddings, clip.language, c)
     bb = float(Bridge.of(clip.timestamps, intervals).penalty(clip.embeddings)[0])

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clip import ClipSequence, _seed
+from . import kinds
+from .clip import ClipSequence
 from .losses import TnceConfig
 from .synthetic import SyntheticClipSpec, generate_clip
 from .trainer import TrainConfig, train_objectives
@@ -92,11 +93,9 @@ def compare_objectives(
     turns non-finite raises TrainingDiverged at the earliest step at which
     any objective and seed diverges. Objective names must be distinct."""
     objectives = tuple(objectives)
-    seeds = tuple(map(_seed, seeds))
+    seeds = tuple(int(kinds.SEED.check("seed", seed)) for seed in seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    if not objectives:
-        raise ValueError("need at least one objective")
     names = [o.name for o in objectives]
     if len(set(names)) != len(names):
         raise ValueError(f"objective names must be distinct, got {names}")

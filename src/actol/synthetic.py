@@ -10,12 +10,12 @@ by construction and makes similarity curves smooth.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clip import ClipSequence, _seed, _dots, _is_count, _is_real, _norms, normalize
+from . import kinds
+from .clip import ClipSequence, _dots, _norms, normalize
 
 TAIL_MODES = ("none", "frozen", "drift-away", "second-action")
 # The largest timestamp gap of random_clip and of theory.lower_bound_report's clips
@@ -38,21 +38,12 @@ class SyntheticClipSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("T", "d", "completion_index"):
-            if not _is_count(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.T < 2:
-            raise ValueError("need at least two frames")
-        if self.d < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.d}")
-        _seed(self.seed)
-        if not (1 <= self.completion_index <= self.T):
-            raise ValueError("completion_index must lie in [1, T]")
+        kinds.count("completion_index", self.completion_index, 1, kinds.count("T", self.T, 2))
+        kinds.count("d", self.d, 2)
+        kinds.SEED.check("seed", self.seed)
         if self.tail_mode not in TAIL_MODES:
             raise ValueError(f"unknown tail mode {self.tail_mode!r}")
-        sigma = self.noise_sigma
-        if not (_is_real(sigma) and math.isfinite(sigma) and sigma >= 0):
-            raise ValueError(f"noise_sigma must be a finite non-negative number, got {sigma!r}")
+        kinds.NON_NEGATIVE.check("noise_sigma", self.noise_sigma)
 
 
 @dataclass(frozen=True)
@@ -63,10 +54,10 @@ class GroundTruth:
 
 def slerp(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
     """Great-circle interpolation between unit vectors a (t=0) and b (t=1):
-    one vector for a float t, one row per time for an array of times."""
-    dot = float(np.clip(np.dot(a, b), -1.0, 1.0))
-    omega = np.arccos(dot)
-    t = np.asarray(t, dtype=float)[..., None]
+    one vector for a float t, one row per time for an array of times, each
+    a finite real (it extrapolates outside [0, 1]), else ValueError."""
+    t = np.asarray(kinds.FINITE.check("t", t), dtype=float)[..., None]
+    omega = np.arccos(float(np.clip(np.dot(a, b), -1.0, 1.0)))
     if omega < 1e-12:
         return np.broadcast_to(a, t.shape[:-1] + a.shape).copy()
     return (np.sin((1.0 - t) * omega) * a + np.sin(t * omega) * b) / np.sin(omega)
@@ -115,11 +106,12 @@ def generate_clip(spec: SyntheticClipSpec):
 
 def random_units(shape, seed) -> np.ndarray:
     """Random unit vectors along the last axis of `shape`, a tuple of
-    integers whose last is at least 2, as ClipSequence requires, else
-    ValueError (numpy's, for a negative one)."""
-    if not (isinstance(shape, tuple) and shape and all(map(_is_count, shape)) and shape[-1] >= 2):
+    non-negative integers whose last is at least 2, as ClipSequence
+    requires, else ValueError."""
+    if not (isinstance(shape, tuple) and shape and all(map(kinds.INTEGER.test, shape))
+            and min(shape) >= 0 and shape[-1] >= 2):
         raise ValueError(f"shape must be a tuple of integers, the last at least 2, got {shape!r}")
-    v = np.random.default_rng(seed).standard_normal(shape)
+    v = kinds.generator(seed).standard_normal(shape)
     v /= np.sqrt(_dots(v, v))[..., None]
     return v
 
@@ -128,9 +120,9 @@ def random_clip(T: int, d: int, rng) -> ClipSequence:
     """Clip with random unit embeddings and random strictly increasing
     integer timestamps (gaps in [1, MAX_GAP]), drawn in that order: the
     T - 1 gaps, then (T, d) standard normals for the frames and (d,) for
-    the language; the frames are scaled by _norms, the language by normalize."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    the language; the frames are scaled by _norms, the language by normalize.
+    T and d are integers of at least 2, else ValueError before any draw."""
+    T, d = kinds.count("T", T, 2), kinds.count("d", d, 2)
     ts = (0, *np.cumsum(rng.integers(1, MAX_GAP + 1, size=T - 1)).tolist())
     frames = rng.standard_normal((T, d))
     return ClipSequence(ts, frames / _norms(frames)[:, None], normalize(rng.standard_normal(d)))
@@ -144,19 +136,17 @@ def sample_bridge(v_start, v_end, t_start: int, t_end: int, seed) -> np.ndarray:
     v_start and v_end have shapes (..., d) that broadcast; the result has
     shape (..., t_end - t_start + 1, d), one path per leading index, drawn
     in turn, each interior point sqrt(var) z + mean written into it. The
-    times are integers (not booleans), t_start < t_end, else ValueError.
+    times are integers (not booleans), 0 <= t_start < t_end, else ValueError.
     """
-    if not (_is_count(t_start) and _is_count(t_end)):
-        raise ValueError(f"times must be integers, got {t_start!r} and {t_end!r}")
-    if t_end <= t_start:
-        raise ValueError("interval must have positive length")
+    t_start = kinds.count("t_start", t_start, 0)
+    t_end = kinds.count("t_end", t_end, t_start + 1)
     v_start = np.asarray(v_start, dtype=float)[..., None, :]
     v_end = np.asarray(v_end, dtype=float)[..., None, :]
     length = t_end - t_start
     t = np.arange(t_start + 1, t_end)[:, None]
     mean = v_start + (t - t_start) / length * (v_end - v_start)
     var = (t - t_start) * (t_end - t) / length
-    z = np.random.default_rng(seed).standard_normal(mean.shape)
+    z = kinds.generator(seed).standard_normal(mean.shape)
     z *= np.sqrt(var)
     paths = np.empty(mean.shape[:-2] + (length + 1, mean.shape[-1]))
     np.add(z, mean, out=paths[..., 1:-1, :])
@@ -173,18 +163,17 @@ def perturb_language(l, delta: float, seed) -> np.ndarray:
     ValueError; each row along the last axis is perturbed by its own draw,
     in order, and a broadcast view gives the bits of its copy.
     """
-    if not (_is_real(delta) and 0 <= delta <= 2):
-        raise ValueError(f"perturbation size must lie in [0, 2], the sphere's diameter: {delta!r}")
+    if kinds.NON_NEGATIVE.check("delta", delta) > 2:
+        raise ValueError(f"delta must be at most 2, the sphere's diameter, got {delta!r}")
     l = np.asarray(l, dtype=float)
-    if l.ndim == 0 or l.shape[-1] < 2:
-        raise ValueError("need dimension at least 2 for a tangent direction")
+    kinds.count("dimension", l.shape[-1] if l.ndim else 0, 2)  # a tangent direction needs 2
     norm = np.sqrt(_dots(l, l))[..., None]
     if not np.all(np.isfinite(norm) & (norm > 0.0)):
         raise ValueError("language vectors must be finite, of finite non-zero norm")
     l = l / norm
     if delta == 0:
         return l
-    u = np.random.default_rng(seed).standard_normal(l.shape)
+    u = kinds.generator(seed).standard_normal(l.shape)
     u -= _dots(u, l)[..., None] * l
     lp = l + delta * (u / np.sqrt(_dots(u, u))[..., None])
     lp /= np.sqrt(_dots(lp, lp))[..., None]

@@ -25,17 +25,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .clip import ClipSequence, _cosines, _dots, _is_count, _is_real, _timestamps, alignment_score
-from .losses import (
-    Bridge,
-    Contrast,
-    TieGroups,
-    TnceConfig,
-    _check_non_negative,
-    _score_rows,
-    _stack_size,
-    _suffix_softmax,
-)
+from . import kinds
+from .clip import ClipSequence, _cosines, _dots, alignment_score
+from .losses import (Bridge, Contrast, TieGroups, TnceConfig, _score_rows, _stack_size,
+                     _suffix_softmax)
 from .synthetic import MAX_GAP, perturb_language, random_units, sample_bridge
 
 FLOAT_SLACK = 1e-12
@@ -123,15 +116,6 @@ def check_lower_bound(clips) -> TheoremReport:
     return _lower_bound_result(gaps, len(clips))
 
 
-def _shape_range(value, name: str) -> tuple:
-    """value as (lo, hi): two integers 2 <= lo <= hi, a range of frame
-    counts or dimensions."""
-    if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(map(_is_count, value)) and 2 <= value[0] <= value[1]):
-        raise ValueError(f"{name} must be two integers 2 <= lo <= hi, got {value!r}")
-    return int(value[0]), int(value[1])
-
-
 def lower_bound_report(clips: int, t_range, d_range, seed) -> TheoremReport:
     """check_lower_bound on clips random clips, drawn in blocks of
     BLOCK_CLIPS. A block of n clips draws their n T, then their n d, each
@@ -142,8 +126,10 @@ def lower_bound_report(clips: int, t_range, d_range, seed) -> TheoremReport:
     similarities of one shape are the raw normals' cosines, in one pass.
     T = 2 clips are only counted. Only the clips' loss-minus-bound gaps
     outlive their block. A rejected call draws nothing."""
-    (t_lo, t_hi), (d_lo, d_hi) = _shape_range(t_range, "t_range"), _shape_range(d_range, "d_range")
-    rng = np.random.default_rng(seed)
+    clips = kinds.count("clips", clips, 1, kinds.MAX_DRAWS)
+    t_lo, t_hi = kinds.SIZE_RANGE.check("t_range", t_range)
+    d_lo, d_hi = kinds.SIZE_RANGE.check("d_range", d_range)
+    rng = kinds.generator(seed)
     gaps = []
     for n in _blocks(clips, BLOCK_CLIPS):
         Ts, ds = rng.integers(t_lo, t_hi + 1, size=n), rng.integers(d_lo, d_hi + 1, size=n)
@@ -161,8 +147,7 @@ def lower_bound_report(clips: int, t_range, d_range, seed) -> TheoremReport:
 
 def _near_optimal_scores(groups: TieGroups, eps) -> np.ndarray:
     """construct_near_optimal on the TieGroups of one timestamp row."""
-    if not (_is_real(eps) and eps > 0):
-        raise ValueError(f"eps must be a positive number, got {eps!r}")
+    kinds.POSITIVE.check("eps", eps)
     T = len(groups.order)
     min_mult = int(groups.sizes().min())
     # adjacent sorted positions with different distances are adjacent levels
@@ -183,13 +168,13 @@ def construct_near_optimal(timestamps, eps: float) -> np.ndarray:
     scores proportional to negative temporal distance, scaled so every
     consecutive per-anchor distance level differs by at least
     gamma = log(T / (min multiplicity * eps))."""
-    return _near_optimal_scores(TieGroups.of(_timestamps(timestamps)), eps)
+    return _near_optimal_scores(TieGroups.of(kinds.timestamps(timestamps)), eps)
 
 
 def check_tightness(timestamps, eps_values) -> TheoremReport:
     """Evaluate the near-optimal construction against the lower bound for
     each eps. The bound and every eps's loss come from one sort."""
-    timestamps = _timestamps(timestamps)
+    timestamps = kinds.timestamps(timestamps)
     eps_values = list(eps_values)
     if not eps_values:
         raise ValueError("need at least one eps")
@@ -210,21 +195,15 @@ def check_tightness(timestamps, eps_values) -> TheoremReport:
                             excess_by_eps=excesses)
 
 
-def _blocks(trials: int, size: int) -> list:
-    """Sizes of the blocks of up to size that trials are drawn in. Blocks
-    drawn in turn from one Generator give the same numbers as a single
-    draw."""
-    if not (_is_count(trials) and trials >= 1):
-        raise ValueError(f"need a positive integer number of trials, got {trials!r}")
-    return [min(size, trials - start) for start in range(0, trials, size)]
+def _blocks(trials: int, size: int):
+    """Sizes of the blocks of up to size that trials, checked by the caller, are
+    drawn in, yielded lazily: blocks drawn in turn give the numbers of one draw."""
+    return (min(size, trials - start) for start in range(0, trials, size))
 
 
-def _trial_blocks(trials: int, values_per_trial: int) -> list:
-    """_blocks of trials that hold values_per_trial values each: up to
-    BLOCK_VALUES values per block, and at least one trial. A count that is
-    not a positive integer is a bad dimension, left for the draw to reject."""
-    valid = _is_count(values_per_trial) and values_per_trial > 0
-    return _blocks(trials, max(1, BLOCK_VALUES // values_per_trial) if valid else 1)
+def _trial_blocks(trials: int, values_per_trial: int):
+    """_blocks of trials of values_per_trial values: BLOCK_VALUES (or one trial) per block."""
+    return _blocks(trials, max(1, BLOCK_VALUES // values_per_trial))
 
 
 def _lipschitz_report(blocks, **details) -> TheoremReport:
@@ -245,7 +224,7 @@ def check_continuity(clip: ClipSequence, pairs) -> TheoremReport:
     ratio max_t ||v_t - mean(t)||^2 / var(t) over the full-clip interval.
     pairs must hold at least one pair of integer frame indices in [0, T)."""
     pairs = list(pairs)
-    if not (pairs and all(np.shape(p) == (2,) and all(map(_is_count, p)) for p in pairs)
+    if not (pairs and all(np.shape(p) == (2,) and all(map(kinds.INTEGER.test, p)) for p in pairs)
             and 0 <= np.min(pairs) and np.max(pairs) < clip.T):
         raise ValueError(f"pairs must be one or more pairs of frame indices in [0, {clip.T})")
     k, l = np.array(pairs, dtype=int).T
@@ -258,7 +237,8 @@ def check_continuity(clip: ClipSequence, pairs) -> TheoremReport:
 
 def lipschitz_pairs_report(dim: int, trials: int, seed) -> TheoremReport:
     """Lipschitz step on random unit-vector triples (v_k, v_l, lang)."""
-    rng = np.random.default_rng(seed)
+    dim, trials = kinds.count("dim", dim, 2), kinds.count("trials", trials, 1, kinds.MAX_DRAWS)
+    rng = kinds.generator(seed)
     triples = (random_units((n, 3, dim), rng) for n in _trial_blocks(trials, 3 * dim))
     return _lipschitz_report((v[:, 0], v[:, 1], v[:, 2]) for v in triples)
 
@@ -276,14 +256,15 @@ def bridge_stats_report(
     variance must match within the relative tolerance (finite and
     non-negative, else ValueError), and the midpoint
     mean must sit within 5 standard errors; a NaN statistic is a
-    violation. A rejected call draws nothing. variance_sign exists as a
-    negative control for the CLI (flipping it must fail the check)."""
-    if not isinstance(t_end, (int, np.integer)) or t_end % 2 or t_end < 2:
-        raise ValueError("t_end must be an even integer >= 2 so the midpoint is a sample time")
-    if samples < 2:
-        raise ValueError(f"need at least two samples for a variance, got {samples}")
-    _check_non_negative("tolerance", tolerance)
-    rng = np.random.default_rng(seed)
+    violation. A rejected call draws nothing. variance_sign, 1 or -1, exists
+    as a negative control for the CLI (flipping it must fail the check)."""
+    dim, samples = kinds.count("dim", dim, 2), kinds.count("samples", samples, 2, kinds.MAX_DRAWS)
+    if kinds.count("t_end", t_end, 2) % 2:
+        raise ValueError(f"t_end must be even, so the midpoint is a sample time, got {t_end!r}")
+    kinds.NON_NEGATIVE.check("tolerance", tolerance)
+    if abs(kinds.NUMBER.check("variance_sign", variance_sign)) != 1:
+        raise ValueError(f"variance_sign must be 1 or -1, got {variance_sign!r}")
+    rng = kinds.generator(seed)
     v0, v1 = random_units((2, dim), rng)
     mid = t_end // 2
 
@@ -315,14 +296,15 @@ def check_robustness(v_i, v_j, l, delta_l: float, trials: int, seed) -> TheoremR
     """Assert the perturbation bound |score(l') - score(l)| <= 2 * delta_l
     over random language perturbations of size at most delta_l; a NaN
     counts as a violation."""
-    rng = np.random.default_rng(seed)
-    bound = 2.0 * delta_l
-    d = np.size(l)
+    trials = kinds.count("trials", trials, 1, kinds.MAX_DRAWS)
+    d = kinds.count("dimension", np.size(l), 2)
+    rng = kinds.generator(seed)
     scores = np.concatenate([
         alignment_score(v_i, v_j, perturb_language(np.broadcast_to(l, (n, d)), delta_l, rng))
         for n in _trial_blocks(trials, d)
-    ])  # perturb_language checks l before the unperturbed score divides by its norm
+    ])  # perturb_language checks delta_l, and l before the unperturbed score divides by its norm
     diff = np.abs(scores - alignment_score(v_i, v_j, l))
+    bound = 2.0 * delta_l
     violations = int(np.count_nonzero(~(diff <= bound + FLOAT_SLACK)))
     return TheoremReport.of("robustness", trials, violations,
                             diff.max() / bound if bound > 0 else 0.0, delta_l=delta_l, bound=bound)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clip import ClipSequence, _seed, _is_count, _norms, normalize
+from . import kinds
+from .clip import ClipSequence, _norms, normalize
 from .gradients import objective_and_grad
 from .losses import (
     DEFAULT_BB_WEIGHT,
@@ -24,7 +25,6 @@ from .losses import (
     LossBreakdown,
     TieGroups,
     TnceConfig,
-    _check_non_negative,
 )
 
 
@@ -54,16 +54,13 @@ class TrainConfig:
     intervals_per_step: int = 1
 
     def __post_init__(self):
-        _check_non_negative("learning_rate", self.learning_rate)
-        _seed(self.seed)
-        if not _is_count(self.steps) or self.steps < 1:
-            raise ValueError("steps must be a positive integer")
-        _check_non_negative("bb_weight", self.bb_weight)
-        TnceConfig(temperature=self.temperature)  # the one temperature check
-        if not _is_count(self.intervals_per_step) or self.intervals_per_step < 1:
-            raise ValueError("intervals_per_step must be a positive integer")
-        if not isinstance(self.optimize_language, bool):
-            raise ValueError("optimize_language must be true or false")
+        kinds.NON_NEGATIVE.check("learning_rate", self.learning_rate)
+        kinds.count("steps", self.steps)
+        kinds.NON_NEGATIVE.check("bb_weight", self.bb_weight)
+        kinds.POSITIVE.check("temperature", self.temperature)
+        kinds.SEED.check("seed", self.seed)
+        kinds.BOOLEAN.check("optimize_language", self.optimize_language)
+        kinds.count("intervals_per_step", self.intervals_per_step)
 
 
 @dataclass(frozen=True)
@@ -231,7 +228,7 @@ def train_objectives(clips, cfg: TrainConfig, objectives, seeds, keep_records=Tr
             _tangent_step(lang, g_lang, cfg.learning_rate) if cfg.optimize_language else lang,
         )
 
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = [kinds.generator(seed) for seed in seeds]
     records, (emb, lang) = _descend(
         clips[0], (emb, lang), embed, cfg, objectives, rngs, keep_records
     )
@@ -283,7 +280,7 @@ def measure_delta(clip: ClipSequence, temperature: float = 1.0):
     than 1/delta. Returns None when no delta < 1 works; with no triples
     (T = 2) the property is vacuous and the smallest positive normal float
     is returned by convention."""
-    TnceConfig(temperature=temperature)  # the one temperature check
+    kinds.POSITIVE.check("temperature", temperature)
     groups = TieGroups.of(clip.timestamps)
     s = clip.similarities()
     # x[i, p]: anchor i's score for the frame at its sorted position p

@@ -2,9 +2,13 @@ import copy
 import importlib.util
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
+import actol
 import naive
 import numpy as np
 import pytest
@@ -71,6 +75,23 @@ class TestTrainCommand:
             assert invoke("train", cfg, out2).exit_code == 0
             for name in ("history.csv", "final_clip.json"):
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """At T=160, d=64 the bridge penalty sums P d = 10112 deviations,
+        which OpenBLAS splits across threads as a dot product; the sum is
+        no BLAS call, so one and two threads write the same bytes."""
+        spec = {"T": 160, "d": 64, "completion_index": 100, "tail_mode": "drift-away",
+                "noise_sigma": 0.05}
+        cfg = write_config(tmp_path, {"clip": {"synthetic": spec},
+                                      "train": {"steps": 30, "temperature": 0.5}})
+        src = str(Path(actol.__file__).parents[1])
+        for threads in ("1", "2"):
+            env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": src,
+                   "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": threads}
+            args = ["train", "--config", cfg, "--out", str(tmp_path / threads)]
+            subprocess.run([sys.executable, "-m", "actol.cli", *args], env=env, check=True)
+        for name in ("history.csv", "final_clip.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = self.config(tmp_path)
@@ -231,7 +252,7 @@ class TestTrainCommand:
                                       "train": {"steps": 5}})
         result = invoke("train", cfg, tmp_path / "out")
         assert result.exit_code == 2, result.output
-        assert "dimension must be at least 2" in result.output
+        assert "d must be an integer of at least 2, got 1" in result.output
 
 
 class TestVerifyCommand:

@@ -11,9 +11,15 @@ README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 
 def test_every_public_function_is_in_readme():
+    """Every public function is named in the README, and the library
+    section's entry-point table has one row per public callable."""
     functions = [n for n in actol.__all__ if inspect.isfunction(getattr(actol, n))]
     missing = [n for n in functions if not re.search(rf"\b{n}\b", README)]
     assert functions and missing == []
+    library = README.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("`")[1] for line in library.splitlines() if line.startswith("| `")]
+    callables = [n for n in actol.__all__ if callable(getattr(actol, n))]
+    assert sorted(rows) == sorted(callables)
 
 
 def test_no_linalg_norm_in_the_package():
@@ -28,3 +34,27 @@ def test_no_linalg_norm_in_the_package():
         and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
     ]
     assert calls == []
+
+
+def test_value_kinds_are_tested_only_in_kinds():
+    """Whether a value is an integer, a real or a boolean is decided in
+    actol.kinds alone: no other module imports numbers, names
+    numbers.Integral or numbers.Real, or calls isinstance(..., bool)."""
+    package = Path(actol.__file__).resolve().parent
+
+    def kind_tests(path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [a.name for a in node.names] + [getattr(node, "module", None)]
+                if "numbers" in modules:
+                    yield f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Attribute) and node.attr in ("Integral", "Real"):
+                yield f"{path.name}:{node.lineno}"
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance" and len(node.args) == 2
+                  and "bool" in [n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)]):
+                yield f"{path.name}:{node.lineno}"
+
+    found = {path.name: list(kind_tests(path)) for path in sorted(package.glob("*.py"))}
+    assert found.pop("kinds.py")  # the scan sees them where they are
+    assert [line for lines in found.values() for line in lines] == []

@@ -5,6 +5,7 @@ import naive
 import numpy as np
 import pytest
 
+import actol.kinds as kinds
 import actol.losses as losses
 import actol.theory as theory
 from actol import (
@@ -256,17 +257,17 @@ class TestBlocks:
             draws = mock.Mock(wraps=theory.perturb_language)
             monkeypatch.setattr(theory, "perturb_language", draws)
             assert reports() == default
-            assert draws.call_count == 4 * len(theory._trial_blocks(1500, 5))
-        assert len(theory._trial_blocks(1500, 5)) == 1
+            assert draws.call_count == 4 * len(list(theory._trial_blocks(1500, 5)))
+        assert len(list(theory._trial_blocks(1500, 5))) == 1
 
     def test_block_sizes(self):
         # README defaults: bridge paths of 11 times 6 values in blocks of 256,
         # as before; robustness trials of 8 values and Lipschitz triples of 24
         # in larger ones; a trial above the budget alone
-        assert theory._trial_blocks(10000, 11 * 6)[0] == 256
-        assert theory._trial_blocks(10000, 8)[0] == 2112
-        assert theory._trial_blocks(10000, 24)[0] == 704
-        assert theory._trial_blocks(3, 10**6) == [1, 1, 1]
+        assert next(theory._trial_blocks(10000, 11 * 6)) == 256
+        assert next(theory._trial_blocks(10000, 8)) == 2112
+        assert next(theory._trial_blocks(10000, 24)) == 704
+        assert list(theory._trial_blocks(3, 10**6)) == [1, 1, 1]
 
 
 class TestAgainstLoopReference:
@@ -371,8 +372,8 @@ class TestLowerBoundReport:
         assert builds.call_count == kernel.call_count == expected
 
     def test_validates_stacks_without_a_row_loop(self, monkeypatch):
-        spy = mock.Mock(wraps=losses._timestamps)
-        monkeypatch.setattr(losses, "_timestamps", spy)
+        spy = mock.Mock(wraps=kinds.timestamps)
+        monkeypatch.setattr(kinds, "timestamps", spy)
         assert lower_bound_report(200, (2, 12), (2, 8), 9).passed
         assert spy.call_count == 0
 
