@@ -42,8 +42,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_NON_FINITE = 3
 
-# A perturbation of one coordinate by `step` moves each similarity by at
-# most about 2 * step; gradcheck keeps similarities this many steps apart.
+# A perturbation of norm `step` moves each similarity by at most about
+# 2 * step; gradcheck keeps similarities this many steps apart.
 KINK_MARGIN_STEPS = 100
 
 OBJECTIVE_PRESETS = {
@@ -103,7 +103,7 @@ NUMBERS = _list_of(kinds.NUMBER.test, "a list of numbers")
 SEED = JsonType("integer", kinds.SEED)
 # counts of the CLI's own loops and clip shapes, which no library call checks first
 COUNT = JsonType("integer", kinds.counts(1, kinds.MAX_DRAWS))
-SIZE = JsonType("integer", kinds.counts(2))
+SIZE = JsonType("integer", kinds.counts(2, kinds.MAX_DRAWS))
 STEP = JsonType("number", kinds.POSITIVE)
 # JSON types of the dataclass field annotations a config block sets
 FIELD_TYPES = {"int": INTEGER, "float": NUMBER, "bool": BOOLEAN, "str": STRING}

@@ -3,11 +3,12 @@ embeddings, plus a central finite-difference oracle.
 
 Gradients are ambient (they include the cosine-normalization Jacobian, so
 finite differences off the unit sphere agree); the trainer projects them
-onto the sphere's tangent space before stepping. The oracle checks N clips
-of one shape as a stack: one sort of their timestamps, one analytic
-gradient call, and their perturbed points as batch rows in kernel calls of
-whole clips up to losses.BLOCK_SCORES scores; finite_diff_check is its
-one-clip case.
+onto the sphere's tangent space before stepping. The oracle compares the
+directional derivative g.u with a central difference along a few fixed
+random unit directions u of the whole (T + 1) d space: 2 DIRECTIONS loss
+evaluations per clip, whatever T and d, and a signal of about |g|, not of
+one small component. It checks N clips of one shape in blocks of whole
+clips, each with one sort, one analytic gradient call and one kernel call.
 """
 
 from __future__ import annotations
@@ -17,25 +18,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kinds
-from .clip import ClipSequence
+from .clip import ClipSequence, _dots
 from .losses import (
     DEFAULT_BB_WEIGHT,
     Bridge,
     BridgeInterval,
     Contrast,
-    TieGroups,
     TnceConfig,
     _contrastive_terms,
     _differences,
     _stack_size,
 )
+from .synthetic import random_units
 
 KINK_TOL = 1e-12
 # The params finite_diff_check reads for each loss
 LOSS_PARAMS = {"vlo": ("temperature",), "bb": ("interval",), "tnce": ("config",),
                "total": ("temperature", "intervals", "bb_weight")}
-# finite_diff_check's error floor, as a fraction of the gradient's max-norm
-REL_FLOOR = 1e-4
+# finite_diff_check's directions per clip, the seed they are drawn from, and
+# its error floor as a fraction of the gradient's 2-norm
+DIRECTIONS = 8
+DIRECTION_SEED = 0
+REL_FLOOR = 1e-2
 # finite_diff_check's default step, and the error below which a gradcheck passes
 DEFAULT_STEP = 1e-5
 PASS_ERROR = 1e-5
@@ -183,73 +187,61 @@ def _objective(loss: str, timestamps, params):
 
 
 def _finite_diff_errors(loss: str, clips, params=None, step: float = DEFAULT_STEP) -> np.ndarray:
-    """finite_diff_check's error of each of N clips of one (T, d) shape,
-    each with its own timestamps, as an (N,) array. The objective of the
-    (N, T) timestamp stack is built once (one sort) and its analytic
-    gradient taken in one call. The 2d(T+1) points of a clip that move one
-    vector by +-step are batch rows, evaluated in kernel calls of whole
-    clips up to BLOCK_SCORES scores; a clip above that is split into
-    stacks of whole vectors' 2d points."""
+    """finite_diff_check's error of each of N >= 1 clips of one (T, d) shape,
+    each with its own timestamps, as an (N,) array. The clips are checked
+    in blocks of whole clips whose 2 DIRECTIONS perturbed points fill up to
+    BLOCK_SCORES scores (one clip at least): each block's objective is
+    built once (one sort), its analytic gradient taken in one call, and its
+    points evaluated as the batch rows of one more. Every clip of the shape
+    is checked along the same directions, so its error does not depend on
+    its stack or block."""
     kinds.POSITIVE.check("step", step)
-    c, bridge, bb_weight = _objective(loss, np.array([clip.timestamps for clip in clips]), params)
-    E = np.stack([clip.embeddings for clip in clips])
-    l = np.stack([clip.language for clip in clips])
-    if c is None:
-        frames, language = bb_weight * bridge.penalty(E, need_grad=True)[1], np.zeros_like(l)
-    else:
-        frames, language = objective_and_grad(E[None], l[None], c, bridge, bb_weight)[2:4]
-    N, T, d = E.shape
-    analytic = np.concatenate([frames.reshape(N, -1), language.reshape(N, -1)], axis=1)
-    floor = np.maximum(REL_FLOOR * np.abs(analytic).max(axis=1), 1e-8)
-    j = np.arange(d)
-    per_call = _stack_size(2 * d * T * T)  # vectors per kernel call
-    size, vectors = max(1, per_call // (T + 1)), min(per_call, T + 1)  # clips, vectors of each
-    num = np.empty((N, T + 1, d))
-    for start in range(0, N, size):
-        part, m = slice(start, start + size), min(size, N - start)
-        cp = None if c is None else _clips_of(c, part)
-        bp = None if bridge is None else Bridge(bridge.M[part], bridge.w[part])
-        for first in range(0, T + 1, vectors):  # vectors 0..T-1 are the frames, T the language
-            n = min(vectors, T + 1 - first)
-            # row [v, 0, j, k] moves coordinate j of vector first + v of clip
-            # start + k by +step, row [v, 1, j, k] by -step
-            emb, lang = np.tile(E[part], (n, 2, d, 1, 1, 1)), np.tile(l[part], (n, 2, d, 1, 1))
-            at = np.arange(min(n, T - first))[:, None]
-            for sign, delta in enumerate((step, -step)):
-                emb[at, sign, j, :, first + at, j] += delta
-                if first + n > T:
-                    lang[-1, sign, j, :, j] += delta
-            emb, lang = emb.reshape(-1, m, T, d), lang.reshape(-1, m, d)
-            v = 0.0 if c is None else _contrastive_terms(emb, lang, cp, need_grad=False)[0]
-            if bp is not None:  # same expression order as actol_loss(...).total
-                v = v + bb_weight * bp.penalty(emb)[0]
-            if not np.isfinite(v).all():
-                raise FloatingPointError(f"non-finite {loss} loss at perturbed point")
-            v = v.reshape(n, 2, d, m)
-            num[part, first : first + n] = np.moveaxis(v[:, 0] - v[:, 1], -1, 0) / (2 * step)
-    num = num.reshape(N, -1)
-    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(num)), floor[:, None])
-    return np.max(np.abs(analytic - num) / scale, axis=1)
+    T, d = clips[0].embeddings.shape
+    u = _directions(T, d)
+    du = step * u[:, None, :]  # rows 0..k-1 of a block's points are x + du, rows k..2k-1 x - du
+    du_frames, du_language = du[..., : T * d].reshape(DIRECTIONS, 1, T, d), du[..., T * d :]
+    size = _stack_size(2 * DIRECTIONS * T * T)
+    errors = []
+    for start in range(0, len(clips), size):
+        part = clips[start : start + size]
+        c, bridge, bb_weight = _objective(loss, np.array([x.timestamps for x in part]), params)
+        E = np.stack([clip.embeddings for clip in part])
+        l = np.stack([clip.language for clip in part])
+        if c is None:
+            frames, language = bb_weight * bridge.penalty(E, need_grad=True)[1], np.zeros_like(l)
+        else:
+            frames, language = objective_and_grad(E[None], l[None], c, bridge, bb_weight)[2:4]
+        g = np.concatenate([frames.reshape(len(E), -1), language.reshape(len(E), -1)], axis=1)
+        emb = np.concatenate([E + du_frames, E - du_frames])
+        lang = np.concatenate([l + du_language, l - du_language])
+        v = 0.0 if c is None else _contrastive_terms(emb, lang, c, need_grad=False)[0]
+        if bridge is not None:  # same expression order as actol_loss(...).total
+            v = v + bb_weight * bridge.penalty(emb)[0]
+        if not np.isfinite(v).all():
+            raise FloatingPointError(f"non-finite {loss} loss at perturbed point")
+        num = (v[:DIRECTIONS] - v[DIRECTIONS:]).T / (2 * step)
+        slopes = _dots(g[:, None, :], u)  # each rounds as a 1-D dot: no clip depends on its block
+        floor = np.maximum(REL_FLOOR * np.sqrt(_dots(g, g)), 1e-8)[:, None]
+        scale = np.maximum(np.maximum(np.abs(slopes), np.abs(num)), floor)
+        errors.append(np.max(np.abs(slopes - num) / scale, axis=1))
+    return np.concatenate(errors)
 
 
-def _clips_of(c: Contrast, part: slice) -> Contrast:
-    """The Contrast of the clips at part of c's (N, T) stack, from c's sort."""
-    g = c.groups
-    return Contrast._of_groups(
-        TieGroups(g.order[part], g.distances[part], g.start[part], g.end[part]), c.cfg
-    )
+def _directions(T: int, d: int) -> np.ndarray:
+    """The (DIRECTIONS, (T + 1) d) unit directions along which every clip of
+    shape (T, d) is checked: a (frames, language) vector per row."""
+    return random_units((DIRECTIONS, (T + 1) * d), DIRECTION_SEED)
 
 
 def finite_diff_check(
     loss: str, clip: ClipSequence, params=None, step: float = DEFAULT_STEP
 ) -> float:
-    """Max relative error of the analytic gradient against central
-    differences on every coordinate of the frame embeddings, then the
-    language. Errors are relative to the largest of the two values,
-    REL_FLOOR times the gradient's max-norm and 1e-8, so round-off on
-    components near zero is not a failure. The one-clip case of
-    _finite_diff_errors: the objective is built once, and the 2d(T+1)
-    points that move one vector by +-step are batch rows, in one kernel
-    call up to BLOCK_SCORES scores or in stacks of whole vectors' 2d
-    points above it."""
+    """Max relative error of the analytic gradient g against central
+    differences (L(x + step u) - L(x - step u)) / 2 step along DIRECTIONS
+    random unit directions u of the whole (frames, language) space, drawn
+    from DIRECTION_SEED for each clip shape. Each error is relative to the
+    largest of |g.u|, the difference, REL_FLOOR times |g| and 1e-8, so
+    round-off along a direction nearly orthogonal to g is not a failure.
+    The one-clip case of _finite_diff_errors: one sort, one analytic
+    gradient call and one kernel call on the 2 DIRECTIONS perturbed points."""
     return float(_finite_diff_errors(loss, [clip], params, step)[0])

@@ -10,8 +10,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-# The most trials, samples or clips one Monte Carlo check draws, and the most
-# clips or seeds a CLI run makes: a check keeps a float or more per trial, 80 MB.
+# The most trials, samples or clips one Monte Carlo check draws, the most
+# clips or seeds a CLI run makes (a check keeps a float or more per trial,
+# 80 MB), and the largest count that sizes an array axis, such as T or d.
 MAX_DRAWS = 10**7
 
 
@@ -40,8 +41,9 @@ NON_NEGATIVE = Kind("a finite non-negative number",
                     lambda v: NUMBER.test(v) and 0 <= v <= float_info.max)
 FINITE = Kind("finite real numbers",
               lambda v: np.asarray(v).dtype.kind in "iuf" and np.isfinite(v).all())
-SIZE_RANGE = Kind("two integers 2 <= lo <= hi", lambda v: isinstance(v, (list, tuple))
-                  and len(v) == 2 and all(map(INTEGER.test, v)) and 2 <= v[0] <= v[1])
+SIZE_RANGE = Kind(f"two integers 2 <= lo <= hi <= {MAX_DRAWS}",
+                  lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                  and all(map(INTEGER.test, v)) and 2 <= v[0] <= v[1] <= MAX_DRAWS)
 
 
 def counts(minimum: int, maximum: int | None = None) -> Kind:

@@ -45,10 +45,9 @@ EXP_RANGE = 700.0
 # Score budget of one stacked kernel call (see _stack_size), which bounds
 # its memory whatever the clip length. On the README lower-bound
 # population, stacks of a few thousand scores ran fastest; larger ones ran
-# slower and took more memory. At 8192 to 16384 the README gradcheck's
-# oracle (2 to 6 clips per call) took about a fifth less time than at 4096
-# (one clip per call), but the lower-bound check's traced peak grew from
-# 1.7 MB to 2.2-2.8 MB.
+# slower, and at 8192 to 16384 the lower-bound check's traced peak grew
+# from 1.7 MB to 2.2-2.8 MB. The gradient oracle's 16 points of a clip
+# hold 576 scores at the README gradcheck's T=6, so 7 clips share a call.
 BLOCK_SCORES = 4096
 
 
@@ -211,10 +210,6 @@ class Contrast:
         groups = TieGroups.of(timestamps)
         if not isinstance(cfg, TnceConfig) and (groups.order.ndim != 2 or not cfg):
             raise ValueError("a tuple of configs needs one timestamp row and one config or more")
-        return cls._of_groups(groups, cfg)
-
-    @classmethod
-    def _of_groups(cls, groups: TieGroups, cfg) -> "Contrast":
         k = groups.order  # k excludes the anchor i itself
         T = k.shape[-2]
         i = np.arange(T)[:, None]

@@ -38,8 +38,9 @@ class SyntheticClipSpec:
     seed: int = 0
 
     def __post_init__(self):
-        kinds.count("completion_index", self.completion_index, 1, kinds.count("T", self.T, 2))
-        kinds.count("d", self.d, 2)
+        T = kinds.count("T", self.T, 2, kinds.MAX_DRAWS)
+        kinds.count("completion_index", self.completion_index, 1, T)
+        kinds.count("d", self.d, 2, kinds.MAX_DRAWS)
         kinds.SEED.check("seed", self.seed)
         if self.tail_mode not in TAIL_MODES:
             raise ValueError(f"unknown tail mode {self.tail_mode!r}")
@@ -106,11 +107,12 @@ def generate_clip(spec: SyntheticClipSpec):
 
 def random_units(shape, seed) -> np.ndarray:
     """Random unit vectors along the last axis of `shape`, a tuple of
-    non-negative integers whose last is at least 2, as ClipSequence
-    requires, else ValueError."""
+    integers in [0, kinds.MAX_DRAWS] whose last is at least 2, as
+    ClipSequence requires, else ValueError."""
     if not (isinstance(shape, tuple) and shape and all(map(kinds.INTEGER.test, shape))
-            and min(shape) >= 0 and shape[-1] >= 2):
-        raise ValueError(f"shape must be a tuple of integers, the last at least 2, got {shape!r}")
+            and 0 <= min(shape) and max(shape) <= kinds.MAX_DRAWS and shape[-1] >= 2):
+        raise ValueError(f"shape must be a tuple of integers of at most {kinds.MAX_DRAWS}, "
+                         f"the last at least 2, got {shape!r}")
     v = kinds.generator(seed).standard_normal(shape)
     v /= np.sqrt(_dots(v, v))[..., None]
     return v
@@ -121,8 +123,9 @@ def random_clip(T: int, d: int, rng) -> ClipSequence:
     integer timestamps (gaps in [1, MAX_GAP]), drawn in that order: the
     T - 1 gaps, then (T, d) standard normals for the frames and (d,) for
     the language; the frames are scaled by _norms, the language by normalize.
-    T and d are integers of at least 2, else ValueError before any draw."""
-    T, d = kinds.count("T", T, 2), kinds.count("d", d, 2)
+    T and d are integers of at least 2 and at most kinds.MAX_DRAWS, else
+    ValueError before any draw."""
+    T, d = kinds.count("T", T, 2, kinds.MAX_DRAWS), kinds.count("d", d, 2, kinds.MAX_DRAWS)
     ts = (0, *np.cumsum(rng.integers(1, MAX_GAP + 1, size=T - 1)).tolist())
     frames = rng.standard_normal((T, d))
     return ClipSequence(ts, frames / _norms(frames)[:, None], normalize(rng.standard_normal(d)))
@@ -136,10 +139,10 @@ def sample_bridge(v_start, v_end, t_start: int, t_end: int, seed) -> np.ndarray:
     v_start and v_end have shapes (..., d) that broadcast; the result has
     shape (..., t_end - t_start + 1, d), one path per leading index, drawn
     in turn, each interior point sqrt(var) z + mean written into it. The
-    times are integers (not booleans), 0 <= t_start < t_end, else ValueError.
+    times are integers, 0 <= t_start < t_end <= kinds.MAX_DRAWS, else ValueError.
     """
     t_start = kinds.count("t_start", t_start, 0)
-    t_end = kinds.count("t_end", t_end, t_start + 1)
+    t_end = kinds.count("t_end", t_end, t_start + 1, kinds.MAX_DRAWS)
     v_start = np.asarray(v_start, dtype=float)[..., None, :]
     v_end = np.asarray(v_end, dtype=float)[..., None, :]
     length = t_end - t_start

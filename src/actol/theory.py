@@ -237,7 +237,8 @@ def check_continuity(clip: ClipSequence, pairs) -> TheoremReport:
 
 def lipschitz_pairs_report(dim: int, trials: int, seed) -> TheoremReport:
     """Lipschitz step on random unit-vector triples (v_k, v_l, lang)."""
-    dim, trials = kinds.count("dim", dim, 2), kinds.count("trials", trials, 1, kinds.MAX_DRAWS)
+    dim = kinds.count("dim", dim, 2, kinds.MAX_DRAWS)
+    trials = kinds.count("trials", trials, 1, kinds.MAX_DRAWS)
     rng = kinds.generator(seed)
     triples = (random_units((n, 3, dim), rng) for n in _trial_blocks(trials, 3 * dim))
     return _lipschitz_report((v[:, 0], v[:, 1], v[:, 2]) for v in triples)
@@ -258,8 +259,9 @@ def bridge_stats_report(
     mean must sit within 5 standard errors; a NaN statistic is a
     violation. A rejected call draws nothing. variance_sign, 1 or -1, exists
     as a negative control for the CLI (flipping it must fail the check)."""
-    dim, samples = kinds.count("dim", dim, 2), kinds.count("samples", samples, 2, kinds.MAX_DRAWS)
-    if kinds.count("t_end", t_end, 2) % 2:
+    dim = kinds.count("dim", dim, 2, kinds.MAX_DRAWS)
+    samples = kinds.count("samples", samples, 2, kinds.MAX_DRAWS)
+    if kinds.count("t_end", t_end, 2, kinds.MAX_DRAWS) % 2:
         raise ValueError(f"t_end must be even, so the midpoint is a sample time, got {t_end!r}")
     kinds.NON_NEGATIVE.check("tolerance", tolerance)
     if abs(kinds.NUMBER.check("variance_sign", variance_sign)) != 1:
@@ -295,9 +297,13 @@ def bridge_stats_report(
 def check_robustness(v_i, v_j, l, delta_l: float, trials: int, seed) -> TheoremReport:
     """Assert the perturbation bound |score(l') - score(l)| <= 2 * delta_l
     over random language perturbations of size at most delta_l; a NaN
-    counts as a violation."""
+    counts as a violation. v_i and v_j must be vectors of l's d entries,
+    else ValueError before any draw."""
     trials = kinds.count("trials", trials, 1, kinds.MAX_DRAWS)
     d = kinds.count("dimension", np.size(l), 2)
+    if not np.shape(v_i) == np.shape(v_j) == (d,):
+        raise ValueError(f"v_i and v_j must have l's {d} entries, got {np.shape(v_i)} and "
+                         f"{np.shape(v_j)}")
     rng = kinds.generator(seed)
     scores = np.concatenate([
         alignment_score(v_i, v_j, perturb_language(np.broadcast_to(l, (n, d)), delta_l, rng))

@@ -9,7 +9,7 @@ The per-interval Brownian-bridge penalty and gradient are the reference
 for actol.losses.Bridge: each interval's deviations are computed from its
 own endpoints, and the endpoint gradients are scattered by hand.
 
-The per-coordinate loop of the finite-difference oracle is the reference
+The per-direction loop of the finite-difference oracle is the reference
 for actol.gradients.finite_diff_check and its stacked form: each perturbed
 point is its own ClipSequence, evaluated by the public loss functions one
 at a time. The gradcheck command's loop before it stacked each loss's
@@ -46,12 +46,14 @@ actol.gradients.objective_and_grad, and the tangent step with
 np.linalg.norm for actol.trainer's.
 """
 
+import math
 import sys
 
 import numpy as np
 
 import actol
-from actol.gradients import KINK_TOL, REL_FLOOR
+from actol.clip import _dots
+from actol.gradients import KINK_TOL, REL_FLOOR, _directions
 from actol.losses import (
     DEFAULT_BB_WEIGHT,
     BridgeInterval,
@@ -513,8 +515,10 @@ def check_lower_bound(clips):
 
 def finite_diff_check(loss, clip, params=None, step=1e-5):
     """Max relative error of the analytic gradient against central
-    differences, one coordinate of the flat (frames, language) vector at a
-    time; the same error measure as actol.gradients.finite_diff_check."""
+    differences, one direction of actol.gradients._directions at a time,
+    each point its own ClipSequence; the same error measure as
+    actol.gradients.finite_diff_check, with its dot products from the same
+    helper."""
     params = dict(params or {})
     tau = params.get("temperature", 1.0)
     lam = params.get("bb_weight", DEFAULT_BB_WEIGHT)
@@ -530,7 +534,7 @@ def finite_diff_check(loss, clip, params=None, step=1e-5):
     }[loss]
     grads = grad_of(clip)
     analytic = np.concatenate([grads.frames.ravel(), grads.language])
-    floor = max(REL_FLOOR * np.abs(analytic).max(), 1e-8)
+    floor = max(REL_FLOOR * math.sqrt(_dots(analytic, analytic)), 1e-8)
     x0 = np.concatenate([clip.embeddings.ravel(), clip.language])
     n, shape = clip.embeddings.size, clip.embeddings.shape
 
@@ -538,13 +542,10 @@ def finite_diff_check(loss, clip, params=None, step=1e-5):
         return loss_of(actol.ClipSequence(clip.timestamps, x[:n].reshape(shape), x[n:]))
 
     worst = 0.0
-    for k, g in enumerate(analytic):
-        x_plus = x0.copy()
-        x_minus = x0.copy()
-        x_plus[k] += step
-        x_minus[k] -= step
-        num = (value(x_plus) - value(x_minus)) / (2 * step)
-        worst = max(worst, abs(g - num) / max(abs(g), abs(num), floor))
+    for u in _directions(clip.T, clip.d):
+        num = (value(x0 + step * u) - value(x0 - step * u)) / (2 * step)
+        slope = float(_dots(analytic, u))
+        worst = max(worst, abs(slope - num) / max(abs(slope), abs(num), floor))
     return worst
 
 

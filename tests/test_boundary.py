@@ -48,8 +48,8 @@ PROBES = {"true": True, "2.5": 2.5, "nan": math.nan, "inf": math.inf, "-inf": -m
 # probes it may take or reject). Every other probe raises ValueError.
 KINDS = {
     "count": ({"10**30"}, set()),
-    # a count that sizes an array: numpy cannot allocate 10**30 entries
-    "size": (set(), {"10**30"}),
+    # a count that sizes an array, at most kinds.MAX_DRAWS
+    "size": (set(), set()),
     # a Monte Carlo count, at most kinds.MAX_DRAWS
     "draws": (set(), set()),
     "index": ({"0"}, set()),
@@ -85,7 +85,7 @@ CALLS = {
     "ClipSequence": (ClipSequence, dict(timestamps=(0, 1), embeddings=U[:2], language=U[0]),
                      {"timestamps": ("timestamp", ROW)}),
     "SyntheticClipSpec": (SyntheticClipSpec, dict(T=4, d=3, completion_index=4),
-                          {"T": ("count", None), "d": ("count", None),
+                          {"T": ("size", None), "d": ("size", None),
                            "completion_index": ("completion", None),
                            "noise_sigma": ("non-negative", None), "seed": ("seed", None)}),
     "TnceConfig": (TnceConfig, {}, {"temperature": ("positive", None)}),

@@ -252,7 +252,7 @@ class TestTrainCommand:
                                       "train": {"steps": 5}})
         result = invoke("train", cfg, tmp_path / "out")
         assert result.exit_code == 2, result.output
-        assert "d must be an integer of at least 2, got 1" in result.output
+        assert "d must be an integer of at least 2 and at most 10000000, got 1" in result.output
 
 
 class TestVerifyCommand:
@@ -365,6 +365,12 @@ class TestVerifyCommand:
             ("bridge-stats", "bridge_stats", {"tolerance": float("nan")}),
             ("tightness", "tightness", {"eps": [1e-320, 0.1]}),
             ("tightness", "tightness", {"timestamps": [0, 1e300]}),
+            ("lower-bound", "lower_bound", {"t_range": [3, 10**30]}),
+            ("lower-bound", "lower_bound", {"d_range": [2, 10**11]}),
+            ("lipschitz", "lipschitz", {"dim": 10**30}),
+            ("robustness", "robustness", {"dim": 10**11}),
+            ("bridge-stats", "bridge_stats", {"dim": 10**11}),
+            ("bridge-stats", "bridge_stats", {"t_end": 10**30}),
         ],
     )
     def test_bad_check_parameters(self, tmp_path, check, block, params):
@@ -482,12 +488,15 @@ class TestRewardCommand:
             {"synthetic": {"T": 4, "d": 3, "completion_index": 2, "noise_sigma": float("nan")}},
             {"synthetic": {"T": 4, "d": 3, "completion_index": 2, "noise_sigma": float("inf")}},
             {"synthetic": {"T": 4, "d": 3, "completion_index": 2, "noise_sigma": True}},
+            {"synthetic": {"T": 10**30, "d": 3, "completion_index": 2}},
+            {"synthetic": {"T": 4, "d": 10**11, "completion_index": 2}},
         ],
         ids=[
             "seeds-0", "seeds-1.5", "seeds-true", "objectives-empty", "objectives-number",
             "objectives-nested-list", "objectives-repeated", "synthetic-d-1",
             "synthetic-T-4.5", "synthetic-d-2.5", "synthetic-completion_index-2.5",
             "synthetic-noise_sigma-nan", "synthetic-noise_sigma-inf", "synthetic-noise_sigma-true",
+            "synthetic-T-1e30", "synthetic-d-1e11",
         ],
     )
     def test_bad_reward_config(self, tmp_path, field):
@@ -524,10 +533,13 @@ class TestGradcheckCommand:
         [
             ({}, 0),
             ({"T": 2, "d": 2, "clips": 5}, 0),
-            # the errors sit just above the fixed 1e-5 threshold at this size
-            ({"seed": 2, "losses": ["vlo", "total"], "clips": 3, "T": 40, "d": 12}, 1),
+            # a per-coordinate check failed these correct gradients: at T=40 its
+            # errors sat just above 1e-5, and at T=128 round-off swamped them
+            ({"seed": 2, "losses": ["vlo", "total"], "clips": 3, "T": 40, "d": 12}, 0),
+            ({"seed": 2, "losses": ["vlo", "total"], "clips": 3, "T": 128, "d": 8,
+              "step": 1e-6}, 0),
         ],
-        ids=["readme", "T2-d2", "T40-d12"],
+        ids=["readme", "T2-d2", "T40-d12", "T128-d8"],
     )
     def test_matches_per_clip_loop(self, tmp_path, data, code):
         """gradcheck.json holds the bytes the per-clip loop of naive
@@ -561,10 +573,12 @@ class TestGradcheckCommand:
             {"losses": 5},
             {"losses": [["vlo"]]},
             {"losses": ["vlo", "vlo"]},
+            {"T": 10**30},
+            {"d": 10**11},
         ],
         ids=["clips-0", "clips-true", "T-1", "T-2.5", "d-1", "step-0", "step-inf", "losses-empty",
              "step-true", "step-too-large", "losses-number", "losses-nested-list",
-             "losses-repeated"],
+             "losses-repeated", "T-1e30", "d-1e11"],
     )
     def test_bad_parameters(self, tmp_path, params):
         cfg = write_config(tmp_path, {"clips": 2, "T": 4, "d": 3, **params})

@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import actol.gradients as gradients
 import actol.losses as losses
 from actol import (
     BridgeInterval,
@@ -21,6 +22,7 @@ from actol import (
     grad_vlo,
     random_clip,
 )
+from actol.cli import _sample_away_from_kinks
 from actol.losses import Bridge, TieGroups
 
 TOL = 1e-5
@@ -277,17 +279,18 @@ class TestFiniteDiffCheck:
         assert finite_diff_check(loss, kink_free_clip(6, 5, 79)) < TOL
         assert kernel.call_count == calls
 
-    @pytest.mark.parametrize("vectors", [1, 2, 3, 4, 6, 7])
-    def test_stack_size_changes_nothing(self, monkeypatch, vectors):
-        # one vector's 2d points hold 2 * 5 * 36 = 360 scores at T=6, d=5;
-        # the language rides in a stack of its own or with frames
-        clip = kink_free_clip(6, 5, 80)
-        expected = [finite_diff_check(loss, clip) for loss in ("vlo", "total")]
-        monkeypatch.setattr(losses, "BLOCK_SCORES", 360 * vectors)
+    @pytest.mark.parametrize("clips", [1, 2, 3, 4, 6, 7])
+    def test_stack_size_changes_nothing(self, monkeypatch, clips):
+        # one clip's 2 * 8 perturbed points hold 2 * 8 * 36 = 576 scores at
+        # T=6; a budget of that many clips' points cuts a stack of 7 into blocks
+        stack = [kink_free_clip(6, 5, 80 + k) for k in range(7)]
+        expected = [[finite_diff_check(loss, clip) for clip in stack] for loss in ("vlo", "total")]
+        monkeypatch.setattr(losses, "BLOCK_SCORES", 576 * clips)
         kernel = mock.Mock(wraps=losses._suffix_softmax)
         monkeypatch.setattr(losses, "_suffix_softmax", kernel)
-        assert [finite_diff_check(loss, clip) for loss in ("vlo", "total")] == expected
-        assert kernel.call_count == 2 * (1 + -(-7 // vectors))
+        errors = [gradients._finite_diff_errors(loss, stack).tolist() for loss in ("vlo", "total")]
+        assert errors == expected
+        assert kernel.call_count == 2 * 2 * -(-7 // clips)  # per loss and block: 2 calls
 
     def test_memory_stays_per_frame(self):
         # one frame's perturbed points are stacked at a time; a stack of all
@@ -300,6 +303,53 @@ class TestFiniteDiffCheck:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+def _one_component(frames, language, no_bridge):
+    frames = frames.copy()
+    frames[..., 2, 1] += 1e-3 * np.abs(frames).max(axis=(-2, -1))
+    return frames, language
+
+
+def _frame_flipped(frames, language, no_bridge):
+    frames = frames.copy()
+    frames[..., 1, :] *= -1
+    return frames, language
+
+
+# Seeded bugs in the analytic gradient of `total`: each maps the (1, N, T, d)
+# frame and (1, N, d) language gradients of objective_and_grad, given the
+# frame gradient of the same call without its bridge, to wrong ones
+MUTATIONS = {
+    "doubled": lambda frames, language, no_bridge: (2 * frames, 2 * language),
+    "scaled-1e-4": lambda frames, language, no_bridge: ((1 + 1e-4) * frames,
+                                                        (1 + 1e-4) * language),
+    "one-component": _one_component,
+    "frame-sign-flipped": _frame_flipped,
+    "language-dropped": lambda frames, language, no_bridge: (frames, np.zeros_like(language)),
+    "bridge-dropped": lambda frames, language, no_bridge: (no_bridge, language),
+}
+
+
+@pytest.mark.parametrize("mutation", list(MUTATIONS))
+@pytest.mark.parametrize("T, d, step", [(6, 5, 1e-5), (40, 12, 1e-5), (128, 8, 1e-6)],
+                         ids=["T6", "T40", "T128"])
+def test_seeded_bug_fails_on_every_clip(monkeypatch, T, d, step, mutation):
+    # the clips of a gradcheck run: correct gradients pass, and each bug
+    # fails on every clip, not only on the worst one
+    rng = np.random.default_rng(2)
+    clips = [_sample_away_from_kinks(rng, T, d, step) for _ in range(3)]
+    assert gradients._finite_diff_errors("total", clips, step=step).max() < gradients.PASS_ERROR
+    original = gradients.objective_and_grad
+
+    def mutated(emb, lang, c, bridge=None, bb_weight=0.0, need_language=True):
+        value, bb, frames, language, at_kink = original(emb, lang, c, bridge, bb_weight)
+        no_bridge = original(emb, lang, c)[2]
+        frames, language = MUTATIONS[mutation](frames, language, no_bridge)
+        return value, bb, frames, language, at_kink
+
+    monkeypatch.setattr(gradients, "objective_and_grad", mutated)
+    assert gradients._finite_diff_errors("total", clips, step=step).min() > gradients.PASS_ERROR
 
 
 BB_WEIGHT_ENTRY_POINTS = {

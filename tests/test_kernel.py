@@ -26,7 +26,6 @@ from actol import (
     finite_diff_check,
     grad_bb,
     lower_bound,
-    random_clip,
     tnce_loss,
     vlo_loss,
     vlo_loss_on_scores,
@@ -684,12 +683,11 @@ def clip_stacks(draw):
 )
 @settings(examples, max_examples=10)
 @given(case=clip_stacks(), tau=temperatures, step=st.sampled_from([1e-5, 1e-3]),
-       defaults=st.booleans(), vectors=st.sampled_from([1, 2, "clip", "3 clips"]))
-def test_stacked_finite_diff_errors_match_reference(loss, cfg, case, tau, step, defaults,
-                                                    vectors):
+       defaults=st.booleans(), size=st.sampled_from([1, 2, 3, 7]))
+def test_stacked_finite_diff_errors_match_reference(loss, cfg, case, tau, step, defaults, size):
     """Each clip's error from the stacked oracle is the float of the
-    per-coordinate loop and of its one-clip call, also when a budget of one
-    or two vectors' points, one clip's or three clips' splits the stack."""
+    per-direction loop and of its one-clip call, also when a budget of one,
+    two, three or seven clips' points splits the stack into blocks."""
     stack, intervals = case
     if loss == "tnce":
         params = {"config": replace(cfg, temperature=tau)}
@@ -701,24 +699,10 @@ def test_stacked_finite_diff_errors_match_reference(loss, cfg, case, tau, step, 
     expected = [naive.finite_diff_check(loss, clip, params, step) for clip in stack]
     assert gradients._finite_diff_errors(loss, stack, params, step).tolist() == expected
     assert [finite_diff_check(loss, clip, params, step) for clip in stack] == expected
-    N, T, d = len(stack), stack[0].T, stack[0].d
-    per_call = {"clip": T + 1, "3 clips": 3 * (T + 1)}.get(vectors, vectors)
-    size, width = max(1, per_call // (T + 1)), min(per_call, T + 1)  # clips, vectors of each
+    T = stack[0].T
     kernel = mock.Mock(wraps=losses._suffix_softmax)
-    with mock.patch.object(losses, "BLOCK_SCORES", per_call * 2 * d * T * T), \
+    with mock.patch.object(losses, "BLOCK_SCORES", size * 2 * gradients.DIRECTIONS * T * T), \
             mock.patch.object(losses, "_suffix_softmax", kernel):
         assert gradients._finite_diff_errors(loss, stack, params, step).tolist() == expected
-    calls = -(-N // size) * -(-(T + 1) // width)
-    assert kernel.call_count == (0 if loss == "bb" else 1 + calls)
-
-
-def test_finite_diff_check_in_several_calls_matches_reference(monkeypatch):
-    """At T=64, d=16 one vector's 2d perturbed points exceed BLOCK_SCORES,
-    so each of the T + 1 vectors gets its own kernel call; the result is
-    still the float of the per-coordinate loop."""
-    clip = random_clip(64, 16, np.random.default_rng(81))
-    expected = naive.finite_diff_check("total", clip)
-    kernel = mock.Mock(wraps=losses._suffix_softmax)
-    monkeypatch.setattr(losses, "_suffix_softmax", kernel)
-    assert finite_diff_check("total", clip) == expected
-    assert kernel.call_count == 1 + 65  # the analytic gradient, then one call per vector
+    # per block of size clips, the analytic gradient's call and the perturbed points'
+    assert kernel.call_count == (0 if loss == "bb" else 2 * -(-len(stack) // size))

@@ -226,6 +226,17 @@ class TestRobustness:
         with pytest.raises(ValueError):
             check_robustness(v, v, v, 3.0, trials=1, seed=0)
 
+    @pytest.mark.parametrize("shapes", [(3, 5), (5, 3), (6, 6), ((1, 5), 5)],
+                             ids=["v_i", "v_j", "both", "v_i-2d"])
+    def test_other_dimension_rejected_before_drawing(self, shapes):
+        # the mismatch was found by alignment_score, after the first block's draw
+        v_i, v_j = (np.ones(shape) for shape in shapes)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^v_i and v_j must have l's 5 entries"):
+            check_robustness(v_i, v_j, self.unit(18), 0.1, trials=10, seed=rng)
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_language_rejected(self, bad):
         v = self.unit(17)
