@@ -349,14 +349,17 @@ def reward(values, out, config):
 def _sample_away_from_kinks(rng, T, d, step):
     """Random clip whose similarities are pairwise at least
     KINK_MARGIN_STEPS finite-difference steps apart, so no central
-    difference crosses the alignment score's absolute-value kink. A step
-    too large for T similarities in [-1, 1] is a ConfigError."""
+    difference crosses the alignment score's absolute-value kink. A step too
+    large for T similarities in [-1, 1] is a ConfigError naming the widest gap drawn."""
+    gaps = []  # each draw's gap between its closest similarities
     for _ in range(100):
         clip = random_clip(T, d, rng)
-        if np.min(np.diff(np.sort(clip.similarities()))) >= KINK_MARGIN_STEPS * step:
+        gaps.append(np.min(np.diff(np.sort(clip.similarities()))))
+        if gaps[-1] >= KINK_MARGIN_STEPS * step:
             return clip
     raise ConfigError(f"step {step!r} too large: no clip of {T} frames in 100 draws has "
-                      f"similarities {KINK_MARGIN_STEPS} steps apart")
+                      f"similarities {KINK_MARGIN_STEPS} steps apart; the widest closest-pair "
+                      f"gap drawn was {max(gaps):.1e}")
 
 
 @_command

@@ -31,7 +31,7 @@ def _cosines(embeddings: np.ndarray, language: np.ndarray):
     (..., d) language vectors, and the (..., T) and (..., 1) norms. The
     language norm is a matmul, which rounds like a 1-D np.linalg.norm, not _norms."""
     lang = language[..., :, None]
-    norm_l = np.sqrt(np.matmul(np.swapaxes(lang, -1, -2), lang))[..., 0]
+    norm_l = np.sqrt(np.matmul(lang.swapaxes(-1, -2), lang))[..., 0]
     norm_v = _norms(embeddings)
     norms = norm_v * norm_l
     if (norms == 0.0).any():

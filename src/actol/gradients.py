@@ -18,15 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kinds
-from .clip import ClipSequence, _dots
+from .clip import ClipSequence, _cosines, _dots
 from .losses import (
     DEFAULT_BB_WEIGHT,
     Bridge,
     BridgeInterval,
     Contrast,
     TnceConfig,
-    _contrastive_terms,
-    _differences,
+    _contrastive_values,
+    _sorted_scores,
+    _sorted_softmax,
     _stack_size,
 )
 from .synthetic import random_units
@@ -63,41 +64,41 @@ def objective_and_grad(emb, lang, c: Contrast, bridge=None, bb_weight=0.0, need_
     """Per-clip (values, bridge penalties, dL/dE, dL/dl, at_kink) of the
     contrastive objective c on (B, T, d) embeddings and (B, d) language
     vectors, from one kernel pass; c must be Contrast.of(timestamps, cfg).
-    For a Contrast of O configs the stack is (B, O, T, d) and (B, O, d),
-    and each output has the config axis after the clip axis. Given a
-    Bridge, shared or of each clip's own intervals (clip axes (B,), or
-    (B, 1) for O configs, else ValueError), bb_weight times its gradient is
-    added to dL/dE; without one the penalties are 0.0. The config rows on
-    which an (O, P) w is zero carry no bridge (see Bridge). dL/dl is None
-    unless need_language. A bb_weight not finite and non-negative raises
-    ValueError. The cosines, their norms and the score rows come from
-    _contrastive_terms, computed once; the kink test reads the rows of
-    difference-score configs, and s_i - s_k is formed again in their buffer
-    once the kernel is done. The kernel's arrays and dL/dl's terms come from
-    c.array, which keeps them in a descent run's Contrast; every output is a
-    new array."""
+    For a Contrast of O configs the stack is (B, O, T, d) and (B, O, d), and
+    each output has the config axis after the clip axis. Given a Bridge,
+    shared or of each clip's own intervals (clip axes (B,), or (B, 1) for O
+    configs, else ValueError), bb_weight times its gradient is added to
+    dL/dE; without one the penalties are 0.0. The config rows on which an
+    (O, P) w is zero carry no bridge (see Bridge). dL/dl is None unless
+    need_language. A bb_weight not finite and non-negative raises
+    ValueError. The cosines and their norms come from one _cosines pass, and
+    the scores from one gather in each anchor's sorted order
+    (_sorted_scores), which keeps s_i - s_k for the kink test and the chain
+    rule there; one scatter of their terms into a dense (T, T) array gives
+    dL/ds from its row and column sums. The kernel's arrays and
+    dL/dl's terms come from c.array, which keeps them in a descent run's
+    Contrast; every output is a new array."""
     kinds.NON_NEGATIVE.check("bb_weight", bb_weight)
-    value, G, s, norm_v, norm_l, rows = _contrastive_terms(emb, lang, c, need_grad=True)
-    no_kink = np.zeros(value.shape, dtype=bool)
-    if c.score == "direct-sim":
-        g_s, at_kink = G.sum(axis=-2), no_kink
-    else:
-        # dL/dR_{i,k} (R = -|s_i - s_k|) to dL/ds_t; a kink is a close pair off G's 0 diagonal.
-        # close: |s_i - s_k| < KINK_TOL, on the diagonal unless s_i is NaN
-        close = np.greater(rows, -KINK_TOL, out=c.array("close", rows.shape, bool))
-        mixed = c.score is None
-        if mixed:  # the rows of direct-sim configs hold s_k and have no kink
+    s, norm_v, norm_l = _cosines(emb, lang)
+    x, diff = _sorted_scores(s, c, True)
+    if diff is not None:  # close: -|s_i - s_k| > -KINK_TOL; a direct-sim row holds s_k
+        close = np.greater(x, -KINK_TOL, out=c.array("close", x.shape, bool))
+        if c.score is None:
             close &= c.difference
-        off = np.count_nonzero(close) > np.count_nonzero(close.diagonal(0, -2, -1))
-        at_kink = np.any(np.logical_and(close, G, out=close), axis=(-2, -1)) if off else no_kink
-        # s_i - s_k again, in rows' buffer: kept from before, it would be live through the kernel
-        GS = np.sign(_differences(s, rows), out=rows)
-        if mixed:  # a direct-sim config's dL/ds_t is G's column sum
-            np.copyto(GS, 1.0, where=~c.difference)
-        GS *= G
-        col = GS.sum(axis=-2)
-        g_s = -GS.sum(axis=-1) + col
-        if mixed:
+    value, W = _sorted_softmax(x, c, True)
+    at_kink = np.zeros(value.shape, dtype=bool)
+    if diff is not None:
+        if close.any():  # a kink is a close pair with a nonzero weight
+            at_kink = np.logical_and(close, W, out=close).any(axis=(-2, -1))
+        # sign(s_i - s_k) dL/dR_{i,k} for R = -|s_i - s_k|; a direct-sim config's stays dL/dR
+        np.multiply(W, np.sign(diff, out=diff), out=W, where=True if c.score else c.difference)
+    # dL/ds_t from sums over dense (T, T) rows and columns, as the kernel's G would round
+    GS = c.array("G", s.shape + s.shape[-1:])  # no sorted position is on the diagonal
+    GS.reshape(len(s), -1)[:, c.sorted_at] = W
+    g_s = col = np.add.reduce(GS, axis=-2)
+    if diff is not None:
+        g_s = np.subtract(col, np.add.reduce(GS, axis=-1))
+        if c.score is None:
             g_s = np.where(c.difference[..., 0], g_s, col)
     if bridge is not None:  # before dL/dE, so that fewer (..., T, d) arrays are live at once
         try:
@@ -214,7 +215,7 @@ def _finite_diff_errors(loss: str, clips, params=None, step: float = DEFAULT_STE
         g = np.concatenate([frames.reshape(len(E), -1), language.reshape(len(E), -1)], axis=1)
         emb = np.concatenate([E + du_frames, E - du_frames])
         lang = np.concatenate([l + du_language, l - du_language])
-        v = 0.0 if c is None else _contrastive_terms(emb, lang, c, need_grad=False)[0]
+        v = 0.0 if c is None else _contrastive_values(emb, lang, c)
         if bridge is not None:  # same expression order as actol_loss(...).total
             v = v + bb_weight * bridge.penalty(emb)[0]
         if not np.isfinite(v).all():

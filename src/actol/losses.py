@@ -10,21 +10,22 @@ intervals against the clip.
 
 Every contrastive objective here is one masked softmax: for anchor i, the
 negatives of a positive frame j are a prefix of the other frames sorted by
-descending temporal distance (ties kept together). The sort costs
-O(T^2 log T) and is made once per training run, in Contrast.of.
-`_suffix_softmax` then evaluates every term in O(T^2) time and memory per
-call: as cumulative sums of exp(score / temperature) while a static range
-guard holds (span / temperature + log T < EXP_RANGE), and as log-space
-accumulations below it. Moving to linear-space sums changed results in
-their last bits once; reruns stay byte-identical, and results below the
-guard are unchanged. TieGroups.of and Contrast.of also take an (N, T)
-stack of timestamp rows of one length, so that clips with their own
-timestamps are sorted, and evaluated, in one call per stack; a signed
-integer array stack is checked in one vectorized pass. Callers that stack
-many small evaluations into one kernel call (theory's lower-bound check,
-gradients' finite-difference oracle) size each stack to BLOCK_SCORES
-scores with _stack_size. A descent run's Contrast keeps the kernel's
-(..., T, T) and (..., T, T-1) working arrays, which every step writes in
+descending temporal distance (ties kept together). The sort costs O(T^2
+log T) and is made once per training run, in Contrast.of. A step gathers
+its scores straight into that order (_sorted_scores), and
+`_sorted_softmax` evaluates every term in O(T^2) time and memory per call:
+as cumulative sums of exp(score / temperature) while a static range guard
+holds (span / temperature + log T < EXP_RANGE), and as log-space
+accumulations below it; `_suffix_softmax` runs it on (T, T) score rows.
+Moving to linear-space sums changed results in their last bits once;
+reruns stay byte-identical, and results below the guard are unchanged.
+TieGroups.of and Contrast.of also take an (N, T) stack of timestamp rows
+of one length, so that clips with their own timestamps are sorted, and
+evaluated, in one call per stack; a signed integer array stack is checked
+in one vectorized pass. Callers that stack many small evaluations into one
+kernel call (theory's lower-bound check, gradients' finite-difference
+oracle) size each stack to BLOCK_SCORES scores with _stack_size. A descent
+run's Contrast keeps a step's working arrays, which every step writes in
 place, so a step allocates no array of T^2 values; any other Contrast
 makes them anew per call.
 """
@@ -127,7 +128,7 @@ class TieGroups:
         d = np.abs(ts[..., :, None] - ts[..., None, :])
         r = np.arange(T)
         d[..., r, r] = -1  # the anchor sorts last and is dropped
-        order = np.argsort(-d, axis=-1, kind="stable")[..., :-1]
+        order = np.ascontiguousarray(np.argsort(-d, axis=-1, kind="stable")[..., :-1])
         dist = np.take_along_axis(d, order, axis=-1)
         pos = np.broadcast_to(np.arange(T - 1), dist.shape)
         first = np.ones(dist.shape, dtype=bool)
@@ -156,38 +157,44 @@ class Contrast:
     """A contrastive objective at fixed timestamps and what its kernel needs
     of them, built once per training run: the TieGroups, the positive mask
     in each anchor's sorted order and its count per clip, and flat indices
-    of the sorted positions in a (T, T) array and of the end and start of
-    each negative group in a (T, T-1) one. Both selectors apply here: under
-    'other-frames' all other frames form one group. groups.lower_bound()
-    is the ordering loss's bound whatever the selectors.
+    of the sorted positions in (T,) similarities (s_at) and in a (T, T)
+    array, and of the end and start of each negative group in a (T, T-1)
+    one. Both selectors apply here: under 'other-frames' all other frames
+    form one group. groups.lower_bound() is the ordering loss's bound
+    whatever the selectors.
 
     Built from an (N, T) stack of timestamp rows, the masks and indices are
-    (N, T, T-1) and the flat indices address an (N, T, T) and an
-    (N, T, T-1) array, so the kernel evaluates clip n of the stack on
-    slice n of (B, N, T, T) score rows. Built from one timestamp row and a
+    (N, T, T-1) and the flat indices address (N, T), (N, T, T) and
+    (N, T, T-1) arrays, so the kernel evaluates clip n of the stack on
+    slice n of (B, N, T) similarities. Built from one timestamp row and a
     tuple of O configs, row o of the same layout is config o: cfg is the
     tuple, and the temperature tau, the positive-term count n_terms and
     the gradient scale n_terms * tau are (O, 1, 1), (O,) and (O, 1, 1)
-    arrays. temperatures holds each config's temperature as a float, and
-    score the score kind all configs share, or None when they mix kinds;
-    difference then masks the (O, 1, 1) rows that score by difference.
-    others is ~positives, the sorted positions that hold no term, or None
-    when every position holds one. work is None but in a descent run's
-    Contrast: a dict that keeps the kernel's working arrays from step to
-    step (see array), so that a step allocates no array of T^2 values.
-    Such a Contrast serves one stack shape and one caller at a time, and
-    nothing a caller keeps may be one of its arrays."""
+    arrays. temperatures holds each config's temperature as a float, linear
+    its range guard on cosine scores (see _sorted_softmax), and score the
+    score kind all configs share, or None when they mix kinds; difference
+    then masks the (O, 1, 1) rows that score by difference. others is
+    ~positives, the sorted positions that hold no term, or None when every
+    position holds one. work is None but in a descent run's Contrast: a
+    dict that keeps a step's working arrays from step to step (see array),
+    so that a step allocates no array of T^2 values: per stack slice, the
+    sorted scores x, s_i - s_k and the kernel's (T, T-1) arrays, the
+    (T, T) dL/ds terms G and the kink mask. Such a Contrast serves one
+    stack shape and one caller at a time, and nothing a caller keeps may be
+    one of its arrays."""
 
     cfg: TnceConfig | tuple
     groups: TieGroups
     positives: np.ndarray
     n_terms: int | np.ndarray
+    s_at: np.ndarray
     sorted_at: np.ndarray
     end_at: np.ndarray
     start_at: np.ndarray
     tau: float | np.ndarray
     scale: float | np.ndarray
     temperatures: tuple
+    linear: tuple
     score: str | None
     difference: np.ndarray | None = None
     others: np.ndarray | None = None
@@ -226,13 +233,15 @@ class Contrast:
         pos, end, start = masks(cfg) if one else map(np.stack, zip(*map(masks, cfg)))
         n = np.arange(pos.size // (T * (T - 1))).reshape(pos.shape[:-2] + (1, 1))  # stack row
         row = (n * T + i) * (T - 1)
-        flat = ((n * T + i) * T + k, row + end, row + start)
+        # for one row s_at is the contiguous order itself, by which a gather copies no indices
+        s_at = k.reshape(pos.shape) if n.size == 1 else n * T + k
+        flat = (s_at, (n * T + i) * T + k, row + end, row + start)
         others = None if pos.all() else ~pos
         if one:
             n_terms = int(np.count_nonzero(pos)) // n.size  # the same for every clip of length T
             tau = float(cfg.temperature)
-            return cls(cfg, groups, pos, n_terms, *flat, tau, n_terms * tau, (tau,), cfg.score,
-                       others=others)
+            return cls(cfg, groups, pos, n_terms, *flat, tau, n_terms * tau, (tau,),
+                       _in_range((tau,), T), cfg.score, others=others)
         n_terms = [int(np.count_nonzero(p)) for p in pos]
         tau = tuple(float(c.temperature) for c in cfg)
         scale = [m * t for m, t in zip(n_terms, tau)]
@@ -240,7 +249,8 @@ class Contrast:
         score = scores[0] if len(set(scores)) == 1 else None
         difference = None if score else (np.array(scores) == "difference-score")[:, None, None]
         return cls(tuple(cfg), groups, pos, np.array(n_terms), *flat,
-                   *np.array([tau, scale])[..., None, None], tau, score, difference, others)
+                   *np.array([tau, scale])[..., None, None], tau, _in_range(tau, T), score,
+                   difference, others)
 
 
 def _stack_size(scores_per_item: int) -> int:
@@ -249,12 +259,44 @@ def _stack_size(scores_per_item: int) -> int:
     return max(1, BLOCK_SCORES // scores_per_item)
 
 
-def _suffix_softmax(rows, c: Contrast, need_grad: bool, span: float = 2.0):
+def _in_range(temperatures, T: int, span: float = 2.0) -> tuple:
+    """Each temperature's range guard at T frames: span / tau + log T < EXP_RANGE."""
+    return tuple(span / tau + math.log(T) < EXP_RANGE for tau in temperatures)
+
+
+def _suffix_softmax(rows, c: Contrast, need_grad: bool, span: float | None = None):
     """For each (T, T) slice b of rows, the mean over positive pairs (i, j)
     of the contrastive cross-entropy -x_ij + log sum_k exp(x_ik),
     x = rows[b] / temperature, where k runs over j's group and every group
-    before it in anchor i's order. span bounds the spread (max - min) of
-    every anchor's scores; the default 2 holds for any cosine score.
+    before it in anchor i's order: _sorted_softmax on the rows gathered in
+    each anchor's sorted order, its weights scattered back to (T, T).
+
+    Returns the (B,) values and G with G[b, i, k] = d value_b / d rows[b, i, k],
+    or (values, None) when need_grad is false. For a Contrast of an
+    (N, T) timestamp stack, rows are (B, N, T, T) and values (B, N): one
+    value per clip, as each clip gets from its own Contrast. For a Contrast
+    of O configs they are (B, O, T, T) and (B, O), one value per config as
+    from its own Contrast. The working arrays and G come from c.array; the
+    values are new."""
+    B = len(rows)
+    # take lays each slice out as alone; fancy indexing would sum B > 1 in another order.
+    # Into an out array, mode "raise" copies through a temporary; the indices are valid.
+    x = rows.reshape(B, -1).take(c.sorted_at, axis=1, out=c.array("x", (B, *c.sorted_at.shape)),
+                                 mode="clip")
+    value, weights = _sorted_softmax(x, c, need_grad, span)
+    if not need_grad:
+        return value, None
+    G = c.array("G", rows.shape)  # no sorted position is on the diagonal, which stays 0
+    G.reshape(B, -1)[:, c.sorted_at] = weights
+    return value, G
+
+
+def _sorted_softmax(x, c: Contrast, need_grad: bool, span: float | None = None):
+    """_suffix_softmax's (values, weights or None) on scores x already in each
+    anchor's sorted order, (B, ..., T, T-1) as c.sorted_at lays them out;
+    weights[b, ..., i, p] is d value / d x at sorted position p. span
+    bounds the spread (max - min) of every anchor's scores; None is any
+    cosine score's 2, whose guard c holds.
 
     Every log-sum-exp is a cumulative sum along each anchor's sorted row,
     read at the end of each group. The gradient weight of frame k sums
@@ -264,24 +306,11 @@ def _suffix_softmax(rows, c: Contrast, need_grad: bool, span: float = 2.0):
     span / temperature + log T < EXP_RANGE they run in linear space
     (_exp_cumsum, one exp and one log); otherwise in log space
     (_log_accumulate). Adding the linear-space path moved results above
-    the guard in their last bits; below it they are unchanged.
-
-    Returns the (B,) values and G with G[b, i, k] = d value_b / d rows[b, i, k],
-    or (values, None) when need_grad is false. For a Contrast of an
-    (N, T) timestamp stack, rows are (B, N, T, T) and values (B, N): one
-    value per clip, as each clip gets from its own Contrast. For a Contrast
-    of O configs they are (B, O, T, T) and (B, O), one value per config as
-    from its own Contrast: if the guard holds for some configs and not for
-    others, both paths run on the whole stack, each config keeping its side.
-    The working arrays and G come from c.array; the values are new.
-    """
-    B = len(rows)
-    log_T = math.log(rows.shape[-1])
-    linear = [span / tau + log_T < EXP_RANGE for tau in c.temperatures]
-    # np.take lays each slice out as alone; fancy indexing would sum B > 1 in another
-    # order. Into an out array, mode "raise" copies through a temporary; the indices are valid.
-    x = np.take(rows.reshape(B, -1), c.sorted_at, axis=1,
-                out=c.array("x", (B, *c.sorted_at.shape)), mode="clip")
+    the guard in their last bits; below it they are unchanged. If the guard
+    holds for some configs of a stack and not for others, both paths run
+    on the whole stack, each config keeping its side. x is overwritten, and
+    the weights are an array from c.array."""
+    linear = c.linear if span is None else _in_range(c.temperatures, x.shape[-2], span)
     np.divide(x, c.tau, out=x)
     if any(linear) == all(linear):
         terms, weights = (_exp_cumsum if linear[0] else _log_accumulate)(x, c, need_grad)
@@ -294,18 +323,15 @@ def _suffix_softmax(rows, c: Contrast, need_grad: bool, span: float = 2.0):
         for linear_side, log_side in zip((terms, weights), _log_accumulate(x, c, need_grad)):
             if log_side is not None:
                 np.copyto(linear_side, log_side, where=off)
-    value = terms.reshape(*terms.shape[:-2], -1).sum(axis=-1) / c.n_terms
+    value = np.add.reduce(terms.reshape(*terms.shape[:-2], -1), axis=-1) / c.n_terms
     if not need_grad:
         return value, None
     np.subtract(weights, c.positives, out=weights)
-    np.divide(weights, c.scale, out=weights)
-    G = c.array("G", rows.shape)  # no sorted position is on the diagonal, which stays 0
-    G.reshape(B, -1)[:, c.sorted_at] = weights
-    return value, G
+    return value, np.divide(weights, c.scale, out=weights)
 
 
 def _exp_cumsum(x, c: Contrast, need_grad: bool):
-    """_suffix_softmax's (per-pair terms, gradient weights or None) of the
+    """_sorted_softmax's (per-pair terms, gradient weights or None) of the
     sorted, scaled scores x, in linear space: one exp and one log. Each row
     is shifted by its first score, so a first group of one frame gives
     exactly 0. Under the guard span / temperature + log T < EXP_RANGE,
@@ -317,7 +343,7 @@ def _exp_cumsum(x, c: Contrast, need_grad: bool):
     np.subtract(x, x[..., :1].copy(), out=x)  # no input may overlap the output
     e = np.exp(x, out=c.array("e", x.shape))
     acc = np.add.accumulate(e, axis=-1, out=c.array("acc", x.shape))
-    C = np.take(acc.reshape(B, -1), c.end_at, axis=1, out=c.array("C", x.shape), mode="clip")
+    C = acc.reshape(B, -1).take(c.end_at, axis=1, out=c.array("C", x.shape), mode="clip")
     terms = np.subtract(np.log(C, out=acc), x, out=acc)
     if c.others is not None:
         np.copyto(terms, 0.0, where=c.others)
@@ -325,7 +351,7 @@ def _exp_cumsum(x, c: Contrast, need_grad: bool):
         return terms, None
     tail = np.divide(c.positives, C, out=C)[..., ::-1]
     np.add.accumulate(tail, axis=-1, out=tail)
-    e *= np.take(C.reshape(B, -1), c.start_at, axis=1, out=x, mode="clip")
+    e *= C.reshape(B, -1).take(c.start_at, axis=1, out=x, mode="clip")
     return terms, e
 
 
@@ -335,7 +361,7 @@ def _log_accumulate(x, c: Contrast, need_grad: bool):
     so that both paths can run on one stack."""
     B = len(x)
     acc = np.logaddexp.accumulate(x, axis=-1, out=c.array("log_terms", x.shape))
-    lse = np.take(acc.reshape(B, -1), c.end_at, axis=1, out=c.array("lse", x.shape), mode="clip")
+    lse = acc.reshape(B, -1).take(c.end_at, axis=1, out=c.array("lse", x.shape), mode="clip")
     terms = np.subtract(lse, x, out=acc)
     if c.others is not None:
         np.copyto(terms, 0.0, where=c.others)
@@ -345,50 +371,39 @@ def _log_accumulate(x, c: Contrast, need_grad: bool):
     if c.others is not None:
         np.copyto(tail, -np.inf, where=c.others)
     np.logaddexp.accumulate(tail[..., ::-1], axis=-1, out=tail[..., ::-1])
-    x += np.take(tail.reshape(B, -1), c.start_at, axis=1, out=c.array("log_tail", x.shape),
-                 mode="clip")
+    x += tail.reshape(B, -1).take(c.start_at, axis=1, out=c.array("log_tail", x.shape),
+                                  mode="clip")
     return terms, np.exp(x, out=x)
 
 
-def _score_rows(s, c: Contrast):
-    """(..., T, T) score rows of (..., T) similarities: row i holds
-    -|s_i - s_k| for 'difference-score', or s_k for 'direct-sim'; for a
-    Contrast whose configs mix kinds, each (T, T) slice by its config's.
-    The rows are an array from c.array."""
-    rows = c.array("rows", s.shape + s.shape[-1:])
+def _sorted_scores(s, c: Contrast, need_diff: bool):
+    """(x, s_i - s_k or None) of (B, ..., T) similarities: x holds each
+    anchor's scores in its sorted order, laid out as c.sorted_at, from one
+    gather of s: -|s_i - s_k| for 'difference-score' and s_k for
+    'direct-sim', each config of a stack that mixes kinds by its own. When
+    need_diff and some config scores by difference, s_i - s_k is kept in the
+    same order for the chain rule. Both are arrays from c.array."""
+    x = s.reshape(len(s), -1).take(c.s_at, axis=1, out=c.array("x", (len(s), *c.sorted_at.shape)),
+                                   mode="clip")  # s_k
     if c.score == "direct-sim":
-        rows[...] = s[..., None, :]
-        return rows
-    np.negative(np.abs(_differences(s, rows), out=rows), out=rows)
-    if c.score is None:
-        np.copyto(rows, s[..., None, :], where=~c.difference)
-    return rows
+        return x, None
+    diff = c.array("diff", x.shape) if need_diff or c.score is None else x
+    np.subtract(s[..., None], x, out=diff)  # only s_i broadcasts: one iterator buffer
+    where = True if c.score else c.difference  # a mixed stack's direct-sim rows keep s_k
+    np.negative(np.abs(diff, out=x, where=where), out=x, where=where)
+    return x, diff if need_diff else None
 
 
-def _differences(s, out):
-    """out[..., i, k] = s_i - s_k of (..., T) similarities, written into
-    out. It subtracts from a copy of s_k, so that only one operand
-    broadcasts: numpy then makes one iterator buffer for it, not two."""
-    out[...] = s[..., None, :]
-    return np.subtract(s[..., :, None], out, out=out)
-
-
-def _contrastive_terms(emb, lang, c: Contrast, need_grad: bool):
-    """(per-clip values, dL/drows, s, |v|, |l|, rows) of the contrastive
-    objective c on (B, T, d) embeddings and (B, d) language vectors, or on
-    a (B, O, T, d) and (B, O, d) stack for a Contrast of O configs: the
-    cosines s and their norms from one _cosines pass, and the score rows
-    the kernel ran on, each computed once. dL/drows and the rows are
-    arrays from c.array."""
-    s, norm_v, norm_l = _cosines(emb, lang)
-    rows = _score_rows(s, c)
-    value, G = _suffix_softmax(rows, c, need_grad)
-    return value, G, s, norm_v, norm_l, rows
+def _contrastive_values(emb, lang, c: Contrast):
+    """Per-clip values of the contrastive objective c on (B, T, d) embeddings
+    and (B, d) language vectors, or (B, O, ...) stacks for O configs."""
+    x, _ = _sorted_scores(_cosines(emb, lang)[0], c, False)
+    return _sorted_softmax(x, c, False)[0]
 
 
 def _clip_value(emb, lang, c: Contrast) -> float:
     """The contrastive objective c on one (T, d) clip and its (d,) language."""
-    return float(_contrastive_terms(emb[None], lang[None], c, False)[0][0])
+    return float(_contrastive_values(emb[None], lang[None], c)[0])
 
 
 def vlo_loss(clip: ClipSequence, temperature: float = 1.0) -> float:

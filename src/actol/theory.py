@@ -27,8 +27,8 @@ import numpy as np
 
 from . import kinds
 from .clip import ClipSequence, _cosines, _dots, alignment_score
-from .losses import (Bridge, Contrast, TieGroups, TnceConfig, _score_rows, _stack_size,
-                     _suffix_softmax)
+from .losses import (Bridge, Contrast, TieGroups, TnceConfig, _sorted_scores, _sorted_softmax,
+                     _stack_size, _suffix_softmax)
 from .synthetic import MAX_GAP, perturb_language, random_units, sample_bridge
 
 FLOAT_SLACK = 1e-12
@@ -80,8 +80,8 @@ def _lower_bound_gaps(timestamps, similarities) -> np.ndarray:
     gaps = []
     for start in range(0, len(similarities), size):
         c = Contrast.of(timestamps[start : start + size], cfg)
-        rows = _score_rows(similarities[start : start + size], c)
-        values = _suffix_softmax(rows[None], c, False)[0][0]
+        x, _ = _sorted_scores(similarities[None, start : start + size], c, False)
+        values = _sorted_softmax(x, c, False)[0][0]
         gaps.append(values - c.groups.lower_bound())
     return np.concatenate(gaps)
 

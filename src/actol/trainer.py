@@ -89,7 +89,7 @@ def _tangent_step(vectors: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarr
     renormalized."""
     if lr == 0.0:
         return vectors
-    radial = (grads * vectors).sum(axis=-1, keepdims=True)
+    radial = np.add.reduce(grads * vectors, axis=-1, keepdims=True)
     stepped = np.multiply(radial, vectors)  # the tangent, then the step, in one array
     np.subtract(grads, stepped, out=stepped)
     np.multiply(lr, stepped, out=stepped)

@@ -588,6 +588,18 @@ class TestGradcheckCommand:
         assert "error: " in result.output
         assert not (tmp_path / "out" / "gradcheck.json").exists()
 
+    def test_step_too_large_names_the_widest_gap_drawn(self, tmp_path):
+        """At T=128 the default step needs similarities 1e-3 apart, which no
+        draw of this config reaches; the error names the widest closest-pair
+        gap the 100 draws reached, and the run exits 2 with no output."""
+        data = {"seed": 2, "losses": ["vlo", "total"], "clips": 3, "T": 128, "d": 8}
+        result = invoke("gradcheck", write_config(tmp_path, data), tmp_path / "out")
+        assert result.exit_code == 2, result.output
+        assert ("error: step 1e-05 too large: no clip of 128 frames in 100 draws has "
+                "similarities 100 steps apart; the widest closest-pair gap drawn was "
+                "3.9e-04\n") in result.output
+        assert not (tmp_path / "out" / "gradcheck.json").exists()
+
 
 SMALL_CONFIGS = {
     "train": {"clip": {"synthetic": {"T": 4, "d": 3, "completion_index": 2}},

@@ -176,8 +176,9 @@ class TestFiniteDiffCheck:
     def test_bad_step(self, monkeypatch, step):
         # rejected before the objective is built or the kernel runs
         clip = kink_free_clip(3, 3, 71)
-        kernel = mock.Mock(wraps=losses._suffix_softmax)
-        monkeypatch.setattr(losses, "_suffix_softmax", kernel)
+        kernel = mock.Mock(wraps=losses._sorted_softmax)
+        monkeypatch.setattr(losses, "_sorted_softmax", kernel)
+        monkeypatch.setattr(gradients, "_sorted_softmax", kernel)
         with pytest.raises(ValueError, match="^step must be finite and positive"):
             finite_diff_check("vlo", clip, step=step)
         assert kernel.call_count == 0
@@ -274,8 +275,9 @@ class TestFiniteDiffCheck:
     def test_one_kernel_call_per_check_at_readme_size(self, monkeypatch, loss, calls):
         # T=6, d=5: the 70 perturbed points of 36 scores each fit one
         # BLOCK_SCORES stack; the other call is the analytic gradient's
-        kernel = mock.Mock(wraps=losses._suffix_softmax)
-        monkeypatch.setattr(losses, "_suffix_softmax", kernel)
+        kernel = mock.Mock(wraps=losses._sorted_softmax)
+        monkeypatch.setattr(losses, "_sorted_softmax", kernel)
+        monkeypatch.setattr(gradients, "_sorted_softmax", kernel)
         assert finite_diff_check(loss, kink_free_clip(6, 5, 79)) < TOL
         assert kernel.call_count == calls
 
@@ -286,8 +288,9 @@ class TestFiniteDiffCheck:
         stack = [kink_free_clip(6, 5, 80 + k) for k in range(7)]
         expected = [[finite_diff_check(loss, clip) for clip in stack] for loss in ("vlo", "total")]
         monkeypatch.setattr(losses, "BLOCK_SCORES", 576 * clips)
-        kernel = mock.Mock(wraps=losses._suffix_softmax)
-        monkeypatch.setattr(losses, "_suffix_softmax", kernel)
+        kernel = mock.Mock(wraps=losses._sorted_softmax)
+        monkeypatch.setattr(losses, "_sorted_softmax", kernel)
+        monkeypatch.setattr(gradients, "_sorted_softmax", kernel)
         errors = [gradients._finite_diff_errors(loss, stack).tolist() for loss in ("vlo", "total")]
         assert errors == expected
         assert kernel.call_count == 2 * 2 * -(-7 // clips)  # per loss and block: 2 calls

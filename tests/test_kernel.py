@@ -35,7 +35,6 @@ from actol.losses import (
     Bridge,
     Contrast,
     TieGroups,
-    _contrastive_terms,
     _suffix_softmax,
 )
 from actol.trainer import measure_delta
@@ -114,8 +113,9 @@ def test_vlo_value_matches_reference(clip, tau):
 @given(clip=clips(), tau=temperatures)
 def test_vlo_score_gradient_matches_reference(clip, tau):
     c = Contrast.of(clip.timestamps, TnceConfig(temperature=tau))
-    _, (G,), (s,) = _contrastive_terms(clip.embeddings[None], clip.language[None], c, True)[:3]
+    s = clip.similarities()
     R = -np.abs(s[:, None] - s[None, :])
+    _, (G,) = _suffix_softmax(R[None], c, True)
     T = clip.T
     assert_grad_close(G, naive.pair_weight_matrix(clip.timestamps, R, tau), T * (T - 1), tau)
 
@@ -125,8 +125,8 @@ def test_vlo_score_gradient_matches_reference(clip, tau):
 def test_tnce_matches_reference(clip, cfg, tau):
     cfg = TnceConfig(cfg.positive_selector, cfg.negative_selector, cfg.score, tau)
     c = Contrast.of(clip.timestamps, cfg)
-    terms = _contrastive_terms(clip.embeddings[None], clip.language[None], c, True)
-    (value,), (G,), (s,) = terms[:3]
+    s = clip.similarities()
+    (value,), (G,) = _suffix_softmax(naive._score_rows(s, cfg.score)[None], c, True)
     g_s, G_pairs = naive.tnce_score_grads(clip.timestamps, s, cfg)
     expected = naive.tnce_loss(clip.timestamps, s, cfg)
     assert value == pytest.approx(expected, rel=1e-12, abs=1e-15)
@@ -324,7 +324,7 @@ def _row_mask(O, rows):
     return np.isin(np.arange(O), rows).astype(float)[:, None]
 
 
-@pytest.mark.parametrize("bridge", ["none", "shared", "per-clip"])
+@pytest.mark.parametrize("bridge", ["none", "shared", "per-clip", "none-nan"])
 @pytest.mark.parametrize("taus", [(0.5, 1.0), (1e-3, 1.0)], ids=["linear", "mixed-range"])
 def test_config_stack_rows_match_each_config_alone(bridge, taus):
     """Row o of a (B, O, T, d) stack under a Contrast of O configs gets bit
@@ -334,7 +334,10 @@ def test_config_stack_rows_match_each_config_alone(bridge, taus):
     side's kernel runs once, on the whole stack. A similarity tie is
     flagged on difference-score rows only. A Bridge of each clip's own
     interval is laid out on (B, 1) clip axes for the stack and on (B,) for
-    one config."""
+    one config. With no bridge, a NaN similarity in clip 2 beside the tie
+    in clip 1 gives NaN rows as each config alone gives them and flags no
+    kink in clip 2; a bridged NaN clip is left out, since Bridge promises
+    a +0.0 penalty on zero-weight rows only for finite embeddings."""
     configs = (replace(STACK_CONFIGS[0], temperature=taus[0]),
                *(replace(cfg, temperature=taus[1]) for cfg in STACK_CONFIGS[1:]))
     bridged = [0, 3]
@@ -343,24 +346,30 @@ def test_config_stack_rows_match_each_config_alone(bridge, taus):
     emb, lang = _step_inputs(B * O, seed=11)
     emb, lang = emb.reshape(B, O, *emb.shape[1:]), lang.reshape(B, O, -1)
     emb[1, :, 6] = emb[1, :, 2]  # a tie in every row of clip 1
+    if bridge == "none-nan":
+        emb[2, :, 4] = np.nan  # a NaN similarity in every row of clip 2
     intervals = np.array([[[b, 9 - b]] for b in range(B)])
-    bridges = {"none": (None, None), "shared": (Bridge.of(STEP_TS),) * 2,
+    bridges = {"none": (None, None), "none-nan": (None, None), "shared": (Bridge.of(STEP_TS),) * 2,
                "per-clip": (Bridge.of(STEP_TS, intervals[:, None]), Bridge.of(STEP_TS, intervals))}
     stacked, alone_bridge = bridges[bridge]
     if stacked is not None:  # w is 0 on every row but 0 and 3
         stacked = Bridge(stacked.M, stacked.w * _row_mask(O, bridged))
     kernels = {name: mock.Mock(wraps=getattr(losses, name))
                for name in ("_exp_cumsum", "_log_accumulate")}
-    with mock.patch.multiple(losses, **kernels):
+    # logaddexp.accumulate, the log-space path's, flags a NaN input as invalid
+    invalid = "ignore" if bridge == "none-nan" else "warn"
+    with mock.patch.multiple(losses, **kernels), np.errstate(invalid=invalid):
         got = objective_and_grad(emb, lang, c, stacked, 0.1, True)
     calls = [kernels[name].call_count for name in ("_exp_cumsum", "_log_accumulate")]
     assert calls == ([1, 0] if taus[0] == 0.5 else [1, 1])
     for o, cfg in enumerate(configs):
         on = alone_bridge if o in bridged else None
-        alone = objective_and_grad(emb[:, o], lang[:, o], Contrast.of(STEP_TS, cfg), on, 0.1)
+        with np.errstate(invalid=invalid):
+            alone = objective_and_grad(emb[:, o], lang[:, o], Contrast.of(STEP_TS, cfg), on, 0.1)
         for a, b in zip((g[:, o] for g in got), alone, strict=True):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
         assert alone[4].tolist() == [False, cfg.score == "difference-score", False]
+        assert np.isnan(alone[2][2]).any() == (bridge == "none-nan")
 
 
 @pytest.mark.parametrize("tau", [0.5, 0.002], ids=["linear", "log-space"])
@@ -411,7 +420,7 @@ def test_step_outputs_are_not_the_runs_working_arrays(stack, tau):
         emb[0, ..., 6, :] = emb[0, ..., 2, :]  # a tie, so that a kink is flagged
         got = objective_and_grad(emb, lang, run, bridge, 0.1, True)
         outputs.append((got, [a.copy() for a in got]))
-    assert {"rows", "x", "G", "close"} <= set(run.work)
+    assert {"diff", "x", "G", "close"} <= set(run.work)
     for got, kept in outputs:
         for a, b in zip(got, kept, strict=True):
             assert np.array_equal(a, b)
@@ -700,9 +709,10 @@ def test_stacked_finite_diff_errors_match_reference(loss, cfg, case, tau, step, 
     assert gradients._finite_diff_errors(loss, stack, params, step).tolist() == expected
     assert [finite_diff_check(loss, clip, params, step) for clip in stack] == expected
     T = stack[0].T
-    kernel = mock.Mock(wraps=losses._suffix_softmax)
+    kernel = mock.Mock(wraps=losses._sorted_softmax)
     with mock.patch.object(losses, "BLOCK_SCORES", size * 2 * gradients.DIRECTIONS * T * T), \
-            mock.patch.object(losses, "_suffix_softmax", kernel):
+            mock.patch.object(losses, "_sorted_softmax", kernel), \
+            mock.patch.object(gradients, "_sorted_softmax", kernel):
         assert gradients._finite_diff_errors(loss, stack, params, step).tolist() == expected
     # per block of size clips, the analytic gradient's call and the perturbed points'
     assert kernel.call_count == (0 if loss == "bb" else 2 * -(-len(stack) // size))

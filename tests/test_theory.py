@@ -58,8 +58,8 @@ class TestLowerBoundCheck:
         monkeypatch.setattr(losses, "BLOCK_SCORES", block_scores)
         sorts = mock.Mock(wraps=TieGroups.of)
         monkeypatch.setattr(TieGroups, "of", sorts)
-        kernel = mock.Mock(wraps=theory._suffix_softmax)
-        monkeypatch.setattr(theory, "_suffix_softmax", kernel)
+        kernel = mock.Mock(wraps=theory._sorted_softmax)
+        monkeypatch.setattr(theory, "_sorted_softmax", kernel)
         report = check_lower_bound(clips)
         assert report.instances == 7
         assert sorts.call_count == kernel.call_count == calls
@@ -377,8 +377,8 @@ class TestLowerBoundReport:
                             for T in set(block) if T > 2)
         builds = mock.Mock(wraps=Contrast.of)
         monkeypatch.setattr(Contrast, "of", builds)
-        kernel = mock.Mock(wraps=theory._suffix_softmax)
-        monkeypatch.setattr(theory, "_suffix_softmax", kernel)
+        kernel = mock.Mock(wraps=theory._sorted_softmax)
+        monkeypatch.setattr(theory, "_sorted_softmax", kernel)
         lower_bound_report(clips, t_range, d_range, 4)
         assert builds.call_count == kernel.call_count == expected
 

@@ -187,6 +187,34 @@ class TestTrainFree:
             assert max(peaks[1:]) < 128 * 128 * 8, (temperature, language)
 
     @pytest.mark.parametrize(
+        "B, T, d, objectives, most",
+        [(4, 10, 8, (None, TnceConfig("last-frame", "other-frames", "direct-sim")), 36_640),
+         (1, 128, 32, (None,), 798_720)],
+        ids=["reward-stack", "T128"],
+    )
+    def test_run_workspace_does_not_grow(self, monkeypatch, B, T, d, objectives, most):
+        """The arrays a descent run's Contrast keeps for its steps (work)
+        hold, after one step, no more bytes than when each step formed dense
+        (T, T) score rows: 36,640 B for the reward comparison's (4, 2, 10, 8)
+        stack and 798,720 B for one config at T=128, d=32."""
+        from actol import trainer
+
+        works = []
+        original = trainer.objective_and_grad
+
+        def keeping(emb, lang, c, *args):
+            works.append(c.work)
+            return original(emb, lang, c, *args)
+
+        monkeypatch.setattr(trainer, "objective_and_grad", keeping)
+        ts = tuple(range(T))
+        clips = [random_clip(T, d, np.random.default_rng(seed)) for seed in range(B)]
+        clips = [ClipSequence(ts, clip.embeddings, clip.language) for clip in clips]
+        train_objectives(clips, TrainConfig(steps=1, temperature=0.5), objectives, list(range(B)))
+        (work,) = works
+        assert 0 < sum(a.nbytes for a in work.values()) <= most
+
+    @pytest.mark.parametrize(
         "objectives", [(None,), (None, TnceConfig("last-frame", "other-frames", "direct-sim"))],
         ids=["actol", "actol-and-last-frame"],
     )
