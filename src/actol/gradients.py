@@ -92,7 +92,7 @@ def objective_and_grad(emb, lang, c: Contrast, bridge=None, bb_weight=0.0, need_
             at_kink = np.logical_and(close, W, out=close).any(axis=(-2, -1))
         # sign(s_i - s_k) dL/dR_{i,k} for R = -|s_i - s_k|; a direct-sim config's stays dL/dR
         np.multiply(W, np.sign(diff, out=diff), out=W, where=True if c.score else c.difference)
-    # dL/ds_t from sums over dense (T, T) rows and columns, as the kernel's G would round
+    # dL/ds_t from sums over dense (T, T) rows and columns, which round in the dense order
     GS = c.array("G", s.shape + s.shape[-1:])  # no sorted position is on the diagonal
     GS.reshape(len(s), -1)[:, c.sorted_at] = W
     g_s = col = np.add.reduce(GS, axis=-2)

@@ -16,7 +16,8 @@ its scores straight into that order (_sorted_scores), and
 `_sorted_softmax` evaluates every term in O(T^2) time and memory per call:
 as cumulative sums of exp(score / temperature) while a static range guard
 holds (span / temperature + log T < EXP_RANGE), and as log-space
-accumulations below it; `_suffix_softmax` runs it on (T, T) score rows.
+accumulations below it. Scores reach it only in that order: a supplied
+(T, T) score matrix is gathered into it once, in vlo_loss_on_scores.
 Moving to linear-space sums changed results in their last bits once;
 reruns stay byte-identical, and results below the guard are unchanged.
 TieGroups.of and Contrast.of also take an (N, T) stack of timestamp rows
@@ -264,39 +265,19 @@ def _in_range(temperatures, T: int, span: float = 2.0) -> tuple:
     return tuple(span / tau + math.log(T) < EXP_RANGE for tau in temperatures)
 
 
-def _suffix_softmax(rows, c: Contrast, need_grad: bool, span: float | None = None):
-    """For each (T, T) slice b of rows, the mean over positive pairs (i, j)
-    of the contrastive cross-entropy -x_ij + log sum_k exp(x_ik),
-    x = rows[b] / temperature, where k runs over j's group and every group
-    before it in anchor i's order: _sorted_softmax on the rows gathered in
-    each anchor's sorted order, its weights scattered back to (T, T).
-
-    Returns the (B,) values and G with G[b, i, k] = d value_b / d rows[b, i, k],
-    or (values, None) when need_grad is false. For a Contrast of an
-    (N, T) timestamp stack, rows are (B, N, T, T) and values (B, N): one
-    value per clip, as each clip gets from its own Contrast. For a Contrast
-    of O configs they are (B, O, T, T) and (B, O), one value per config as
-    from its own Contrast. The working arrays and G come from c.array; the
-    values are new."""
-    B = len(rows)
-    # take lays each slice out as alone; fancy indexing would sum B > 1 in another order.
-    # Into an out array, mode "raise" copies through a temporary; the indices are valid.
-    x = rows.reshape(B, -1).take(c.sorted_at, axis=1, out=c.array("x", (B, *c.sorted_at.shape)),
-                                 mode="clip")
-    value, weights = _sorted_softmax(x, c, need_grad, span)
-    if not need_grad:
-        return value, None
-    G = c.array("G", rows.shape)  # no sorted position is on the diagonal, which stays 0
-    G.reshape(B, -1)[:, c.sorted_at] = weights
-    return value, G
-
-
 def _sorted_softmax(x, c: Contrast, need_grad: bool, span: float | None = None):
-    """_suffix_softmax's (values, weights or None) on scores x already in each
-    anchor's sorted order, (B, ..., T, T-1) as c.sorted_at lays them out;
-    weights[b, ..., i, p] is d value / d x at sorted position p. span
-    bounds the spread (max - min) of every anchor's scores; None is any
-    cosine score's 2, whose guard c holds.
+    """For each slice b of scores x in each anchor's sorted order,
+    (B, ..., T, T-1) as c.sorted_at lays them out, the mean over positive
+    pairs (i, j) of the contrastive cross-entropy -x_ij / tau + log sum_k
+    exp(x_ik / tau), where k runs over j's group and every group before it
+    in anchor i's order. Returns the values and the weights, with
+    weights[b, ..., i, p] = d value_b / d x at sorted position p, or
+    (values, None) when need_grad is false. For a Contrast of an (N, T)
+    timestamp stack, x is (B, N, T, T-1) and the values (B, N), one per
+    clip as from its own Contrast; for a Contrast of O configs they are
+    (B, O, T, T-1) and (B, O), one per config. span bounds the spread
+    (max - min) of every anchor's scores; None is any cosine score's 2,
+    whose guard c holds.
 
     Every log-sum-exp is a cumulative sum along each anchor's sorted row,
     read at the end of each group. The gradient weight of frame k sums
@@ -355,6 +336,7 @@ def _exp_cumsum(x, c: Contrast, need_grad: bool):
     return terms, e
 
 
+@np.errstate(invalid="ignore")  # a NaN score gives NaN values, silently as in _exp_cumsum
 def _log_accumulate(x, c: Contrast, need_grad: bool):
     """_exp_cumsum in log space, for scores of any range. x is overwritten
     by the weights, and its other arrays from c.array are not _exp_cumsum's,
@@ -424,7 +406,8 @@ def vlo_loss_on_scores(timestamps, scores, temperature: float = 1.0) -> float:
         raise ValueError(f"score matrix must be {T}x{T}, got {scores.shape}")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    return float(_suffix_softmax(scores[None], c, False, np.ptp(scores))[0][0])
+    x = scores.take(c.sorted_at)[None]  # each anchor's row in its sorted order
+    return float(_sorted_softmax(x, c, False, np.ptp(scores))[0][0])
 
 
 def lower_bound(clip: ClipSequence) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 from . import kinds
 from .clip import ClipSequence, _cosines, _dots, alignment_score
 from .losses import (Bridge, Contrast, TieGroups, TnceConfig, _sorted_scores, _sorted_softmax,
-                     _stack_size, _suffix_softmax)
+                     _stack_size)
 from .synthetic import MAX_GAP, perturb_language, random_units, sample_bridge
 
 FLOAT_SLACK = 1e-12
@@ -146,7 +146,8 @@ def lower_bound_report(clips: int, t_range, d_range, seed) -> TheoremReport:
 
 
 def _near_optimal_scores(groups: TieGroups, eps) -> np.ndarray:
-    """construct_near_optimal on the TieGroups of one timestamp row."""
+    """construct_near_optimal's off-diagonal scores on the TieGroups of one
+    timestamp row, (T, T-1) in each anchor's sorted order."""
     kinds.POSITIVE.check("eps", eps)
     T = len(groups.order)
     min_mult = int(groups.sizes().min())
@@ -158,26 +159,30 @@ def _near_optimal_scores(groups: TieGroups, eps) -> np.ndarray:
     if not np.isfinite(gamma):  # T / (min_mult * eps) overflows for a subnormal eps
         raise ValueError(f"eps {eps!r} is too small: the score scale is not finite")
     scale = max(gamma, 0.0) / min_level_gap if np.isfinite(min_level_gap) else 1.0
-    distances = np.zeros((T, T), dtype=groups.distances.dtype)
-    np.put_along_axis(distances, groups.order, groups.distances, axis=1)
-    return -scale * distances
+    return -scale * groups.distances
 
 
 def construct_near_optimal(timestamps, eps: float) -> np.ndarray:
     """Score matrix driving the ordering loss within eps of its lower bound:
     scores proportional to negative temporal distance, scaled so every
     consecutive per-anchor distance level differs by at least
-    gamma = log(T / (min multiplicity * eps))."""
-    return _near_optimal_scores(TieGroups.of(kinds.timestamps(timestamps)), eps)
+    gamma = log(T / (min multiplicity * eps)). Its diagonal is -0.0."""
+    groups = TieGroups.of(kinds.timestamps(timestamps))
+    scores = np.full((len(groups.order),) * 2, -0.0)
+    np.put_along_axis(scores, groups.order, _near_optimal_scores(groups, eps), axis=1)
+    return scores
 
 
 def check_tightness(timestamps, eps_values) -> TheoremReport:
     """Evaluate the near-optimal construction against the lower bound for
-    each eps. The bound and every eps's loss come from one sort."""
+    each eps, of which there must be one or more, no two equal. The bound
+    and every eps's loss come from one sort. Each loss is the kernel's on
+    the construction's sorted scores, whose span -min is that of the
+    (T, T) matrix, since its diagonal -0.0 is the largest entry."""
     timestamps = kinds.timestamps(timestamps)
-    eps_values = list(eps_values)
-    if not eps_values:
-        raise ValueError("need at least one eps")
+    eps_values = [kinds.POSITIVE.check("eps", eps) for eps in eps_values]
+    if not eps_values or len(set(eps_values)) < len(eps_values):
+        raise ValueError(f"need one or more eps, no two equal, got {eps_values!r}")
     c = Contrast.of(timestamps, TnceConfig())
     lb = c.groups.lower_bound()
     violations = 0
@@ -185,7 +190,7 @@ def check_tightness(timestamps, eps_values) -> TheoremReport:
     excesses = {}
     for eps in eps_values:
         scores = _near_optimal_scores(c.groups, eps)
-        loss = float(_suffix_softmax(scores[None], c, False, np.ptp(scores))[0][0])
+        loss = float(_sorted_softmax(scores[None], c, False, -scores.min())[0][0])
         excess = loss - lb
         excesses[str(eps)] = excess
         worst = max(worst, excess - eps)

@@ -23,8 +23,8 @@ from .losses import (
     Bridge,
     Contrast,
     LossBreakdown,
-    TieGroups,
     TnceConfig,
+    _sorted_scores,
 )
 
 
@@ -281,15 +281,15 @@ def measure_delta(clip: ClipSequence, temperature: float = 1.0):
     (T = 2) the property is vacuous and the smallest positive normal float
     is returned by convention."""
     kinds.POSITIVE.check("temperature", temperature)
-    groups = TieGroups.of(clip.timestamps)
-    s = clip.similarities()
+    c = Contrast.of(clip.timestamps, TnceConfig())
+    start = c.groups.start
     # x[i, p]: anchor i's score for the frame at its sorted position p
-    x = np.take_along_axis(-np.abs(s[:, None] - s[None, :]), groups.order, axis=1) / temperature
+    x = _sorted_scores(clip.similarities()[None], c, False)[0][0] / temperature
     diff = x[:, :, None] - x[:, None, :]
     pos = np.arange(clip.T - 1)
-    tied = (groups.start[:, :, None] == groups.start[:, None, :]) & (pos[:, None] != pos)
+    tied = (start[:, :, None] == start[:, None, :]) & (pos[:, None] != pos)
     equal_gaps = np.abs(diff[tied])
-    margins = diff[pos < groups.start[:, :, None]]  # position q is farther than p
+    margins = diff[pos < start[:, :, None]]  # position q is farther than p
     if not equal_gaps.size and not margins.size:
         return sys.float_info.min
     max_gap = equal_gaps.max(initial=-np.inf)  # its candidate is then negative and dropped

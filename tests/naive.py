@@ -16,9 +16,12 @@ at a time. The gradcheck command's loop before it stacked each loss's
 clips, one check per clip as it is drawn, is the reference for its
 gradcheck.json.
 
-The log-space sorted-suffix kernel, which actol.losses._suffix_softmax ran
-for every input before it gained its linear-space path, is the bit-for-bit
-reference for that kernel's fallback below the range guard.
+suffix_softmax runs actol.losses._sorted_softmax, the kernel, on dense
+(T, T) score rows: it gathers them into each anchor's sorted order and
+scatters the weights back to a dense G, for the references that take or
+give (T, T) arrays. log_suffix_softmax, the log-space kernel that ran
+for every input before the kernel gained its linear-space path, is the
+bit-for-bit reference for its fallback below the range guard.
 
 The per-trial loop versions of the Monte Carlo theorem checks in
 actol.theory are kept here too. They draw from the Generator in the same
@@ -60,7 +63,7 @@ from actol.losses import (
     Contrast,
     TnceConfig,
     _clip_value,
-    _suffix_softmax,
+    _sorted_softmax,
 )
 from actol.synthetic import perturb_language
 from actol.theory import FLOAT_SLACK, TheoremReport
@@ -187,9 +190,23 @@ def tnce_score_grads(timestamps, s, cfg: TnceConfig):
     return g_s, G
 
 
+def suffix_softmax(rows, c, need_grad):
+    """(values, G or None) of the kernel on (B, ..., T, T) score rows, with
+    G[b, ..., i, k] = d value_b / d rows[b, ..., i, k]: the rows gathered in
+    each anchor's sorted order, and the kernel's weights scattered back to
+    (T, T), whose diagonal is 0."""
+    B = len(rows)
+    value, weights = _sorted_softmax(rows.reshape(B, -1).take(c.sorted_at, axis=1), c, need_grad)
+    if not need_grad:
+        return value, None
+    G = np.zeros(rows.shape)
+    G.reshape(B, -1)[:, c.sorted_at] = weights
+    return value, G
+
+
 def log_suffix_softmax(rows, c, need_grad):
-    """(values, G or None) of actol.losses._suffix_softmax from two
-    logaddexp.accumulate passes, whatever the range of the scores."""
+    """(values, G or None) of suffix_softmax from two logaddexp.accumulate
+    passes, whatever the range of the scores."""
     B = len(rows)
     tau = float(c.cfg.temperature)
     x = np.take(rows.reshape(B, -1), c.sorted_at, axis=1) / tau
@@ -582,7 +599,7 @@ def objective_and_grad(emb, lang, c, bridge=None, bb_weight=0.0):
     actol.gradients.objective_and_grad was before it computed each
     intermediate once."""
     s = _similarities(emb, lang)
-    value, G = _suffix_softmax(_score_rows(s, c.cfg.score), c, True)
+    value, G = suffix_softmax(_score_rows(s, c.cfg.score), c, True)
     if c.cfg.score == "direct-sim":
         g_s, at_kink = G.sum(axis=1), np.zeros(len(s), dtype=bool)
     else:

@@ -371,6 +371,7 @@ class TestVerifyCommand:
             ("robustness", "robustness", {"dim": 10**11}),
             ("bridge-stats", "bridge_stats", {"dim": 10**11}),
             ("bridge-stats", "bridge_stats", {"t_end": 10**30}),
+            ("tightness", "tightness", {"eps": [1, 0.1, 1.0]}),
         ],
     )
     def test_bad_check_parameters(self, tmp_path, check, block, params):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import naive
@@ -15,6 +16,7 @@ from actol import (
     bb_loss,
     check_tightness,
     construct_near_optimal,
+    grad_tnce,
     lower_bound,
     random_clip,
     tnce_loss,
@@ -139,8 +141,8 @@ class TestVloOnScores:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("at", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
     def test_non_finite_scores_rejected_before_the_kernel(self, monkeypatch, bad, at):
-        kernel = mock.Mock(wraps=losses._suffix_softmax)
-        monkeypatch.setattr(losses, "_suffix_softmax", kernel)
+        kernel = mock.Mock(wraps=losses._sorted_softmax)
+        monkeypatch.setattr(losses, "_sorted_softmax", kernel)
         scores = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         scores[at] = bad
         with pytest.raises(ValueError, match="^scores must be finite$"):
@@ -469,6 +471,20 @@ class TestTnce:
         clip = random_clip(5, 4, rng)
         cfg = TnceConfig("future-frame", "other-frames", "direct-sim")
         assert np.isfinite(tnce_loss(clip, cfg))
+
+    @pytest.mark.parametrize("temperature", [0.5, 0.002], ids=["linear", "log-space"])
+    def test_nan_embedding_gives_nan_without_warning(self, temperature):
+        """On both sides of the range guard a NaN embedding gives a NaN loss
+        and gradient, and neither kernel path warns."""
+        clip = random_clip(6, 3, np.random.default_rng(26))
+        emb = clip.embeddings.copy()
+        emb[2, 0] = np.nan
+        clip = ClipSequence(clip.timestamps, emb, clip.language)
+        cfg = TnceConfig(temperature=temperature)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(tnce_loss(clip, cfg))
+            assert np.isnan(grad_tnce(clip, cfg).frames).any()
 
     def test_vlo_pair_requires_difference_score(self):
         with pytest.raises(ValueError):

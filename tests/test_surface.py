@@ -2,7 +2,9 @@
 
 import ast
 import inspect
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import actol
@@ -58,3 +60,32 @@ def test_value_kinds_are_tested_only_in_kinds():
     found = {path.name: list(kind_tests(path)) for path in sorted(package.glob("*.py"))}
     assert found.pop("kinds.py")  # the scan sees them where they are
     assert [line for lines in found.values() for line in lines] == []
+
+
+def test_docs_name_only_private_helpers_that_exist():
+    """Every underscore-private identifier written in README.md, or in a
+    docstring or comment of actol, is defined in actol: as a function, a
+    class, an assigned name or attribute, or a parameter. A `<placeholder>_`
+    in a file-name template, such as reward_<objective>_seed<n>.csv, is not
+    an identifier."""
+    package = Path(actol.__file__).resolve().parent
+    private = re.compile(r"(?<![\w>])_[A-Za-z]\w*")
+    defined, texts = set(), [("README.md", README)]
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id if isinstance(node, ast.Name) else node.attr)
+            elif isinstance(node, ast.arg):
+                defined.add(node.arg)
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)):
+                where = f"{path.name}:{getattr(node, 'lineno', 1)}"
+                texts.append((where, ast.get_docstring(node) or ""))
+        texts += [(f"{path.name}:{token.start[0]}", token.string)
+                  for token in tokenize.generate_tokens(io.StringIO(source).readline)
+                  if token.type == tokenize.COMMENT]
+    named = [(where, name) for where, text in texts for name in private.findall(text)]
+    assert "_sorted_softmax" in {name for _, name in named}  # the scan sees the names it checks
+    assert [(where, name) for where, name in named if name not in defined] == []

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -112,8 +113,34 @@ class TestTightness:
         with pytest.raises(ValueError, match="too small"):
             check_tightness((0, 1, 2, 3), [0.1, 1e-320])
 
+    @pytest.mark.parametrize("eps_values", [[0.1, 0.1, 1, 1.0], [1, 1.0], [0.5, 0.1, 0.5]])
+    def test_equal_eps_rejected_before_any_evaluation(self, monkeypatch, eps_values):
+        kernel = mock.Mock(wraps=theory._sorted_softmax)
+        monkeypatch.setattr(theory, "_sorted_softmax", kernel)
+        with pytest.raises(ValueError, match="no two equal"):
+            check_tightness((0, 1, 2, 3), eps_values)
+        assert kernel.call_count == 0
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below-guard", "above-guard"])
+    def test_excess_at_the_range_guard_is_the_matrix_loss(self, side):
+        """With its span / tau + log T just below and just above the range
+        guard, the construction's excess is bit for bit vlo_loss_on_scores'
+        on the (T, T) matrix minus the bound, and the matrix keeps a -0.0
+        diagonal: the kernel's span is that of the whole matrix, whose
+        largest entry is the diagonal, not that of the off-diagonal scores."""
+        ts = (0, 1, 3, 4, 9, 10, 100)  # levels 1 apart, a level of one frame, 100 the farthest
+        T = len(ts)
+        # the span is 100 gamma, gamma = log(T / eps); at 10 the excess rounds to 0 either way
+        eps = T * math.exp(-(losses.EXP_RANGE - math.log(T) + side * 1e-6) / 100)
+        scores = construct_near_optimal(ts, eps)
+        assert (np.ptp(scores) + math.log(T) > losses.EXP_RANGE) == (side > 0)
+        assert np.signbit(np.diagonal(scores)).all()
+        lb = TieGroups.of(ts).lower_bound()
+        excess = check_tightness(ts, [eps]).details["excess_by_eps"][str(eps)]
+        assert excess == vlo_loss_on_scores(ts, scores) - lb
+
     def test_nan_excess_is_a_violation(self, monkeypatch):
-        monkeypatch.setattr(theory, "_suffix_softmax", lambda *args: (np.array([np.nan]),))
+        monkeypatch.setattr(theory, "_sorted_softmax", lambda *args: (np.array([np.nan]),))
         report = check_tightness((0, 1, 2, 3), [0.1])
         assert report.violations == 1 and not report.passed
 
