@@ -26,15 +26,16 @@ def _dots(a, b) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)
 
 
-def _cosines(embeddings: np.ndarray, language: np.ndarray):
+def _cosines(embeddings: np.ndarray, language: np.ndarray, norm_l=None):
     """(s, |v|, |l|): cosine similarities of (..., T, d) embeddings to their
-    (..., d) language vectors, and the (..., T) and (..., 1) norms. The
-    language norm is a matmul, which rounds like a 1-D np.linalg.norm, not _norms."""
+    (..., d) language vectors, and the (..., T) and (..., 1) norms, |l| from
+    norm_l if given: a matmul, which rounds like a 1-D np.linalg.norm."""
     lang = language[..., :, None]
-    norm_l = np.sqrt(np.matmul(lang.swapaxes(-1, -2), lang))[..., 0]
+    if norm_l is None:
+        norm_l = np.sqrt(np.matmul(lang.swapaxes(-1, -2), lang))[..., 0]
     norm_v = _norms(embeddings)
     norms = norm_v * norm_l
-    if (norms == 0.0).any():
+    if not norms.all():
         raise ValueError("cosine similarity undefined for zero-norm input")
     return np.matmul(embeddings, lang)[..., 0] / norms, norm_v, norm_l
 

@@ -60,68 +60,89 @@ class GradientSet:
     at_kink: bool = False
 
 
-def objective_and_grad(emb, lang, c: Contrast, bridge=None, bb_weight=0.0, need_language=True):
+def objective_and_grad(emb, lang, c, bridge=None, bb_weight=0.0, need_language=True):
     """Per-clip (values, bridge penalties, dL/dE, dL/dl, at_kink) of the
-    contrastive objective c on (B, T, d) embeddings and (B, d) language
-    vectors, from one kernel pass; c must be Contrast.of(timestamps, cfg).
-    For a Contrast of O configs the stack is (B, O, T, d) and (B, O, d), and
-    each output has the config axis after the clip axis. Given a Bridge,
-    shared or of each clip's own intervals (clip axes (B,), or (B, 1) for O
-    configs, else ValueError), bb_weight times its gradient is added to
-    dL/dE; without one the penalties are 0.0. The config rows on which an
-    (O, P) w is zero carry no bridge (see Bridge). dL/dl is None unless
-    need_language. A bb_weight not finite and non-negative raises
-    ValueError. The cosines and their norms come from one _cosines pass, and
-    the scores from one gather in each anchor's sorted order
-    (_sorted_scores), which keeps s_i - s_k for the kink test and the chain
-    rule there; one scatter of their terms into a dense (T, T) array gives
-    dL/ds from its row and column sums. The kernel's arrays and
-    dL/dl's terms come from c.array, which keeps them in a descent run's
-    Contrast; every output is a new array."""
-    kinds.NON_NEGATIVE.check("bb_weight", bb_weight)
-    s, norm_v, norm_l = _cosines(emb, lang)
-    x, diff = _sorted_scores(s, c, True)
-    if diff is not None:  # close: -|s_i - s_k| > -KINK_TOL; a direct-sim row holds s_k
-        close = np.greater(x, -KINK_TOL, out=c.array("close", x.shape, bool))
-        if c.score is None:
-            close &= c.difference
-    value, W = _sorted_softmax(x, c, True)
-    at_kink = np.zeros(value.shape, dtype=bool)
-    if diff is not None:
-        if close.any():  # a kink is a close pair with a nonzero weight
+    objective c = Contrast.of(timestamps, cfg) on (B, T, d) embeddings, or
+    (B, O, T, d) for O configs (each output's config axis after its clip axis),
+    and (B, d) or (B, O, d) language vectors, or a shared (d,) or (1, d); other
+    shapes raise ValueError. bb_weight (finite, non-negative) times a Bridge's
+    gradient, shared or each clip's own (clip axes (B,), or (B, 1) for O
+    configs, else ValueError), is added to dL/dE; without one the penalties are
+    0.0. dL/dl is None unless need_language. This is Step(c, bb_weight,
+    need_language) called once; c may be a run's Step, whose settings hold."""
+    return (c if isinstance(c, Step) else Step(c, bb_weight, need_language))(emb, lang, bridge)
+
+
+class Step:
+    """objective_and_grad with what a run fixes resolved once: c, bb_weight,
+    need_language, and need_kink, without which at_kink is None and the
+    kink test does not run. It keeps |l| and l/|l| of the last language
+    array it met (no caller may write into it between calls), so a fixed
+    language's are taken once per run. The chain rule runs in the kernel's
+    sorted order; one scatter into a dense (T, T) array gives dL/ds from its
+    row and column sums. Working arrays come from c.array; outputs are new."""
+
+    def __init__(self, c: Contrast, bb_weight=0.0, need_language=True, need_kink=True):
+        self.c, self.need_language, self.need_kink = c, need_language, need_kink
+        self.bb_weight = kinds.NON_NEGATIVE.check("bb_weight", bb_weight)
+        self.signed = True if c.score else c.difference  # where dL/dR takes sign(s_i - s_k)
+        self.clips, self.lang, self.norm_l = c.sorted_at.shape[:-1], None, None
+
+    def __call__(self, emb, lang, bridge=None):
+        c, clips = self.c, self.clips
+        if emb.ndim != len(clips) + 2 or emb.shape[1:-1] != clips:
+            raise ValueError(f"embeddings {emb.shape} do not match the Contrast's "
+                             f"(B, {', '.join(map(str, clips))}, d) stacks")
+        if lang.shape[-1:] != emb.shape[-1:] or lang.shape[:-1] not in ((), (1,), emb.shape[:-2]):
+            raise ValueError(f"language {lang.shape} does not match embeddings {emb.shape}")
+        known = lang is self.lang
+        s, norm_v, norm_l = _cosines(emb, lang, self.norm_l if known else None)
+        if not known:
+            u_l = lang / norm_l
+            self.lang, self.norm_l = lang, norm_l
+            self.u_col, self.u_row = u_l[..., None], u_l[..., None, :]
+        x, diff = _sorted_scores(s, c, True)
+        kink = self.need_kink and diff is not None
+        if kink:  # close: -|s_i - s_k| > -KINK_TOL; a direct-sim row holds s_k
+            close = np.greater(x, -KINK_TOL, out=c.array("close", x.shape, bool))
+            if c.score is None:
+                close &= c.difference
+        value, W = _sorted_softmax(x, c, True)
+        at_kink = np.zeros(value.shape, dtype=bool) if self.need_kink else None
+        if kink and close.any():  # a kink is a close pair with a nonzero weight
             at_kink = np.logical_and(close, W, out=close).any(axis=(-2, -1))
-        # sign(s_i - s_k) dL/dR_{i,k} for R = -|s_i - s_k|; a direct-sim config's stays dL/dR
-        np.multiply(W, np.sign(diff, out=diff), out=W, where=True if c.score else c.difference)
-    # dL/ds_t from sums over dense (T, T) rows and columns, which round in the dense order
-    GS = c.array("G", s.shape + s.shape[-1:])  # no sorted position is on the diagonal
-    GS.reshape(len(s), -1)[:, c.sorted_at] = W
-    g_s = col = np.add.reduce(GS, axis=-2)
-    if diff is not None:
-        g_s = np.subtract(col, np.add.reduce(GS, axis=-1))
-        if c.score is None:
-            g_s = np.where(c.difference[..., 0], g_s, col)
-    if bridge is not None:  # before dL/dE, so that fewer (..., T, d) arrays are live at once
-        try:
-            bb, g_bb = bridge.penalty(emb, need_grad=True)
-        except ValueError as e:  # the matmul's broadcast
-            raise ValueError(f"Bridge M {bridge.M.shape} does not match embeddings {emb.shape}") from e
-    # dL/ds_t to the embeddings through the cosine, normalization included
-    u_v = emb / norm_v[..., None]
-    u_l = lang / norm_l
-    cos = np.matmul(u_v, u_l[..., :, None])
-    language = None
-    if need_language:  # g_s (u_v - cos u_l), summed over frames, / |l|
-        t = c.array("language", u_v.shape)
-        np.copyto(t, u_l[..., None, :])  # a ufunc would buffer a copy of each broadcast operand
-        np.subtract(u_v, np.multiply(cos, t, out=t), out=t)
-        language = np.multiply(g_s[..., None], t, out=t).sum(axis=-2) / norm_l
-    frames = np.multiply(cos, u_v, out=u_v)  # g_s (u_l - cos u_v) / |v|, in u_v's array
-    np.subtract(u_l[..., None, :], frames, out=frames)
-    np.multiply(g_s[..., None], frames, out=frames)
-    np.divide(frames, norm_v[..., None], out=frames)
-    if bridge is not None:
-        frames += np.multiply(bb_weight, g_bb, out=g_bb)
-    return value, np.zeros(value.shape) if bridge is None else bb, frames, language, at_kink
+        if diff is not None:  # sign(s_i - s_k) dL/dR for R = -|s_i - s_k|; direct-sim keeps dL/dR
+            np.multiply(W, np.sign(diff, out=diff), out=W, where=self.signed)
+        # dL/ds_t from sums over dense (T, T) rows and columns, which round in the dense order
+        GS = c.array("G", s.shape + s.shape[-1:])  # no sorted position is on the diagonal
+        GS.reshape(len(s), -1)[:, c.sorted_at] = W
+        g_s = col = np.add.reduce(GS, axis=-2)
+        if diff is not None:
+            g_s = np.subtract(col, np.add.reduce(GS, axis=-1))
+            if c.score is None:
+                g_s = np.where(c.difference[..., 0], g_s, col)
+        if bridge is not None:  # before dL/dE, so that fewer (..., T, d) arrays are live at once
+            try:
+                bb, g_bb = bridge.penalty(emb, need_grad=True)
+            except ValueError as e:  # the matmul's broadcast
+                raise ValueError(f"Bridge M {bridge.M.shape} does not match embeddings "
+                                 f"{emb.shape}") from e
+        # dL/ds_t to the embeddings through the cosine, normalization included
+        u_v = emb / norm_v[..., None]
+        cos = np.matmul(u_v, self.u_col)
+        language = None
+        if self.need_language:  # g_s (u_v - cos u_l), summed over frames, / |l|
+            t = c.array("language", u_v.shape)
+            np.copyto(t, self.u_row)  # a ufunc would buffer a copy of each broadcast operand
+            np.subtract(u_v, np.multiply(cos, t, out=t), out=t)
+            language = np.multiply(g_s[..., None], t, out=t).sum(axis=-2) / norm_l
+        frames = np.multiply(cos, u_v, out=u_v)  # g_s (u_l - cos u_v) / |v|, in u_v's array
+        np.subtract(self.u_row, frames, out=frames)
+        np.multiply(g_s[..., None], frames, out=frames)
+        np.divide(frames, norm_v[..., None], out=frames)
+        if bridge is not None:
+            frames += np.multiply(self.bb_weight, g_bb, out=g_bb)
+        return value, np.zeros(value.shape) if bridge is None else bb, frames, language, at_kink
 
 
 def _on_clip(clip: ClipSequence, c: Contrast, bridge=None, bb_weight=0.0) -> GradientSet:

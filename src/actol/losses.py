@@ -156,13 +156,13 @@ class TieGroups:
 @dataclass(frozen=True, eq=False)
 class Contrast:
     """A contrastive objective at fixed timestamps and what its kernel needs
-    of them, built once per training run: the TieGroups, the positive mask
-    in each anchor's sorted order and its count per clip, and flat indices
-    of the sorted positions in (T,) similarities (s_at) and in a (T, T)
-    array, and of the end and start of each negative group in a (T, T-1)
-    one. Both selectors apply here: under 'other-frames' all other frames
-    form one group. groups.lower_bound() is the ordering loss's bound
-    whatever the selectors.
+    of them, built once per training run: the TieGroups, the positives in
+    each anchor's sorted order as the kernel's floats (1.0 when every
+    position holds a term, else a 0/1 array) and their count per clip, and
+    flat indices of the sorted positions in (T,) similarities (s_at) and in
+    a (T, T) array, and of the end and start of each negative group in a
+    (T, T-1) one. Under 'other-frames' all other frames form one group.
+    groups.lower_bound() is the ordering loss's bound whatever the selectors.
 
     Built from an (N, T) stack of timestamp rows, the masks and indices are
     (N, T, T-1) and the flat indices address (N, T), (N, T, T) and
@@ -174,19 +174,19 @@ class Contrast:
     arrays. temperatures holds each config's temperature as a float, linear
     its range guard on cosine scores (see _sorted_softmax), and score the
     score kind all configs share, or None when they mix kinds; difference
-    then masks the (O, 1, 1) rows that score by difference. others is
-    ~positives, the sorted positions that hold no term, or None when every
+    then masks the (O, 1, 1) rows that score by difference. others is the
+    bool mask of the sorted positions that hold no term, or None when every
     position holds one. work is None but in a descent run's Contrast: a
     dict that keeps a step's working arrays from step to step (see array),
     so that a step allocates no array of T^2 values: per stack slice, the
     sorted scores x, s_i - s_k and the kernel's (T, T-1) arrays, the
-    (T, T) dL/ds terms G and the kink mask. Such a Contrast serves one
-    stack shape and one caller at a time, and nothing a caller keeps may be
-    one of its arrays."""
+    (T, T) dL/ds terms G and, where the kink test runs, its mask. It serves
+    one stack shape (another raises ValueError) and one caller at a time,
+    and nothing a caller keeps may be one of its arrays."""
 
     cfg: TnceConfig | tuple
     groups: TieGroups
-    positives: np.ndarray
+    positives: float | np.ndarray
     n_terms: int | np.ndarray
     s_at: np.ndarray
     sorted_at: np.ndarray
@@ -207,9 +207,12 @@ class Contrast:
         place."""
         if self.work is None:
             return np.zeros(shape, dtype)
-        if name not in self.work:
-            self.work[name] = np.zeros(shape, dtype)
-        return self.work[name]
+        kept = self.work.get(name)
+        if kept is None:
+            kept = self.work[name] = np.zeros(shape, dtype)
+        elif kept.shape != shape:
+            raise ValueError(f"the run's Contrast keeps {name} {kept.shape}, not {shape}")
+        return kept
 
     @classmethod
     def of(cls, timestamps, cfg) -> "Contrast":
@@ -238,10 +241,11 @@ class Contrast:
         s_at = k.reshape(pos.shape) if n.size == 1 else n * T + k
         flat = (s_at, (n * T + i) * T + k, row + end, row + start)
         others = None if pos.all() else ~pos
+        positives = 1.0 if others is None else pos.astype(float)
         if one:
             n_terms = int(np.count_nonzero(pos)) // n.size  # the same for every clip of length T
             tau = float(cfg.temperature)
-            return cls(cfg, groups, pos, n_terms, *flat, tau, n_terms * tau, (tau,),
+            return cls(cfg, groups, positives, n_terms, *flat, tau, n_terms * tau, (tau,),
                        _in_range((tau,), T), cfg.score, others=others)
         n_terms = [int(np.count_nonzero(p)) for p in pos]
         tau = tuple(float(c.temperature) for c in cfg)
@@ -249,7 +253,7 @@ class Contrast:
         scores = [c.score for c in cfg]
         score = scores[0] if len(set(scores)) == 1 else None
         difference = None if score else (np.array(scores) == "difference-score")[:, None, None]
-        return cls(tuple(cfg), groups, pos, np.array(n_terms), *flat,
+        return cls(tuple(cfg), groups, positives, np.array(n_terms), *flat,
                    *np.array([tau, scale])[..., None, None], tau, _in_range(tau, T), score,
                    difference, others)
 
@@ -434,6 +438,9 @@ class Bridge:
     M: np.ndarray
     w: np.ndarray
 
+    def __post_init__(self):  # penalty's views, made once per Bridge: M^T and w as a column
+        vars(self).update(_Mt=self.M.swapaxes(-1, -2), _w_col=self.w[..., None])
+
     @classmethod
     def of(cls, timestamps, intervals=None) -> "Bridge":
         """Operator for a clip's timestamps, checked by kinds.timestamp_rows,
@@ -480,12 +487,12 @@ class Bridge:
         (..., N, T, d), clip n on its own operator. The sum is a ufunc
         reduce, not BLAS, so its bits do not depend on the BLAS thread count."""
         dev = self.M @ embeddings
-        wdev = self.w[..., None] * dev
+        wdev = self._w_col * dev
         value = np.add.reduce(wdev * dev, axis=(-2, -1))
         if not need_grad:
             return value, None
         del dev  # so that no more than two (..., T, d) arrays are live at once
-        grad = self.M.swapaxes(-1, -2) @ wdev
+        grad = self._Mt @ wdev
         grad *= 2.0
         return value, grad
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kinds
 from .clip import ClipSequence, _norms, normalize
-from .gradients import objective_and_grad
+from .gradients import Step, objective_and_grad
 from .losses import (
     DEFAULT_BB_WEIGHT,
     Bridge,
@@ -124,20 +124,20 @@ def _descend(
     """cfg.steps descent steps of B clips, which share the starting clip's
     timestamps, under each of O objectives: the combined objective (None)
     or a contrastive variant. The stack is (B, T, d) for one objective and
-    (B, O, T, d) for more, and every step makes one objective_and_grad call
-    for all of it. embed(params, step) returns the step's embeddings,
-    language vectors and a function from their gradients (dL/dl None unless
-    cfg.optimize_language) to the next params. Each step, clip b's bridge
-    intervals, drawn from rngs[b] in blocks of steps, make one Bridge for
-    the stack, its w times an (O, 1) column that is 1.0 on the combined
-    objectives and 0.0 elsewhere, so that only they carry the bridge. The
-    Contrast and, with one interval per step, the
-    full-clip Bridge are built once, the records after the last step (each
-    run's are empty unless keep_records). The Contrast keeps the kernel's
-    working arrays, so the steps write them in place. Returns records[b][o]
-    and the final params; the earliest step at which any clip and
-    objective has a non-finite loss, or at which any value overflows,
-    raises TrainingDiverged, which names the cause."""
+    (B, O, T, d) for more. embed(params, step) returns the step's
+    embeddings, language vectors and a function from their gradients (dL/dl
+    None unless cfg.optimize_language) to the next params. Each step, clip
+    b's bridge intervals, drawn from rngs[b] in blocks of steps, make one
+    Bridge for the stack, its w times an (O, 1) column that is 1.0 on the
+    combined objectives and 0.0 elsewhere, so that only they carry it. Built
+    once: the Contrast, whose work keeps the kernel's arrays; the Step that
+    every step's one objective_and_grad call runs, with no kink test (no
+    step reads at_kink) and, while the language is fixed, its norm; and,
+    with one interval per step, the full-clip Bridge. Each step writes its
+    history in place, and the records (empty unless keep_records) are built
+    after the last. Returns records[b][o] and the final params; the earliest
+    step at which any clip and objective has a non-finite loss, or at which
+    any value overflows, raises TrainingDiverged, which names the cause."""
     cfgs = tuple(obj or TnceConfig(temperature=cfg.temperature) for obj in objectives)
     c = replace(Contrast.of(clip.timestamps, cfgs[0] if len(cfgs) == 1 else cfgs), work={})
     lb = c.groups.lower_bound()
@@ -147,7 +147,8 @@ def _descend(
         b = Bridge.of(clip.timestamps, intervals)
         return Bridge(b.M, b.w * bridged)
 
-    lam, need_language = cfg.bb_weight, cfg.optimize_language
+    lam = cfg.bb_weight
+    evaluate = Step(c, lam, cfg.optimize_language, need_kink=False)  # no step reads at_kink
     shape = (len(rngs),) if len(cfgs) == 1 else (len(rngs), len(cfgs))
     T, n = len(clip.timestamps), cfg.intervals_per_step
     intervals = _interval_draws(T, n, rngs, cfg.steps, shape) if bridged.any() and n > 1 else None
@@ -161,11 +162,11 @@ def _descend(
                 emb, lang, update = embed(params, step)
                 if intervals is not None:
                     bridge = bridge_of(next(intervals))
-                vlo, bb, *grads, _ = objective_and_grad(emb, lang, c, bridge, lam, need_language)
-                total = vlo + lam * bb
+                vlo, bb, *grads, _ = objective_and_grad(emb, lang, evaluate, bridge)
+                total = np.add(vlo, lam * bb, out=history[2, ..., step])
                 if not np.isfinite(total).all():  # the earliest diverging step of any run
                     raise TrainingDiverged(step)
-                history[..., step] = vlo, bb, total
+                history[0, ..., step], history[1, ..., step] = vlo, bb
                 part = "update"
                 params = update(*grads)
     except FloatingPointError as exc:
@@ -245,13 +246,13 @@ def train_encoder(features, timestamps, language, cfg: TrainConfig):
     encoder and the per-step history. A step whose encoder maps some
     frame to zero raises TrainingDiverged."""
     features = np.asarray(features, dtype=float)
-    language = normalize(language)
+    language = normalize(language)[None]  # one array for every step: its norm is taken once
     _require_finite(features, language)
     _, f = features.shape
-    d = language.shape[0]
+    d = language.shape[1]
     rng = np.random.default_rng(cfg.seed)
     weight = np.eye(d) if f == d else rng.standard_normal((d, f)) / np.sqrt(f)
-    start = ClipSequence(timestamps, features @ weight.T, language)  # checks the inputs once
+    start = ClipSequence(timestamps, features @ weight.T, language[0])  # checks the inputs once
 
     def embed(weight, step):
         z = features @ weight.T
@@ -265,7 +266,7 @@ def train_encoder(features, timestamps, language, cfg: TrainConfig):
             gz = (gv[0] - (gv[0] * emb).sum(axis=1, keepdims=True) * emb) / norms
             return weight - cfg.learning_rate * (gz.T @ features)
 
-        return emb[None], language[None], update
+        return emb[None], language, update
 
     fixed = replace(cfg, optimize_language=False)  # the language is not a parameter here
     ((records,),), weight = _descend(start, weight, embed, fixed, (None,), [rng])

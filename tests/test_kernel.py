@@ -30,7 +30,7 @@ from actol import (
     vlo_loss,
     vlo_loss_on_scores,
 )
-from actol.gradients import grad_tnce, grad_total, grad_vlo, objective_and_grad
+from actol.gradients import Step, grad_tnce, grad_total, grad_vlo, objective_and_grad
 from actol.losses import (
     Bridge,
     Contrast,
@@ -455,6 +455,66 @@ def test_mismatched_batch_bridge_rejected(clips, configs):
     bridge = Bridge.of(ts, np.tile([[0, 5]], (clips, 1, 1)))
     with pytest.raises(ValueError, match="^Bridge M .* does not match embeddings"):
         objective_and_grad(emb, lang, c, bridge, 0.1)
+
+
+@pytest.mark.parametrize(
+    "emb_shape, lang_shape, message",
+    [((2, 6, 4), (2, 5), r"^language \(2, 5\) does not match embeddings \(2, 6, 4\)$"),
+     ((2, 6, 4), (3, 4), r"^language \(3, 4\) does not match embeddings \(2, 6, 4\)$"),
+     ((2, 6, 4), (2, 1, 4), r"^language \(2, 1, 4\) does not match embeddings \(2, 6, 4\)$"),
+     ((2, 7, 4), (2, 4),
+      r"^embeddings \(2, 7, 4\) do not match the Contrast's \(B, 6, d\) stacks$"),
+     ((6, 4), (4,), r"^embeddings \(6, 4\) do not match the Contrast's \(B, 6, d\) stacks$")],
+    ids=["language-d", "language-clips", "language-axes", "frames-T", "no-clip-axis"],
+)
+def test_mismatched_stack_rejected_naming_both_shapes(emb_shape, lang_shape, message):
+    """A stack that does not fit the Contrast or its language is rejected
+    at the boundary, before the kernel, not deep in numpy."""
+    c = Contrast.of((0, 1, 2, 3, 5, 6), TnceConfig())
+    rng = np.random.default_rng(3)
+    emb, lang = rng.standard_normal(emb_shape), rng.standard_normal(lang_shape)
+    with mock.patch.object(gradients, "_sorted_softmax") as kernel:
+        with pytest.raises(ValueError, match=message):
+            objective_and_grad(emb, lang, c)
+    assert kernel.call_count == 0
+
+
+def test_runs_contrast_at_another_stack_size_rejected():
+    c = replace(Contrast.of((0, 1, 2, 3, 5, 6), TnceConfig()), work={})
+    emb, lang = _step_inputs(3, seed=4, T=6, d=4)
+    objective_and_grad(emb[:2], lang[:2], c)
+    with pytest.raises(ValueError, match=r"^the run's Contrast keeps x \(2, 6, 5\), not \(3, 6, 5\)$"):
+        objective_and_grad(emb, lang, c)
+
+
+@pytest.mark.parametrize("shared", [(4,), (1, 4)], ids=str)
+def test_shared_language_is_each_clips_language(shared):
+    """A shared (d,) or (1, d) language passes the stack check, and gives
+    bit for bit the outputs of one copy per clip."""
+    c = Contrast.of((0, 1, 2, 3, 5, 6), TnceConfig())
+    emb, lang = _step_inputs(3, seed=5, T=6, d=4)
+    got = objective_and_grad(emb, lang[0].reshape(shared), c, Bridge.of((0, 1, 2, 3, 5, 6)), 0.1)
+    each = objective_and_grad(emb, np.tile(lang[:1], (3, 1)), c, Bridge.of((0, 1, 2, 3, 5, 6)), 0.1)
+    for a, b in zip(got, each, strict=True):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("objective", list(STEP_OBJECTIVES))
+def test_runs_step_takes_each_language_once(objective):
+    """A run's Step takes the norm of a language array once and keeps it:
+    calls on two arrays, alternating, each give bit for bit a one-shot
+    call's outputs on that array, at_kink aside (it runs no kink test)."""
+    c = Contrast.of(STEP_TS, STEP_OBJECTIVES[objective])
+    step = Step(replace(c, work={}), 0.1, need_language=True, need_kink=False)
+    emb, lang = _step_inputs(2, seed=6)
+    other = _step_inputs(2, seed=7)[1]
+    bridge = Bridge.of(STEP_TS)
+    for language in (lang, other, other, lang):
+        *got, at_kink = step(emb, language, bridge)
+        *expected, _ = objective_and_grad(emb, language, c, bridge, 0.1)
+        assert at_kink is None and step.lang is language
+        for a, b in zip(got, expected, strict=True):
+            assert np.array_equal(a, b)
 
 
 @st.composite

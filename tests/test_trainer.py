@@ -193,26 +193,33 @@ class TestTrainFree:
         ids=["reward-stack", "T128"],
     )
     def test_run_workspace_does_not_grow(self, monkeypatch, B, T, d, objectives, most):
-        """The arrays a descent run's Contrast keeps for its steps (work)
-        hold, after one step, no more bytes than when each step formed dense
-        (T, T) score rows: 36,640 B for the reward comparison's (4, 2, 10, 8)
-        stack and 798,720 B for one config at T=128, d=32."""
+        """What a descent run's step keeps from step to step, its Contrast's
+        working arrays (work) and the step's own run constants, holds after
+        one step no more bytes than when each step formed dense (T, T) score
+        rows: 36,640 B for the reward comparison's (4, 2, 10, 8) stack and
+        798,720 B for one config at T=128, d=32. Each buffer counts once;
+        the caller's language and the Contrast's fixed fields do not count."""
         from actol import trainer
 
-        works = []
+        steps = []
         original = trainer.objective_and_grad
 
-        def keeping(emb, lang, c, *args):
-            works.append(c.work)
-            return original(emb, lang, c, *args)
+        def keeping(emb, lang, step, *args):
+            steps.append(step)
+            return original(emb, lang, step, *args)
 
         monkeypatch.setattr(trainer, "objective_and_grad", keeping)
         ts = tuple(range(T))
         clips = [random_clip(T, d, np.random.default_rng(seed)) for seed in range(B)]
         clips = [ClipSequence(ts, clip.embeddings, clip.language) for clip in clips]
         train_objectives(clips, TrainConfig(steps=1, temperature=0.5), objectives, list(range(B)))
-        (work,) = works
-        assert 0 < sum(a.nbytes for a in work.values()) <= most
+        (step,) = steps
+        fixed = [getattr(step.c, f.name) for f in fields(step.c)] + [step.lang]
+        kept = [*step.c.work.values()] + [a for a in vars(step).values() if isinstance(a, np.ndarray)
+                                          and not any(a is b for b in fixed)]
+        assert len(kept) > len(step.c.work)  # the language's norm and unit vectors
+        buffers = {id(b): b for b in (a if a.base is None else a.base for a in kept)}
+        assert 0 < sum(b.nbytes for b in buffers.values()) <= most
 
     @pytest.mark.parametrize(
         "objectives", [(None,), (None, TnceConfig("last-frame", "other-frames", "direct-sim"))],
@@ -323,9 +330,9 @@ class TestTrainFree:
         asked = []
         original = trainer.objective_and_grad
 
-        def spy(emb, lang, c, bridge=None, bb_weight=0.0, need_language=True):
-            asked.append(need_language)
-            return original(emb, lang, c, bridge, bb_weight, need_language)
+        def spy(emb, lang, step, bridge=None):  # a run's Step, which fixes need_language
+            asked.append(step.need_language)
+            return original(emb, lang, step, bridge)
 
         monkeypatch.setattr(trainer, "objective_and_grad", spy)
         cfg = TrainConfig(steps=3, optimize_language=optimize_language)
@@ -335,6 +342,28 @@ class TestTrainFree:
         asked.clear()
         train_encoder(clip.embeddings, clip.timestamps, clip.language, cfg)
         assert asked == [False] * 3  # the encoder's language is fixed
+
+    @pytest.mark.parametrize("optimize_language", [False, True])
+    def test_language_norm_taken_once_per_run_unless_stepped(self, monkeypatch, optimize_language):
+        """A run whose language is fixed takes its norm at the first step
+        only; a run that steps it takes it at every step; the encoder's
+        language is always fixed."""
+        from actol import gradients
+
+        taken, original = [], gradients._cosines
+
+        def spy(emb, lang, norm_l=None):
+            taken.append(norm_l is None)
+            return original(emb, lang, norm_l)
+
+        monkeypatch.setattr(gradients, "_cosines", spy)
+        cfg = TrainConfig(steps=5, optimize_language=optimize_language)
+        clip = start_clip(32)
+        train_free(clip, cfg)
+        assert taken == ([True] * 5 if optimize_language else [True] + [False] * 4)
+        taken.clear()
+        train_encoder(clip.embeddings, clip.timestamps, clip.language, cfg)
+        assert taken == [True] + [False] * 4
 
     @pytest.mark.parametrize("optimize_language", [False, True])
     @pytest.mark.parametrize("intervals_per_step", [1, 3])
@@ -358,7 +387,9 @@ class TestTrainFree:
         )
         got = train_batch(clips, cfg, objective, (4, 5, 6))
         monkeypatch.setattr(
-            trainer, "objective_and_grad", lambda *a: naive.objective_and_grad(*a[:5])
+            trainer, "objective_and_grad",
+            lambda emb, lang, step, bridge: naive.objective_and_grad(
+                emb, lang, step.c, bridge, step.bb_weight),
         )
         monkeypatch.setattr(trainer, "_tangent_step", naive.tangent_step)
         for history, expected in zip(got, train_batch(clips, cfg, objective, (4, 5, 6))):
@@ -385,15 +416,26 @@ class TestTrainFree:
             train_batch(clips, cfg, None, (0, 1))
 
     @pytest.mark.parametrize("intervals_per_step", [1, 3])
-    def test_combined_objectives_apart_match_their_own_runs(self, intervals_per_step):
-        """With a contrastive objective between two combined ones, the
-        bridge goes on the combined rows only, and each history is bit for
-        bit its own train_batch run."""
+    @pytest.mark.parametrize("optimize_language", [False, True])
+    @pytest.mark.parametrize(
+        "order", [("actol", "last-frame"), ("last-frame", "actol"), ("actol", "last-frame", "actol")],
+        ids="-".join,
+    )
+    def test_combined_objectives_apart_match_their_own_runs(
+        self, order, optimize_language, intervals_per_step
+    ):
+        """In the reward comparison's order, the other way round, and with a
+        contrastive objective between two combined ones, the bridge goes on
+        the combined rows only, and each history, with the language fixed
+        or stepped, is bit for bit its own train_batch run."""
         ts = start_clip(30, T=8).timestamps
         clips = [random_clip(len(ts), 4, np.random.default_rng(seed)) for seed in (7, 8)]
         clips = [ClipSequence(ts, c.embeddings, c.language) for c in clips]
-        objectives = (None, TnceConfig("last-frame", "other-frames", "direct-sim"), None)
-        cfg, seeds = TrainConfig(steps=20, intervals_per_step=intervals_per_step), (14, 15)
+        presets = {"actol": None, "last-frame": TnceConfig("last-frame", "other-frames", "direct-sim")}
+        objectives = tuple(presets[name] for name in order)
+        cfg = TrainConfig(steps=20, intervals_per_step=intervals_per_step,
+                          optimize_language=optimize_language)
+        seeds = (14, 15)
         stacked = train_objectives(clips, cfg, objectives, seeds)
         for o, objective in enumerate(objectives):
             for b, alone in enumerate(train_batch(clips, cfg, objective, seeds)):
