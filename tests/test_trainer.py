@@ -415,19 +415,8 @@ class TestTrainFree:
         with pytest.raises(ValueError, match="^a batch needs one seed per clip$"):
             train_batch(clips, cfg, None, (0, 1))
 
-    @pytest.mark.parametrize("intervals_per_step", [1, 3])
-    @pytest.mark.parametrize("optimize_language", [False, True])
-    @pytest.mark.parametrize(
-        "order", [("actol", "last-frame"), ("last-frame", "actol"), ("actol", "last-frame", "actol")],
-        ids="-".join,
-    )
-    def test_combined_objectives_apart_match_their_own_runs(
-        self, order, optimize_language, intervals_per_step
-    ):
-        """In the reward comparison's order, the other way round, and with a
-        contrastive objective between two combined ones, the bridge goes on
-        the combined rows only, and each history, with the language fixed
-        or stepped, is bit for bit its own train_batch run."""
+    @staticmethod
+    def _apart_match_their_own_runs(order, optimize_language, intervals_per_step):
         ts = start_clip(30, T=8).timestamps
         clips = [random_clip(len(ts), 4, np.random.default_rng(seed)) for seed in (7, 8)]
         clips = [ClipSequence(ts, c.embeddings, c.language) for c in clips]
@@ -444,6 +433,31 @@ class TestTrainFree:
                 got = stacked[b][o].final_clip
                 assert np.array_equal(got.embeddings, alone.final_clip.embeddings)
                 assert np.array_equal(got.language, alone.final_clip.language)
+
+    @pytest.mark.parametrize("intervals_per_step", [1, 3])
+    def test_combined_objectives_apart_match_their_own_runs(self, intervals_per_step):
+        """With a contrastive objective between two combined ones, the
+        bridge goes on the combined rows only, and each history is bit for
+        bit its own train_batch run."""
+        self._apart_match_their_own_runs(("actol", "last-frame", "actol"), False, intervals_per_step)
+
+    @pytest.mark.parametrize("intervals_per_step", [1, 3])
+    @pytest.mark.parametrize(
+        "order, optimize_language",
+        [(("actol", "last-frame"), False), (("actol", "last-frame"), True),
+         (("last-frame", "actol"), False), (("last-frame", "actol"), True),
+         (("actol", "last-frame", "actol"), True)],
+        ids=lambda v: "-".join(v) if isinstance(v, tuple) else f"language-{'stepped' if v else 'fixed'}",
+    )
+    def test_objective_orders_apart_match_their_own_runs(
+        self, order, optimize_language, intervals_per_step
+    ):
+        """In the reward comparison's order and the other way round, with
+        the language fixed or stepped, and with a contrastive objective
+        between two combined ones and the language stepped, the bridge goes
+        on the combined rows only, and each history is bit for bit its own
+        train_batch run."""
+        self._apart_match_their_own_runs(order, optimize_language, intervals_per_step)
 
     @pytest.mark.parametrize(
         "clips, objectives, message",
