@@ -79,14 +79,15 @@ class Step:
     kink test does not run. It keeps |l| and l/|l| of the last language
     array it met (no caller may write into it between calls), so a fixed
     language's are taken once per run. The chain rule runs in the kernel's
-    sorted order; one scatter into a dense (T, T) array gives dL/ds from its
-    row and column sums. Working arrays come from c.array; outputs are new."""
+    sorted order: dL/ds is a bincount of the weights by frame (over a batch
+    offset index, built once per B > 1) minus each anchor's sorted row sum.
+    Working arrays come from c.array; outputs are new."""
 
     def __init__(self, c: Contrast, bb_weight=0.0, need_language=True, need_kink=True):
         self.c, self.need_language, self.need_kink = c, need_language, need_kink
         self.bb_weight = kinds.NON_NEGATIVE.check("bb_weight", bb_weight)
         self.signed = True if c.score else c.difference  # where dL/dR takes sign(s_i - s_k)
-        self.clips, self.lang, self.norm_l = c.sorted_at.shape[:-1], None, None
+        self.clips, self.lang, self.norm_l, self.at = c.s_at.shape[:-1], None, None, None
 
     def __call__(self, emb, lang, bridge=None):
         c, clips = self.c, self.clips
@@ -113,14 +114,14 @@ class Step:
             at_kink = np.logical_and(close, W, out=close).any(axis=(-2, -1))
         if diff is not None:  # sign(s_i - s_k) dL/dR for R = -|s_i - s_k|; direct-sim keeps dL/dR
             np.multiply(W, np.sign(diff, out=diff), out=W, where=self.signed)
-        # dL/ds_t from sums over dense (T, T) rows and columns, which round in the dense order
-        GS = c.array("G", s.shape + s.shape[-1:])  # no sorted position is on the diagonal
-        GS.reshape(len(s), -1)[:, c.sorted_at] = W
-        g_s = col = np.add.reduce(GS, axis=-2)
+        # dL/ds_t: columns add in anchor order, as dense (T, T) ones do, and rows in sorted order
+        at = c.s_at if len(s) == 1 else self.at  # the flat frame of each weight in s
+        if at is None or at.size != W.size:
+            at = self.at = np.arange(0, s.size, s[0].size)[:, None] + c.s_at.reshape(-1)
+        g_s = np.bincount(at.reshape(-1), W.reshape(-1), s.size).reshape(s.shape)
         if diff is not None:
-            g_s = np.subtract(col, np.add.reduce(GS, axis=-1))
-            if c.score is None:
-                g_s = np.where(c.difference[..., 0], g_s, col)
+            np.subtract(g_s, np.add.reduce(W, axis=-1), out=g_s,
+                        where=True if c.score else c.difference[..., 0])
         if bridge is not None:  # before dL/dE, so that fewer (..., T, d) arrays are live at once
             try:
                 bb, g_bb = bridge.penalty(emb, need_grad=True)

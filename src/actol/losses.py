@@ -159,37 +159,35 @@ class Contrast:
     of them, built once per training run: the TieGroups, the positives in
     each anchor's sorted order as the kernel's floats (1.0 when every
     position holds a term, else a 0/1 array) and their count per clip, and
-    flat indices of the sorted positions in (T,) similarities (s_at) and in
-    a (T, T) array, and of the end and start of each negative group in a
-    (T, T-1) one. Under 'other-frames' all other frames form one group.
+    flat indices of the sorted positions' frames in (T,) similarities
+    (s_at), and of the end and start of each negative group in a (T, T-1)
+    array. Under 'other-frames' all other frames form one group.
     groups.lower_bound() is the ordering loss's bound whatever the selectors.
 
     Built from an (N, T) stack of timestamp rows, the masks and indices are
-    (N, T, T-1) and the flat indices address (N, T), (N, T, T) and
-    (N, T, T-1) arrays, so the kernel evaluates clip n of the stack on
-    slice n of (B, N, T) similarities. Built from one timestamp row and a
-    tuple of O configs, row o of the same layout is config o: cfg is the
-    tuple, and the temperature tau, the positive-term count n_terms and
-    the gradient scale n_terms * tau are (O, 1, 1), (O,) and (O, 1, 1)
-    arrays. temperatures holds each config's temperature as a float, linear
-    its range guard on cosine scores (see _sorted_softmax), and score the
-    score kind all configs share, or None when they mix kinds; difference
-    then masks the (O, 1, 1) rows that score by difference. others is the
-    bool mask of the sorted positions that hold no term, or None when every
-    position holds one. work is None but in a descent run's Contrast: a
-    dict that keeps a step's working arrays from step to step (see array),
-    so that a step allocates no array of T^2 values: per stack slice, the
-    sorted scores x, s_i - s_k and the kernel's (T, T-1) arrays, the
-    (T, T) dL/ds terms G and, where the kink test runs, its mask. It serves
-    one stack shape (another raises ValueError) and one caller at a time,
-    and nothing a caller keeps may be one of its arrays."""
+    (N, T, T-1) and the flat indices address (N, T) and (N, T, T-1) arrays,
+    so the kernel evaluates clip n of the stack on slice n of (B, N, T)
+    similarities. Built from one timestamp row and a tuple of O configs, row
+    o of the same layout is config o: cfg is the tuple, and the temperature
+    tau, the positive-term count n_terms and the gradient scale n_terms *
+    tau are (O, 1, 1), (O,) and (O, 1, 1) arrays. temperatures holds each
+    config's temperature as a float, linear its range guard on cosine scores
+    (see _sorted_softmax), and score the score kind all configs share, or
+    None when they mix kinds; difference then masks the (O, 1, 1) rows that
+    score by difference. others is the bool mask of the sorted positions
+    that hold no term, or None when every position holds one. work is None
+    but in a descent run's Contrast: a dict that keeps a step's working
+    arrays from step to step (see array), so that a step allocates no array
+    of T^2 values: per stack slice, the sorted scores x, s_i - s_k, the
+    kernel's (T, T-1) arrays and, where the kink test runs, its mask. It
+    serves one stack shape (another raises ValueError) and one caller at a
+    time, and nothing a caller keeps may be one of its arrays."""
 
     cfg: TnceConfig | tuple
     groups: TieGroups
     positives: float | np.ndarray
     n_terms: int | np.ndarray
     s_at: np.ndarray
-    sorted_at: np.ndarray
     end_at: np.ndarray
     start_at: np.ndarray
     tau: float | np.ndarray
@@ -239,7 +237,7 @@ class Contrast:
         row = (n * T + i) * (T - 1)
         # for one row s_at is the contiguous order itself, by which a gather copies no indices
         s_at = k.reshape(pos.shape) if n.size == 1 else n * T + k
-        flat = (s_at, (n * T + i) * T + k, row + end, row + start)
+        flat = (s_at, row + end, row + start)
         others = None if pos.all() else ~pos
         positives = 1.0 if others is None else pos.astype(float)
         if one:
@@ -271,7 +269,7 @@ def _in_range(temperatures, T: int, span: float = 2.0) -> tuple:
 
 def _sorted_softmax(x, c: Contrast, need_grad: bool, span: float | None = None):
     """For each slice b of scores x in each anchor's sorted order,
-    (B, ..., T, T-1) as c.sorted_at lays them out, the mean over positive
+    (B, ..., T, T-1) as c.s_at lays them out, the mean over positive
     pairs (i, j) of the contrastive cross-entropy -x_ij / tau + log sum_k
     exp(x_ik / tau), where k runs over j's group and every group before it
     in anchor i's order. Returns the values and the weights, with
@@ -364,12 +362,12 @@ def _log_accumulate(x, c: Contrast, need_grad: bool):
 
 def _sorted_scores(s, c: Contrast, need_diff: bool):
     """(x, s_i - s_k or None) of (B, ..., T) similarities: x holds each
-    anchor's scores in its sorted order, laid out as c.sorted_at, from one
+    anchor's scores in its sorted order, laid out as c.s_at, from one
     gather of s: -|s_i - s_k| for 'difference-score' and s_k for
     'direct-sim', each config of a stack that mixes kinds by its own. When
     need_diff and some config scores by difference, s_i - s_k is kept in the
     same order for the chain rule. Both are arrays from c.array."""
-    x = s.reshape(len(s), -1).take(c.s_at, axis=1, out=c.array("x", (len(s), *c.sorted_at.shape)),
+    x = s.reshape(len(s), -1).take(c.s_at, axis=1, out=c.array("x", (len(s), *c.s_at.shape)),
                                    mode="clip")  # s_k
     if c.score == "direct-sim":
         return x, None
@@ -410,7 +408,7 @@ def vlo_loss_on_scores(timestamps, scores, temperature: float = 1.0) -> float:
         raise ValueError(f"score matrix must be {T}x{T}, got {scores.shape}")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    x = scores.take(c.sorted_at)[None]  # each anchor's row in its sorted order
+    x = np.take_along_axis(scores, c.s_at, axis=1)[None]  # each anchor's row in its sorted order
     return float(_sorted_softmax(x, c, False, np.ptp(scores))[0][0])
 
 

@@ -280,32 +280,33 @@ def measure_delta(clip: ClipSequence, temperature: float = 1.0):
     equal-distance score gaps below delta, ordered pairs separated by more
     than 1/delta. Returns None when no delta < 1 works; with no triples
     (T = 2) the property is vacuous and the smallest positive normal float
-    is returned by convention."""
+    is returned by convention. O(T^2) memory: rounding is monotone, so a
+    group's max minus min is its largest gap, and a score minus the largest
+    score before its group its smallest margin."""
     kinds.POSITIVE.check("temperature", temperature)
     c = Contrast.of(clip.timestamps, TnceConfig())
-    start = c.groups.start
+    start, pos = c.groups.start, np.arange(clip.T - 1)
     # x[i, p]: anchor i's score for the frame at its sorted position p
     x = _sorted_scores(clip.similarities()[None], c, False)[0][0] / temperature
-    diff = x[:, :, None] - x[:, None, :]
-    pos = np.arange(clip.T - 1)
-    tied = (start[:, :, None] == start[:, None, :]) & (pos[:, None] != pos)
-    equal_gaps = np.abs(diff[tied])
-    margins = diff[pos < start[:, :, None]]  # position q is farther than p
-    if not equal_gaps.size and not margins.size:
+    firsts = np.flatnonzero(start == pos)  # each row starts a group, so none spans two
+    tied, farther = np.diff(firsts, append=x.size) > 1, start > 0
+    if not tied.any() and not farther.any():
         return sys.float_info.min
-    max_gap = equal_gaps.max(initial=-np.inf)  # its candidate is then negative and dropped
-    min_margin = margins.min(initial=np.inf)
+    gaps = np.maximum.reduceat(x.ravel(), firsts) - np.minimum.reduceat(x.ravel(), firsts)
+    max_gap = gaps[tied].max(initial=-np.inf)  # its candidate is then negative and dropped
+    before = np.take_along_axis(np.maximum.accumulate(x, axis=-1), start - 1, axis=-1)
+    min_margin = (x - before)[farther].min(initial=np.inf)
     if min_margin <= 0:
         return None
 
-    candidates = np.unique(
-        np.r_[
-            0.01 * np.arange(1, 100),
-            np.nextafter(1.0 / margins[margins > 1.0], 1.0),
-            np.nextafter(max_gap, 1.0),
-        ]
-    )
+    # a margin m > min_margin gives a candidate nextafter(1 / m) <= nextafter(r), and of those
+    # below it only r = 1 / min_margin can pass: it is a candidate if some 1 / m is just below it
+    r = 1.0 / min_margin
+    candidates = np.r_[0.01 * np.arange(1, 100), np.nextafter([r, max_gap], 1.0), r]
     with np.errstate(over="ignore"):  # 1 / a subnormal candidate is inf
         ok = (0 < candidates) & (candidates < 1) & (max_gap < candidates)
         ok &= min_margin > 1.0 / candidates
-    return float(candidates[ok][0]) if ok.any() else None
+    if ok[-1] and candidates[:-1][ok[:-1]].min(initial=np.inf) > r:  # anchor by anchor: O(T^2)
+        ok[-1] = any((np.nextafter(1.0 / (row[:, None] - row)[pos < first[:, None]], 1.0) == r)
+                     .any() for row, first in zip(x, start))
+    return float(candidates[ok].min()) if ok.any() else None

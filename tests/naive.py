@@ -17,11 +17,12 @@ clips, one check per clip as it is drawn, is the reference for its
 gradcheck.json.
 
 suffix_softmax runs actol.losses._sorted_softmax, the kernel, on dense
-(T, T) score rows: it gathers them into each anchor's sorted order and
-scatters the weights back to a dense G, for the references that take or
-give (T, T) arrays. log_suffix_softmax, the log-space kernel that ran
-for every input before the kernel gained its linear-space path, is the
-bit-for-bit reference for its fallback below the range guard.
+(T, T) score rows: it gathers them into each anchor's sorted order
+through sorted_at and scatters the weights back to a dense G, for the
+references that take or give (T, T) arrays. log_suffix_softmax, the
+log-space kernel that ran for every input before the kernel gained its
+linear-space path, is the bit-for-bit reference for its fallback below
+the range guard.
 
 The per-trial loop versions of the Monte Carlo theorem checks in
 actol.theory are kept here too. They draw from the Generator in the same
@@ -46,7 +47,12 @@ objective_and_grad as it was composed before each descent step computed
 its intermediates once (the norms and |s_i - s_k| twice each, the dense
 kink test, the language gradient always) is the bit-for-bit reference for
 actol.gradients.objective_and_grad, and the tangent step with
-np.linalg.norm for actol.trainer's.
+np.linalg.norm for actol.trainer's. It takes dL/ds from a dense (T, T)
+array of dL/dR terms: its column sums in the dense order, which is the
+anchor order, and its row sums in each anchor's sorted order, as the step
+takes them. With dense_rows its row sums run in the dense order too, as
+the step's did while it scattered its terms into that array: the parity
+oracle for the sorted-order row sums.
 """
 
 import math
@@ -190,17 +196,25 @@ def tnce_score_grads(timestamps, s, cfg: TnceConfig):
     return g_s, G
 
 
+def sorted_at(c):
+    """Flat index of each sorted position of Contrast c in (..., T, T) score
+    rows: stack row n, anchor i and frame k at (n T + i) T + k."""
+    T = c.s_at.shape[-2]
+    return (c.s_at // T * T + np.arange(T)[:, None]) * T + c.s_at % T
+
+
 def suffix_softmax(rows, c, need_grad):
     """(values, G or None) of the kernel on (B, ..., T, T) score rows, with
     G[b, ..., i, k] = d value_b / d rows[b, ..., i, k]: the rows gathered in
     each anchor's sorted order, and the kernel's weights scattered back to
     (T, T), whose diagonal is 0."""
     B = len(rows)
-    value, weights = _sorted_softmax(rows.reshape(B, -1).take(c.sorted_at, axis=1), c, need_grad)
+    at = sorted_at(c)
+    value, weights = _sorted_softmax(rows.reshape(B, -1).take(at, axis=1), c, need_grad)
     if not need_grad:
         return value, None
     G = np.zeros(rows.shape)
-    G.reshape(B, -1)[:, c.sorted_at] = weights
+    G.reshape(B, -1)[:, at] = weights
     return value, G
 
 
@@ -209,7 +223,8 @@ def log_suffix_softmax(rows, c, need_grad):
     passes, whatever the range of the scores."""
     B = len(rows)
     tau = float(c.cfg.temperature)
-    x = np.take(rows.reshape(B, -1), c.sorted_at, axis=1) / tau
+    at = sorted_at(c)
+    x = np.take(rows.reshape(B, -1), at, axis=1) / tau
     lse = np.logaddexp.accumulate(x, axis=-1).reshape(B, -1)[:, c.end_at]
     value = np.where(c.positives, lse - x, 0.0).reshape(B, -1).sum(axis=1) / c.n_terms
     if not need_grad:
@@ -217,7 +232,7 @@ def log_suffix_softmax(rows, c, need_grad):
     tail = np.logaddexp.accumulate(np.where(c.positives, -lse, -np.inf)[..., ::-1], axis=-1)
     weights = np.exp(x + tail[..., ::-1].reshape(B, -1)[:, c.start_at])
     G = np.zeros(rows.shape)
-    G.reshape(B, -1)[:, c.sorted_at] = (weights - c.positives) / (c.n_terms * tau)
+    G.reshape(B, -1)[:, at] = (weights - c.positives) / (c.n_terms * tau)
     return value, G
 
 
@@ -594,28 +609,37 @@ def _score_rows(s, score):
     return -np.abs(s[..., :, None] - s[..., None, :])
 
 
-def objective_and_grad(emb, lang, c, bridge=None, bb_weight=0.0):
-    """(values, bridge penalties, dL/dE, dL/dl, at_kink), composed as
+def objective_and_grad(emb, lang, c, bridge=None, bb_weight=0.0, dense_rows=False):
+    """(values, bridge penalties, dL/dE, dL/dl, at_kink) on (B, ..., T, d)
+    embeddings and language vectors of their leading shape, composed as
     actol.gradients.objective_and_grad was before it computed each
-    intermediate once."""
+    intermediate once; a config stack that mixes score kinds takes each
+    config's rows by its own kind. dL/ds is the column sums minus the row
+    sums of the dense dL/dR terms, the rows summed in sorted order, or in
+    the dense order with dense_rows."""
     s = _similarities(emb, lang)
-    value, G = suffix_softmax(_score_rows(s, c.cfg.score), c, True)
-    if c.cfg.score == "direct-sim":
-        g_s, at_kink = G.sum(axis=1), np.zeros(len(s), dtype=bool)
-    else:
-        diff = s[:, :, None] - s[:, None, :]
-        at_kink = np.any((G != 0) & (np.abs(diff) < KINK_TOL), axis=(1, 2))
-        GS = G * np.sign(diff)
-        g_s = -GS.sum(axis=2) + GS.sum(axis=1)
+    diff = s[..., :, None] - s[..., None, :]
+    # which rows score by difference: (O, 1) for a config stack that mixes kinds, else (1,)
+    difference = (c.difference[..., 0] if c.score is None
+                  else np.array([c.score == "difference-score"]))
+    scored = difference[..., None]
+    value, G = suffix_softmax(np.where(scored, -np.abs(diff), s[..., None, :]), c, True)
+    at_kink = np.any((G != 0) & (np.abs(diff) < KINK_TOL) & scored, axis=(-2, -1))
+    GS = np.where(scored, G * np.sign(diff), G)
+    if dense_rows:
+        rows = GS.sum(axis=-1)
+    else:  # a contiguous gather, so that each row sums as the step's sorted rows do
+        rows = GS.reshape(len(GS), -1).take(sorted_at(c), axis=1).sum(axis=-1)
+    g_s = np.where(difference, -rows + GS.sum(axis=-2), GS.sum(axis=-2))
     norms_v = np.linalg.norm(emb, axis=-1)[..., None]
-    norm_l = np.sqrt(np.matmul(lang[:, None, :], lang[:, :, None]))[:, 0]
+    norm_l = np.sqrt(np.matmul(lang[..., None, :], lang[..., :, None]))[..., 0]
     u_v = emb / norms_v
     u_l = lang / norm_l
-    cos = np.matmul(u_v, u_l[:, :, None])
-    frames = g_s[..., None] * (u_l[:, None, :] - cos * u_v) / norms_v
-    language = (g_s[..., None] * (u_v - cos * u_l[:, None, :])).sum(axis=1) / norm_l
+    cos = np.matmul(u_v, u_l[..., :, None])
+    frames = g_s[..., None] * (u_l[..., None, :] - cos * u_v) / norms_v
+    language = (g_s[..., None] * (u_v - cos * u_l[..., None, :])).sum(axis=-2) / norm_l
     if bridge is None:
-        return value, np.zeros(len(value)), frames, language, at_kink
+        return value, np.zeros(value.shape), frames, language, at_kink
     bb, g_bb = bridge.penalty(emb, need_grad=True)
     return value, bb, frames + bb_weight * g_bb, language, at_kink
 

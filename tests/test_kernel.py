@@ -6,6 +6,7 @@ timestamps; batch rows against single rows; and the symmetries every
 objective has by construction (rotating the embedding space, shifting or
 scaling time)."""
 
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -26,10 +27,13 @@ from actol import (
     finite_diff_check,
     grad_bb,
     lower_bound,
+    random_clip,
     tnce_loss,
     vlo_loss,
     vlo_loss_on_scores,
 )
+from actol.cli import OBJECTIVE_PRESETS
+from actol.clip import _cosines
 from actol.gradients import Step, grad_tnce, grad_total, grad_vlo, objective_and_grad
 from actol.losses import (
     Bridge,
@@ -183,20 +187,26 @@ def test_stack_rows_round_like_single_rows(T, seed):
 @settings(examples, max_examples=15)
 @given(T=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
 def test_score_gradient_diagonal_is_zero(T, seed):
-    """c.sorted_at addresses each off-diagonal entry of a (T, T) slice once
-    and no diagonal one, for every selector combination, for one timestamp
-    row and for an (N, T) stack: so the diagonal of objective_and_grad's
-    dense dL/ds array, which a descent run keeps from step to step, is
-    never written and stays exactly 0."""
+    """c.s_at, by which vlo_loss_on_scores gathers a (T, T) score matrix
+    into sorted order and a step adds each sorted weight to its frame's
+    dL/ds, holds each anchor's other frames once and never the anchor, for
+    every selector combination, for one timestamp row and for an (N, T)
+    stack, whose row n it offsets by n T: so no weight lands on a diagonal
+    dR_ii, and vlo_loss_on_scores reads no diagonal score."""
     rng = np.random.default_rng(seed)
     gaps = rng.integers(1, 4, (3, T - 1))
     stack = np.concatenate([np.zeros((3, 1), dtype=int), np.cumsum(gaps, axis=1)], axis=1)
     for cfg in COMBOS:
         for ts in (stack[0], stack):
-            at = Contrast.of(ts, cfg).sorted_at
-            hits = np.zeros(at.shape[:-1] + (T,))
-            np.add.at(hits.reshape(-1), at, 1.0)
-            assert np.array_equal(hits, np.broadcast_to(1.0 - np.eye(T), hits.shape))
+            at = Contrast.of(ts, cfg).s_at
+            rows = np.arange(at.size // (T * (T - 1))).reshape(at.shape[:-2] + (1, 1))
+            assert np.array_equal(at // T, np.broadcast_to(rows, at.shape))
+            hits = (at[..., None] % T == np.arange(T)).sum(axis=-2)
+            assert np.array_equal(hits, np.broadcast_to(1 - np.eye(T, dtype=int), hits.shape))
+    scores = rng.uniform(-1.0, 1.0, (T, T))
+    value = vlo_loss_on_scores(stack[0], scores)
+    np.fill_diagonal(scores, rng.uniform(-1.0, 1.0, T))  # the span stays under the guard
+    assert vlo_loss_on_scores(stack[0], scores) == value
 
 
 @settings(examples, max_examples=20)
@@ -288,6 +298,71 @@ def test_step_matches_reference_bit_for_bit(B, objective, tau, bridge):
     bridges = {"none": None, "shared": Bridge.of(STEP_TS), "per-clip": per_clip}
     emb, lang = _step_inputs(B, seed=B)
     _step_matching_reference(emb, lang, c, bridges[bridge], 0.1)
+
+
+PRESETS = {name: cfg or TnceConfig() for name, cfg in OBJECTIVE_PRESETS.items()}
+STACK_TS = np.array([STEP_TS, (0, 2, 3, 4, 6, 7, 9, 10, 11, 14), tuple(range(10))])
+
+
+def _parity_cases(tau, names):
+    """(Contrast, embeddings, language) for each named reward preset at
+    temperature tau on one clip, on three clips of one timestamp row and on
+    two of an (N, T) timestamp stack, and for the presets as a config tuple."""
+    cfgs = tuple(replace(PRESETS[name], temperature=tau) for name in names)
+    cases = [(cfg, ts, lead) for cfg in cfgs
+             for ts, lead in ((STEP_TS, (1,)), (STEP_TS, (3,)), (STACK_TS, (2, len(STACK_TS))))]
+    for seed, (cfg, ts, lead) in enumerate([*cases, (cfgs, STEP_TS, (2, len(cfgs)))]):
+        emb, lang = _step_inputs(int(np.prod(lead)), seed)
+        yield Contrast.of(ts, cfg), emb.reshape(*lead, *emb.shape[1:]), lang.reshape(*lead, -1)
+
+
+@pytest.mark.parametrize("tau", [0.5, 0.002], ids=["linear", "log-space"])
+def test_column_sums_are_the_dense_column_reduce(tau):
+    """A step adds each frame's signed sorted weights by np.bincount over
+    c.s_at at B=1 and over its own batch-offset index at B > 1: in anchor
+    order, bit for bit the column reduce of the dense (T, T) array they
+    scatter into, whose diagonal adds only +0.0; -0.0 weights included."""
+    for c, emb, lang in _parity_cases(tau, PRESETS):
+        step = Step(c)
+        step(emb, lang)
+        s = _cosines(emb, lang)[0]
+        x, diff = losses._sorted_scores(s, c, True)
+        W = losses._sorted_softmax(x, c, True)[1].copy()
+        if diff is not None:
+            np.multiply(W, np.sign(diff), out=W, where=step.signed)
+        W.reshape(-1)[::7] = -0.0
+        at = c.s_at if len(s) == 1 else step.at
+        columns = np.bincount(at.reshape(-1), W.reshape(-1), s.size).reshape(s.shape)
+        G = np.zeros(s.shape + s.shape[-1:])
+        G.reshape(len(s), -1)[:, naive.sorted_at(c)] = W
+        assert columns.tobytes() == np.add.reduce(G, axis=-2).tobytes()
+
+
+@pytest.mark.parametrize("tau", [0.5, 0.002], ids=["linear", "log-space"])
+def test_step_is_within_1e_12_of_the_dense_oracle(tau):
+    """Summing each anchor's dL/dR terms in its sorted order, not in the
+    dense (T, T) order, moves dL/dE and dL/dl within rel 1e-12 (with an
+    absolute floor of 1e-12 times one term's gradient scale), for every
+    reward preset, one clip, a clip stack, an (N, T) timestamp stack and a
+    config tuple; the values, penalties and kink flags stay bit for bit."""
+    for c, emb, lang in _parity_cases(tau, PRESETS):
+        got = objective_and_grad(emb, lang, c)
+        dense = naive.objective_and_grad(emb, lang, c, dense_rows=True)
+        for i in (0, 1, 4):
+            assert got[i].tobytes() == dense[i].tobytes()
+        for a, b in zip(got[2:4], dense[2:4]):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 / np.max(c.scale))
+
+
+@pytest.mark.parametrize("tau", [0.5, 0.002], ids=["linear", "log-space"])
+def test_direct_sim_steps_are_the_dense_oracle_bit_for_bit(tau):
+    """A direct-sim objective's dL/ds is its column sums alone, so its step
+    is bit for bit the dense path's in every layout."""
+    for c, emb, lang in _parity_cases(tau, ["last-frame", "future-frame"]):
+        got = objective_and_grad(emb, lang, c)
+        dense = naive.objective_and_grad(emb, lang, c, dense_rows=True)
+        for a, b in zip(got, dense, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_step_flags_only_the_clip_with_a_similarity_tie():
@@ -419,7 +494,7 @@ def test_step_outputs_are_not_the_runs_working_arrays(stack, tau):
         emb[0, ..., 6, :] = emb[0, ..., 2, :]  # a tie, so that a kink is flagged
         got = objective_and_grad(emb, lang, run, bridge, 0.1, True)
         outputs.append((got, [a.copy() for a in got]))
-    assert {"diff", "x", "G", "close"} <= set(run.work)
+    assert {"diff", "x", "close"} <= set(run.work)
     for got, kept in outputs:
         for a, b in zip(got, kept, strict=True):
             assert np.array_equal(a, b)
@@ -545,6 +620,30 @@ def test_measure_delta_matches_reference(clip, tau):
     delta = measure_delta(clip, tau)
     assert delta == expected
     assert type(delta) is type(expected)
+
+
+def test_measure_delta_keeps_the_candidate_below_the_smallest_margins():
+    """On this clip a margin one rounding above the smallest, m, gives the
+    candidate nextafter(1/m) = 1/min_margin, which passes: the reference
+    returns it, not the nextafter(1 / min_margin) above it."""
+    s = 1.51 * np.arange(3) / 2 - 0.9
+    clip = ClipSequence((0, 1, 2), np.stack([s, np.sqrt(1 - s * s)], axis=1), np.array([1.0, 0.0]))
+    R = -np.abs(s[:, None] - s) / 0.007
+    min_margin = min(R[0, 1] - R[0, 2], R[2, 1] - R[2, 0])
+    assert measure_delta(clip, 0.007) == naive.measure_delta(clip, 0.007) == 1.0 / min_margin
+
+
+def test_measure_delta_memory_is_quadratic():
+    """At T=200 measure_delta peaks below 10 MB traced; when it formed every
+    (p, q) score difference of every anchor it peaked at 113 MB."""
+    clip = random_clip(200, 4, np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        measure_delta(clip, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
 
 
 @settings(examples, max_examples=30)
@@ -677,7 +776,7 @@ def test_time_shift_invariance(case, cfg, shift):
     for rule in ("farther-frames", "other-frames"):
         rule_cfg = replace(cfg, negative_selector=rule)
         c_a, c_b = Contrast.of(clip.timestamps, rule_cfg), Contrast.of(moved.timestamps, rule_cfg)
-        for field in ("positives", "sorted_at", "end_at", "start_at"):
+        for field in ("positives", "s_at", "end_at", "start_at"):
             assert np.array_equal(getattr(c_a, field), getattr(c_b, field))
     a, bb_a, bb_grad_a, tnce_a, tnce_grads_a, total_a = _objectives(clip, intervals, cfg)
     b, bb_b, bb_grad_b, tnce_b, tnce_grads_b, total_b = _objectives(moved, intervals, cfg)

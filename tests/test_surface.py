@@ -5,9 +5,11 @@ import inspect
 import io
 import re
 import tokenize
+from dataclasses import fields
 from pathlib import Path
 
 import actol
+from actol.losses import Contrast
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -62,14 +64,11 @@ def test_value_kinds_are_tested_only_in_kinds():
     assert [line for lines in found.values() for line in lines] == []
 
 
-def test_docs_name_only_private_helpers_that_exist():
-    """Every underscore-private identifier written in README.md, or in a
-    docstring or comment of actol, is defined in actol: as a function, a
-    class, an assigned name or attribute, or a parameter. A `<placeholder>_`
-    in a file-name template, such as reward_<objective>_seed<n>.csv, is not
-    an identifier."""
+def _doc_texts():
+    """(names actol defines, [(where, text)] of README.md and of every
+    docstring and comment of actol). A name is defined as a function, a
+    class, an assigned name or attribute, or a parameter."""
     package = Path(actol.__file__).resolve().parent
-    private = re.compile(r"(?<![\w>])_[A-Za-z]\w*")
     defined, texts = set(), [("README.md", README)]
     for path in sorted(package.glob("*.py")):
         source = path.read_text()
@@ -86,6 +85,27 @@ def test_docs_name_only_private_helpers_that_exist():
         texts += [(f"{path.name}:{token.start[0]}", token.string)
                   for token in tokenize.generate_tokens(io.StringIO(source).readline)
                   if token.type == tokenize.COMMENT]
+    return defined, texts
+
+
+def test_docs_name_only_private_helpers_that_exist():
+    """Every underscore-private identifier written in README.md, or in a
+    docstring or comment of actol, is defined in actol. A
+    `<placeholder>_` in a file-name template, such as
+    reward_<objective>_seed<n>.csv, is not an identifier."""
+    defined, texts = _doc_texts()
+    private = re.compile(r"(?<![\w>])_[A-Za-z]\w*")
     named = [(where, name) for where, text in texts for name in private.findall(text)]
     assert "_sorted_softmax" in {name for _, name in named}  # the scan sees the names it checks
     assert [(where, name) for where, name in named if name not in defined] == []
+
+
+def test_docs_name_only_contrast_attributes_that_exist():
+    """Every c.<name> or Contrast.<name> written in README.md, or in a
+    docstring or comment of actol, is a field, method or attribute of
+    Contrast, so that no removed field is still described."""
+    attributes = set(dir(Contrast)) | {f.name for f in fields(Contrast)}
+    named = [(where, name) for where, text in _doc_texts()[1]
+             for name in re.findall(r"(?<!\w)(?:c|Contrast)\.(\w+)", text)]
+    assert {"of", "s_at"} <= {name for _, name in named}  # the scan sees the names it checks
+    assert [(where, name) for where, name in named if name not in attributes] == []

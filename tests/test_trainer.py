@@ -222,6 +222,31 @@ class TestTrainFree:
         assert 0 < sum(b.nbytes for b in buffers.values()) <= most
 
     @pytest.mark.parametrize(
+        "B, T, objectives", [(4, 10, (None, TnceConfig("last-frame", "other-frames", "direct-sim"))),
+                             (1, 128, (None,))], ids=["reward-stack", "T128"],
+    )
+    def test_no_step_keeps_a_dense_score_array(self, monkeypatch, B, T, objectives):
+        """A descent run's step takes dL/ds from the sorted weights: its
+        Contrast has no sorted_at index into (T, T) arrays, and neither its
+        working arrays nor the step's own arrays end in a (T, T) shape."""
+        from actol import trainer
+
+        steps = []
+        original = trainer.objective_and_grad
+        monkeypatch.setattr(trainer, "objective_and_grad",
+                            lambda emb, lang, step, *args: steps.append(step)
+                            or original(emb, lang, step, *args))
+        clips = [random_clip(T, 8, np.random.default_rng(seed)) for seed in range(B)]
+        clips = [ClipSequence(tuple(range(T)), clip.embeddings, clip.language) for clip in clips]
+        train_objectives(clips, TrainConfig(steps=2, temperature=0.5), objectives, list(range(B)))
+        step = steps[-1]
+        assert "sorted_at" not in {f.name for f in fields(step.c)}
+        kept = [*step.c.work.values(), *(a for a in vars(step).values()
+                                         if isinstance(a, np.ndarray))]
+        assert len(kept) > len(step.c.work)
+        assert all(a.shape[-2:] != (T, T) for a in kept)
+
+    @pytest.mark.parametrize(
         "objectives", [(None,), (None, TnceConfig("last-frame", "other-frames", "direct-sim"))],
         ids=["actol", "actol-and-last-frame"],
     )
