@@ -628,7 +628,8 @@ def test_measure_delta_keeps_the_candidate_below_the_smallest_margins():
     returns it, not the nextafter(1 / min_margin) above it."""
     s = 1.51 * np.arange(3) / 2 - 0.9
     clip = ClipSequence((0, 1, 2), np.stack([s, np.sqrt(1 - s * s)], axis=1), np.array([1.0, 0.0]))
-    R = -np.abs(s[:, None] - s) / 0.007
+    sim = clip.similarities()
+    R = -np.abs(sim[:, None] - sim) / 0.007
     min_margin = min(R[0, 1] - R[0, 2], R[2, 1] - R[2, 0])
     assert measure_delta(clip, 0.007) == naive.measure_delta(clip, 0.007) == 1.0 / min_margin
 
