@@ -2,10 +2,11 @@
 artifacts (CSV histories, reward curves, JSON reports) out.
 
 Every command is a pure function of (config file, seed): rerunning with
-the same inputs produces byte-identical output files. Exit codes:
-0 success, 1 check failure, 2 malformed config, 3 diverged training. A
-command's config keys are its table in COMMANDS, with their JSON types and
-defaults; the library checks value ranges where it uses the values.
+the same inputs produces byte-identical output files. Exit codes: 0
+success, 1 check failure, 2 malformed or out-of-memory config, 3 diverged
+training. A command's config keys are its table in COMMANDS, with their
+JSON types and defaults; the library checks value ranges where it uses
+the values.
 """
 
 from __future__ import annotations
@@ -270,6 +271,9 @@ def _command(body):
         except (ConfigError, TrainingDiverged, FloatingPointError) as exc:
             click.echo(f"error: {exc}", err=True)
             code = EXIT_BAD_CONFIG if isinstance(exc, ConfigError) else EXIT_NON_FINITE
+        except MemoryError as exc:  # a size under the ceiling can still exhaust memory
+            click.echo(f"error: out of memory: {exc}", err=True)
+            code = EXIT_BAD_CONFIG
         sys.exit(code)
 
     return command

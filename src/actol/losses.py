@@ -3,7 +3,8 @@ their weighted combination, the configurable time-contrastive family,
 and the combinatorial lower bound of the ordering loss.
 
 TieGroups owns what the timestamps determine (the sort, the distance
-levels, the negative sets and the lower bound), and Bridge the bridge
+levels, the negative sets and the lower bound), of which a Contrast keeps
+only the kernel's indices and the bound, and Bridge the bridge
 penalty over any intervals, shared by every clip or each clip's own, with
 each interval's interpolant and variance built in; Bridge.of checks
 intervals against the clip.
@@ -123,7 +124,9 @@ class TieGroups:
     @classmethod
     def of(cls, timestamps) -> "TieGroups":
         """Groups of one timestamp row (T,) or of each row of an (N, T)
-        stack, checked by kinds.timestamp_rows."""
+        stack, checked by kinds.timestamp_rows: one sort. A caller that
+        needs them besides a Contrast passes them to Contrast.of, which
+        then sorts nothing."""
         ts = kinds.timestamp_rows(timestamps)
         T = ts.shape[-1]
         d = np.abs(ts[..., :, None] - ts[..., None, :])
@@ -156,43 +159,44 @@ class TieGroups:
 @dataclass(frozen=True, eq=False)
 class Contrast:
     """A contrastive objective at fixed timestamps and what its kernel needs
-    of them, built once per training run: the TieGroups, the positives in
-    each anchor's sorted order as the kernel's floats (1.0 when every
-    position holds a term, else a 0/1 array) and their count per clip, and
-    flat indices of the sorted positions' frames in (T,) similarities
-    (s_at), and of the end and start of each negative group in a (T, T-1)
-    array. Under 'other-frames' all other frames form one group.
-    groups.lower_bound() is the ordering loss's bound whatever the selectors.
+    of them, built once per training run: the ordering loss's lower bound
+    whatever the selectors (not the TieGroups, which a caller that reads
+    them builds and hands to Contrast.of), the positives in each anchor's
+    sorted order as the kernel's floats (1.0 when every position holds a
+    term, else a 0/1 array), and flat indices of the sorted positions'
+    frames in (T,) similarities (s_at), and of the end and start of each
+    negative group in a (T, T-1) array. Under 'other-frames' all other
+    frames form one group.
 
-    Built from an (N, T) stack of timestamp rows, the masks and indices are
-    (N, T, T-1) and the flat indices address (N, T) and (N, T, T-1) arrays,
-    so the kernel evaluates clip n of the stack on slice n of (B, N, T)
-    similarities. Built from one timestamp row and a tuple of O configs, row
-    o of the same layout is config o: cfg is the tuple, and the temperature
-    tau, the positive-term count n_terms and the gradient scale n_terms *
-    tau are (O, 1, 1), (O,) and (O, 1, 1) arrays. temperatures holds each
-    config's temperature as a float, linear its range guard on cosine scores
-    (see _sorted_softmax), and score the score kind all configs share, or
-    None when they mix kinds; difference then masks the (O, 1, 1) rows that
-    score by difference. others is the bool mask of the sorted positions
-    that hold no term, or None when every position holds one. work is None
-    but in a descent run's Contrast: a dict that keeps a step's working
-    arrays from step to step (see array), so that a step allocates no array
-    of T^2 values: per stack slice, the sorted scores x, s_i - s_k, the
-    kernel's (T, T-1) arrays and, where the kink test runs, its mask. It
-    serves one stack shape (another raises ValueError) and one caller at a
-    time, and nothing a caller keeps may be one of its arrays."""
+    Built from an (N, T) stack of timestamp rows, the bound is (N,), the
+    masks and indices are (N, T, T-1) and the flat indices address (N, T)
+    and (N, T, T-1) arrays, so the kernel evaluates clip n of the stack on
+    slice n of (B, N, T) similarities. Built from one timestamp row and a
+    tuple of O configs, row o of the same layout is config o, and cfg is the
+    tuple. For each of R configs (O, or 1 for a bare one), the temperature
+    tau, the gradient scale n_terms * tau and the positive-term count per
+    clip n_terms are (R, 1, 1), (R, 1, 1) and (R,) arrays. linear holds each
+    config's range guard on cosine scores (see _sorted_softmax), and score
+    the score kind all configs share, or None when they mix kinds;
+    difference then masks the (O, 1, 1) rows that score by difference.
+    others is the bool mask of the sorted positions that hold no term, or
+    None when every position holds one. work is None but in a descent run's
+    Contrast: a dict that keeps a step's working arrays from step to step
+    (see array), so that a step allocates no array of T^2 values: per stack
+    slice, the sorted scores x, s_i - s_k, the kernel's (T, T-1) arrays and,
+    where the kink test runs, its mask. It serves one stack shape (another
+    raises ValueError) and one caller at a time, and nothing a caller keeps
+    may be one of its arrays."""
 
     cfg: TnceConfig | tuple
-    groups: TieGroups
+    lower_bound: float | np.ndarray
     positives: float | np.ndarray
-    n_terms: int | np.ndarray
+    n_terms: np.ndarray
     s_at: np.ndarray
     end_at: np.ndarray
     start_at: np.ndarray
-    tau: float | np.ndarray
-    scale: float | np.ndarray
-    temperatures: tuple
+    tau: np.ndarray
+    scale: np.ndarray
     linear: tuple
     score: str | None
     difference: np.ndarray | None = None
@@ -215,44 +219,39 @@ class Contrast:
     @classmethod
     def of(cls, timestamps, cfg) -> "Contrast":
         """The Contrast of cfg, a TnceConfig, at one timestamp row or an
-        (N, T) stack; or of each config of a tuple at one timestamp row."""
-        groups = TieGroups.of(timestamps)
-        if not isinstance(cfg, TnceConfig) and (groups.order.ndim != 2 or not cfg):
+        (N, T) stack; or of each config of a tuple at one timestamp row.
+        timestamps may be their TieGroups, which is used as it is."""
+        groups = timestamps if isinstance(timestamps, TieGroups) else TieGroups.of(timestamps)
+        one = isinstance(cfg, TnceConfig)
+        if not one and (groups.order.ndim != 2 or not cfg):
             raise ValueError("a tuple of configs needs one timestamp row and one config or more")
+        cfgs = (cfg,) if one else tuple(cfg)
         k = groups.order  # k excludes the anchor i itself
         T = k.shape[-2]
         i = np.arange(T)[:, None]
 
         def masks(cfg):
-            pos = {"vlo-pair": k >= 0, "last-frame": k == T - 1, "future-frame": k > i}[
-                cfg.positive_selector
-            ]
+            pos = {"vlo-pair": k >= 0, "last-frame": k == T - 1, "future-frame": k > i}
+            pos = pos[cfg.positive_selector]
             if cfg.negative_selector == "other-frames":
-                return pos, np.full_like(groups.end, T - 2), np.zeros_like(groups.start)
+                return pos, np.full_like(k, T - 2), np.zeros_like(k)
             return pos, groups.end, groups.start
 
-        one = isinstance(cfg, TnceConfig)
-        pos, end, start = masks(cfg) if one else map(np.stack, zip(*map(masks, cfg)))
+        pos, end, start = masks(cfg) if one else map(np.stack, zip(*map(masks, cfgs)))
         n = np.arange(pos.size // (T * (T - 1))).reshape(pos.shape[:-2] + (1, 1))  # stack row
         row = (n * T + i) * (T - 1)
         # for one row s_at is the contiguous order itself, by which a gather copies no indices
         s_at = k.reshape(pos.shape) if n.size == 1 else n * T + k
-        flat = (s_at, row + end, row + start)
         others = None if pos.all() else ~pos
-        positives = 1.0 if others is None else pos.astype(float)
-        if one:
-            n_terms = int(np.count_nonzero(pos)) // n.size  # the same for every clip of length T
-            tau = float(cfg.temperature)
-            return cls(cfg, groups, positives, n_terms, *flat, tau, n_terms * tau, (tau,),
-                       _in_range((tau,), T), cfg.score, others=others)
-        n_terms = [int(np.count_nonzero(p)) for p in pos]
-        tau = tuple(float(c.temperature) for c in cfg)
-        scale = [m * t for m, t in zip(n_terms, tau)]
-        scores = [c.score for c in cfg]
+        # each config's count on its first clip, the same for every clip of length T
+        n_terms = np.count_nonzero(pos.reshape(len(cfgs), -1, T * (T - 1))[:, 0], axis=1)
+        tau = np.array([c.temperature for c in cfgs], dtype=float)[:, None, None]
+        scores = [c.score for c in cfgs]
         score = scores[0] if len(set(scores)) == 1 else None
         difference = None if score else (np.array(scores) == "difference-score")[:, None, None]
-        return cls(tuple(cfg), groups, positives, np.array(n_terms), *flat,
-                   *np.array([tau, scale])[..., None, None], tau, _in_range(tau, T), score,
+        return cls(cfg if one else cfgs, groups.lower_bound(),
+                   1.0 if others is None else pos.astype(float), n_terms, s_at, row + end,
+                   row + start, tau, n_terms[:, None, None] * tau, _in_range(tau, T), score,
                    difference, others)
 
 
@@ -262,9 +261,9 @@ def _stack_size(scores_per_item: int) -> int:
     return max(1, BLOCK_SCORES // scores_per_item)
 
 
-def _in_range(temperatures, T: int, span: float = 2.0) -> tuple:
+def _in_range(tau, T: int, span: float = 2.0) -> tuple:
     """Each temperature's range guard at T frames: span / tau + log T < EXP_RANGE."""
-    return tuple(span / tau + math.log(T) < EXP_RANGE for tau in temperatures)
+    return tuple(span / t + math.log(T) < EXP_RANGE for t in tau.ravel().tolist())
 
 
 def _sorted_softmax(x, c: Contrast, need_grad: bool, span: float | None = None):
@@ -293,7 +292,7 @@ def _sorted_softmax(x, c: Contrast, need_grad: bool, span: float | None = None):
     holds for some configs of a stack and not for others, both paths run
     on the whole stack, each config keeping its side. x is overwritten, and
     the weights are an array from c.array."""
-    linear = c.linear if span is None else _in_range(c.temperatures, x.shape[-2], span)
+    linear = c.linear if span is None else _in_range(c.tau, x.shape[-2], span)
     np.divide(x, c.tau, out=x)
     if any(linear) == all(linear):
         terms, weights = (_exp_cumsum if linear[0] else _log_accumulate)(x, c, need_grad)
@@ -401,13 +400,13 @@ def vlo_loss(clip: ClipSequence, temperature: float = 1.0) -> float:
 def vlo_loss_on_scores(timestamps, scores, temperature: float = 1.0) -> float:
     """Same objective as vlo_loss but on a supplied score matrix, enabling
     score-space constructions that need not come from embeddings."""
-    c = Contrast.of(kinds.timestamps(timestamps), TnceConfig(temperature=temperature))  # one row
-    scores = np.asarray(scores, dtype=float)
-    T = len(c.groups.order)
+    timestamps, scores = kinds.timestamps(timestamps), np.asarray(scores, dtype=float)  # one row
+    T = len(timestamps)
     if scores.shape != (T, T):
         raise ValueError(f"score matrix must be {T}x{T}, got {scores.shape}")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
+    c = Contrast.of(timestamps, TnceConfig(temperature=temperature))  # checked before the sort
     x = np.take_along_axis(scores, c.s_at, axis=1)[None]  # each anchor's row in its sorted order
     return float(_sorted_softmax(x, c, False, np.ptp(scores))[0][0])
 
@@ -514,9 +513,9 @@ def actol_loss(
     c = Contrast.of(clip.timestamps, TnceConfig(temperature=temperature))  # one sort for both
     vlo = _clip_value(clip.embeddings, clip.language, c)
     bb = float(Bridge.of(clip.timestamps, intervals).penalty(clip.embeddings)[0])
-    lb = c.groups.lower_bound()
     total = vlo + bb_weight * bb
-    return LossBreakdown(vlo=vlo, bb=bb, total=total, lower_bound=lb, gap=vlo - lb)
+    return LossBreakdown(vlo=vlo, bb=bb, total=total, lower_bound=c.lower_bound,
+                         gap=vlo - c.lower_bound)
 
 
 def tnce_loss(clip: ClipSequence, cfg: TnceConfig) -> float:

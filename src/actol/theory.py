@@ -82,7 +82,7 @@ def _lower_bound_gaps(timestamps, similarities) -> np.ndarray:
         c = Contrast.of(timestamps[start : start + size], cfg)
         x, _ = _sorted_scores(similarities[None, start : start + size], c, False)
         values = _sorted_softmax(x, c, False)[0][0]
-        gaps.append(values - c.groups.lower_bound())
+        gaps.append(values - c.lower_bound)
     return np.concatenate(gaps)
 
 
@@ -175,21 +175,22 @@ def construct_near_optimal(timestamps, eps: float) -> np.ndarray:
 
 def check_tightness(timestamps, eps_values) -> TheoremReport:
     """Evaluate the near-optimal construction against the lower bound for
-    each eps, of which there must be one or more, no two equal. The bound
-    and every eps's loss come from one sort. Each loss is the kernel's on
-    the construction's sorted scores, whose span -min is that of the
-    (T, T) matrix, since its diagonal -0.0 is the largest entry."""
+    each eps, of which there must be one or more, no two equal. The bound,
+    the construction and every eps's loss come from one sort. Each loss is
+    the kernel's on the construction's sorted scores, whose span -min is
+    that of the (T, T) matrix, since its diagonal -0.0 is the largest entry."""
     timestamps = kinds.timestamps(timestamps)
     eps_values = [kinds.POSITIVE.check("eps", eps) for eps in eps_values]
     if not eps_values or len(set(eps_values)) < len(eps_values):
         raise ValueError(f"need one or more eps, no two equal, got {eps_values!r}")
-    c = Contrast.of(timestamps, TnceConfig())
-    lb = c.groups.lower_bound()
+    groups = TieGroups.of(timestamps)
+    c = Contrast.of(groups, TnceConfig())
+    lb = c.lower_bound
     violations = 0
     worst = -np.inf
     excesses = {}
     for eps in eps_values:
-        scores = _near_optimal_scores(c.groups, eps)
+        scores = _near_optimal_scores(groups, eps)
         loss = float(_sorted_softmax(scores[None], c, False, -scores.min())[0][0])
         excess = loss - lb
         excesses[str(eps)] = excess

@@ -23,6 +23,7 @@ from .losses import (
     Bridge,
     Contrast,
     LossBreakdown,
+    TieGroups,
     TnceConfig,
     _sorted_scores,
 )
@@ -104,10 +105,10 @@ def _require_finite(*arrays) -> None:
         raise TrainingDiverged(0)
 
 
-def _interval_draws(T: int, n: int, rngs, steps: int, shape: tuple):
-    """Each step's (B, [1,] n, 2) integer array of n (start, end) intervals
-    per clip, clip b's from rngs[b]: for each block of k <=
-    INTERVAL_BLOCK_STEPS steps, each Generator draws the block's (k, n)
+def _interval_draws(T: int, n: int, rngs, steps: int):
+    """Each step's (B, 1, n, 2) integer array of n (start, end) intervals
+    per clip, clip b's from rngs[b], for every objective: for each block of
+    k <= INTERVAL_BLOCK_STEPS steps, each Generator draws the block's (k, n)
     starts in [0, T - 1) in one call, then their ends in [start + 1, T) in
     another, and step j of the block takes row j."""
     for first in range(0, steps, INTERVAL_BLOCK_STEPS):
@@ -115,32 +116,33 @@ def _interval_draws(T: int, n: int, rngs, steps: int, shape: tuple):
         for rng in rngs:
             starts = rng.integers(0, T - 1, size=(k, n))
             draws.append(np.stack([starts, rng.integers(starts + 1, T)], axis=-1))
-        yield from np.stack(draws, axis=1).reshape((k, len(rngs), 1)[: len(shape) + 1] + (n, 2))
+        yield from np.stack(draws, axis=1)[:, :, None]
 
 
 def _descend(
     clip: ClipSequence, params, embed, cfg: TrainConfig, objectives, rngs, keep_records=True
 ):
     """cfg.steps descent steps of B clips, which share the starting clip's
-    timestamps, under each of O objectives: the combined objective (None)
-    or a contrastive variant. The stack is (B, T, d) for one objective and
-    (B, O, T, d) for more. embed(params, step) returns the step's
+    timestamps, under each of O >= 1 objectives: the combined objective
+    (None) or a contrastive variant, as one (B, O, T, d) stack on the
+    Contrast of the O configs. embed(params, step) returns the step's
     embeddings, language vectors and a function from their gradients (dL/dl
     None unless cfg.optimize_language) to the next params. Each step, clip
     b's bridge intervals, drawn from rngs[b] in blocks of steps, make one
     Bridge for the stack, its w times an (O, 1) column that is 1.0 on the
     combined objectives and 0.0 elsewhere, so that only they carry it. Built
-    once: the Contrast, whose work keeps the kernel's arrays; the Step that
-    every step's one objective_and_grad call runs, with no kink test (no
-    step reads at_kink) and, while the language is fixed, its norm; and,
-    with one interval per step, the full-clip Bridge. Each step writes its
-    history in place, and the records (empty unless keep_records) are built
-    after the last. Returns records[b][o] and the final params; the earliest
-    step at which any clip and objective has a non-finite loss, or at which
-    any value overflows, raises TrainingDiverged, which names the cause."""
+    once: the Contrast, whose work keeps the kernel's arrays and which gives
+    every record's lower bound; the Step that every step's one
+    objective_and_grad call runs, with no kink test (no step reads at_kink)
+    and, while the language is fixed, its norm; and, with one interval per
+    step, the full-clip Bridge. Each step writes its history in place, and
+    the records (empty unless keep_records) are built after the last.
+    Returns records[b][o] and the final params; the earliest step at which
+    any clip and objective has a non-finite loss, or at which any value
+    overflows, raises TrainingDiverged, which names the cause."""
     cfgs = tuple(obj or TnceConfig(temperature=cfg.temperature) for obj in objectives)
-    c = replace(Contrast.of(clip.timestamps, cfgs[0] if len(cfgs) == 1 else cfgs), work={})
-    lb = c.groups.lower_bound()
+    c = replace(Contrast.of(clip.timestamps, cfgs), work={})
+    lb = c.lower_bound
     bridged = np.array([[obj is None] for obj in objectives], dtype=float)  # (O, 1)
 
     def bridge_of(intervals=None):  # w is 0 on the objectives that carry no bridge
@@ -149,11 +151,10 @@ def _descend(
 
     lam = cfg.bb_weight
     evaluate = Step(c, lam, cfg.optimize_language, need_kink=False)  # no step reads at_kink
-    shape = (len(rngs),) if len(cfgs) == 1 else (len(rngs), len(cfgs))
     T, n = len(clip.timestamps), cfg.intervals_per_step
-    intervals = _interval_draws(T, n, rngs, cfg.steps, shape) if bridged.any() and n > 1 else None
+    intervals = _interval_draws(T, n, rngs, cfg.steps) if bridged.any() and n > 1 else None
     bridge = bridge_of() if bridged.any() and intervals is None else None
-    history = np.empty((3, *shape, cfg.steps))  # vlo, bb and total of each clip and step
+    history = np.empty((len(rngs), len(cfgs), 3, cfg.steps))  # each run's vlo, bb and total
     try:
         # an overflow would reach the next step as zero or NaN vectors; it raises here instead
         with np.errstate(over="raise"):
@@ -163,20 +164,17 @@ def _descend(
                 if intervals is not None:
                     bridge = bridge_of(next(intervals))
                 vlo, bb, *grads, _ = objective_and_grad(emb, lang, evaluate, bridge)
-                total = np.add(vlo, lam * bb, out=history[2, ..., step])
+                total = np.add(vlo, lam * bb, out=history[..., 2, step])
                 if not np.isfinite(total).all():  # the earliest diverging step of any run
                     raise TrainingDiverged(step)
-                history[0, ..., step], history[1, ..., step] = vlo, bb
+                history[..., 0, step], history[..., 1, step] = vlo, bb
                 part = "update"
                 params = update(*grads)
     except FloatingPointError as exc:
         raise TrainingDiverged(step, f"overflow in the {part}") from exc
-    runs = history.reshape(3, -1, cfg.steps).swapaxes(0, 1)  # clip-major, one run's lists at a time
-    records = [
-        [LossBreakdown(v, p, t, lb, v - lb) for v, p, t in zip(*h.tolist())] if keep_records else []
-        for h in runs
-    ]
-    return [records[b : b + len(cfgs)] for b in range(0, len(records), len(cfgs))], params
+    records = [[[LossBreakdown(v, p, t, lb, v - lb) for v, p, t in zip(*run.tolist())]
+                 if keep_records else [] for run in runs] for runs in history]  # a run at a time
+    return records, params
 
 
 def train_free(
@@ -193,7 +191,7 @@ def train_free(
 
 def train_batch(clips, cfg: TrainConfig, objective: TnceConfig | None, seeds) -> list:
     """train_free on clips that share their timestamps, stepped as one
-    (B, T, d) stack: history b equals clip b's own run with cfg.seed =
+    (B, 1, T, d) stack: history b equals clip b's own run with cfg.seed =
     seeds[b], unless some clip's loss diverges, which raises."""
     return [h for (h,) in train_objectives(clips, cfg, (objective,), seeds)]
 
@@ -216,11 +214,9 @@ def train_objectives(clips, cfg: TrainConfig, objectives, seeds, keep_records=Tr
         raise ValueError("a batch needs one seed per clip")
     _require_finite(*(a for clip in clips for a in (clip.embeddings, clip.language)))
     clips = [clip.normalized() for clip in clips]
-    O = len(objectives)
-    emb = np.stack([c.embeddings for c in clips])
-    lang = np.stack([c.language for c in clips])
-    if O > 1:  # one copy of each clip per objective
-        emb, lang = np.repeat(emb[:, None], O, axis=1), np.repeat(lang[:, None], O, axis=1)
+    # one copy of each clip per objective
+    emb = np.repeat(np.stack([c.embeddings for c in clips])[:, None], len(objectives), axis=1)
+    lang = np.repeat(np.stack([c.language for c in clips])[:, None], len(objectives), axis=1)
 
     def embed(params, step):
         emb, lang = params
@@ -233,7 +229,6 @@ def train_objectives(clips, cfg: TrainConfig, objectives, seeds, keep_records=Tr
     records, (emb, lang) = _descend(
         clips[0], (emb, lang), embed, cfg, objectives, rngs, keep_records
     )
-    emb, lang = emb.reshape(len(clips), O, *emb.shape[-2:]), lang.reshape(len(clips), O, -1)
     return [
         [TrainHistory(r, c.with_embeddings(e, l)) for r, e, l in zip(runs, es, ls)]
         for runs, c, es, ls in zip(records, clips, emb, lang)
@@ -263,10 +258,10 @@ def train_encoder(features, timestamps, language, cfg: TrainConfig):
 
         def update(gv, _):
             # dL/dz_t = (I - v v^T) / |z_t| . dL/dv_t
-            gz = (gv[0] - (gv[0] * emb).sum(axis=1, keepdims=True) * emb) / norms
+            gz = (gv[0, 0] - (gv[0, 0] * emb).sum(axis=1, keepdims=True) * emb) / norms
             return weight - cfg.learning_rate * (gz.T @ features)
 
-        return emb[None], language, update
+        return emb[None, None], language, update  # a (1, 1, T, d) stack
 
     fixed = replace(cfg, optimize_language=False)  # the language is not a parameter here
     ((records,),), weight = _descend(start, weight, embed, fixed, (None,), [rng])
@@ -284,8 +279,8 @@ def measure_delta(clip: ClipSequence, temperature: float = 1.0):
     group's max minus min is its largest gap, and a score minus the largest
     score before its group its smallest margin."""
     kinds.POSITIVE.check("temperature", temperature)
-    c = Contrast.of(clip.timestamps, TnceConfig())
-    start, pos = c.groups.start, np.arange(clip.T - 1)
+    groups = TieGroups.of(clip.timestamps)
+    c, start, pos = Contrast.of(groups, TnceConfig()), groups.start, np.arange(clip.T - 1)
     # x[i, p]: anchor i's score for the frame at its sorted position p
     x = _sorted_scores(clip.similarities()[None], c, False)[0][0] / temperature
     firsts = np.flatnonzero(start == pos)  # each row starts a group, so none spans two

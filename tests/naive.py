@@ -532,7 +532,7 @@ def check_lower_bound(clips):
     kernel call per asserted clip, the check's loop before it stacked the
     clips of one length."""
     asserted = ((clip, Contrast.of(clip.timestamps, TnceConfig())) for clip in clips if clip.T > 2)
-    gaps = np.array([_clip_value(clip.embeddings, clip.language, c) - c.groups.lower_bound()
+    gaps = np.array([_clip_value(clip.embeddings, clip.language, c) - c.lower_bound
                      for clip, c in asserted])
     violations = int(np.count_nonzero(~(gaps > 0)))
     return TheoremReport(

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import actol
 import naive
@@ -27,6 +28,7 @@ from actol.cli import (
     _write_json,
     main,
 )
+from actol.losses import TieGroups
 
 runner = CliRunner()
 
@@ -245,6 +247,20 @@ class TestTrainCommand:
         assert isinstance(result.exception, SystemExit)
         assert "error: overflow in the update at step 0" in result.output
         assert not (tmp_path / "out" / "history.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, data",
+        [("train", {"clip": {"synthetic": {"T": 6, "d": 2, "completion_index": 2}}}),
+         ("verify", {"checks": ["lower-bound"], "lower_bound": {"t_range": [5, 6]}})],
+    )
+    def test_out_of_memory_exits_2(self, monkeypatch, tmp_path, command, data):
+        # a size under the ceiling can still exhaust memory, as train at T=200000 does
+        error = MemoryError("Unable to allocate 298. GiB for an array")
+        monkeypatch.setattr(TieGroups, "of", mock.Mock(side_effect=error))
+        result = invoke(command, write_config(tmp_path, data), tmp_path / "out")
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error: out of memory: Unable to allocate 298. GiB" in result.output
 
     def test_one_dimensional_synthetic_clip(self, tmp_path):
         cfg = write_config(tmp_path, {"clip": {"synthetic": {"T": 4, "d": 1,

@@ -149,6 +149,17 @@ class TestVloOnScores:
             vlo_loss_on_scores((0, 1, 2), scores)
         assert kernel.call_count == 0
 
+    @pytest.mark.parametrize(
+        "scores", [np.zeros((2, 2)), np.zeros((3, 4)), np.full((3, 3), np.nan)],
+        ids=["2x2", "3x4", "nan"],
+    )
+    def test_bad_scores_rejected_before_the_sort(self, monkeypatch, scores):
+        spy = mock.Mock(wraps=TieGroups.of)
+        monkeypatch.setattr(TieGroups, "of", spy)
+        with pytest.raises(ValueError, match="score matrix must be 3x3|scores must be finite"):
+            vlo_loss_on_scores((0, 1, 2), scores)
+        assert spy.call_count == 0
+
 
 def distance_profile(timestamps, i):
     """Anchor i's distinct distances, nearest first, and their

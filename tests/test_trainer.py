@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from unittest import mock
 
 import naive
@@ -221,6 +221,38 @@ class TestTrainFree:
         buffers = {id(b): b for b in (a if a.base is None else a.base for a in kept)}
         assert 0 < sum(b.nbytes for b in buffers.values()) <= most
 
+    def test_run_contrast_keeps_no_tie_groups(self, monkeypatch):
+        """A descent run's Contrast at T=128 keeps the lower bound, not the
+        TieGroups: by unique buffer, its arrays of a value per sorted
+        position are the sort order and each group's end and start index,
+        3 * 130,048 = 390,144 B, where with the TieGroups' distances, starts
+        and ends they were 780,288 B. Its per-config tau, scale and n_terms
+        add 8 B each."""
+        from actol import trainer
+
+        steps = []
+        original = trainer.objective_and_grad
+        monkeypatch.setattr(trainer, "objective_and_grad",
+                            lambda emb, lang, step, *args: steps.append(step)
+                            or original(emb, lang, step, *args))
+        T, drawn = 128, random_clip(128, 32, np.random.default_rng(0))
+        clip = ClipSequence(tuple(range(T)), drawn.embeddings, drawn.language)
+        train_free(clip, TrainConfig(steps=1, temperature=0.5))
+        c = steps[0].c
+
+        def arrays(value):  # the arrays of a field, and of a dataclass it holds
+            if isinstance(value, np.ndarray):
+                yield value
+            elif is_dataclass(value):
+                for f in fields(value):
+                    yield from arrays(getattr(value, f.name))
+
+        kept = [a for f in fields(c) if f.name != "work" for a in arrays(getattr(c, f.name))]
+        buffers = {id(b): b for b in (a if a.base is None else a.base for a in kept)}.values()
+        assert sum(b.nbytes for b in buffers if b.size >= T * (T - 1)) <= 390_144
+        assert sum(b.nbytes for b in buffers if b.size < T * (T - 1)) <= 24
+        assert c.lower_bound == lower_bound(clip)
+
     @pytest.mark.parametrize(
         "B, T, objectives", [(4, 10, (None, TnceConfig("last-frame", "other-frames", "direct-sim"))),
                              (1, 128, (None,))], ids=["reward-stack", "T128"],
@@ -264,10 +296,9 @@ class TestTrainFree:
         train_objectives(clips, cfg, objectives, seeds, False)
         expected = [naive.bridge_intervals(len(ts), 3, np.random.default_rng(seed), steps,
                                            INTERVAL_BLOCK_STEPS) for seed in seeds]
-        clip_axes = (3,) if len(objectives) == 1 else (3, 1)  # (B, 1) broadcasts over objectives
         assert len(drawn) == steps
-        for step, intervals in enumerate(drawn):
-            assert intervals.shape == clip_axes + (3, 2)
+        for step, intervals in enumerate(drawn):  # (B, 1) broadcasts over objectives
+            assert intervals.shape == (3, 1, 3, 2)
             assert intervals.reshape(3, 3, 2).tolist() == [[list(iv) for iv in e[step]]
                                                            for e in expected]
 
@@ -609,6 +640,17 @@ class TestMeasureDelta:
     def test_bad_temperature_rejected(self, temperature):
         with pytest.raises(ValueError, match="temperature must be finite and positive"):
             measure_delta(start_clip(3), temperature)
+
+    @pytest.mark.parametrize("T", [2, 3, 9])
+    def test_one_sort(self, monkeypatch, T):
+        """measure_delta builds one TieGroups, for its group starts, and
+        hands it to its Contrast."""
+        clip = start_clip(23, T=T)
+        expected = measure_delta(clip, 0.01)
+        spy = mock.Mock(wraps=TieGroups.of)
+        monkeypatch.setattr(TieGroups, "of", spy)
+        assert measure_delta(clip, 0.01) == expected
+        assert spy.call_count == 1
 
     def test_no_triples_returns_tiny_positive(self):
         clip = start_clip(12, T=2)
