@@ -25,6 +25,7 @@ from .losses import (
     BridgeInterval,
     Contrast,
     TnceConfig,
+    Views,
     _contrastive_values,
     _sorted_scores,
     _sorted_softmax,
@@ -32,7 +33,6 @@ from .losses import (
 )
 from .synthetic import random_units
 
-KINK_TOL = 1e-12
 # The params finite_diff_check reads for each loss
 LOSS_PARAMS = {"vlo": ("temperature",), "bb": ("interval",), "tnce": ("config",),
                "total": ("temperature", "intervals", "bb_weight")}
@@ -75,53 +75,48 @@ def objective_and_grad(emb, lang, c, bridge=None, bb_weight=0.0, need_language=T
 
 class Step:
     """objective_and_grad with what a run fixes resolved once: c, bb_weight,
-    need_language, and need_kink, without which at_kink is None and the
-    kink test does not run. It keeps |l| and l/|l| of the last language
-    array it met (no caller may write into it between calls), so a fixed
-    language's are taken once per run. The chain rule runs in the kernel's
-    sorted order: dL/ds is a bincount of the weights by frame (over a batch
-    offset index, built once per B > 1) minus each anchor's sorted row sum.
-    Working arrays come from c.array; outputs are new."""
+    need_language, need_kink (without it at_kink is None and no kink test
+    runs) and c's Views per batch size and d, so that a warm call makes
+    only its arithmetic's numpy calls. It keeps |l| and l/|l| of the last
+    language array it met (no caller may write into it between calls). The
+    chain rule runs in the kernel's sorted order: dL/ds is a bincount of
+    the weights by frame (over the Views' index at) minus each anchor's
+    sorted row sum. Working arrays are the Views'; outputs are new."""
 
     def __init__(self, c: Contrast, bb_weight=0.0, need_language=True, need_kink=True):
         self.c, self.need_language, self.need_kink = c, need_language, need_kink
         self.bb_weight = kinds.NON_NEGATIVE.check("bb_weight", bb_weight)
-        self.signed = True if c.score else c.difference  # where dL/dR takes sign(s_i - s_k)
-        self.clips, self.lang, self.norm_l, self.at = c.s_at.shape[:-1], None, None, None
+        self.clips, self.lang, self.norm_l, self.views = c.s_at.shape[:-1], None, None, None
 
     def __call__(self, emb, lang, bridge=None):
-        c, clips = self.c, self.clips
+        c, clips, v = self.c, self.clips, self.views
         if emb.ndim != len(clips) + 2 or emb.shape[1:-1] != clips:
             raise ValueError(f"embeddings {emb.shape} do not match the Contrast's "
                              f"(B, {', '.join(map(str, clips))}, d) stacks")
         if lang.shape[-1:] != emb.shape[-1:] or lang.shape[:-1] not in ((), (1,), emb.shape[:-2]):
             raise ValueError(f"language {lang.shape} does not match embeddings {emb.shape}")
+        if v is None or v.B != len(emb) or v.d != emb.shape[-1]:
+            v = self.views = Views(c, len(emb), emb.shape[-1])
         known = lang is self.lang
         s, norm_v, norm_l = _cosines(emb, lang, self.norm_l if known else None)
         if not known:
             u_l = lang / norm_l
             self.lang, self.norm_l = lang, norm_l
             self.u_col, self.u_row = u_l[..., None], u_l[..., None, :]
-        x, diff = _sorted_scores(s, c, True)
-        kink = self.need_kink and diff is not None
-        if kink:  # close: -|s_i - s_k| > -KINK_TOL; a direct-sim row holds s_k
-            close = np.greater(x, -KINK_TOL, out=c.array("close", x.shape, bool))
-            if c.score is None:
-                close &= c.difference
-        value, W = _sorted_softmax(x, c, True)
+        kink = self.need_kink and c.score != "direct-sim"
+        x, diff = _sorted_scores(s, v, True, kink)
+        if kink and c.score is None:  # a direct-sim row holds s_k
+            v.close &= c.difference
+        value, W = _sorted_softmax(x, v, True)
         at_kink = np.zeros(value.shape, dtype=bool) if self.need_kink else None
-        if kink and close.any():  # a kink is a close pair with a nonzero weight
-            at_kink = np.logical_and(close, W, out=close).any(axis=(-2, -1))
+        if kink and v.close.any():  # a kink is a close pair with a nonzero weight
+            at_kink = np.logical_and(v.close, W, out=v.close).any(axis=(-2, -1))
         if diff is not None:  # sign(s_i - s_k) dL/dR for R = -|s_i - s_k|; direct-sim keeps dL/dR
-            np.multiply(W, np.sign(diff, out=diff), out=W, where=self.signed)
+            np.multiply(W, np.sign(diff, out=diff), out=W, where=v.scored)
         # dL/ds_t: columns add in anchor order, as dense (T, T) ones do, and rows in sorted order
-        at = c.s_at if len(s) == 1 else self.at  # the flat frame of each weight in s
-        if at is None or at.size != W.size:
-            at = self.at = np.arange(0, s.size, s[0].size)[:, None] + c.s_at.reshape(-1)
-        g_s = np.bincount(at.reshape(-1), W.reshape(-1), s.size).reshape(s.shape)
+        g_s = np.bincount(v.at, W.reshape(-1), s.size).reshape(s.shape)
         if diff is not None:
-            np.subtract(g_s, np.add.reduce(W, axis=-1), out=g_s,
-                        where=True if c.score else c.difference[..., 0])
+            np.subtract(g_s, np.add.reduce(W, axis=-1), out=g_s, where=v.scored_rows)
         if bridge is not None:  # before dL/dE, so that fewer (..., T, d) arrays are live at once
             try:
                 bb, g_bb = bridge.penalty(emb, need_grad=True)
@@ -133,7 +128,7 @@ class Step:
         cos = np.matmul(u_v, self.u_col)
         language = None
         if self.need_language:  # g_s (u_v - cos u_l), summed over frames, / |l|
-            t = c.array("language", u_v.shape)
+            t = v.language
             np.copyto(t, self.u_row)  # a ufunc would buffer a copy of each broadcast operand
             np.subtract(u_v, np.multiply(cos, t, out=t), out=t)
             language = np.multiply(g_s[..., None], t, out=t).sum(axis=-2) / norm_l

@@ -63,9 +63,15 @@ def generator(seed) -> np.random.Generator:
         SEED.check("seed", seed))
 
 
+class Timestamps(tuple):
+    """A tuple that timestamps() returned, which it passes through unchecked."""
+
+
 def timestamps(values) -> tuple:
     """Checked timestamps as a tuple of ints: at least two finite integers
     (an integral float such as 2.0 counts), non-negative, strictly increasing, below 2**63."""
+    if type(values) is Timestamps:  # checked once, for every later caller
+        return values
     raw = tuple(values)
     if any(isinstance(t, (bool, np.bool_)) for t in raw):
         raise ValueError("timestamps must be finite integers, not booleans")
@@ -83,7 +89,7 @@ def timestamps(values) -> tuple:
         raise ValueError("timestamps must be strictly increasing")
     if ts[-1] >= 2**63:  # the last is the largest: the int64 rows the losses compute on
         raise ValueError("timestamps must be less than 2**63")
-    return ts
+    return Timestamps(ts)
 
 
 def timestamp_rows(ts) -> np.ndarray:

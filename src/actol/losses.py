@@ -19,23 +19,20 @@ as cumulative sums of exp(score / temperature) while a static range guard
 holds (span / temperature + log T < EXP_RANGE), and as log-space
 accumulations below it. Scores reach it only in that order: a supplied
 (T, T) score matrix is gathered into it once, in vlo_loss_on_scores.
-Moving to linear-space sums changed results in their last bits once;
-reruns stay byte-identical, and results below the guard are unchanged.
 TieGroups.of and Contrast.of also take an (N, T) stack of timestamp rows
 of one length, so that clips with their own timestamps are sorted, and
 evaluated, in one call per stack; a signed integer array stack is checked
 in one vectorized pass. Callers that stack many small evaluations into one
 kernel call (theory's lower-bound check, gradients' finite-difference
 oracle) size each stack to BLOCK_SCORES scores with _stack_size. A descent
-run's Contrast keeps a step's working arrays, which every step writes in
-place, so a step allocates no array of T^2 values; any other Contrast
-makes them anew per call.
+run's Contrast keeps a step's working arrays (see Views).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +40,7 @@ from . import kinds
 from .clip import ClipSequence, _cosines
 
 DEFAULT_BB_WEIGHT = 0.1
+KINK_TOL = 1e-12  # a similarity difference below it sits on the score's kink
 # exp(x) is a finite, normal double for |x| < 708
 EXP_RANGE = 700.0
 # Score budget of one stacked kernel call (see _stack_size), which bounds
@@ -160,13 +158,11 @@ class TieGroups:
 class Contrast:
     """A contrastive objective at fixed timestamps and what its kernel needs
     of them, built once per training run: the ordering loss's lower bound
-    whatever the selectors (not the TieGroups, which a caller that reads
-    them builds and hands to Contrast.of), the positives in each anchor's
-    sorted order as the kernel's floats (1.0 when every position holds a
-    term, else a 0/1 array), and flat indices of the sorted positions'
-    frames in (T,) similarities (s_at), and of the end and start of each
-    negative group in a (T, T-1) array. Under 'other-frames' all other
-    frames form one group.
+    whatever the selectors, the positives in each anchor's sorted order as
+    the kernel's floats (1.0 when every position holds a term, else a 0/1
+    array), and flat indices of the sorted positions' frames in (T,)
+    similarities (s_at), and of the end and start of each negative group in
+    a (T, T-1) array. Under 'other-frames' all other frames form one group.
 
     Built from an (N, T) stack of timestamp rows, the bound is (N,), the
     masks and indices are (N, T, T-1) and the flat indices address (N, T)
@@ -181,12 +177,9 @@ class Contrast:
     difference then masks the (O, 1, 1) rows that score by difference.
     others is the bool mask of the sorted positions that hold no term, or
     None when every position holds one. work is None but in a descent run's
-    Contrast: a dict that keeps a step's working arrays from step to step
-    (see array), so that a step allocates no array of T^2 values: per stack
-    slice, the sorted scores x, s_i - s_k, the kernel's (T, T-1) arrays and,
-    where the kink test runs, its mask. It serves one stack shape (another
-    raises ValueError) and one caller at a time, and nothing a caller keeps
-    may be one of its arrays."""
+    Contrast: a dict that owns the kernel's arrays (see array and Views)
+    from step to step, for one stack shape (another raises ValueError) and
+    one caller at a time; nothing a caller keeps may be one of them."""
 
     cfg: TnceConfig | tuple
     lower_bound: float | np.ndarray
@@ -204,9 +197,8 @@ class Contrast:
     work: dict | None = None
 
     def array(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
-        """The kernel's working array called name: made zero-filled, and
-        kept in work, when there is one, for every later call to write in
-        place."""
+        """The kernel's working array called name: made zero-filled, and kept
+        in work, when there is one, for every later call to write in place."""
         if self.work is None:
             return np.zeros(shape, dtype)
         kept = self.work.get(name)
@@ -230,9 +222,9 @@ class Contrast:
         T = k.shape[-2]
         i = np.arange(T)[:, None]
 
-        def masks(cfg):
-            pos = {"vlo-pair": k >= 0, "last-frame": k == T - 1, "future-frame": k > i}
-            pos = pos[cfg.positive_selector]
+        def masks(cfg):  # only the selected positive mask is built
+            pos = {"vlo-pair": lambda: k >= 0, "last-frame": lambda: k == T - 1,
+                   "future-frame": lambda: k > i}[cfg.positive_selector]()
             if cfg.negative_selector == "other-frames":
                 return pos, np.full_like(k, T - 2), np.zeros_like(k)
             return pos, groups.end, groups.start
@@ -266,19 +258,53 @@ def _in_range(tau, T: int, span: float = 2.0) -> tuple:
     return tuple(span / t + math.log(T) < EXP_RANGE for t in tau.ravel().tolist())
 
 
-def _sorted_softmax(x, c: Contrast, need_grad: bool, span: float | None = None):
-    """For each slice b of scores x in each anchor's sorted order,
-    (B, ..., T, T-1) as c.s_at lays them out, the mean over positive
-    pairs (i, j) of the contrastive cross-entropy -x_ij / tau + log sum_k
-    exp(x_ik / tau), where k runs over j's group and every group before it
-    in anchor i's order. Returns the values and the weights, with
-    weights[b, ..., i, p] = d value_b / d x at sorted position p, or
+class Views:
+    """What the kernel reads of a Contrast c at B stack slices, made on first
+    use and then kept: c's arrays (from c.array) and their flat and reversed
+    views, the signed temperature (-tau on rows that score by difference,
+    scored, and tau on direct-sim rows) and the batch offset index at. A
+    run's Step keeps one per batch size, so a warm step makes no c.array
+    call and no view; one for a single call makes only the arrays it writes."""
+
+    x, diff, e, acc, C, x_lin, log_terms, lse, log_tail = (
+        cached_property(lambda v, n=n: v.c.array(n, v.shape))
+        for n in ("x", "diff", "e", "acc", "C", "x_lin", "log_terms", "lse", "log_tail"))
+    close = cached_property(lambda v: v.c.array("close", v.shape, bool))
+    first = cached_property(lambda v: v.c.array("first", v.shape[:-1] + (1,)))
+    language = cached_property(lambda v: v.c.array("language", v.shape[:-1] + (v.d,)))
+    acc_flat, C_flat, log_flat, lse_flat = (cached_property(
+        lambda v, n=n: getattr(v, n).reshape(v.B, -1)) for n in ("acc", "C", "log_terms", "lse"))
+    acc_rows, log_rows = (cached_property(lambda v, n=n: getattr(v, n).reshape(
+        *v.shape[:-2], -1)) for n in ("acc", "log_terms"))  # each row's terms, for its mean
+    tail, lse_tail = cached_property(lambda v: v.C[..., ::-1]), cached_property(
+        lambda v: v.lse[..., ::-1])
+    scored = cached_property(lambda v: v.c.score != "direct-sim" if v.c.score else v.c.difference)
+    scored_rows = cached_property(lambda v: v.scored if v.c.score else v.scored[..., 0])
+    signed_tau = cached_property(lambda v: np.where(v.scored, -v.c.tau, v.c.tau))
+
+    def __init__(self, c: Contrast, B: int, d: int = 0):
+        self.c, self.B, self.d, self.shape = c, B, d, (B, *c.s_at.shape)
+
+    @cached_property
+    def at(self) -> np.ndarray:  # each sorted position's flat frame in (B, ...) similarities
+        s_at, n = self.c.s_at.reshape(-1), self.c.s_at.size // self.c.s_at.shape[-1]
+        return s_at if self.B == 1 else np.add(np.arange(0, self.B * n, n)[:, None], s_at, out=(
+            self.c.array("at", (self.B, s_at.size), np.intp))).reshape(-1)
+
+
+def _sorted_softmax(x, c, need_grad: bool, span: float | None = None):
+    """For each slice b of scores x, divided by their temperature, in each
+    anchor's sorted order, (B, ..., T, T-1) as c.s_at lays them out, the
+    mean over positive pairs (i, j) of the contrastive cross-entropy -x_ij
+    + log sum_k exp(x_ik), where k runs over j's group and every group
+    before it in anchor i's order. Returns the values and the weights, with
+    weights[b, ..., i, p] = d value_b / d score at sorted position p, or
     (values, None) when need_grad is false. For a Contrast of an (N, T)
     timestamp stack, x is (B, N, T, T-1) and the values (B, N), one per
     clip as from its own Contrast; for a Contrast of O configs they are
-    (B, O, T, T-1) and (B, O), one per config. span bounds the spread
-    (max - min) of every anchor's scores; None is any cosine score's 2,
-    whose guard c holds.
+    (B, O, T, T-1) and (B, O), one per config. c is a Contrast or its
+    Views. span bounds the spread (max - min) of every anchor's unscaled
+    scores; None is any cosine score's 2, whose guard c holds.
 
     Every log-sum-exp is a cumulative sum along each anchor's sorted row,
     read at the end of each group. The gradient weight of frame k sums
@@ -287,93 +313,96 @@ def _sorted_softmax(x, c: Contrast, need_grad: bool, span: float | None = None):
     Both are O(T^2) per slice, given the sort Contrast.of made once. While
     span / temperature + log T < EXP_RANGE they run in linear space
     (_exp_cumsum, one exp and one log); otherwise in log space
-    (_log_accumulate). Adding the linear-space path moved results above
-    the guard in their last bits; below it they are unchanged. If the guard
-    holds for some configs of a stack and not for others, both paths run
-    on the whole stack, each config keeping its side. x is overwritten, and
-    the weights are an array from c.array."""
+    (_log_accumulate). If the guard holds for some configs of a stack and
+    not for others, both paths run on the whole stack, each config keeping
+    its side. x is overwritten, and the weights are a kept array of the Views."""
+    v = c if isinstance(c, Views) else Views(c, len(x))
+    c = v.c
     linear = c.linear if span is None else _in_range(c.tau, x.shape[-2], span)
-    np.divide(x, c.tau, out=x)
     if any(linear) == all(linear):
-        terms, weights = (_exp_cumsum if linear[0] else _log_accumulate)(x, c, need_grad)
+        terms, weights = (_exp_cumsum if linear[0] else _log_accumulate)(x, v, need_grad)
     else:
         off = ~np.array(linear)[:, None, None]  # the log side; zeros keep it from overflow
-        x_lin = c.array("x_lin", x.shape)
-        np.copyto(x_lin, x)
-        np.copyto(x_lin, 0.0, where=off)
-        terms, weights = _exp_cumsum(x_lin, c, need_grad)
-        for linear_side, log_side in zip((terms, weights), _log_accumulate(x, c, need_grad)):
-            if log_side is not None:
-                np.copyto(linear_side, log_side, where=off)
-    value = np.add.reduce(terms.reshape(*terms.shape[:-2], -1), axis=-1) / c.n_terms
+        np.copyto(v.x_lin, x)
+        np.copyto(v.x_lin, 0.0, where=off)
+        terms, weights = _exp_cumsum(v.x_lin, v, need_grad)
+        log_terms, log_weights = _log_accumulate(x, v, need_grad)
+        np.copyto(terms, log_terms, where=off[..., 0])
+        if need_grad:
+            np.copyto(weights, log_weights, where=off)
+    value = np.add.reduce(terms, axis=-1) / c.n_terms
     if not need_grad:
         return value, None
     np.subtract(weights, c.positives, out=weights)
     return value, np.divide(weights, c.scale, out=weights)
 
 
-def _exp_cumsum(x, c: Contrast, need_grad: bool):
-    """_sorted_softmax's (per-pair terms, gradient weights or None) of the
-    sorted, scaled scores x, in linear space: one exp and one log. Each row
-    is shifted by its first score, so a first group of one frame gives
-    exactly 0. Under the guard span / temperature + log T < EXP_RANGE,
-    every exp(x) and cumulative sum C lies in [e^-EXP_RANGE, e^EXP_RANGE]:
-    normal and finite. x is overwritten, and the terms and weights are
-    arrays from c.array; each array is written in place once its values
-    are not needed again."""
-    B = len(x)
-    np.subtract(x, x[..., :1].copy(), out=x)  # no input may overlap the output
-    e = np.exp(x, out=c.array("e", x.shape))
-    acc = np.add.accumulate(e, axis=-1, out=c.array("acc", x.shape))
-    C = acc.reshape(B, -1).take(c.end_at, axis=1, out=c.array("C", x.shape), mode="clip")
-    terms = np.subtract(np.log(C, out=acc), x, out=acc)
+def _exp_cumsum(x, v: Views, need_grad: bool):
+    """_sorted_softmax's (per-pair terms as each row's (B, ..., T (T-1))
+    values, gradient weights or None) of the sorted, scaled scores x, in
+    linear space: one exp and one log. Each row is shifted by its first
+    score, so a first group of one frame gives exactly 0. Under the guard
+    span / temperature + log T < EXP_RANGE, every exp(x) and cumulative sum
+    C lies in [e^-EXP_RANGE, e^EXP_RANGE]: normal and finite. x and each
+    array of the Views v are written in place once their values are spent."""
+    c = v.c
+    v.first[...] = x[..., :1]  # a kept copy: no input may overlap the output
+    np.subtract(x, v.first, out=x)
+    e = np.exp(x, out=v.e)
+    np.add.accumulate(e, axis=-1, out=v.acc)
+    C = v.acc_flat.take(c.end_at, axis=1, out=v.C, mode="clip")
+    terms = np.subtract(np.log(C, out=v.acc), x, out=v.acc)
     if c.others is not None:
         np.copyto(terms, 0.0, where=c.others)
     if not need_grad:
-        return terms, None
-    tail = np.divide(c.positives, C, out=C)[..., ::-1]
-    np.add.accumulate(tail, axis=-1, out=tail)
-    e *= C.reshape(B, -1).take(c.start_at, axis=1, out=x, mode="clip")
-    return terms, e
+        return v.acc_rows, None
+    np.divide(c.positives, C, out=C)
+    np.add.accumulate(v.tail, axis=-1, out=v.tail)
+    e *= v.C_flat.take(c.start_at, axis=1, out=x, mode="clip")
+    return v.acc_rows, e
 
 
 @np.errstate(invalid="ignore")  # a NaN score gives NaN values, silently as in _exp_cumsum
-def _log_accumulate(x, c: Contrast, need_grad: bool):
+def _log_accumulate(x, v: Views, need_grad: bool):
     """_exp_cumsum in log space, for scores of any range. x is overwritten
-    by the weights, and its other arrays from c.array are not _exp_cumsum's,
-    so that both paths can run on one stack."""
-    B = len(x)
-    acc = np.logaddexp.accumulate(x, axis=-1, out=c.array("log_terms", x.shape))
-    lse = acc.reshape(B, -1).take(c.end_at, axis=1, out=c.array("lse", x.shape), mode="clip")
+    by the weights, and its other arrays are not _exp_cumsum's, so that
+    both paths can run on one stack."""
+    c = v.c
+    acc = np.logaddexp.accumulate(x, axis=-1, out=v.log_terms)
+    lse = v.log_flat.take(c.end_at, axis=1, out=v.lse, mode="clip")
     terms = np.subtract(lse, x, out=acc)
     if c.others is not None:
         np.copyto(terms, 0.0, where=c.others)
     if not need_grad:
-        return terms, None
+        return v.log_rows, None
     tail = np.negative(lse, out=lse)
     if c.others is not None:
         np.copyto(tail, -np.inf, where=c.others)
-    np.logaddexp.accumulate(tail[..., ::-1], axis=-1, out=tail[..., ::-1])
-    x += tail.reshape(B, -1).take(c.start_at, axis=1, out=c.array("log_tail", x.shape),
-                                  mode="clip")
-    return terms, np.exp(x, out=x)
+    np.logaddexp.accumulate(v.lse_tail, axis=-1, out=v.lse_tail)
+    x += v.lse_flat.take(c.start_at, axis=1, out=v.log_tail, mode="clip")
+    return v.log_rows, np.exp(x, out=x)
 
 
-def _sorted_scores(s, c: Contrast, need_diff: bool):
+def _sorted_scores(s, c, need_diff: bool, kink: bool = False):
     """(x, s_i - s_k or None) of (B, ..., T) similarities: x holds each
     anchor's scores in its sorted order, laid out as c.s_at, from one
-    gather of s: -|s_i - s_k| for 'difference-score' and s_k for
-    'direct-sim', each config of a stack that mixes kinds by its own. When
-    need_diff and some config scores by difference, s_i - s_k is kept in the
-    same order for the chain rule. Both are arrays from c.array."""
-    x = s.reshape(len(s), -1).take(c.s_at, axis=1, out=c.array("x", (len(s), *c.s_at.shape)),
-                                   mode="clip")  # s_k
+    gather of s, each divided by its config's temperature: |s_i - s_k| /
+    -tau, bit for bit -|s_i - s_k| / tau, for 'difference-score' and s_k /
+    tau for 'direct-sim'. s_i - s_k is kept in the same order for the chain
+    rule when need_diff and some config scores by difference; with kink,
+    the Views' close gets |s_i - s_k| < KINK_TOL (meaningless on direct-sim
+    rows). c is a Contrast or its Views, whose arrays x and s_i - s_k are."""
+    v = c if isinstance(c, Views) else Views(c, len(s))
+    c = v.c
+    x = s.reshape(v.B, -1).take(c.s_at, axis=1, out=v.x, mode="clip")  # s_k
     if c.score == "direct-sim":
-        return x, None
-    diff = c.array("diff", x.shape) if need_diff or c.score is None else x
+        return np.divide(x, c.tau, out=x), None
+    diff = v.diff if need_diff or c.score is None else x
     np.subtract(s[..., None], x, out=diff)  # only s_i broadcasts: one iterator buffer
-    where = True if c.score else c.difference  # a mixed stack's direct-sim rows keep s_k
-    np.negative(np.abs(diff, out=x, where=where), out=x, where=where)
+    np.abs(diff, out=x, where=v.scored)  # a mixed stack's direct-sim rows keep s_k
+    if kink:
+        np.less(x, KINK_TOL, out=v.close)
+    np.divide(x, v.signed_tau, out=x)
     return x, diff if need_diff else None
 
 
@@ -408,7 +437,7 @@ def vlo_loss_on_scores(timestamps, scores, temperature: float = 1.0) -> float:
         raise ValueError("scores must be finite")
     c = Contrast.of(timestamps, TnceConfig(temperature=temperature))  # checked before the sort
     x = np.take_along_axis(scores, c.s_at, axis=1)[None]  # each anchor's row in its sorted order
-    return float(_sorted_softmax(x, c, False, np.ptp(scores))[0][0])
+    return float(_sorted_softmax(np.divide(x, c.tau, out=x), c, False, np.ptp(scores))[0][0])
 
 
 def lower_bound(clip: ClipSequence) -> float:

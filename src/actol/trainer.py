@@ -133,10 +133,10 @@ def _descend(
     combined objectives and 0.0 elsewhere, so that only they carry it. Built
     once: the Contrast, whose work keeps the kernel's arrays and which gives
     every record's lower bound; the Step that every step's one
-    objective_and_grad call runs, with no kink test (no step reads at_kink)
-    and, while the language is fixed, its norm; and, with one interval per
-    step, the full-clip Bridge. Each step writes its history in place, and
-    the records (empty unless keep_records) are built after the last.
+    objective_and_grad call runs, with no kink test (no step reads at_kink);
+    and, with one interval per step, the full-clip Bridge. Each step writes
+    its history in place, and the records (empty unless keep_records) are
+    built after the last.
     Returns records[b][o] and the final params; the earliest step at which
     any clip and objective has a non-finite loss, or at which any value
     overflows, raises TrainingDiverged, which names the cause."""

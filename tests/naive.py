@@ -62,9 +62,10 @@ import numpy as np
 
 import actol
 from actol.clip import _dots
-from actol.gradients import KINK_TOL, REL_FLOOR, _directions
+from actol.gradients import REL_FLOOR, _directions
 from actol.losses import (
     DEFAULT_BB_WEIGHT,
+    KINK_TOL,
     BridgeInterval,
     Contrast,
     TnceConfig,
@@ -210,7 +211,7 @@ def suffix_softmax(rows, c, need_grad):
     (T, T), whose diagonal is 0."""
     B = len(rows)
     at = sorted_at(c)
-    value, weights = _sorted_softmax(rows.reshape(B, -1).take(at, axis=1), c, need_grad)
+    value, weights = _sorted_softmax(rows.reshape(B, -1).take(at, axis=1) / c.tau, c, need_grad)
     if not need_grad:
         return value, None
     G = np.zeros(rows.shape)

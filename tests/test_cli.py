@@ -67,6 +67,25 @@ class TestTrainCommand:
         clip = ClipSequence(final["timestamps"], final["embeddings"], final["language"])
         assert clip.T == 6
 
+    @pytest.mark.parametrize("source", ["synthetic", "file"])
+    def test_timestamps_checked_once(self, tmp_path, source):
+        """A CLI train checks its clip's timestamps once: every later
+        ClipSequence, TieGroups.of and Bridge.of gets the checked row and
+        passes it through."""
+        from actol import kinds
+
+        cfg = self.config(tmp_path)
+        if source == "file":
+            random_clip(6, 4, np.random.default_rng(1)).save(tmp_path / "clip.json")
+            data = json.loads(Path(cfg).read_text())
+            data["clip"] = {"file": str(tmp_path / "clip.json")}
+            cfg = write_config(tmp_path, data)
+        rows, check = [], kinds.timestamps
+        with mock.patch.object(kinds, "timestamps", lambda v: rows.append(v) or check(v)):
+            assert invoke("train", cfg, tmp_path / "out").exit_code == 0
+        assert len(rows) >= 5  # load, normalized, with_embeddings, TieGroups.of, Bridge.of
+        assert [type(v) is kinds.Timestamps for v in rows].count(False) == 1
+
     def test_byte_identical_rerun(self, tmp_path):
         data = json.loads(Path(self.config(tmp_path)).read_text())
         for intervals_per_step in (1, 3):  # 3: one random Bridge per step

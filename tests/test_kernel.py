@@ -300,6 +300,33 @@ def test_step_matches_reference_bit_for_bit(B, objective, tau, bridge):
     _step_matching_reference(emb, lang, c, bridges[bridge], 0.1)
 
 
+@pytest.mark.parametrize("tau", [1.0, 0.5, 0.002, 1 / 3], ids=["1", "0.5", "0.002", "1/3"])
+def test_signed_temperature_folds_the_negation(tau):
+    """_sorted_scores divides |s_i - s_k| by -tau, which is bit for bit
+    -|s_i - s_k| / tau on finite values, +-0 and subnormals, and NaN where
+    that is NaN (its sign bit may differ); direct-sim rows of a stack that
+    mixes score kinds get s_k / tau. At tau = 0.002 the kernel runs in log
+    space, at the others in linear space."""
+    rng = np.random.default_rng(0)
+    d = np.geomspace(1e-320, 1e3, 10**5) * rng.choice([-1.0, 1.0], 10**5)
+    d = np.concatenate([d, [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]])
+    assert np.array_equal(np.abs(d) / -tau, np.negative(np.abs(d)) / tau, equal_nan=True)
+    finite = ~np.isnan(d)
+    assert (np.abs(d[finite]) / -tau).tobytes() == (np.negative(np.abs(d[finite])) / tau).tobytes()
+    s = np.array([0.0, -0.0, 5e-324, 1e-310, -2e-308, 0.3, 0.3, 1.0, -1.0, np.nan])
+    stack = tuple(replace(cfg, temperature=tau) for cfg in STACK_CONFIGS)
+    for cfg in (TnceConfig(temperature=tau), stack):
+        c = Contrast.of(STEP_TS, cfg)
+        sims = np.broadcast_to(s, (2, *c.s_at.shape[:-1])).copy()  # the same frames in every row
+        x, _ = losses._sorted_scores(sims, c, True)
+        s_k = sims.reshape(2, -1).take(c.s_at, axis=1)
+        scored = c.difference if c.score is None else c.score == "difference-score"
+        expected = np.where(scored, np.negative(np.abs(sims[..., None] - s_k)) / c.tau, s_k / c.tau)
+        known = ~np.isnan(expected)
+        assert np.array_equal(x, expected, equal_nan=True)
+        assert x[known].tobytes() == expected[known].tobytes() and known.any() and not known.all()
+
+
 PRESETS = {name: cfg or TnceConfig() for name, cfg in OBJECTIVE_PRESETS.items()}
 STACK_TS = np.array([STEP_TS, (0, 2, 3, 4, 6, 7, 9, 10, 11, 14), tuple(range(10))])
 
@@ -319,7 +346,7 @@ def _parity_cases(tau, names):
 @pytest.mark.parametrize("tau", [0.5, 0.002], ids=["linear", "log-space"])
 def test_column_sums_are_the_dense_column_reduce(tau):
     """A step adds each frame's signed sorted weights by np.bincount over
-    c.s_at at B=1 and over its own batch-offset index at B > 1: in anchor
+    c.s_at at B=1 and over its Views' batch-offset index at B > 1: in anchor
     order, bit for bit the column reduce of the dense (T, T) array they
     scatter into, whose diagonal adds only +0.0; -0.0 weights included."""
     for c, emb, lang in _parity_cases(tau, PRESETS):
@@ -329,9 +356,9 @@ def test_column_sums_are_the_dense_column_reduce(tau):
         x, diff = losses._sorted_scores(s, c, True)
         W = losses._sorted_softmax(x, c, True)[1].copy()
         if diff is not None:
-            np.multiply(W, np.sign(diff), out=W, where=step.signed)
+            np.multiply(W, np.sign(diff), out=W, where=step.views.scored)
         W.reshape(-1)[::7] = -0.0
-        at = c.s_at if len(s) == 1 else step.at
+        at = step.views.at
         columns = np.bincount(at.reshape(-1), W.reshape(-1), s.size).reshape(s.shape)
         G = np.zeros(s.shape + s.shape[-1:])
         G.reshape(len(s), -1)[:, naive.sorted_at(c)] = W

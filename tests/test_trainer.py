@@ -221,6 +221,32 @@ class TestTrainFree:
         buffers = {id(b): b for b in (a if a.base is None else a.base for a in kept)}
         assert 0 < sum(b.nbytes for b in buffers.values()) <= most
 
+    @pytest.mark.parametrize("language", [False, True], ids=["fixed", "optimized"])
+    @pytest.mark.parametrize(
+        "B, T, d, objectives",
+        [(4, 10, 8, (None, TnceConfig("last-frame", "other-frames", "direct-sim"))),
+         (1, 128, 32, (None,))],
+        ids=["reward-stack", "T128"],
+    )
+    def test_warm_step_calls_no_array(self, monkeypatch, B, T, d, objectives, language):
+        """A descent run's Step resolves its Contrast's arrays and their
+        views once: every Contrast.array call of a run is made in its first
+        step, and the later steps make none."""
+        from actol import trainer
+        from actol.losses import Contrast
+
+        steps, calls = [], []
+        step, array = trainer.objective_and_grad, Contrast.array
+        monkeypatch.setattr(trainer, "objective_and_grad",
+                            lambda *args: steps.append(args) or step(*args))
+        monkeypatch.setattr(Contrast, "array",
+                            lambda c, *args: calls.append(len(steps)) or array(c, *args))
+        clips = [random_clip(T, d, np.random.default_rng(seed)) for seed in range(B)]
+        clips = [ClipSequence(tuple(range(T)), clip.embeddings, clip.language) for clip in clips]
+        cfg = TrainConfig(steps=4, temperature=0.5, optimize_language=language)
+        train_objectives(clips, cfg, objectives, list(range(B)))
+        assert len(steps) == 4 and calls and set(calls) == {1}
+
     def test_run_contrast_keeps_no_tie_groups(self, monkeypatch):
         """A descent run's Contrast at T=128 keeps the lower bound, not the
         TieGroups: by unique buffer, its arrays of a value per sorted
