@@ -75,13 +75,14 @@ def objective_and_grad(emb, lang, c, bridge=None, bb_weight=0.0, need_language=T
 
 class Step:
     """objective_and_grad with what a run fixes resolved once: c, bb_weight,
-    need_language, need_kink (without it at_kink is None and no kink test
-    runs) and c's Views per batch size and d, so that a warm call makes
-    only its arithmetic's numpy calls. It keeps |l| and l/|l| of the last
-    language array it met (no caller may write into it between calls). The
-    chain rule runs in the kernel's sorted order: dL/ds is a bincount of
-    the weights by frame (over the Views' index at) minus each anchor's
-    sorted row sum. Working arrays are the Views'; outputs are new."""
+    need_language and need_kink (without it at_kink is None and no kink
+    test runs). Its views, the Views of c at the last batch size and d it
+    met (made anew at another), own the run's working arrays, so that a
+    warm call makes only its arithmetic's numpy calls. It keeps |l| and
+    l/|l| of the last language array it met (no caller may write into it
+    between calls). The chain rule runs in the kernel's sorted order: dL/ds
+    is a bincount of the weights by frame (over Views.at) minus each
+    anchor's sorted row sum. Outputs are new arrays, none of the Views'."""
 
     def __init__(self, c: Contrast, bb_weight=0.0, need_language=True, need_kink=True):
         self.c, self.need_language, self.need_kink = c, need_language, need_kink

@@ -24,8 +24,7 @@ of one length, so that clips with their own timestamps are sorted, and
 evaluated, in one call per stack; a signed integer array stack is checked
 in one vectorized pass. Callers that stack many small evaluations into one
 kernel call (theory's lower-bound check, gradients' finite-difference
-oracle) size each stack to BLOCK_SCORES scores with _stack_size. A descent
-run's Contrast keeps a step's working arrays (see Views).
+oracle) size each stack to BLOCK_SCORES scores with _stack_size.
 """
 
 from __future__ import annotations
@@ -176,10 +175,8 @@ class Contrast:
     the score kind all configs share, or None when they mix kinds;
     difference then masks the (O, 1, 1) rows that score by difference.
     others is the bool mask of the sorted positions that hold no term, or
-    None when every position holds one. work is None but in a descent run's
-    Contrast: a dict that owns the kernel's arrays (see array and Views)
-    from step to step, for one stack shape (another raises ValueError) and
-    one caller at a time; nothing a caller keeps may be one of them."""
+    None when every position holds one. A Contrast holds run constants
+    only; the kernel's working arrays are a Views'."""
 
     cfg: TnceConfig | tuple
     lower_bound: float | np.ndarray
@@ -194,19 +191,6 @@ class Contrast:
     score: str | None
     difference: np.ndarray | None = None
     others: np.ndarray | None = None
-    work: dict | None = None
-
-    def array(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
-        """The kernel's working array called name: made zero-filled, and kept
-        in work, when there is one, for every later call to write in place."""
-        if self.work is None:
-            return np.zeros(shape, dtype)
-        kept = self.work.get(name)
-        if kept is None:
-            kept = self.work[name] = np.zeros(shape, dtype)
-        elif kept.shape != shape:
-            raise ValueError(f"the run's Contrast keeps {name} {kept.shape}, not {shape}")
-        return kept
 
     @classmethod
     def of(cls, timestamps, cfg) -> "Contrast":
@@ -259,19 +243,19 @@ def _in_range(tau, T: int, span: float = 2.0) -> tuple:
 
 
 class Views:
-    """What the kernel reads of a Contrast c at B stack slices, made on first
-    use and then kept: c's arrays (from c.array) and their flat and reversed
-    views, the signed temperature (-tau on rows that score by difference,
-    scored, and tau on direct-sim rows) and the batch offset index at. A
-    run's Step keeps one per batch size, so a warm step makes no c.array
-    call and no view; one for a single call makes only the arrays it writes."""
+    """What the kernel reads of a Contrast c at B stack slices, each made on
+    first use and then kept: its working arrays, made zero-filled, and their
+    flat and reversed views, the signed temperature (-tau on rows that score
+    by difference, scored, and tau on direct-sim rows) and the batch offset
+    index at. A Views is the only owner of its arrays: a run's Step keeps
+    one, so a warm step makes no array and no view, and one made for a
+    single call makes only the arrays it writes."""
 
     x, diff, e, acc, C, x_lin, log_terms, lse, log_tail = (
-        cached_property(lambda v, n=n: v.c.array(n, v.shape))
-        for n in ("x", "diff", "e", "acc", "C", "x_lin", "log_terms", "lse", "log_tail"))
-    close = cached_property(lambda v: v.c.array("close", v.shape, bool))
-    first = cached_property(lambda v: v.c.array("first", v.shape[:-1] + (1,)))
-    language = cached_property(lambda v: v.c.array("language", v.shape[:-1] + (v.d,)))
+        cached_property(lambda v: np.zeros(v.shape)) for _ in range(9))
+    close = cached_property(lambda v: np.zeros(v.shape, bool))
+    first = cached_property(lambda v: np.zeros(v.shape[:-1] + (1,)))
+    language = cached_property(lambda v: np.zeros(v.shape[:-1] + (v.d,)))
     acc_flat, C_flat, log_flat, lse_flat = (cached_property(
         lambda v, n=n: getattr(v, n).reshape(v.B, -1)) for n in ("acc", "C", "log_terms", "lse"))
     acc_rows, log_rows = (cached_property(lambda v, n=n: getattr(v, n).reshape(
@@ -288,8 +272,7 @@ class Views:
     @cached_property
     def at(self) -> np.ndarray:  # each sorted position's flat frame in (B, ...) similarities
         s_at, n = self.c.s_at.reshape(-1), self.c.s_at.size // self.c.s_at.shape[-1]
-        return s_at if self.B == 1 else np.add(np.arange(0, self.B * n, n)[:, None], s_at, out=(
-            self.c.array("at", (self.B, s_at.size), np.intp))).reshape(-1)
+        return s_at if self.B == 1 else (np.arange(0, self.B * n, n)[:, None] + s_at).reshape(-1)
 
 
 def _sorted_softmax(x, c, need_grad: bool, span: float | None = None):

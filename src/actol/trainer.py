@@ -131,17 +131,17 @@ def _descend(
     b's bridge intervals, drawn from rngs[b] in blocks of steps, make one
     Bridge for the stack, its w times an (O, 1) column that is 1.0 on the
     combined objectives and 0.0 elsewhere, so that only they carry it. Built
-    once: the Contrast, whose work keeps the kernel's arrays and which gives
-    every record's lower bound; the Step that every step's one
-    objective_and_grad call runs, with no kink test (no step reads at_kink);
-    and, with one interval per step, the full-clip Bridge. Each step writes
-    its history in place, and the records (empty unless keep_records) are
-    built after the last.
+    once: the Contrast, which gives every record's lower bound; the Step
+    that every step's one objective_and_grad call runs, whose views own the
+    kernel's arrays, with no kink test (no step reads at_kink); and, with
+    one interval per step, the full-clip Bridge. Each step writes its
+    history in place, and the records (empty unless keep_records) are built
+    after the last.
     Returns records[b][o] and the final params; the earliest step at which
     any clip and objective has a non-finite loss, or at which any value
     overflows, raises TrainingDiverged, which names the cause."""
     cfgs = tuple(obj or TnceConfig(temperature=cfg.temperature) for obj in objectives)
-    c = replace(Contrast.of(clip.timestamps, cfgs), work={})
+    c = Contrast.of(clip.timestamps, cfgs)
     lb = c.lower_bound
     bridged = np.array([[obj is None] for obj in objectives], dtype=float)  # (O, 1)
 

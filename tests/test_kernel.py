@@ -40,7 +40,7 @@ from actol.losses import (
     Contrast,
     TieGroups,
 )
-from actol.trainer import measure_delta
+from actol.trainer import TrainConfig, measure_delta, train_free
 
 COMBOS = [
     TnceConfig(p, n, s)
@@ -497,10 +497,10 @@ def test_zero_weight_rows_carry_no_bridge(bridge, tau):
 @pytest.mark.parametrize("tau", [0.5, 0.002], ids=["linear", "log-space"])
 @pytest.mark.parametrize("stack", ["one-config", "config-stack"])
 def test_step_outputs_are_not_the_runs_working_arrays(stack, tau):
-    """A descent run's Contrast keeps the kernel's arrays and every step
-    writes them in place. Step k's outputs are unchanged after step k+1
+    """A descent run's Step keeps the kernel's arrays in its Views and every
+    step writes them in place. Step k's outputs are unchanged after step k+1
     runs on other embeddings, share no memory with the kept arrays, and
-    step k+1 gets bit for bit a fresh Contrast's outputs. The config stack
+    step k+1 gets bit for bit a one-shot call's outputs. The config stack
     mixes score kinds and puts the bridge on some rows, by a Bridge whose
     weights are zero on the others; at tau=0.002 its first config is below
     the range guard and the others above it."""
@@ -512,7 +512,7 @@ def test_step_outputs_are_not_the_runs_working_arrays(stack, tau):
         B, O = 2, len(cfg)
         bridge = Bridge(bridge.M, bridge.w * _row_mask(O, [0, 3]))
     fresh = Contrast.of(STEP_TS, cfg)
-    run = replace(fresh, work={})
+    run = Step(fresh, 0.1)
     outputs = []
     for seed in (13, 14):
         emb, lang = _step_inputs(B * O, seed)
@@ -521,11 +521,12 @@ def test_step_outputs_are_not_the_runs_working_arrays(stack, tau):
         emb[0, ..., 6, :] = emb[0, ..., 2, :]  # a tie, so that a kink is flagged
         got = objective_and_grad(emb, lang, run, bridge, 0.1, True)
         outputs.append((got, [a.copy() for a in got]))
-    assert {"diff", "x", "close"} <= set(run.work)
+    assert {"diff", "x", "close"} <= set(vars(run.views))
+    work = [w for w in vars(run.views).values() if isinstance(w, np.ndarray)]
     for got, kept in outputs:
         for a, b in zip(got, kept, strict=True):
             assert np.array_equal(a, b)
-            assert not any(np.shares_memory(a, w) for w in run.work.values())
+            assert not any(np.shares_memory(a, w) for w in work)
     expected = objective_and_grad(emb, lang, fresh, bridge, 0.1, True)
     for a, b in zip(outputs[1][0], expected, strict=True):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -581,12 +582,31 @@ def test_mismatched_stack_rejected_naming_both_shapes(emb_shape, lang_shape, mes
     assert kernel.call_count == 0
 
 
-def test_runs_contrast_at_another_stack_size_rejected():
-    c = replace(Contrast.of((0, 1, 2, 3, 5, 6), TnceConfig()), work={})
-    emb, lang = _step_inputs(3, seed=4, T=6, d=4)
-    objective_and_grad(emb[:2], lang[:2], c)
-    with pytest.raises(ValueError, match=r"^the run's Contrast keeps x \(2, 6, 5\), not \(3, 6, 5\)$"):
-        objective_and_grad(emb, lang, c)
+def test_runs_step_at_another_stack_size_and_d(monkeypatch):
+    """A descent run's Step keeps its Views at one batch size and d and
+    makes new ones at another: called at B=2, then B=3, then another d, it
+    gives bit for bit a one-shot objective_and_grad call's outputs each
+    time, at_kink aside (it runs no kink test)."""
+    from actol import trainer
+
+    steps = []
+    original = trainer.objective_and_grad
+    monkeypatch.setattr(trainer, "objective_and_grad",
+                        lambda emb, lang, step, *args: steps.append(step)
+                        or original(emb, lang, step, *args))
+    ts, drawn = (0, 1, 2, 3, 5, 6), random_clip(6, 4, np.random.default_rng(0))
+    cfg = TrainConfig(steps=1, optimize_language=True)
+    train_free(ClipSequence(ts, drawn.embeddings, drawn.language), cfg)
+    step, bridge = steps[0], Bridge.of(ts)
+    c = Contrast.of(ts, step.c.cfg)  # the run's one config, as its (1, T, T-1) stack
+    for B, d in ((2, 4), (3, 4), (3, 5)):
+        emb, lang = _step_inputs(B, seed=4 + d, T=6, d=d)
+        emb, lang = emb[:, None], lang[:, None]
+        *got, at_kink = step(emb, lang, bridge)
+        *expected, _ = objective_and_grad(emb, lang, c, bridge, cfg.bb_weight)
+        assert at_kink is None and (step.views.B, step.views.d) == (B, d)
+        for a, b in zip(got, expected, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("shared", [(4,), (1, 4)], ids=str)
@@ -607,7 +627,7 @@ def test_runs_step_takes_each_language_once(objective):
     calls on two arrays, alternating, each give bit for bit a one-shot
     call's outputs on that array, at_kink aside (it runs no kink test)."""
     c = Contrast.of(STEP_TS, STEP_OBJECTIVES[objective])
-    step = Step(replace(c, work={}), 0.1, need_language=True, need_kink=False)
+    step = Step(c, 0.1, need_language=True, need_kink=False)
     emb, lang = _step_inputs(2, seed=6)
     other = _step_inputs(2, seed=7)[1]
     bridge = Bridge.of(STEP_TS)

@@ -9,7 +9,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import actol
-from actol.losses import Contrast
+from actol.losses import Contrast, TnceConfig, Views
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -100,12 +100,28 @@ def test_docs_name_only_private_helpers_that_exist():
     assert [(where, name) for where, name in named if name not in defined] == []
 
 
+def _named(owners: str) -> list:
+    """[(where, name)] of every <owner>.<name> written in README.md, or in a
+    docstring or comment of actol, for the owners of a regex alternation."""
+    return [(where, name) for where, text in _doc_texts()[1]
+            for name in re.findall(rf"(?<!\w)(?:{owners})\.(\w+)", text)]
+
+
 def test_docs_name_only_contrast_attributes_that_exist():
     """Every c.<name> or Contrast.<name> written in README.md, or in a
     docstring or comment of actol, is a field, method or attribute of
     Contrast, so that no removed field is still described."""
     attributes = set(dir(Contrast)) | {f.name for f in fields(Contrast)}
-    named = [(where, name) for where, text in _doc_texts()[1]
-             for name in re.findall(r"(?<!\w)(?:c|Contrast)\.(\w+)", text)]
+    named = _named(r"c|Contrast")
     assert {"of", "s_at"} <= {name for _, name in named}  # the scan sees the names it checks
+    assert [(where, name) for where, name in named if name not in attributes] == []
+
+
+def test_docs_name_only_views_attributes_that_exist():
+    """Every Views.<name> or step.views.<name> written in README.md, or in a
+    docstring or comment of actol, is an attribute of Views, so that no
+    removed part of a step's state is still described."""
+    attributes = set(dir(Views)) | set(vars(Views(Contrast.of((0, 1, 2), TnceConfig()), 1)))
+    named = _named(r"Views|step\.views")
+    assert {"at", "signed_tau"} <= {name for _, name in named}  # the scan sees the names it checks
     assert [(where, name) for where, name in named if name not in attributes] == []

@@ -32,6 +32,16 @@ def start_clip(seed=0, T=6, d=4):
     return random_clip(T, d, rng)
 
 
+def _arrays(values) -> list:
+    """The ndarrays among values."""
+    return [a for a in values if isinstance(a, np.ndarray)]
+
+
+def _buffer(a: np.ndarray) -> np.ndarray:
+    """The array that owns a's memory."""
+    return a if a.base is None else a.base
+
+
 class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
@@ -193,12 +203,13 @@ class TestTrainFree:
         ids=["reward-stack", "T128"],
     )
     def test_run_workspace_does_not_grow(self, monkeypatch, B, T, d, objectives, most):
-        """What a descent run's step keeps from step to step, its Contrast's
-        working arrays (work) and the step's own run constants, holds after
+        """What a descent run's step keeps from step to step, the working
+        arrays of its Views and the step's own run constants, holds after
         one step no more bytes than when each step formed dense (T, T) score
         rows: 36,640 B for the reward comparison's (4, 2, 10, 8) stack and
         798,720 B for one config at T=128, d=32. Each buffer counts once;
-        the caller's language and the Contrast's fixed fields do not count."""
+        the caller's language and the buffers of the Contrast's fields (at
+        B=1, Views.at is a view of c.s_at) do not count."""
         from actol import trainer
 
         steps = []
@@ -214,11 +225,11 @@ class TestTrainFree:
         clips = [ClipSequence(ts, clip.embeddings, clip.language) for clip in clips]
         train_objectives(clips, TrainConfig(steps=1, temperature=0.5), objectives, list(range(B)))
         (step,) = steps
-        fixed = [getattr(step.c, f.name) for f in fields(step.c)] + [step.lang]
-        kept = [*step.c.work.values()] + [a for a in vars(step).values() if isinstance(a, np.ndarray)
-                                          and not any(a is b for b in fixed)]
-        assert len(kept) > len(step.c.work)  # the language's norm and unit vectors
-        buffers = {id(b): b for b in (a if a.base is None else a.base for a in kept)}
+        views, own = _arrays(vars(step.views).values()), _arrays(vars(step).values())
+        assert views and own  # the language's norm and unit vectors
+        fixed = [*(getattr(step.c, f.name) for f in fields(step.c)), step.lang]
+        fixed = {id(_buffer(a)) for a in _arrays(fixed)}
+        buffers = {id(b): b for b in map(_buffer, views + own) if id(b) not in fixed}
         assert 0 < sum(b.nbytes for b in buffers.values()) <= most
 
     @pytest.mark.parametrize("language", [False, True], ids=["fixed", "optimized"])
@@ -229,23 +240,27 @@ class TestTrainFree:
         ids=["reward-stack", "T128"],
     )
     def test_warm_step_calls_no_array(self, monkeypatch, B, T, d, objectives, language):
-        """A descent run's Step resolves its Contrast's arrays and their
-        views once: every Contrast.array call of a run is made in its first
-        step, and the later steps make none."""
+        """A descent run's Step resolves its Views' arrays and their views
+        once: after its first step it keeps one Views, and every attribute
+        of it is the same object through the last step."""
         from actol import trainer
-        from actol.losses import Contrast
 
-        steps, calls = [], []
-        step, array = trainer.objective_and_grad, Contrast.array
-        monkeypatch.setattr(trainer, "objective_and_grad",
-                            lambda *args: steps.append(args) or step(*args))
-        monkeypatch.setattr(Contrast, "array",
-                            lambda c, *args: calls.append(len(steps)) or array(c, *args))
+        kept = []
+        original = trainer.objective_and_grad
+
+        def keeping(emb, lang, step, *args):
+            out = original(emb, lang, step, *args)
+            kept.append((step.views, {k: id(a) for k, a in vars(step.views).items()}))
+            return out
+
+        monkeypatch.setattr(trainer, "objective_and_grad", keeping)
         clips = [random_clip(T, d, np.random.default_rng(seed)) for seed in range(B)]
         clips = [ClipSequence(tuple(range(T)), clip.embeddings, clip.language) for clip in clips]
         cfg = TrainConfig(steps=4, temperature=0.5, optimize_language=language)
         train_objectives(clips, cfg, objectives, list(range(B)))
-        assert len(steps) == 4 and calls and set(calls) == {1}
+        (views, ids), *warm = kept
+        assert len(warm) == 3 and {"x", "acc", "at"} <= set(ids)
+        assert all(v is views and i == ids for v, i in warm)
 
     def test_run_contrast_keeps_no_tie_groups(self, monkeypatch):
         """A descent run's Contrast at T=128 keeps the lower bound, not the
@@ -273,7 +288,7 @@ class TestTrainFree:
                 for f in fields(value):
                     yield from arrays(getattr(value, f.name))
 
-        kept = [a for f in fields(c) if f.name != "work" for a in arrays(getattr(c, f.name))]
+        kept = [a for f in fields(c) for a in arrays(getattr(c, f.name))]
         buffers = {id(b): b for b in (a if a.base is None else a.base for a in kept)}.values()
         assert sum(b.nbytes for b in buffers if b.size >= T * (T - 1)) <= 390_144
         assert sum(b.nbytes for b in buffers if b.size < T * (T - 1)) <= 24
@@ -286,7 +301,7 @@ class TestTrainFree:
     def test_no_step_keeps_a_dense_score_array(self, monkeypatch, B, T, objectives):
         """A descent run's step takes dL/ds from the sorted weights: its
         Contrast has no sorted_at index into (T, T) arrays, and neither its
-        working arrays nor the step's own arrays end in a (T, T) shape."""
+        Views' arrays nor the step's own arrays end in a (T, T) shape."""
         from actol import trainer
 
         steps = []
@@ -299,10 +314,9 @@ class TestTrainFree:
         train_objectives(clips, TrainConfig(steps=2, temperature=0.5), objectives, list(range(B)))
         step = steps[-1]
         assert "sorted_at" not in {f.name for f in fields(step.c)}
-        kept = [*step.c.work.values(), *(a for a in vars(step).values()
-                                         if isinstance(a, np.ndarray))]
-        assert len(kept) > len(step.c.work)
-        assert all(a.shape[-2:] != (T, T) for a in kept)
+        views, own = _arrays(vars(step.views).values()), _arrays(vars(step).values())
+        assert views and own
+        assert all(a.shape[-2:] != (T, T) for a in views + own)
 
     @pytest.mark.parametrize(
         "objectives", [(None,), (None, TnceConfig("last-frame", "other-frames", "direct-sim"))],
