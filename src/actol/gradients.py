@@ -69,8 +69,8 @@ def objective_and_grad(emb, lang, c, bridge=None, bb_weight=0.0, need_language=T
     gradient, shared or each clip's own (clip axes (B,), or (B, 1) for O
     configs, else ValueError), is added to dL/dE; without one the penalties are
     0.0. dL/dl is None unless need_language. This is Step(c, bb_weight,
-    need_language) called once; c may be a run's Step, whose settings hold."""
-    return (c if isinstance(c, Step) else Step(c, bb_weight, need_language))(emb, lang, bridge)
+    need_language) called once."""
+    return Step(c, bb_weight, need_language)(emb, lang, bridge)
 
 
 class Step:

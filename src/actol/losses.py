@@ -167,18 +167,17 @@ class Contrast:
     masks and indices are (N, T, T-1) and the flat indices address (N, T)
     and (N, T, T-1) arrays, so the kernel evaluates clip n of the stack on
     slice n of (B, N, T) similarities. Built from one timestamp row and a
-    tuple of O configs, row o of the same layout is config o, and cfg is the
-    tuple. For each of R configs (O, or 1 for a bare one), the temperature
-    tau, the gradient scale n_terms * tau and the positive-term count per
-    clip n_terms are (R, 1, 1), (R, 1, 1) and (R,) arrays. linear holds each
-    config's range guard on cosine scores (see _sorted_softmax), and score
-    the score kind all configs share, or None when they mix kinds;
-    difference then masks the (O, 1, 1) rows that score by difference.
-    others is the bool mask of the sorted positions that hold no term, or
-    None when every position holds one. A Contrast holds run constants
-    only; the kernel's working arrays are a Views'."""
+    tuple of O configs, row o of the same layout is config o. For each of R
+    configs (O, or 1 for a bare one), the temperature tau, the gradient
+    scale n_terms * tau and the positive-term count per clip n_terms are
+    (R, 1, 1), (R, 1, 1) and (R,) arrays. linear holds each config's range
+    guard on cosine scores (see _sorted_softmax), and score the score kind
+    all configs share, or None when they mix kinds; difference then masks
+    the (O, 1, 1) rows that score by difference. others is the bool mask
+    of the sorted positions that hold no term, or None when every position
+    holds one. A Contrast holds run constants only; the kernel's working
+    arrays are a Views'."""
 
-    cfg: TnceConfig | tuple
     lower_bound: float | np.ndarray
     positives: float | np.ndarray
     n_terms: np.ndarray
@@ -225,10 +224,9 @@ class Contrast:
         scores = [c.score for c in cfgs]
         score = scores[0] if len(set(scores)) == 1 else None
         difference = None if score else (np.array(scores) == "difference-score")[:, None, None]
-        return cls(cfg if one else cfgs, groups.lower_bound(),
-                   1.0 if others is None else pos.astype(float), n_terms, s_at, row + end,
-                   row + start, tau, n_terms[:, None, None] * tau, _in_range(tau, T), score,
-                   difference, others)
+        return cls(groups.lower_bound(), 1.0 if others is None else pos.astype(float), n_terms,
+                   s_at, row + end, row + start, tau, n_terms[:, None, None] * tau,
+                   _in_range(tau, T), score, difference, others)
 
 
 def _stack_size(scores_per_item: int) -> int:

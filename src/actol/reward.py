@@ -88,10 +88,10 @@ def compare_objectives(
     """Train free embeddings from identical per-seed initializations under
     each objective and report reward-argmax distance to the ground-truth
     completion index. Every seed and objective trains in one (B, O, T, d)
-    stack, one objective_and_grad call per step for all of them, which
-    gives each seed and objective the result of its own run. A loss that
-    turns non-finite raises TrainingDiverged at the earliest step at which
-    any objective and seed diverges. Objective names must be distinct."""
+    stack, one Step call per step for all of them, which gives each seed
+    and objective the result of its own run. A loss that turns non-finite
+    raises TrainingDiverged at the earliest step at which any objective and
+    seed diverges. Objective names must be distinct."""
     objectives = tuple(objectives)
     seeds = tuple(int(kinds.SEED.check("seed", seed)) for seed in seeds)
     if not seeds:
@@ -100,7 +100,7 @@ def compare_objectives(
     if len(set(names)) != len(names):
         raise ValueError(f"objective names must be distinct, got {names}")
     clips, truths = zip(*(generate_clip(replace(clip_spec, seed=seed)) for seed in seeds))
-    histories = train_objectives(clips, train_cfg, [o.tnce for o in objectives], seeds, False)
+    histories = train_objectives(clips, train_cfg, [o.tnce for o in objectives], seeds)
     final_clips = {
         (seed, obj.name): runs[o].final_clip
         for o, obj in enumerate(objectives)

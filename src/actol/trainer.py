@@ -2,22 +2,22 @@
 under the combined objective, on the unit sphere.
 
 Runs are single-threaded and bitwise deterministic given the seed and
-config. Clips that share their timestamps train as one stack, under one
-objective (train_batch) or under several at once (train_objectives):
-one objective evaluation per step for the whole stack, and each clip and
-objective gets bit for bit the history of its own run.
+config. Clips that share their timestamps train as one stack under one
+objective or several at once (train_objectives): one objective
+evaluation per step for the whole stack, and each clip and objective
+gets bit for bit the history of its own run.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kinds
 from .clip import ClipSequence, _norms, normalize
-from .gradients import Step, objective_and_grad
+from .gradients import Step
 from .losses import (
     DEFAULT_BB_WEIGHT,
     Bridge,
@@ -25,7 +25,6 @@ from .losses import (
     LossBreakdown,
     TieGroups,
     TnceConfig,
-    _sorted_scores,
 )
 
 
@@ -81,8 +80,19 @@ class LinearEncoder:
 
 @dataclass
 class TrainHistory:
-    records: list = field(default_factory=list)
-    final_clip: ClipSequence | None = None
+    """A run's result: losses, its (3, steps) vlo, bb and total per step (a
+    view of the array its descent wrote), the ordering loss's lower bound
+    and the final clip. records builds a LossBreakdown per step on each
+    read."""
+
+    losses: np.ndarray
+    lower_bound: float
+    final_clip: ClipSequence
+
+    @property
+    def records(self) -> list:
+        lb = self.lower_bound
+        return [LossBreakdown(v, p, t, lb, v - lb) for v, p, t in zip(*self.losses.tolist())]
 
 
 def _tangent_step(vectors: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
@@ -119,9 +129,7 @@ def _interval_draws(T: int, n: int, rngs, steps: int):
         yield from np.stack(draws, axis=1)[:, :, None]
 
 
-def _descend(
-    clip: ClipSequence, params, embed, cfg: TrainConfig, objectives, rngs, keep_records=True
-):
+def _descend(clip: ClipSequence, params, embed, cfg: TrainConfig, objectives, rngs):
     """cfg.steps descent steps of B clips, which share the starting clip's
     timestamps, under each of O >= 1 objectives: the combined objective
     (None) or a contrastive variant, as one (B, O, T, d) stack on the
@@ -131,18 +139,16 @@ def _descend(
     b's bridge intervals, drawn from rngs[b] in blocks of steps, make one
     Bridge for the stack, its w times an (O, 1) column that is 1.0 on the
     combined objectives and 0.0 elsewhere, so that only they carry it. Built
-    once: the Contrast, which gives every record's lower bound; the Step
-    that every step's one objective_and_grad call runs, whose views own the
-    kernel's arrays, with no kink test (no step reads at_kink); and, with
-    one interval per step, the full-clip Bridge. Each step writes its
-    history in place, and the records (empty unless keep_records) are built
-    after the last.
-    Returns records[b][o] and the final params; the earliest step at which
-    any clip and objective has a non-finite loss, or at which any value
-    overflows, raises TrainingDiverged, which names the cause."""
+    once: the Contrast, which gives the lower bound; the Step that each step
+    calls once, whose views own the kernel's arrays, with no kink test (no
+    step reads at_kink); and, with one interval per step, the full-clip
+    Bridge. Each step writes its vlo, bb and total in place.
+    Returns the (B, O, 3, steps) history, the lower bound and the final
+    params; the earliest step at which any clip and objective has a
+    non-finite loss, or at which any value overflows, raises
+    TrainingDiverged, which names the cause."""
     cfgs = tuple(obj or TnceConfig(temperature=cfg.temperature) for obj in objectives)
     c = Contrast.of(clip.timestamps, cfgs)
-    lb = c.lower_bound
     bridged = np.array([[obj is None] for obj in objectives], dtype=float)  # (O, 1)
 
     def bridge_of(intervals=None):  # w is 0 on the objectives that carry no bridge
@@ -163,7 +169,7 @@ def _descend(
                 emb, lang, update = embed(params, step)
                 if intervals is not None:
                     bridge = bridge_of(next(intervals))
-                vlo, bb, *grads, _ = objective_and_grad(emb, lang, evaluate, bridge)
+                vlo, bb, *grads, _ = evaluate(emb, lang, bridge)
                 total = np.add(vlo, lam * bb, out=history[..., 2, step])
                 if not np.isfinite(total).all():  # the earliest diverging step of any run
                     raise TrainingDiverged(step)
@@ -172,9 +178,7 @@ def _descend(
                 params = update(*grads)
     except FloatingPointError as exc:
         raise TrainingDiverged(step, f"overflow in the {part}") from exc
-    records = [[[LossBreakdown(v, p, t, lb, v - lb) for v, p, t in zip(*run.tolist())]
-                 if keep_records else [] for run in runs] for runs in history]  # a run at a time
-    return records, params
+    return history, c.lower_bound, params
 
 
 def train_free(
@@ -186,24 +190,16 @@ def train_free(
     directly. By default the combined objective is minimized; passing a
     TnceConfig trains under that contrastive variant instead, with the
     history's vlo/total fields holding its value."""
-    return train_batch([clip_init], cfg, objective, [cfg.seed])[0]
+    return train_objectives([clip_init], cfg, (objective,), [cfg.seed])[0][0]
 
 
-def train_batch(clips, cfg: TrainConfig, objective: TnceConfig | None, seeds) -> list:
-    """train_free on clips that share their timestamps, stepped as one
-    (B, 1, T, d) stack: history b equals clip b's own run with cfg.seed =
-    seeds[b], unless some clip's loss diverges, which raises."""
-    return [h for (h,) in train_objectives(clips, cfg, (objective,), seeds)]
-
-
-def train_objectives(clips, cfg: TrainConfig, objectives, seeds, keep_records=True) -> list:
-    """train_batch under every objective (None or a TnceConfig) at once:
-    the clips, repeated once per objective, step as one (B, O, T, d) stack.
-    histories[b][o] equals train_batch's history b under objective o, bit
+def train_objectives(clips, cfg: TrainConfig, objectives, seeds) -> list:
+    """train_free on clips that share their timestamps under every
+    objective (None or a TnceConfig) at once: the clips, repeated once per
+    objective, step as one (B, O, T, d) stack. histories[b][o] equals clip
+    b's own train_free run under objective o with cfg.seed = seeds[b], bit
     for bit, unless some clip's loss under some objective diverges, which
-    raises at the earliest such step. Without keep_records the histories
-    hold their final clips and no records: the stack would otherwise build
-    every objective's records at once, which a comparison never reads."""
+    raises at the earliest such step."""
     if not clips:
         raise ValueError("need at least one clip")
     if not objectives:
@@ -226,12 +222,10 @@ def train_objectives(clips, cfg: TrainConfig, objectives, seeds, keep_records=Tr
         )
 
     rngs = [kinds.generator(seed) for seed in seeds]
-    records, (emb, lang) = _descend(
-        clips[0], (emb, lang), embed, cfg, objectives, rngs, keep_records
-    )
+    history, lb, (emb, lang) = _descend(clips[0], (emb, lang), embed, cfg, objectives, rngs)
     return [
-        [TrainHistory(r, c.with_embeddings(e, l)) for r, e, l in zip(runs, es, ls)]
-        for runs, c, es, ls in zip(records, clips, emb, lang)
+        [TrainHistory(h, lb, c.with_embeddings(e, l)) for h, e, l in zip(runs, es, ls)]
+        for runs, c, es, ls in zip(history, clips, emb, lang)
     ]
 
 
@@ -264,9 +258,9 @@ def train_encoder(features, timestamps, language, cfg: TrainConfig):
         return emb[None, None], language, update  # a (1, 1, T, d) stack
 
     fixed = replace(cfg, optimize_language=False)  # the language is not a parameter here
-    ((records,),), weight = _descend(start, weight, embed, fixed, (None,), [rng])
+    ((losses,),), lb, weight = _descend(start, weight, embed, fixed, (None,), [rng])
     encoder = LinearEncoder(weight)
-    return encoder, TrainHistory(records, start.with_embeddings(encoder(features)))
+    return encoder, TrainHistory(losses, lb, start.with_embeddings(encoder(features)))
 
 
 def measure_delta(clip: ClipSequence, temperature: float = 1.0):
@@ -280,9 +274,9 @@ def measure_delta(clip: ClipSequence, temperature: float = 1.0):
     score before its group its smallest margin."""
     kinds.POSITIVE.check("temperature", temperature)
     groups = TieGroups.of(clip.timestamps)
-    c, start, pos = Contrast.of(groups, TnceConfig()), groups.start, np.arange(clip.T - 1)
+    s, start, pos = clip.similarities(), groups.start, np.arange(clip.T - 1)
     # x[i, p]: anchor i's score for the frame at its sorted position p
-    x = _sorted_scores(clip.similarities()[None], c, False)[0][0] / temperature
+    x = np.abs(s[:, None] - s[groups.order]) / -temperature
     firsts = np.flatnonzero(start == pos)  # each row starts a group, so none spans two
     tied, farther = np.diff(firsts, append=x.size) > 1, start > 0
     if not tied.any() and not farther.any():

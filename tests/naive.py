@@ -223,7 +223,7 @@ def log_suffix_softmax(rows, c, need_grad):
     """(values, G or None) of suffix_softmax from two logaddexp.accumulate
     passes, whatever the range of the scores."""
     B = len(rows)
-    tau = float(c.cfg.temperature)
+    tau = c.tau.item()
     at = sorted_at(c)
     x = np.take(rows.reshape(B, -1), at, axis=1) / tau
     lse = np.logaddexp.accumulate(x, axis=-1).reshape(B, -1)[:, c.end_at]

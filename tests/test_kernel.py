@@ -173,11 +173,12 @@ def test_stack_rows_round_like_single_rows(T, seed):
         assert all(bounds[n] == TieGroups.of(stack[n]).lower_bound() for n in range(N))
         for cfg in COMBOS:
             for tau in (0.5, 1e-3):
-                c = Contrast.of(stack, replace(cfg, temperature=tau))
+                config = replace(cfg, temperature=tau)
+                c = Contrast.of(stack, config)
                 rows = rng.uniform(-1.0, 1.0, (1, N, T, T))  # a cosine score's range
                 values, G = naive.suffix_softmax(rows, c, True)
                 for n in range(N):
-                    alone = Contrast.of(stack[n], c.cfg)
+                    alone = Contrast.of(stack[n], config)
                     assert alone.n_terms == c.n_terms
                     (value,), (G_n,) = naive.suffix_softmax(rows[:, n], alone, True)
                     assert values[0, n] == value
@@ -519,7 +520,7 @@ def test_step_outputs_are_not_the_runs_working_arrays(stack, tau):
         if O > 1:
             emb, lang = emb.reshape(B, O, *emb.shape[1:]), lang.reshape(B, O, -1)
         emb[0, ..., 6, :] = emb[0, ..., 2, :]  # a tie, so that a kink is flagged
-        got = objective_and_grad(emb, lang, run, bridge, 0.1, True)
+        got = run(emb, lang, bridge)
         outputs.append((got, [a.copy() for a in got]))
     assert {"diff", "x", "close"} <= set(vars(run.views))
     work = [w for w in vars(run.views).values() if isinstance(w, np.ndarray)]
@@ -587,18 +588,16 @@ def test_runs_step_at_another_stack_size_and_d(monkeypatch):
     makes new ones at another: called at B=2, then B=3, then another d, it
     gives bit for bit a one-shot objective_and_grad call's outputs each
     time, at_kink aside (it runs no kink test)."""
-    from actol import trainer
-
     steps = []
-    original = trainer.objective_and_grad
-    monkeypatch.setattr(trainer, "objective_and_grad",
-                        lambda emb, lang, step, *args: steps.append(step)
-                        or original(emb, lang, step, *args))
+    original = Step.__call__
+    monkeypatch.setattr(Step, "__call__",
+                        lambda step, *args: steps.append(step) or original(step, *args))
     ts, drawn = (0, 1, 2, 3, 5, 6), random_clip(6, 4, np.random.default_rng(0))
     cfg = TrainConfig(steps=1, optimize_language=True)
     train_free(ClipSequence(ts, drawn.embeddings, drawn.language), cfg)
     step, bridge = steps[0], Bridge.of(ts)
-    c = Contrast.of(ts, step.c.cfg)  # the run's one config, as its (1, T, T-1) stack
+    # the run's one config, as its (1, T, T-1) stack
+    c = Contrast.of(ts, (TnceConfig(temperature=cfg.temperature),))
     for B, d in ((2, 4), (3, 4), (3, 5)):
         emb, lang = _step_inputs(B, seed=4 + d, T=6, d=d)
         emb, lang = emb[:, None], lang[:, None]
@@ -637,6 +636,16 @@ def test_runs_step_takes_each_language_once(objective):
         assert at_kink is None and step.lang is language
         for a, b in zip(got, expected, strict=True):
             assert np.array_equal(a, b)
+
+
+def test_one_shot_call_takes_no_step():
+    """objective_and_grad builds its own Step from its own bb_weight and
+    need_language, so a run's Step, whose settings would override them,
+    is not a Contrast it takes."""
+    c = Contrast.of(STEP_TS, STEP_OBJECTIVES["actol"])
+    emb, lang = _step_inputs(2, seed=8)
+    with pytest.raises(AttributeError):
+        objective_and_grad(emb, lang, Step(c, 0.1, need_language=False), Bridge.of(STEP_TS), 5.0)
 
 
 @st.composite

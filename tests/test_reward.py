@@ -15,9 +15,10 @@ from actol import (
     generate_clip,
     reward_curve,
 )
-from actol import trainer
 from actol.cli import OBJECTIVE_PRESETS
-from actol.trainer import train_batch
+from actol.gradients import Step
+from actol.losses import LossBreakdown
+from actol.trainer import train_objectives
 
 
 def clip_with_sims(sims, timestamps=None):
@@ -150,28 +151,31 @@ class TestCompareObjectives:
          {"intervals_per_step": 2, "optimize_language": True}, {"temperature": 1e-3}],
         ids=["defaults", "intervals_per_step-2", "optimize_language", "both", "mixed-range"],
     )
-    def test_every_objective_matches_its_own_train_batch_run(self, train):
+    def test_every_objective_matches_its_own_train_batch_run(self, monkeypatch, train):
         """Records and final clips of each objective of one stack are bit
-        for bit those of its own train_batch run, for every preset. At
-        temperature 1e-3 the combined objective's kernel runs in log space
-        and the presets', at temperature 1, in linear space."""
+        for bit those of its own one-objective run, for every preset, and a
+        comparison builds no record. At temperature 1e-3 the combined
+        objective's kernel runs in log space and the presets', at
+        temperature 1, in linear space."""
         objectives = [ObjectiveSpec(name, cfg) for name, cfg in OBJECTIVE_PRESETS.items()]
         spec = SyntheticClipSpec(T=7, d=5, completion_index=4, tail_mode="second-action",
                                  noise_sigma=0.1)
         cfg = TrainConfig(learning_rate=0.1, steps=15, **{"temperature": 0.5, **train})
         seeds = (3, 4, 5)
         clips = [generate_clip(replace(spec, seed=seed))[0] for seed in seeds]
-        stacked = trainer.train_objectives(clips, cfg, [o.tnce for o in objectives], seeds)
+        stacked = train_objectives(clips, cfg, [o.tnce for o in objectives], seeds)
+        built, init = [], LossBreakdown.__init__
+        monkeypatch.setattr(LossBreakdown, "__init__",
+                            lambda self, *a: built.append(a) or init(self, *a))
         record = compare_objectives(spec, objectives, cfg, seeds)
-        unkept = trainer.train_objectives(clips, cfg, [o.tnce for o in objectives], seeds, False)
+        assert built == []
         for o, obj in enumerate(objectives):
-            for b, alone in enumerate(train_batch(clips, cfg, obj.tnce, seeds)):
+            for b, (alone,) in enumerate(train_objectives(clips, cfg, (obj.tnce,), seeds)):
                 assert stacked[b][o].records == alone.records
-                assert unkept[b][o].records == []
-                for got in (stacked[b][o].final_clip, unkept[b][o].final_clip,
-                            record.final_clips[(seeds[b], obj.name)]):
+                for got in (stacked[b][o].final_clip, record.final_clips[(seeds[b], obj.name)]):
                     assert np.array_equal(got.embeddings, alone.final_clip.embeddings)
                     assert np.array_equal(got.language, alone.final_clip.language)
+        assert built  # the spy sees the records read from the histories
 
     @pytest.mark.parametrize(
         "names, message",
@@ -192,7 +196,7 @@ class TestCompareObjectives:
 
     def test_divergence_raised_at_the_earliest_step_of_any_objective(self, monkeypatch):
         # the second objective turns non-finite at step 3, the first never
-        steps, original = [], trainer.objective_and_grad
+        steps, original = [], Step.__call__
 
         def diverging(*a):
             vlo, *rest = original(*a)
@@ -201,7 +205,7 @@ class TestCompareObjectives:
             steps.append(len(steps))
             return vlo, *rest
 
-        monkeypatch.setattr(trainer, "objective_and_grad", diverging)
+        monkeypatch.setattr(Step, "__call__", diverging)
         with pytest.raises(TrainingDiverged) as exc:
             self.run(seeds=(0, 1))
         assert exc.value.step == 3
@@ -209,9 +213,9 @@ class TestCompareObjectives:
     @pytest.mark.parametrize("seeds", [(0,), (0, 1, 2)])
     def test_one_objective_call_per_step_whatever_the_seed_count(self, monkeypatch, seeds):
         calls = []
-        original = trainer.objective_and_grad
+        original = Step.__call__
         monkeypatch.setattr(
-            trainer, "objective_and_grad", lambda *a: calls.append(len(a[0])) or original(*a)
+            Step, "__call__", lambda *a: calls.append(len(a[1])) or original(*a)
         )
         self.run(seeds=seeds)
         assert calls == [len(seeds)] * 30  # one call per step for every objective and seed
@@ -224,5 +228,5 @@ class TestCompareObjectives:
         clips[1] = clips[1].with_embeddings(emb)
         for objective in (None, self.OBJECTIVES[1].tnce):
             with pytest.raises(TrainingDiverged) as exc:
-                train_batch(clips, TrainConfig(steps=5), objective, (0, 1, 2))
+                train_objectives(clips, TrainConfig(steps=5), (objective,), (0, 1, 2))
             assert exc.value.step == 0

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import actol
 from actol.losses import Contrast, TnceConfig, Views
+from actol.trainer import TrainHistory
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -124,4 +125,15 @@ def test_docs_name_only_views_attributes_that_exist():
     attributes = set(dir(Views)) | set(vars(Views(Contrast.of((0, 1, 2), TnceConfig()), 1)))
     named = _named(r"Views|step\.views")
     assert {"at", "signed_tau"} <= {name for _, name in named}  # the scan sees the names it checks
+    assert [(where, name) for where, name in named if name not in attributes] == []
+
+
+def test_docs_name_only_history_attributes_that_exist():
+    """Every TrainHistory.<name> or history.<name> written in README.md, or
+    in a docstring or comment of actol, is an attribute of TrainHistory, so
+    that no removed part of a run's result is still described. The CLI's
+    history.csv is a file, not an attribute."""
+    attributes = set(dir(TrainHistory)) | {f.name for f in fields(TrainHistory)}
+    named = [(where, name) for where, name in _named(r"TrainHistory|history") if name != "csv"]
+    assert {"losses", "records"} <= {name for _, name in named}  # the scan sees the names it checks
     assert [(where, name) for where, name in named if name not in attributes] == []

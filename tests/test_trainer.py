@@ -23,8 +23,9 @@ from actol import (
     train_encoder,
     train_free,
 )
-from actol.losses import Bridge, TieGroups
-from actol.trainer import INTERVAL_BLOCK_STEPS, train_batch, train_objectives
+from actol.gradients import Step
+from actol.losses import Bridge, Contrast, TieGroups
+from actol.trainer import INTERVAL_BLOCK_STEPS, train_objectives
 
 
 def start_clip(seed=0, T=6, d=4):
@@ -148,16 +149,14 @@ class TestTrainFree:
         assert isinstance(exc.value.__cause__, FloatingPointError)
 
     def test_non_finite_loss_names_the_loss(self, monkeypatch):
-        from actol import trainer
-
-        calls, original = [], trainer.objective_and_grad
+        calls, original = [], Step.__call__
 
         def diverging(*args):
             vlo, *rest = original(*args)
             calls.append(None)
             return (vlo * np.nan if len(calls) == 3 else vlo), *rest
 
-        monkeypatch.setattr(trainer, "objective_and_grad", diverging)
+        monkeypatch.setattr(Step, "__call__", diverging)
         with pytest.raises(TrainingDiverged) as exc:
             train_free(start_clip(8), TrainConfig(steps=5))
         assert (exc.value.step, str(exc.value)) == (2, "non-finite loss at step 2")
@@ -172,17 +171,15 @@ class TestTrainFree:
         peaked about 657 KB above their start when the log-space path made
         its own arrays, and with the language optimized, where steps peaked
         about 172 KB above it when dL/dl's (T, d) terms were new arrays."""
-        from actol import trainer
-
-        marks = []  # traced (current, peak since the last mark) at each step's objective call
-        original = trainer.objective_and_grad
+        marks = []  # traced (current, peak since the last mark) at each step's Step call
+        original = Step.__call__
 
         def marking(*args):
             marks.append(tracemalloc.get_traced_memory())
             tracemalloc.reset_peak()
             return original(*args)
 
-        monkeypatch.setattr(trainer, "objective_and_grad", marking)
+        monkeypatch.setattr(Step, "__call__", marking)
         clip = start_clip(24, T=128, d=32)
         for temperature, language in ((0.5, False), (0.002, False), (0.5, True)):
             marks.clear()
@@ -210,16 +207,14 @@ class TestTrainFree:
         798,720 B for one config at T=128, d=32. Each buffer counts once;
         the caller's language and the buffers of the Contrast's fields (at
         B=1, Views.at is a view of c.s_at) do not count."""
-        from actol import trainer
-
         steps = []
-        original = trainer.objective_and_grad
+        original = Step.__call__
 
-        def keeping(emb, lang, step, *args):
+        def keeping(step, *args):
             steps.append(step)
-            return original(emb, lang, step, *args)
+            return original(step, *args)
 
-        monkeypatch.setattr(trainer, "objective_and_grad", keeping)
+        monkeypatch.setattr(Step, "__call__", keeping)
         ts = tuple(range(T))
         clips = [random_clip(T, d, np.random.default_rng(seed)) for seed in range(B)]
         clips = [ClipSequence(ts, clip.embeddings, clip.language) for clip in clips]
@@ -243,17 +238,15 @@ class TestTrainFree:
         """A descent run's Step resolves its Views' arrays and their views
         once: after its first step it keeps one Views, and every attribute
         of it is the same object through the last step."""
-        from actol import trainer
-
         kept = []
-        original = trainer.objective_and_grad
+        original = Step.__call__
 
-        def keeping(emb, lang, step, *args):
-            out = original(emb, lang, step, *args)
+        def keeping(step, *args):
+            out = original(step, *args)
             kept.append((step.views, {k: id(a) for k, a in vars(step.views).items()}))
             return out
 
-        monkeypatch.setattr(trainer, "objective_and_grad", keeping)
+        monkeypatch.setattr(Step, "__call__", keeping)
         clips = [random_clip(T, d, np.random.default_rng(seed)) for seed in range(B)]
         clips = [ClipSequence(tuple(range(T)), clip.embeddings, clip.language) for clip in clips]
         cfg = TrainConfig(steps=4, temperature=0.5, optimize_language=language)
@@ -269,13 +262,10 @@ class TestTrainFree:
         3 * 130,048 = 390,144 B, where with the TieGroups' distances, starts
         and ends they were 780,288 B. Its per-config tau, scale and n_terms
         add 8 B each."""
-        from actol import trainer
-
         steps = []
-        original = trainer.objective_and_grad
-        monkeypatch.setattr(trainer, "objective_and_grad",
-                            lambda emb, lang, step, *args: steps.append(step)
-                            or original(emb, lang, step, *args))
+        original = Step.__call__
+        monkeypatch.setattr(Step, "__call__",
+                            lambda step, *args: steps.append(step) or original(step, *args))
         T, drawn = 128, random_clip(128, 32, np.random.default_rng(0))
         clip = ClipSequence(tuple(range(T)), drawn.embeddings, drawn.language)
         train_free(clip, TrainConfig(steps=1, temperature=0.5))
@@ -302,13 +292,10 @@ class TestTrainFree:
         """A descent run's step takes dL/ds from the sorted weights: its
         Contrast has no sorted_at index into (T, T) arrays, and neither its
         Views' arrays nor the step's own arrays end in a (T, T) shape."""
-        from actol import trainer
-
         steps = []
-        original = trainer.objective_and_grad
-        monkeypatch.setattr(trainer, "objective_and_grad",
-                            lambda emb, lang, step, *args: steps.append(step)
-                            or original(emb, lang, step, *args))
+        original = Step.__call__
+        monkeypatch.setattr(Step, "__call__",
+                            lambda step, *args: steps.append(step) or original(step, *args))
         clips = [random_clip(T, 8, np.random.default_rng(seed)) for seed in range(B)]
         clips = [ClipSequence(tuple(range(T)), clip.embeddings, clip.language) for clip in clips]
         train_objectives(clips, TrainConfig(steps=2, temperature=0.5), objectives, list(range(B)))
@@ -333,7 +320,7 @@ class TestTrainFree:
         clips = [ClipSequence(ts, c.embeddings, c.language) for c in clips]
         steps, seeds = INTERVAL_BLOCK_STEPS + 6, (7, 8, 9)
         cfg = TrainConfig(steps=steps, intervals_per_step=3)
-        train_objectives(clips, cfg, objectives, seeds, False)
+        train_objectives(clips, cfg, objectives, seeds)
         expected = [naive.bridge_intervals(len(ts), 3, np.random.default_rng(seed), steps,
                                            INTERVAL_BLOCK_STEPS) for seed in seeds]
         assert len(drawn) == steps
@@ -350,7 +337,8 @@ class TestTrainFree:
         clips = [ClipSequence(ts, c.embeddings, c.language) for c in clips]
         seeds = (11, 12, 13)
         cfg = TrainConfig(steps=40, intervals_per_step=3)
-        for clip, seed, history in zip(clips, seeds, train_batch(clips, cfg, None, seeds)):
+        batch = [h for (h,) in train_objectives(clips, cfg, (None,), seeds)]
+        for clip, seed, history in zip(clips, seeds, batch):
             alone = train_free(clip, replace(cfg, seed=seed))
             assert history.records == alone.records
             assert np.array_equal(history.final_clip.embeddings, alone.final_clip.embeddings)
@@ -367,18 +355,16 @@ class TestTrainFree:
         "objective", [None, TnceConfig("last-frame", "other-frames", "direct-sim")]
     )
     def test_one_objective_evaluation_per_step(self, monkeypatch, objective):
-        from actol import trainer
-
         calls = []
 
         def counting(fn):
             return lambda *a, **k: calls.append(fn.__name__) or fn(*a, **k)
 
-        monkeypatch.setattr(trainer, "objective_and_grad", counting(trainer.objective_and_grad))
+        monkeypatch.setattr(Step, "__call__", counting(Step.__call__))
         monkeypatch.setattr(TieGroups, "of", counting(TieGroups.of))
         train_free(start_clip(13), TrainConfig(steps=7), objective=objective)
         # one sort, which also gives the lower bound, then one evaluation per step
-        assert calls == ["of"] + ["objective_and_grad"] * 7
+        assert calls == ["of"] + ["__call__"] * 7
 
     @pytest.mark.parametrize(
         "objective", [None, TnceConfig("last-frame", "other-frames", "direct-sim")],
@@ -394,7 +380,7 @@ class TestTrainFree:
         ts = start_clip(22).timestamps
         clips = [random_clip(len(ts), 4, np.random.default_rng(seed)) for seed in (1, 2, 3)]
         clips = [ClipSequence(ts, c.embeddings, c.language) for c in clips]
-        train_batch(clips, cfg, objective, (1, 2, 3))
+        train_objectives(clips, cfg, (objective,), (1, 2, 3))
         assert spy.call_count == 2
 
     @pytest.mark.parametrize("intervals_per_step", [1, 2])
@@ -414,23 +400,21 @@ class TestTrainFree:
         for steps in (3, 8):
             counts.update(bridge=0, clip=0)
             cfg = TrainConfig(steps=steps, intervals_per_step=intervals_per_step)
-            train_batch(clips, cfg, None, (1, 2, 3))  # one Bridge per step for all three clips
+            train_objectives(clips, cfg, (None,), (1, 2, 3))  # one Bridge per step for all three clips
             assert counts["bridge"] == (1 if intervals_per_step == 1 else steps)
             seen.append(counts["clip"])
         assert seen[0] == seen[1]
 
     @pytest.mark.parametrize("optimize_language", [False, True])
     def test_language_gradient_asked_for_only_when_stepped(self, monkeypatch, optimize_language):
-        from actol import trainer
-
         asked = []
-        original = trainer.objective_and_grad
+        original = Step.__call__
 
-        def spy(emb, lang, step, bridge=None):  # a run's Step, which fixes need_language
+        def spy(step, *args):  # a run's Step, which fixes need_language
             asked.append(step.need_language)
-            return original(emb, lang, step, bridge)
+            return original(step, *args)
 
-        monkeypatch.setattr(trainer, "objective_and_grad", spy)
+        monkeypatch.setattr(Step, "__call__", spy)
         cfg = TrainConfig(steps=3, optimize_language=optimize_language)
         clip = start_clip(23)
         train_free(clip, cfg)
@@ -481,14 +465,15 @@ class TestTrainFree:
         cfg = TrainConfig(
             steps=12, intervals_per_step=intervals_per_step, optimize_language=optimize_language
         )
-        got = train_batch(clips, cfg, objective, (4, 5, 6))
+        got = [h for (h,) in train_objectives(clips, cfg, (objective,), (4, 5, 6))]
         monkeypatch.setattr(
-            trainer, "objective_and_grad",
-            lambda emb, lang, step, bridge: naive.objective_and_grad(
+            Step, "__call__",
+            lambda step, emb, lang, bridge: naive.objective_and_grad(
                 emb, lang, step.c, bridge, step.bb_weight),
         )
         monkeypatch.setattr(trainer, "_tangent_step", naive.tangent_step)
-        for history, expected in zip(got, train_batch(clips, cfg, objective, (4, 5, 6))):
+        reference = [h for (h,) in train_objectives(clips, cfg, (objective,), (4, 5, 6))]
+        for history, expected in zip(got, reference):
             assert history.records == expected.records
             assert np.array_equal(history.final_clip.embeddings, expected.final_clip.embeddings)
             assert np.array_equal(history.final_clip.language, expected.final_clip.language)
@@ -509,7 +494,7 @@ class TestTrainFree:
                  for seed in (1, 2, 3)]
         cfg = TrainConfig(steps=2, intervals_per_step=intervals_per_step)
         with pytest.raises(ValueError, match="^a batch needs one seed per clip$"):
-            train_batch(clips, cfg, None, (0, 1))
+            train_objectives(clips, cfg, (None,), (0, 1))
 
     @staticmethod
     def _apart_match_their_own_runs(order, optimize_language, intervals_per_step):
@@ -523,7 +508,7 @@ class TestTrainFree:
         seeds = (14, 15)
         stacked = train_objectives(clips, cfg, objectives, seeds)
         for o, objective in enumerate(objectives):
-            for b, alone in enumerate(train_batch(clips, cfg, objective, seeds)):
+            for b, (alone,) in enumerate(train_objectives(clips, cfg, (objective,), seeds)):
                 assert stacked[b][o].records == alone.records
                 assert any(r.bb > 0 for r in alone.records) == (objective is None)
                 got = stacked[b][o].final_clip
@@ -534,7 +519,7 @@ class TestTrainFree:
     def test_combined_objectives_apart_match_their_own_runs(self, intervals_per_step):
         """With a contrastive objective between two combined ones, the
         bridge goes on the combined rows only, and each history is bit for
-        bit its own train_batch run."""
+        bit its own one-objective run."""
         self._apart_match_their_own_runs(("actol", "last-frame", "actol"), False, intervals_per_step)
 
     @pytest.mark.parametrize("intervals_per_step", [1, 3])
@@ -552,7 +537,7 @@ class TestTrainFree:
         the language fixed or stepped, and with a contrastive objective
         between two combined ones and the language stepped, the bridge goes
         on the combined rows only, and each history is bit for bit its own
-        train_batch run."""
+        one-objective run."""
         self._apart_match_their_own_runs(order, optimize_language, intervals_per_step)
 
     @pytest.mark.parametrize(
@@ -564,15 +549,12 @@ class TestTrainFree:
         clips = [start_clip(31)] if clips is None else clips
         with pytest.raises(ValueError, match=f"^{message}$"):
             train_objectives(clips, TrainConfig(steps=2), objectives, [0] * len(clips))
-        if objectives:  # train_batch's one objective
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                train_batch(clips, TrainConfig(steps=2), None, [])
 
     def test_batch_rejects_clips_with_other_timestamps(self):
         a, b = start_clip(19), start_clip(20)
         assert a.timestamps != b.timestamps
         with pytest.raises(ValueError, match="share their timestamps"):
-            train_batch([a, b], TrainConfig(steps=2), None, (0, 1))
+            train_objectives([a, b], TrainConfig(steps=2), (None,), (0, 1))
 
     @pytest.mark.parametrize(
         "objective", [None, TnceConfig("last-frame", "other-frames", "direct-sim")],
@@ -586,7 +568,8 @@ class TestTrainFree:
         seeds = (100, 101, 102, 103)
         clips = [generate_clip(replace(spec, seed=seed))[0] for seed in seeds]
         cfg = TrainConfig(learning_rate=0.05, steps=300, temperature=0.5)
-        for clip, seed, history in zip(clips, seeds, train_batch(clips, cfg, objective, seeds)):
+        batch = [h for (h,) in train_objectives(clips, cfg, (objective,), seeds)]
+        for clip, seed, history in zip(clips, seeds, batch):
             alone = train_free(clip, replace(cfg, seed=seed), objective)
             assert history.records == alone.records
 
@@ -683,14 +666,23 @@ class TestMeasureDelta:
 
     @pytest.mark.parametrize("T", [2, 3, 9])
     def test_one_sort(self, monkeypatch, T):
-        """measure_delta builds one TieGroups, for its group starts, and
-        hands it to its Contrast."""
+        """measure_delta builds one TieGroups, for its sort order and group
+        starts."""
         clip = start_clip(23, T=T)
         expected = measure_delta(clip, 0.01)
         spy = mock.Mock(wraps=TieGroups.of)
         monkeypatch.setattr(TieGroups, "of", spy)
         assert measure_delta(clip, 0.01) == expected
         assert spy.call_count == 1
+
+    @pytest.mark.parametrize("T", [2, 3, 9])
+    def test_builds_no_contrast(self, monkeypatch, T):
+        """measure_delta reads only sorted scores, which it gathers through
+        its TieGroups: it builds no Contrast."""
+        spy = mock.Mock(wraps=Contrast.of)
+        monkeypatch.setattr(Contrast, "of", spy)
+        measure_delta(start_clip(23, T=T), 0.01)
+        assert spy.call_count == 0
 
     def test_no_triples_returns_tiny_positive(self):
         clip = start_clip(12, T=2)
